@@ -27,6 +27,12 @@ open-loop cluster simulator from a shell::
     python -m repro.harness.cli reconcile \\
         --input bench-artifacts/BENCH_realserve.json
 
+Every command is its own subparser taking only its own flags (``cli
+COMMAND --help`` lists them; a flag of another command is an argparse
+``unrecognized arguments`` error, exit 2).  The serve / cluster /
+live-server flags are generated from the :mod:`.runconfig` section
+fields, so a flag, its help, its range and its default are declared
+once, there.
 ``--fast`` uses the reduced test-scale configuration (seconds per figure);
 the default scale matches the benchmarks (minutes for the quality figures).
 ``--json-out DIR`` persists every run's rows as ``BENCH_<figure>.json`` so
@@ -52,35 +58,100 @@ matched cluster-simulator prediction (see docs/serving-guide.md).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
+from pathlib import Path
 
-from ..backend import backend_names
-from ..cluster import ARRIVAL_KINDS, PLACEMENTS
-from ..control import GOVERNOR_MODES
-from ..hw.soc import VARIANTS
 from ..workloads import list_workloads
 from .configs import DEFAULT, FAST
 from .figures import EXPERIMENTS
+from .frontier import DEFAULT_FRONTIER_RATES, SWEEP_DEFAULTS, run_frontier
 from .reporting import print_table, write_bench_json
-from .runconfig import RunConfigError, from_cli_args, parse_rates
+from .runconfig import (
+    RunConfig,
+    RunConfigError,
+    config_fields,
+    effective_default,
+    parse_rates,
+)
+from .runner import (
+    DEFAULT_CLUSTER_MIX,
+    ExperimentTable,
+    execute_cell,
+    run_table,
+)
 
-SERVE_COMMAND = "serve"
-WORKLOADS_COMMAND = "workloads"
-CLUSTER_COMMAND = "cluster"
-FRONTIER_COMMAND = "frontier"
-BENCH_COMMAND = "bench"
-EXPERIMENT_COMMAND = "experiment"
-TRACE_COMMAND = "trace"
-SERVE_LIVE_COMMAND = "serve-live"
-LOADGEN_COMMAND = "loadgen"
-RECONCILE_COMMAND = "reconcile"
+# Where the commands that always persist their run write it by default.
+ARTIFACT_DIR = "bench-artifacts"
 
-# Commands that run under an observability activation: metrics are
-# always collected into their BENCH artifacts, and --trace additionally
-# records a Chrome Trace Event JSON of the run.
-OBSERVED_COMMANDS = (SERVE_COMMAND, CLUSTER_COMMAND, FRONTIER_COMMAND,
-                     EXPERIMENT_COMMAND, LOADGEN_COMMAND)
+# The cluster knobs a frontier sweep takes (it fixes poisson arrivals and
+# sweeps the rate itself), and the server-side knobs 'serve-live' takes
+# (the connecting client picks workloads, frames and the schedule).
+FRONTIER_FIELDS = ("workloads", "frames", "seed", "governor", "slo_fps",
+                   "use_cache", "duration_s", "workers", "placement",
+                   "queue_limit")
+SERVE_LIVE_FIELDS = ("governor", "slo_fps", "use_cache", "backend",
+                     "engine_workers", "host", "port")
+
+
+def _existing_dir_or_new(text: str) -> str:
+    if Path(text).exists() and not Path(text).is_dir():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} exists and is not a directory")
+    return text
+
+
+def _host_port(text: str) -> tuple:
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdigit() or not 0 < int(port) <= 65535:
+        raise argparse.ArgumentTypeError(f"bad {text!r}; expected HOST:PORT")
+    return host, int(port)
+
+
+def add_config_options(sub, mode: str, only=None, defaults=None) -> None:
+    """Generate one flag per field of the sections a ``mode`` cell takes.
+
+    Each flag's ``dest`` is its field name and its default is
+    ``SUPPRESS``, so the parsed namespace holds exactly the fields the
+    user set (see :func:`cell_from_args`).  ``only`` restricts the
+    command to a subset of the fields; ``defaults`` overrides the
+    effective defaults quoted in the help.
+    """
+    for field in config_fields(mode):
+        if only is not None and field.name not in only:
+            continue
+        meta = field.metadata
+        default = (defaults or {}).get(
+            field.name, effective_default(field.name, mode))
+        if default is None or isinstance(default, bool):
+            default = meta.get("unset")
+        elif isinstance(default, tuple):
+            default = ",".join(default)
+        kwargs = {"dest": field.name, "default": argparse.SUPPRESS,
+                  "help": meta["help"] + ("" if default is None
+                                          else f" (default {default})")}
+        if "const" in meta:
+            kwargs.update(action="store_const", const=meta["const"])
+        else:
+            kwargs.update({key: meta[key] for key in
+                           ("type", "choices", "metavar") if key in meta})
+            if "choices" not in meta:
+                kwargs.setdefault(
+                    "metavar", meta["flag"][2:].upper().replace("-", "_"))
+            if "repeat" in meta:
+                kwargs["action"] = "append"
+        sub.add_argument(meta["flag"], **kwargs)
+
+
+def cell_from_args(mode: str, args) -> RunConfig:
+    """The validated :class:`RunConfig` behind one invocation: whatever
+    config fields the namespace holds, on a ``mode`` cell."""
+    names = {field.name for field in config_fields(mode)}
+    return RunConfig(
+        mode=mode, scale="fast" if args.fast else "default",
+        **{name: value for name, value in vars(args).items()
+           if name in names}).validate()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,245 +159,154 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.harness.cli",
         description="Reproduce individual Cicero (ISCA 2024) figures, or "
                     "serve a batched multi-session rendering workload.")
-    parser.add_argument(
-        "figure",
-        help="figure id (e.g. fig07), 'all', 'serve', 'cluster', "
-             "'frontier' (quality-vs-throughput sweep), 'experiment' "
-             "(factorial run table from --table), 'bench' (hot-path "
-             "microbenchmarks -> BENCH_perf.json), 'trace' (analyze a "
-             "--trace artifact: trace analyze PATH), 'workloads' to "
-             "list the named workload registry, or 'list' to print "
-             "available ids")
-    parser.add_argument(
-        "extra", nargs="*", metavar="...",
-        help="subcommand arguments (only 'trace' takes any: "
-             "'analyze PATH')")
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="use the reduced test-scale configuration")
-    parser.add_argument(
-        "--json-out", metavar="DIR", default=None,
-        help="also write BENCH_<figure>.json artifacts into DIR")
-    shared = parser.add_argument_group(
-        "serve/cluster options",
-        "used by the 'serve', 'cluster', and 'frontier' commands")
-    serve = parser.add_argument_group(
-        "serve options", "only used with the 'serve' command")
-    serve.add_argument("--sessions", type=int, default=None,
-                       help="number of concurrent sessions (default 4; "
-                            "with --workload the mix counts decide)")
-    shared.add_argument("--frames", type=int, default=None,
-                        help="frames per session (default: config scale)")
-    serve.add_argument("--scheduler", choices=("round_robin", "deadline"),
-                       default=None,
-                       help="session scheduling policy (default "
-                            "round_robin; defaults late so 'cluster' can "
-                            "reject explicit use)")
-    serve.add_argument("--variant", choices=VARIANTS, default=None,
-                       help="SoC variant to price frames under "
-                            "(default cicero)")
-    serve.add_argument("--scene", action="append", dest="scenes",
-                       metavar="NAME",
-                       help="scene(s) to cycle sessions over (repeatable; "
-                            "default lego)")
-    serve.add_argument("--algorithm", default=None,
-                       help="NeRF algorithm for every session "
-                            "(default directvoxgo)")
-    shared.add_argument("--workload", action="append", dest="workloads",
-                        metavar="NAME[:N]",
-                        help="named workload spec to serve, optionally "
-                             "duplicated N times (repeatable; see the "
-                             "'workloads' command; the spec fixes scene/"
-                             "algorithm/variant, so --scene/--algorithm/"
-                             "--variant/--sessions do not apply; with "
-                             "'cluster' the counts act as arrival "
-                             "popularity weights)")
-    shared.add_argument("--no-cache", action="store_true",
-                        help="disable the shared cross-session reference "
-                             "cache (outputs are bit-identical either way)")
-    shared.add_argument("--backend", choices=backend_names(), default=None,
-                        help="kernel backend for the hot paths: 'numpy' "
-                             "(default, exact), 'numba' (JIT, bounded "
-                             "error, falls back to numpy when not "
-                             "installed), or 'parallel' (multi-core "
-                             "session fan-out, bit-identical to numpy); "
-                             "also honoured by 'bench' and 'experiment'")
-    shared.add_argument("--engine-workers", type=int, default=None,
-                        metavar="N",
-                        help="worker-process count for --backend parallel "
-                             "(default 2); rejected with the in-process "
-                             "backends")
-    shared.add_argument("--trace", metavar="PATH", default=None,
-                        help="record the run as Chrome Trace Event JSON "
-                             "at PATH (load in chrome://tracing or "
-                             "Perfetto; inspect with 'trace analyze "
-                             "PATH'); also honoured by 'experiment'")
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for every stochastic choice (trajectory "
-                             "sampling, arrival schedule); same seed, same "
-                             "run (default 0)")
-    shared.add_argument("--governor", choices=GOVERNOR_MODES, default=None,
-                        help="SLO quality governor: 'off' serves every "
-                             "session at its native tier, 'static' pins "
-                             "each workload's min_quality_tier, 'adaptive' "
-                             "degrades/recovers on observed frame latency "
-                             "(default off; 'frontier' sweeps all modes "
-                             "unless one is forced here)")
-    shared.add_argument("--slo", type=float, default=None, metavar="FPS",
-                        help="override every workload's SLO frame rate "
-                             "(default: each spec's slo_fps, falling back "
-                             "to its fps_target)")
-    serve.add_argument("--ray-budget", type=int, default=None,
-                       help="cap on rays served per engine round; with "
-                            "--governor the budget is split into "
-                            "per-session shares by SLO pressure "
-                            "(default: unbounded)")
-    bench = parser.add_argument_group(
-        "bench options", "only used with the 'bench' command")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke scale: FAST config, fewer reps, "
-                            "smaller synthetic inputs (seconds instead "
-                            "of minutes)")
-    bench.add_argument("--kernels", metavar="K1,K2,...", default=None,
-                       help="run only these registered kernels (default: "
-                            "the full registry; see docs/benchmarking.md)")
-    bench.add_argument("--repeat", type=int, default=3, metavar="N",
-                       help="repeat every kernel N times and keep the "
-                            "best (fastest) measurement per kernel "
-                            "(default 3)")
-    frontier = parser.add_argument_group(
-        "frontier options", "only used with the 'frontier' command")
-    frontier.add_argument("--rates", metavar="R1,R2,...", default=None,
-                          help="comma-separated offered arrival rates "
-                               "(sessions/s) to sweep (default 8,24,72; "
-                               "need >= 3 points for a frontier)")
-    cluster = parser.add_argument_group(
-        "cluster options", "only used with the 'cluster' command")
-    cluster.add_argument("--arrivals", choices=ARRIVAL_KINDS,
-                         default=None,
-                         help="arrival process (default poisson; defaults "
-                              "late so 'frontier' can reject explicit "
-                              "use — its sweep fixes poisson)")
-    cluster.add_argument("--rate", type=float, default=None,
-                         help="arrival rate in sessions/s; peak rate for "
-                              "diurnal (default 1.0; not valid with "
-                              "--arrivals replay)")
-    cluster.add_argument("--duration", type=float, default=None,
-                         help="arrival window in virtual seconds "
-                              "(default 10; not valid with --arrivals "
-                              "replay)")
-    cluster.add_argument("--workers", type=int, default=None,
-                         help="initial SoC worker count (default 4; "
-                              "defaults late so 'serve' can reject "
-                              "explicit use)")
-    cluster.add_argument("--placement",
-                         choices=tuple(sorted(PLACEMENTS)),
-                         default=None,
-                         help="placement policy, also honoured by "
-                              "'frontier' (default least_loaded; "
-                              "cache_affinity co-locates sessions sharing "
-                              "content on one worker's reference cache; "
-                              "shard_affinity breaks load ties toward "
-                              "workers already holding the field — pair "
-                              "with --catalog)")
-    cluster.add_argument("--queue-limit", type=int, default=None,
-                         help="max resident sessions per worker before "
-                              "admission rejects (default 4)")
-    cluster.add_argument("--arrival-trace", metavar="PATH", default=None,
-                         help="JSON arrival trace for --arrivals replay")
-    cluster.add_argument("--autoscale", action="store_true",
-                         help="scale the fleet on load between "
-                              "--min-workers and --max-workers")
-    cluster.add_argument("--min-workers", type=int, default=None,
-                         help="autoscaler floor (default 1; requires "
-                              "--autoscale)")
-    cluster.add_argument("--max-workers", type=int, default=None,
-                         help="autoscaler ceiling (default 2x --workers; "
-                              "requires --autoscale)")
-    cluster.add_argument("--scale-up-latency", type=float, default=None,
-                         help="provisioning delay in virtual seconds "
-                              "before a scaled-up worker takes sessions "
-                              "(default 1.0; requires --autoscale)")
-    cluster.add_argument("--catalog", type=int, default=None, metavar="N",
-                         help="expand the workload mix into N "
-                              "content-distinct scene variants served "
-                              "through the sharded field tier (see "
-                              "docs/sharded-serving.md)")
-    cluster.add_argument("--zipf", type=float, default=None, metavar="S",
-                         help="zipfian popularity skew over the catalog "
-                              "(default 1.1; 0 = uniform; requires "
-                              "--catalog)")
-    cluster.add_argument("--replication", type=int, default=None,
-                         metavar="R",
-                         help="replicas per baked field in the shard "
-                              "tier (default 2; 0 disables the tier — "
-                              "per-worker LRU only; requires --catalog)")
-    realserve = parser.add_argument_group(
-        "realserve options",
-        "used by the 'serve-live', 'loadgen', and 'reconcile' commands "
-        "(the real wall-clock frame server; see docs/serving-guide.md)")
-    realserve.add_argument("--host", default=None,
-                           help="interface the frame server binds "
-                                "(default 127.0.0.1)")
-    realserve.add_argument("--port", type=int, default=None,
-                           help="port the frame server binds (default 0 "
-                                "= ephemeral; the bound port is printed)")
-    realserve.add_argument("--connect", metavar="HOST:PORT", default=None,
-                           help="loadgen only: target an already-running "
-                                "'serve-live' server instead of starting "
-                                "an in-process one")
-    realserve.add_argument("--time-scale", type=float, default=None,
-                           help="loadgen only: wall seconds per virtual "
-                                "arrival second (default 1.0; <1 "
-                                "compresses the schedule — reconcile "
-                                "normalises back to virtual seconds)")
-    realserve.add_argument("--input", metavar="PATH", default=None,
-                           help="reconcile only: the BENCH_realserve.json "
-                                "a 'loadgen' run wrote")
-    trace = parser.add_argument_group(
-        "trace options", "only used with the 'trace' command")
-    trace.add_argument("--top", type=int, default=10, metavar="N",
-                       help="rows per 'trace analyze' ranking (slowest "
-                            "frames/spans; default 10)")
-    experiment = parser.add_argument_group(
-        "experiment options", "only used with the 'experiment' command")
-    experiment.add_argument("--table", metavar="PATH", default=None,
-                            help="factorial run table (.json, or .toml on "
-                                 "Python 3.11+): a base RunConfig plus "
-                                 "axes to sweep (see docs/experiments.md)")
-    experiment.add_argument("--resume", action="store_true",
-                            help="skip cells whose artifact under "
-                                 "--out/cells already matches their "
-                                 "config hash")
-    experiment.add_argument("--out", metavar="DIR", default=None,
-                            help="artifact directory for the run table "
-                                 "(default bench-artifacts)")
+    commands = parser.add_subparsers(dest="figure", metavar="COMMAND",
+                                     required=True)
+
+    def add(name, func, help, fast=True, json_out=None, trace=False,
+            mode=None, **config_options):
+        """Register one command: ``json_out`` is ``"opt-in"`` (write
+        artifacts only when given) or ``"always"`` (default
+        ``ARTIFACT_DIR``); ``trace`` runs it under an obs activation;
+        ``mode`` generates the flags of that mode's config sections."""
+        sub = commands.add_parser(name, help=help, description=help,
+                                  allow_abbrev=False)
+        if fast:
+            sub.add_argument("--fast", action="store_true",
+                             help="use the reduced test-scale configuration")
+        if json_out is not None:
+            always = json_out == "always"
+            sub.add_argument(
+                "--json-out", metavar="DIR", type=_existing_dir_or_new,
+                default=ARTIFACT_DIR if always else None,
+                help="directory for the run's BENCH_<name>.json artifact "
+                     + (f"(default {ARTIFACT_DIR})" if always
+                        else "(default: not written)"))
+        if trace:
+            sub.add_argument(
+                "--trace", metavar="PATH", default=None,
+                help="record the run as Chrome Trace Event JSON at PATH "
+                     "(load in chrome://tracing or Perfetto; inspect with "
+                     "'trace analyze PATH')")
+            func = functools.partial(_run_observed, func)
+        if mode is not None:
+            add_config_options(sub, mode, **config_options)
+        sub.set_defaults(func=func)
+        return sub
+
+    for name in sorted(EXPERIMENTS):
+        add(name, run_figures, f"reproduce {name}", json_out="opt-in")
+    add("all", run_figures, "reproduce every figure", json_out="opt-in")
+    add("list", lambda args: print("\n".join(commands.choices)) or 0,
+        "print the available commands", fast=False)
+    add("workloads", run_workloads_listing,
+        "list the named workload registry", fast=False)
+    add("serve", run_serve, "serve N concurrent sessions on one SoC through "
+        "the batched engine", json_out="opt-in", trace=True, mode="serve")
+    add("cluster", run_cluster_command, "simulate sessions arriving over "
+        "time against a fleet of SoC workers",
+        json_out="always", trace=True, mode="cluster")
+    sub = add("frontier", run_frontier_command, "quality-vs-throughput "
+              "sweep: offered load x governor mode",
+              json_out="always", trace=True, mode="cluster",
+              only=FRONTIER_FIELDS,
+              defaults={**SWEEP_DEFAULTS, "governor": "sweep all modes"})
+    rates = ",".join(f"{rate:g}" for rate in DEFAULT_FRONTIER_RATES)
+    sub.add_argument("--rates", metavar="R1,R2,...", default=None,
+                     help="comma-separated offered arrival rates "
+                          f"(sessions/s) to sweep (default {rates}; need "
+                          ">= 3 points for a frontier)")
+    sub = add("experiment", run_experiment_command, "execute a factorial "
+              "run table of serve/cluster cells (see docs/experiments.md)",
+              trace=True)
+    sub.add_argument("--table", metavar="PATH", required=True,
+                     help="factorial run table (.json, or .toml on Python "
+                          "3.11+): a base RunConfig plus axes to sweep")
+    sub.add_argument("--resume", action="store_true",
+                     help="skip cells whose artifact under --out/cells "
+                          "already matches their config hash")
+    sub.add_argument("--out", metavar="DIR", default=ARTIFACT_DIR,
+                     help="artifact directory for the run table "
+                          f"(default {ARTIFACT_DIR})")
+    sub = add("bench", run_bench_command, "hot-path microbenchmarks -> "
+              "BENCH_perf.json (see docs/benchmarking.md)",
+              json_out="always", mode="serve",
+              only=("backend", "engine_workers"))
+    sub.add_argument("--quick", action="store_true",
+                     help="CI smoke scale: FAST config, fewer reps, smaller "
+                          "synthetic inputs (seconds instead of minutes)")
+    sub.add_argument("--kernels", metavar="K1,K2,...", default=None,
+                     help="run only these registered kernels (default: the "
+                          "full registry)")
+    sub.add_argument("--repeat", type=int, default=3, metavar="N",
+                     help="repeat every kernel N times and keep the best "
+                          "(fastest) measurement per kernel (default 3)")
+    add("serve-live", run_serve_live, "bind the real asyncio frame server "
+        "on a TCP port (see docs/serving-guide.md)",
+        mode="realserve", only=SERVE_LIVE_FIELDS)
+    sub = add("loadgen", run_loadgen_command, "replay a seeded arrival "
+              "schedule against the frame server over real sockets -> "
+              "BENCH_realserve.json",
+              json_out="always", trace=True, mode="realserve")
+    sub.add_argument("--connect", metavar="HOST:PORT", type=_host_port,
+                     default=None,
+                     help="target an already-running 'serve-live' server "
+                          "instead of starting an in-process one")
+    sub = add("reconcile", run_reconcile_command, "diff a loadgen artifact "
+              "against a matched cluster-simulator prediction",
+              json_out="always")
+    sub.add_argument("--input", metavar="PATH", required=True,
+                     help="the BENCH_realserve.json a 'loadgen' run wrote")
+    trace = commands.add_parser(
+        "trace", help="inspect a --trace artifact (trace analyze PATH)"
+    ).add_subparsers(metavar="{analyze}", required=True)
+    sub = trace.add_parser("analyze", allow_abbrev=False,
+                           help="summarise a trace from the artifact alone")
+    sub.add_argument("path", metavar="PATH")
+    sub.add_argument("--top", type=int, default=10, metavar="N",
+                     help="rows per ranking (slowest frames/spans; "
+                          "default 10)")
+    sub.set_defaults(func=run_trace_command)
     return parser
 
 
-def run_figure(name: str, config, json_dir: str | None = None) -> None:
-    started = time.perf_counter()
-    result = EXPERIMENTS[name](config)
-    rows = result if isinstance(result, list) else [result]
-    elapsed = time.perf_counter() - started
-    print_table(rows, title=f"{name} ({elapsed:.1f}s)")
-    if json_dir is not None:
-        write_bench_json(json_dir, name, rows, elapsed, config=config)
+def _scale(args):
+    return FAST if args.fast else DEFAULT
 
 
-def run_workloads_listing() -> int:
+def _fail(command: str, exc: Exception) -> int:
+    """Report a run the user's input made impossible; exit code 2."""
+    # ValueError/KeyError carry a crafted message in args[0]; OSError's
+    # args[0] is the bare errno, so stringify the whole exception
+    # ("[Errno 2] No such file ...: 'trace.json'").
+    message = exc.args[0] if isinstance(exc, (ValueError, KeyError)) else exc
+    print(f"{command}: {message}", file=sys.stderr)
+    return 2
+
+
+def run_figures(args) -> int:
+    config = _scale(args)
+    for name in (sorted(EXPERIMENTS) if args.figure == "all"
+                 else [args.figure]):
+        started = time.perf_counter()
+        result = EXPERIMENTS[name](config)
+        rows = result if isinstance(result, list) else [result]
+        elapsed = time.perf_counter() - started
+        print_table(rows, title=f"{name} ({elapsed:.1f}s)")
+        if args.json_out is not None:
+            write_bench_json(args.json_out, name, rows, elapsed,
+                             config=config)
+    return 0
+
+
+def run_workloads_listing(args) -> int:
     rows = [spec.describe() for spec in list_workloads()]
     print_table(rows, title=f"workload registry ({len(rows)} specs)")
     return 0
 
 
-def run_serve(args, config) -> int:
-    from .runner import execute_cell
-    try:
-        cell = from_cli_args(SERVE_COMMAND, args)
-    except RunConfigError as exc:
-        print(f"serve: {exc.args[0]}", file=sys.stderr)
-        return 2
+def run_serve(args) -> int:
+    cell = cell_from_args("serve", args)
+    config = _scale(args)
     started = time.perf_counter()
     result = execute_cell(cell, config=config)
     rows, summary = result.rows, result.summary
@@ -342,30 +322,20 @@ def run_serve(args, config) -> int:
                     title="shared caches (counters: this run; "
                           "entries/bytes: current totals)")
     if args.json_out is not None:
-        name = "serve_mixed" if cell.workloads is not None else SERVE_COMMAND
+        name = "serve_mixed" if cell.workloads is not None else "serve"
         write_bench_json(args.json_out, name, rows, elapsed,
-                         config=config, extra=summary, kind=SERVE_COMMAND)
+                         config=config, extra=summary, kind="serve")
     return 0
 
 
-def run_cluster_command(args, config) -> int:
-    from .runner import execute_cell
-    try:
-        cell = from_cli_args(CLUSTER_COMMAND, args)
-    except RunConfigError as exc:
-        print(f"cluster: {exc.args[0]}", file=sys.stderr)
-        return 2
+def run_cluster_command(args) -> int:
+    cell = cell_from_args("cluster", args)
+    config = _scale(args)
     started = time.perf_counter()
     try:
         result = execute_cell(cell, config=config)
     except (ValueError, KeyError, OSError) as exc:
-        # ValueError/KeyError carry a crafted message in args[0];
-        # OSError's args[0] is the bare errno, so stringify the whole
-        # exception ("[Errno 2] No such file ...: 'trace.json'").
-        message = (exc.args[0] if isinstance(exc, (ValueError, KeyError))
-                   else exc)
-        print(f"cluster: {message}", file=sys.stderr)
-        return 2
+        return _fail("cluster", exc)
     rows, summary = result.rows, result.summary
     elapsed = time.perf_counter() - started
     print_table(rows, title=f"cluster: {len(rows)} workers "
@@ -385,12 +355,9 @@ def run_cluster_command(args, config) -> int:
         print_table(events[:30],
                     title=f"governor timeline (first 30 of {len(events)})")
     # Cluster runs are run-table experiments (muBench-style): every run
-    # persists its machine-readable report, defaulting next to the other
-    # bench artifacts when --json-out is not given.
-    json_dir = "bench-artifacts" if args.json_out is None else args.json_out
-    path = write_bench_json(json_dir, CLUSTER_COMMAND, rows, elapsed,
-                            config=config, extra=summary,
-                            kind=CLUSTER_COMMAND)
+    # persists its machine-readable report.
+    path = write_bench_json(args.json_out, "cluster", rows, elapsed,
+                            config=config, extra=summary, kind="cluster")
     print(f"\nwrote {path}")
     return 0
 
@@ -399,35 +366,20 @@ def _server_options(cell):
     """The ServerOptions one realserve RunConfig describes."""
     from ..server import ServerOptions
     return ServerOptions(
-        host=cell.host or "127.0.0.1", port=cell.port or 0,
+        host=cell.effective("host"), port=cell.effective("port"),
         use_cache=cell.use_cache, governor=cell.governor,
         slo_fps=cell.slo_fps, backend=cell.backend,
         engine_workers=cell.engine_workers)
 
 
-def run_serve_live(args, config) -> int:
+def run_serve_live(args) -> int:
     import asyncio
     from ..server import FrameServer
-    try:
-        cell = from_cli_args(SERVE_LIVE_COMMAND, args)
-    except RunConfigError as exc:
-        print(f"serve-live: {exc.args[0]}", file=sys.stderr)
-        return 2
-    loadgen_only = [flag for flag, value in (
-        ("--arrivals", cell.arrivals), ("--rate", cell.rate_hz),
-        ("--duration", cell.duration_s), ("--time-scale", cell.time_scale),
-        ("--connect", args.connect), ("--workload", cell.workloads),
-        ("--frames", cell.frames),
-    ) if value is not None]
-    if loadgen_only:
-        print(f"serve-live: {'/'.join(loadgen_only)} "
-              f"{'is a' if len(loadgen_only) == 1 else 'are'} loadgen "
-              "option(s) (the connecting client picks workloads)",
-              file=sys.stderr)
-        return 2
+    cell = cell_from_args("realserve", args)
 
     async def serve() -> None:
-        server = FrameServer(config=config, options=_server_options(cell))
+        server = FrameServer(config=_scale(args),
+                             options=_server_options(cell))
         await server.start()
         # flush: readiness probes tail this line through a redirect.
         print(f"frame server listening on "
@@ -445,77 +397,49 @@ def run_serve_live(args, config) -> int:
     return 0
 
 
-def run_loadgen_command(args, config) -> int:
+def run_loadgen_command(args) -> int:
     import asyncio
     from ..server import FrameServer, LoadgenOptions, run_loadgen
-    from .cluster import DEFAULT_CLUSTER_MIX
-    try:
-        cell = from_cli_args(LOADGEN_COMMAND, args)
-    except RunConfigError as exc:
-        print(f"loadgen: {exc.args[0]}", file=sys.stderr)
-        return 2
+    cell = cell_from_args("realserve", args)
+    config = _scale(args)
     if args.connect is not None and (cell.host is not None
                                      or cell.port is not None):
-        print("loadgen: --connect targets a running server; --host/"
-              "--port configure the in-process one (pick one)",
-              file=sys.stderr)
-        return 2
-    try:
-        options = LoadgenOptions(
-            mix=cell.workloads or DEFAULT_CLUSTER_MIX,
-            arrivals=cell.arrivals or "poisson",
-            rate_hz=2.0 if cell.rate_hz is None else cell.rate_hz,
-            duration_s=(4.0 if cell.duration_s is None
-                        else cell.duration_s),
-            seed=cell.seed, frames=cell.frames,
-            time_scale=(1.0 if cell.time_scale is None
-                        else cell.time_scale),
-            arrival_trace=cell.arrival_trace)
-    except ValueError as exc:
-        print(f"loadgen: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise RunConfigError(
+            "--connect targets a running server; --host/--port configure "
+            "the in-process one (pick one)")
+    options = LoadgenOptions(
+        mix=cell.workloads or DEFAULT_CLUSTER_MIX,
+        arrivals=cell.effective("arrivals"),
+        rate_hz=cell.effective("rate_hz"),
+        duration_s=cell.effective("duration_s"),
+        seed=cell.seed, frames=cell.frames,
+        time_scale=cell.effective("time_scale"),
+        arrival_trace=cell.arrival_trace)
 
     async def drive() -> dict:
-        server = None
-        if args.connect is None:
-            from ..obs.runtime import current_tracer
-            server = FrameServer(config=config,
-                                 options=_server_options(cell),
-                                 tracer=current_tracer())
-            await server.start()
-            host, port = server.options.host, server.port
-        else:
-            host, _, port_text = args.connect.rpartition(":")
-            port = int(port_text)
+        if args.connect is not None:
+            return await run_loadgen(*args.connect, options)
+        from ..obs.runtime import current_tracer
+        server = FrameServer(config=config, options=_server_options(cell),
+                             tracer=current_tracer())
+        await server.start()
         try:
-            return await run_loadgen(host, port, options)
+            return await run_loadgen(server.options.host, server.port,
+                                     options)
         finally:
-            if server is not None:
-                await server.stop()
+            await server.stop()
 
-    if args.connect is not None:
-        try:
-            host, _, port_text = args.connect.rpartition(":")
-            if not host or not 0 < int(port_text) <= 65535:
-                raise ValueError(args.connect)
-        except ValueError:
-            print(f"loadgen: bad --connect {args.connect!r}; expected "
-                  "HOST:PORT", file=sys.stderr)
-            return 2
     started = time.perf_counter()
     try:
         summary = asyncio.run(drive())
     except (ValueError, KeyError, OSError) as exc:
-        message = (exc.args[0] if isinstance(exc, (ValueError, KeyError))
-                   else exc)
-        print(f"loadgen: {message}", file=sys.stderr)
-        return 2
+        return _fail("loadgen", exc)
     elapsed = time.perf_counter() - started
     # The reconcile command re-simulates from the artifact alone, so the
     # summary must pin down how the live server was configured too.
     summary.update({"governor": cell.governor, "slo_fps": cell.slo_fps,
                     "use_cache": cell.use_cache, "backend": cell.backend,
-                    "scale": "fast" if args.fast else "default",
+                    "scale": cell.scale,
                     "self_served": args.connect is None})
     sessions = summary.pop("sessions")
     rows = [{"workload": s["workload"], "scheduled_s": s["scheduled_s"],
@@ -533,28 +457,20 @@ def run_loadgen_command(args, config) -> int:
     if failed:
         print(f"\nloadgen: {len(failed)}/{len(sessions)} sessions "
               "failed", file=sys.stderr)
-    json_dir = "bench-artifacts" if args.json_out is None else args.json_out
-    path = write_bench_json(json_dir, "realserve", rows, elapsed,
-                            config=config, extra=summary,
-                            kind="realserve")
+    path = write_bench_json(args.json_out, "realserve", rows, elapsed,
+                            config=config, extra=summary, kind="realserve")
     print(f"\nwrote {path}")
     return 0 if not failed else 1
 
 
-def run_reconcile_command(args, config) -> int:
+def run_reconcile_command(args) -> int:
     import json
-    from pathlib import Path
 
     from ..server import reconcile_report
-    if args.input is None:
-        print("reconcile: --input is required (a BENCH_realserve.json "
-              "written by 'loadgen')", file=sys.stderr)
-        return 2
     try:
         artifact = json.loads(Path(args.input).read_text())
     except OSError as exc:
-        print(f"reconcile: {exc}", file=sys.stderr)
-        return 2
+        return _fail("reconcile", exc)
     except json.JSONDecodeError as exc:
         print(f"reconcile: {args.input} is not JSON: {exc}",
               file=sys.stderr)
@@ -576,8 +492,7 @@ def run_reconcile_command(args, config) -> int:
             slo_fps=measured.get("slo_fps"),
             backend=measured.get("backend"))
     except (ValueError, KeyError) as exc:
-        print(f"reconcile: {exc.args[0]}", file=sys.stderr)
-        return 2
+        return _fail("reconcile", exc)
     elapsed = time.perf_counter() - started
     print_table(report["rows"],
                 title=f"sim-vs-real reconciliation ({elapsed:.1f}s wall)")
@@ -585,19 +500,20 @@ def run_reconcile_command(args, config) -> int:
         "mix", "rate_hz", "duration_s", "seed", "sessions_measured",
         "sessions_predicted", "frames_measured", "frames_predicted")}],
         title="matched run")
-    json_dir = "bench-artifacts" if args.json_out is None else args.json_out
     path = write_bench_json(
-        json_dir, "reconcile", report["rows"], elapsed, config=config,
+        args.json_out, "reconcile", report["rows"], elapsed, config=config,
         extra={k: v for k, v in report.items() if k != "rows"},
         kind="reconcile")
     print(f"\nwrote {path}")
     return 0
 
 
-def run_bench_command(args, config) -> int:
+def run_bench_command(args) -> int:
     from ..perf.bench import run_benchmarks
-    if args.quick:
-        config = FAST  # --quick implies the FAST scale
+    # --quick implies the FAST scale.
+    config = FAST if args.quick else _scale(args)
+    # A cell carries (and validates) the backend pair like any other run.
+    cell = cell_from_args("serve", args)
     kernels = None
     if args.kernels is not None:
         kernels = [part.strip() for part in args.kernels.split(",")
@@ -610,19 +526,14 @@ def run_bench_command(args, config) -> int:
         print(f"bench: --repeat must be >= 1 (got {args.repeat})",
               file=sys.stderr)
         return 2
-    if args.engine_workers is not None and args.backend != "parallel":
-        print("bench: --engine-workers requires --backend parallel",
-              file=sys.stderr)
-        return 2
     started = time.perf_counter()
     try:
         rows, extra = run_benchmarks(config=config, quick=args.quick,
                                      kernels=kernels, repeat=args.repeat,
-                                     backend=args.backend,
-                                     engine_workers=args.engine_workers)
+                                     backend=cell.backend,
+                                     engine_workers=cell.engine_workers)
     except KeyError as exc:
-        print(f"bench: {exc.args[0]}", file=sys.stderr)
-        return 2
+        return _fail("bench", exc)
     elapsed = time.perf_counter() - started
     # Rows are heterogeneous (per-kernel derived metrics); show the union
     # of their columns instead of the first row's keys.  The per-kernel
@@ -633,92 +544,60 @@ def run_bench_command(args, config) -> int:
                 title=f"bench: {len(rows)} kernels ({elapsed:.1f}s wall)")
     # Bench runs are the perf trajectory: every run persists its
     # machine-readable artifact (compare runs with compare_bench.py).
-    json_dir = "bench-artifacts" if args.json_out is None else args.json_out
-    path = write_bench_json(json_dir, "perf", rows, elapsed, config=config,
-                            extra=extra, kind="perf")
+    path = write_bench_json(args.json_out, "perf", rows, elapsed,
+                            config=config, extra=extra, kind="perf")
     print(f"\nwrote {path}")
     return 0
 
 
-def run_frontier_command(args, config) -> int:
-    from .frontier import run_frontier
-    try:
-        cell = from_cli_args(FRONTIER_COMMAND, args)
-        rates = (parse_rates(args.rates) if args.rates is not None
-                 else None)
-    except RunConfigError as exc:
-        print(f"frontier: {exc.args[0]}", file=sys.stderr)
-        return 2
+def run_frontier_command(args) -> int:
+    cell = cell_from_args("cluster", args)
+    config = _scale(args)
+    # Unset sweep knobs fall through to run_frontier's own defaults;
     # --governor restricts the sweep to one mode (default: all three).
-    modes = GOVERNOR_MODES if args.governor is None else (args.governor,)
-    kwargs = {
-        key: value for key, value in (
-            ("rates", rates),
-            ("duration_s", cell.duration_s),
-            ("frames", cell.frames),
-        ) if value is not None}
+    sweep = {key: value for key, value in (
+        ("rates", None if args.rates is None else parse_rates(args.rates)),
+        ("duration_s", cell.duration_s),
+        ("frames", cell.frames),
+        ("modes", (cell.governor,) if "governor" in args else None),
+    ) if value is not None}
     started = time.perf_counter()
     try:
         rows, summary = run_frontier(
-            config, mix=cell.workloads,
-            workers=4 if cell.workers is None else cell.workers,
-            placement=cell.placement or "least_loaded",
-            queue_limit=4 if cell.queue_limit is None else cell.queue_limit,
-            seed=cell.seed, modes=modes,
-            slo_fps=cell.slo_fps, use_cache=cell.use_cache, **kwargs)
+            config, mix=cell.workloads, workers=cell.effective("workers"),
+            placement=cell.effective("placement"),
+            queue_limit=cell.effective("queue_limit"), seed=cell.seed,
+            slo_fps=cell.slo_fps, use_cache=cell.use_cache, **sweep)
     except (ValueError, KeyError) as exc:
-        print(f"frontier: {exc.args[0]}", file=sys.stderr)
-        return 2
+        return _fail("frontier", exc)
     elapsed = time.perf_counter() - started
     print_table(rows, title=f"frontier: {len(rows)} cells "
                             f"({elapsed:.1f}s wall)")
     print_table([summary], title="sweep")
-    json_dir = "bench-artifacts" if args.json_out is None else args.json_out
-    path = write_bench_json(json_dir, FRONTIER_COMMAND, rows, elapsed,
-                            config=config, extra=summary,
-                            kind=FRONTIER_COMMAND)
+    path = write_bench_json(args.json_out, "frontier", rows, elapsed,
+                            config=config, extra=summary, kind="frontier")
     print(f"\nwrote {path}")
     return 0
 
 
 def run_trace_command(args) -> int:
     from ..obs.analyze import main as analyze_main
-    if len(args.extra) != 2 or args.extra[0] != "analyze":
-        print("trace: usage: trace analyze PATH [--top N]",
-              file=sys.stderr)
-        return 2
     if args.top < 1:
         print(f"trace: --top must be >= 1 (got {args.top})",
               file=sys.stderr)
         return 2
-    return analyze_main(args.extra[1], top=args.top)
+    return analyze_main(args.path, top=args.top)
 
 
 def run_experiment_command(args) -> int:
-    from .runner import ExperimentTable, run_table
-    if args.table is None:
-        print("experiment: --table is required (a JSON/TOML factorial "
-              "run table; see docs/experiments.md)", file=sys.stderr)
-        return 2
     try:
         table = ExperimentTable.from_file(args.table)
-    except OSError as exc:
-        print(f"experiment: {exc}", file=sys.stderr)
-        return 2
-    except (RunConfigError, ValueError, KeyError) as exc:
-        print(f"experiment: {exc.args[0]}", file=sys.stderr)
-        return 2
-    out_dir = "bench-artifacts" if args.out is None else args.out
-    try:
         rows, extra, path = run_table(
-            table, out_dir, resume=args.resume,
+            table, args.out, resume=args.resume,
             default_scale="fast" if args.fast else "default",
             log=print)
-    except (RunConfigError, ValueError, KeyError, OSError) as exc:
-        message = (exc.args[0] if isinstance(exc, (ValueError, KeyError))
-                   else exc)
-        print(f"experiment: {message}", file=sys.stderr)
-        return 2
+    except (ValueError, KeyError, OSError) as exc:
+        return _fail("experiment", exc)
     columns = list(dict.fromkeys(key for row in rows for key in row))
     print_table(rows, columns=columns,
                 title=f"experiment {table.name}: {len(rows)} cells "
@@ -728,8 +607,8 @@ def run_experiment_command(args) -> int:
     return 0
 
 
-def _run_observed(args, command) -> int:
-    """Run one observed command under an obs activation.
+def _run_observed(command, args) -> int:
+    """Run one command under an obs activation.
 
     Metrics are always registered (they snapshot into the command's
     BENCH artifacts via ``bench_payload``); a tracer is attached only
@@ -739,7 +618,7 @@ def _run_observed(args, command) -> int:
     from ..obs import MetricsRegistry, Observation, Tracer, activate
     tracer = Tracer() if args.trace is not None else None
     with activate(Observation(tracer=tracer, metrics=MetricsRegistry())):
-        code = command()
+        code = command(args)
     if tracer is not None and code == 0:
         path = tracer.write(args.trace)
         print(f"wrote {path} ({len(tracer)} trace events)")
@@ -748,76 +627,10 @@ def _run_observed(args, command) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = FAST if args.fast else DEFAULT
-
-    if args.json_out is not None:
-        from pathlib import Path
-        target = Path(args.json_out)
-        if target.exists() and not target.is_dir():
-            print(f"--json-out: {args.json_out!r} exists and is not a "
-                  "directory", file=sys.stderr)
-            return 2
-    if args.extra and args.figure != TRACE_COMMAND:
-        print(f"{args.figure}: unexpected argument(s) "
-              f"{' '.join(args.extra)!r} (only the 'trace' command takes "
-              "positional arguments)", file=sys.stderr)
-        return 2
-    if args.trace is not None and args.figure not in OBSERVED_COMMANDS:
-        print(f"--trace applies to {'/'.join(OBSERVED_COMMANDS)} runs "
-              "(use 'trace analyze PATH' to inspect an existing trace)",
-              file=sys.stderr)
-        return 2
-
-    if args.figure == "list":
-        for name in sorted(EXPERIMENTS):
-            print(name)
-        print(BENCH_COMMAND)
-        print(CLUSTER_COMMAND)
-        print(EXPERIMENT_COMMAND)
-        print(FRONTIER_COMMAND)
-        print(LOADGEN_COMMAND)
-        print(RECONCILE_COMMAND)
-        print(SERVE_COMMAND)
-        print(SERVE_LIVE_COMMAND)
-        print(TRACE_COMMAND)
-        print(WORKLOADS_COMMAND)
-        return 0
-    if args.figure == WORKLOADS_COMMAND:
-        return run_workloads_listing()
-    if args.figure == TRACE_COMMAND:
-        return run_trace_command(args)
-    if args.figure == SERVE_COMMAND:
-        return _run_observed(args, lambda: run_serve(args, config))
-    if args.figure == CLUSTER_COMMAND:
-        return _run_observed(args,
-                             lambda: run_cluster_command(args, config))
-    if args.figure == FRONTIER_COMMAND:
-        return _run_observed(args,
-                             lambda: run_frontier_command(args, config))
-    if args.figure == SERVE_LIVE_COMMAND:
-        return run_serve_live(args, config)
-    if args.figure == LOADGEN_COMMAND:
-        return _run_observed(args,
-                             lambda: run_loadgen_command(args, config))
-    if args.figure == RECONCILE_COMMAND:
-        return run_reconcile_command(args, config)
-    if args.figure == BENCH_COMMAND:
-        return run_bench_command(args, config)
-    if args.figure == EXPERIMENT_COMMAND:
-        return _run_observed(args, lambda: run_experiment_command(args))
-    if args.figure == "all":
-        for name in sorted(EXPERIMENTS):
-            run_figure(name, config, json_dir=args.json_out)
-        return 0
-    if args.figure not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        print(f"unknown figure {args.figure!r}; expected one of: {known}, "
-              f"all, bench, serve, serve-live, loadgen, reconcile, "
-              f"cluster, experiment, frontier, trace, workloads, list",
-              file=sys.stderr)
-        return 2
-    run_figure(args.figure, config, json_dir=args.json_out)
-    return 0
+    try:
+        return args.func(args)
+    except RunConfigError as exc:
+        return _fail(args.figure, exc)
 
 
 if __name__ == "__main__":

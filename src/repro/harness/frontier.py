@@ -20,20 +20,25 @@ from __future__ import annotations
 from ..control import GOVERNOR_MODES
 from .configs import DEFAULT, ExperimentConfig
 from .runconfig import RunConfig
+from .runner import execute_cell
 
-__all__ = ["DEFAULT_FRONTIER_RATES", "run_frontier"]
+__all__ = ["DEFAULT_FRONTIER_RATES", "SWEEP_DEFAULTS", "run_frontier"]
 
 # Light / saturated / overloaded against the default small fleet: session
 # residency is frames/fps_target seconds, so tens of arrivals per second
 # are needed before admission queues fill at test scales.
 DEFAULT_FRONTIER_RATES = (8.0, 24.0, 72.0)
+# Every cell is a short run, so the sweep overrides the cluster fields'
+# effective defaults here ('cli frontier --help' quotes these).
+SWEEP_DEFAULTS = {"duration_s": 1.0, "frames": 3}
 
 
 def run_frontier(config: ExperimentConfig = DEFAULT, mix=None,
-                 rates=DEFAULT_FRONTIER_RATES, duration_s: float = 1.0,
+                 rates=DEFAULT_FRONTIER_RATES,
+                 duration_s: float = SWEEP_DEFAULTS["duration_s"],
                  workers: int = 1, placement: str = "least_loaded",
                  queue_limit: int = 2,
-                 frames: int | None = 3, seed: int = 0,
+                 frames: int | None = SWEEP_DEFAULTS["frames"], seed: int = 0,
                  modes=GOVERNOR_MODES,
                  slo_fps: float | None = None,
                  use_cache: bool = True) -> tuple:
@@ -45,7 +50,6 @@ def run_frontier(config: ExperimentConfig = DEFAULT, mix=None,
     admitted rate with its mean PSNR — the frontier the governor is
     supposed to bend.
     """
-    from .runner import execute_cell  # deferred: runner builds on harness
     rates = tuple(float(r) for r in rates)
     if not rates or any(r <= 0 for r in rates):
         raise ValueError("rates must be a non-empty tuple of positive "

@@ -1,18 +1,25 @@
-"""Declarative run configuration: one experiment cell, one validator.
+"""Declarative run configuration: typed sections, one flag per field.
 
 A :class:`RunConfig` is the frozen, JSON/TOML-loadable description of a
-single harness run ("cell"): workload mix, arrival process, fleet size,
-placement, governor mode, SLO, seed.  Every harness entry point —
-``cli serve``, ``cli cluster``, ``cli frontier``, and the factorial
-``cli experiment`` runner — constructs one of these and routes it
-through :func:`RunConfig.validate`, so conflicting knob combinations
-fail with the *same* message and exit code no matter which command
-surfaced them.
+single harness run ("cell").  Its body is split into frozen *sections*
+— :class:`SharedConfig`, which every mode takes, plus exactly one of
+:class:`ServeConfig`, :class:`ClusterConfig` or :class:`RealserveConfig`
+— and each section field is declared once with :func:`option`: its CLI
+flag, help text, ``choices``, numeric bound and *effective* default
+(what the executor applies when the field is left unset) all live in
+the field's metadata.  Everything else is derived from those
+declarations: ``cli.build_parser()`` generates each command's flags from
+the sections the command takes, :meth:`RunConfig.validate` checks
+choices and bounds from the metadata, and a field of another mode
+cannot be set on a cell at all (one generated message says whose it
+is).  Only genuine within-mode rules are written by hand.
 
-The config is content-addressed: :meth:`RunConfig.config_hash` digests
-the canonical JSON of every result-affecting field, which is what the
-experiment runner's ``--resume`` compares against persisted per-cell
-artifacts (a cell re-runs iff its config changed).
+The wire format is flat: :meth:`RunConfig.to_dict` emits every field of
+every section (inactive sections contribute their defaults), and
+:meth:`RunConfig.config_hash` digests the canonical JSON of every
+result-affecting field, which is what the experiment runner's
+``--resume`` compares against persisted per-cell artifacts (a cell
+re-runs iff its config changed).
 """
 
 from __future__ import annotations
@@ -22,27 +29,22 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from ..backend import backend_names
 from ..cluster import ARRIVAL_KINDS, PLACEMENTS
 from ..control import GOVERNOR_MODES
+from ..distribution import DEFAULT_REPLICATION, DEFAULT_ZIPF_S
 from ..hw.soc import VARIANTS
 from ..workloads import parse_mix
 from .configs import ALGORITHMS, DEFAULT, FAST, scene_of
 
-__all__ = ["MODES", "SCALES", "SCHEDULERS", "RunConfig", "RunConfigError",
-           "from_cli_args", "parse_rates"]
+__all__ = ["MODES", "SCALES", "SCHEDULERS", "ClusterConfig",
+           "RealserveConfig", "RunConfig", "RunConfigError", "ServeConfig",
+           "SharedConfig", "config_fields", "effective_default",
+           "parse_rates"]
 
 MODES = ("serve", "cluster", "realserve")
 SCALES = ("default", "fast")
 SCHEDULERS = ("round_robin", "deadline")
-
-# The option families the commands share only partially; used both to
-# validate cells and to phrase the cross-command rejection messages.
-_SERVE_ONLY = ("scenes", "algorithm", "variant", "sessions", "scheduler",
-               "ray_budget")
-_SERVE_ONLY_FLAGS = ("--scene/--algorithm/--variant/--sessions/"
-                     "--scheduler/--ray-budget")
-_REALSERVE_ONLY = ("host", "port", "time_scale")
-_REALSERVE_ONLY_FLAGS = "--host/--port/--time-scale"
 
 
 class RunConfigError(ValueError):
@@ -50,94 +52,301 @@ class RunConfigError(ValueError):
     message in ``args[0]`` (the CLI prints it verbatim and exits 2)."""
 
 
+def option(flag: str, help: str, default=None, **meta):
+    """Declare one config field together with the CLI flag that sets it.
+
+    ``meta`` keys: ``type``/``choices``/``metavar`` (handed to argparse;
+    ``choices`` is also checked by :meth:`RunConfig.validate`),
+    ``ge``/``gt``/``le`` (numeric bounds), ``effective`` (the default the
+    executor applies when the field is unset — a value, or a
+    ``{mode: value}`` dict where modes differ), ``unset`` (prose for the
+    help where that default is not a literal), ``const`` (the flag is a
+    switch storing this value) and ``repeat`` (the flag is repeatable;
+    the callable folds the collected list into the field value).
+    """
+    return dataclasses.field(
+        default=default, metadata={"flag": flag, "help": help, **meta})
+
+
 @dataclass(frozen=True)
+class SharedConfig:
+    """Knobs every mode takes."""
+
+    workloads: str | None = option(
+        "--workload", "named workload spec to serve, optionally duplicated "
+        "N times (repeatable; see the 'workloads' command; the spec fixes "
+        "scene/algorithm/variant, so --scene/--algorithm/--variant/"
+        "--sessions do not apply; arrival-driven commands use the counts "
+        "as popularity weights)", metavar="NAME[:N]", repeat=",".join)
+    frames: int | None = option(
+        "--frames", "frames per session", type=int, ge=1,
+        unset="config scale")
+    seed: int = option(
+        "--seed", "seed for every stochastic choice (trajectory sampling, "
+        "arrival schedule); same seed, same run", 0, type=int)
+    governor: str = option(
+        "--governor", "SLO quality governor: 'off' serves every session at "
+        "its native tier, 'static' pins each workload's min_quality_tier, "
+        "'adaptive' degrades/recovers on observed frame latency",
+        "off", choices=GOVERNOR_MODES)
+    slo_fps: float | None = option(
+        "--slo", "override every workload's SLO frame rate", type=float,
+        gt=0, metavar="FPS",
+        unset="each spec's slo_fps, falling back to its fps_target")
+    use_cache: bool = option(
+        "--no-cache", "disable the shared cross-session reference cache "
+        "(outputs are bit-identical either way)", True, const=False)
+    # None lets the engine default (numpy) apply.
+    backend: str | None = option(
+        "--backend", "kernel backend for the hot paths: 'numpy' (default, "
+        "exact), 'numba' (JIT, bounded error, falls back to numpy when not "
+        "installed), or 'parallel' (multi-core session fan-out, "
+        "bit-identical to numpy); taken by serve, cluster, serve-live, "
+        "loadgen and bench, and as the 'backend' field of experiment "
+        "tables", choices=backend_names())
+    engine_workers: int | None = option(
+        "--engine-workers", "worker-process count for --backend parallel; "
+        "rejected with the in-process backends", type=int, ge=1,
+        metavar="N", unset="the backend's default_workers")
+
+
+@dataclass(frozen=True)
+class ServeConfig:
+    """Closed-set serving on one SoC (``cli serve``)."""
+
+    sessions: int | None = option(
+        "--sessions", "number of concurrent sessions (with --workload the "
+        "mix counts decide)", type=int, ge=1, effective=4)
+    scheduler: str | None = option(
+        "--scheduler", "session scheduling policy",
+        choices=SCHEDULERS, effective="round_robin")
+    variant: str | None = option(
+        "--variant", "SoC variant to price frames under",
+        choices=VARIANTS, effective="cicero")
+    scenes: tuple = option(
+        "--scene", "scene(s) to cycle sessions over (repeatable)", (),
+        metavar="NAME", repeat=tuple, effective=("lego",))
+    algorithm: str | None = option(
+        "--algorithm", "NeRF algorithm for every session",
+        effective="directvoxgo")
+    ray_budget: int | None = option(
+        "--ray-budget", "cap on rays served per engine round; with "
+        "--governor the budget is split into per-session shares by SLO "
+        "pressure", type=int, ge=1, unset="unbounded")
+
+
+@dataclass(frozen=True)
+class ArrivalConfig:
+    """The open-loop arrival schedule; declared once for the two modes
+    (cluster simulator, live-server loadgen) that replay one."""
+
+    arrivals: str | None = option(
+        "--arrivals", "arrival process",
+        choices=ARRIVAL_KINDS, effective="poisson")
+    rate_hz: float | None = option(
+        "--rate", "arrival rate in sessions/s; peak rate for diurnal (not "
+        "valid with --arrivals replay)", type=float, gt=0,
+        effective={"cluster": 1.0, "realserve": 2.0})
+    duration_s: float | None = option(
+        "--duration", "arrival window in virtual seconds (not valid with "
+        "--arrivals replay)", type=float, gt=0,
+        effective={"cluster": 10.0, "realserve": 4.0})
+    arrival_trace: str | None = option(
+        "--arrival-trace", "JSON arrival trace for --arrivals replay",
+        metavar="PATH")
+
+
+@dataclass(frozen=True)
+class ClusterConfig(ArrivalConfig):
+    """Open-loop arrivals against a simulated SoC fleet (``cli cluster``,
+    ``cli frontier``, experiment tables)."""
+
+    workers: int | None = option(
+        "--workers", "initial SoC worker count", type=int, ge=1, effective=4)
+    placement: str | None = option(
+        "--placement", "placement policy (cache_affinity co-locates "
+        "sessions sharing content on one worker's reference cache; "
+        "shard_affinity breaks load ties toward workers already holding "
+        "the field — pair with --catalog)",
+        choices=tuple(sorted(PLACEMENTS)), effective="least_loaded")
+    queue_limit: int | None = option(
+        "--queue-limit", "max resident sessions per worker before "
+        "admission rejects", type=int, ge=1, effective=4)
+    autoscale: bool = option(
+        "--autoscale", "scale the fleet on load between --min-workers and "
+        "--max-workers", False, const=True)
+    min_workers: int | None = option(
+        "--min-workers", "autoscaler floor (requires --autoscale)",
+        type=int, effective=1)
+    max_workers: int | None = option(
+        "--max-workers", "autoscaler ceiling (requires --autoscale)",
+        type=int, unset="2x --workers")
+    scale_up_latency_s: float | None = option(
+        "--scale-up-latency", "provisioning delay in virtual seconds before "
+        "a scaled-up worker takes sessions (requires --autoscale)",
+        type=float, effective=1.0)
+    # Sharded field tier (repro.distribution): catalog switches it on,
+    # zipf shapes the popularity skew, replication sizes the owner sets.
+    catalog: int | None = option(
+        "--catalog", "expand the workload mix into N content-distinct "
+        "scene variants served through the sharded field tier (see "
+        "docs/sharded-serving.md)", type=int, ge=1, metavar="N")
+    zipf: float | None = option(
+        "--zipf", "zipfian popularity skew over the catalog (0 = uniform; "
+        "requires --catalog)", type=float, ge=0, metavar="S",
+        effective=DEFAULT_ZIPF_S)
+    replication: int | None = option(
+        "--replication", "replicas per baked field in the shard tier (0 "
+        "disables the tier — per-worker LRU only; requires --catalog)",
+        type=int, ge=0, metavar="R", effective=DEFAULT_REPLICATION)
+
+
+@dataclass(frozen=True)
+class RealserveConfig(ArrivalConfig):
+    """The live frame server and its load generator (``cli serve-live``,
+    ``cli loadgen``; see :mod:`repro.server`)."""
+
+    host: str | None = option(
+        "--host", "interface the frame server binds", effective="127.0.0.1")
+    port: int | None = option(
+        "--port", "port the frame server binds (0 = ephemeral; the bound "
+        "port is printed)", type=int, ge=0, le=65535, effective=0)
+    time_scale: float | None = option(
+        "--time-scale", "wall seconds per virtual arrival second (<1 "
+        "compresses the schedule — reconcile normalises back to virtual "
+        "seconds)", type=float, gt=0, effective=1.0)
+
+
+_SECTIONS = {"serve": ServeConfig, "cluster": ClusterConfig,
+             "realserve": RealserveConfig}
+
+
+def config_fields(mode: str) -> tuple:
+    """The dataclass fields a ``mode`` cell takes: shared, then its own."""
+    return (dataclasses.fields(SharedConfig)
+            + dataclasses.fields(_SECTIONS[mode]))
+
+
+# The flat wire format's key set: the RunConfig header, then every
+# section field by name (with the modes whose cells take it).
+_HEADER = ("mode", "scale", "label", "repetition")
+_FIELDS = {field.name: field for mode in MODES
+           for field in config_fields(mode)}
+_OWNERS = {name: tuple(mode for mode in MODES
+                       if name in {f.name for f in config_fields(mode)})
+           for name in _FIELDS}
+
+
+def effective_default(name: str, mode: str):
+    """What the executor applies when ``name`` is unset on a ``mode`` cell:
+    its metadata ``effective`` value, else the field default."""
+    field = _FIELDS[name]
+    default = field.metadata.get("effective", field.default)
+    return default[mode] if isinstance(default, dict) else default
+
+
+def _check_value(field, value) -> None:
+    """The metadata-declared checks on one set field: choices, bounds."""
+    meta = field.metadata
+    choices = meta.get("choices")
+    if choices is not None and value not in choices:
+        raise RunConfigError(
+            f"unknown {field.name} {value!r}; one of {choices}")
+    ge, gt, le = meta.get("ge"), meta.get("gt"), meta.get("le")
+    if (ge is not None and value < ge or gt is not None and value <= gt
+            or le is not None and value > le):
+        bound = (f"in {ge}..{le}" if le is not None
+                 else f">= {ge}" if ge is not None else f"> {gt}")
+        raise RunConfigError(f"{meta['flag']} must be {bound}")
+
+
+@dataclass(frozen=True, init=False)
 class RunConfig:
     """One cell of an experiment: everything a run needs, and nothing
     resolved from ambient state.
 
-    Fields default to "unset" (``None``) wherever the executing harness
-    owns the default, so a table stays minimal and the experiment
-    defaults live in exactly one place (the ``run_serve``/``run_cluster``
-    signatures).  ``label`` is cosmetic (excluded from the config hash);
-    ``repetition`` distinguishes factorial repetitions (each offsets the
-    seed by its index).
+    Constructed from flat keyword arguments (``RunConfig(mode="cluster",
+    rate_hz=4.0, workers=2)``): each is routed to the section that owns
+    it, and a field of another mode raises :class:`RunConfigError` — a
+    serve cell with ``workers=4`` cannot exist.  Section fields read
+    back flat too (``cell.rate_hz``); a field of an inactive section
+    reads as its default.  Fields default to "unset" (``None``) wherever
+    the executor owns the default; :meth:`effective` resolves those from
+    the field metadata.  ``label`` is cosmetic (excluded from the config
+    hash); ``repetition`` distinguishes factorial repetitions (each
+    offsets the seed by its index).
     """
 
-    mode: str = "cluster"
-    scale: str | None = None  # "default" | "fast" | None (runner decides)
-    label: str | None = None
-    repetition: int = 0
+    mode: str
+    scale: str | None  # "default" | "fast" | None (runner decides)
+    label: str | None
+    repetition: int
+    shared: SharedConfig
+    section: ServeConfig | ClusterConfig | RealserveConfig
 
-    # Shared knobs.
-    workloads: str | None = None
-    frames: int | None = None
-    seed: int = 0
-    governor: str = "off"
-    slo_fps: float | None = None
-    use_cache: bool = True
-    # Kernel backend (see repro.backend): None lets the engine default
-    # (numpy) apply; engine_workers sizes the parallel backend's pool.
-    backend: str | None = None
-    engine_workers: int | None = None
+    def __init__(self, mode: str = "cluster", scale: str | None = None,
+                 label: str | None = None, repetition: int = 0, **fields):
+        if mode not in MODES:
+            raise RunConfigError(f"unknown mode {mode!r}; one of {MODES}")
+        unknown = sorted(set(fields) - set(_FIELDS))
+        if unknown:
+            raise RunConfigError(
+                f"unknown RunConfig field(s) {', '.join(unknown)}; known "
+                f"fields: {', '.join(sorted(_HEADER + tuple(_FIELDS)))}")
+        shared, section, foreign = {}, {}, []
+        for name, value in fields.items():
+            fold = _FIELDS[name].metadata.get("repeat")
+            if fold is not None and isinstance(value, list):
+                value = fold(value)
+            if mode not in _OWNERS[name]:
+                # At its default a foreign field says nothing, so the
+                # flat dict to_dict() writes loads back.
+                if value != _FIELDS[name].default:
+                    foreign.append(name)
+            elif name in SharedConfig.__dataclass_fields__:
+                shared[name] = value
+            else:
+                section[name] = value
+        if foreign:
+            owned = "; ".join(
+                f"{_FIELDS[name].metadata['flag']} ({name}) is a "
+                f"{'/'.join(_OWNERS[name])}-only option" for name in foreign)
+            raise RunConfigError(f"{owned}: not valid on a {mode} cell")
+        for name, value in (("mode", mode), ("scale", scale),
+                            ("label", label), ("repetition", repetition),
+                            ("shared", SharedConfig(**shared)),
+                            ("section", _SECTIONS[mode](**section))):
+            object.__setattr__(self, name, value)
 
-    # Serve-only knobs.
-    sessions: int | None = None
-    scheduler: str | None = None
-    variant: str | None = None
-    scenes: tuple = ()
-    algorithm: str | None = None
-    ray_budget: int | None = None
-
-    # Cluster-only knobs.
-    arrivals: str | None = None
-    rate_hz: float | None = None
-    duration_s: float | None = None
-    workers: int | None = None
-    placement: str | None = None
-    queue_limit: int | None = None
-    arrival_trace: str | None = None
-    autoscale: bool = False
-    min_workers: int | None = None
-    max_workers: int | None = None
-    scale_up_latency_s: float | None = None
-    # Sharded field tier (repro.distribution): catalog switches it on,
-    # zipf shapes the popularity skew, replication sizes the owner sets.
-    catalog: int | None = None
-    zipf: float | None = None
-    replication: int | None = None
-
-    # Realserve-only knobs (the live frame server + loadgen; see
-    # repro.server): where the server listens, and how much the loadgen
-    # compresses virtual arrival seconds into wall seconds.
-    host: str | None = None
-    port: int | None = None
-    time_scale: float | None = None
+    def __getattr__(self, name: str):
+        # Only reached for names that are not RunConfig's own attributes:
+        # section fields read flat, an inactive section's as the default.
+        field = _FIELDS.get(name)
+        if field is None:
+            raise AttributeError(name)
+        for part in (self.shared, self.section):
+            if hasattr(part, name):
+                return getattr(part, name)
+        return field.default
 
     # -- construction / serialisation -----------------------------------------
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Build (and validate shape of) a config from a plain dict."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise RunConfigError(
-                f"unknown RunConfig field(s) {', '.join(unknown)}; "
-                f"known fields: {', '.join(sorted(known))}")
-        coerced = dict(data)
-        if "scenes" in coerced and coerced["scenes"] is not None:
-            coerced["scenes"] = tuple(coerced["scenes"])
-        return cls(**coerced)
+        """Build a config from the flat dict :meth:`to_dict` writes."""
+        return cls(**data)
 
     def to_dict(self) -> dict:
-        """Plain-JSON dict of every field (tuples become lists)."""
-        out = dataclasses.asdict(self)
-        out["scenes"] = list(self.scenes)
+        """Flat plain-JSON dict of every field of every section (tuples
+        become lists; inactive sections contribute their defaults)."""
+        out = {name: getattr(self, name)
+               for name in _HEADER + tuple(_FIELDS)}
+        out["scenes"] = list(out["scenes"])
         return out
 
     def with_updates(self, **updates) -> "RunConfig":
-        """A copy with ``updates`` applied (frozen-dataclass replace)."""
-        return dataclasses.replace(self, **updates)
+        """A copy with ``updates`` applied (routed like the constructor)."""
+        return RunConfig(**{**self.to_dict(), **updates})
 
     def config_hash(self) -> str:
         """SHA-256 of the canonical JSON of result-affecting fields.
@@ -155,91 +364,49 @@ class RunConfig:
         scale = self.scale if self.scale is not None else default_scale
         return FAST if scale == "fast" else DEFAULT
 
+    def effective(self, name: str):
+        """The field's value, or — when unset — the default its executor
+        applies (:func:`effective_default`)."""
+        value = getattr(self, name)
+        if value is None or value == ():
+            return effective_default(name, self.mode)
+        return value
+
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> "RunConfig":
         """Raise :class:`RunConfigError` on any invalid/conflicting knob
         combination; returns ``self`` so calls chain."""
-        if self.mode not in MODES:
-            raise RunConfigError(
-                f"unknown mode {self.mode!r}; one of {MODES}")
         if self.scale is not None and self.scale not in SCALES:
             raise RunConfigError(
                 f"unknown scale {self.scale!r}; one of {SCALES}")
         if self.repetition < 0:
             raise RunConfigError("repetition must be >= 0")
+        for field in config_fields(self.mode):
+            value = getattr(self, field.name)
+            if value is not None:
+                _check_value(field, value)
         self._validate_shared()
         if self.mode == "serve":
             self._validate_serve()
-        elif self.mode == "realserve":
-            self._validate_realserve()
         else:
-            self._validate_cluster()
+            self._validate_arrivals()
+            if self.mode == "cluster":
+                self._validate_cluster()
         return self
 
     def _validate_shared(self) -> None:
-        if self.frames is not None and self.frames < 1:
-            raise RunConfigError("--frames must be >= 1")
-        if self.slo_fps is not None and self.slo_fps <= 0:
-            raise RunConfigError("--slo must be > 0")
-        if self.governor not in GOVERNOR_MODES:
-            raise RunConfigError(f"unknown governor {self.governor!r}; "
-                                 f"one of {GOVERNOR_MODES}")
         if self.workloads is not None:
             try:
                 parse_mix(self.workloads)
             except (KeyError, ValueError) as exc:
                 raise RunConfigError(exc.args[0]) from None
-        if self.backend is not None:
-            from ..backend import backend_names
-            if self.backend not in backend_names():
-                raise RunConfigError(
-                    f"unknown backend {self.backend!r}; "
-                    f"one of {backend_names()}")
-        if self.engine_workers is not None:
-            if self.engine_workers < 1:
-                raise RunConfigError("--engine-workers must be >= 1")
-            if self.backend != "parallel":
-                raise RunConfigError(
-                    "--engine-workers requires --backend parallel "
-                    "(the other backends run in-process)")
-
-    def _reject_realserve_only(self) -> None:
-        used = [name for name in _REALSERVE_ONLY
-                if getattr(self, name) is not None]
-        if used:
+        if self.engine_workers is not None and self.backend != "parallel":
             raise RunConfigError(
-                f"{_REALSERVE_ONLY_FLAGS} are realserve-only options "
-                "(cli serve-live / cli loadgen)")
+                "--engine-workers requires --backend parallel "
+                "(the other backends run in-process)")
 
     def _validate_serve(self) -> None:
-        self._reject_realserve_only()
-        cluster_only = [
-            flag for flag, value in (
-                ("--arrivals", self.arrivals),
-                ("--rate", self.rate_hz),
-                ("--duration", self.duration_s),
-                ("--workers", self.workers),
-                ("--placement", self.placement),
-                ("--queue-limit", self.queue_limit),
-                ("--arrival-trace", self.arrival_trace),
-                ("--autoscale", self.autoscale or None),
-                ("--min-workers", self.min_workers),
-                ("--max-workers", self.max_workers),
-                ("--scale-up-latency", self.scale_up_latency_s),
-                ("--catalog", self.catalog),
-                ("--zipf", self.zipf),
-                ("--replication", self.replication),
-            ) if value is not None]
-        if cluster_only:
-            raise RunConfigError(
-                f"{'/'.join(cluster_only)} "
-                f"{'is a cluster-only option' if len(cluster_only) == 1 else 'are cluster-only options'}")
-        if self.ray_budget is not None and self.ray_budget < 1:
-            raise RunConfigError("--ray-budget must be >= 1")
-        if self.scheduler is not None and self.scheduler not in SCHEDULERS:
-            raise RunConfigError(f"unknown scheduler {self.scheduler!r}; "
-                                 f"one of {SCHEDULERS}")
         if self.workloads is not None:
             if (self.scenes or self.algorithm is not None
                     or self.variant is not None or self.sessions is not None):
@@ -252,12 +419,7 @@ class RunConfig:
             raise RunConfigError(
                 "--governor needs --workload mixes (the legacy "
                 "scene-cycling sessions carry no SLO fields)")
-        if self.sessions is not None and self.sessions < 1:
-            raise RunConfigError("--sessions must be >= 1")
-        if self.variant is not None and self.variant not in VARIANTS:
-            raise RunConfigError(f"unknown variant {self.variant!r}; "
-                                 f"one of {VARIANTS}")
-        algorithm = self.algorithm or "directvoxgo"
+        algorithm = self.effective("algorithm")
         if algorithm not in ALGORITHMS:
             raise RunConfigError(f"unknown algorithm {algorithm!r}; "
                                  f"one of {ALGORITHMS}")
@@ -267,77 +429,17 @@ class RunConfig:
             except KeyError as exc:
                 raise RunConfigError(exc.args[0]) from None
 
-    def _validate_realserve(self) -> None:
-        serve_only = [name for name in _SERVE_ONLY
-                      if getattr(self, name) not in (None, ())]
-        if serve_only:
-            raise RunConfigError(
-                f"{_SERVE_ONLY_FLAGS} are serve-only options (use "
-                "--workload NAME[:N] to shape the arrival mix)")
-        fleet_only = [
-            flag for flag, value in (
-                ("--workers", self.workers),
-                ("--placement", self.placement),
-                ("--queue-limit", self.queue_limit),
-                ("--autoscale", self.autoscale or None),
-                ("--min-workers", self.min_workers),
-                ("--max-workers", self.max_workers),
-                ("--scale-up-latency", self.scale_up_latency_s),
-                ("--catalog", self.catalog),
-                ("--zipf", self.zipf),
-                ("--replication", self.replication),
-            ) if value is not None]
-        if fleet_only:
-            raise RunConfigError(
-                f"{'/'.join(fleet_only)} "
-                f"{'does' if len(fleet_only) == 1 else 'do'} not apply "
-                "to the live server (one shared engine; reconcile "
-                "simulates workers=1)")
-        if (self.rate_hz is not None and self.rate_hz <= 0
-                or self.duration_s is not None and self.duration_s <= 0):
-            raise RunConfigError("--rate and --duration must be > 0")
-        arrivals = self.arrivals or "poisson"
-        if arrivals not in ARRIVAL_KINDS:
-            raise RunConfigError(f"unknown arrivals {arrivals!r}; "
-                                 f"one of {ARRIVAL_KINDS}")
-        if (arrivals == "replay") != (self.arrival_trace is not None):
+    def _validate_arrivals(self) -> None:
+        replay = self.effective("arrivals") == "replay"
+        if replay != (self.arrival_trace is not None):
             raise RunConfigError(
                 "--arrival-trace is required for (and only valid with) "
                 "--arrivals replay")
-        if self.port is not None and not 0 <= self.port <= 65535:
-            raise RunConfigError("--port must be in 0..65535")
-        if self.time_scale is not None and self.time_scale <= 0:
-            raise RunConfigError("--time-scale must be > 0")
 
     def _validate_cluster(self) -> None:
-        self._reject_realserve_only()
-        serve_only = [name for name in _SERVE_ONLY
-                      if getattr(self, name) not in (None, ())]
-        if serve_only:
-            raise RunConfigError(
-                f"{_SERVE_ONLY_FLAGS} are serve-only options (use "
-                "--workload NAME[:N] to shape the arrival mix)")
-        if (self.rate_hz is not None and self.rate_hz <= 0
-                or self.duration_s is not None and self.duration_s <= 0):
-            raise RunConfigError("--rate and --duration must be > 0")
-        if (self.workers is not None and self.workers < 1
-                or self.queue_limit is not None and self.queue_limit < 1):
-            raise RunConfigError("--workers and --queue-limit must be >= 1")
-        arrivals = self.arrivals or "poisson"
-        if arrivals not in ARRIVAL_KINDS:
-            raise RunConfigError(f"unknown arrivals {arrivals!r}; "
-                                 f"one of {ARRIVAL_KINDS}")
-        if self.placement is not None and self.placement not in PLACEMENTS:
-            raise RunConfigError(
-                f"unknown placement {self.placement!r}; one of "
-                f"{tuple(sorted(PLACEMENTS))}")
-        if (arrivals == "replay") != (self.arrival_trace is not None):
-            raise RunConfigError(
-                "--arrival-trace is required for (and only valid with) "
-                "--arrivals replay")
-        if arrivals == "replay" and (self.workloads is not None
-                                     or self.rate_hz is not None
-                                     or self.duration_s is not None):
+        if self.arrivals == "replay" and (self.workloads is not None
+                                          or self.rate_hz is not None
+                                          or self.duration_s is not None):
             raise RunConfigError(
                 "--workload/--rate/--duration do not apply to --arrivals "
                 "replay (the trace fixes every arrival)")
@@ -352,12 +454,6 @@ class RunConfig:
             raise RunConfigError(
                 "--zipf/--replication require --catalog (the sharded "
                 "field tier)")
-        if self.catalog is not None and self.catalog < 1:
-            raise RunConfigError("--catalog must be >= 1")
-        if self.zipf is not None and self.zipf < 0:
-            raise RunConfigError("--zipf must be >= 0")
-        if self.replication is not None and self.replication < 0:
-            raise RunConfigError("--replication must be >= 0")
 
 
 def parse_rates(text: str) -> tuple:
@@ -371,104 +467,3 @@ def parse_rates(text: str) -> tuple:
     if len(rates) < 3 or any(r <= 0 for r in rates):
         raise RunConfigError("--rates needs >= 3 positive load points")
     return rates
-
-
-def _workloads_of(args) -> str | None:
-    if not args.workloads:
-        return None
-    return ",".join(args.workloads)
-
-
-def from_cli_args(command: str, args) -> RunConfig:
-    """Build the validated :class:`RunConfig` behind one CLI invocation.
-
-    ``command`` is ``"serve"``, ``"cluster"``, or ``"frontier"`` (a
-    frontier invocation validates as the cluster cell its sweep expands
-    into).  Cross-command flags — a serve-only flag passed to
-    ``cluster``, ``--rates`` passed to ``cluster``, cluster scheduling
-    flags passed to ``frontier`` — raise :class:`RunConfigError` with
-    the shared messages, so every command rejects a bad combination
-    identically.
-    """
-    scale = "fast" if args.fast else "default"
-    if command == "serve":
-        return RunConfig(
-            mode="serve", scale=scale, workloads=_workloads_of(args),
-            frames=args.frames, seed=args.seed, governor=args.governor or "off",
-            slo_fps=args.slo, use_cache=not args.no_cache,
-            backend=args.backend, engine_workers=args.engine_workers,
-            sessions=args.sessions, scheduler=args.scheduler,
-            variant=args.variant, scenes=tuple(args.scenes or ()),
-            algorithm=args.algorithm, ray_budget=args.ray_budget,
-            # Cluster-only flags ride along (all default late to None)
-            # so validate() rejects explicit use with the shared message.
-            arrivals=args.arrivals, rate_hz=args.rate,
-            duration_s=args.duration, workers=args.workers,
-            placement=args.placement, queue_limit=args.queue_limit,
-            arrival_trace=args.arrival_trace, autoscale=args.autoscale,
-            min_workers=args.min_workers, max_workers=args.max_workers,
-            scale_up_latency_s=args.scale_up_latency,
-            catalog=getattr(args, "catalog", None),
-            zipf=getattr(args, "zipf", None),
-            replication=getattr(args, "replication", None),
-            # Realserve-only flags ride along for the same reason.
-            host=getattr(args, "host", None), port=getattr(args, "port", None),
-            time_scale=getattr(args, "time_scale", None),
-        ).validate()
-    if command in ("loadgen", "serve-live"):
-        return RunConfig(
-            mode="realserve", scale=scale, workloads=_workloads_of(args),
-            frames=args.frames, seed=args.seed,
-            governor=args.governor or "off", slo_fps=args.slo,
-            use_cache=not args.no_cache, backend=args.backend,
-            engine_workers=args.engine_workers,
-            arrivals=getattr(args, "arrivals", None),
-            rate_hz=getattr(args, "rate", None),
-            duration_s=getattr(args, "duration", None),
-            arrival_trace=getattr(args, "arrival_trace", None),
-            host=args.host, port=args.port,
-            time_scale=getattr(args, "time_scale", None),
-        ).validate()
-    if command == "cluster":
-        if args.rates is not None:
-            raise RunConfigError(
-                "--rates is a frontier-only option (use --rate for a "
-                "single arrival rate)")
-    elif command == "frontier":
-        if (args.arrival_trace is not None or args.autoscale
-                or args.min_workers is not None
-                or args.max_workers is not None
-                or args.scale_up_latency is not None
-                or args.rate is not None or args.arrivals is not None):
-            raise RunConfigError(
-                "--rate/--arrivals/--arrival-trace/--autoscale options "
-                "do not apply (the sweep fixes poisson arrivals; use "
-                "--rates for the load points)")
-        if (getattr(args, "catalog", None) is not None
-                or getattr(args, "zipf", None) is not None
-                or getattr(args, "replication", None) is not None):
-            raise RunConfigError(
-                "--catalog/--zipf/--replication do not apply to frontier "
-                "(sweep the sharded tier with cli experiment instead)")
-    else:
-        raise RunConfigError(f"unknown command {command!r}")
-    return RunConfig(
-        mode="cluster", scale=scale, workloads=_workloads_of(args),
-        frames=args.frames, seed=args.seed, governor=args.governor or "off",
-        slo_fps=args.slo, use_cache=not args.no_cache,
-        backend=args.backend, engine_workers=args.engine_workers,
-        sessions=args.sessions, scheduler=args.scheduler,
-        variant=args.variant, scenes=tuple(args.scenes or ()),
-        algorithm=args.algorithm, ray_budget=args.ray_budget,
-        arrivals=args.arrivals, rate_hz=args.rate,
-        duration_s=args.duration, workers=args.workers,
-        placement=args.placement, queue_limit=args.queue_limit,
-        arrival_trace=args.arrival_trace, autoscale=args.autoscale,
-        min_workers=args.min_workers, max_workers=args.max_workers,
-        scale_up_latency_s=args.scale_up_latency,
-        catalog=getattr(args, "catalog", None),
-        zipf=getattr(args, "zipf", None),
-        replication=getattr(args, "replication", None),
-        host=getattr(args, "host", None), port=getattr(args, "port", None),
-        time_scale=getattr(args, "time_scale", None),
-    ).validate()

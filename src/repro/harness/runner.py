@@ -4,9 +4,10 @@ This is the execution engine every harness surface shares.  A single
 cell (:class:`~.runconfig.RunConfig`) runs through :func:`execute_cell`,
 which drives the same ``simulate_cluster``/serve-engine paths as
 ``cli cluster``/``cli serve`` and folds the frame-economics columns
-(:mod:`.pricing`) into the aggregate.  ``run_cluster`` and
-``run_frontier`` are thin adapters over it, so a cell executed from a
-table file is bit-for-bit the run the standalone commands produce.
+(:mod:`.pricing`) into the aggregate.  ``cli cluster`` executes its cell
+here directly and ``run_frontier`` sweeps cells through it, so a cell
+executed from a table file is bit-for-bit the run the standalone
+commands produce.
 
 An :class:`ExperimentTable` (JSON, or TOML on Python 3.11+) names a base
 cell plus factorial ``axes``; :func:`run_table` expands axes x
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..cluster import Autoscaler, simulate_cluster
+from ..control import mean_psnr_of_levels, quality_floor
 from ..workloads import apply_slo
-from .cluster import DEFAULT_CLUSTER_MIX, quality_summary
 from .pricing import frame_economics
 from .reporting import jsonable, write_bench_json
 from .runconfig import RunConfig, RunConfigError
@@ -39,7 +40,13 @@ try:
 except ImportError:  # pragma: no cover - py3.10 CI leg
     tomllib = None
 
-__all__ = ["CellResult", "ExperimentTable", "execute_cell", "run_table"]
+__all__ = ["DEFAULT_CLUSTER_MIX", "CellResult", "ExperimentTable",
+           "execute_cell", "quality_summary", "run_table"]
+
+# Popularity-skewed default: over half the arrivals share the vr-lego
+# cache key, so co-locating them (cache_affinity) visibly beats spreading
+# them (round_robin) on the cluster-wide reference-cache hit rate.
+DEFAULT_CLUSTER_MIX = "vr-lego:4,dolly-chair:2,vr-headshake:1"
 
 
 @dataclass(frozen=True)
@@ -97,15 +104,13 @@ def _execute_cluster(cell: RunConfig, config, mix, seed: int) -> CellResult:
         mix_label += (f" ×{cell.catalog} catalog "
                       f"(zipf={field_store.zipf_s}, "
                       f"R={field_store.shard_map.replication})")
-    # Unset knobs resolve to the experiment defaults here, in one place.
-    rate_hz = 1.0 if cell.rate_hz is None else cell.rate_hz
-    duration_s = 10.0 if cell.duration_s is None else cell.duration_s
-    workers = 4 if cell.workers is None else cell.workers
-    queue_limit = 4 if cell.queue_limit is None else cell.queue_limit
-    placement = cell.placement or "least_loaded"
+    # Unset knobs resolve to the effective defaults their fields declare.
+    rate_hz = cell.effective("rate_hz")
+    workers = cell.effective("workers")
+    queue_limit = cell.effective("queue_limit")
     autoscaler = None
     if cell.autoscale:
-        floor = 1 if cell.min_workers is None else cell.min_workers
+        floor = cell.effective("min_workers")
         ceiling = 2 * workers if cell.max_workers is None else cell.max_workers
         # The autoscaler only moves the fleet between the bounds — it
         # never provisions up to a floor above the initial fleet, and a
@@ -122,12 +127,12 @@ def _execute_cluster(cell: RunConfig, config, mix, seed: int) -> CellResult:
         autoscaler = Autoscaler(
             min_workers=floor, max_workers=ceiling,
             up_load=up_load, down_load=min(0.25, up_load / 2),
-            scale_up_latency_s=(1.0 if cell.scale_up_latency_s is None
-                                else cell.scale_up_latency_s))
+            scale_up_latency_s=cell.effective("scale_up_latency_s"))
     report = simulate_cluster(
-        resolved_mix, config, arrivals=cell.arrivals or "poisson",
-        rate_hz=rate_hz, duration_s=duration_s, seed=seed,
-        workers=workers, placement=placement, queue_limit=queue_limit,
+        resolved_mix, config, arrivals=cell.effective("arrivals"),
+        rate_hz=rate_hz, duration_s=cell.effective("duration_s"), seed=seed,
+        workers=workers, placement=cell.effective("placement"),
+        queue_limit=queue_limit,
         frames=cell.frames, autoscaler=autoscaler,
         use_cache=cell.use_cache, governor=cell.governor,
         slo_fps=cell.slo_fps, trace=cell.arrival_trace,
@@ -182,9 +187,41 @@ def _execute_cluster(cell: RunConfig, config, mix, seed: int) -> CellResult:
         mix_label=mix_label)
 
 
+def quality_summary(resolved_mix, config, report) -> dict:
+    """Probe-PSNR quality accounting of a governed cluster report.
+
+    ``mean_psnr`` is the frame-weighted mean probe PSNR over every served
+    frame (at the ladder rung it actually rendered at);
+    ``min_workload_psnr`` is the worst per-workload mean, and
+    ``quality_floor_ok`` asserts the governor's contract — every
+    workload's served mean stayed at or above the floor implied by its
+    ``min_quality_tier``.
+    """
+    specs = {spec.name: spec for spec, _ in resolved_mix}
+    per_workload = {}
+    total = weighted = 0
+    floor_ok = True
+    for name, buckets in sorted(report.quality_by_level.items()):
+        spec = specs[name]
+        frames = sum(buckets.values())
+        if not frames:
+            continue
+        psnr = mean_psnr_of_levels(spec, config, buckets)
+        per_workload[name] = psnr
+        floor_ok &= psnr >= quality_floor(spec, config) - 1e-9
+        total += frames
+        weighted += psnr * frames
+    return {
+        "mean_psnr": weighted / total if total else 0.0,
+        "min_workload_psnr": min(per_workload.values(), default=0.0),
+        "quality_floor_ok": floor_ok,
+        "psnr_per_workload": per_workload,
+    }
+
+
 def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
     serve_mix = mix if mix is not None else cell.workloads
-    scheduler = cell.scheduler or "round_robin"
+    scheduler = cell.effective("scheduler")
     if serve_mix is not None:
         rows, summary = run_serve(
             config, scheduler=scheduler, frames=cell.frames,
@@ -196,10 +233,10 @@ def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
                              in apply_slo(serve_mix, cell.slo_fps))
     else:
         rows, summary = run_serve(
-            config, sessions=4 if cell.sessions is None else cell.sessions,
-            scheduler=scheduler, variant=cell.variant or "cicero",
-            frames=cell.frames, scene_names=tuple(cell.scenes) or ("lego",),
-            algorithm=cell.algorithm or "directvoxgo",
+            config, sessions=cell.effective("sessions"),
+            scheduler=scheduler, variant=cell.effective("variant"),
+            frames=cell.frames, scene_names=cell.effective("scenes"),
+            algorithm=cell.effective("algorithm"),
             use_cache=cell.use_cache, seed=seed,
             ray_budget=cell.ray_budget, backend=cell.backend,
             engine_workers=cell.engine_workers)
@@ -304,12 +341,9 @@ class ExperimentTable:
                 if self.repetitions > 1:
                     label = f"{label},rep={repetition}" if label \
                         else f"rep={repetition}"
-                updates = dict(zip(names, assignment))
-                if "scenes" in updates:
-                    updates["scenes"] = tuple(updates["scenes"])
                 cell = self.base.with_updates(
                     repetition=repetition, label=label or self.name,
-                    **updates)
+                    **dict(zip(names, assignment)))
                 expanded.append(cell.validate())
         return expanded
 

@@ -7,7 +7,7 @@ state machine; one dedicated *engine-host* thread owns the existing
 connections batch their ray work into shared field evaluations and hit
 the shared cross-session caches exactly like the simulated serving
 paths — the rendering results are bit-identical to solo rendering
-(locked by ``tests/server/test_server_parity.py``).  Session *builds*
+(locked by ``tests/server/test_server_live.py``).  Session *builds*
 (field baking through the thread-safe, single-flight
 :data:`~repro.workloads.cache.FIELD_CACHE`) run on a small worker
 thread pool so a cold-cache open never stalls the event loop or the

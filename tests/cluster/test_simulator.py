@@ -12,8 +12,9 @@ import pytest
 
 from repro.cluster import Autoscaler, simulate_cluster
 from repro.harness.cli import main
-from repro.harness.cluster import run_cluster
 from repro.harness.configs import FAST
+from repro.harness.runconfig import RunConfig
+from repro.harness.runner import execute_cell
 
 # Scene-skewed mix: 3 of 4 arrivals (in expectation) share the vr-lego
 # cache key, the shape cache-affinity placement exploits.
@@ -26,6 +27,13 @@ def run(mix=SKEWED_MIX, **overrides):
                   frames=2, seed=0)
     kwargs.update(overrides)
     return simulate_cluster(mix, FAST, **kwargs)
+
+
+def run_cluster(config, mix=None, **fields):
+    """One cluster cell through the runner: (per-worker rows, summary)."""
+    result = execute_cell(RunConfig(mode="cluster", workloads=mix, **fields),
+                          config=config)
+    return result.rows, result.summary
 
 
 class TestDeterminism:
@@ -210,12 +218,6 @@ class TestCli:
         assert payload["figure"] == "cluster"
         assert payload["extra"]["admitted"] >= 1
         assert any(row["utilization"] > 0 for row in payload["rows"])
-
-    def test_cluster_rejects_serve_only_flags(self, capsys):
-        assert main(["cluster", "--fast", "--sessions", "4"]) == 2
-        assert "serve-only" in capsys.readouterr().err
-        assert main(["cluster", "--fast", "--scheduler", "deadline"]) == 2
-        assert "serve-only" in capsys.readouterr().err
 
     def test_cluster_missing_trace_file_message(self, capsys):
         assert main(["cluster", "--fast", "--arrivals", "replay",

@@ -15,8 +15,9 @@ import pytest
 from repro.cluster import simulate_cluster
 from repro.control import quality_floor
 from repro.harness.cli import main
-from repro.harness.cluster import quality_summary, run_cluster
 from repro.harness.configs import FAST
+from repro.harness.runconfig import RunConfig
+from repro.harness.runner import execute_cell, quality_summary
 from repro.workloads import apply_slo
 
 # One worker, shallow queue, ~20 arrivals in half a virtual second, with
@@ -73,11 +74,9 @@ class TestHeadline:
             assert psnr >= quality_floor(specs[name], FAST) - 1e-9
 
     def test_run_cluster_surfaces_quality_summary(self):
-        _, summary = run_cluster(
-            FAST, mix=MIX, governor="adaptive", slo_fps=SLO_FPS,
-            **{k: v for k, v in OVERLOAD.items()
-               if k not in ("rate_hz", "duration_s")},
-            rate_hz=OVERLOAD["rate_hz"], duration_s=OVERLOAD["duration_s"])
+        summary = execute_cell(
+            RunConfig(mode="cluster", workloads=MIX, governor="adaptive",
+                      slo_fps=SLO_FPS, **OVERLOAD), config=FAST).summary
         assert summary["governor"] == "adaptive"
         assert summary["quality_floor_ok"]
         assert summary["mean_psnr"] > 0.0

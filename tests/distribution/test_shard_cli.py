@@ -1,9 +1,9 @@
 """Harness surface of the sharded field tier.
 
 ``--catalog/--zipf/--replication`` flow from the CLI through
-``RunConfig`` validation into ``run_cluster``/``BENCH_cluster.json``,
-with the same cross-command rejection discipline as every other
-cluster-only knob — and un-sharded runs keep their exact report shape.
+``RunConfig`` validation into ``execute_cell``/``BENCH_cluster.json``;
+like every other cluster field they exist only on cluster cells and the
+cluster command — and un-sharded runs keep their exact report shape.
 """
 
 import json
@@ -11,9 +11,16 @@ import json
 import pytest
 
 from repro.harness.cli import main
-from repro.harness.cluster import run_cluster
 from repro.harness.configs import FAST
 from repro.harness.runconfig import RunConfig, RunConfigError
+from repro.harness.runner import execute_cell
+
+
+def run_cluster(config, mix=None, **fields):
+    """One cluster cell through the runner: (per-worker rows, summary)."""
+    result = execute_cell(RunConfig(mode="cluster", workloads=mix, **fields),
+                          config=config)
+    return result.rows, result.summary
 
 
 class TestRunConfigValidation:
@@ -69,12 +76,12 @@ class TestCliSurface:
         assert "--catalog" in capsys.readouterr().err
 
     def test_frontier_rejects_catalog(self, capsys):
-        assert main(["frontier", "--fast", "--catalog", "8"]) == 2
-        assert "--catalog" in capsys.readouterr().err
-
-    def test_serve_rejects_catalog(self, capsys):
-        assert main(["serve", "--fast", "--catalog", "8"]) == 2
-        assert "cluster-only" in capsys.readouterr().err
+        # Sweep the sharded tier with cli experiment instead: frontier
+        # takes only the fleet knobs of the cluster section.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["frontier", "--fast", "--catalog", "8"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --catalog" in capsys.readouterr().err
 
 
 class TestRunClusterLibrarySurface:

@@ -1,10 +1,27 @@
 """Tests for the CLI experiment runner."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from repro.harness import cli
 from repro.harness.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+def assert_unrecognized(argv, capsys, *flags):
+    """``argv`` is an argparse usage error naming every foreign flag."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    for flag in flags:
+        assert flag in err.split("unrecognized arguments", 1)[1]
 
 
 class TestParser:
@@ -20,11 +37,10 @@ class TestParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--fast"])
         assert args.figure == "serve"
-        # --sessions/--scheduler default late (to 4 / round_robin) so
-        # explicit use can be detected and rejected when combined with
-        # --workload or the cluster command.
-        assert args.sessions is None
-        assert args.scheduler is None
+        # Generated config flags are absent until set, so the cell sees
+        # exactly what the user passed (unset fields keep their
+        # effective defaults: 4 sessions, round_robin).
+        assert "sessions" not in args and "scheduler" not in args
         assert args.json_out is None
 
 
@@ -34,12 +50,21 @@ class TestMain:
         out = capsys.readouterr().out
         assert "fig07" in out and "fig26" in out and "serve" in out
 
+    def test_list_is_the_subparser_table(self, capsys):
+        assert main(["list"]) == 0
+        listed = capsys.readouterr().out.split()
+        action = build_parser()._subparsers._group_actions[0]
+        assert listed == list(action.choices)
+        assert {"fig02", "all", "trace", "serve-live"} <= set(listed)
+
     def test_unknown_figure(self, capsys):
-        assert main(["fig99"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig99"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "unknown figure" in err
+        assert "invalid choice: 'fig99'" in err
         # The message tells the user what *is* available.
-        assert "fig07" in err and "serve" in err
+        assert "fig07" in err and "serve" in err and "reconcile" in err
 
     def test_runs_cheap_figure_fast(self, capsys):
         assert main(["fig23", "--fast"]) == 0
@@ -191,14 +216,6 @@ class TestGovernorCli:
         assert main(["serve", "--fast", "--ray-budget", "0"]) == 2
         assert "--ray-budget" in capsys.readouterr().err
 
-    def test_cluster_rejects_ray_budget(self, capsys):
-        assert main(["cluster", "--fast", "--ray-budget", "64"]) == 2
-        assert "serve-only" in capsys.readouterr().err
-
-    def test_cluster_rejects_rates(self, capsys):
-        assert main(["cluster", "--fast", "--rates", "1,2,3"]) == 2
-        assert "frontier-only" in capsys.readouterr().err
-
     def test_frontier_rejects_two_load_points(self, capsys):
         assert main(["frontier", "--fast", "--rates", "1,2"]) == 2
         assert ">= 3" in capsys.readouterr().err
@@ -207,10 +224,6 @@ class TestGovernorCli:
         assert main(["frontier", "--fast", "--rates", "a,b,c"]) == 2
         assert "bad --rates" in capsys.readouterr().err
 
-    def test_frontier_rejects_serve_options(self, capsys):
-        assert main(["frontier", "--fast", "--sessions", "4"]) == 2
-        assert "serve-only" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ["serve", "--fast", "--host", "127.0.0.1"],
         ["serve", "--fast", "--port", "7070"],
@@ -218,8 +231,9 @@ class TestGovernorCli:
         ["frontier", "--fast", "--rates", "1,2,3", "--time-scale", "2"],
     ], ids=["serve-host", "serve-port", "cluster-scale", "frontier-scale"])
     def test_virtual_commands_reject_realserve_flags(self, capsys, argv):
-        assert main(argv) == 2
-        assert "realserve-only" in capsys.readouterr().err
+        assert_unrecognized(argv, capsys, next(
+            flag for flag in argv if flag in ("--host", "--port",
+                                              "--time-scale")))
 
     def test_governed_serve_reports_tier_state(self, capsys, tmp_path):
         rc = main(["serve", "--fast", "--frames", "3",
@@ -248,8 +262,9 @@ class TestGovernorCli:
         assert extra["mean_psnr"] > 0.0
 
     def test_frontier_rejects_explicit_arrivals(self, capsys):
-        assert main(["frontier", "--fast", "--arrivals", "diurnal"]) == 2
-        assert "--arrivals" in capsys.readouterr().err
+        # The sweep fixes poisson arrivals, so frontier has no such flag.
+        assert_unrecognized(["frontier", "--fast", "--arrivals", "diurnal"],
+                            capsys, "--arrivals")
 
     def test_frontier_honours_placement(self):
         # The frontier delegates every cell to the experiment runner, so
@@ -274,3 +289,100 @@ class TestGovernorCli:
         finally:
             runner_mod.simulate_cluster = real
         assert seen and all(p == "cache_affinity" for p in seen)
+
+
+# (command line, the flags its error must name).
+FOREIGN_FLAGS = [
+    # Silently accepted (and ignored) by the flat parser this replaced.
+    ("experiment --table examples/experiments/quick.json --backend parallel "
+     "--sessions 3 --rates 1,2 --port 99",
+     "--backend --sessions --rates --port"),
+    ("fig23 --fast --workers 9", "--workers"),
+    ("workloads --catalog 5", "--catalog"),
+    ("serve-live --fast --quick --table y --rates 1,2,3 --port 0",
+     "--quick --table --rates"),
+    # Formerly rejected by hand-written cross-command lists.
+    ("cluster --fast --ray-budget 64", "--ray-budget"),
+    ("cluster --fast --rates 1,2,3", "--rates"),
+    ("cluster --fast --sessions 4", "--sessions"),
+    ("cluster --fast --scheduler deadline", "--scheduler"),
+    ("frontier --fast --sessions 4", "--sessions"),
+    ("frontier --fast --rate 3", "--rate"),
+    ("frontier --fast --autoscale", "--autoscale"),
+    ("frontier --fast --backend parallel", "--backend"),
+    ("serve --fast --workers 2", "--workers"),
+    ("serve --fast --catalog 8", "--catalog"),
+    ("serve-live --fast --workload vr-lego", "--workload"),
+    ("serve-live --fast --frames 3 --seed 1", "--frames --seed"),
+    ("loadgen --fast --workers 2", "--workers"),
+    ("loadgen --fast --sessions 2", "--sessions"),
+    ("bench --quick --frames 2", "--frames"),
+    ("reconcile --input x.json --rate 2", "--rate"),
+    ("list --fast", "--fast"),
+    ("trace analyze t.json --fast", "--fast"),
+    ("all --trace t.json", "--trace"),
+    # No abbreviations: a prefix must not reach a longer flag (--rate
+    # would otherwise select frontier's --rates).
+    ("cluster --fast --work 2", "--work"),
+]
+
+
+class TestForeignFlags:
+    """Each command is its own subparser: a flag it does not take is an
+    argparse usage error (exit 2) on every command — never silently
+    ignored, never a hand-written rejection."""
+
+    @pytest.mark.parametrize(
+        "line, foreign", FOREIGN_FLAGS,
+        ids=[line.split()[0] + foreign.split()[0]
+             for line, foreign in FOREIGN_FLAGS])
+    def test_foreign_flag_is_unrecognized(self, capsys, line, foreign):
+        assert_unrecognized(line.split(), capsys, *foreign.split())
+
+
+DOCUMENTED_IN = {path.name: path for path in (
+    REPO / ".github/workflows/ci.yml", REPO / "README.md",
+    *sorted((REPO / "docs").glob("*.md")))}
+
+
+def documented_invocations(text: str) -> list:
+    """The argv of every ``python -m repro.harness.cli ...`` in ``text``."""
+    found = []
+    # An invocation runs over shell continuations up to the end of its
+    # line, a pipe/redirect/background, or a comment.
+    for match in re.finditer(
+            r"python -m repro\.harness\.cli\s((?:\\\n|[^\n|>&#])*)", text):
+        line = match.group(1).replace("\\\n", " ")
+        line = line.replace("${{ matrix.backend }}", "numpy")
+        # Unquoted shell variables expand to zero or more words.
+        argv = [word for word in shlex.split(line)
+                if not re.fullmatch(r"\$\w+", word) or f'"{word}"' in line]
+        if argv and argv[0][0] not in "<[":  # a synopsis, not a command
+            found.append(argv)
+    return found
+
+
+class TestDocumentedInvocations:
+    """Drift guard: every command line the workflow, README, docs and
+    the cli docstring quote still parses."""
+
+    def test_the_extractor_finds_them(self):
+        found = documented_invocations(DOCUMENTED_IN["ci.yml"].read_text())
+        assert len(found) >= 20
+        assert ["serve-live", "--fast", "--port", "7071"] in found
+        # Continuation lines are joined.
+        assert ["reconcile", "--input",
+                "realserve-artifacts/BENCH_realserve.json",
+                "--json-out", "realserve-artifacts"] in found
+
+    @pytest.mark.parametrize("source", [*DOCUMENTED_IN, "cli.__doc__"])
+    def test_documented_invocations_parse(self, source, capsys):
+        text = (cli.__doc__ if source == "cli.__doc__"
+                else DOCUMENTED_IN[source].read_text())
+        rejected = []
+        for argv in documented_invocations(text):
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                rejected.append((argv, capsys.readouterr().err[-200:]))
+        assert not rejected

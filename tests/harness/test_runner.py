@@ -1,13 +1,23 @@
 """Factorial experiment runner: tables, hashing, resume, economics."""
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from repro.harness.cli import build_parser, cell_from_args, main
 from repro.harness.configs import FAST
-from repro.harness.runconfig import RunConfig, RunConfigError, from_cli_args
+from repro.harness.runconfig import (
+    ClusterConfig,
+    RunConfig,
+    RunConfigError,
+    ServeConfig,
+)
 from repro.harness.runner import ExperimentTable, execute_cell, run_table
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "experiments"
 
 QUICK_TABLE = {
     "name": "quick",
@@ -64,28 +74,87 @@ class TestRunConfig:
             RunConfig(mode="cluster", min_workers=1).validate()
 
 
-class TestCliParity:
-    """serve/cluster/frontier/experiment share one validator, so a
-    conflicting combination fails with the same message everywhere."""
+class TestWireFormatLock:
+    """The flat dict and its hash, recorded before RunConfig was split
+    into sections: table files, cell artifacts and --resume depend on
+    them byte for byte."""
 
-    def _args(self, command, *extra):
-        from repro.harness.cli import build_parser
-        return build_parser().parse_args([command, "--fast", *extra])
+    KEYS = [
+        "algorithm", "arrival_trace", "arrivals", "autoscale", "backend",
+        "catalog", "duration_s", "engine_workers", "frames", "governor",
+        "host", "label", "max_workers", "min_workers", "mode", "placement",
+        "port", "queue_limit", "rate_hz", "ray_budget", "repetition",
+        "replication", "scale", "scale_up_latency_s", "scenes", "scheduler",
+        "seed", "sessions", "slo_fps", "time_scale", "use_cache", "variant",
+        "workers", "workloads", "zipf"]
+
+    def test_flat_key_set(self):
+        assert sorted(RunConfig().to_dict()) == self.KEYS
+        assert len(self.KEYS) == 35
+
+    def test_default_cell_hash(self):
+        assert RunConfig().config_hash() == (
+            "b090bfd30e90b413fd56d0aa82c25a98"
+            "7899e9020122ee130ea2427134732644")
+
+    @pytest.mark.parametrize("table, first, last", [
+        ("quick.json",
+         "53e78b0d2e7877102e0a153a4e46e1f996dbc2394f00f77b04ba1856f9ecb822",
+         "176b1464a193c8bfcfdaaa75460d0262ef6bf7ad5c75fe776a93efbb9ea51485"),
+        ("frontier-fast.json",
+         "1cbe68cf030cd8c8b5e3c726cd77f0a1ad40841b98d03e6e3299e73b04a8c8f1",
+         "ff3d0aa28484f6e41151b6f6128a1beb92a838d83c7b07b9648e1f58ba19c748"),
+    ], ids=["quick", "frontier-fast"])
+    def test_checked_in_table_cell_hashes(self, table, first, last):
+        cells = ExperimentTable.from_file(EXAMPLES / table).cells()
+        assert cells[0].config_hash() == first
+        assert cells[-1].config_hash() == last
+
+    def test_foreign_key_at_its_default_loads_back(self):
+        # to_dict() writes every section, so from_dict() must accept an
+        # inactive section's keys at their defaults — and only there.
+        flat = RunConfig(mode="serve", sessions=3).to_dict()
+        assert flat["workers"] is None and flat["scenes"] == []
+        assert RunConfig.from_dict(flat) == RunConfig(mode="serve",
+                                                      sessions=3)
+        with pytest.raises(RunConfigError, match="cluster-only"):
+            RunConfig.from_dict({**flat, "workers": 4})
+
+
+class TestCliParity:
+    """Each command's parser is generated from the config sections its
+    mode takes, so another mode's flags do not exist on it, and a value
+    every command takes is checked by the one shared validator."""
+
+    @staticmethod
+    def _takes(command, field):
+        meta = field.metadata
+        sample = ([] if "const" in meta
+                  else [str(meta.get("choices", ["1"])[0])])
+        # parse_known_args hands back what the command did not recognise.
+        _, unknown = build_parser().parse_known_args(
+            [command, "--fast", meta["flag"], *sample])
+        return meta["flag"] not in unknown
 
     @pytest.mark.parametrize("command", ["cluster", "frontier"])
     def test_serve_only_rejection_is_identical(self, command):
-        with pytest.raises(RunConfigError) as exc:
-            from_cli_args(command, self._args(command, "--sessions", "4"))
-        assert "serve-only" in str(exc.value)
+        for field in dataclasses.fields(ServeConfig):
+            assert not self._takes(command, field)
+            assert self._takes("serve", field)
 
     @pytest.mark.parametrize("command", ["serve", "cluster", "frontier"])
-    def test_bad_frames_rejection_is_identical(self, command):
+    def test_bad_frames_rejection_is_identical(self, command, capsys):
+        mode = "serve" if command == "serve" else "cluster"
+        args = build_parser().parse_args([command, "--fast", "--frames", "0"])
         with pytest.raises(RunConfigError, match=r"--frames must be >= 1"):
-            from_cli_args(command, self._args(command, "--frames", "0"))
+            cell_from_args(mode, args)
+        assert main([command, "--fast", "--frames", "0"]) == 2
+        assert f"{command}: --frames must be >= 1" in capsys.readouterr().err
 
     def test_serve_rejects_cluster_flags(self):
-        with pytest.raises(RunConfigError, match="cluster-only"):
-            from_cli_args("serve", self._args("serve", "--workers", "2"))
+        for field in dataclasses.fields(ClusterConfig):
+            assert not self._takes("serve", field)
+            assert self._takes("cluster", field)
 
 
 class TestExperimentTable:

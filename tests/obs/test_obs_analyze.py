@@ -155,7 +155,9 @@ class TestCli:
 
     def test_trace_requires_analyze_subcommand(self, capsys):
         from repro.harness.cli import main
-        assert main(["trace"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace"])
+        assert excinfo.value.code == 2
         assert "analyze" in capsys.readouterr().err
 
     def test_analyze_rejects_bad_top(self, tmp_path, capsys):
