@@ -1,46 +1,23 @@
-"""Pluggable kernel backends for the measured serving hot paths.
+"""Where the engine renders: in-process, or on a shared-memory worker pool.
 
-Public surface:
+Every backend runs the same numpy kernels; ``parallel`` additionally has
+the :class:`~repro.engine.MultiSessionEngine` fan different sessions'
+deterministic ray bundles out to the persistent pool in
+:mod:`repro.backend.parallel`.  Workers render over bit-identical shared
+field tables, so serving output does not depend on the backend.
 
-* :data:`~repro.backend.base.KERNELS` / :class:`KernelBackend` — the
-  hot-kernel contract.
-* :func:`use_backend` / :func:`resolve_backend` / :func:`get_backend` —
-  selection (``--backend`` flags land here).
-* :func:`override` — the per-call dispatch hook the hot modules consult.
-
-:mod:`repro.backend.parallel` (the multiprocessing pool) is imported
-lazily by the engine, never here, to keep this package import-light and
-cycle-free.
+:mod:`repro.backend.parallel` is imported lazily by the engine, never
+here, to keep this package import-light and cycle-free.
 """
 
-from .base import KERNELS, KernelBackend
-from .dispatch import active_overrides, override
-from .numba_backend import ATOL as NUMBA_ATOL
-from .numba_backend import NUMBA_AVAILABLE
-from .registry import (
-    DEFAULT_BACKEND,
-    available_backends,
-    backend_names,
-    get_backend,
-    kernel_defaults,
-    register_backend,
-    resolve_backend,
-    use_backend,
-)
+__all__ = ["BACKENDS", "DEFAULT_BACKEND", "DEFAULT_WORKERS"]
 
-__all__ = [
-    "KERNELS",
-    "KernelBackend",
-    "DEFAULT_BACKEND",
-    "NUMBA_ATOL",
-    "NUMBA_AVAILABLE",
-    "active_overrides",
-    "available_backends",
-    "backend_names",
-    "get_backend",
-    "kernel_defaults",
-    "override",
-    "register_backend",
-    "resolve_backend",
-    "use_backend",
-]
+# Accepted ``--backend`` values.
+BACKENDS = ("numpy", "parallel")
+
+# The backend used when no --backend flag is given.
+DEFAULT_BACKEND = "numpy"
+
+# Pool size when ``parallel`` is enabled without an explicit
+# --engine-workers count.
+DEFAULT_WORKERS = 2

@@ -154,8 +154,8 @@ class ClusterSimulator:
         # with a ``store`` attribute see shard residency, and the report
         # gains the ``distribution`` block.
         self.field_store = field_store
-        # Kernel backend every spawned Worker renders with (results are
-        # backend-independent for the exact backends).
+        # Backend every spawned Worker's engine renders on (results are
+        # backend-independent).
         self.backend = backend
         self.engine_workers = engine_workers
         self.frames = frames

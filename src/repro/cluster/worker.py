@@ -77,9 +77,9 @@ class Worker:
                  engine_workers: int | None = None, field_store=None):
         self.worker_id = str(worker_id)
         self.config = config
-        # Kernel backend for this worker's render engine (see
-        # repro.backend); results are backend-independent for the exact
-        # backends, so this only changes render wall-time.
+        # Backend for this worker's render engine (see repro.backend);
+        # results are backend-independent, so this only changes render
+        # wall-time.
         self.backend = backend
         self.engine_workers = engine_workers
         self.soc = soc or SoCModel(feature_dim=config.feature_dim)

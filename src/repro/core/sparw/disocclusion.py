@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...backend.dispatch import override
 from .warp import WarpResult
 
 __all__ = ["PixelClassification", "classify_pixels", "classify_masks",
-           "classify_masks_numpy", "overlap_fraction"]
+           "overlap_fraction"]
 
 
 @dataclass
@@ -74,16 +73,6 @@ def classify_pixels(warp: WarpResult,
 def classify_masks(covered: np.ndarray, hole: np.ndarray,
                    angle: np.ndarray, threshold: float | None
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Backend-dispatched :func:`classify_masks_numpy` (see there)."""
-    fn = override("disocclusion.classify")
-    if fn is not None:
-        return fn(covered, hole, angle, threshold)
-    return classify_masks_numpy(covered, hole, angle, threshold)
-
-
-def classify_masks_numpy(covered: np.ndarray, hole: np.ndarray,
-                         angle: np.ndarray, threshold: float | None
-                         ) -> tuple[np.ndarray, np.ndarray]:
     """The (warped, disoccluded) mask partition of a naive warp.
 
     ``threshold=None`` skips the phi test: the masks are plain copies of

@@ -16,6 +16,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from ..backend import BACKENDS, DEFAULT_WORKERS
 from ..obs.runtime import current_metrics, current_tracer
 from ..obs.tracer import WORK_US_PER_RAY
 from ..perf.timer import section
@@ -145,15 +146,15 @@ class MultiSessionEngine:
         as a plain prefix.  ``None`` keeps the engine bit-identical to
         the ungoverned behaviour.
     backend:
-        Optional kernel-backend name (see :mod:`repro.backend`) activated
-        for the whole run.  ``"parallel"`` additionally fans each
+        Where rounds render (one of :data:`repro.backend.BACKENDS`;
+        ``None`` is ``"numpy"``, in-process).  ``"parallel"`` fans each
         deterministic render group's bundles out to the persistent
         worker pool — results stay bit-identical to serial serving
         because per-bundle rendering is exact (see
         :meth:`~repro.nerf.renderer.NeRFRenderer.render_ray_batch`).
     engine_workers:
         Pool size for the ``parallel`` backend (default:
-        the backend's ``default_workers``); ignored otherwise.
+        :data:`repro.backend.DEFAULT_WORKERS`); ignored otherwise.
     """
 
     def __init__(self, sessions: list, scheduler=None,
@@ -167,6 +168,9 @@ class MultiSessionEngine:
             raise ValueError("ray_budget must be >= 1")
         if engine_workers is not None and engine_workers < 1:
             raise ValueError("engine_workers must be >= 1")
+        if backend is not None and backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; one of {BACKENDS}")
         self.sessions = list(sessions)
         self.scheduler = scheduler or RoundRobinScheduler()
         self.ray_budget = ray_budget
@@ -188,7 +192,7 @@ class MultiSessionEngine:
 
     @contextmanager
     def serving(self):
-        """Activate the kernel backend for a span of ``run_round`` calls.
+        """Hold the backend's resources for a span of ``run_round`` calls.
 
         ``run()`` wraps its whole drain in this; the live frame server's
         engine-host thread enters it once and serves rounds until
@@ -197,21 +201,18 @@ class MultiSessionEngine:
         ``parallel`` backend, in every pool worker — so repeated runs
         don't accumulate arenas.
         """
-        from ..backend.registry import use_backend
-        with use_backend(self.backend) as active:
-            if active.name == "parallel":
-                from ..backend.parallel import get_pool
-                workers = self.engine_workers or active.default_workers
-                self._pool = get_pool(workers)
-            try:
-                yield self
-            finally:
-                self._release_memory()
+        if self.backend == "parallel":
+            from ..backend.parallel import get_pool
+            self._pool = get_pool(self.engine_workers or DEFAULT_WORKERS)
+        try:
+            yield self
+        finally:
+            self._release_memory()
 
     def run(self) -> EngineResult:
         """Serve every session to completion; returns the combined result.
 
-        The configured kernel backend is active for the whole run (see
+        The configured backend is held for the whole run (see
         :meth:`serving`).
         """
         with self.serving():
@@ -265,7 +266,7 @@ class MultiSessionEngine:
         ``done`` flags, not this return value, to detect drain
         completion.
         Cumulative batching statistics accrue on :attr:`batch`.  The
-        caller owns backend activation (:meth:`serving`) and must call
+        caller owns the :meth:`serving` scope and must call
         ``run_round`` from one thread at a time; ``admit``/``retire``
         may race freely against it.
         """

@@ -11,10 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend.dispatch import override
-
-__all__ = ["FramePointCloud", "depth_to_points", "depth_to_points_numpy",
-           "transform_points", "lift_grids", "clear_lift_cache"]
+__all__ = ["FramePointCloud", "depth_to_points", "transform_points",
+           "clear_lift_cache"]
 
 
 @dataclass
@@ -70,26 +68,12 @@ def _lift_grids(intrinsics, height: int, width: int
     return grids
 
 
-def lift_grids(intrinsics, height: int, width: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Public alias of the memoised lift lattices for alternate backends."""
-    return _lift_grids(intrinsics, height, width)
-
-
 def clear_lift_cache() -> None:
     """Release the memoised lift lattices (engine run-exit housekeeping)."""
     _LIFT_CACHE.clear()
 
 
 def depth_to_points(depth: np.ndarray, intrinsics) -> np.ndarray:
-    """Backend-dispatched :func:`depth_to_points_numpy` (see there)."""
-    fn = override("warp.gather")
-    if fn is not None:
-        return fn(depth, intrinsics)
-    return depth_to_points_numpy(depth, intrinsics)
-
-
-def depth_to_points_numpy(depth: np.ndarray, intrinsics) -> np.ndarray:
     """Back-project a depth map into camera-space points (Eq. 1).
 
     ``depth`` is (H, W) metric z-depth.  The output is (H*W, 3), row-major.

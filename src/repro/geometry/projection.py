@@ -12,10 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend.dispatch import override
-
-__all__ = ["SplatResult", "splat_points", "scatter_resolve",
-           "scatter_resolve_numpy"]
+__all__ = ["SplatResult", "splat_points", "scatter_resolve"]
 
 
 @dataclass
@@ -100,19 +97,6 @@ def splat_points(
 def scatter_resolve(flat_ids: np.ndarray, z: np.ndarray, src: np.ndarray,
                     colors: np.ndarray, image: np.ndarray,
                     depth: np.ndarray, source_index: np.ndarray) -> None:
-    """Backend-dispatched :func:`scatter_resolve_numpy` (see there)."""
-    fn = override("warp.scatter")
-    if fn is not None:
-        fn(flat_ids, z, src, colors, image, depth, source_index)
-        return
-    scatter_resolve_numpy(flat_ids, z, src, colors, image, depth,
-                          source_index)
-
-
-def scatter_resolve_numpy(flat_ids: np.ndarray, z: np.ndarray,
-                          src: np.ndarray, colors: np.ndarray,
-                          image: np.ndarray, depth: np.ndarray,
-                          source_index: np.ndarray) -> None:
     """Z-buffer resolve: scatter each point's color/depth, nearest wins.
 
     ``flat_ids`` (M,) are flat pixel ids, ``z`` (M,) their depths, and
@@ -120,8 +104,7 @@ def scatter_resolve_numpy(flat_ids: np.ndarray, z: np.ndarray,
     ``depth`` (P,), and ``source_index`` (P,) are flat per-pixel output
     views mutated in place.  Sorting by depth descending with a stable
     sort means the final (nearest) write survives, and among equal
-    depths the later-arriving point wins — alternate backends must
-    reproduce that tie behavior exactly.
+    depths the later-arriving point wins.
     """
     order = np.argsort(-z, kind="stable")
     flat_sorted = flat_ids[order]

@@ -29,7 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from ..backend import backend_names
+from ..backend import BACKENDS, DEFAULT_WORKERS
 from ..cluster import ARRIVAL_KINDS, PLACEMENTS
 from ..control import GOVERNOR_MODES
 from ..distribution import DEFAULT_REPLICATION, DEFAULT_ZIPF_S
@@ -98,16 +98,15 @@ class SharedConfig:
         "(outputs are bit-identical either way)", True, const=False)
     # None lets the engine default (numpy) apply.
     backend: str | None = option(
-        "--backend", "kernel backend for the hot paths: 'numpy' (default, "
-        "exact), 'numba' (JIT, bounded error, falls back to numpy when not "
-        "installed), or 'parallel' (multi-core session fan-out, "
-        "bit-identical to numpy); taken by serve, cluster, serve-live, "
-        "loadgen and bench, and as the 'backend' field of experiment "
-        "tables", choices=backend_names())
+        "--backend", "where the engine renders: 'numpy' (default, "
+        "in-process) or 'parallel' (sessions fan out to the shared-memory "
+        "worker pool; bit-identical to numpy); taken by serve, cluster, "
+        "serve-live, loadgen and bench, and as the 'backend' field of "
+        "experiment tables", choices=BACKENDS)
     engine_workers: int | None = option(
         "--engine-workers", "worker-process count for --backend parallel; "
-        "rejected with the in-process backends", type=int, ge=1,
-        metavar="N", unset="the backend's default_workers")
+        "rejected with the in-process backend", type=int, ge=1,
+        metavar="N", effective=DEFAULT_WORKERS)
 
 
 @dataclass(frozen=True)
@@ -404,7 +403,7 @@ class RunConfig:
         if self.engine_workers is not None and self.backend != "parallel":
             raise RunConfigError(
                 "--engine-workers requires --backend parallel "
-                "(the other backends run in-process)")
+                "(the numpy backend runs in-process)")
 
     def _validate_serve(self) -> None:
         if self.workloads is not None:

@@ -80,7 +80,7 @@ def run_serve(config: ExperimentConfig = DEFAULT, sessions: int = 8,
               engine_workers: int | None = None) -> tuple:
     """Serve concurrent users; returns (per-session rows, summary).
 
-    ``backend`` selects the kernel backend for the run (see
+    ``backend`` selects where the engine renders (see
     :mod:`repro.backend`); ``engine_workers`` sizes the ``parallel``
     backend's pool.  Serving output is bit-identical across ``numpy``
     and ``parallel``.

@@ -19,12 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...backend.dispatch import override
-
 __all__ = ["trilinear_setup", "bilinear_setup", "linear_setup",
-           "trilinear_gather", "trilinear_gather_numpy",
-           "accumulate_gather", "accumulate_gather_numpy",
-           "setup_tables_for", "flatten_index"]
+           "trilinear_gather", "accumulate_gather", "flatten_index"]
 
 # Corner lattices in the fixed ascending order every consumer assumes:
 # axis 0 is the slowest-varying bit, matching the original list-comprehension
@@ -66,19 +62,6 @@ def _setup_tables(cell_shape: tuple, corners: np.ndarray) -> tuple:
         )
         _TABLES[key] = cached
     return cached
-
-
-def setup_tables_for(resolution, dim: int = 3) -> tuple:
-    """Public per-resolution setup constants for alternate backends.
-
-    Returns the cached ``(cells_float, cells_minus_1, vertex_shape,
-    corner_offsets)`` tuple backing :func:`trilinear_gather` (``dim=3``)
-    or its bilinear analogue (``dim=2``), so a replacement kernel can
-    reuse exactly the same lattice constants.
-    """
-    corners = _CORNERS3 if dim == 3 else _CORNERS2
-    cells = np.broadcast_to(np.asarray(resolution, dtype=np.int64), (dim,))
-    return _setup_tables(tuple(int(c) for c in cells), corners)
 
 
 def _cell_and_frac(coords01: np.ndarray, cells_float: np.ndarray,
@@ -154,16 +137,6 @@ def trilinear_setup(coords01: np.ndarray, resolution,
 def trilinear_gather(coords01: np.ndarray, resolution,
                      assume_clipped: bool = False
                      ) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Backend-dispatched :func:`trilinear_gather_numpy` (see there)."""
-    fn = override("field.trilinear_gather")
-    if fn is not None:
-        return fn(coords01, resolution, assume_clipped)
-    return trilinear_gather_numpy(coords01, resolution, assume_clipped)
-
-
-def trilinear_gather_numpy(coords01: np.ndarray, resolution,
-                           assume_clipped: bool = False
-                           ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Corner-major trilinear setup for accumulation-style gathers.
 
     Returns ``(base_ids, corner_offsets, (one_minus_frac, frac))`` where
@@ -189,17 +162,6 @@ def trilinear_gather_numpy(coords01: np.ndarray, resolution,
 def accumulate_gather(table: np.ndarray, base_ids: np.ndarray,
                       corner_offsets: np.ndarray, weight_factors: tuple
                       ) -> np.ndarray:
-    """Backend-dispatched :func:`accumulate_gather_numpy` (see there)."""
-    fn = override("field.accumulate_gather")
-    if fn is not None:
-        return fn(table, base_ids, corner_offsets, weight_factors)
-    return accumulate_gather_numpy(table, base_ids, corner_offsets,
-                                   weight_factors)
-
-
-def accumulate_gather_numpy(table: np.ndarray, base_ids: np.ndarray,
-                            corner_offsets: np.ndarray, weight_factors: tuple
-                            ) -> np.ndarray:
     """Weighted corner-feature sum without the (N, V, F) intermediate.
 
     ``table`` is (entries, F); the result is ``sum_k table[base + off_k]

@@ -10,7 +10,6 @@ and can record the gather plan of every batch for the memory experiments.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,13 +56,7 @@ class RenderOutput:
 
 
 class NeRFRenderer:
-    """Renders a radiance field through volume rendering, in ray chunks.
-
-    ``backend`` optionally pins a kernel backend (a
-    :mod:`repro.backend` registry name) for this renderer's render
-    calls; ``None`` (the default) uses whatever backend the caller has
-    activated — usually the canonical numpy kernels.
-    """
+    """Renders a radiance field through volume rendering, in ray chunks."""
 
     def __init__(self, fld, sampler: UniformSampler | None = None,
                  background=None, chunk_size: int = 16384,
@@ -73,25 +66,15 @@ class NeRFRenderer:
         self.background = background
         self.chunk_size = int(chunk_size)
         self.opacity_threshold = opacity_threshold
+        # Inert: nothing in src/ passes or reads it.  Pinned by the frozen
+        # benchmarks/e2e driver, whose _TimedRenderer forwards inner.backend.
         self.backend = backend
-
-    def _backend_scope(self):
-        """Kernel-dispatch scope for one render call (no-op when unset)."""
-        if self.backend is None:
-            return nullcontext()
-        from ..backend.registry import use_backend
-        return use_backend(self.backend)
 
     # -- core ray rendering ----------------------------------------------------
 
     def render_rays(self, origins: np.ndarray, directions: np.ndarray,
                     record_gather: bool = False) -> RenderOutput:
         """Render a flat bundle of rays; returns per-ray color/depth/opacity."""
-        with self._backend_scope():
-            return self._render_rays(origins, directions, record_gather)
-
-    def _render_rays(self, origins: np.ndarray, directions: np.ndarray,
-                     record_gather: bool = False) -> RenderOutput:
         origins = np.atleast_2d(np.asarray(origins, dtype=float))
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         num_rays = origins.shape[0]
@@ -169,10 +152,6 @@ class NeRFRenderer:
         returned :class:`RenderOutput` is identical to rendering its bundle
         alone (the sampler must be deterministic, i.e. ``jitter=False``).
         """
-        with self._backend_scope():
-            return self._render_ray_batch(bundles)
-
-    def _render_ray_batch(self, bundles: list) -> list:
         prepped = []
         for origins, directions in bundles:
             o = np.atleast_2d(np.asarray(origins, dtype=float))

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backend.dispatch import override
-
-__all__ = ["CompositeResult", "composite", "composite_numpy"]
+__all__ = ["CompositeResult", "composite"]
 
 
 @dataclass
@@ -33,22 +31,6 @@ class CompositeResult:
 
 
 def composite(
-    sigmas: np.ndarray,
-    rgbs: np.ndarray,
-    t_values: np.ndarray,
-    deltas: np.ndarray,
-    ray_index: np.ndarray,
-    num_rays: int,
-) -> CompositeResult:
-    """Backend-dispatched :func:`composite_numpy` (see there)."""
-    fn = override("volume.composite")
-    if fn is not None:
-        return fn(sigmas, rgbs, t_values, deltas, ray_index, num_rays)
-    return composite_numpy(sigmas, rgbs, t_values, deltas, ray_index,
-                           num_rays)
-
-
-def composite_numpy(
     sigmas: np.ndarray,
     rgbs: np.ndarray,
     t_values: np.ndarray,

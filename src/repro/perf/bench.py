@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..backend import BACKENDS, DEFAULT_BACKEND
 from ..core.sparw.disocclusion import classify_pixels
 from ..core.sparw.pipeline import SparwRenderer
 from ..core.sparw.warp import warp_frame
@@ -61,7 +62,7 @@ class BenchContext:
     ``reps`` is the per-kernel repetition count (after one untimed
     warmup); ``quick`` selects the FAST config and is surfaced so
     benchmarks can shrink their synthetic inputs.  ``backend`` and
-    ``engine_workers`` carry the run's kernel-backend selection (see
+    ``engine_workers`` carry the run's backend selection (see
     :mod:`repro.backend`) so engine-level benchmarks thread it through
     to their :class:`~repro.engine.MultiSessionEngine`.
     """
@@ -295,9 +296,8 @@ def bench_engine_scaling(ctx: BenchContext) -> list:
     numpy path) and through the ``parallel`` backend's persistent worker
     pool at 2 and 4 workers (plus ``ctx.engine_workers`` when it names a
     different point), emitting one ``engine.round.workersN`` row per
-    point with the serial-relative speedup and per-core efficiency
-    (normalised by ``min(N, cores)`` so an undersized host reports
-    honest numbers instead of a guaranteed shortfall).
+    point with the serial-relative speedup, next to the ``workers`` and
+    ``cores`` it was measured with.
     """
     import os
 
@@ -326,15 +326,13 @@ def bench_engine_scaling(ctx: BenchContext) -> list:
         wall = _time_reps(serve, reps)
         if serial_wall is None:
             serial_wall = wall
-        speedup = serial_wall / wall
         rows.append(_row(
             f"engine.round.workers{workers}", "ray",
             result.batch.total_rays, reps, wall,
             backend="numpy" if workers == 1 else "parallel",
             workers=workers, cores=cores,
             frames_per_s=result.total_frames / wall,
-            speedup_vs_serial=speedup,
-            per_core_efficiency=speedup / min(workers, cores)))
+            speedup_vs_serial=serial_wall / wall))
     return rows
 
 
@@ -430,15 +428,13 @@ def run_benchmarks(config: ExperimentConfig | None = None,
 
     ``kernels`` restricts the run to a subset of registry names (unknown
     names raise ``KeyError``).  ``repeat`` runs every benchmark N times
-    and keeps the fastest measurement (best-of-N).  ``backend`` installs
-    a kernel backend (see :mod:`repro.backend`) for the whole run and is
-    recorded in every row's ``backend`` column; ``engine_workers`` sizes
-    the ``parallel`` backend's pool for the engine-level benchmarks.
+    and keeps the fastest measurement (best-of-N).  ``backend`` (one of
+    :data:`repro.backend.BACKENDS`) is where the engine-level benchmarks
+    render and is recorded in every row's ``backend`` column;
+    ``engine_workers`` sizes the ``parallel`` backend's pool for them.
     ``extra`` carries the environment fingerprint and run mode, and
     lands in ``BENCH_perf.json``'s ``extra`` block.
     """
-    from ..backend import use_backend
-
     if config is None:
         config = FAST if quick else DEFAULT
     if kernels is None:
@@ -450,22 +446,24 @@ def run_benchmarks(config: ExperimentConfig | None = None,
                            f"registered: {registered_kernels()}")
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1 (got {repeat})")
+    backend = backend or DEFAULT_BACKEND
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; one of {BACKENDS}")
     ctx = BenchContext(config=config, quick=quick, reps=2 if quick else 5,
                        backend=backend, engine_workers=engine_workers)
     rows = []
-    with use_backend(backend) as active:
-        for name in kernels:
-            rows.extend(_best_of(REGISTRY[name], ctx, repeat))
+    for name in kernels:
+        rows.extend(_best_of(REGISTRY[name], ctx, repeat))
     for row in rows:
         # The scaling curve labels its own rows (mixed serial/parallel);
-        # everything else ran under the resolved run-wide backend.
-        row.setdefault("backend", active.name)
+        # everything else ran under the run-wide backend.
+        row.setdefault("backend", backend)
         row["best_of"] = repeat
     extra = {
         "mode": "quick" if quick else "full",
         "environment": environment_fingerprint(),
         "kernels": list(kernels),
-        "backend": active.name,
+        "backend": backend,
         "repeat": repeat,
     }
     # Rows keep their per-kernel "sections" breakdown (sourced from the

@@ -78,7 +78,7 @@ def compare_payloads(baseline: dict, candidate: dict,
         old_ns = float(old_rows[kernel].get("ns_per_op", 0.0))
         new_ns = float(new_rows[kernel].get("ns_per_op", 0.0))
         ratio = new_ns / old_ns if old_ns > 0 else float("inf")
-        # Rows measured on different kernel backends are not the same
+        # Rows measured on different backends are not the same
         # experiment — report the ratio but never flag it as a
         # regression (rerun both sides on one backend to gate on it).
         old_backend = old_rows[kernel].get("backend")

@@ -1,72 +1,34 @@
-"""Backend registry behavior: names, resolution, dispatch install."""
+"""The backend name set: what ``--backend`` accepts, its default, and
+how ``cli bench`` records it."""
 
 import pytest
 
-from repro.backend import (
-    DEFAULT_BACKEND,
-    KERNELS,
-    NUMBA_AVAILABLE,
-    active_overrides,
-    backend_names,
-    get_backend,
-    kernel_defaults,
-    resolve_backend,
-    use_backend,
-)
+from repro.backend import BACKENDS, DEFAULT_BACKEND
+from repro.perf.bench import run_benchmarks
 
 
 class TestRegistry:
     def test_names(self):
-        assert backend_names() == ("numba", "numpy", "parallel")
+        assert BACKENDS == ("numpy", "parallel")
 
     def test_default_is_numpy(self):
         assert DEFAULT_BACKEND == "numpy"
-        assert resolve_backend(None).name == "numpy"
 
     def test_unknown_name_lists_registered(self):
-        with pytest.raises(KeyError) as err:
-            get_backend("cuda")
+        with pytest.raises(ValueError) as err:
+            run_benchmarks(quick=True, kernels=[], backend="cuda")
         message = err.value.args[0]
         assert "cuda" in message
-        for name in backend_names():
+        for name in BACKENDS:
             assert name in message
 
-    def test_numba_resolves_or_falls_back(self):
-        resolved = resolve_backend("numba")
-        expected = "numba" if NUMBA_AVAILABLE else "numpy"
-        assert resolved.name == expected
-
-    def test_exact_backends_install_nothing(self):
-        # numpy and parallel run the canonical in-process kernels with
-        # zero dispatch indirection; parallelism lives in the engine's
-        # pool, not in kernel overrides.
-        for name in ("numpy", "parallel"):
-            backend = get_backend(name)
-            assert backend.exact
-            assert backend.available
-            assert backend.overrides() == {}
-
-    def test_use_backend_installs_and_restores(self):
-        assert active_overrides() == {}
-        with use_backend("numpy") as active:
-            assert active.name == "numpy"
-            assert active_overrides() == {}
-        with use_backend("numba") as active:
-            assert set(active_overrides()) == set(active.overrides())
-        assert active_overrides() == {}
-
-    def test_kernel_defaults_cover_surface(self):
-        defaults = kernel_defaults()
-        assert set(defaults) == set(KERNELS)
-        assert all(callable(fn) for fn in defaults.values())
-
-    def test_unknown_kernel_name(self):
-        with pytest.raises(KeyError) as err:
-            get_backend("numpy").kernel("field.nope")
-        assert "field.nope" in err.value.args[0]
-
     def test_describe_rows(self):
-        for name in backend_names():
-            row = get_backend(name).describe()
-            assert row["backend"] == name
-            assert isinstance(row["exact"], bool)
+        # Every bench row and the artifact's extra block carry the
+        # requested backend name (None is the default).
+        for requested in (None, *BACKENDS):
+            rows, extra = run_benchmarks(
+                quick=True, kernels=["disocclusion.classify"], repeat=1,
+                backend=requested)
+            expected = requested or DEFAULT_BACKEND
+            assert extra["backend"] == expected
+            assert [row["backend"] for row in rows] == [expected]

@@ -184,3 +184,9 @@ class TestEngineBatching:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             MultiSessionEngine([], ray_budget=0)
+
+    def test_unknown_backend_rejected(self):
+        # Must fail at construction: serving() runs on the frame server's
+        # engine-host thread, which has no exception path.
+        with pytest.raises(ValueError, match="numpy.*parallel"):
+            MultiSessionEngine([], backend="paralel")

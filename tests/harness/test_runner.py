@@ -73,6 +73,16 @@ class TestRunConfig:
         with pytest.raises(RunConfigError, match="require --autoscale"):
             RunConfig(mode="cluster", min_workers=1).validate()
 
+    @pytest.mark.parametrize("build", [
+        lambda: RunConfig(backend="numba").validate(),
+        lambda: ExperimentTable.from_dict(
+            {"base": {}, "axes": {"backend": ["numpy", "numba"]}}).cells(),
+    ], ids=["config", "table-cell"])
+    def test_dropped_numba_backend_is_unknown(self, build):
+        with pytest.raises(RunConfigError,
+                           match=r"'numba'.*'numpy', 'parallel'"):
+            build()
+
 
 class TestWireFormatLock:
     """The flat dict and its hash, recorded before RunConfig was split
