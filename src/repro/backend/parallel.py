@@ -217,15 +217,9 @@ def _build_renderer(spec: dict, blocks: list):
             bytes_per_channel=field_spec["bytes_per_channel"])
     elif kind == "hash":
         from ..nerf.fields.hash_grid import HashGridField, _Level
-        levels = []
-        for lv in field_spec["levels"]:
-            level = _Level.__new__(_Level)
-            level.resolution = int(lv["resolution"])
-            level.table_size = int(lv["table_size"])
-            level.table = _attach_array(lv["table"], blocks)
-            level.num_entries = level.table.shape[0]
-            level.dense = (level.resolution + 1) ** 3 <= level.table_size
-            levels.append(level)
+        levels = [_Level.from_table(lv["resolution"], lv["table_size"],
+                                    _attach_array(lv["table"], blocks))
+                  for lv in field_spec["levels"]]
         field = HashGridField(levels, bounds, decoder=decoder,
                               bytes_per_channel=field_spec["bytes_per_channel"])
     else:  # tensorf

@@ -7,6 +7,12 @@ the irregular-access behaviour that drives Instant-NGP's bank-conflict and
 cache numbers in the paper (Figs. 4-6), and the reason the fully-streaming
 dataflow reverts to pixel-centric order on those levels (Sec. IV-A).
 
+The hash of every vertex of a hashed level is computed once, at
+construction, into a dense vertex id -> slot table; queries on dense and
+hashed levels then run the same gather kernel
+(:func:`~repro.nerf.fields.interp.accumulate_gather`), the hashed ones
+with one extra lookup per corner.
+
 Features are baked coarse-to-fine as residuals against a reference dense
 grid, then summed across levels at query time.
 """
@@ -35,15 +41,34 @@ def _hash_vertices(vertex_multi: np.ndarray, table_size: int) -> np.ndarray:
 
 
 class _Level:
-    """One resolution level: a virtual grid plus its feature table."""
+    """One resolution level: a virtual grid plus its feature table.
+
+    ``slot_of_vertex`` maps every flat vertex id of a hashed level to its
+    table row (``None`` on dense levels, where the vertex id is the row),
+    so a query never re-derives integer vertex coordinates or re-hashes.
+    """
 
     def __init__(self, resolution: int, table_size: int, feature_dim: int):
         self.resolution = int(resolution)
         self.table_size = int(table_size)
-        vertex_count = (self.resolution + 1) ** 3
-        self.dense = vertex_count <= self.table_size
-        self.num_entries = vertex_count if self.dense else self.table_size
+        side = self.resolution + 1
+        self.dense = side ** 3 <= self.table_size
+        self.num_entries = side ** 3 if self.dense else self.table_size
         self.table = np.zeros((self.num_entries, feature_dim))
+        self.slot_of_vertex = None if self.dense else _hash_vertices(
+            np.indices((side,) * 3).reshape(3, -1).T, self.table_size)
+
+    @classmethod
+    def from_table(cls, resolution: int, table_size: int,
+                   table: np.ndarray) -> "_Level":
+        """A level over an existing table (a worker's shared-memory view)."""
+        level = cls(resolution, table_size, table.shape[1])
+        if table.shape[0] != level.num_entries:
+            raise ValueError(f"expected {level.num_entries} table rows for "
+                             f"resolution {level.resolution}, got "
+                             f"{table.shape[0]}")
+        level.table = table
+        return level
 
     def slots_for(self, coords01: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -51,36 +76,23 @@ class _Level:
         cell_ids, vertex_ids, weights = trilinear_setup(coords01,
                                                         self.resolution,
                                                         assume_clipped=True)
-        if self.dense:
-            return cell_ids, vertex_ids, weights
-        # Reconstruct integer vertex coords from flat ids to hash them.
-        side = self.resolution + 1
-        vx = vertex_ids // (side * side)
-        rem = vertex_ids % (side * side)
-        vy = rem // side
-        vz = rem % side
-        multi = np.stack([vx, vy, vz], axis=-1)
-        return cell_ids, _hash_vertices(multi, self.table_size), weights
+        if not self.dense:
+            vertex_ids = self.slot_of_vertex[vertex_ids]
+        return cell_ids, vertex_ids, weights
 
     def interpolate(self, coords01: np.ndarray) -> np.ndarray:
         """Level features for normalised coords (corner-accumulated gather).
 
         Same ascending-corner addition order as the einsum predecessor,
         so the sum is bit-identical without the (N, 8, F) intermediate.
-        Dense levels add per-corner offsets to a base vertex id; hashed
-        levels must still materialise per-corner slot columns (the hash
-        is not linear in the vertex coordinate).
+        Dense and hashed levels share the kernel: per-corner offsets are
+        added to a base vertex id, and a hashed level's ids then go
+        through ``slot_of_vertex``.
         """
-        if self.dense:
-            base_ids, offsets, factors = trilinear_gather(
-                coords01, self.resolution, assume_clipped=True)
-            return accumulate_gather(self.table, base_ids, offsets, factors)
-        _, slots, weights = self.slots_for(coords01)
-        table = self.table
-        total = table[slots[:, 0]] * weights[:, 0, None]
-        for corner in range(1, slots.shape[1]):
-            total += table[slots[:, corner]] * weights[:, corner, None]
-        return total
+        base_ids, offsets, factors = trilinear_gather(
+            coords01, self.resolution, assume_clipped=True)
+        return accumulate_gather(self.table, base_ids, offsets, factors,
+                                 slots=self.slot_of_vertex)
 
 
 class HashGridField(RadianceField):
@@ -149,10 +161,7 @@ class HashGridField(RadianceField):
             if level.dense:
                 level.table[:] = residual
             else:
-                multi = np.stack(np.meshgrid(
-                    np.arange(side), np.arange(side), np.arange(side),
-                    indexing="ij"), axis=-1).reshape(-1, 3)
-                slots = _hash_vertices(multi, table_size)
+                slots = level.slot_of_vertex
                 # Collision resolution: importance-weighted average.  Trained
                 # hash grids resolve collisions implicitly — empty-space
                 # vertices receive near-zero gradients, so occupied vertices
@@ -195,10 +204,9 @@ class HashGridField(RadianceField):
 
     def interpolate(self, points: np.ndarray) -> np.ndarray:
         coords = self.normalized_coords(points)
-        total = None
-        for level in self.levels:
-            part = level.interpolate(coords)
-            total = part if total is None else total + part
+        total = self.levels[0].interpolate(coords)
+        for level in self.levels[1:]:
+            total += level.interpolate(coords)
         return total
 
     def gather_plan(self, points: np.ndarray) -> list:

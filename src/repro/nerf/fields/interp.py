@@ -6,13 +6,16 @@ vertices, and the interpolation weights.  They are shared by the dense voxel
 grid (trilinear), the hash-grid levels (trilinear on a virtual grid), and the
 factorised tensor (bilinear planes + linear vectors).
 
-These are measured hot paths (see ``cli bench``): the per-resolution corner
-tables and flat per-corner vertex offsets are precomputed once and reused, so
-a setup call is a handful of fused array operations instead of flattening an
-(N, corners, D) index lattice.  Results are bit-identical to the
-predecessors kept in :mod:`repro.perf.reference` (vertex-id flattening is
-integer-linear, so ``flatten(cell + corner) == flatten(cell) +
-flatten(corner)`` exactly).
+These are measured hot paths (``nerf.interpolate_s`` in the end-to-end
+benchmark): the per-resolution corner tables and flat per-corner vertex
+offsets are precomputed once and reused, so a setup call is a handful of
+fused array operations instead of flattening an (N, corners, D) index
+lattice.  The Gathering stage (G) has one kernel, :func:`accumulate_gather`,
+for dense grids and for hashed hash-grid levels alike (the latter pass their
+vertex id -> slot table); it accumulates corner by corner over L2-sized
+tiles of samples.  Results are bit-identical to the predecessors kept in
+:mod:`repro.perf.reference` (vertex-id flattening is integer-linear, so
+``flatten(cell + corner) == flatten(cell) + flatten(corner)`` exactly).
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ _CORNERS2 = np.array([[i, j] for i in (0, 1) for j in (0, 1)])
 # handful of grid resolutions (field scales x hash levels), so the cache is
 # effectively constant-size.
 _TABLES: dict = {}
+
+# Samples per tile of :func:`accumulate_gather`: two (4096, 16) float64
+# blocks (result slice + gathered corner) are 1 MB, resident in L2.
+_TILE_ROWS = 4096
 
 
 def flatten_index(indices: np.ndarray, shape: tuple) -> np.ndarray:
@@ -160,42 +167,59 @@ def trilinear_gather(coords01: np.ndarray, resolution,
 
 
 def accumulate_gather(table: np.ndarray, base_ids: np.ndarray,
-                      corner_offsets: np.ndarray, weight_factors: tuple
-                      ) -> np.ndarray:
+                      corner_offsets: np.ndarray, weight_factors: tuple,
+                      slots: np.ndarray | None = None) -> np.ndarray:
     """Weighted corner-feature sum without the (N, V, F) intermediate.
 
     ``table`` is (entries, F); the result is ``sum_k table[base + off_k]
     * w_k`` accumulated in ascending corner order — bit-identical to the
     einsum over a materialised (N, V, F) gather (same multiply, same
     addition order), with V times less peak memory and contiguous index
-    vectors throughout.
+    vectors throughout.  ``slots`` (vertex id -> table row, a hashed
+    hash-grid level's lookup table) redirects each corner's vertex ids
+    before the feature gather; dense grids pass ``None``.
+
+    Samples are processed in tiles of ``_TILE_ROWS`` so a corner's
+    gather / scale / add passes run over cache-resident blocks; every
+    sample still sees the same operations in the same corner order.
     """
     corners = _CORNERS3 if corner_offsets.shape[0] == 8 else _CORNERS2
     num_corners, dim = corners.shape
-    # Scratch reused across the corner loop: per-corner vertex ids, the
-    # gathered feature block, and the weight product.  All are consumed
-    # within the iteration (the accumulator is separate), so reuse never
-    # aliases the result.
-    ids = np.empty_like(base_ids)
-    gathered = np.empty((base_ids.shape[0], table.shape[1]),
-                        dtype=table.dtype)
-    weight = np.empty(base_ids.shape[0])
-    total = np.empty_like(gathered)
-    for k in range(num_corners):
-        np.multiply(weight_factors[corners[k, 0]][:, 0],
-                    weight_factors[corners[k, 1]][:, 1], out=weight)
-        for axis in range(2, dim):
-            weight *= weight_factors[corners[k, axis]][:, axis]
-        np.add(base_ids, corner_offsets[k], out=ids)
-        # Corner 0 gathers straight into the accumulator; later corners
-        # go through the scratch block and are added on.  Ids are valid
-        # vertex ids by construction, so mode="clip" never clips — it
-        # just selects take's fast no-bounds-check path.
-        target = total if k == 0 else gathered
-        np.take(table, ids, axis=0, out=target, mode="clip")
-        target *= weight[:, None]
-        if k:
-            total += gathered
+    count = base_ids.shape[0]
+    total = np.empty((count, table.shape[1]), dtype=table.dtype)
+    # Tile-sized scratch reused across tiles and corners: per-corner
+    # vertex ids, the gathered feature block, and the weight product.
+    # All are consumed within the iteration (the accumulator is the
+    # result slice), so reuse never aliases the result.
+    rows = min(count, _TILE_ROWS)
+    ids_scratch = np.empty(rows, dtype=base_ids.dtype)
+    gathered_scratch = np.empty((rows, table.shape[1]), dtype=table.dtype)
+    weight_scratch = np.empty(rows)
+    for start in range(0, count, _TILE_ROWS):
+        tile = slice(start, min(start + _TILE_ROWS, count))
+        out = total[tile]
+        size = out.shape[0]
+        ids, gathered, weight = (ids_scratch[:size], gathered_scratch[:size],
+                                 weight_scratch[:size])
+        factors = [factor[tile] for factor in weight_factors]
+        for k in range(num_corners):
+            np.multiply(factors[corners[k, 0]][:, 0],
+                        factors[corners[k, 1]][:, 1], out=weight)
+            for axis in range(2, dim):
+                weight *= factors[corners[k, axis]][:, axis]
+            np.add(base_ids[tile], corner_offsets[k], out=ids)
+            # Ids are valid by construction (vertex ids, then table
+            # rows), so mode="clip" never clips — it just selects take's
+            # fast no-bounds-check path.
+            table_rows = (ids if slots is None
+                          else np.take(slots, ids, mode="clip"))
+            # Corner 0 gathers straight into the result; later corners
+            # go through the scratch block and are added on.
+            target = out if k == 0 else gathered
+            np.take(table, table_rows, axis=0, out=target, mode="clip")
+            target *= weight[:, None]
+            if k:
+                out += gathered
     return total
 
 

@@ -5,13 +5,22 @@ between its AABB entry and exit points.  An optional occupancy grid (built
 from the baked density) culls samples in empty space, as DirectVoxGO and
 Instant-NGP both do.
 
-This is a measured hot path (see ``cli bench``): the occupancy lookup runs
-over every ray-sample pair of every render call.  The grid therefore
-precomputes a flattened mask + integer strides at construction, and the
-sampler derives per-sample arrays from the kept indices instead of
-materialising repeat-expanded arrays first.  Both rewrites are bit-identical
-to their predecessors (kept in :mod:`repro.perf.reference`, locked by
-``tests/perf/test_equivalence.py``).
+This is a measured hot path (``nerf.sample_s`` in the end-to-end benchmark),
+so its cost is made to follow the rays and samples that survive:
+
+* the occupancy grid knows the world box of its occupied cells (padded by a
+  whole cell); the sampler culls rays against that box and against the field
+  bounds *before* building any per-sample array;
+* the (rays x samples) position lattice of the surviving rays is axis-major,
+  ``(3, rays, samples)``, and the occupancy lookup works one coordinate
+  column at a time, so every pass has a contiguous inner loop of
+  ``num_samples`` elements instead of 3;
+* per-sample directions, deltas and ray ids are gathers through the kept
+  flat indices, never repeat-expanded arrays.
+
+Every element goes through the same operations in the same order as in the
+predecessors kept in :mod:`repro.perf.reference`, so results are
+bit-identical (locked by ``tests/perf/test_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -78,15 +87,37 @@ class OccupancyGrid:
 
     The cubic mask is raveled once at construction so point lookups are a
     single flat ``take`` instead of three-axis fancy indexing.
+    ``occupied_box`` is the world AABB outside which no point can look up
+    an occupied cell (``None`` when no cell is occupied).
     """
 
     def __init__(self, occupancy: np.ndarray, bounds: tuple):
         self.occupancy = np.asarray(occupancy, dtype=bool)
+        if self.occupancy.ndim != 3 or len(set(self.occupancy.shape)) != 1:
+            raise ValueError("occupancy mask must be 3-D and cubic, got "
+                             f"shape {self.occupancy.shape}")
         self.bounds = (np.asarray(bounds[0], dtype=float),
                        np.asarray(bounds[1], dtype=float))
-        # Precomputed masked-array lookup state: the raveled mask plus the
-        # row-major strides implied by the cubic resolution.
         self._flat = np.ascontiguousarray(self.occupancy).reshape(-1)
+        self.occupied_box = self._occupied_box()
+
+    def _occupied_box(self) -> tuple | None:
+        """World AABB of the occupied cells, padded by one whole cell.
+
+        The pad dwarfs any rounding in :meth:`occupied` or in the slab
+        test, so a ray that misses the box has no sample in an occupied
+        cell.  :meth:`occupied` clips outside points into the edge cells,
+        so a side whose edge cells are occupied is unbounded.
+        """
+        cells = np.argwhere(self.occupancy)
+        if cells.shape[0] == 0:
+            return None
+        res = self.occupancy.shape[0]
+        lo, hi = self.bounds
+        cell = (hi - lo) / res
+        first, last = cells.min(axis=0), cells.max(axis=0)
+        return (np.where(first == 0, -np.inf, lo + (first - 1) * cell),
+                np.where(last == res - 1, np.inf, lo + (last + 2) * cell))
 
     @classmethod
     def from_field(cls, field, resolution: int = 32,
@@ -113,29 +144,35 @@ class OccupancyGrid:
     def occupied(self, points: np.ndarray) -> np.ndarray:
         """Boolean occupancy lookup for (N, 3) world points.
 
-        Same arithmetic as the per-axis predecessor
+        Same arithmetic as the predecessor
         (:func:`repro.perf.reference.occupied_reference`) — normalise,
-        scale, truncate, clip — but with in-place intermediates and one
-        flat gather from the precomputed mask.
+        scale, truncate, clip — one coordinate column at a time into
+        (N,) scratch, then one flat gather from the precomputed mask.
+        The sampler passes a transposed view of its axis-major lattice,
+        whose columns are contiguous.
         """
         lo, hi = self.bounds
+        extent = hi - lo
         res = self.occupancy.shape[0]
         points = np.asarray(points, dtype=float)
-        coords = _scratch("occ.coords", points.shape, np.float64)
-        np.subtract(points, lo, out=coords)
-        coords /= (hi - lo)
-        coords *= res
+        count = points.shape[:1]
+        coord = _scratch("occ.coord", count, np.float64)
         # int32 halves the index traffic; grid resolutions are tiny, and
         # the scaled coordinates of renderable points are far inside the
         # int32 range, so the truncation matches the int64 predecessor.
-        idx = _scratch("occ.idx", points.shape, np.int32)
-        idx[...] = coords  # C-cast truncation, as astype did
-        np.clip(idx, 0, res - 1, out=idx)
-        flat = _scratch("occ.flat", points.shape[:1], np.int32)
-        np.multiply(idx[:, 0], res, out=flat)
-        flat += idx[:, 1]
-        flat *= res
-        flat += idx[:, 2]
+        idx = _scratch("occ.idx", count, np.int32)
+        flat = _scratch("occ.flat", count, np.int32)
+        for axis in range(3):
+            np.subtract(points[:, axis], lo[axis], out=coord)
+            coord /= extent[axis]
+            coord *= res
+            idx[...] = coord  # C-cast truncation, as astype did
+            np.clip(idx, 0, res - 1, out=idx)
+            if axis == 0:
+                flat[...] = idx
+            else:
+                flat *= res
+                flat += idx
         # flat ids are in range by construction (per-axis clip above), so
         # mode="clip" only selects take's no-bounds-check fast path.
         return np.take(self._flat, flat, mode="clip")
@@ -164,15 +201,30 @@ class UniformSampler:
         self._midpoints = ((np.arange(self.num_samples) + 0.5)
                            / self.num_samples)
 
+    def _live_rays(self, origins: np.ndarray, directions: np.ndarray,
+                   hit: np.ndarray) -> np.ndarray:
+        """Row ids of the rays that can keep a sample.
+
+        A ray must hit the field bounds and, with an occupancy grid, the
+        grid's occupied box; every other ray's samples would all be
+        dropped by the keep mask, so its lattice rows are never built.
+        """
+        if self.occupancy is not None:
+            box = self.occupancy.occupied_box
+            if box is None:
+                return np.zeros(0, dtype=np.int64)
+            hit = hit & intersect_aabb(origins, directions, *box)[2]
+        return np.flatnonzero(hit)
+
     def sample(self, origins: np.ndarray, directions: np.ndarray,
                bounds: tuple) -> RaySamples:
         """Generate flattened samples for a bundle of rays.
 
         Bit-identical to the repeat-then-mask predecessor
-        (:func:`repro.perf.reference.sample_reference`): per-sample
-        directions, deltas, and ray ids are pure gathers, so deriving
-        them from the kept flat indices gives the same arrays without
-        materialising the dense (rays x samples) expansions.
+        (:func:`repro.perf.reference.sample_reference`): the lattice is
+        built for the live rays only (see :meth:`_live_rays`) with the
+        predecessor's per-element arithmetic, and per-sample directions,
+        deltas and ray ids are pure gathers through the kept indices.
         """
         origins = np.atleast_2d(np.asarray(origins, dtype=float))
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -182,47 +234,49 @@ class UniformSampler:
 
         t_near, t_far, hit = intersect_aabb(origins, directions, lo, hi,
                                             near=1e-4)
-        all_hit = bool(hit.all())
-        if all_hit:
-            spans = t_far - t_near  # np.where(hit, ...) with hit all-True
-        else:
-            spans = np.where(hit, t_far - t_near, 0.0)
+        rows = self._live_rays(origins, directions, hit)
+        live_o = np.take(origins, rows, axis=0)
+        live_d = np.take(directions, rows, axis=0)
+        t_near = np.take(t_near, rows)
+        spans = np.take(t_far, rows) - t_near
         if self.jitter:
-            steps = np.arange(num_samples)
+            # Drawn for the full bundle so the stream matches the
+            # predecessor's whatever the cull dropped.
             offsets = self._rng.uniform(size=(num_rays, num_samples))
-            frac = (steps[None, :] + offsets) / num_samples
+            frac = (np.arange(num_samples)[None, :]
+                    + np.take(offsets, rows, axis=0)) / num_samples
         else:
             frac = self._midpoints[None, :]
         # t_near + frac*spans and origins + t*d, accumulated into scratch
         # (addition is commutative, so summing into the product term gives
         # the same array with no fresh multi-megabyte temporaries).
-        t = _scratch("sample.t", (num_rays, num_samples), np.float64)
+        lattice = (rows.shape[0], num_samples)
+        t = _scratch("sample.t", lattice, np.float64)
         np.multiply(frac, spans[:, None], out=t)
         t += t_near[:, None]
         delta = spans / num_samples
 
-        positions = _scratch("sample.positions",
-                             (num_rays, num_samples, 3), np.float64)
-        np.multiply(t[..., None], directions[:, None, :], out=positions)
-        positions += origins[:, None, :]
+        positions = _scratch("sample.positions", (3,) + lattice, np.float64)
+        for axis in range(3):
+            np.multiply(t, live_d[:, axis, None], out=positions[axis])
+            positions[axis] += live_o[:, axis, None]
+        columns = positions.reshape(3, -1)
         if self.occupancy is not None:
-            occ = self.occupancy.occupied(positions.reshape(-1, 3))
-            keep = occ.reshape(num_rays, num_samples)
-            if not all_hit:
-                keep = keep & hit[:, None]
+            flat_idx = np.flatnonzero(self.occupancy.occupied(columns.T))
         else:
-            keep = np.broadcast_to(hit[:, None], (num_rays, num_samples))
+            flat_idx = np.arange(columns.shape[1])
 
-        flat_idx = np.flatnonzero(keep)
-        ray_index = flat_idx // num_samples
+        live_index = flat_idx // num_samples
         # All gathers below copy out of the scratch lattices (indices in
         # range by construction; mode="clip" is take's fast path).
+        kept = np.empty((flat_idx.shape[0], 3))
+        for axis in range(3):
+            kept[:, axis] = np.take(columns[axis], flat_idx, mode="clip")
         return RaySamples(
-            positions=np.take(positions.reshape(-1, 3), flat_idx, axis=0,
-                              mode="clip"),
-            directions=np.take(directions, ray_index, axis=0, mode="clip"),
+            positions=kept,
+            directions=np.take(live_d, live_index, axis=0, mode="clip"),
             t_values=np.take(t.reshape(-1), flat_idx, mode="clip"),
-            deltas=np.take(delta, ray_index, mode="clip"),
-            ray_index=ray_index,
+            deltas=np.take(delta, live_index, mode="clip"),
+            ray_index=np.take(rows, live_index, mode="clip"),
             num_rays=num_rays,
         )

@@ -22,14 +22,16 @@ import numpy as np
 
 from ..geometry.rays import intersect_aabb
 from ..nerf.encoding import sh_basis_deg1
-from ..nerf.fields.interp import flatten_index
+from ..nerf.fields.hash_grid import _hash_vertices
+from ..nerf.fields.interp import flatten_index, trilinear_setup
 from ..nerf.renderer import NeRFRenderer
 from ..nerf.sampling import OccupancyGrid, RaySamples, UniformSampler
 
 __all__ = [
     "occupied_reference", "sample_reference", "trilinear_setup_reference",
     "bilinear_setup_reference", "interpolate_voxel_reference",
-    "interpolate_hash_reference", "decode_reference",
+    "hashed_slots_reference", "interpolate_hash_reference",
+    "decode_reference",
     "depth_to_points_reference", "rays_for_pixels_reference",
     "generate_rays_reference", "ReferenceSampler", "ReferenceField",
     "reference_renderer", "reference_geometry",
@@ -166,12 +168,31 @@ def interpolate_voxel_reference(field, points: np.ndarray) -> np.ndarray:
     return np.einsum("nvf,nv->nf", gathered, weights)
 
 
+def hashed_slots_reference(level, vertex_ids: np.ndarray) -> np.ndarray:
+    """Predecessor of a hashed level's ``slot_of_vertex`` lookup.
+
+    Reconstructs integer vertex coordinates from the flat ids with
+    div/mods and hashes them, every query; the level now does that once
+    for every vertex of its grid at construction.
+    """
+    side = level.resolution + 1
+    vx = vertex_ids // (side * side)
+    rem = vertex_ids % (side * side)
+    vy = rem // side
+    vz = rem % side
+    multi = np.stack([vx, vy, vz], axis=-1)
+    return _hash_vertices(multi, level.table_size)
+
+
 def interpolate_hash_reference(field, points: np.ndarray) -> np.ndarray:
     """Predecessor of :meth:`HashGridField.interpolate` (per-level einsum)."""
     coords = field.normalized_coords(points)
     total = None
     for level in field.levels:
-        _, slots, weights = level.slots_for(coords)
+        _, slots, weights = trilinear_setup(coords, level.resolution,
+                                            assume_clipped=True)
+        if not level.dense:
+            slots = hashed_slots_reference(level, slots)
         part = np.einsum("nvf,nv->nf", level.table[slots], weights)
         total = part if total is None else total + part
     return total

@@ -1,10 +1,21 @@
 """Tests for ray sampling and occupancy skipping."""
 
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.geometry import Intrinsics, PinholeCamera, look_at
+from repro.geometry.rays import intersect_aabb
 from repro.nerf import OccupancyGrid, UniformSampler
+from repro.perf.reference import sample_reference
 
 BOUNDS = (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
+
+
+@pytest.fixture(scope="module")
+def small_grid(small_field):
+    return OccupancyGrid.from_field(small_field, resolution=24)
 
 
 class TestUniformSampler:
@@ -97,3 +108,47 @@ class TestOccupancyGrid:
         culled = UniformSampler(64, occupancy=grid).sample(
             origins, dirs, small_field.bounds)
         assert 0 < len(culled) < len(plain)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 4), (8, 8), (4, 8, 8, 8)])
+    def test_rejects_mask_that_is_not_a_cube(self, shape):
+        with pytest.raises(ValueError, match="3-D and cubic"):
+            OccupancyGrid(np.ones(shape, dtype=bool), BOUNDS)
+
+    def test_empty_grid_keeps_no_sample(self):
+        grid = OccupancyGrid(np.zeros((8, 8, 8), dtype=bool), BOUNDS)
+        assert grid.occupied_box is None
+        origins = np.array([[0.0, 0.0, -3.0], [0.2, 0.1, -3.0]])
+        dirs = np.tile([0.0, 0.0, 1.0], (2, 1))
+        samples = UniformSampler(16, occupancy=grid).sample(origins, dirs,
+                                                            BOUNDS)
+        assert len(samples) == 0
+        assert samples.num_rays == 2
+        assert samples.positions.shape == (0, 3)
+
+    def test_occupied_box_pads_by_one_cell_and_opens_at_grid_edges(self):
+        mask = np.zeros((8, 8, 8), dtype=bool)
+        mask[0:2, 3:5, 6:8] = True  # touches the low x and the high z edge
+        lo, hi = OccupancyGrid(mask, BOUNDS).occupied_box
+        np.testing.assert_array_equal(lo, [-np.inf, -0.5, 0.25])
+        np.testing.assert_array_equal(hi, [-0.25, 0.5, np.inf])
+
+    @settings(max_examples=40, deadline=None)
+    @given(eye=st.tuples(*[st.floats(-4.0, 4.0)] * 3),
+           target=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+           fov=st.floats(20.0, 100.0))
+    def test_culled_rays_keep_nothing_in_reference(self, small_field,
+                                                   small_grid, eye, target,
+                                                   fov):
+        """No ray the occupied-box cull drops has a kept reference sample."""
+        assume(np.linalg.norm(np.subtract(eye, target)) > 1e-3)
+        pose = look_at(list(eye), list(target))
+        assume(np.isfinite(pose).all())
+        camera = PinholeCamera(Intrinsics.from_fov(12, 12, fov), pose)
+        origins, directions = camera.generate_rays()
+        origins = origins.reshape(-1, 3)
+        directions = directions.reshape(-1, 3)
+        want = sample_reference(UniformSampler(32, occupancy=small_grid),
+                                origins, directions, small_field.bounds)
+        box_hit = intersect_aabb(origins, directions,
+                                 *small_grid.occupied_box)[2]
+        assert box_hit[np.unique(want.ray_index)].all()

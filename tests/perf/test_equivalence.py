@@ -7,25 +7,32 @@ that include the awkward cases — coordinates exactly on cell boundaries,
 out-of-bounds points, rays that miss the AABB, jittered samplers.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.geometry.camera import Intrinsics, PinholeCamera
 from repro.geometry.pointcloud import depth_to_points
+from repro.geometry.rays import intersect_aabb
 from repro.harness.configs import FAST, build_renderer, make_camera
+from repro.nerf.fields import interp
 from repro.nerf.fields.interp import (accumulate_gather, bilinear_setup,
                                       trilinear_gather, trilinear_setup)
-from repro.nerf.sampling import OccupancyGrid, UniformSampler
+from repro.nerf.sampling import (_SCRATCH, OccupancyGrid, UniformSampler,
+                                 clear_sampling_scratch)
 from repro.perf.reference import (bilinear_setup_reference,
                                   decode_reference,
                                   depth_to_points_reference,
                                   generate_rays_reference,
+                                  hashed_slots_reference,
                                   interpolate_hash_reference,
                                   interpolate_voxel_reference,
                                   occupied_reference,
                                   rays_for_pixels_reference,
                                   reference_renderer, sample_reference,
                                   trilinear_setup_reference)
+from repro.workloads import get_workload
 
 RNG = np.random.default_rng(20240730)
 
@@ -68,6 +75,29 @@ def test_trilinear_gather_matches_setup_weights():
     assert np.array_equal(got, want)
 
 
+TILE = interp._TILE_ROWS
+
+
+@pytest.mark.parametrize("count",
+                         [0, 1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
+@pytest.mark.parametrize("hashed", [False, True])
+def test_accumulate_gather_tile_edges(count, hashed):
+    """Sample counts around the tile size, with and without a slot table."""
+    coords = _coords(max(count, 128))[:count]
+    resolution = 16
+    _, vertex_ids, weights = trilinear_setup_reference(coords, resolution)
+    base, offsets, factors = trilinear_gather(coords, resolution)
+    slots = None
+    if hashed:
+        slots = RNG.integers(0, 512, size=(resolution + 1) ** 3)
+        vertex_ids = slots[vertex_ids]
+    table = RNG.normal(size=(512 if hashed else (resolution + 1) ** 3, 5))
+    got = accumulate_gather(table, base, offsets, factors, slots=slots)
+    want = np.einsum("nvf,nv->nf", table[vertex_ids], weights)
+    assert got.shape == (count, 5)
+    assert np.array_equal(got, want)
+
+
 def test_occupancy_lookup_bit_identical():
     grid = OccupancyGrid(RNG.random((32, 32, 32)) > 0.5,
                          (np.array([-1.0, -1.0, -1.0]),
@@ -99,6 +129,125 @@ def test_sampler_bit_identical(jitter, with_occupancy):
     for name in ("positions", "directions", "t_values", "deltas",
                  "ray_index"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _orbit_frame(name="vr-lego"):
+    """(renderer, origins, directions): FAST frame from the orbit's first pose.
+
+    Unlike ``make_camera``'s identity pose (inside the occupied box, so
+    every ray hits it) an orbit pose sees the box from outside.
+    """
+    spec = get_workload(name)
+    sparw = spec.build_sparw(FAST)
+    camera = sparw.camera.with_pose(spec.build_trajectory(FAST).poses[0])
+    origins, directions = camera.generate_rays()
+    return (sparw.renderer, origins.reshape(-1, 3),
+            directions.reshape(-1, 3).copy())
+
+
+def _cull_bundle(kind, renderer, origins, directions):
+    """Ray bundles that exercise the occupied-box cull's edge cases."""
+    box_lo, box_hi = renderer.sampler.occupancy.occupied_box
+    assert np.isfinite(box_lo).all() and np.isfinite(box_hi).all()
+    if kind == "all_miss":
+        return np.tile([0.0, 5.0, -3.0], (7, 1)), np.tile([0.0, 0.0, 1.0],
+                                                          (7, 1))
+    if kind == "single_ray":
+        return np.array([[0.05, 0.02, -3.0]]), np.array([[0.0, 0.0, 1.0]])
+    directions[:40] *= -1.0  # fire away from the field: miss its AABB
+    diagonal = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    edge = np.array([box_hi[0], box_hi[1], 0.0])
+    extra_o = np.array([
+        [1.3, 1.3, -3.0],            # inside the field, beside the box
+        [box_hi[0], 0.0, -3.0],      # runs inside the plane of a box face
+        edge - 2.0 * diagonal,       # touches the box along one edge only
+        [0.05, 0.02, -3.0],          # two zero direction components
+        [0.05, -1.0, -3.0],          # one zero direction component
+    ])
+    extra_d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], diagonal,
+                        [0.0, 0.0, 1.0], [0.0, 0.3, 0.9]])
+    return (np.concatenate([origins, extra_o]),
+            np.concatenate([directions, extra_d]))
+
+
+@pytest.mark.parametrize("jitter", [False, True])
+@pytest.mark.parametrize("kind", ["mixed", "all_miss", "single_ray"])
+def test_sampler_cull_bit_identical(kind, jitter):
+    """The occupied-box ray cull never changes the kept set or the RNG."""
+    renderer, origins, directions = _orbit_frame()
+    occupancy = renderer.sampler.occupancy
+    bounds = renderer.field.bounds
+    origins, directions = _cull_bundle(kind, renderer, origins, directions)
+    if kind == "mixed":  # the bundle really holds every class of ray
+        field_hit = intersect_aabb(origins, directions, *bounds,
+                                   near=1e-4)[2]
+        box_hit = intersect_aabb(origins, directions,
+                                 *occupancy.occupied_box)[2]
+        assert (~field_hit).any() and (field_hit & ~box_hit).any()
+        assert (field_hit & box_hit).any()
+
+    fast = UniformSampler(24, occupancy=occupancy, jitter=jitter, seed=3)
+    slow = UniformSampler(24, occupancy=occupancy, jitter=jitter, seed=3)
+    got = fast.sample(origins, directions, bounds)
+    want = sample_reference(slow, origins, directions, bounds)
+    assert got.num_rays == want.num_rays == origins.shape[0]
+    assert len(want) > 0 or kind == "all_miss"
+    for name in ("positions", "directions", "t_values", "deltas",
+                 "ray_index"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.positions.flags.c_contiguous
+    # Same number of draws, so the next jittered call stays in step too.
+    assert fast._rng.bit_generator.state == slow._rng.bit_generator.state
+
+
+def test_sampler_lattice_covers_live_rays_only():
+    """Count guard: the position lattice is built for culled-in rays only."""
+    renderer, origins, directions = _orbit_frame()
+    sampler = renderer.sampler
+    bounds = renderer.field.bounds
+    live = (intersect_aabb(origins, directions, *bounds, near=1e-4)[2]
+            & intersect_aabb(origins, directions,
+                             *sampler.occupancy.occupied_box)[2])
+    live_rays = int(live.sum())
+    assert 0 < live_rays < origins.shape[0]
+    clear_sampling_scratch()
+    samples = sampler.sample(origins, directions, bounds)
+    assert len(samples) > 0
+    assert (_SCRATCH["sample.positions"].nbytes
+            == 3 * live_rays * sampler.num_samples * 8)
+    clear_sampling_scratch()
+
+
+def test_hashed_levels_slot_table_matches_divmod_hash():
+    """FAST instant_ngp: both hashed levels' table == the per-query hash."""
+    field = build_renderer("instant_ngp", "lego", FAST).field
+    hashed = [level for level in field.levels if not level.dense]
+    assert [(lv.resolution, lv.table_size) for lv in hashed] == [
+        (20, 4096), (32, 4096)]
+    assert all(level.slot_of_vertex is None
+               for level in field.levels if level.dense)
+    for level in hashed:
+        _, vertex_ids, _ = trilinear_setup(_coords(), level.resolution)
+        assert np.array_equal(level.slot_of_vertex[vertex_ids],
+                              hashed_slots_reference(level, vertex_ids))
+        every = np.arange((level.resolution + 1) ** 3)
+        assert np.array_equal(level.slot_of_vertex,
+                              hashed_slots_reference(level, every))
+
+
+def test_hash_interpolate_allocates_no_corner_blocks():
+    """Count guard: no (N, 8) id / (N, 8, F) blocks per hashed level."""
+    field = build_renderer("instant_ngp", "lego", FAST).field
+    lo, hi = field.bounds
+    points = RNG.uniform(size=(5000, 3)) * (hi - lo) + lo
+    field.interpolate(points)  # warm the per-resolution setup tables
+    tracemalloc.start()
+    try:
+        result = field.interpolate(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * result.nbytes
 
 
 @pytest.mark.parametrize("algorithm", ["directvoxgo", "instant_ngp"])
