@@ -15,7 +15,13 @@ Quick start::
     harness.print_table(rows, title="Fig. 7 - frame overlap")
 """
 
-from . import baselines, core, geometry, harness, hw, memsys, metrics, nerf, scenes
+from .perf.allocator import fix_malloc_thresholds
+
+# Before anything allocates in earnest: what a frame costs must not depend
+# on which temporaries an earlier bake happened to free (see the module).
+fix_malloc_thresholds()
+
+from . import baselines, core, geometry, harness, hw, memsys, metrics, nerf, scenes  # noqa: E402
 
 __version__ = "1.0.0"
 

@@ -7,6 +7,14 @@ radiance from Lambertian shading, and the view-dependent component is fitted
 per vertex onto the degree-1 spherical-harmonics basis by least squares over
 a fixed set of probe directions.  The baked features follow the layout in
 :mod:`repro.nerf.fields.decode`.
+
+A bake costs what its surface shell costs: one SDF pass over the lattice,
+then one :meth:`Scene.surface <repro.scenes.scene.Scene.surface>` pass over
+the shell vertices (normals, nearest object, albedo and Lambert terms,
+each once), which the diffuse channels and all twelve probe shades share.
+Everything downstream of the scene keeps the column-order rule of
+:mod:`repro.scenes.sdf`, so the tables are bit-identical to a bake that
+re-derives the geometry per probe (``tests/golden`` holds their digests).
 """
 
 from __future__ import annotations
@@ -31,6 +39,9 @@ PROBE_DIRECTIONS = np.array([
 ])
 PROBE_DIRECTIONS = PROBE_DIRECTIONS / np.linalg.norm(PROBE_DIRECTIONS, axis=1,
                                                      keepdims=True)
+# Least-squares projection of per-probe values onto the three linear SH
+# basis functions, (3, K); view directions are -probe.
+_PROBE_PROJECTION = np.linalg.pinv(sh_basis_deg1(-PROBE_DIRECTIONS)[:, 1:4])
 
 
 def vertex_grid_positions(bounds: tuple, resolution) -> np.ndarray:
@@ -42,35 +53,34 @@ def vertex_grid_positions(bounds: tuple, resolution) -> np.ndarray:
     lo, hi = np.asarray(bounds[0], dtype=float), np.asarray(bounds[1], dtype=float)
     cells = np.broadcast_to(np.asarray(resolution, dtype=np.int64), (3,))
     axes = [np.linspace(lo[a], hi[a], int(cells[a]) + 1) for a in range(3)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    grid = np.empty(tuple(len(axis) for axis in axes) + (3,))
+    grid[..., 0] = axes[0][:, None, None]
+    grid[..., 1] = axes[1][None, :, None]
+    grid[..., 2] = axes[2][None, None, :]
     return grid.reshape(-1, 3)
 
 
-def _fit_view_dependence(scene, positions: np.ndarray) -> np.ndarray:
+# Rows of one object fitted at a time: bounds the (rows, 12, 3) residual
+# block so the specular fit never sets a bake's resident peak.
+_FIT_ROWS = 1 << 14
+
+
+def _fit_view_dependence(part) -> np.ndarray:
     """Least-squares linear-SH coefficients of the specular radiance.
 
-    For each position we evaluate the full shaded radiance along the probe
-    directions (as if viewed from each direction), subtract the diffuse part,
-    and project the residual onto the three linear SH basis functions.
-    Returns (N, 3 colors, 3 basis).
+    ``part`` is an :class:`~repro.scenes.scene.ObjectShading`.  For each of
+    its rows we evaluate the full shaded radiance along the probe
+    directions (as if viewed from each direction), subtract the diffuse
+    part, and project the residual onto the three linear SH basis functions.
+    Returns (K, 3 colors, 3 basis).
     """
-    normals = scene.normals(positions)
-    diffuse = scene.diffuse_radiance(positions)
-
-    num = positions.shape[0]
-    num_probes = PROBE_DIRECTIONS.shape[0]
-    residuals = np.zeros((num, num_probes, 3))
+    diffuse = part.diffuse()
+    residuals = np.empty((diffuse.shape[0], PROBE_DIRECTIONS.shape[0], 3))
     for k, probe in enumerate(PROBE_DIRECTIONS):
         # View direction points from camera toward the surface: the camera
         # sits along +probe, looking along -probe.
-        view = np.broadcast_to(-probe, positions.shape)
-        shaded = scene.shade(positions, normals, view)
-        residuals[:, k, :] = shaded - diffuse
-
-    # Basis matrix over probes: note view dirs are -probe.
-    basis = sh_basis_deg1(-PROBE_DIRECTIONS)[:, 1:4]  # (K, 3)
-    pinv = np.linalg.pinv(basis)  # (3, K)
-    return np.einsum("mk,nkc->ncm", pinv, residuals)
+        residuals[:, k, :] = part.shade(-probe) - diffuse
+    return np.einsum("mk,nkc->ncm", _PROBE_PROJECTION, residuals)
 
 
 def bake_vertex_features(
@@ -79,7 +89,6 @@ def bake_vertex_features(
     feature_dim: int = 16,
     shell_width: float | None = None,
     density_sharpness: float = 40.0,
-    max_density: float = 120.0,
     surface_bias: float = 0.0,
 ) -> np.ndarray:
     """Evaluate the feature layout of :class:`SHDecoder` at ``positions``.
@@ -93,7 +102,8 @@ def bake_vertex_features(
     density shell.
 
     Channel 0 stores the density *logit* ``-sharpness * (d + bias)``
-    (clipped); the decoder's sigmoid turns it into density.  The logit is
+    (clipped); the decoder's sigmoid turns it into density (whose scale,
+    ``max_density``, therefore lives in the decoder).  The logit is
     linear in the SDF, so trilinear interpolation, hash-level residuals and
     tensor factorisation all represent it far more faithfully than the
     near-discontinuous density itself.
@@ -101,7 +111,6 @@ def bake_vertex_features(
     positions = np.asarray(positions, dtype=float)
     if feature_dim < CORE_FEATURE_DIM:
         raise ValueError(f"feature_dim must be >= {CORE_FEATURE_DIM}")
-    del max_density  # density scale lives in the decoder (sigmoid output)
 
     features = np.zeros((positions.shape[0], feature_dim))
     distance = scene.distance(positions)
@@ -112,12 +121,15 @@ def bake_vertex_features(
         lo, hi = scene.bounds
         # Default shell: a few voxels of the coarsest plausible grid.
         shell_width = float((hi - lo).max()) * 0.05
-    near = np.abs(distance) < shell_width
-    if near.any():
-        near_pos = positions[near]
-        features[near, 1:4] = scene.diffuse_radiance(near_pos)
-        has_specular = any(obj.material.specular > 0.0 for obj in scene.objects)
-        if has_specular:
-            coeffs = _fit_view_dependence(scene, near_pos)
-            features[near, 4:13] = coeffs.reshape(-1, 9)
+    shell = np.flatnonzero(np.abs(distance) < shell_width)
+    if shell.size:
+        surface = scene.surface(positions[shell])
+        features[shell, 1:4] = surface.diffuse()
+        for part in surface.parts:
+            if part.material.specular <= 0.0:
+                continue  # shades the same from every probe: zero residual
+            for start in range(0, part.rows.size, _FIT_ROWS):
+                run = part[start:start + _FIT_ROWS]
+                features[shell[run.rows], 4:13] = _fit_view_dependence(
+                    run).reshape(-1, 9)
     return features

@@ -4,11 +4,27 @@ A :class:`Scene` is the single source of truth for an experiment: the
 ground-truth sphere tracer renders it exactly, and the NeRF fields are baked
 from its density/albedo so that rendering-quality comparisons (PSNR) are
 meaningful.
+
+One geometry pass per query: every :class:`Scene` query evaluates each
+object's SDF once (``distance`` and ``object_index`` reduce the same
+per-object distance list), and everything that shades a set of surface
+points goes through one :class:`SurfaceShading` pass — normals, nearest
+object, albedo and the per-light Lambert terms are computed once and
+shared by the diffuse radiance and any number of view directions.
+
+Column-order rule (see :mod:`repro.scenes.sdf`): per-point dot products and
+norms are taken one coordinate column at a time in the order NumPy's
+last-axis reductions use — ``(a0*b0 + a1*b1) + a2*b2`` — so the radiance is
+bit-identical to the ``sum(axis=-1)`` / ``norm(axis=-1)`` formulas kept
+inline in ``tests/perf/test_equivalence.py``.  Matrix products
+(``normals @ light.direction``, the albedo callables) stay matrix products
+over the same rows: BLAS is free to fuse multiply-adds there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -16,6 +32,7 @@ import numpy as np
 from .sdf import SDF, estimate_normals
 
 __all__ = ["Material", "SceneObject", "DirectionalLight", "Scene",
+           "SurfaceShading", "ObjectShading",
            "checker_albedo", "stripe_albedo", "solid_albedo", "noise_albedo"]
 
 
@@ -151,20 +168,28 @@ class Scene:
 
     # -- geometry queries ---------------------------------------------------
 
+    def _object_distances(self, points: np.ndarray):
+        """Each object's distance in turn, so a sweep holds two at a time."""
+        return (obj.sdf.distance(points) for obj in self.objects)
+
     def distance(self, points: np.ndarray) -> np.ndarray:
         """Signed distance to the nearest object surface."""
-        dists = [obj.sdf.distance(points) for obj in self.objects]
-        return np.minimum.reduce(dists)
+        return reduce(np.minimum, self._object_distances(points))
 
     def object_index(self, points: np.ndarray) -> np.ndarray:
-        """Index of the nearest object per point."""
-        dists = np.stack([obj.sdf.distance(points) for obj in self.objects], axis=-1)
-        return np.argmin(dists, axis=-1)
+        """Index of the nearest object per point (the first one on ties)."""
+        dists = self._object_distances(points)
+        nearest = next(dists)
+        index = np.zeros(np.shape(nearest), dtype=np.int64)
+        for i, dist in enumerate(dists, start=1):
+            closer = dist < nearest
+            index = np.where(closer, i, index)
+            nearest = np.where(closer, dist, nearest)
+        return index
 
     def normals(self, points: np.ndarray) -> np.ndarray:
         """Surface normals of the combined field."""
-        combined = _CombinedSDF(self)
-        return estimate_normals(combined, points)
+        return estimate_normals(self, points)
 
     # -- volumetric density (for NeRF baking) --------------------------------
 
@@ -193,6 +218,11 @@ class Scene:
                 out[mask] = obj.material.albedo(flat[mask])
         return out.reshape(points.shape)
 
+    def surface(self, points: np.ndarray,
+                normals: np.ndarray | None = None) -> "SurfaceShading":
+        """The one geometry pass behind every shade of ``points``."""
+        return SurfaceShading(self, points, normals)
+
     def shade(self, points: np.ndarray, normals: np.ndarray,
               view_dirs: np.ndarray) -> np.ndarray:
         """Blinn-Phong radiance leaving ``points`` toward ``-view_dirs``.
@@ -201,58 +231,114 @@ class Scene:
         is view-independent; the specular lobe adds the view dependence that
         the baked NeRF fields approximate with spherical harmonics.
         """
-        points = np.asarray(points, dtype=float)
-        flat_p = points.reshape(-1, 3)
-        flat_n = np.asarray(normals, dtype=float).reshape(-1, 3)
-        flat_v = np.asarray(view_dirs, dtype=float).reshape(-1, 3)
-        idx = self.object_index(flat_p)
-
-        color = np.zeros_like(flat_p)
-        for i, obj in enumerate(self.objects):
-            mask = idx == i
-            if not mask.any():
-                continue
-            albedo = obj.material.albedo(flat_p[mask])
-            shaded = self.ambient * albedo
-            for light in self.lights:
-                ndotl = np.clip(-flat_n[mask] @ light.direction, 0.0, 1.0)
-                shaded = shaded + albedo * light.color * (light.intensity * ndotl)[..., None]
-                if obj.material.specular > 0.0:
-                    half = -(light.direction + flat_v[mask])
-                    half_norm = np.linalg.norm(half, axis=-1, keepdims=True)
-                    half = half / np.where(half_norm < 1e-12, 1.0, half_norm)
-                    spec = np.clip((flat_n[mask] * half).sum(axis=-1), 0.0, 1.0)
-                    spec = spec ** obj.material.shininess
-                    shaded = shaded + obj.material.specular * light.intensity * (
-                        light.color * spec[..., None])
-            color[mask] = shaded
-        return np.clip(color, 0.0, 1.0).reshape(points.shape)
+        return self.surface(points, normals).shade(view_dirs)
 
     def diffuse_radiance(self, points: np.ndarray) -> np.ndarray:
         """View-independent part of the radiance (used for grid baking)."""
+        return self.surface(points).diffuse()
+
+
+class ObjectShading:
+    """The rows of a :class:`SurfaceShading` pass nearest one object.
+
+    Holds what every shade of those rows shares — the ambient term and one
+    Lambert term per light — so a view direction only adds the material's
+    Blinn-Phong lobe.  Slicing (``part[a:b]``) gives the same thing over a
+    run of the rows, as views.
+    """
+
+    def __init__(self, material: Material, rows: np.ndarray,
+                 normals: np.ndarray, ambient: np.ndarray, lit: list):
+        self.material = material
+        self.rows = rows          # (K,) indices into the pass's points
+        self.normals = normals    # (K, 3)
+        self.ambient = ambient    # (K, 3) ambient * albedo
+        self.lit = lit            # per light: (light, (K, 3) Lambert term)
+
+    def __getitem__(self, run: slice) -> "ObjectShading":
+        return ObjectShading(self.material, self.rows[run],
+                             self.normals[run], self.ambient[run],
+                             [(light, term[run]) for light, term in self.lit])
+
+    def _lobe(self, light: DirectionalLight, view: np.ndarray) -> np.ndarray:
+        """Blinn-Phong highlight of one light, (K,)."""
+        half = [-(light.direction[a] + view[:, a]) for a in range(3)]
+        length = np.sqrt((half[0] * half[0] + half[1] * half[1])
+                         + half[2] * half[2])
+        length[length < 1e-12] = 1.0
+        n = self.normals
+        spec = ((n[:, 0] * (half[0] / length) + n[:, 1] * (half[1] / length))
+                + n[:, 2] * (half[2] / length))
+        return np.clip(spec, 0.0, 1.0) ** self.material.shininess
+
+    def _radiance(self, view: np.ndarray | None) -> np.ndarray:
+        # Per light: the diffuse term first, then the specular term.
+        material = self.material
+        shaded = self.ambient
+        for light, term in self.lit:
+            shaded = shaded + term
+            if view is not None and material.specular > 0.0:
+                shaded = shaded + material.specular * light.intensity * (
+                    light.color * self._lobe(light, view)[..., None])
+        return np.clip(shaded, 0.0, 1.0)
+
+    def diffuse(self) -> np.ndarray:
+        """View-independent radiance of the rows."""
+        return self._radiance(None)
+
+    def shade(self, view_dirs: np.ndarray) -> np.ndarray:
+        """Radiance toward ``-view_dirs``: one direction, or one per row."""
+        return self._radiance(np.broadcast_to(
+            np.asarray(view_dirs, dtype=float), self.normals.shape))
+
+
+class SurfaceShading:
+    """One geometry pass over a set of surface points.
+
+    Computes, once: the normals (unless given), the nearest object of every
+    point, that object's albedo there, and per light the Lambert term
+    ``albedo * color * (intensity * clip(-n.l))``.  :meth:`diffuse` and
+    :meth:`shade` then only assemble; ``parts`` exposes the per-object
+    pieces to callers that shade object by object (the baker's specular
+    fit).
+    """
+
+    def __init__(self, scene: Scene, points: np.ndarray,
+                 normals: np.ndarray | None = None):
         points = np.asarray(points, dtype=float)
-        flat_p = points.reshape(-1, 3)
-        normals = self.normals(flat_p)
-        idx = self.object_index(flat_p)
-        color = np.zeros_like(flat_p)
-        for i, obj in enumerate(self.objects):
-            mask = idx == i
-            if not mask.any():
+        flat = points.reshape(-1, 3)
+        if normals is None:
+            normals = scene.normals(flat)
+        normals = np.asarray(normals, dtype=float).reshape(-1, 3)
+        index = scene.object_index(flat)
+        self.shape = points.shape
+        self.parts = []
+        for i, obj in enumerate(scene.objects):
+            rows = np.flatnonzero(index == i)
+            if rows.size == 0:
                 continue
-            albedo = obj.material.albedo(flat_p[mask])
-            shaded = self.ambient * albedo
-            for light in self.lights:
-                ndotl = np.clip(-normals[mask] @ light.direction, 0.0, 1.0)
-                shaded = shaded + albedo * light.color * (light.intensity * ndotl)[..., None]
-            color[mask] = shaded
-        return np.clip(color, 0.0, 1.0).reshape(points.shape)
+            albedo = obj.material.albedo(flat[rows])
+            facing = normals[rows]
+            lit = []
+            for light in scene.lights:
+                ndotl = np.clip(-facing @ light.direction, 0.0, 1.0)
+                lit.append((light, albedo * light.color
+                            * (light.intensity * ndotl)[..., None]))
+            self.parts.append(ObjectShading(obj.material, rows, facing,
+                                            scene.ambient * albedo, lit))
 
+    def _assemble(self, shade_part) -> np.ndarray:
+        color = np.empty(self.shape)
+        rows = color.reshape(-1, 3)
+        for part in self.parts:
+            rows[part.rows] = shade_part(part)
+        return color
 
-class _CombinedSDF(SDF):
-    """Adapter exposing a Scene's min-distance as a single SDF."""
+    def diffuse(self) -> np.ndarray:
+        """View-independent radiance."""
+        return self._assemble(ObjectShading.diffuse)
 
-    def __init__(self, scene: Scene):
-        self._scene = scene
-
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        return self._scene.distance(points)
+    def shade(self, view_dirs: np.ndarray) -> np.ndarray:
+        """Radiance toward ``-view_dirs`` (one per point)."""
+        view = np.asarray(view_dirs, dtype=float).reshape(-1, 3)
+        return self._assemble(lambda part: part.shade(view[part.rows]))

@@ -92,6 +92,72 @@ def golden(request):
     return check
 
 
+# -- last-axis reference formulas (tests/scenes/test_sdf.py, tests/perf) --------
+#
+# The SDF primitives and ``estimate_normals`` as reductions along the
+# length-3 last axis (``np.linalg.norm(axis=-1)``, ``max(axis=-1)``,
+# broadcast offsets) — what they were before they went column-wise.  The
+# column code must match these bit for bit.
+
+
+def _last_axis_distance(sdf, points):
+    from repro.scenes import sdf as prims
+    if isinstance(sdf, prims.Sphere):
+        return np.linalg.norm(points - np.asarray(sdf.center),
+                              axis=-1) - sdf.radius
+    if isinstance(sdf, prims.Box):
+        q = np.abs(points - np.asarray(sdf.center)) - np.asarray(sdf.half_size)
+        return (np.linalg.norm(np.maximum(q, 0.0), axis=-1)
+                + np.minimum(q.max(axis=-1), 0.0))
+    if isinstance(sdf, prims.Torus):
+        p = points - np.asarray(sdf.center)
+        ring = np.sqrt(p[..., 0] ** 2 + p[..., 2] ** 2) - sdf.major
+        return np.sqrt(ring ** 2 + p[..., 1] ** 2) - sdf.minor
+    if isinstance(sdf, prims.Cylinder):
+        p = points - np.asarray(sdf.center)
+        radial = np.sqrt(p[..., 0] ** 2 + p[..., 2] ** 2) - sdf.radius
+        axial = np.abs(p[..., 1]) - sdf.half_height
+        q = np.stack([radial, axial], axis=-1)
+        return (np.linalg.norm(np.maximum(q, 0.0), axis=-1)
+                + np.minimum(q.max(axis=-1), 0.0))
+    if isinstance(sdf, prims.Scaled):
+        return _last_axis_distance(sdf.child, points / sdf.factor) * sdf.factor
+    return sdf.distance(points)
+
+
+def _last_axis_normals(distance, points, eps=1e-4):
+    """Central differences of a ``distance(points)`` callable."""
+    points = np.asarray(points, dtype=float)
+    offsets = np.eye(3) * eps
+    grads = np.stack([distance(points + offsets[i])
+                      - distance(points - offsets[i]) for i in range(3)],
+                     axis=-1)
+    norms = np.linalg.norm(grads, axis=-1, keepdims=True)
+    return grads / np.where(norms < 1e-12, 1.0, norms)
+
+
+@pytest.fixture(name="last_axis_distance")
+def last_axis_distance_fixture():
+    return _last_axis_distance
+
+
+@pytest.fixture(name="last_axis_normals")
+def last_axis_normals_fixture():
+    return _last_axis_normals
+
+
+def _assert_same_bits(got, want):
+    """Exact equality, signs of zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(name="assert_same_bits")
+def assert_same_bits_fixture():
+    return _assert_same_bits
+
+
 @pytest.fixture(scope="session")
 def lego_scene():
     return get_scene("lego")

@@ -13,11 +13,18 @@ regeneration path (``--update-goldens``) when the change is intentional.
 """
 
 import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
 
 from repro.cluster import simulate_cluster
 from repro.engine import MultiSessionEngine
+from repro.harness import configs
 from repro.harness.configs import FAST
 from repro.harness.reporting import jsonable
+from repro.nerf import HashGridField, VoxelGridField
+from repro.scenes import REAL_WORLD_SCENES, SYNTHETIC_SCENES
 from repro.workloads import SharedLRUCache, build_mixed_sessions, get_workload
 
 FRAMES = 4
@@ -91,3 +98,57 @@ class TestClusterGolden:
             "report_sha256": stats_digest(jsonable(report.summary())),
             "events_sha256": stats_digest(report.governor_events),
         })
+
+
+# -- baked tables ----------------------------------------------------------------
+#
+# Recorded on the parent of PR 17 (before the bake was restructured) and
+# unchanged since: a bake refactor must reproduce every table bit for bit.
+
+ALL_SCENES = sorted(SYNTHETIC_SCENES) + sorted(REAL_WORLD_SCENES)
+
+
+def _tables_of(fld) -> list:
+    if isinstance(fld, VoxelGridField):
+        return [fld.vertex_features]
+    if isinstance(fld, HashGridField):
+        return [level.table for level in fld.levels]
+    return [part for mode in fld.modes
+            for part in (mode.vectors, mode.planes, mode.basis)]
+
+
+def _table_digest(fld) -> str:
+    digest = hashlib.sha256()
+    for table in _tables_of(fld):
+        digest.update(np.ascontiguousarray(table, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def bake_digest(monkeypatch):
+    """``bake_digest(algorithm, scene, config)`` through the harness's own
+    ``_bake_field``, against a private cache so DEFAULT-scale grids are
+    neither left in nor evict anything from the shared ``FIELD_CACHE``."""
+    monkeypatch.setattr(configs, "FIELD_CACHE",
+                        SharedLRUCache(name="golden-tables", max_entries=1))
+
+    def digest(algorithm, scene, config):
+        return _table_digest(configs._bake_field(algorithm, scene, config))
+
+    return digest
+
+
+class TestBakedTableGolden:
+    def test_fast_scale_every_scene_and_algorithm(self, golden, bake_digest):
+        golden("baked_tables_fast", {
+            f"{scene}/{algorithm}": bake_digest(algorithm, scene, FAST)
+            for scene in ALL_SCENES for algorithm in configs.ALGORITHMS})
+
+    def test_default_scale_benchmark_scenes(self, golden, bake_digest):
+        # The four cold bakes behind solo_dense's setup_s.
+        cells = [("lego", "directvoxgo"), ("lego", "instant_ngp"),
+                 ("chair", "directvoxgo"), ("ignatius", "directvoxgo")]
+        golden("baked_tables_default", {
+            f"{scene}/{algorithm}": bake_digest(algorithm, scene,
+                                                configs.DEFAULT)
+            for scene, algorithm in cells})

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.harness.configs import FAST
 from repro.nerf import (
     HashGridField,
     SHDecoder,
@@ -11,6 +12,31 @@ from repro.nerf import (
 )
 from repro.nerf.baking import bake_vertex_features, vertex_grid_positions
 from repro.scenes import get_scene
+
+
+class _CountingSDF:
+    """Proxy counting the calls (and points) an object's SDF receives."""
+
+    def __init__(self, sdf):
+        self.sdf = sdf
+        self.calls = 0
+        self.points = 0
+
+    def distance(self, points):
+        self.calls += 1
+        self.points += points.size // 3
+        return self.sdf.distance(points)
+
+
+def _counted_bake(scene_name):
+    scene = get_scene(scene_name)
+    for obj in scene.objects:
+        obj.sdf = _CountingSDF(obj.sdf)
+    VoxelGridField.bake(scene, resolution=FAST.grid_resolution,
+                        feature_dim=FAST.feature_dim,
+                        density_sharpness=FAST.density_sharpness,
+                        max_density=FAST.max_density)
+    return [obj.sdf for obj in scene.objects]
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +123,20 @@ class TestBaking:
         far = np.array([[1.45, 1.45, 1.45]])
         features = bake_vertex_features(scene, far, shell_width=0.01)
         np.testing.assert_allclose(features[0, 1:4], 0.0)
+
+    def test_a_bake_costs_one_geometry_pass_per_shell_vertex(self):
+        """Clock-free guard: per object, a bake evaluates the SDF once on
+        the lattice and seven times on the shell (one nearest-object query,
+        six central-difference steps) — specular scene or not.  Re-deriving
+        the geometry per probe direction made that 33 calls."""
+        specular = _counted_bake("ignatius")
+        diffuse = _counted_bake("lego")
+        lattice = (FAST.grid_resolution + 1) ** 3
+        for sdf in specular + diffuse:
+            assert sdf.calls <= 8
+            # ... and the seven shell calls are over the shell only.
+            assert sdf.points < 3 * lattice
+        assert max(s.calls for s in diffuse) <= max(s.calls for s in specular)
 
 
 class TestVoxelGridField:

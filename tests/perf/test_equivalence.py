@@ -32,6 +32,8 @@ from repro.perf.reference import (bilinear_setup_reference,
                                   rays_for_pixels_reference,
                                   reference_renderer, sample_reference,
                                   trilinear_setup_reference)
+from repro.nerf.baking import PROBE_DIRECTIONS, vertex_grid_positions
+from repro.scenes import REAL_WORLD_SCENES, SYNTHETIC_SCENES, get_scene
 from repro.workloads import get_workload
 
 RNG = np.random.default_rng(20240730)
@@ -315,3 +317,122 @@ def test_full_frame_render_bit_identical_to_reference_renderer():
     assert np.array_equal(got.depth_t, want.depth_t)
     assert np.array_equal(got.opacity, want.opacity)
     assert got.stats == want.stats
+
+
+# -- scenes: one geometry pass vs. per-query re-derivation -----------------------
+#
+# The Scene queries as they were before the one-pass restructuring, over the
+# last-axis primitive formulas in tests/conftest.py: every query re-evaluates
+# every object, ``shade`` re-derives the nearest object and the albedo per
+# call, dot products and norms reduce along the last axis.
+
+
+class _PerQueryScene:
+    def __init__(self, scene, last_axis_distance, last_axis_normals):
+        self.scene = scene
+        self._distance = last_axis_distance
+        self._normals = last_axis_normals
+
+    def _distances(self, points):
+        return [self._distance(obj.sdf, points) for obj in self.scene.objects]
+
+    def distance(self, points):
+        return np.minimum.reduce(self._distances(points))
+
+    def object_index(self, points):
+        return np.argmin(np.stack(self._distances(points), axis=-1), axis=-1)
+
+    def normals(self, points):
+        return self._normals(self.distance, points)
+
+    def shade(self, points, normals, view_dirs=None):
+        scene = self.scene
+        flat_p = points.reshape(-1, 3)
+        flat_n = normals.reshape(-1, 3)
+        idx = self.object_index(flat_p)
+        color = np.zeros_like(flat_p)
+        for i, obj in enumerate(scene.objects):
+            mask = idx == i
+            if not mask.any():
+                continue
+            albedo = obj.material.albedo(flat_p[mask])
+            shaded = scene.ambient * albedo
+            for light in scene.lights:
+                ndotl = np.clip(-flat_n[mask] @ light.direction, 0.0, 1.0)
+                shaded = shaded + albedo * light.color * (
+                    light.intensity * ndotl)[..., None]
+                if view_dirs is not None and obj.material.specular > 0.0:
+                    half = -(light.direction
+                             + view_dirs.reshape(-1, 3)[mask])
+                    half_norm = np.linalg.norm(half, axis=-1, keepdims=True)
+                    half = half / np.where(half_norm < 1e-12, 1.0, half_norm)
+                    spec = np.clip((flat_n[mask] * half).sum(axis=-1),
+                                   0.0, 1.0) ** obj.material.shininess
+                    shaded = shaded + obj.material.specular * (
+                        light.intensity) * (light.color * spec[..., None])
+            color[mask] = shaded
+        return np.clip(color, 0.0, 1.0).reshape(points.shape)
+
+    def diffuse_radiance(self, points):
+        return self.shade(points, self.normals(points.reshape(-1, 3)))
+
+
+ALL_SCENES = sorted(SYNTHETIC_SCENES) + sorted(REAL_WORLD_SCENES)
+
+
+def _scene_points(scene):
+    """Random points, the shell of the 33^3 lattice, and signed zeros."""
+    rng = np.random.default_rng(5)
+    lattice = vertex_grid_positions(scene.bounds, 32)
+    shell = lattice[np.abs(scene.distance(lattice)) < 0.25]
+    spread = rng.uniform(-1.5, 1.5, size=(400, 3))
+    zeros = rng.uniform(-1.0, 1.0, size=(100, 3))
+    zeros[rng.random(size=zeros.shape) < 0.4] = 0.0
+    zeros[rng.random(size=zeros.shape) < 0.2] = -0.0
+    return lattice, np.vstack([shell[:: max(1, len(shell) // 1500)],
+                               spread, zeros])
+
+
+@pytest.mark.parametrize("name", ALL_SCENES)
+def test_scene_queries_bit_identical_to_per_query_formulas(
+        name, last_axis_distance, last_axis_normals, assert_same_bits):
+    scene = get_scene(name)
+    old = _PerQueryScene(scene, last_axis_distance, last_axis_normals)
+    lattice, pts = _scene_points(scene)
+    block = pts[:1200].reshape(30, 40, 3)
+
+    assert_same_bits(scene.distance(lattice), old.distance(lattice))
+    assert_same_bits(scene.object_index(lattice), old.object_index(lattice))
+    for points in (pts, block, pts[7]):
+        assert_same_bits(scene.distance(points), old.distance(points))
+        assert_same_bits(scene.object_index(points),
+                         old.object_index(points))
+        assert_same_bits(scene.normals(points), old.normals(points))
+        assert_same_bits(scene.diffuse_radiance(points),
+                         old.diffuse_radiance(points))
+
+    normals = old.normals(pts)
+    rng = np.random.default_rng(6)
+    views = rng.normal(size=pts.shape)
+    views /= np.linalg.norm(views, axis=-1, keepdims=True)
+    views[:5] = -scene.lights[0].direction  # zero half vector
+    assert_same_bits(scene.shade(pts, normals, views),
+                     old.shade(pts, normals, views))
+    assert_same_bits(scene.shade(block, normals[:1200], views[:1200]),
+                     old.shade(block, normals[:1200], views[:1200]))
+    assert_same_bits(scene.shade(pts[7], normals[7], views[7]),
+                     old.shade(pts[7], normals[7], views[7]))
+
+    # What the baker asks of the pass: per object, the diffuse radiance and
+    # twelve one-direction shades, whole or in runs of rows.
+    surface = scene.surface(pts)
+    assert sorted(np.concatenate([p.rows for p in surface.parts])) \
+        == list(range(len(pts)))
+    diffuse = old.diffuse_radiance(pts)
+    for probe in PROBE_DIRECTIONS[::5]:
+        want = old.shade(pts, normals, np.broadcast_to(-probe, pts.shape))
+        for part in surface.parts:
+            assert_same_bits(part.diffuse(), diffuse[part.rows])
+            assert_same_bits(part.shade(-probe), want[part.rows])
+            run = part[3:50]
+            assert_same_bits(run.shade(-probe), want[run.rows])
