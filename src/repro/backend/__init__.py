@@ -1,10 +1,15 @@
-"""Where the engine renders: in-process, or on a shared-memory worker pool.
+"""Where the engine renders: in-process, or on a forked worker pool.
 
 Every backend runs the same numpy kernels; ``parallel`` additionally has
 the :class:`~repro.engine.MultiSessionEngine` fan different sessions'
 deterministic ray bundles out to the persistent pool in
-:mod:`repro.backend.parallel`.  Workers render over bit-identical shared
-field tables, so serving output does not depend on the backend.
+:mod:`repro.backend.parallel`.  Its workers are forked from the serving
+process and render with the renderers they inherited — a copy-on-write
+snapshot of the parent's baked tables taken at the fork, so each table
+is held once — and fork again only for a renderer they were not forked
+with.  A worker pins the parent's memory image from its fork until the
+next re-fork or shutdown, and the backend needs a platform with
+``fork``.  Serving output does not depend on the backend.
 
 :mod:`repro.backend.parallel` is imported lazily by the engine, never
 here, to keep this package import-light and cycle-free.

@@ -1,20 +1,36 @@
-"""Persistent multiprocessing pool fanning ray bundles across cores.
+"""Persistent forked worker pool fanning ray bundles across cores.
 
-The ``parallel`` backend's engine path.  Baked field tables (voxel
-vertex features, hash-level tables, tensor factors, the occupancy mask)
-are exported **once** per renderer into ``multiprocessing.shared_memory``
-blocks; workers attach read-only, so only ray bundles and per-bundle
-:class:`~repro.nerf.renderer.RenderOutput` results ever cross the pool
-boundary.  Because workers rebuild the renderer from the same baked
-tables and run the same deterministic numpy kernels, per-bundle results
-are bit-identical to the serial path (the ``parallel`` backend's
-exact-parity contract).
+The ``parallel`` backend's engine path.  Workers are forked from the
+serving process, so every renderer the pool knows at fork time — baked
+field tables and occupancy mask included — is already in each worker,
+as a copy-on-write view of the parent's own arrays.  Nothing is exported
+or copied: only ray bundles and per-bundle results cross the pool
+boundary.  A worker calls ``shared[token].render_rays(...)`` on the very
+renderer the serial path would use, so per-bundle results are
+bit-identical to serial rendering (the ``parallel`` backend's
+exact-parity contract) for any field kind.
 
-Lifecycle: :func:`get_pool` returns the process-wide pool (created on
-first use, resized on demand); :func:`shutdown_pool` — also registered
-``atexit`` — stops the workers and unlinks every shared block.  A
-``release`` broadcast drops worker-side renderer caches and scratch
-arenas (the engine sends it at run exit).
+The fork-time snapshot and the re-fork rule: the pool forks its workers
+when it first has bundles to render, over a snapshot of every live
+renderer it has been handed, and forks again only when a dispatch names
+a renderer its current workers were not forked with — after collecting
+every outstanding task.  The engine hands all of a round's deterministic
+groups over in one call, so a serving run over a fixed set of renderers
+forks once.  Each fork bumps the ``pool.forks`` counter of the active
+metrics registry.
+
+Cost of the design, stated rather than hidden: a worker keeps the
+parent's memory image from its fork alive (copy-on-write) until the next
+re-fork or shutdown — bounded by one process image per worker — so a
+renderer the parent drops in the meantime is freed only then; the same
+holds for descriptors the parent had open at the fork (a live server's
+client sockets).  The backend needs a platform with ``fork``.
+
+Lifecycle: :func:`get_pool` returns the process-wide pool (created
+without forking); :func:`shutdown_pool`, also run ``atexit``, stops the
+workers; a ``release`` broadcast drops worker scratch arenas.  A worker
+that dies makes :meth:`WorkerPool.collect` raise at once, naming it; the
+next dispatch re-forks.
 """
 
 from __future__ import annotations
@@ -22,262 +38,28 @@ from __future__ import annotations
 import atexit
 import itertools
 import multiprocessing
+import traceback
 import weakref
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing.connection import wait
 
 import numpy as np
 
-__all__ = ["WorkerPool", "get_pool", "shutdown_pool", "renderer_spec",
+from ..obs.runtime import deactivate, metric_inc
+
+__all__ = ["WorkerPool", "get_pool", "shutdown_pool",
            "release_process_memory", "supports_parallel"]
 
 _RESULT_TIMEOUT_S = 120.0
 
 
-# ---------------------------------------------------------------------------
-# shared-memory plumbing
-
-
-# Whether attaches in *this* process must undo the resource tracker's
-# registration.  Spawned workers get their own tracker which would
-# otherwise unlink the parent's blocks at worker exit; forked workers
-# share the parent's tracker, where the attach-register is a duplicate
-# no-op and unregistering would strip the parent's own entry instead.
-_UNREGISTER_ON_ATTACH = True
-
-
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing block without resource-tracker ownership.
-
-    Before Python 3.13 every attach registers with the resource tracker,
-    which then unlinks the block when *any* worker exits — stealing it
-    from the exporter.  ``track=False`` (3.13+) or an explicit
-    unregister (earlier, spawn workers only — see
-    ``_UNREGISTER_ON_ATTACH``) keeps ownership with the exporter.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        shm = shared_memory.SharedMemory(name=name)
-        if _UNREGISTER_ON_ATTACH:
-            try:
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
-        return shm
-
-
-def _export_array(array: np.ndarray) -> tuple[dict, shared_memory.SharedMemory]:
-    """Copy an array into a fresh shared block; returns (ref, block)."""
-    array = np.ascontiguousarray(array)
-    shm = shared_memory.SharedMemory(create=True, size=max(array.nbytes, 1))
-    view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
-    view[...] = array
-    ref = {"shm": shm.name, "shape": array.shape, "dtype": array.dtype.str}
-    return ref, shm
-
-
-def _attach_array(ref: dict, blocks: list) -> np.ndarray:
-    """Worker-side read-only view of an exported array."""
-    shm = _attach(ref["shm"])
-    blocks.append(shm)  # keep the mapping alive as long as the views
-    view = np.ndarray(tuple(ref["shape"]), dtype=np.dtype(ref["dtype"]),
-                      buffer=shm.buf)
-    view.setflags(write=False)
-    return view
-
-
-# ---------------------------------------------------------------------------
-# renderer <-> picklable spec
-
-# renderer -> (token, spec); the spec is built once and its shared
-# blocks are freed when the renderer is garbage-collected (finalizer)
-# or at pool shutdown.
-_SPEC_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_TOKEN_BLOCKS: dict = {}
-_TOKENS = itertools.count(1)
-
-
-def _field_spec(field) -> dict:
-    """Picklable description of a baked field, tables in shared memory."""
-    from ..nerf.fields.hash_grid import HashGridField
-    from ..nerf.fields.tensor_factor import TensorFactorField
-    from ..nerf.fields.voxel_grid import VoxelGridField
-
-    lo, hi = field.bounds
-    blocks = []
-
-    def export(array):
-        ref, shm = _export_array(array)
-        blocks.append(shm)
-        return ref
-
-    decoder = field.decoder
-    spec = {
-        "bounds": (lo.tolist(), hi.tolist()),
-        "bytes_per_channel": field.bytes_per_channel,
-        "decoder": {
-            "feature_dim": decoder.feature_dim,
-            "max_density": decoder.max_density,
-            "hidden_layers": len(decoder.mlp.weights) - 1,
-        },
-    }
-    if isinstance(field, VoxelGridField):
-        spec.update(kind="voxel", resolution=field.resolution,
-                    vertex_features=export(field.vertex_features))
-    elif isinstance(field, HashGridField):
-        spec.update(kind="hash", levels=[
-            {"resolution": level.resolution,
-             "table_size": level.table_size,
-             "table": export(level.table)}
-            for level in field.levels])
-    elif isinstance(field, TensorFactorField):
-        spec.update(kind="tensorf", feature_dim=field.feature_dim, modes=[
-            {"vectors": export(mode.vectors),
-             "planes": export(mode.planes),
-             "basis": export(mode.basis)}
-            for mode in field.modes])
-    else:
-        raise TypeError(
-            f"field {type(field).__name__} has no shared-memory export")
-    return spec, blocks
-
-
 def supports_parallel(renderer) -> bool:
     """Whether a renderer's bundles may be dispatched to the pool.
 
-    Requires a deterministic sampler (jittered RNG streams must stay on
-    the main process) and a field kind with a shared-memory export.
+    Workers inherit renderers whole, so any field kind qualifies; only a
+    jittered sampler, whose RNG stream must stay on the main process,
+    keeps a renderer off the pool.
     """
-    from ..nerf.fields.hash_grid import HashGridField
-    from ..nerf.fields.tensor_factor import TensorFactorField
-    from ..nerf.fields.voxel_grid import VoxelGridField
-    return (not renderer.sampler.jitter) and isinstance(
-        renderer.field, (VoxelGridField, HashGridField, TensorFactorField))
-
-
-def renderer_spec(renderer) -> tuple[int, dict]:
-    """(token, picklable spec) for a renderer; exported once per instance.
-
-    The token keys worker-side renderer caches, so repeat dispatches of
-    the same renderer ship only the token, not the tables.
-    """
-    cached = _SPEC_CACHE.get(renderer)
-    if cached is not None:
-        return cached
-    field_spec, blocks = _field_spec(renderer.field)
-    occupancy = renderer.sampler.occupancy
-    occ_spec = None
-    if occupancy is not None:
-        ref, shm = _export_array(occupancy.occupancy)
-        blocks.append(shm)
-        olo, ohi = occupancy.bounds
-        occ_spec = {"mask": ref, "bounds": (olo.tolist(), ohi.tolist())}
-    token = next(_TOKENS)
-    spec = {
-        "field": field_spec,
-        "occupancy": occ_spec,
-        "num_samples": renderer.sampler.num_samples,
-        "chunk_size": renderer.chunk_size,
-        "opacity_threshold": renderer.opacity_threshold,
-    }
-    _TOKEN_BLOCKS[token] = blocks
-    weakref.finalize(renderer, _release_token, token)
-    _SPEC_CACHE[renderer] = (token, spec)
-    return token, spec
-
-
-def _release_token(token: int) -> None:
-    """Close and unlink the shared blocks behind one exported renderer."""
-    for shm in _TOKEN_BLOCKS.pop(token, ()):  # pragma: no branch
-        try:
-            shm.close()
-            shm.unlink()
-        except Exception:
-            pass
-
-
-def _build_renderer(spec: dict, blocks: list):
-    """Worker-side renderer reconstruction from a picklable spec."""
-    from ..nerf.fields.decode import SHDecoder
-    from ..nerf.renderer import NeRFRenderer
-    from ..nerf.sampling import OccupancyGrid, UniformSampler
-
-    field_spec = spec["field"]
-    dec = field_spec["decoder"]
-    decoder = SHDecoder(feature_dim=dec["feature_dim"],
-                        hidden_layers=dec["hidden_layers"],
-                        max_density=dec["max_density"])
-    bounds = tuple(np.asarray(b, dtype=float) for b in field_spec["bounds"])
-    kind = field_spec["kind"]
-    if kind == "voxel":
-        from ..nerf.fields.voxel_grid import VoxelGridField
-        field = VoxelGridField(
-            _attach_array(field_spec["vertex_features"], blocks),
-            field_spec["resolution"], bounds, decoder=decoder,
-            bytes_per_channel=field_spec["bytes_per_channel"])
-    elif kind == "hash":
-        from ..nerf.fields.hash_grid import HashGridField, _Level
-        levels = [_Level.from_table(lv["resolution"], lv["table_size"],
-                                    _attach_array(lv["table"], blocks))
-                  for lv in field_spec["levels"]]
-        field = HashGridField(levels, bounds, decoder=decoder,
-                              bytes_per_channel=field_spec["bytes_per_channel"])
-    else:  # tensorf
-        from ..nerf.fields.tensor_factor import TensorFactorField, _Mode
-        modes = [_Mode(_attach_array(m["vectors"], blocks),
-                       _attach_array(m["planes"], blocks),
-                       _attach_array(m["basis"], blocks))
-                 for m in field_spec["modes"]]
-        field = TensorFactorField(modes, bounds, decoder=decoder,
-                                  feature_dim=field_spec["feature_dim"],
-                                  bytes_per_channel=field_spec["bytes_per_channel"])
-
-    occupancy = None
-    if spec["occupancy"] is not None:
-        occ = spec["occupancy"]
-        occupancy = OccupancyGrid(
-            _attach_array(occ["mask"], blocks),
-            tuple(np.asarray(b, dtype=float) for b in occ["bounds"]))
-    sampler = UniformSampler(num_samples=spec["num_samples"],
-                             occupancy=occupancy, jitter=False)
-    return NeRFRenderer(field, sampler, chunk_size=spec["chunk_size"],
-                        opacity_threshold=spec["opacity_threshold"])
-
-
-# ---------------------------------------------------------------------------
-# worker loop
-
-
-def _worker_main(inq, outq, forked: bool = False) -> None:
-    """Pool worker: render bundles with cached spec-built renderers."""
-    import traceback
-
-    global _UNREGISTER_ON_ATTACH
-    _UNREGISTER_ON_ATTACH = not forked
-    renderers: dict = {}
-    blocks: list = []
-    while True:
-        msg = inq.get()
-        kind = msg[0]
-        if kind == "stop":
-            break
-        if kind == "release":
-            renderers.clear()
-            blocks.clear()
-            release_process_memory()
-            continue
-        task_id, token, spec, origins, directions = msg[1:]
-        try:
-            renderer = renderers.get(token)
-            if renderer is None:
-                if spec is None:
-                    raise RuntimeError(f"no spec cached for token {token}")
-                renderer = renderers[token] = _build_renderer(spec, blocks)
-            out = renderer.render_rays(origins, directions)
-            outq.put(("ok", task_id,
-                      (out.rgb, out.depth_t, out.opacity, out.stats)))
-        except Exception:
-            outq.put(("err", task_id, traceback.format_exc()))
+    return not renderer.sampler.jitter
 
 
 def release_process_memory() -> None:
@@ -290,119 +72,174 @@ def release_process_memory() -> None:
     clear_lift_cache()
 
 
-# ---------------------------------------------------------------------------
-# the pool
+def _worker_main(inq, outq, shared: dict) -> None:
+    """Pool worker: render bundles with the renderers inherited at fork."""
+    # The parent's tracer and metrics registry (and the registry's lock,
+    # which another parent thread may have held at the fork) stay there.
+    deactivate()
+    while True:
+        msg = inq.get()
+        if msg[0] == "release":
+            release_process_memory()
+            continue
+        _, task_id, token, origins, directions = msg
+        try:
+            out = shared[token].render_rays(origins, directions)
+            outq.put(("ok", task_id,
+                      (out.rgb, out.depth_t, out.opacity, out.stats)))
+        except Exception:
+            outq.put(("err", task_id, traceback.format_exc()))
 
 
 class WorkerPool:
-    """Persistent render workers fed round-robin over per-worker queues."""
+    """Forked render workers fed round-robin over per-worker queues."""
 
     def __init__(self, num_workers: int):
         self.num_workers = int(num_workers)
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-posix fallback
-            ctx = multiprocessing.get_context("spawn")
-        self._outq = ctx.Queue()
-        self._inqs = []
-        self._procs = []
-        self._seen = [set() for _ in range(self.num_workers)]
+        self._ctx = multiprocessing.get_context("fork")
+        # renderer -> token; tokens only grow, so the current workers
+        # hold exactly the live renderers with token <= _forked_through.
+        self._tokens = weakref.WeakKeyDictionary()
+        self._token_ids = itertools.count(1)
+        self._forked_through = 0
+        self._procs: list = []
+        self._inqs: list = []
+        self._outq = None
         self._next_worker = 0
         self._task_ids = itertools.count(1)
-        self._done: dict = {}  # finished tasks awaiting collection
-        forked = ctx.get_start_method() == "fork"
-        if forked:
-            # Start the parent's resource tracker *before* forking so the
-            # workers inherit (and share) it.  A worker that lazily spawns
-            # its own tracker would "clean up" — unlink — the parent's
-            # still-live shared blocks when the worker exits.
-            resource_tracker.ensure_running()
+        self._outstanding: set = set()  # submitted, result not yet read
+        self._done: dict = {}  # results read, awaiting collection
+
+    def _token(self, renderer) -> int:
+        token = self._tokens.get(renderer)
+        if token is None:
+            token = self._tokens[renderer] = next(self._token_ids)
+        return token
+
+    def _fork(self) -> None:
+        """(Re)start the workers over a snapshot of every live renderer."""
+        self._receive(self._outstanding)
+        self._stop()
+        shared = {token: renderer for renderer, token in self._tokens.items()}
+        self._outq = self._ctx.Queue()
         for _ in range(self.num_workers):
-            inq = ctx.Queue()
-            proc = ctx.Process(target=_worker_main,
-                               args=(inq, self._outq, forked),
-                               daemon=True)
+            inq = self._ctx.Queue()
+            proc = self._ctx.Process(target=_worker_main,
+                                     args=(inq, self._outq, shared),
+                                     daemon=True)
             proc.start()
             self._inqs.append(inq)
             self._procs.append(proc)
+        self._forked_through = max(shared)
+        metric_inc("pool.forks")
 
-    def submit_bundles(self, renderer, bundles: list) -> list:
-        """Queue ``[(origins, directions), ...]`` round-robin; returns ids.
+    def _stop(self) -> None:
+        """Kill the current workers and forget their queues and tasks."""
+        for proc in self._procs:
+            proc.kill()
+        for proc in self._procs:
+            proc.join()
+        for inq in self._inqs:
+            # A dead worker's unread tasks must not hold up interpreter exit.
+            inq.cancel_join_thread()
+        self._procs, self._inqs, self._outq = [], [], None
+        self._outstanding.clear()
 
-        Non-blocking: pair with :meth:`collect` to retrieve results.
-        The renderer's spec ships with the first task each worker sees
-        for it; afterwards only the token crosses the boundary.
+    def submit(self, groups: list) -> list:
+        """Queue every ``(renderer, [(origins, directions), ...])`` group.
+
+        Returns one task-id list per group.  Non-blocking: pair with
+        :meth:`collect`.  Forks first when no workers run yet or a group
+        names a renderer the current workers were not forked with.
         """
-        from ..obs.runtime import metric_inc
-        metric_inc("pool.dispatches")
-        metric_inc("pool.bundles", len(bundles))
-        task_ids = []
-        token, spec = renderer_spec(renderer)
-        for origins, directions in bundles:
-            worker = self._next_worker
-            self._next_worker = (self._next_worker + 1) % self.num_workers
-            send_spec = spec if token not in self._seen[worker] else None
-            self._seen[worker].add(token)
-            task_id = next(self._task_ids)
-            task_ids.append(task_id)
-            self._inqs[worker].put(
-                ("render", task_id, token, send_spec,
-                 np.ascontiguousarray(origins),
-                 np.ascontiguousarray(directions)))
-        return task_ids
+        tokens = [self._token(renderer) for renderer, _ in groups]
+        if tokens and (not self._procs or max(tokens) > self._forked_through):
+            self._fork()
+        tickets = []
+        for token, (_, bundles) in zip(tokens, groups):
+            metric_inc("pool.dispatches")
+            metric_inc("pool.bundles", len(bundles))
+            task_ids = []
+            for origins, directions in bundles:
+                task_id = next(self._task_ids)
+                self._inqs[self._next_worker].put(
+                    ("render", task_id, token,
+                     np.ascontiguousarray(origins),
+                     np.ascontiguousarray(directions)))
+                self._next_worker = (self._next_worker + 1) % self.num_workers
+                task_ids.append(task_id)
+            self._outstanding.update(task_ids)
+            tickets.append(task_ids)
+        return tickets
 
     def collect(self, task_ids: list) -> list:
         """Results for previously submitted tasks, in ``task_ids`` order.
 
         Each result is the ``(rgb, depth_t, opacity, stats)`` tuple of
         one bundle — bit-identical to the serial per-bundle
-        ``render_rays`` output.  Raises on worker failure or timeout.
+        ``render_rays`` output.  Raises on worker failure, worker death
+        or timeout.
         """
-        needed = set(task_ids) - self._done.keys()
+        self._receive(set(task_ids) - self._done.keys())
+        return [self._done.pop(t) for t in task_ids]
+
+    def _receive(self, needed: set) -> None:
+        """Read results until every task in ``needed`` has arrived.
+
+        Waits on the result queue and the workers' process sentinels
+        together, so a dead worker raises at once, not after the timeout.
+        """
+        needed = set(needed)
+        # A Queue has no public handle to wait on; concurrent.futures'
+        # process pool waits on the same reader.
+        reader = self._outq._reader if needed else None
+        sentinels = {proc.sentinel: index
+                     for index, proc in enumerate(self._procs)}
         while needed:
-            try:
-                msg = self._outq.get(timeout=_RESULT_TIMEOUT_S)
-            except Exception:
+            ready = wait([reader, *sentinels], timeout=_RESULT_TIMEOUT_S)
+            if not ready:
                 raise RuntimeError(
                     "parallel backend: worker result timed out "
                     f"({len(needed)} bundles outstanding)")
-            if msg[0] == "err":
+            if reader not in ready:  # only a sentinel: a worker exited
+                index = sentinels[ready[0]]
+                dead = self._procs[index]
+                self._stop()  # joins it, which sets its exit code
+                self._done.clear()
                 raise RuntimeError(
-                    f"parallel backend: worker failed:\n{msg[2]}")
-            self._done[msg[1]] = msg[2]
-            needed.discard(msg[1])
-        return [self._done.pop(t) for t in task_ids]
+                    f"parallel backend: worker {index} exited with code "
+                    f"{dead.exitcode} ({len(needed)} bundles outstanding)")
+            status, task_id, payload = self._outq.get()
+            self._outstanding.discard(task_id)
+            if status == "err":
+                raise RuntimeError(
+                    f"parallel backend: worker failed:\n{payload}")
+            self._done[task_id] = payload
+            needed.discard(task_id)
 
     def render_bundles(self, renderer, bundles: list) -> list:
         """Blocking convenience: submit then collect one bundle list."""
-        return self.collect(self.submit_bundles(renderer, bundles))
+        return self.collect(self.submit([(renderer, bundles)])[0])
 
     def release(self) -> None:
-        """Broadcast a cache/scratch release to every worker."""
-        for inq, seen in zip(self._inqs, self._seen):
+        """Broadcast a scratch-arena release to every worker."""
+        for inq in self._inqs:
             inq.put(("release",))
-            seen.clear()
 
     def shutdown(self) -> None:
-        """Stop the workers (joining briefly) and drop queue state."""
-        for inq in self._inqs:
-            try:
-                inq.put(("stop",))
-            except Exception:
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-        self._inqs = []
-        self._procs = []
+        """Stop the workers and drop every pending result."""
+        self._stop()
+        self._done.clear()
 
 
 _POOL: WorkerPool | None = None
 
 
 def get_pool(num_workers: int) -> WorkerPool:
-    """The process-wide pool, (re)created to match ``num_workers``."""
+    """The process-wide pool, (re)created to match ``num_workers``.
+
+    Creating it forks nothing; workers start on the first dispatch.
+    """
     global _POOL
     if _POOL is not None and _POOL.num_workers != num_workers:
         _POOL.shutdown()
@@ -413,13 +250,11 @@ def get_pool(num_workers: int) -> WorkerPool:
 
 
 def shutdown_pool() -> None:
-    """Stop the pool and unlink every exported shared block."""
+    """Stop the process-wide pool's workers."""
     global _POOL
     if _POOL is not None:
         _POOL.shutdown()
         _POOL = None
-    for token in list(_TOKEN_BLOCKS):
-        _release_token(token)
 
 
 atexit.register(shutdown_pool)

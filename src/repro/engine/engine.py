@@ -538,23 +538,26 @@ class MultiSessionEngine:
             groups.setdefault(key, []).append((session, ckey))
 
         # With the parallel backend, every deterministic group's bundles
-        # are queued to the pool up-front so workers overlap across
-        # groups; stochastic (solo) groups render on the main process to
-        # keep their RNG streams untouched.  Accounting and delivery
-        # below walk groups in insertion order either way, so stats,
-        # cache traffic, and delivery order are identical to serial.
+        # are queued to the pool up-front, in one call (so the pool forks
+        # at most once per round), and workers overlap across groups;
+        # stochastic (solo) groups render on the main process to keep
+        # their RNG streams untouched.  Accounting and delivery below
+        # walk groups in insertion order either way, so stats, cache
+        # traffic, and delivery order are identical to serial.
         group_list = list(groups.values())
         tickets: dict = {}
         if self._pool is not None:
             from ..backend.parallel import supports_parallel
-            for gi, members in enumerate(group_list):
-                renderer = members[0][0].renderer
-                if supports_parallel(renderer):
-                    bundles = [(s.pending_request.origins,
-                                s.pending_request.directions)
-                               for s, _ in members]
-                    tickets[gi] = self._pool.submit_bundles(renderer, bundles)
-                    self._trace_dispatch(gi, len(bundles))
+            pooled = {gi: (members[0][0].renderer,
+                           [(s.pending_request.origins,
+                             s.pending_request.directions)
+                            for s, _ in members])
+                      for gi, members in enumerate(group_list)
+                      if supports_parallel(members[0][0].renderer)}
+            tickets = dict(zip(pooled, self._pool.submit(
+                list(pooled.values()))))
+            for gi, (_, bundles) in pooled.items():
+                self._trace_dispatch(gi, len(bundles))
 
         for gi, members in enumerate(group_list):
             renderer = members[0][0].renderer

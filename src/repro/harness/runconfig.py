@@ -99,10 +99,11 @@ class SharedConfig:
     # None lets the engine default (numpy) apply.
     backend: str | None = option(
         "--backend", "where the engine renders: 'numpy' (default, "
-        "in-process) or 'parallel' (sessions fan out to the shared-memory "
-        "worker pool; bit-identical to numpy); taken by serve, cluster, "
-        "serve-live, loadgen and bench, and as the 'backend' field of "
-        "experiment tables", choices=BACKENDS)
+        "in-process) or 'parallel' (sessions fan out to a worker pool "
+        "forked from this process, which inherits the baked tables "
+        "instead of copying them; bit-identical to numpy); taken by "
+        "serve, cluster, serve-live, loadgen and bench, and as the "
+        "'backend' field of experiment tables", choices=BACKENDS)
     engine_workers: int | None = option(
         "--engine-workers", "worker-process count for --backend parallel; "
         "rejected with the in-process backend", type=int, ge=1,

@@ -58,18 +58,6 @@ class _Level:
         self.slot_of_vertex = None if self.dense else _hash_vertices(
             np.indices((side,) * 3).reshape(3, -1).T, self.table_size)
 
-    @classmethod
-    def from_table(cls, resolution: int, table_size: int,
-                   table: np.ndarray) -> "_Level":
-        """A level over an existing table (a worker's shared-memory view)."""
-        level = cls(resolution, table_size, table.shape[1])
-        if table.shape[0] != level.num_entries:
-            raise ValueError(f"expected {level.num_entries} table rows for "
-                             f"resolution {level.resolution}, got "
-                             f"{table.shape[0]}")
-        level.table = table
-        return level
-
     def slots_for(self, coords01: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cell_ids, slot_ids (N, 8), weights) for normalised coordinates."""

@@ -30,9 +30,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["Observation", "activate", "current", "current_tracer",
-           "current_metrics", "section", "metric_inc", "metric_observe",
-           "metric_set"]
+__all__ = ["Observation", "activate", "deactivate", "current",
+           "current_tracer", "current_metrics", "section", "metric_inc",
+           "metric_observe", "metric_set"]
 
 
 @dataclass
@@ -82,6 +82,16 @@ def activate(obs: Observation):
         yield obs
     finally:
         _ACTIVE = previous
+
+
+def deactivate() -> None:
+    """Drop the active observation for good, restoring nothing.
+
+    For a forked child: it must not record into — or wait on the locks
+    of — the sinks it inherited from its parent.
+    """
+    global _ACTIVE
+    _ACTIVE = None
 
 
 def current() -> Observation | None:
