@@ -242,7 +242,11 @@ class SparwRenderer:
                          classification: PixelClassification,
                          target_camera: PinholeCamera, pixel_ids: np.ndarray,
                          colors: np.ndarray, z: np.ndarray) -> Frame:
-        """Merge warped pixels, sparse fills, and background into a Frame."""
+        """Merge warped pixels, sparse fills, and background into a Frame.
+
+        The background is evaluated only at the void pixels it shows,
+        along the target's full-frame ray directions.
+        """
         image = warp.image.copy()
         depth = warp.depth.copy()
         hit = classification.warped.copy()
@@ -255,11 +259,11 @@ class SparwRenderer:
             hit.reshape(-1)[pixel_ids] = np.isfinite(z)
 
         if self.renderer.background is not None:
-            void = classification.void & ~classification.disoccluded
-            if void.any():
-                _, dirs = target_camera.generate_rays()
-                bg = self.renderer.background(dirs.reshape(-1, 3))
-                image.reshape(-1, 3)[void.reshape(-1)] = bg[void.reshape(-1)]
+            shown = np.flatnonzero(classification.void
+                                   & ~classification.disoccluded)
+            if shown.size:
+                image.reshape(-1, 3)[shown] = self.renderer.background(
+                    target_camera.pixel_directions(shown))
 
         return Frame(image=image, depth=depth, hit=hit,
                      c2w=target_camera.c2w.copy())

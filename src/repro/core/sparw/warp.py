@@ -8,9 +8,15 @@ Sec. III-B of the paper:
 2. *Transformation* (Eq. 2): re-express the cloud in the target camera frame.
 3. *Re-projection* (Eq. 3): z-buffer splat onto the target image plane.
 
-Void pixels (infinite depth — sky/background) are splatted at a far plane so
+Void pixels (infinite depth — sky/background) are lifted to a far plane so
 the disocclusion classifier can distinguish "nothing there" from "something
-was hidden" (the paper's depth test).
+was hidden" (the paper's depth test).  Most of a reference is void, and a
+void point only has to say "background landed here", so step 3 splits the
+cloud: only *surface* points go through the z-buffer's depth sort, void
+points just mark the pixels they land on, and the few pixels that receive
+both go to the nearer point by depth — the same outcome as one z-buffer over
+every point.  Everything after the splat (warp angle, pinhole fill) works on
+the covered pixels and the holes it fills, not on the whole frame.
 """
 
 from __future__ import annotations
@@ -21,15 +27,20 @@ import numpy as np
 
 from ...geometry.camera import PinholeCamera
 from ...geometry.pointcloud import depth_to_points, transform_points
-from ...geometry.projection import splat_points
+from ...geometry.projection import nearest_source, project_to_pixels
 from ...geometry.transforms import relative_pose
 from ...scenes.raytracer import Frame
 
-__all__ = ["WarpResult", "warp_frame", "VOID_FAR_DEPTH"]
+__all__ = ["WarpResult", "warp_frame", "splat_surface", "VOID_FAR_DEPTH"]
 
 # Depth assigned to void (infinite-depth) reference pixels so they still
 # project; anything this far is classified as void in the target frame.
 VOID_FAR_DEPTH = 1.0e4
+
+# The 8-neighbourhood as (dy, dx), in the order the pinhole fill sums it.
+_NEIGHBOURS = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+                    if dy or dx)
+_DY, _DX = np.array(_NEIGHBOURS).T
 
 
 @dataclass
@@ -56,48 +67,103 @@ class WarpResult:
         return ~(self.covered | self.void)
 
 
+def splat_surface(points_tgt: np.ndarray, is_void: np.ndarray, intrinsics
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Step 3: z-buffer the surface points, mark where background lands.
+
+    ``points_tgt`` (N, 3) is the lifted cloud in the target camera frame
+    and ``is_void`` (N,) flags the points lifted from void pixels.
+    Returns ``(source, landed_void)`` over the target's flat pixels:
+    ``source`` is the index of the surface point nearest overall (-1 where
+    no surface point landed or a void point is nearer), ``landed_void``
+    marks every pixel a void point landed on.  A pixel that receives both
+    kinds is resolved by depth like any other z-buffer conflict — nearest
+    wins, and on equal depth the later point — never by assuming the far
+    plane loses.
+    """
+    num_pixels = intrinsics.height * intrinsics.width
+    pixel = project_to_pixels(points_tgt, intrinsics)
+    lands = pixel >= 0
+    z = points_tgt[:, 2]
+    surface = np.flatnonzero(lands & ~is_void)
+    source = nearest_source(pixel[surface], z[surface], surface, num_pixels)
+
+    background = np.flatnonzero(lands & is_void)
+    background_pixel = pixel[background]
+    landed_void = np.zeros(num_pixels, dtype=bool)
+    landed_void[background_pixel] = True
+    rival = source[background_pixel]
+    contested = rival >= 0
+    if contested.any():
+        rival = rival[contested]
+        challenger = background[contested]
+        nearer = ((z[challenger] < z[rival])
+                  | ((z[challenger] == z[rival]) & (challenger > rival)))
+        source[background_pixel[contested][nearer]] = -1
+    return source, landed_void
+
+
+def _warp_angle_deg(points_ref: np.ndarray, ref_c2w: np.ndarray,
+                    target_position: np.ndarray) -> np.ndarray:
+    """Angle theta at each scene point between the two camera centres.
+
+    ``points_ref`` (M, 3) are reference-camera points.  Norms and the dot
+    product are written per column in NumPy's own last-axis order,
+    ``(x + y) + z``, which is what ``np.linalg.norm(axis=-1)`` and
+    ``sum(axis=-1)`` compute, without their strided length-3 reductions.
+    """
+    pts_world = np.ascontiguousarray(transform_points(points_ref, ref_c2w).T)
+    rx, ry, rz = ref_c2w[:3, 3, None] - pts_world
+    tx, ty, tz = target_position[:, None] - pts_world
+    nr = np.sqrt((rx * rx + ry * ry) + rz * rz)
+    nt = np.sqrt((tx * tx + ty * ty) + tz * tz)
+    denom = np.where(nr * nt < 1e-12, 1.0, nr * nt)
+    cos = np.clip(((rx * tx + ry * ty) + rz * tz) / denom, -1.0, 1.0)
+    return np.degrees(np.arccos(cos))
+
+
 def _fill_pinholes(image: np.ndarray, depth: np.ndarray, covered: np.ndarray,
-                   angle: np.ndarray, min_neighbors: int = 5) -> None:
+                   width: int, min_neighbors: int = 5) -> None:
     """Fill isolated 1-pixel splat gaps from their covered neighbours.
 
     Forward point splatting leaves single-pixel "pinholes" wherever the view
     expands (one source pixel maps to slightly more than one target pixel).
     Real point renderers close these with a small splat kernel; we fill any
     hole with >= ``min_neighbors`` covered 8-neighbours using the neighbour
-    mean, in place.  Genuine disocclusion bands are wider than one pixel and
-    survive untouched.
+    mean, in place, on flat ``(H*W, 3)`` / ``(H*W,)`` arrays.  Genuine
+    disocclusion bands are wider than one pixel and survive untouched.
+
+    Neighbours are counted on a zero-bordered copy of ``covered``; colour
+    and depth are summed only at the pixels being filled, from 0.0 in
+    ``_NEIGHBOURS`` order with an uncovered neighbour adding exactly 0.0.
+    Filled pixels keep a warp angle of 0.
     """
-    height, width = depth.shape
-    pad_cov = np.pad(covered, 1)
-    # ``image`` is exactly 0.0 wherever ``covered`` is False (the warp
-    # zeroes uncovered pixels before calling), and the padded depth is
-    # masked the same way below, so the neighbour accumulation can add the
-    # shifted slices directly — summing exact zeros instead of re-masking
-    # with np.where per neighbour.  Bit-identical, 16 temporaries fewer.
-    pad_img = np.pad(image, ((1, 1), (1, 1), (0, 0)))
-    pad_depth = np.pad(np.where(covered, depth, 0.0), 1)
+    height = covered.size // width
+    border = np.zeros((height + 2, width + 2), dtype=bool)
+    border[1:-1, 1:-1] = covered.reshape(height, width)
+    padded = border.view(np.uint8)
+    count = np.zeros((height, width), dtype=np.uint8)
+    for dy, dx in _NEIGHBOURS:
+        count += padded[1 + dy:1 + dy + height, 1 + dx:1 + dx + width]
+    count = count.reshape(-1)
 
-    neighbor_count = np.zeros((height, width), dtype=np.int64)
-    color_sum = np.zeros_like(image)
-    depth_sum = np.zeros_like(depth)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            cov = pad_cov[1 + dy:1 + dy + height, 1 + dx:1 + dx + width]
-            neighbor_count += cov
-            color_sum += pad_img[1 + dy:1 + dy + height,
-                                 1 + dx:1 + dx + width]
-            depth_sum += pad_depth[1 + dy:1 + dy + height,
-                                   1 + dx:1 + dx + width]
-
-    fill = ~covered & (neighbor_count >= min_neighbors)
-    if fill.any():
-        counts = neighbor_count[fill][:, None]
-        image[fill] = color_sum[fill] / counts
-        depth[fill] = depth_sum[fill] / counts[:, 0]
-        covered[fill] = True
-        angle[fill] = 0.0
+    fill = np.flatnonzero(~covered & (count >= min_neighbors))
+    if not fill.size:
+        return
+    # (8, F) neighbour ids: in the bordered frame, then in the image (an
+    # absent neighbour reads pixel 0 and is replaced by 0.0).
+    rows, cols = np.divmod(fill, width)
+    bordered = ((rows + 1) * (width + 2) + cols + 1
+                + (_DY * (width + 2) + _DX)[:, None])
+    present = border.reshape(-1)[bordered]
+    neighbour = np.where(present, fill + (_DY * width + _DX)[:, None], 0)
+    colors = np.where(present[..., None], image.take(neighbour, axis=0), 0.0)
+    depths = np.where(present, depth.take(neighbour), 0.0)
+    # Python's sum runs over the neighbour axis: ((0.0 + n0) + n1) + ...
+    counts = count[fill]
+    image[fill] = sum(colors, np.zeros((fill.size, 3))) / counts[:, None]
+    depth[fill] = sum(depths, np.zeros(fill.size)) / counts
+    covered[fill] = True
 
 
 def warp_frame(reference: Frame, ref_camera: PinholeCamera,
@@ -118,43 +184,35 @@ def warp_frame(reference: Frame, ref_camera: PinholeCamera,
     is_void = ~np.isfinite(depth)
     # Step 1: lift pixels to the reference camera frame; void pixels go to a
     # far plane so that they still carry "this direction is empty" info.
-    lift_depth = np.where(is_void, VOID_FAR_DEPTH, depth)
-    points_ref = depth_to_points(lift_depth, intr)
-    colors = reference.image.reshape(-1, 3)
+    points_ref = depth_to_points(np.where(is_void, VOID_FAR_DEPTH, depth),
+                                 intr)
 
     # Step 2: reference-camera -> target-camera coordinates.
     t_ref_to_tgt = relative_pose(reference.c2w, target_camera.c2w)
     points_tgt = transform_points(points_ref, t_ref_to_tgt)
 
     # Step 3: z-buffer splat in the target view.
-    splat = splat_points(points_tgt, colors, target_camera.intrinsics)
+    tgt = target_camera.intrinsics
+    source, landed_void = splat_surface(points_tgt, is_void.reshape(-1), tgt)
+    covered = source >= 0
+    covered_ids = np.flatnonzero(covered)
+    winners = source[covered_ids]
 
-    flat_void = is_void.reshape(-1)
-    src = splat.source_index
-    has_point = src >= 0
-    src_safe = np.where(has_point, src, 0)
-    from_void = has_point & flat_void[src_safe]
-    covered = has_point & ~from_void
-
-    # Warp angle theta per covered pixel: angle at the scene point between
-    # the two camera centres.
-    angle = np.zeros_like(splat.depth)
-    if covered.any():
-        pts_world = transform_points(points_ref[src_safe[covered]],
-                                     reference.c2w)
-        to_ref = reference.c2w[:3, 3] - pts_world
-        to_tgt = target_camera.position - pts_world
-        nr = np.linalg.norm(to_ref, axis=-1)
-        nt = np.linalg.norm(to_tgt, axis=-1)
-        denom = np.where(nr * nt < 1e-12, 1.0, nr * nt)
-        cos = np.clip((to_ref * to_tgt).sum(axis=-1) / denom, -1.0, 1.0)
-        angle[covered] = np.degrees(np.arccos(cos))
-
-    depth_out = np.where(covered, splat.depth, np.inf)
-    image_out = np.where(covered[..., None], splat.image, 0.0)
+    num_pixels = tgt.height * tgt.width
+    image = np.zeros((num_pixels, 3))
+    image[covered_ids] = reference.image.reshape(-1, 3).take(winners, axis=0)
+    depth_out = np.full(num_pixels, np.inf)
+    depth_out[covered_ids] = points_tgt[:, 2].take(winners)
+    angle = np.zeros(num_pixels)
+    if covered_ids.size:
+        angle[covered_ids] = _warp_angle_deg(points_ref.take(winners, axis=0),
+                                             reference.c2w,
+                                             target_camera.position)
     if fill_pinholes:
-        covered = covered.copy()
-        _fill_pinholes(image_out, depth_out, covered, angle)
-        depth_out = np.where(covered, depth_out, np.inf)
-    return WarpResult(image=image_out, depth=depth_out, covered=covered,
-                      void=from_void & ~covered, warp_angle_deg=angle)
+        _fill_pinholes(image, depth_out, covered, tgt.width)
+    shape = (tgt.height, tgt.width)
+    return WarpResult(image=image.reshape(*shape, 3),
+                      depth=depth_out.reshape(shape),
+                      covered=covered.reshape(shape),
+                      void=(landed_void & ~covered).reshape(shape),
+                      warp_angle_deg=angle.reshape(shape))

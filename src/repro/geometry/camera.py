@@ -49,6 +49,17 @@ def clear_dir_grid_cache() -> None:
     _DIR_GRID_CACHE.clear()
 
 
+def _unit(directions: np.ndarray) -> np.ndarray:
+    """``directions`` divided by their norms along the last axis.
+
+    The norm is written per column in NumPy's own last-axis order,
+    ``(x*x + y*y) + z*z`` — bit-identical to ``np.linalg.norm(axis=-1)``
+    without its strided length-3 reduction.
+    """
+    x, y, z = np.moveaxis(directions, -1, 0)
+    return directions / np.sqrt((x * x + y * y) + z * z)[..., None]
+
+
 @dataclass(frozen=True)
 class Intrinsics:
     """Pinhole intrinsics: focal lengths, principal point, resolution."""
@@ -142,9 +153,7 @@ class PinholeCamera:
 
     def _world_rays(self, dirs_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rotate camera-space directions into world space and normalise."""
-        rot = self.c2w[:3, :3]
-        dirs_world = dirs_cam @ rot.T
-        dirs_world = dirs_world / np.linalg.norm(dirs_world, axis=-1, keepdims=True)
+        dirs_world = _unit(dirs_cam @ self.c2w[:3, :3].T)
         origins = np.broadcast_to(self.position, dirs_world.shape).copy()
         return origins, dirs_world
 
@@ -168,6 +177,17 @@ class PinholeCamera:
         the rotation + normalisation.
         """
         return self._world_rays(_camera_dir_grid(self.intrinsics))
+
+    def pixel_directions(self, pixel_ids: np.ndarray) -> np.ndarray:
+        """:meth:`generate_rays` directions at flat row-major ``pixel_ids``.
+
+        Equal to ``generate_rays()[1].reshape(-1, 3)[pixel_ids]`` bit for
+        bit: the rotation stays one full-frame matrix product (the same
+        rows inside a smaller product may round differently), but only the
+        requested rows are normalised and no origins are built.
+        """
+        dirs = _camera_dir_grid(self.intrinsics) @ self.c2w[:3, :3].T
+        return _unit(dirs.reshape(-1, 3).take(pixel_ids, axis=0))
 
     # -- projection ---------------------------------------------------------
 

@@ -92,7 +92,9 @@ def depth_to_points(depth: np.ndarray, intrinsics) -> np.ndarray:
 def transform_points(points: np.ndarray, transform: np.ndarray) -> np.ndarray:
     """Apply a 4x4 rigid transform to (N, 3) points."""
     points = np.asarray(points, dtype=float)
-    return points @ transform[:3, :3].T + transform[:3, 3]
+    out = points @ transform[:3, :3].T
+    out += transform[:3, 3]  # in place: no second (N, 3) temporary
+    return out
 
 
 def frame_to_pointcloud(image: np.ndarray, depth: np.ndarray, intrinsics) -> FramePointCloud:

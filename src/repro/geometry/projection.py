@@ -4,6 +4,10 @@ Implements Eq. 3 of the paper: projecting a point cloud (already expressed in
 the target camera's coordinate system) onto the target image plane.  Multiple
 points can land on the same pixel; a z-buffer keeps the nearest, exactly as a
 standard rasterisation pipeline would.
+
+:func:`project_to_pixels` is the one projection routine (the SPARW warp uses
+it for surface and background points alike), :func:`nearest_source` the
+z-buffer, and :func:`splat_points` the two together with colours attached.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SplatResult", "splat_points", "scatter_resolve"]
+__all__ = ["SplatResult", "splat_points", "project_to_pixels",
+           "nearest_source"]
 
 
 @dataclass
@@ -34,6 +39,46 @@ class SplatResult:
     def coverage(self) -> float:
         """Fraction of pixels covered by at least one splatted point."""
         return float(self.covered.mean())
+
+
+def project_to_pixels(points_cam: np.ndarray, intrinsics,
+                      valid: np.ndarray | None = None) -> np.ndarray:
+    """Flat row-major pixel id each camera-space point lands on, or -1.
+
+    A point lands on pixel ``(floor(v), floor(u))`` with
+    ``u = fx * x / z + cx`` and ``v = fy * y / z + cy``.  It lands nowhere
+    (-1) when its depth is not finite or not in front of the camera
+    (``z <= 1e-9``), when ``valid`` (optional, (N,) bool) excludes it, or
+    when ``(u, v)`` falls outside the image.
+    """
+    points = np.asarray(points_cam, dtype=float)
+    height, width = intrinsics.height, intrinsics.width
+    z = points[:, 2]
+    ok = np.isfinite(z) & (z > 1e-9)
+    if valid is not None:
+        ok &= np.asarray(valid, dtype=bool)
+    safe_z = np.where(ok, z, 1.0)
+    px = np.floor(intrinsics.fx * points[:, 0] / safe_z + intrinsics.cx)
+    py = np.floor(intrinsics.fy * points[:, 1] / safe_z + intrinsics.cy)
+    ok &= (px >= 0) & (px < width) & (py >= 0) & (py < height)
+    return np.where(ok, py * width + px, -1).astype(np.int64)
+
+
+def nearest_source(pixel_ids: np.ndarray, z: np.ndarray, src: np.ndarray,
+                   num_pixels: int) -> np.ndarray:
+    """Z-buffer resolve: the index of the nearest point on every pixel.
+
+    ``pixel_ids`` (M,) are the points' flat pixel ids, ``z`` (M,) their
+    depths and ``src`` (M,) their indices into the full point set.
+    Returns (num_pixels,) int64: the winning ``src`` per pixel, -1 where no
+    point landed.  Sorting by depth descending with a stable sort means the
+    final (nearest) write survives, and among equal depths the
+    later-arriving point wins.
+    """
+    order = np.argsort(-z, kind="stable")
+    source = np.full(num_pixels, -1, dtype=np.int64)
+    source[pixel_ids[order]] = src[order]
+    return source
 
 
 def splat_points(
@@ -62,53 +107,19 @@ def splat_points(
     points = np.asarray(points_cam, dtype=float)
     colors = np.asarray(colors, dtype=float)
     height, width = intrinsics.height, intrinsics.width
+    num_pixels = height * width
 
-    z = points[:, 2]
-    ok = np.isfinite(z) & (z > 1e-9)
-    if valid is not None:
-        ok = ok & np.asarray(valid, dtype=bool)
-
-    u = np.full(points.shape[0], -1.0)
-    v = np.full(points.shape[0], -1.0)
-    safe_z = np.where(ok, z, 1.0)
-    u[ok] = intrinsics.fx * points[ok, 0] / safe_z[ok] + intrinsics.cx
-    v[ok] = intrinsics.fy * points[ok, 1] / safe_z[ok] + intrinsics.cy
-
-    px = np.floor(u).astype(np.int64)
-    py = np.floor(v).astype(np.int64)
-    ok &= (px >= 0) & (px < width) & (py >= 0) & (py < height)
-
-    image = np.zeros((height, width, 3))
-    depth = np.full((height, width), np.inf)
-    source_index = np.full((height, width), -1, dtype=np.int64)
-
-    idx = np.nonzero(ok)[0]
-    if idx.size:
-        flat = py[idx] * width + px[idx]
-        scatter_resolve(flat, z[idx], idx, colors,
-                        image.reshape(-1, 3), depth.reshape(-1),
-                        source_index.reshape(-1))
-
-    covered = np.isfinite(depth)
-    return SplatResult(image=image, depth=depth, covered=covered,
-                       source_index=source_index)
-
-
-def scatter_resolve(flat_ids: np.ndarray, z: np.ndarray, src: np.ndarray,
-                    colors: np.ndarray, image: np.ndarray,
-                    depth: np.ndarray, source_index: np.ndarray) -> None:
-    """Z-buffer resolve: scatter each point's color/depth, nearest wins.
-
-    ``flat_ids`` (M,) are flat pixel ids, ``z`` (M,) their depths, and
-    ``src`` (M,) their indices into the full point set; ``image`` (P, 3),
-    ``depth`` (P,), and ``source_index`` (P,) are flat per-pixel output
-    views mutated in place.  Sorting by depth descending with a stable
-    sort means the final (nearest) write survives, and among equal
-    depths the later-arriving point wins.
-    """
-    order = np.argsort(-z, kind="stable")
-    flat_sorted = flat_ids[order]
-    src_sorted = src[order]
-    depth[flat_sorted] = z[order]
-    image[flat_sorted] = colors[src_sorted]
-    source_index[flat_sorted] = src_sorted
+    pixel = project_to_pixels(points, intrinsics, valid)
+    landed = np.flatnonzero(pixel >= 0)
+    source = nearest_source(pixel[landed], points[landed, 2], landed,
+                            num_pixels)
+    hit = np.flatnonzero(source >= 0)
+    winners = source[hit]
+    image = np.zeros((num_pixels, 3))
+    image[hit] = colors[winners]
+    depth = np.full(num_pixels, np.inf)
+    depth[hit] = points[winners, 2]
+    return SplatResult(image=image.reshape(height, width, 3),
+                       depth=depth.reshape(height, width),
+                       covered=(source >= 0).reshape(height, width),
+                       source_index=source.reshape(height, width))

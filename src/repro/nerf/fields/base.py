@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,19 @@ class RadianceField(ABC):
         """Stage F: features (N, F) + dirs (N, 3) -> (sigma (N,), rgb (N, 3))."""
 
     # -- shared convenience ----------------------------------------------------
+
+    @cached_property
+    def gather_cost(self) -> tuple[int, int]:
+        """``(vertex accesses, bytes)`` the gather of one sample costs.
+
+        A constant of the field: a sample reads the same number of vertices
+        from every group wherever it lies, so a one-sample plan prices
+        every sample.  Computed on first use, once per field.
+        """
+        corner = np.asarray(self.bounds[0], dtype=float)[None]
+        groups = self.gather_plan(corner)
+        return (sum(g.vertices_per_sample for g in groups),
+                sum(g.vertices_per_sample * g.entry_bytes for g in groups))
 
     def query(self, points: np.ndarray, view_dirs: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:

@@ -44,6 +44,13 @@ class RenderStats:
         )
 
 
+def _count_gather(stats: RenderStats, fld, num_samples: int) -> None:
+    """Charge ``num_samples`` samples' gathers to ``stats`` (no plan built)."""
+    accesses, nbytes = fld.gather_cost
+    stats.gather_vertex_accesses += accesses * num_samples
+    stats.gather_bytes += nbytes * num_samples
+
+
 @dataclass
 class RenderOutput:
     """Raw per-ray render results plus bookkeeping."""
@@ -114,16 +121,12 @@ class NeRFRenderer:
 
         if record_gather:
             groups = self.field.gather_plan(samples.positions)
-            counted = groups
-            scale = 1
+            for group in groups:
+                accesses = group.vertices_per_sample * group.num_samples
+                stats.gather_vertex_accesses += accesses
+                stats.gather_bytes += accesses * group.entry_bytes
         else:
-            # A one-sample plan gives the per-sample access shape cheaply.
-            counted = self.field.gather_plan(samples.positions[:1])
-            scale = len(samples)
-        for group in counted:
-            accesses = group.vertices_per_sample * group.num_samples * scale
-            stats.gather_vertex_accesses += accesses
-            stats.gather_bytes += accesses * group.entry_bytes
+            _count_gather(stats, self.field, len(samples))
 
         with section("nerf.interpolate"):
             features = self.field.interpolate(samples.positions)
@@ -182,22 +185,20 @@ class NeRFRenderer:
                 features = self.field.interpolate(samples.positions)
             with section("nerf.decode"):
                 sigma, rgb_s = self.field.decode(features, samples.directions)
-            parts.append((samples.ray_index + start, samples.positions,
-                          sigma, rgb_s, samples.t_values, samples.deltas))
+            parts.append((samples.ray_index + start, sigma, rgb_s,
+                          samples.t_values, samples.deltas))
         if parts:
             ray_of = np.concatenate([p[0] for p in parts])
-            positions = np.concatenate([p[1] for p in parts], axis=0)
-            sigma = np.concatenate([p[2] for p in parts])
-            rgb_s = np.concatenate([p[3] for p in parts], axis=0)
-            t_values = np.concatenate([p[4] for p in parts])
-            deltas = np.concatenate([p[5] for p in parts])
+            sigma = np.concatenate([p[1] for p in parts])
+            rgb_s = np.concatenate([p[2] for p in parts], axis=0)
+            t_values = np.concatenate([p[3] for p in parts])
+            deltas = np.concatenate([p[4] for p in parts])
         else:
             ray_of = np.zeros(0, dtype=np.int64)
 
         # Phase 2: composite and count work per bundle, replaying the chunk
         # boundaries render_rays would have used for that bundle alone (the
-        # segmented scan in `composite` and the one-sample gather plan both
-        # depend on them).
+        # segmented scan in `composite` depends on them).
         outputs = []
         offset = 0
         macs = self.field.decoder.macs_per_sample()
@@ -220,11 +221,7 @@ class NeRFRenderer:
                 rgb[cs:ce] = result.rgb
                 depth[cs:ce] = result.depth
                 opacity[cs:ce] = result.opacity
-                for group in self.field.gather_plan(positions[lo:lo + 1]):
-                    accesses = (group.vertices_per_sample * group.num_samples
-                                * nsamp)
-                    stats.gather_vertex_accesses += accesses
-                    stats.gather_bytes += accesses * group.entry_bytes
+                _count_gather(stats, self.field, nsamp)
                 stats.mlp_macs += nsamp * macs
             outputs.append(RenderOutput(rgb=rgb, depth_t=depth,
                                         opacity=opacity, stats=stats))

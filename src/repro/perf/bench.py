@@ -31,9 +31,8 @@ import numpy as np
 from ..backend import BACKENDS, DEFAULT_BACKEND
 from ..core.sparw.disocclusion import classify_pixels
 from ..core.sparw.pipeline import SparwRenderer
-from ..core.sparw.warp import warp_frame
+from ..core.sparw.warp import VOID_FAR_DEPTH, splat_surface, warp_frame
 from ..geometry.pointcloud import depth_to_points, transform_points
-from ..geometry.projection import splat_points
 from ..geometry.transforms import relative_pose
 from ..harness.configs import (DEFAULT, FAST, ExperimentConfig,
                                build_renderer, ground_truth_sequence,
@@ -199,16 +198,18 @@ def bench_warp_gather(ctx: BenchContext) -> dict:
 
 @register("warp.scatter")
 def bench_warp_scatter(ctx: BenchContext) -> dict:
-    """SPARW step 3: z-buffered splat of the lifted cloud (Eq. 3)."""
+    """SPARW step 3 as ``warp_frame`` runs it (Eq. 3): project the lifted
+    cloud, z-buffer its surface points, mark where void points land."""
     reference, ref_camera, target_camera = _warp_inputs(ctx)
     transform = relative_pose(reference.c2w, target_camera.c2w)
-    lift_depth = np.where(np.isfinite(reference.depth), reference.depth, 1e4)
+    is_void = ~np.isfinite(reference.depth)
+    lift_depth = np.where(is_void, VOID_FAR_DEPTH, reference.depth)
     points = transform_points(
         depth_to_points(lift_depth, ref_camera.intrinsics), transform)
-    colors = reference.image.reshape(-1, 3)
 
     wall = _time_reps(
-        lambda: splat_points(points, colors, target_camera.intrinsics),
+        lambda: splat_surface(points, is_void.reshape(-1),
+                              target_camera.intrinsics),
         ctx.reps)
     return _row("warp.scatter", "pixel", lift_depth.size, ctx.reps, wall)
 

@@ -13,8 +13,9 @@ conversation is strictly one session per connection:
 * client → server at any point: ``{"type": "close"}`` — the server
   stops streaming, retires the session, and answers
   ``{"type": "closed", "frames_delivered": n}``.
-* server → client on any protocol error: ``{"type": "error",
-  "message": ...}`` followed by connection close.
+* server → client on any protocol error, and to every session when the
+  server's engine fails: ``{"type": "error", "message": ...}`` followed
+  by connection close.
 
 Frames carry server-side wall-clock ``queue_s``/``render_s``
 timestamps plus a content ``digest`` — the SHA-256 of the frame's

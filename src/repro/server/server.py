@@ -13,6 +13,10 @@ paths — the rendering results are bit-identical to solo rendering
 thread pool so a cold-cache open never stalls the event loop or the
 render rounds.
 
+Failure: if a round raises, the engine-host thread stops, every admitted
+session receives an ``error`` message, and every later ``open`` is
+refused with the same message — a crash is never a silent hang.
+
 Wall-clock observability: each frame carries ``queue_s`` (time the
 session spent waiting for its round) and ``render_s`` (its round's
 render time); with a tracer attached the host additionally emits
@@ -70,20 +74,25 @@ class ServerOptions:
 class _EngineHost:
     """One thread serving engine rounds for every live connection.
 
-    Connections :meth:`admit` sessions (with a *sink* callable the host
-    schedules onto the event loop with that session's freshly-completed
-    frame payloads) and :meth:`retire` them on close.  The host blocks
-    on a condition variable while nothing is runnable, so an idle
-    server burns no CPU.
+    Connections :meth:`admit` sessions (with an ``asyncio.Queue`` the
+    host feeds, through the event loop, with ``(kind, payload, done)``
+    items) and :meth:`retire` them on close.  The host blocks on a
+    condition variable while nothing is runnable, so an idle server
+    burns no CPU.
+
+    If serving raises, the thread stops: :attr:`error` records why,
+    every admitted session's queue gets an ``("error", message, True)``
+    item, and so does any session admitted afterwards.
     """
 
     def __init__(self, engine, loop, tracer=None):
         self._engine = engine
         self._loop = loop
         self._cond = threading.Condition()
-        self._sinks: dict = {}  # session_id -> callable(payloads, done)
+        self._queues: dict = {}  # session_id -> asyncio.Queue
         self._ready_s: dict = {}  # session_id -> perf_counter ready time
         self._stop = False
+        self.error: str | None = None  # set once serving has crashed
         self._tracer = tracer
         self.epoch_s = time.perf_counter()  # wall anchor for trace spans
         self._thread = threading.Thread(target=self._run,
@@ -104,16 +113,20 @@ class _EngineHost:
 
     @property
     def live_sessions(self) -> int:
-        """Number of sessions currently admitted with an attached sink."""
+        """Number of sessions currently admitted with an attached queue."""
         with self._cond:
-            return len(self._sinks)
+            return len(self._queues)
 
-    def admit(self, session, sink) -> None:
-        """Hand a built session to the engine; ``sink(payloads, done)``
-        is invoked on the event loop per round that completed frames."""
+    def admit(self, session, queue: asyncio.Queue) -> None:
+        """Hand a built session to the engine; ``queue`` receives a
+        ``("frames", payloads, done)`` item per round that completed
+        frames (or the host's ``("error", message, True)``)."""
         with self._cond:
+            self._queues[session.session_id] = queue
+            if self.error is not None:
+                self._post(queue, ("error", self.error, True))
+                return
             self._engine.admit(session)
-            self._sinks[session.session_id] = sink
             self._ready_s[session.session_id] = time.perf_counter()
             self._cond.notify()
 
@@ -124,8 +137,11 @@ class _EngineHost:
                 self._engine.retire(session_id)
             except KeyError:
                 pass
-            self._sinks.pop(session_id, None)
+            self._queues.pop(session_id, None)
             self._ready_s.pop(session_id, None)
+
+    def _post(self, queue: asyncio.Queue, item: tuple) -> None:
+        self._loop.call_soon_threadsafe(queue.put_nowait, item)
 
     # -- the host thread --------------------------------------------------------
 
@@ -133,20 +149,33 @@ class _EngineHost:
         return any(not s.done for s in self._engine.sessions)
 
     def _run(self) -> None:
-        with self._engine.serving():
-            while True:
-                with self._cond:
-                    while not self._stop and not self._runnable():
-                        # Timeout guards against a lost wakeup if an
-                        # admit lands between the check and the wait.
-                        self._cond.wait(timeout=0.05)
-                    if self._stop:
-                        return
-                round_start = time.perf_counter()
-                completed = self._engine.run_round()
-                round_end = time.perf_counter()
-                if completed:
-                    self._dispatch(completed, round_start, round_end)
+        try:
+            with self._engine.serving():
+                self._serve_rounds()
+        except Exception as exc:  # any crash must reach every client
+            self._fail(f"engine failed: {type(exc).__name__}: {exc}")
+
+    def _serve_rounds(self) -> None:
+        while True:
+            with self._cond:
+                while not self._stop and not self._runnable():
+                    # Timeout guards against a lost wakeup if an
+                    # admit lands between the check and the wait.
+                    self._cond.wait(timeout=0.05)
+                if self._stop:
+                    return
+            round_start = time.perf_counter()
+            completed = self._engine.run_round()
+            round_end = time.perf_counter()
+            if completed:
+                self._dispatch(completed, round_start, round_end)
+
+    def _fail(self, message: str) -> None:
+        """Record the crash and send ``error`` to every admitted session."""
+        with self._cond:
+            self.error = message
+            for queue in self._queues.values():
+                self._post(queue, ("error", message, True))
 
     def _dispatch(self, completed, round_start: float,
                   round_end: float) -> None:
@@ -155,10 +184,10 @@ class _EngineHost:
         for session, records in completed:
             session_id = session.session_id
             with self._cond:
-                sink = self._sinks.get(session_id)
+                queue = self._queues.get(session_id)
                 ready_s = self._ready_s.get(session_id, round_start)
                 self._ready_s[session_id] = round_end
-            if sink is None:  # retired mid-round: drop the late frames
+            if queue is None:  # retired mid-round: drop the late frames
                 continue
             queue_s = max(round_start - ready_s, 0.0)
             payloads = [{
@@ -174,8 +203,7 @@ class _EngineHost:
             self._trace_frames(session_id, records, ready_s, round_end)
             metric_inc("server.frames", len(payloads))
             metric_observe("server.frame_render_s", render_s)
-            done = session.done
-            self._loop.call_soon_threadsafe(sink, payloads, done)
+            self._post(queue, ("frames", payloads, session.done))
 
     # -- wall-clock tracing ------------------------------------------------------
 
@@ -332,6 +360,9 @@ class FrameServer:
             except (ProtocolError, KeyError) as exc:
                 await self._fail(writer, str(exc.args[0]))
                 return
+            if host.error is not None:
+                await self._fail(writer, host.error)
+                return
             if host.live_sessions >= self.options.max_sessions:
                 await self._fail(
                     writer,
@@ -344,12 +375,7 @@ class FrameServer:
                 self._build_pool, self._build_session, spec, session_id)
 
             queue: asyncio.Queue = asyncio.Queue()
-
-            def sink(payloads, done):
-                """Queue a round's frames (runs on the event loop)."""
-                queue.put_nowait(("frames", payloads, done))
-
-            host.admit(session, sink)
+            host.admit(session, queue)
             write_message(writer, {
                 "type": "opened", "session": session_id,
                 "workload": spec.name, "frames": session.num_frames})
@@ -389,14 +415,14 @@ class FrameServer:
             raise
 
     async def _stream(self, writer, queue, session_id: str) -> None:
-        """Forward queued frame payloads until done/closed."""
+        """Forward queued frame payloads until done/closed/error."""
         delivered = 0
         while True:
-            kind, payloads, done = await queue.get()
+            kind, payload, done = await queue.get()
             if kind == "frames":
-                for payload in payloads:
-                    write_message(writer, payload)
-                delivered += len(payloads)
+                for frame in payload:
+                    write_message(writer, frame)
+                delivered += len(payload)
                 await writer.drain()
                 if done:
                     write_message(writer, {
@@ -410,9 +436,12 @@ class FrameServer:
                     "frames_delivered": delivered})
                 await writer.drain()
                 return
+            elif kind == "error":  # the engine host crashed
+                await self._fail(writer, payload)
+                return
             else:  # "bad": protocol violation mid-stream
                 await self._fail(
-                    writer, f"unexpected mid-stream message {payloads!r}")
+                    writer, f"unexpected mid-stream message {payload!r}")
                 return
 
     @staticmethod

@@ -1,7 +1,11 @@
 """Tests for the pixel-centric NeRF renderer."""
 
-import numpy as np
+import copy
 
+import numpy as np
+import pytest
+
+from repro.harness.configs import FAST, build_renderer
 from repro.metrics import psnr
 
 
@@ -59,13 +63,55 @@ class TestRenderPixels:
 
     def test_chunking_is_invisible(self, small_renderer, small_camera):
         """Chunked and unchunked rendering must agree exactly."""
-        import copy
         tiny_chunks = copy.copy(small_renderer)
         tiny_chunks.chunk_size = 97
         a, _ = small_renderer.render_frame(small_camera)
         b, _ = tiny_chunks.render_frame(small_camera)
         np.testing.assert_allclose(a.image, b.image, atol=1e-12)
         np.testing.assert_allclose(a.depth, b.depth, atol=1e-9)
+
+
+class TestGatherAccounting:
+    """Gather counts come from a per-field constant, not per-chunk plans."""
+
+    @pytest.mark.parametrize("algorithm",
+                             ["directvoxgo", "instant_ngp", "tensorf"])
+    def test_counts_equal_full_plan_without_per_chunk_plans(
+            self, algorithm, small_camera, monkeypatch):
+        renderer = copy.copy(build_renderer(algorithm, "lego", FAST))
+        renderer.chunk_size = 97
+        origins, directions = small_camera.generate_rays()
+        origins = origins.reshape(-1, 3)[::4]
+        directions = directions.reshape(-1, 3)[::4]
+        split = origins.shape[0] // 3
+        bundles = [(origins[:split], directions[:split]),
+                   (origins[split:], directions[split:])]
+
+        # The record_gather path builds every sample's plan: the oracle.
+        planned = [renderer.render_rays(o, d, record_gather=True).stats
+                   for o, d in bundles]
+
+        field_type = type(renderer.field)
+        real_plan = field_type.gather_plan
+        calls = []
+
+        def counting_plan(field, points):
+            calls.append(len(points))
+            return real_plan(field, points)
+
+        monkeypatch.setattr(field_type, "gather_plan", counting_plan)
+        single = [renderer.render_rays(o, d).stats for o, d in bundles]
+        batched = [out.stats for out in renderer.render_ray_batch(bundles)]
+        assert origins.shape[0] > 4 * renderer.chunk_size
+        assert len(calls) <= 1  # at most the field's first pricing
+
+        for want, *gots in zip(planned, single, batched):
+            assert want.num_samples > 0
+            for got in gots:
+                assert got.num_samples == want.num_samples
+                assert (got.gather_vertex_accesses
+                        == want.gather_vertex_accesses)
+                assert got.gather_bytes == want.gather_bytes
 
 
 class TestStatsMerge:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.engine import MultiSessionEngine
 from repro.harness.configs import FAST
+from repro.nerf.renderer import NeRFRenderer
 from repro.server import (
     FrameServer,
     ServerOptions,
@@ -216,3 +217,68 @@ class TestRejection:
 
         port = _with_server(scenario)
         assert 1024 <= port <= 65535
+
+
+class _ExplodingRenderer(NeRFRenderer):
+    """Same field and sampler as ``inner``; every render call raises."""
+
+    def __init__(self, inner: NeRFRenderer):
+        super().__init__(inner.field, inner.sampler,
+                         background=inner.background,
+                         chunk_size=inner.chunk_size,
+                         opacity_threshold=inner.opacity_threshold)
+
+    def render_rays(self, *args, **kwargs):
+        raise RuntimeError("injected renderer failure")
+
+    render_ray_batch = render_rays
+
+
+class TestEngineFailure:
+    """A crash in a round reaches every client as ``error``, never a hang."""
+
+    @pytest.fixture
+    def exploding_sessions(self, monkeypatch):
+        build = FrameServer._build_session
+
+        def build_exploding(server, spec, session_id):
+            session = build(server, spec, session_id)
+            session.sparw.renderer = _ExplodingRenderer(session.sparw.renderer)
+            return session
+
+        monkeypatch.setattr(FrameServer, "_build_session", build_exploding)
+
+    @staticmethod
+    async def _timed_client(port: int) -> tuple:
+        """``(final message, seconds from 'opened' or refusal to it)``."""
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            await read_message(reader)  # hello
+            write_message(writer, {"type": "open", "workload": "vr-lego",
+                                   "frames": 4})
+            await writer.drain()
+            message = await read_message(reader)
+            start = asyncio.get_running_loop().time()
+            while message is not None and message["type"] in ("opened",
+                                                              "frame"):
+                message = await read_message(reader)
+            return message, asyncio.get_running_loop().time() - start
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    def test_every_client_sees_error_within_a_second(self,
+                                                     exploding_sessions):
+        async def scenario(server):
+            first = await asyncio.wait_for(asyncio.gather(*[
+                self._timed_client(server.port) for _ in range(3)]), 30.0)
+            late = await asyncio.wait_for(
+                self._timed_client(server.port), 30.0)
+            return [*first, late], server._host_thread.error
+
+        replies, error = _with_server(scenario)
+        assert error is not None and "injected renderer failure" in error
+        for message, seconds in replies:
+            assert message["type"] == "error"
+            assert "injected renderer failure" in message["message"]
+            assert seconds < 1.0
