@@ -17,8 +17,6 @@ open-loop cluster simulator from a shell::
     python -m repro.harness.cli frontier --fast --rates 8,24,72 --frames 3
     python -m repro.harness.cli experiment --table examples/experiments/quick.json
     python -m repro.harness.cli experiment --table t.json --resume --out runs
-    python -m repro.harness.cli bench --quick
-    python -m repro.harness.cli bench --kernels single_session.sparw
     python -m repro.harness.cli cluster --fast --trace run.trace.json
     python -m repro.harness.cli trace analyze run.trace.json --top 20
     python -m repro.harness.cli serve-live --fast --port 7070
@@ -227,19 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", metavar="DIR", default=ARTIFACT_DIR,
                      help="artifact directory for the run table "
                           f"(default {ARTIFACT_DIR})")
-    sub = add("bench", run_bench_command, "hot-path microbenchmarks -> "
-              "BENCH_perf.json (see docs/benchmarking.md)",
-              json_out="always", mode="serve",
-              only=("backend", "engine_workers"))
-    sub.add_argument("--quick", action="store_true",
-                     help="CI smoke scale: FAST config, fewer reps, smaller "
-                          "synthetic inputs (seconds instead of minutes)")
-    sub.add_argument("--kernels", metavar="K1,K2,...", default=None,
-                     help="run only these registered kernels (default: the "
-                          "full registry)")
-    sub.add_argument("--repeat", type=int, default=3, metavar="N",
-                     help="repeat every kernel N times and keep the best "
-                          "(fastest) measurement per kernel (default 3)")
     add("serve-live", run_serve_live, "bind the real asyncio frame server "
         "on a TCP port (see docs/serving-guide.md)",
         mode="realserve", only=SERVE_LIVE_FIELDS)
@@ -504,48 +489,6 @@ def run_reconcile_command(args) -> int:
         args.json_out, "reconcile", report["rows"], elapsed, config=config,
         extra={k: v for k, v in report.items() if k != "rows"},
         kind="reconcile")
-    print(f"\nwrote {path}")
-    return 0
-
-
-def run_bench_command(args) -> int:
-    from ..perf.bench import run_benchmarks
-    # --quick implies the FAST scale.
-    config = FAST if args.quick else _scale(args)
-    # A cell carries (and validates) the backend pair like any other run.
-    cell = cell_from_args("serve", args)
-    kernels = None
-    if args.kernels is not None:
-        kernels = [part.strip() for part in args.kernels.split(",")
-                   if part.strip()]
-        if not kernels:
-            print(f"bench: bad --kernels {args.kernels!r}; expected "
-                  "comma-separated kernel names", file=sys.stderr)
-            return 2
-    if args.repeat < 1:
-        print(f"bench: --repeat must be >= 1 (got {args.repeat})",
-              file=sys.stderr)
-        return 2
-    started = time.perf_counter()
-    try:
-        rows, extra = run_benchmarks(config=config, quick=args.quick,
-                                     kernels=kernels, repeat=args.repeat,
-                                     backend=cell.backend,
-                                     engine_workers=cell.engine_workers)
-    except KeyError as exc:
-        return _fail("bench", exc)
-    elapsed = time.perf_counter() - started
-    # Rows are heterogeneous (per-kernel derived metrics); show the union
-    # of their columns instead of the first row's keys.  The per-kernel
-    # "sections" dicts are structured artifact detail, not a table cell.
-    columns = list(dict.fromkeys(key for row in rows for key in row
-                                 if key != "sections"))
-    print_table(rows, columns=columns,
-                title=f"bench: {len(rows)} kernels ({elapsed:.1f}s wall)")
-    # Bench runs are the perf trajectory: every run persists its
-    # machine-readable artifact (compare runs with compare_bench.py).
-    path = write_bench_json(args.json_out, "perf", rows, elapsed,
-                            config=config, extra=extra, kind="perf")
     print(f"\nwrote {path}")
     return 0
 

@@ -107,8 +107,7 @@ def safe_json_dumps(payload, **kwargs) -> str:
 
 
 # Version 2 added "schema_version" (replacing v1's bare "schema") and
-# "kind"; bump on any change that breaks artifact consumers
-# (compare_bench.py refuses versions it does not understand).
+# "kind"; bump on any change that breaks artifact consumers.
 SCHEMA_VERSION = 2
 
 
@@ -118,9 +117,9 @@ def bench_payload(name: str, rows: list, wall_time_s: float,
     """The JSON document persisted for one figure/experiment run.
 
     ``kind`` says which harness surface produced the artifact
-    (``figure``, ``serve``, ``cluster``, ``frontier``, ``perf``,
-    ``experiment``, ``experiment-cell``) so consumers can dispatch
-    without parsing the name.
+    (``figure``, ``serve``, ``cluster``, ``frontier``, ``realserve``,
+    ``reconcile``, ``experiment``, ``experiment-cell``) so consumers can
+    dispatch without parsing the name.
 
     ``metrics`` attaches an observability snapshot (see
     ``docs/observability.md``).  When omitted, the snapshot of the

@@ -102,7 +102,7 @@ class SharedConfig:
         "in-process) or 'parallel' (sessions fan out to a worker pool "
         "forked from this process, which inherits the baked tables "
         "instead of copying them; bit-identical to numpy); taken by "
-        "serve, cluster, serve-live, loadgen and bench, and as the "
+        "serve, cluster, serve-live and loadgen, and as the "
         "'backend' field of experiment tables", choices=BACKENDS)
     engine_workers: int | None = option(
         "--engine-workers", "worker-process count for --backend parallel; "

@@ -72,7 +72,7 @@ class SHDecoder:
         # the network output *bit-equals* the first CORE_FEATURE_DIM input
         # channels, and this measured hot path skips the matmuls.  The
         # full forward stays available for the cost model and the
-        # equivalence test (perf.reference.decode_reference).
+        # equivalence test (decode_reference in tests/reference_kernels.py).
         core = features[:, :CORE_FEATURE_DIM]
 
         logit = np.clip(core[:, 0], -40.0, 40.0)

@@ -14,7 +14,7 @@ lattice.  The Gathering stage (G) has one kernel, :func:`accumulate_gather`,
 for dense grids and for hashed hash-grid levels alike (the latter pass their
 vertex id -> slot table); it accumulates corner by corner over L2-sized
 tiles of samples.  Results are bit-identical to the predecessors kept in
-:mod:`repro.perf.reference` (vertex-id flattening is integer-linear, so
+``tests/reference_kernels.py`` (vertex-id flattening is integer-linear, so
 ``flatten(cell + corner) == flatten(cell) + flatten(corner)`` exactly).
 """
 

@@ -19,7 +19,7 @@ so its cost is made to follow the rays and samples that survive:
   flat indices, never repeat-expanded arrays.
 
 Every element goes through the same operations in the same order as in the
-predecessors kept in :mod:`repro.perf.reference`, so results are
+predecessors kept in ``tests/reference_kernels.py``, so results are
 bit-identical (locked by ``tests/perf/test_equivalence.py``).
 """
 
@@ -145,7 +145,7 @@ class OccupancyGrid:
         """Boolean occupancy lookup for (N, 3) world points.
 
         Same arithmetic as the predecessor
-        (:func:`repro.perf.reference.occupied_reference`) — normalise,
+        (``occupied_reference`` in ``tests/reference_kernels.py``) — normalise,
         scale, truncate, clip — one coordinate column at a time into
         (N,) scratch, then one flat gather from the precomputed mask.
         The sampler passes a transposed view of its axis-major lattice,
@@ -221,7 +221,7 @@ class UniformSampler:
         """Generate flattened samples for a bundle of rays.
 
         Bit-identical to the repeat-then-mask predecessor
-        (:func:`repro.perf.reference.sample_reference`): the lattice is
+        (``sample_reference`` in ``tests/reference_kernels.py``): the lattice is
         built for the live rays only (see :meth:`_live_rays`) with the
         predecessor's per-element arithmetic, and per-sample directions,
         deltas and ray ids are pure gathers through the kept indices.

@@ -1,25 +1,20 @@
-"""Profiling and microbenchmark subsystem (``repro.perf``).
-
-Three layers, importable independently:
+"""Wall-clock instrumentation and process set-up (``repro.perf``).
 
 * :mod:`repro.perf.timer` — ``Timer``/``Section`` wall-clock
   instrumentation with a negligible-overhead no-op mode.  Product hot
   paths (renderer, SPARW pipeline, engine) call
   :func:`~repro.perf.timer.section` unconditionally; unless a timer is
   activated the call is a shared no-op context manager.
-* :mod:`repro.perf.bench` — the microbenchmark registry behind
-  ``cli bench`` (field query, warp gather/scatter, disocclusion
-  classification, volume-render compositing, engine round, cluster
-  tick, end-to-end frames/s) and the ``BENCH_perf.json`` payload.
-* :mod:`repro.perf.reference` — the scalar/unfused predecessors of
-  every vectorized kernel, kept runnable for equivalence tests
-  (``tests/perf/test_equivalence.py``) and for the harness's
-  speedup-vs-baseline measurements.
+* :mod:`repro.perf.allocator` — fixes glibc malloc's mmap / trim
+  thresholds when ``repro`` is imported, so per-frame temporaries are
+  reused from the heap.
+* :mod:`repro.perf.envinfo` — the interpreter / numpy / host / git
+  fingerprint the end-to-end benchmark (``benchmarks/e2e/``) records
+  with every run.
 
-Only the timer layer is re-exported here: it has no dependencies, so
-product modules can import it without dragging in the bench harness.
-:mod:`repro.perf.bench` and :mod:`repro.perf.compare` import large
-parts of the codebase and must be imported as submodules.
+Performance itself is measured end to end and layer by layer by that
+benchmark (see ``docs/benchmarking.md``); this package has no
+measurement harness of its own.
 """
 
 from .envinfo import environment_fingerprint

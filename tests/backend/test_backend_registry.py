@@ -1,10 +1,10 @@
-"""The backend name set: what ``--backend`` accepts, its default, and
-how ``cli bench`` records it."""
+"""The backend name set: what ``--backend`` accepts and its default."""
 
 import pytest
 
 from repro.backend import BACKENDS, DEFAULT_BACKEND
-from repro.perf.bench import run_benchmarks
+from repro.engine import MultiSessionEngine
+from repro.harness.runconfig import RunConfig, RunConfigError
 
 
 class TestRegistry:
@@ -15,20 +15,14 @@ class TestRegistry:
         assert DEFAULT_BACKEND == "numpy"
 
     def test_unknown_name_lists_registered(self):
-        with pytest.raises(ValueError) as err:
-            run_benchmarks(quick=True, kernels=[], backend="cuda")
-        message = err.value.args[0]
-        assert "cuda" in message
-        for name in BACKENDS:
-            assert name in message
-
-    def test_describe_rows(self):
-        # Every bench row and the artifact's extra block carry the
-        # requested backend name (None is the default).
-        for requested in (None, *BACKENDS):
-            rows, extra = run_benchmarks(
-                quick=True, kernels=["disocclusion.classify"], repeat=1,
-                backend=requested)
-            expected = requested or DEFAULT_BACKEND
-            assert extra["backend"] == expected
-            assert [row["backend"] for row in rows] == [expected]
+        # Both places a backend name enters — a run's config and the
+        # engine itself — name the bad value and every registered one.
+        with pytest.raises(RunConfigError) as config_err:
+            RunConfig(backend="cuda").validate()
+        with pytest.raises(ValueError) as engine_err:
+            MultiSessionEngine([], backend="cuda")
+        for err in (config_err, engine_err):
+            message = err.value.args[0]
+            assert "cuda" in message
+            for name in BACKENDS:
+                assert name in message

@@ -97,7 +97,8 @@ def golden(request):
 # The SDF primitives and ``estimate_normals`` as reductions along the
 # length-3 last axis (``np.linalg.norm(axis=-1)``, ``max(axis=-1)``,
 # broadcast offsets) — what they were before they went column-wise.  The
-# column code must match these bit for bit.
+# column code must match these bit for bit.  The older render-path
+# kernels' predecessors live beside this file, in ``reference_kernels.py``.
 
 
 def _last_axis_distance(sdf, points):

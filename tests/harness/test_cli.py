@@ -66,6 +66,14 @@ class TestMain:
         # The message tells the user what *is* available.
         assert "fig07" in err and "serve" in err and "reconcile" in err
 
+    def test_bench_is_not_a_command(self, capsys):
+        # Kernel timing lives in the traced end-to-end runs, not in a
+        # second benchmark command.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_runs_cheap_figure_fast(self, capsys):
         assert main(["fig23", "--fast"]) == 0
         out = capsys.readouterr().out
@@ -113,7 +121,7 @@ class TestServe:
         assert excinfo.value.code == 2
         assert "warpcore" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["serve", "bench"])
+    @pytest.mark.parametrize("command", ["serve", "serve-live"])
     def test_dropped_numba_backend_is_invalid_choice(self, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--backend", "numba"])
@@ -323,7 +331,6 @@ FOREIGN_FLAGS = [
     ("serve-live --fast --frames 3 --seed 1", "--frames --seed"),
     ("loadgen --fast --workers 2", "--workers"),
     ("loadgen --fast --sessions 2", "--sessions"),
-    ("bench --quick --frames 2", "--frames"),
     ("reconcile --input x.json --rate 2", "--rate"),
     ("list --fast", "--fast"),
     ("trace analyze t.json --fast", "--fast"),

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_kernels import sample_reference
 
 from repro.geometry import Intrinsics, PinholeCamera, look_at
 from repro.geometry.rays import intersect_aabb
 from repro.nerf import OccupancyGrid, UniformSampler
-from repro.perf.reference import sample_reference
 
 BOUNDS = (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
 

@@ -82,7 +82,8 @@ def test_trace_flag_rejected_outside_observed_commands(capsys, tmp_path):
     # Only the observed commands (serve/cluster/frontier/experiment/
     # loadgen) have a --trace flag.
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--quick", "--trace", str(tmp_path / "t.json")])
+        main(["reconcile", "--input", "x.json", "--trace",
+              str(tmp_path / "t.json")])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --trace" in capsys.readouterr().err
 

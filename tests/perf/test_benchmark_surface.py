@@ -79,6 +79,19 @@ def test_signatures_the_driver_calls():
     assert _accepts(shutdown_pool)
 
 
+def test_perf_package_is_what_the_driver_imports():
+    # The end-to-end runs are the one benchmark: repro.perf keeps the
+    # timer, the allocator settings and the fingerprint, nothing else.
+    import pkgutil
+
+    import repro.perf
+    modules = {info.name for info in pkgutil.iter_modules(repro.perf.__path__)}
+    assert modules == {"allocator", "envinfo", "timer"}
+    driver_modules = {module for _, module, _ in IMPORTS
+                      if module.startswith("repro.perf")}
+    assert driver_modules <= {f"repro.perf.{name}" for name in modules}
+
+
 def test_renderer_keeps_the_attributes_the_driver_reads(fast_renderer):
     for attribute in ("field", "sampler", "background", "chunk_size",
                       "opacity_threshold", "backend"):

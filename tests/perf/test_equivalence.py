@@ -1,42 +1,62 @@
 """Vectorized hot-path kernels are bit-identical to their predecessors.
 
-Every optimization in this PR moved its previous implementation into
-:mod:`repro.perf.reference`; these tests pin the optimized kernels to
+Every such optimization moved its previous implementation into
+``tests/reference_kernels.py``; these tests pin the optimized kernels to
 those predecessors with exact (``array_equal``) comparisons on inputs
 that include the awkward cases — coordinates exactly on cell boundaries,
 out-of-bounds points, rays that miss the AABB, jittered samplers.
 """
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_kernels import (bilinear_setup_reference, decode_reference,
+                               depth_to_points_reference,
+                               generate_rays_reference,
+                               hashed_slots_reference,
+                               interpolate_hash_reference,
+                               interpolate_voxel_reference,
+                               occupied_reference, rays_for_pixels_reference,
+                               reference_renderer, sample_reference,
+                               trilinear_setup_reference)
 
 from repro.geometry.camera import Intrinsics, PinholeCamera
 from repro.geometry.pointcloud import depth_to_points
 from repro.geometry.rays import intersect_aabb
 from repro.harness.configs import FAST, build_renderer, make_camera
+from repro.nerf.baking import PROBE_DIRECTIONS, vertex_grid_positions
 from repro.nerf.fields import interp
 from repro.nerf.fields.interp import (accumulate_gather, bilinear_setup,
                                       trilinear_gather, trilinear_setup)
 from repro.nerf.sampling import (_SCRATCH, OccupancyGrid, UniformSampler,
                                  clear_sampling_scratch)
-from repro.perf.reference import (bilinear_setup_reference,
-                                  decode_reference,
-                                  depth_to_points_reference,
-                                  generate_rays_reference,
-                                  hashed_slots_reference,
-                                  interpolate_hash_reference,
-                                  interpolate_voxel_reference,
-                                  occupied_reference,
-                                  rays_for_pixels_reference,
-                                  reference_renderer, sample_reference,
-                                  trilinear_setup_reference)
-from repro.nerf.baking import PROBE_DIRECTIONS, vertex_grid_positions
 from repro.scenes import REAL_WORLD_SCENES, SYNTHETIC_SCENES, get_scene
 from repro.workloads import get_workload
 
 RNG = np.random.default_rng(20240730)
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def test_no_library_module_imports_the_oracles():
+    # The predecessors are test code: an installed package has no
+    # tests/ directory to import them from.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or "",
+                         *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("reference_kernels" in name.split(".")
+                   for name in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not offenders
 
 
 def _coords(n=4096):

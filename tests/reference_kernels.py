@@ -1,31 +1,27 @@
-"""Scalar/unfused predecessors of every vectorized hot-path kernel.
+"""Scalar/unfused predecessors of vectorized hot-path kernels.
 
 When a hot path is rewritten for speed, its previous implementation moves
 here *verbatim* (modulo plumbing: methods become functions taking the
-object).  Two consumers keep these alive:
+object) and stays as an equality oracle: ``tests/perf/test_equivalence.py``
+and ``tests/nerf/test_sampling.py`` assert each optimized kernel is
+**bit-identical** to its predecessor on representative inputs — the
+contract that lets the golden suite stay byte-stable across perf work.
 
-* ``tests/perf/test_equivalence.py`` asserts each optimized kernel is
-  **bit-identical** to its predecessor on representative inputs — the
-  contract that lets the golden suite stay byte-stable across perf work.
-* :mod:`repro.perf.bench` runs both sides and reports the speedup, so
-  ``BENCH_perf.json`` documents what the optimization bought on the
-  machine that produced it.
-
-Nothing in the serving stack imports this module.
+It sits beside ``tests/conftest.py`` (whose directory pytest puts on
+``sys.path``), so tests import it as ``reference_kernels``; nothing under
+``src/`` does.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
-from ..geometry.rays import intersect_aabb
-from ..nerf.encoding import sh_basis_deg1
-from ..nerf.fields.hash_grid import _hash_vertices
-from ..nerf.fields.interp import flatten_index, trilinear_setup
-from ..nerf.renderer import NeRFRenderer
-from ..nerf.sampling import OccupancyGrid, RaySamples, UniformSampler
+from repro.geometry.rays import intersect_aabb
+from repro.nerf.encoding import sh_basis_deg1
+from repro.nerf.fields.hash_grid import _hash_vertices
+from repro.nerf.fields.interp import flatten_index, trilinear_setup
+from repro.nerf.renderer import NeRFRenderer
+from repro.nerf.sampling import OccupancyGrid, RaySamples, UniformSampler
 
 __all__ = [
     "occupied_reference", "sample_reference", "trilinear_setup_reference",
@@ -34,7 +30,7 @@ __all__ = [
     "decode_reference",
     "depth_to_points_reference", "rays_for_pixels_reference",
     "generate_rays_reference", "ReferenceSampler", "ReferenceField",
-    "reference_renderer", "reference_geometry",
+    "reference_renderer",
 ]
 
 
@@ -315,40 +311,11 @@ class ReferenceField:
 def reference_renderer(renderer: NeRFRenderer) -> NeRFRenderer:
     """A renderer equivalent to ``renderer`` but on the reference kernels.
 
-    Used by the bench harness to measure end-to-end speedup: same field
-    data, same sampler configuration, same outputs (bit-identical), but
-    every hot kernel takes its pre-optimization path.
+    Same field data, same sampler configuration, same outputs
+    (bit-identical), but every hot kernel takes its pre-optimization path.
     """
     return NeRFRenderer(ReferenceField(renderer.field),
                         ReferenceSampler(renderer.sampler),
                         background=renderer.background,
                         chunk_size=renderer.chunk_size,
                         opacity_threshold=renderer.opacity_threshold)
-
-
-@contextmanager
-def reference_geometry():
-    """Swap the warp path's cached geometry kernels for their predecessors.
-
-    The SPARW warp imports :func:`depth_to_points` and drives camera ray
-    generation directly, so the baseline fps measurement patches those
-    seams for the duration.  Only the bench harness and tests use this.
-    """
-    from ..core.sparw import warp as warp_module
-    from ..geometry.camera import PinholeCamera
-
-    saved_depth_to_points = warp_module.depth_to_points
-    saved_rays_for_pixels = PinholeCamera.rays_for_pixels
-    saved_generate_rays = PinholeCamera.generate_rays
-    warp_module.depth_to_points = depth_to_points_reference
-    PinholeCamera.rays_for_pixels = rays_for_pixels_reference
-    # generate_rays no longer routes through rays_for_pixels (it uses the
-    # memoised per-intrinsics lattice), so it needs its own patch or the
-    # baseline would silently keep the optimization.
-    PinholeCamera.generate_rays = generate_rays_reference
-    try:
-        yield
-    finally:
-        warp_module.depth_to_points = saved_depth_to_points
-        PinholeCamera.rays_for_pixels = saved_rays_for_pixels
-        PinholeCamera.generate_rays = saved_generate_rays
