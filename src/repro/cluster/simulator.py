@@ -574,7 +574,6 @@ def simulate_cluster(mix, config, arrivals: str = "poisson",
                      catalog: int | None = None,
                      zipf: float | None = None,
                      replication: int | None = None,
-                     field_store=None,
                      **arrival_params) -> ClusterReport:
     """One-call cluster run: generate arrivals, simulate, report.
 
@@ -591,13 +590,13 @@ def simulate_cluster(mix, config, arrivals: str = "poisson",
     that many content-distinct variants under a ``zipf``-skewed
     popularity law (seeded from ``seed``), served through a
     :class:`~repro.distribution.ShardedFieldStore` with ``replication``
-    replicas per baked field.  A pre-built ``field_store`` (with a
-    matching pre-expanded mix) can be passed instead — the experiment
-    runner does this so it sees the variant specs too.
+    replicas per baked field; ``ClusterReport.distribution`` reports the
+    tier it ran.
     """
     if slo_fps is not None:
         from ..workloads import apply_slo
         mix = apply_slo(mix, slo_fps)
+    field_store = None
     if catalog is not None:
         from ..distribution import expand_field_serving
         mix, field_store = expand_field_serving(

@@ -39,8 +39,8 @@ def expand_field_serving(mix, config, catalog: int,
     Returns ``(variant_mix, store)``: the zipf-weighted ``(spec, count)``
     pairs over a ``catalog``-sized :class:`SceneCatalog` seeded from
     ``seed``, and the :class:`ShardedFieldStore` the cluster simulator
-    should attach.  Single implementation shared by ``simulate_cluster``
-    and the experiment runner so both paths expand identically.
+    should attach.  ``simulate_cluster``'s ``catalog`` path is its only
+    library caller, so every catalog run expands identically.
     """
     s = DEFAULT_ZIPF_S if zipf is None else float(zipf)
     r = DEFAULT_REPLICATION if replication is None else int(replication)

@@ -61,10 +61,10 @@ import sys
 import time
 from pathlib import Path
 
+from ..control import GOVERNOR_MODES
 from ..workloads import list_workloads
 from .configs import DEFAULT, FAST
 from .figures import EXPERIMENTS
-from .frontier import DEFAULT_FRONTIER_RATES, SWEEP_DEFAULTS, run_frontier
 from .reporting import print_table, write_bench_json
 from .runconfig import (
     RunConfig,
@@ -89,6 +89,13 @@ ARTIFACT_DIR = "bench-artifacts"
 FRONTIER_FIELDS = ("workloads", "frames", "seed", "governor", "slo_fps",
                    "use_cache", "duration_s", "workers", "placement",
                    "queue_limit")
+# Light / saturated / overloaded against the default small fleet: session
+# residency is frames/fps_target seconds, so tens of arrivals per second
+# are needed before admission queues fill at test scales.
+DEFAULT_FRONTIER_RATES = (8.0, 24.0, 72.0)
+# Every frontier cell is a short run, so the sweep overrides these cluster
+# fields' effective defaults ('cli frontier --help' quotes them).
+SWEEP_DEFAULTS = {"duration_s": 1.0, "frames": 3}
 SERVE_LIVE_FIELDS = ("governor", "slo_fps", "use_cache", "backend",
                      "engine_workers", "host", "port")
 
@@ -198,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
         "print the available commands", fast=False)
     add("workloads", run_workloads_listing,
         "list the named workload registry", fast=False)
-    add("serve", run_serve, "serve N concurrent sessions on one SoC through "
-        "the batched engine", json_out="opt-in", trace=True, mode="serve")
+    add("serve", run_serve_command, "serve N concurrent sessions on one SoC "
+        "through the batched engine", json_out="opt-in", trace=True,
+        mode="serve")
     add("cluster", run_cluster_command, "simulate sessions arriving over "
         "time against a fleet of SoC workers",
         json_out="always", trace=True, mode="cluster")
@@ -289,7 +297,7 @@ def run_workloads_listing(args) -> int:
     return 0
 
 
-def run_serve(args) -> int:
+def run_serve_command(args) -> int:
     cell = cell_from_args("serve", args)
     config = _scale(args)
     started = time.perf_counter()
@@ -494,26 +502,52 @@ def run_reconcile_command(args) -> int:
 
 
 def run_frontier_command(args) -> int:
+    """Sweep governor mode x offered load: a built-in experiment table.
+
+    Every (mode, rate) cell runs through :func:`execute_cell`, so a
+    checked-in table with the same axes reproduces these rows bit for bit
+    (``examples/experiments/frontier-fast.json`` is ``frontier --fast``).
+    The summary pairs each mode's aggregate admitted rate with its mean
+    probe PSNR — the frontier the governor is supposed to bend.
+    """
     cell = cell_from_args("cluster", args)
     config = _scale(args)
-    # Unset sweep knobs fall through to run_frontier's own defaults;
+    rates = (DEFAULT_FRONTIER_RATES if args.rates is None
+             else parse_rates(args.rates))
     # --governor restricts the sweep to one mode (default: all three).
-    sweep = {key: value for key, value in (
-        ("rates", None if args.rates is None else parse_rates(args.rates)),
-        ("duration_s", cell.duration_s),
-        ("frames", cell.frames),
-        ("modes", (cell.governor,) if "governor" in args else None),
-    ) if value is not None}
+    modes = (cell.governor,) if "governor" in args else GOVERNOR_MODES
+    base = cell.with_updates(
+        arrivals="poisson",
+        **{name: cell.effective(name)
+           for name in ("workers", "placement", "queue_limit")},
+        **{name: default for name, default in SWEEP_DEFAULTS.items()
+           if getattr(cell, name) is None})
+    table = ExperimentTable(name="frontier", base=base,
+                            axes=(("governor", modes), ("rate_hz", rates)))
     started = time.perf_counter()
     try:
-        rows, summary = run_frontier(
-            config, mix=cell.workloads, workers=cell.effective("workers"),
-            placement=cell.effective("placement"),
-            queue_limit=cell.effective("queue_limit"), seed=cell.seed,
-            slo_fps=cell.slo_fps, use_cache=cell.use_cache, **sweep)
+        results = [execute_cell(each, config=config)
+                   for each in table.cells()]
     except (ValueError, KeyError) as exc:
         return _fail("frontier", exc)
     elapsed = time.perf_counter() - started
+    rows = [result.row for result in results]
+    summary = {
+        "mix": results[-1].mix_label,
+        "rates_hz": list(rates),
+        **{name: getattr(base, name) for name in (
+            "duration_s", "workers", "placement", "queue_limit", "seed",
+            "slo_fps")},
+        "modes": list(modes),
+    }
+    for mode in modes:
+        cells = [row for row in rows if row["governor"] == mode]
+        offered = sum(row["offered"] for row in cells)
+        summary[f"{mode}_admitted_rate"] = (
+            sum(row["admitted"] for row in cells) / offered
+            if offered else 0.0)
+        summary[f"{mode}_mean_psnr"] = (
+            sum(row["mean_psnr"] for row in cells) / len(cells))
     print_table(rows, title=f"frontier: {len(rows)} cells "
                             f"({elapsed:.1f}s wall)")
     print_table([summary], title="sweep")

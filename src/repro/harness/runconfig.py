@@ -415,9 +415,9 @@ class RunConfig:
                     "--algorithm/--variant/--sessions (the specs and mix "
                     "counts fix them)")
             return
-        if self.governor != "off":
+        if self.governor != "off" or self.slo_fps is not None:
             raise RunConfigError(
-                "--governor needs --workload mixes (the legacy "
+                "--governor/--slo need --workload mixes (the legacy "
                 "scene-cycling sessions carry no SLO fields)")
         algorithm = self.effective("algorithm")
         if algorithm not in ALGORITHMS:

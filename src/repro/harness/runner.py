@@ -1,11 +1,12 @@
 """Factorial experiment runner: RunConfig cells in, one run table out.
 
-This is the execution engine every harness surface shares.  A single
-cell (:class:`~.runconfig.RunConfig`) runs through :func:`execute_cell`,
-which drives the same ``simulate_cluster``/serve-engine paths as
-``cli cluster``/``cli serve`` and folds the frame-economics columns
-(:mod:`.pricing`) into the aggregate.  ``cli cluster`` executes its cell
-here directly and ``run_frontier`` sweeps cells through it, so a cell
+This is the only way a serve or cluster run starts.  A single cell
+(:class:`~.runconfig.RunConfig`) runs through :func:`execute_cell`: a
+serve cell through the batched :class:`~repro.engine.MultiSessionEngine`
+on one SoC, a cluster cell through ``simulate_cluster``; both fold the
+frame-economics columns (:mod:`.pricing`) into the aggregate.  ``cli
+serve`` and ``cli cluster`` execute their one cell here and ``cli
+frontier`` executes a built-in :class:`ExperimentTable`, so a cell
 executed from a table file is bit-for-bit the run the standalone
 commands produce.
 
@@ -29,11 +30,20 @@ from pathlib import Path
 
 from ..cluster import Autoscaler, simulate_cluster
 from ..control import mean_psnr_of_levels, quality_floor
-from ..workloads import apply_slo
+from ..engine import MultiSessionEngine, make_scheduler
+from ..hw.serving import aggregate_serving
+from ..hw.soc import SoCModel
+from ..workloads import (
+    FIELD_CACHE,
+    REFERENCE_CACHE,
+    WorkloadSpec,
+    apply_slo,
+    build_mixed_sessions,
+    cache_report,
+)
 from .pricing import frame_economics
 from .reporting import jsonable, write_bench_json
 from .runconfig import RunConfig, RunConfigError
-from .serve import run_serve
 
 try:
     import tomllib  # Python 3.11+
@@ -86,24 +96,16 @@ def execute_cell(cell: RunConfig, config=None, mix=None) -> CellResult:
     return _execute_cluster(cell, config, mix, seed)
 
 
+def _mix_label(mix) -> str:
+    return ",".join(f"{spec.name}:{count}" for spec, count in mix)
+
+
 def _execute_cluster(cell: RunConfig, config, mix, seed: int) -> CellResult:
     raw_mix = mix if mix is not None else (cell.workloads
                                            or DEFAULT_CLUSTER_MIX)
+    # The SLO is applied once, here: the simulator and the quality
+    # accounting both read it from the specs.
     resolved_mix = apply_slo(raw_mix, cell.slo_fps)
-    mix_label = ",".join(f"{spec.name}:{count}"
-                         for spec, count in resolved_mix)
-    field_store = None
-    if cell.catalog is not None:
-        # Expand here (not inside simulate_cluster) so the resolved mix
-        # the rest of this cell sees — labels, quality accounting — is
-        # the variant mix the simulator actually serves.
-        from ..distribution import expand_field_serving
-        resolved_mix, field_store = expand_field_serving(
-            resolved_mix, config, cell.catalog, zipf=cell.zipf,
-            replication=cell.replication, seed=seed)
-        mix_label += (f" ×{cell.catalog} catalog "
-                      f"(zipf={field_store.zipf_s}, "
-                      f"R={field_store.shard_map.replication})")
     # Unset knobs resolve to the effective defaults their fields declare.
     rate_hz = cell.effective("rate_hz")
     workers = cell.effective("workers")
@@ -135,12 +137,16 @@ def _execute_cluster(cell: RunConfig, config, mix, seed: int) -> CellResult:
         queue_limit=queue_limit,
         frames=cell.frames, autoscaler=autoscaler,
         use_cache=cell.use_cache, governor=cell.governor,
-        slo_fps=cell.slo_fps, trace=cell.arrival_trace,
+        trace=cell.arrival_trace,
         backend=cell.backend, engine_workers=cell.engine_workers,
-        field_store=field_store)
+        catalog=cell.catalog, zipf=cell.zipf, replication=cell.replication)
+    mix_label = _mix_label(resolved_mix)
     if cell.catalog is None:
         quality = quality_summary(resolved_mix, config, report)
     else:
+        tier = report.distribution
+        mix_label += (f" ×{tier['catalog']} catalog "
+                      f"(zipf={tier['zipf_s']}, R={tier['replication']})")
         # Probe PSNR renders once per unique cache key — prohibitive
         # over a catalog of variants, and orthogonal to what the
         # sharded tier measures; report the ungoverned defaults.
@@ -219,28 +225,140 @@ def quality_summary(resolved_mix, config, report) -> dict:
     }
 
 
+def _legacy_mix(cell: RunConfig) -> list:
+    """The scene-cycling serve shape as ``(spec, 1)`` pairs.
+
+    ``sessions`` sessions cycle over the cell's scenes, each on its own
+    orbit with start angles spread around the circle so every user sees
+    different content (no two sessions share reference renders — the
+    cache-free worst case the registry's duplicated mixes contrast with).
+    """
+    sessions = cell.effective("sessions")
+    scenes = cell.effective("scenes")
+    mix = []
+    for i in range(sessions):
+        scene = scenes[i % len(scenes)]
+        spec = WorkloadSpec.make(
+            f"user{i:02d}-{scene}", scene=scene,
+            algorithm=cell.effective("algorithm"), trajectory="orbit",
+            start_angle_deg=360.0 * i / sessions)
+        mix.append((spec, 1))
+    return mix
+
+
 def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
+    """Serve concurrent users on one SoC through the batched engine.
+
+    The sessions come from a workload mix (``mix``, else the cell's
+    ``workloads``) or, when neither is given, from :func:`_legacy_mix`,
+    priced under the cell's single ``variant``.  ``use_cache`` attaches
+    the process-global reference cache, which changes only the work:
+    serving is bit-identical either way and across backends.  A governed
+    cell splits ``ray_budget`` by the governor's weights, and a
+    ``static`` one builds every session already pinned at its
+    ``min_quality_tier`` rung.  The scheduler also picks the within-round
+    service order the latency model prices: arrival order for
+    round-robin, shortest-job-first for deadline.
+    """
     serve_mix = mix if mix is not None else cell.workloads
+    legacy = serve_mix is None
+    # One SLO source: rewrite the specs, then everything (governor
+    # included) reads spec.slo_latency_s.
+    resolved_mix = apply_slo(_legacy_mix(cell) if legacy else serve_mix,
+                             cell.slo_fps)
     scheduler = cell.effective("scheduler")
-    if serve_mix is not None:
-        rows, summary = run_serve(
-            config, scheduler=scheduler, frames=cell.frames,
-            workloads=serve_mix, use_cache=cell.use_cache, seed=seed,
-            governor=cell.governor, slo_fps=cell.slo_fps,
-            ray_budget=cell.ray_budget, backend=cell.backend,
-            engine_workers=cell.engine_workers)
-        mix_label = ",".join(f"{spec.name}:{count}" for spec, count
-                             in apply_slo(serve_mix, cell.slo_fps))
-    else:
-        rows, summary = run_serve(
-            config, sessions=cell.effective("sessions"),
-            scheduler=scheduler, variant=cell.effective("variant"),
-            frames=cell.frames, scene_names=cell.effective("scenes"),
-            algorithm=cell.effective("algorithm"),
-            use_cache=cell.use_cache, seed=seed,
-            ray_budget=cell.ray_budget, backend=cell.backend,
-            engine_workers=cell.engine_workers)
-        mix_label = ""
+    variant = cell.effective("variant")
+    field_before = FIELD_CACHE.stats.snapshot()
+    reference_before = REFERENCE_CACHE.stats.snapshot()
+
+    engine_governor = None
+    build = None
+    if cell.governor != "off":
+        from ..control import EngineGovernor, build_level_session
+        engine_governor = EngineGovernor(
+            config, mode=cell.governor,
+            soc=SoCModel(feature_dim=config.feature_dim))
+        if cell.governor == "static":
+            # Static pinning happens at build time, so even the first
+            # frame renders at the min_quality_tier rung.
+            def build(spec, session_id, config):
+                return build_level_session(spec, session_id, config,
+                                           spec.max_quality_level)
+    built = build_mixed_sessions(resolved_mix, config, frames=cell.frames,
+                                 seed=seed, build=build)
+    engine = MultiSessionEngine(
+        built, scheduler=make_scheduler(scheduler),
+        ray_budget=cell.ray_budget,
+        reference_cache=REFERENCE_CACHE if cell.use_cache else None,
+        governor=engine_governor, backend=cell.backend,
+        engine_workers=cell.engine_workers)
+    result = engine.run()
+
+    # Each spec prices under its own SoC variant (legacy sessions under
+    # the cell's).  Every session carries its spec, so the mapping never
+    # depends on build order.
+    session_variants = {
+        s.session_id: (variant if legacy or s.workload is None
+                       else s.workload.variant)
+        for s in built}
+    report = aggregate_serving(
+        {s.session_id: s.result for s in result.sessions},
+        soc=SoCModel(feature_dim=config.feature_dim), variant=variant,
+        order="sjf" if scheduler == "deadline" else "arrival",
+        variants=session_variants,
+        cache_stats=cache_report(field_since=field_before,
+                                 reference_since=reference_before))
+
+    rows = []
+    for session, stats in zip(result.sessions, report.per_session):
+        detail = {
+            "session": stats.session_id,
+            "frames": stats.frames,
+            "references": stats.references,
+            "disoccluded": session.result.mean_disoccluded_fraction(),
+            "solo_fps": stats.solo_fps,
+            "utilization": stats.utilization,
+            "mean_latency_ms": stats.mean_latency_s * 1e3,
+            "p95_latency_ms": stats.p95_latency_s * 1e3,
+        }
+        if engine_governor is not None:
+            detail["quality_level"] = session.quality_level
+        rows.append(detail)
+    batch = result.batch
+    ref_cache = report.cache["references"]
+    variants_used = sorted(set(session_variants.values()))
+    summary = {
+        "sessions": report.num_sessions,
+        "scheduler": scheduler,
+        "variant": (variants_used[0] if len(variants_used) == 1
+                    else "mixed"),
+        "cache_enabled": cell.use_cache,
+        "total_frames": report.total_frames,
+        "aggregate_fps": report.aggregate_fps,
+        "mean_latency_ms": report.mean_latency_s * 1e3,
+        "p50_latency_ms": report.p50_latency_s * 1e3,
+        "p95_latency_ms": report.p95_latency_s * 1e3,
+        "p99_latency_ms": report.p99_latency_s * 1e3,
+        "worst_latency_ms": report.worst_latency_s * 1e3,
+        # $/frame prices the serialized SoC makespan: one shared SoC is
+        # occupied end-to-end while the batch drains.
+        **frame_economics(report.total_frames, report.total_energy_j,
+                          report.makespan_s),
+        "nerf_calls": batch.nerf_calls,
+        "requests_per_call": batch.requests_per_call,
+        "total_rays": batch.total_rays,
+        "mean_batch_rays": batch.mean_batch_rays,
+        "max_batch_rays": batch.max_batch_rays,
+        "rounds": batch.rounds,
+        "ref_cache_hits": ref_cache["hits"],
+        "ref_cache_misses": ref_cache["misses"],
+        "ref_cache_hit_rate": ref_cache["hit_rate"],
+        "ref_cache_evictions": ref_cache["evictions"],
+        "cache": report.cache,
+    }
+    if engine_governor is not None:
+        summary.update(engine_governor.summary())
+        summary["ray_budget"] = cell.ray_budget
     row = {
         "governor": cell.governor,
         "sessions": summary["sessions"],
@@ -255,7 +373,7 @@ def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
         "usd_per_frame": summary["usd_per_frame"],
     }
     return CellResult(cell=cell, rows=rows, summary=summary, row=row,
-                      mix_label=mix_label)
+                      mix_label="" if legacy else _mix_label(resolved_mix))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ The harness activates one :class:`Observation` per run::
 
     obs = Observation(tracer=Tracer(), metrics=MetricsRegistry())
     with activate(obs):
-        run_serve(...)
+        execute_cell(cell)
     obs.tracer.write(path)
 
 ``perf.timer.activate`` now routes through here too, so one

@@ -247,14 +247,6 @@ class SharedLRUCache:
             }
 
 
-class _Missing:
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<missing>"
-
-
-_MISSING = _Missing()
-
-
 def pose_hash(pose: np.ndarray) -> str:
     """Content hash of a camera pose (exact bytes, no tolerance)."""
     data = np.ascontiguousarray(np.asarray(pose, dtype=np.float64))

@@ -2,7 +2,7 @@
 
 A :class:`WorkloadSpec` is the single run-table row every harness entry
 point consumes (the muBench-style idiom): the CLI resolves named specs from
-the registry, ``harness.serve`` builds engine sessions from them,
+the registry, ``harness.runner`` builds engine sessions from them,
 ``harness.figures`` routes figure configurations through them, and the
 shared caches key artifacts by :meth:`WorkloadSpec.spec_hash`.
 

@@ -76,11 +76,14 @@ class TestStaticEngine:
         # The harness builds static sessions already pinned, so even the
         # first frame renders at the min_quality_tier rung (an attach-time
         # retune could only land from frame one onward).
-        from repro.harness.serve import run_serve
-        rows, summary = run_serve(FAST, workloads="vr-lego:1", frames=2,
-                                  governor="static")
-        assert rows[0]["quality_level"] == 2
-        assert summary["tier_transitions"] == 0  # born pinned, no retunes
+        from repro.harness.runconfig import RunConfig
+        from repro.harness.runner import execute_cell
+        result = execute_cell(RunConfig(mode="serve", workloads="vr-lego:1",
+                                        frames=2, governor="static"),
+                              config=FAST)
+        assert result.rows[0]["quality_level"] == 2
+        # Born pinned, no retunes.
+        assert result.summary["tier_transitions"] == 0
 
     def test_static_pins_min_tier(self):
         sessions, governor, _ = run_governed([(get_workload("vr-lego"), 2)],

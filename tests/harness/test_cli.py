@@ -222,6 +222,12 @@ class TestGovernorCli:
         assert main(["serve", "--fast", "--governor", "adaptive"]) == 2
         assert "--workload" in capsys.readouterr().err
 
+    def test_serve_slo_requires_workload_mix(self, capsys):
+        assert main(["serve", "--fast", "--sessions", "2", "--frames", "2",
+                     "--slo", "5"]) == 2
+        assert "serve: --governor/--slo need --workload mixes" \
+            in capsys.readouterr().err
+
     def test_serve_rejects_bad_slo(self, capsys):
         assert main(["serve", "--fast", "--workload", "vr-lego",
                      "--slo", "0"]) == 2
@@ -281,10 +287,9 @@ class TestGovernorCli:
         assert_unrecognized(["frontier", "--fast", "--arrivals", "diurnal"],
                             capsys, "--arrivals")
 
-    def test_frontier_honours_placement(self):
-        # The frontier delegates every cell to the experiment runner, so
+    def test_frontier_honours_placement(self, monkeypatch, tmp_path):
+        # The frontier runs every cell through the experiment runner, so
         # the placement knob must survive the RunConfig hand-off.
-        from repro.harness import frontier as frontier_mod
         from repro.harness import runner as runner_mod
         seen = []
         real = runner_mod.simulate_cluster
@@ -293,17 +298,13 @@ class TestGovernorCli:
             seen.append(kwargs["placement"])
             return real(*args, **kwargs)
 
-        runner_mod.simulate_cluster = spy
-        try:
-            frontier_mod.run_frontier(
-                __import__("repro.harness.configs",
-                           fromlist=["FAST"]).FAST,
-                mix="vr-lego:1", rates=(5.0, 6.0, 7.0),
-                duration_s=0.2, frames=1, modes=("off",),
-                placement="cache_affinity")
-        finally:
-            runner_mod.simulate_cluster = real
-        assert seen and all(p == "cache_affinity" for p in seen)
+        monkeypatch.setattr(runner_mod, "simulate_cluster", spy)
+        assert main(["frontier", "--fast", "--workload", "vr-lego:1",
+                     "--rates", "5,6,7", "--duration", "0.2",
+                     "--frames", "1", "--governor", "off",
+                     "--placement", "cache_affinity",
+                     "--json-out", str(tmp_path)]) == 0
+        assert len(seen) == 3 and all(p == "cache_affinity" for p in seen)
 
 
 # (command line, the flags its error must name).

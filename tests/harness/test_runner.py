@@ -69,6 +69,14 @@ class TestRunConfig:
                            match="--arrival-trace is required"):
             RunConfig(mode="cluster", arrivals="replay").validate()
 
+    def test_serve_slo_requires_workload_mix(self):
+        # The scene-cycling sessions carry no SLO, so --slo would be
+        # silently ignored there.
+        with pytest.raises(RunConfigError,
+                           match="--governor/--slo need --workload"):
+            RunConfig(mode="serve", slo_fps=5.0).validate()
+        RunConfig(mode="serve", workloads="vr-lego", slo_fps=5.0).validate()
+
     def test_autoscale_knobs_require_autoscale(self):
         with pytest.raises(RunConfigError, match="require --autoscale"):
             RunConfig(mode="cluster", min_workers=1).validate()
@@ -260,17 +268,49 @@ class TestRunTable:
 
 
 class TestExecuteCellParity:
-    def test_frontier_cell_matches_run_frontier(self):
-        from repro.harness.frontier import run_frontier
-        rows, _ = run_frontier(FAST, mix="vr-lego:1",
-                               rates=(5.0, 6.0, 7.0), duration_s=0.2,
-                               frames=1, modes=("off",))
-        cell = RunConfig(mode="cluster", workloads="vr-lego:1",
-                         arrivals="poisson", rate_hz=6.0, duration_s=0.2,
-                         workers=1, queue_limit=2, frames=1,
-                         governor="off").validate()
+    def test_frontier_cell_matches_run_frontier(self, tmp_path):
+        # 'cli frontier' is a built-in table: its rows are execute_cell
+        # over a checked-in table with the same axes, bit for bit.
+        assert main(["frontier", "--fast", "--workload", "vr-lego:1",
+                     "--rates", "5,6,7", "--duration", "0.2",
+                     "--frames", "1", "--workers", "1", "--queue-limit",
+                     "2", "--governor", "off",
+                     "--json-out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "BENCH_frontier.json").read_text())
+        table = ExperimentTable.from_dict({
+            "base": {"mode": "cluster", "workloads": "vr-lego:1",
+                     "arrivals": "poisson", "duration_s": 0.2,
+                     "workers": 1, "queue_limit": 2, "frames": 1},
+            "axes": {"governor": ["off"], "rate_hz": [5.0, 6.0, 7.0]}})
+        rows = [execute_cell(cell, config=FAST).row for cell in table.cells()]
+        assert len(rows) == 3
+        assert payload["rows"] == json.loads(json.dumps(rows))
+
+    def test_catalog_cell_label_and_row(self):
+        # The catalog expands inside simulate_cluster (the one catalog
+        # path); the cell's label and row are those recorded when the
+        # runner still expanded a second copy itself.
+        cell = RunConfig(mode="cluster", workloads="vr-lego:2,dolly-chair",
+                         catalog=8, duration_s=1.0, rate_hz=6.0, frames=2,
+                         workers=2, seed=5, slo_fps=20.0,
+                         placement="shard_affinity").validate()
         result = execute_cell(cell, config=FAST)
-        assert result.row == rows[1]
+        assert result.mix_label == \
+            "vr-lego:2,dolly-chair:1 ×8 catalog (zipf=1.1, R=2)"
+        assert result.row == {
+            "governor": "off", "offered_rate_hz": 6.0, "offered": 7,
+            "admitted": 7, "admitted_rate": 1.0, "reject_rate": 0.0,
+            "p99_latency_ms": 557.3573691437908,
+            "mean_latency_ms": 365.55583994991025,
+            "aggregate_fps": 9.035880757078024,
+            "mean_quality_level": 0.0, "tier_transitions": 0,
+            "overflow_admissions": 0, "mean_psnr": 0.0,
+            "min_workload_psnr": 0.0, "quality_floor_ok": True,
+            "total_energy_j": 0.009757098110000001,
+            "joules_per_frame": 0.0006969355792857143,
+            "usd_per_frame": 5.684827555029012e-07,
+            "hierarchy_hit_rate": 0.5714285714285714, "field_bakes": 3,
+            "ttff_p95_ms": 557.3573691437908}
 
     def test_serve_cell_reports_energy(self):
         cell = RunConfig(mode="serve", workloads="vr-lego:2",

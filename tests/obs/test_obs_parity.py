@@ -13,7 +13,8 @@ import dataclasses
 import pytest
 
 from repro.harness.configs import FAST
-from repro.harness.serve import run_serve
+from repro.harness.runconfig import RunConfig
+from repro.harness.runner import execute_cell
 from repro.cluster import simulate_cluster
 from repro.obs import MetricsRegistry, Observation, Tracer, activate
 from repro.workloads import reset_caches
@@ -34,8 +35,10 @@ def _observed(fn):
 def test_serve_bit_parity():
     def run():
         reset_caches()
-        return run_serve(config=FAST, workloads=MIX, frames=3, seed=3,
-                         governor="adaptive")
+        result = execute_cell(
+            RunConfig(mode="serve", workloads=MIX, frames=3, seed=3,
+                      governor="adaptive"), config=FAST)
+        return result.rows, result.summary
     plain_rows, plain_summary = run()
     traced_rows, traced_summary = _observed(run)
     assert traced_rows == plain_rows

@@ -12,7 +12,8 @@ import pytest
 
 from repro.engine import MultiSessionEngine
 from repro.harness.configs import FAST
-from repro.harness.serve import run_serve
+from repro.harness.runconfig import RunConfig
+from repro.harness.runner import execute_cell
 from repro.workloads import SharedLRUCache, build_mixed_sessions
 
 # Three distinct workloads; vr-lego duplicated so two users consume the
@@ -130,15 +131,15 @@ class TestCachedServingParity:
 
 
 class TestServeHarnessParity:
-    """run_serve end-to-end: same rows either way, hit stats surfaced."""
+    """A serve cell end-to-end: same rows either way, hit stats surfaced."""
 
     @pytest.fixture(scope="class")
     def serve_results(self):
-        rows_on, summary_on = run_serve(FAST, workloads=MIX, frames=FRAMES,
-                                        use_cache=True)
-        rows_off, summary_off = run_serve(FAST, workloads=MIX, frames=FRAMES,
-                                          use_cache=False)
-        return rows_on, summary_on, rows_off, summary_off
+        on, off = (execute_cell(RunConfig(mode="serve", workloads=MIX,
+                                          frames=FRAMES, use_cache=use_cache),
+                                config=FAST)
+                   for use_cache in (True, False))
+        return on.rows, on.summary, off.rows, off.summary
 
     def test_rows_identical(self, serve_results):
         rows_on, _, rows_off, _ = serve_results
@@ -169,8 +170,8 @@ class TestServeHarnessParity:
 
         cicero = WORKLOADS["vr-lego"]
         gpu = dataclasses.replace(cicero, name="vr-lego-gpu", variant="gpu")
-        rows, summary = run_serve(FAST, workloads=[(cicero, 1), (gpu, 1)],
-                                  frames=2)
-        assert summary["variant"] == "mixed"
+        result = execute_cell(RunConfig(mode="serve", frames=2), config=FAST,
+                              mix=[(cicero, 1), (gpu, 1)])
+        assert result.summary["variant"] == "mixed"
         # Identical content, different SoC variant: pricing must differ.
-        assert rows[0]["solo_fps"] != rows[1]["solo_fps"]
+        assert result.rows[0]["solo_fps"] != result.rows[1]["solo_fps"]
