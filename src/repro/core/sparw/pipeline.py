@@ -22,7 +22,7 @@ import numpy as np
 
 from ...geometry.camera import PinholeCamera
 from ...nerf.renderer import NeRFRenderer, RenderStats
-from ...perf.timer import section
+from ...obs.runtime import section
 from ...scenes.raytracer import Frame
 from .disocclusion import PixelClassification, classify_pixels, overlap_fraction
 from .reference import ExtrapolatedReferencePolicy, OnTrajectoryReferencePolicy

@@ -17,9 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..backend import BACKENDS, DEFAULT_WORKERS
-from ..obs.runtime import current_metrics, current_tracer
+from ..obs.runtime import current_metrics, current_tracer, section
 from ..obs.tracer import WORK_US_PER_RAY
-from ..perf.timer import section
 from ..workloads.cache import pose_hash
 from .scheduler import RoundRobinScheduler
 from .session import RenderSession
@@ -84,26 +83,13 @@ class EngineResult:
 
     sessions: list = field(default_factory=list)
     batch: BatchStats = field(default_factory=BatchStats)
-    # (indexed list, its length at index time, id -> session) cache.
-    _index: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
 
     def session(self, session_id: str) -> RenderSession:
         """Look up a session by id; raises KeyError for unknown ids."""
-        # Index built once on first lookup, so lookups are O(1) for
-        # fleet-scale consumers instead of a linear scan per call.
-        # Rebuilt when the sessions list is replaced (identity) or grows/
-        # shrinks in place; same-length in-place element assignment is
-        # not detected.
-        sessions = self.sessions
-        if (self._index is None or self._index[0] is not sessions
-                or self._index[1] != len(sessions)):
-            self._index = (sessions, len(sessions),
-                           {s.session_id: s for s in sessions})
-        try:
-            return self._index[2][session_id]
-        except KeyError:
-            raise KeyError(f"no session {session_id!r}") from None
+        for session in self.sessions:
+            if session.session_id == session_id:
+                return session
+        raise KeyError(f"no session {session_id!r}")
 
     @property
     def total_frames(self) -> int:
@@ -212,11 +198,20 @@ class MultiSessionEngine:
     def run(self) -> EngineResult:
         """Serve every session to completion; returns the combined result.
 
-        The configured backend is held for the whole run (see
-        :meth:`serving`).
+        Drains through :meth:`run_round` with the configured backend held
+        for the whole run (see :meth:`serving`); the result's batching
+        statistics are :attr:`batch`.
         """
         with self.serving():
-            return self._run_rounds()
+            if self.governor is not None:
+                self.governor.attach(self.sessions)
+            self._trace_setup()
+            try:
+                while any(not s.done for s in self.sessions):
+                    self.run_round()
+            finally:
+                self._trace = None
+        return EngineResult(sessions=list(self.sessions), batch=self.batch)
 
     # -- live admission (the frame server's API) --------------------------------
 
@@ -274,12 +269,16 @@ class MultiSessionEngine:
             active = [s for s in self.sessions if not s.done]
             if not active:
                 return []
-            ordered = self.scheduler.order(active, self._round_index)
+            round_index = self._round_index
+            ordered = self.scheduler.order(active, round_index)
             served = self._select(ordered)
             frames_before = [(s, s.result.num_frames) for s in served]
+            batch = self.batch
+            before = (batch.requests, batch.total_rays, batch.nerf_calls,
+                      batch.cache_hits)
             with section("engine.round"):
-                self._serve_round(served, self.batch)
-            self.batch.rounds += 1
+                self._serve_round(served, batch)
+            batch.rounds += 1
             self._round_index += 1
         completed = []
         for session, frames in frames_before:
@@ -289,51 +288,28 @@ class MultiSessionEngine:
                     self.governor.observe_record(session, record)
             if records:
                 completed.append((session, records))
+        self._record_round(round_index, len(served), before)
         return completed
 
-    def _run_rounds(self) -> EngineResult:
-        stats = BatchStats()
-        round_index = 0
-        if self.governor is not None:
-            self.governor.attach(self.sessions)
-        self._trace_setup()
+    def _record_round(self, round_index: int, sessions: int,
+                      before: tuple) -> None:
+        """Count one round's batching deltas into the registry and trace.
+
+        Only :meth:`run_round` mutates :attr:`batch`, so reading it here,
+        outside the admission lock, sees exactly this round's totals.
+        """
+        batch = self.batch
+        delta = {"requests": batch.requests - before[0],
+                 "rays": batch.total_rays - before[1],
+                 "nerf_calls": batch.nerf_calls - before[2],
+                 "cache_hits": batch.cache_hits - before[3]}
         metrics = current_metrics()
-        try:
-            while True:
-                active = [s for s in self.sessions if not s.done]
-                if not active:
-                    break
-                ordered = self.scheduler.order(active, round_index)
-                served = self._select(ordered)
-                before = (stats.requests, stats.total_rays,
-                          stats.nerf_calls, stats.cache_hits)
-                with section("engine.round"):
-                    if self.governor is None:
-                        self._serve_round(served, stats)
-                    else:
-                        frames_before = [(s, s.result.num_frames)
-                                         for s in served]
-                        self._serve_round(served, stats)
-                        for session, frames in frames_before:
-                            for record in session.result.records[frames:]:
-                                self.governor.observe_record(session, record)
-                stats.rounds += 1
-                self._trace_round(round_index, len(served), stats, before)
-                if metrics is not None:
-                    metrics.inc("engine.rounds")
-                    metrics.inc("engine.requests",
-                                stats.requests - before[0])
-                    metrics.inc("engine.rays", stats.total_rays - before[1])
-                    metrics.inc("engine.nerf_calls",
-                                stats.nerf_calls - before[2])
-                    metrics.inc("engine.cache_hits",
-                                stats.cache_hits - before[3])
-                    metrics.observe("engine.round_rays",
-                                    stats.total_rays - before[1])
-                round_index += 1
-        finally:
-            self._trace = None
-        return EngineResult(sessions=list(self.sessions), batch=stats)
+        if metrics is not None:
+            metrics.inc("engine.rounds")
+            for key, value in delta.items():
+                metrics.inc("engine." + key, value)
+            metrics.observe("engine.round_rays", delta["rays"])
+        self._trace_round(round_index, sessions, delta)
 
     # -- tracing ----------------------------------------------------------------
     #
@@ -356,22 +332,17 @@ class MultiSessionEngine:
         }
 
     def _trace_round(self, round_index: int, sessions: int,
-                     stats: BatchStats, before: tuple) -> None:
+                     delta: dict) -> None:
         trace = self._trace
         if trace is None:
             return
-        rays = stats.total_rays - before[1]
         start_us = trace.get("round_start_us", trace["cursor_us"])
         duration = max(trace["cursor_us"] - start_us,
-                       rays * WORK_US_PER_RAY, 0.01)
+                       delta["rays"] * WORK_US_PER_RAY, 0.01)
         trace["tracer"].complete(
             "engine.round", "engine", start_us, duration,
             trace["pid"], trace["rounds_tid"],
-            args={"round": round_index, "sessions": sessions,
-                  "requests": stats.requests - before[0],
-                  "rays": rays,
-                  "nerf_calls": stats.nerf_calls - before[2],
-                  "cache_hits": stats.cache_hits - before[3]})
+            args={"round": round_index, "sessions": sessions, **delta})
         trace["cursor_us"] = start_us + duration
         trace["round_start_us"] = trace["cursor_us"]
 

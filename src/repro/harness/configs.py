@@ -18,7 +18,6 @@ suite runs in minutes.  EXPERIMENTS.md records the mapping.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,8 +27,7 @@ from ..nerf.fields.tensor_factor import TensorFactorField
 from ..nerf.fields.voxel_grid import VoxelGridField
 from ..nerf.renderer import NeRFRenderer
 from ..nerf.sampling import OccupancyGrid, UniformSampler
-from ..obs.runtime import metric_observe
-from ..perf.timer import section
+from ..obs.runtime import section
 from ..scenes.library import get_scene
 from ..scenes.raytracer import RayTracer
 from ..scenes.trajectory import orbit_trajectory
@@ -179,17 +177,14 @@ def build_field(algorithm: str, scene_name: str,
                 config: ExperimentConfig = DEFAULT):
     """Baked field for (algorithm, scene), from the bounded shared cache.
 
-    A cold bake is timed: section ``field.bake`` on the active timer and
-    one ``workloads.bake_s`` observation on the active metrics registry.
+    A cold bake is timed: one ``workloads.bake_s`` observation on the
+    active metrics registry, none on a cache hit.
     """
     key = ("field", algorithm, scene_name, _field_config_key(config))
 
     def _bake():
-        start = time.perf_counter()
-        with section("field.bake"):
-            field = _bake_field(algorithm, scene_name, config)
-        metric_observe("workloads.bake_s", time.perf_counter() - start)
-        return field
+        with section("workloads.bake"):
+            return _bake_field(algorithm, scene_name, config)
 
     return FIELD_CACHE.get_or_build(key, _bake, size_of=_field_size)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..geometry.camera import PinholeCamera
-from ..perf.timer import section
+from ..obs.runtime import section
 from ..scenes.raytracer import Frame
 from .sampling import RaySamples, UniformSampler
 from .volume_render import composite
@@ -215,9 +215,10 @@ class NeRFRenderer:
                 stats.num_samples += nsamp
                 if nsamp == 0:
                     continue
-                result = composite(sigma[lo:hi], rgb_s[lo:hi], t_values[lo:hi],
-                                   deltas[lo:hi], ray_of[lo:hi] - (offset + cs),
-                                   ce - cs)
+                with section("nerf.composite"):
+                    result = composite(sigma[lo:hi], rgb_s[lo:hi],
+                                       t_values[lo:hi], deltas[lo:hi],
+                                       ray_of[lo:hi] - (offset + cs), ce - cs)
                 rgb[cs:ce] = result.rgb
                 depth[cs:ce] = result.depth
                 opacity[cs:ce] = result.opacity

@@ -1,11 +1,12 @@
-"""Unified observability: timer sections + event tracing + metrics.
+"""Unified observability: event tracing + metrics.
 
 One :func:`activate` call (taking an :class:`Observation` bundling an
-optional :class:`~repro.perf.timer.Timer`, :class:`Tracer`, and
-:class:`MetricsRegistry`) turns on every instrumented layer at once;
-with nothing active, every hook is a no-op bounded by the overhead
-tests.  See ``docs/observability.md`` for the trace schema and metric
-key reference.
+optional :class:`Tracer` and :class:`MetricsRegistry`) turns on every
+instrumented layer at once.  Stage sections (:func:`section`) record
+into the registry as ``<name>_s`` histograms; with nothing active,
+every hook is a no-op bounded by the overhead tests.  See
+``docs/observability.md`` for the trace schema and metric key
+reference.
 """
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry

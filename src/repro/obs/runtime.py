@@ -1,14 +1,13 @@
-"""Activation backbone shared by timer sections, tracing, and metrics.
+"""Activation backbone shared by stage sections, tracing, and metrics.
 
-One module-global :class:`Observation` (timer + tracer + metrics, each
+One module-global :class:`Observation` (tracer + metrics, each
 optional) is the sole coupling point between product code and
 observability.  Library layers call the guarded helpers here
 (:func:`section`, :func:`metric_inc`, :func:`metric_observe`,
 :func:`metric_set`, :func:`current_tracer`); each one is a single
 global read plus a ``None`` check when nothing is active, so the
 disabled fast path costs nothing measurable (bounded by
-``tests/obs/test_obs_runtime.py`` the same way the timer overhead test
-bounds ``perf.timer``).
+``tests/obs/test_obs_runtime.py`` and ``tests/perf/test_timer.py``).
 
 The harness activates one :class:`Observation` per run::
 
@@ -17,8 +16,8 @@ The harness activates one :class:`Observation` per run::
         execute_cell(cell)
     obs.tracer.write(path)
 
-``perf.timer.activate`` now routes through here too, so one
-activation drives section timing, tracing, and metrics together.
+Stage timing has no sink of its own: a :func:`section` observes its
+wall-clock seconds into the active registry's ``<name>_s`` histogram.
 
 This module deliberately imports nothing from ``repro`` — it sits
 below every instrumented layer.
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any
 
 __all__ = ["Observation", "activate", "deactivate", "current",
@@ -39,14 +39,12 @@ __all__ = ["Observation", "activate", "deactivate", "current",
 class Observation:
     """The bundle of sinks one ``activate()`` turns on.
 
-    Any field may be ``None``; helpers for that facet stay no-ops.
+    Either field may be ``None``; helpers for that facet stay no-ops.
     Typed ``Any`` to keep this module import-free — in practice
-    ``timer`` is a :class:`repro.perf.timer.Timer`, ``tracer`` a
-    :class:`repro.obs.tracer.Tracer`, and ``metrics`` a
+    ``tracer`` is a :class:`repro.obs.tracer.Tracer` and ``metrics`` a
     :class:`repro.obs.metrics.MetricsRegistry`.
     """
 
-    timer: Any = None
     tracer: Any = None
     metrics: Any = None
 
@@ -55,7 +53,7 @@ _ACTIVE: Observation | None = None
 
 
 class _NullSection:
-    """Do-nothing context manager returned when no timer is active."""
+    """Do-nothing context manager returned when no registry is active."""
 
     __slots__ = ()
 
@@ -67,6 +65,25 @@ class _NullSection:
 
 
 _NULL_SECTION = _NullSection()
+
+
+class _Section:
+    """Observes one ``with`` block's wall-clock seconds into a histogram."""
+
+    __slots__ = ("_metrics", "_key", "_start")
+
+    def __init__(self, metrics, key: str):
+        self._metrics = metrics
+        self._key = key
+        self._start = 0.0
+
+    def __enter__(self):
+        self._start = perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        self._metrics.observe(self._key, perf_counter() - self._start)
+        return False
 
 
 @contextmanager
@@ -112,11 +129,17 @@ def current_metrics():
 
 
 def section(name: str):
-    """Context manager timing ``name`` on the active timer (else no-op)."""
+    """Time the ``with`` block into histogram ``<name>_s`` (else no-op).
+
+    The stage annotation product code uses.  Every exit observes one
+    sample, nested blocks of the same name included; with no registry
+    active it is one global read, one comparison, and an empty ``with``
+    protocol.
+    """
     obs = _ACTIVE
-    if obs is None or obs.timer is None:
+    if obs is None or obs.metrics is None:
         return _NULL_SECTION
-    return obs.timer.section(name)
+    return _Section(obs.metrics, name + "_s")
 
 
 def metric_inc(name: str, amount: int = 1) -> None:

@@ -1,16 +1,102 @@
 """End-to-end --trace surface: artifacts a viewer/analyzer can load."""
 
 import json
+import math
 
 import pytest
 
 from repro.harness.cli import main
+from repro.workloads import reset_caches
+
+# The two observed runs of the workflow's trace-smoke job.
+SERVE_MIXED = ["serve", "--fast", "--frames", "4", "--seed", "0",
+               "--workload", "vr-lego:2", "--workload", "dolly-chair"]
+# Tight queue + 30 fps SLO force adaptive-governor retunes, and the
+# parallel backend emits pool dispatch events: every trace category.
+CLUSTER_ADAPTIVE = ["cluster", "--fast", "--workload",
+                    "vr-lego:3,dolly-chair:2", "--arrivals", "poisson",
+                    "--rate", "6", "--duration", "4", "--workers", "1",
+                    "--queue-limit", "2", "--frames", "6",
+                    "--governor", "adaptive", "--slo", "30", "--seed", "7",
+                    "--backend", "parallel", "--engine-workers", "2"]
+REQUIRED_CATEGORIES = {
+    "serve": {"engine", "frame", "cache"},
+    "cluster": {"engine", "frame", "cache", "cluster", "governor", "pool"},
+}
+STAGE_HISTOGRAMS = (
+    "nerf.sample_s", "nerf.interpolate_s", "nerf.decode_s",
+    "nerf.composite_s", "sparw.warp_s", "sparw.classify_s",
+    "sparw.assemble_s", "engine.round_s", "workloads.bake_s")
 
 
 def _strict_load(path):
     def reject(token):
         raise AssertionError(f"non-strict JSON constant {token!r}")
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+def _observed_run(tmp_path_factory, name, argv, artifact):
+    tmp_path = tmp_path_factory.mktemp(f"{name}-observed")
+    trace = tmp_path / f"{name}.trace.json"
+    assert main([*argv, "--json-out", str(tmp_path),
+                 "--trace", str(trace)]) == 0
+    return trace, tmp_path / artifact
+
+
+@pytest.fixture(scope="module")
+def serve_observed(tmp_path_factory):
+    reset_caches()  # a cold start, so the run bakes its fields
+    return _observed_run(tmp_path_factory, "serve", SERVE_MIXED,
+                         "BENCH_serve_mixed.json")
+
+
+@pytest.fixture(scope="module")
+def cluster_adaptive_observed(tmp_path_factory):
+    return _observed_run(tmp_path_factory, "cluster", CLUSTER_ADAPTIVE,
+                         "BENCH_cluster.json")
+
+
+@pytest.fixture(params=["serve", "cluster"])
+def observed(request):
+    fixture = {"serve": "serve_observed",
+               "cluster": "cluster_adaptive_observed"}[request.param]
+    return (request.param, *request.getfixturevalue(fixture))
+
+
+def test_observed_trace_covers_required_categories(observed):
+    name, trace, _ = observed
+    events = _strict_load(trace)["traceEvents"]
+    assert events
+    categories, spans = set(), set()
+    for event in events:
+        assert "ph" in event, event
+        if event["ph"] == "M":
+            continue
+        categories.add(event["cat"])
+        if event["ph"] == "X":
+            spans.add(event["name"])
+    assert REQUIRED_CATEGORIES[name] <= categories
+    assert "frame.serve" in spans
+    assert spans & {"engine.round", "serve.round"}
+
+
+def test_observed_artifact_quantiles_are_finite(observed):
+    _, _, artifact = observed
+    metrics = _strict_load(artifact)["metrics"]
+    assert metrics["counters"]
+    for name, snap in metrics["histograms"].items():
+        assert snap["count"] > 0, name
+        for key in ("p50", "p95", "p99", "p99.9"):
+            assert isinstance(snap[key], float) \
+                and math.isfinite(snap[key]), (name, key)
+
+
+def test_serve_artifact_carries_stage_histograms(serve_observed):
+    _, artifact = serve_observed
+    histograms = _strict_load(artifact)["metrics"]["histograms"]
+    counts = {name: histograms.get(name, {}).get("count", 0)
+              for name in STAGE_HISTOGRAMS}
+    assert all(counts.values()), counts
 
 
 @pytest.fixture(scope="module")

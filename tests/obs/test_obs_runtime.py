@@ -5,8 +5,6 @@ import time
 from repro.obs import (Observation, Tracer, MetricsRegistry, activate,
                        current, current_metrics, current_tracer,
                        metric_inc, metric_observe, metric_set, section)
-from repro.perf.timer import Timer
-from repro.perf.timer import activate as timer_activate
 
 
 class TestActivation:
@@ -51,7 +49,7 @@ class TestGuardedHelpers:
             pass  # nothing raised, nothing recorded anywhere
 
     def test_noops_with_partial_observation(self):
-        obs = Observation(tracer=Tracer())  # no metrics, no timer
+        obs = Observation(tracer=Tracer())  # no metrics
         with activate(obs):
             metric_inc("a")
             with section("d"):
@@ -59,7 +57,7 @@ class TestGuardedHelpers:
         assert len(obs.tracer) == 0
 
     def test_record_when_active(self):
-        obs = Observation(timer=Timer(), metrics=MetricsRegistry())
+        obs = Observation(metrics=MetricsRegistry())
         with activate(obs):
             metric_inc("hits", 3)
             metric_observe("lat", 0.25)
@@ -69,32 +67,7 @@ class TestGuardedHelpers:
         assert obs.metrics.counter("hits").value == 3
         assert obs.metrics.histogram("lat").count == 1
         assert obs.metrics.gauge("fleet").value == 2.0
-        assert obs.timer.stats()["step"].calls == 1
-
-
-class TestTimerBridge:
-    def test_timer_activate_preserves_enclosing_sinks(self):
-        """perf.timer.activate layers a timer onto the active tracer and
-        metrics instead of clobbering them."""
-        obs = Observation(tracer=Tracer(), metrics=MetricsRegistry())
-        timer = Timer()
-        with activate(obs):
-            with timer_activate(timer):
-                assert current_tracer() is obs.tracer
-                assert current_metrics() is obs.metrics
-                with section("inner"):
-                    pass
-            assert current() is obs
-        assert "inner" in timer.stats()
-
-    def test_timer_activate_standalone(self):
-        timer = Timer()
-        with timer_activate(timer):
-            assert current_tracer() is None
-            with section("solo"):
-                pass
-        assert "solo" in timer.stats()
-        assert current() is None
+        assert obs.metrics.histogram("step_s").count == 1
 
 
 def test_disabled_helpers_overhead_bound():

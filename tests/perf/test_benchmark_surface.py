@@ -80,13 +80,14 @@ def test_signatures_the_driver_calls():
 
 
 def test_perf_package_is_what_the_driver_imports():
-    # The end-to-end runs are the one benchmark: repro.perf keeps the
-    # timer, the allocator settings and the fingerprint, nothing else.
+    # The end-to-end runs are the one benchmark and stage timing is
+    # repro.obs.section: repro.perf keeps the allocator settings and the
+    # fingerprint, nothing else.
     import pkgutil
 
     import repro.perf
     modules = {info.name for info in pkgutil.iter_modules(repro.perf.__path__)}
-    assert modules == {"allocator", "envinfo", "timer"}
+    assert modules == {"allocator", "envinfo"}
     driver_modules = {module for _, module, _ in IMPORTS
                       if module.startswith("repro.perf")}
     assert driver_modules <= {f"repro.perf.{name}" for name in modules}

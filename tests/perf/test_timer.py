@@ -1,94 +1,59 @@
-"""Timer/Section instrumentation: accounting and the no-op overhead bound."""
+"""Stage sections: ``<name>_s`` histograms and the no-op overhead bound."""
 
 import time
 
-from repro.perf.timer import NULL_TIMER, Timer, activate, section
+import numpy as np
+
+from repro.nerf.renderer import NeRFRenderer
+from repro.nerf.sampling import UniformSampler
+from repro.obs import MetricsRegistry, Observation, activate, section
+
+
+def _observed():
+    return activate(Observation(metrics=MetricsRegistry()))
 
 
 def test_timer_accumulates_sections():
-    timer = Timer()
-    for _ in range(3):
-        with timer.section("work"):
-            pass
-    stats = timer.stats()["work"]
-    assert stats.calls == 3
-    assert stats.total_ns >= 0
-    assert stats.min_ns <= stats.max_ns
-    assert stats.mean_ns == stats.total_ns / 3
-
-
-def test_timer_report_sorted_by_total():
-    timer = Timer()
-    timer.record("slow", 5_000_000)
-    timer.record("fast", 1_000)
-    rows = timer.report()
-    assert [row["section"] for row in rows] == ["slow", "fast"]
-    assert rows[0]["total_ms"] == 5.0
-
-
-def test_timer_reset():
-    timer = Timer()
-    timer.record("x", 10)
-    timer.reset()
-    assert timer.stats() == {}
-    assert timer.total_ns("x") == 0
-
-
-def test_reentrant_same_name_section_counts_once():
-    """A recursive/nested section must not double-count its wall time.
-
-    Only the outermost exit of a same-named nesting accumulates; inner
-    entries ride along.  (A naive per-exit accumulation would bill the
-    inner interval twice and report calls == 2.)
-    """
-    timer = Timer()
-    with timer.section("work"):
-        with timer.section("work"):
-            time.sleep(0.002)
-    stats = timer.stats()["work"]
-    assert stats.calls == 1
-    # Total is the single outermost interval, not ~2x the sleep.
-    assert stats.total_ns == stats.max_ns
+    with _observed() as obs:
+        for _ in range(3):
+            with section("work"):
+                pass
+    stats = obs.metrics.histogram("work_s")
+    assert stats.count == 3
+    assert stats.total >= 0.0
+    assert stats.min_value <= stats.max_value
+    assert stats.mean == stats.total / 3
 
 
 def test_reentrant_section_depth_resets_between_uses():
-    timer = Timer()
-    for _ in range(2):
-        with timer.section("work"):
-            with timer.section("work"):
+    """Every exit observes one sample, nested same-name blocks included,
+    so nothing carries over between uses; distinct names account
+    independently when interleaved."""
+    with _observed() as obs:
+        for _ in range(2):
+            with section("work"):
+                with section("work"):
+                    pass
+        with section("outer"):
+            with section("inner"):
                 pass
-    assert timer.stats()["work"].calls == 2
-    # Distinct names still account independently when interleaved.
-    with timer.section("outer"):
-        with timer.section("inner"):
-            pass
-    assert timer.stats()["outer"].calls == 1
-    assert timer.stats()["inner"].calls == 1
-
-
-def test_disabled_timer_records_nothing():
-    timer = Timer(enabled=False)
-    with timer.section("ignored"):
-        pass
-    assert timer.stats() == {}
-    with NULL_TIMER.section("ignored"):
-        pass
-    assert NULL_TIMER.stats() == {}
+    assert obs.metrics.histogram("work_s").count == 4
+    assert obs.metrics.histogram("outer_s").count == 1
+    assert obs.metrics.histogram("inner_s").count == 1
 
 
 def test_module_section_routes_to_active_timer():
-    timer = Timer()
     with section("outside-noop"):
         pass
-    with activate(timer):
+    with _observed() as obs:
         with section("inside"):
             pass
-    assert "inside" in timer.stats()
-    assert "outside-noop" not in timer.stats()
+    assert set(obs.metrics.histograms) == {"inside_s"}
 
 
 def test_activation_nests_and_restores():
-    outer, inner = Timer(), Timer()
+    outer = Observation(metrics=MetricsRegistry())
+    inner = Observation(metrics=MetricsRegistry())
     with activate(outer):
         with section("a"):
             pass
@@ -97,15 +62,32 @@ def test_activation_nests_and_restores():
                 pass
         with section("c"):
             pass
-    assert set(outer.stats()) == {"a", "c"}
-    assert set(inner.stats()) == {"b"}
+    assert set(outer.metrics.histograms) == {"a_s", "c_s"}
+    assert set(inner.metrics.histograms) == {"b_s"}
+
+
+def test_render_rays_observes_each_stage_once_per_chunk(fast_renderer):
+    """The annotated render path: K chunks -> K samples per stage."""
+    lo, hi = (np.asarray(b, dtype=float) for b in fast_renderer.field.bounds)
+    start = (lo + hi) / 2 - [0.0, 0.0, 2.0 * (hi - lo)[2]]
+    rays, chunk_size, chunks = 10, 4, 3
+    origins = np.tile(start, (rays, 1))
+    directions = np.tile([0.0, 0.0, 1.0], (rays, 1))
+    renderer = NeRFRenderer(fast_renderer.field, UniformSampler(8),
+                            chunk_size=chunk_size)
+    with _observed() as obs:
+        out = renderer.render_rays(origins, directions)
+    assert out.stats.num_samples == rays * 8  # every chunk has samples
+    assert {name: h.count for name, h in obs.metrics.histograms.items()} \
+        == {f"nerf.{stage}_s": chunks
+            for stage in ("sample", "interpolate", "decode", "composite")}
 
 
 def test_noop_overhead_bound():
     """The inactive instrumentation path must stay effectively free.
 
     Product hot paths call ``section()`` unconditionally, so its
-    no-timer cost gates how liberally the codebase can be annotated.
+    no-registry cost gates how liberally the codebase can be annotated.
     The bound is generous (2 microseconds mean per call, ~20x the
     typical cost) so a loaded CI machine cannot flake it, while still
     catching an accidental always-on slow path.
