@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from ..metrics.stats import mean_or_zero as _mean
 from ..metrics.stats import percentile_or_zero as _percentile
 from ..obs.runtime import current_metrics, current_tracer
+from ..workloads.cache import SharedLRUCache
 from .admission import REJECT_QUEUE_FULL, AdmissionController
 from .arrivals import make_arrivals
 from .autoscale import Autoscaler
@@ -37,6 +38,12 @@ _P_WORKER_UP = 0
 _P_FRAME_DONE = 1
 _P_ARRIVAL = 2
 _P_WAKE = 3
+
+# Bounds of the per-run render memo (see ClusterSimulator.run).  A FAST
+# pass holds a few hundred entries of tens of kilobytes; at DEFAULT scale
+# a reference output is ~0.4 MB, so the byte bound is the one that binds.
+RENDER_MEMO_ENTRIES = 4096
+RENDER_MEMO_BYTES = 64 << 20
 
 
 @dataclass
@@ -172,6 +179,8 @@ class ClusterSimulator:
         self.governor_events: list = []
         self.use_cache = use_cache
         self.workers: list = []
+        # The render memo every worker's engine shares while run() runs.
+        self._render_memo = None
         self._worker_seq = 0
         self._worker_cache_entries = worker_cache_entries
         self._worker_cache_bytes = worker_cache_bytes
@@ -198,6 +207,7 @@ class ClusterSimulator:
                         use_cache=self.use_cache, backend=self.backend,
                         engine_workers=self.engine_workers,
                         field_store=self.field_store)
+        worker.render_memo = self._render_memo
         self._worker_seq += 1
         self.workers.append(worker)
         if self.field_store is not None:
@@ -413,11 +423,41 @@ class ClusterSimulator:
 
         The report records the constructor's ``seed`` (the one that
         offset the specs), so a run is replayable from its own report.
+
+        Every worker's engine renders through one render memo that lives
+        exactly as long as this call: sessions of one spec are
+        bit-identical by construction (every arrival gets the run's
+        seed offset), so each distinct ``(cache_key, rays)`` request is
+        evaluated once per run.  The memo changes host time only — the
+        report, the trace's modelled spans and the workers' reference
+        cache statistics are those of a run without it.
         """
         self._tracer = current_tracer()
         self._metrics = current_metrics()
         if self._metrics is not None:
             self._metrics.set("cluster.workers", len(self._live()))
+        memo = SharedLRUCache(name="render_memo",
+                              max_entries=RENDER_MEMO_ENTRIES,
+                              max_bytes=RENDER_MEMO_BYTES)
+        self._set_render_memo(memo)
+        try:
+            self._play(arrivals)
+        finally:
+            self._set_render_memo(None)
+        if self._metrics is not None:
+            report = memo.report()
+            for key in ("hits", "misses", "evictions"):
+                self._metrics.inc(f"cluster.render_memo.{key}", report[key])
+            self._metrics.set("cluster.render_memo.bytes", report["bytes"])
+        return self._report(label)
+
+    def _set_render_memo(self, memo) -> None:
+        self._render_memo = memo
+        for worker in self.workers:
+            worker.render_memo = memo
+
+    def _play(self, arrivals: list) -> None:
+        """Run the event loop over an arrival schedule until it drains."""
         for arrival in sorted(arrivals, key=lambda a: a.time_s):
             self._push(arrival.time_s, _P_ARRIVAL, "arrival", arrival)
         while self._heap:
@@ -461,7 +501,6 @@ class ClusterSimulator:
                                           {"worker": worker.worker_id})
             else:  # wake
                 self._dispatch(payload, now_s)
-        return self._report(label)
 
     # -- reporting ---------------------------------------------------------------
 

@@ -89,6 +89,10 @@ class Worker:
             name=f"{self.worker_id}/references",
             max_entries=cache_entries, max_bytes=cache_bytes)
         self.use_cache = bool(use_cache)
+        # The simulator's per-run render memo (set by ClusterSimulator.run
+        # for the run's duration): repeated requests skip the NeRF
+        # evaluation, every report number stays the same.
+        self.render_memo = None
         # Optional ShardedFieldStore (repro.distribution): admission then
         # pays tiered field-acquisition costs (local / shard transfer /
         # cold bake) before the first frame can be served.
@@ -132,7 +136,8 @@ class Worker:
         Rendering goes through this worker's engine with the worker-local
         reference cache attached, so sessions sharing the spec's
         ``cache_key`` reuse each other's reference renders — the signal
-        cache-affinity placement optimises for.  ``level`` picks the
+        cache-affinity placement optimises for — and with the run's
+        render memo, which only saves host time.  ``level`` picks the
         quality-ladder rung; ``poses`` restricts to a trajectory slice
         (mid-serve retunes re-render only the remaining frames).
         """
@@ -144,7 +149,8 @@ class Worker:
             reference_cache=(self.reference_cache if self.use_cache
                              else None),
             backend=self.backend,
-            engine_workers=self.engine_workers).run()
+            engine_workers=self.engine_workers,
+            render_memo=self.render_memo).run()
         return engine_session
 
     def admit(self, session_id: str, spec, now_s: float,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from ..backend import BACKENDS, DEFAULT_WORKERS
 from ..obs.runtime import current_metrics, current_tracer, section
 from ..obs.tracer import WORK_US_PER_RAY
-from ..workloads.cache import pose_hash
+from ..workloads.cache import pose_hash, rays_hash
 from .scheduler import RoundRobinScheduler
 from .session import RenderSession
 
@@ -141,12 +141,22 @@ class MultiSessionEngine:
     engine_workers:
         Pool size for the ``parallel`` backend (default:
         :data:`repro.backend.DEFAULT_WORKERS`); ignored otherwise.
+    render_memo:
+        Optional :class:`~repro.workloads.cache.SharedLRUCache` of
+        render outputs keyed by ``(session.cache_key, rays_hash)``.  A
+        request of a session with a ``cache_key`` and a deterministic
+        renderer whose rays were already rendered is answered from it
+        instead of evaluating the field (serially or on the pool);
+        everything else — reference-cache traffic, batching statistics,
+        trace spans, delivery order — runs exactly as without it, so
+        the memo changes host time only.  Stored outputs are read-only.
+        ``None`` (the default) renders every request.
     """
 
     def __init__(self, sessions: list, scheduler=None,
                  ray_budget: int | None = None, reference_cache=None,
                  governor=None, backend: str | None = None,
-                 engine_workers: int | None = None):
+                 engine_workers: int | None = None, render_memo=None):
         ids = [s.session_id for s in sessions]
         if len(set(ids)) != len(ids):
             raise ValueError("session ids must be unique")
@@ -164,6 +174,7 @@ class MultiSessionEngine:
         self.governor = governor
         self.backend = backend
         self.engine_workers = engine_workers
+        self.render_memo = render_memo
         self._pool = None
         # Trace lane state while a tracer is active (see _trace_setup);
         # None keeps every hook on the no-op fast path.
@@ -479,13 +490,66 @@ class MultiSessionEngine:
         return int(output.rgb.nbytes + output.depth_t.nbytes
                    + output.opacity.nbytes)
 
+    def _memo_lookup(self, members: list) -> list:
+        """``(memo key, memoized output or None)`` per group member.
+
+        Only sessions with a content-addressed ``cache_key`` and a
+        deterministic renderer are eligible; their key is the cache key
+        plus the exact bytes of the requested rays, never an object id
+        (a renderer evicted from ``FIELD_CACHE`` and rebuilt may reuse
+        the address of another).
+        """
+        memo = self.render_memo
+        lookups = []
+        for session, _ in members:
+            if (memo is None or session.cache_key is None
+                    or batch_key(session.renderer) is None):
+                lookups.append((None, None))
+                continue
+            request = session.pending_request
+            key = (session.cache_key,
+                   rays_hash(request.origins, request.directions))
+            lookups.append((key, memo.get(key)))
+        return lookups
+
+    @staticmethod
+    def _miss_bundles(members: list, lookups: list) -> list:
+        """Ray bundles of the group members the render memo did not answer."""
+        return [(s.pending_request.origins, s.pending_request.directions)
+                for (s, _), (_, hit) in zip(members, lookups) if hit is None]
+
+    def _memo_fill(self, lookups: list, rendered: list) -> list:
+        """Merge memo hits with freshly rendered misses, in member order.
+
+        Every rendered output with a memo key is frozen (read-only
+        arrays, so a consumer mutating a shared output fails loudly) and
+        stored.
+        """
+        rendered = iter(rendered)
+        outputs = []
+        for key, hit in lookups:
+            if hit is not None:
+                outputs.append(hit)
+                continue
+            output = next(rendered)
+            if key is not None:
+                for array in (output.rgb, output.depth_t, output.opacity):
+                    array.flags.writeable = False
+                self.render_memo.put(key, output,
+                                     size_bytes=self._output_size(output))
+            outputs.append(output)
+        return outputs
+
     def _serve_round(self, served: list, stats: BatchStats) -> None:
         """Batch the pending requests of ``served`` by renderer and answer.
 
         With a reference cache attached, cached reference requests are
         answered without touching the renderer, and identical reference
         requests arriving in the same round (sessions consuming the same
-        content in lockstep) coalesce into a single evaluation.
+        content in lockstep) coalesce into a single evaluation.  With a
+        render memo attached, memoized requests skip only the field
+        evaluation: the round's accounting, cache traffic, trace spans
+        and deliveries are those of a memo-less round.
         """
         groups: dict = {}
         followers: dict = {}  # cache key -> sessions awaiting the primary
@@ -508,23 +572,25 @@ class MultiSessionEngine:
                 key = ("solo", index)
             groups.setdefault(key, []).append((session, ckey))
 
-        # With the parallel backend, every deterministic group's bundles
-        # are queued to the pool up-front, in one call (so the pool forks
-        # at most once per round), and workers overlap across groups;
+        # Render-memo hits (see _memo_lookup) leave only the misses to
+        # render; with no memo every request is a miss.  With the
+        # parallel backend, every deterministic group's misses are
+        # queued to the pool up-front, in one call (so the pool forks at
+        # most once per round), and workers overlap across groups;
         # stochastic (solo) groups render on the main process to keep
         # their RNG streams untouched.  Accounting and delivery below
         # walk groups in insertion order either way, so stats, cache
         # traffic, and delivery order are identical to serial.
         group_list = list(groups.values())
+        lookups = [self._memo_lookup(members) for members in group_list]
         tickets: dict = {}
         if self._pool is not None:
             from ..backend.parallel import supports_parallel
-            pooled = {gi: (members[0][0].renderer,
-                           [(s.pending_request.origins,
-                             s.pending_request.directions)
-                            for s, _ in members])
-                      for gi, members in enumerate(group_list)
-                      if supports_parallel(members[0][0].renderer)}
+            pooled = {}
+            for gi, members in enumerate(group_list):
+                bundles = self._miss_bundles(members, lookups[gi])
+                if bundles and supports_parallel(members[0][0].renderer):
+                    pooled[gi] = (members[0][0].renderer, bundles)
             tickets = dict(zip(pooled, self._pool.submit(
                 list(pooled.values()))))
             for gi, (_, bundles) in pooled.items():
@@ -535,13 +601,15 @@ class MultiSessionEngine:
             requests = [s.pending_request for s, _ in members]
             if gi in tickets:
                 from ..nerf.renderer import RenderOutput
-                outputs = [RenderOutput(rgb=rgb, depth_t=depth_t,
-                                        opacity=opacity, stats=out_stats)
-                           for rgb, depth_t, opacity, out_stats
-                           in self._pool.collect(tickets[gi])]
+                rendered = [RenderOutput(rgb=rgb, depth_t=depth_t,
+                                         opacity=opacity, stats=out_stats)
+                            for rgb, depth_t, opacity, out_stats
+                            in self._pool.collect(tickets[gi])]
             else:
-                bundles = [(r.origins, r.directions) for r in requests]
-                outputs = renderer.render_ray_batch(bundles)
+                bundles = self._miss_bundles(members, lookups[gi])
+                rendered = (renderer.render_ray_batch(bundles) if bundles
+                            else [])
+            outputs = self._memo_fill(lookups[gi], rendered)
             stats.nerf_calls += 1
             stats.requests += len(requests)
             batch_rays = sum(r.num_rays for r in requests)

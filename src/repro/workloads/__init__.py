@@ -19,6 +19,7 @@ from .cache import (
     SharedLRUCache,
     cache_report,
     pose_hash,
+    rays_hash,
     reset_caches,
 )
 from .registry import (
@@ -39,6 +40,7 @@ __all__ = [
     "SharedLRUCache",
     "cache_report",
     "pose_hash",
+    "rays_hash",
     "reset_caches",
     "WORKLOADS",
     "apply_slo",

@@ -14,6 +14,9 @@ that sharing:
   :class:`~repro.nerf.renderer.RenderOutput` results, keyed by
   (workload-spec hash, pose hash, ray count).  The multi-session engine
   consults it so identical sessions render each reference once.
+* :func:`rays_hash` — the exact-bytes identity of a ray bundle, the
+  second half of the cluster simulator's per-run render-memo keys
+  (``(cache_key, rays_hash)``, see :mod:`repro.cluster.simulator`).
 
 Entries are treated as immutable by every consumer; because rendering is
 deterministic, serving a cached entry is bit-identical to recomputing it
@@ -32,7 +35,7 @@ import numpy as np
 from ..obs.runtime import metric_inc
 
 __all__ = [
-    "CacheStats", "SharedLRUCache", "pose_hash",
+    "CacheStats", "SharedLRUCache", "pose_hash", "rays_hash",
     "FIELD_CACHE", "REFERENCE_CACHE", "cache_report", "reset_caches",
 ]
 
@@ -251,6 +254,16 @@ def pose_hash(pose: np.ndarray) -> str:
     """Content hash of a camera pose (exact bytes, no tolerance)."""
     data = np.ascontiguousarray(np.asarray(pose, dtype=np.float64))
     return hashlib.sha1(data.tobytes()).hexdigest()
+
+
+def rays_hash(origins: np.ndarray, directions: np.ndarray) -> str:
+    """Content hash of a ray bundle (shapes and exact bytes, no tolerance)."""
+    digest = hashlib.sha1()
+    for rays in (origins, directions):
+        data = np.ascontiguousarray(np.asarray(rays, dtype=np.float64))
+        digest.update(repr(data.shape).encode())
+        digest.update(data.tobytes())
+    return digest.hexdigest()
 
 
 # Process-wide shared caches.  Field entries are few but heavy (baked

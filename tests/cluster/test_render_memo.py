@@ -1,0 +1,264 @@
+"""The cluster simulator's per-run render memo: parity, dedupe, safety.
+
+``ClusterSimulator.run`` shares one bounded render memo across every
+worker's engine for the duration of the run.  Memoized requests skip
+only the field evaluation, so every report number must equal a run whose
+memo lookups all miss (the ``forced_memo_miss`` fixture monkeypatches the
+memo's class; there is no flag), each distinct ``(cache_key, rays)`` request renders once
+per run, and nothing outlives the run.
+"""
+
+import collections
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.backend.parallel import WorkerPool
+from repro.cluster import ClusterSimulator, simulate_cluster
+from repro.cluster.arrivals import make_arrivals
+from repro.control.tiers import build_level_session
+from repro.core.sparw.pipeline import RayRequest
+from repro.engine import MultiSessionEngine, RenderSession
+from repro.harness.configs import FAST
+from repro.nerf.renderer import NeRFRenderer
+from repro.workloads import SharedLRUCache, get_workload, rays_hash
+
+MIX = "vr-lego:2,dolly-chair"
+BASE = dict(arrivals="poisson", rate_hz=4.0, duration_s=2.0, seed=5,
+            workers=2, queue_limit=4, frames=4)
+CELLS = {
+    "base": BASE,
+    "sharded": dict(BASE, placement="shard_affinity", catalog=6, zipf=1.1,
+                    replication=2),
+    # A tight queue makes the adaptive governor degrade, shed and
+    # recover residents.
+    "governed": dict(BASE, rate_hz=8.0, seed=7, queue_limit=2, frames=8,
+                     governor="adaptive"),
+    "parallel": dict(BASE, arrivals="deterministic", rate_hz=3.0,
+                     seed=1, workers=1, frames=3, backend="parallel",
+                     engine_workers=2),
+}
+
+
+def _report_view(report):
+    return {"summary": report.summary(), "per_worker": report.per_worker,
+            "governor_events": report.governor_events,
+            "distribution": report.distribution}
+
+
+@pytest.fixture(scope="module")
+def memo_reports():
+    return {name: simulate_cluster(MIX, FAST, **cell)
+            for name, cell in CELLS.items()}
+
+
+class TestParity:
+    @pytest.mark.parametrize("name", list(CELLS))
+    def test_report_equals_forced_miss_run(self, name, memo_reports,
+                                           forced_memo_miss):
+        memo = memo_reports[name]
+        missed = simulate_cluster(MIX, FAST, **CELLS[name])
+        assert _report_view(memo) == _report_view(missed)
+        assert dataclasses.asdict(memo) == dataclasses.asdict(missed)
+
+    def test_governed_cell_retunes(self, memo_reports):
+        governed = memo_reports["governed"]
+        assert governed.tier_transitions > 0
+        assert any(e["action"] in ("degrade", "recover", "shed_degrade")
+                   for e in governed.governor_events)
+
+    def test_sharded_cell_reports_distribution(self, memo_reports):
+        assert memo_reports["sharded"].distribution["catalog"] == 6
+
+
+class _RenderSpy:
+    """Records what the run delivers and what it actually evaluates."""
+
+    def __init__(self, monkeypatch):
+        self.delivered: set = set()
+        self.rendered: list = []
+        spy = self
+        deliver = RenderSession.deliver
+        render_ray_batch = NeRFRenderer.render_ray_batch
+        submit = WorkerPool.submit
+
+        def spy_deliver(session, output):
+            request = session.pending_request
+            spy.delivered.add((session.cache_key,
+                               rays_hash(request.origins,
+                                         request.directions)))
+            return deliver(session, output)
+
+        def spy_render(renderer, bundles):
+            spy.rendered.extend(rays_hash(o, d) for o, d in bundles)
+            return render_ray_batch(renderer, bundles)
+
+        def spy_submit(pool, groups):
+            spy.rendered.extend(rays_hash(o, d) for _, bundles in groups
+                                for o, d in bundles)
+            return submit(pool, groups)
+
+        monkeypatch.setattr(RenderSession, "deliver", spy_deliver)
+        monkeypatch.setattr(NeRFRenderer, "render_ray_batch", spy_render)
+        monkeypatch.setattr(WorkerPool, "submit", spy_submit)
+
+    def reset(self):
+        self.delivered.clear()
+        self.rendered.clear()
+
+    def assert_each_distinct_request_rendered_once(self):
+        assert self.rendered
+        distinct = collections.Counter(h for _, h in self.delivered)
+        assert collections.Counter(self.rendered) == distinct
+
+
+class TestDedupe:
+    @pytest.mark.parametrize("name", ["base", "governed", "parallel"])
+    def test_each_distinct_request_renders_once(self, name, monkeypatch):
+        spy = _RenderSpy(monkeypatch)
+        report = simulate_cluster(MIX, FAST, **CELLS[name])
+        spy.assert_each_distinct_request_rendered_once()
+        # Repeats exist, so the memo actually saved evaluations.
+        assert report.admitted > len({key for key, _ in spy.delivered})
+
+    def test_nothing_outlives_a_run(self, monkeypatch):
+        spy = _RenderSpy(monkeypatch)
+        simulate_cluster(MIX, FAST, **BASE)
+        first = list(spy.rendered)
+        spy.reset()
+        simulate_cluster(MIX, FAST, **BASE)
+        assert sorted(spy.rendered) == sorted(first)
+        spy.assert_each_distinct_request_rendered_once()
+
+    def test_workers_drop_the_memo_after_the_run(self):
+        simulator = ClusterSimulator(FAST, workers=2, frames=2, seed=5)
+        simulator.run(make_arrivals("poisson", MIX, rate_hz=2.0,
+                                    duration_s=1.0, seed=5))
+        assert simulator._render_memo is None
+        assert all(w.render_memo is None for w in simulator.workers)
+
+
+# -- safety: what the memo must never answer ---------------------------------
+
+
+class _Sampler:
+    jitter = False
+    num_samples = 8
+
+
+class _Renderer:
+    """Echoes a fresh, writeable output per bundle and counts bundles."""
+
+    def __init__(self):
+        self.sampler = _Sampler()
+        self.field = "field"
+        self.chunk_size = 1024
+        self.bundles = 0
+
+    def render_ray_batch(self, bundles):
+        self.bundles += len(bundles)
+        return [np.zeros(o.shape[0]) for o, _ in bundles]
+
+
+class _Pipeline:
+    def __init__(self, renderer, frames):
+        self.renderer = renderer
+        self.frames = frames
+
+    def step(self, poses):
+        for i in range(self.frames):
+            rays = np.zeros((4, 3))
+            yield RayRequest(kind="sparse", frame_index=i, origins=rays,
+                             directions=rays)
+
+
+def _scripted(sid, renderer, cache_key):
+    return RenderSession(sid, _Pipeline(renderer, 2), poses=[None, None],
+                         cache_key=cache_key)
+
+
+class TestSafety:
+    def test_sessions_without_cache_key_are_never_memoized(self):
+        memo = SharedLRUCache(name="memo")
+        renderer = _Renderer()
+        MultiSessionEngine([_scripted("a", renderer, None),
+                            _scripted("b", renderer, None)],
+                           render_memo=memo).run()
+        assert memo.stats.lookups == 0 and len(memo) == 0
+        assert renderer.bundles == 4
+
+    def test_jittered_sampler_is_never_memoized(self):
+        memo = SharedLRUCache(name="memo")
+        renderer = _Renderer()
+        renderer.sampler.jitter = True
+        MultiSessionEngine([_scripted("a", renderer, "spec/cfg"),
+                            _scripted("b", renderer, "spec/cfg")],
+                           render_memo=memo).run()
+        assert memo.stats.lookups == 0 and len(memo) == 0
+        assert renderer.bundles == 4
+
+    @staticmethod
+    def _frames(sessions):
+        return [[(r.frame.image, r.frame.depth) for r in s.result.records]
+                for s in sessions]
+
+    def test_shared_renderer_different_trajectories_do_not_share(self):
+        spec = get_workload("vr-lego").with_overrides(frames=6)
+        poses = spec.build_trajectory(FAST).poses
+
+        def sessions():
+            return [build_level_session(spec, "head", FAST, 0,
+                                        poses=poses[:3]),
+                    build_level_session(spec, "tail", FAST, 0,
+                                        poses=poses[3:])]
+
+        memoized = sessions()
+        assert memoized[0].renderer is memoized[1].renderer
+        assert memoized[0].cache_key == memoized[1].cache_key
+        memo = SharedLRUCache(name="memo")
+        # One engine per session, as on a cluster worker, so the second
+        # session's lookups see everything the first one stored.
+        for session in memoized:
+            MultiSessionEngine([session], render_memo=memo).run()
+        plain = sessions()
+        MultiSessionEngine(plain).run()
+        assert memo.stats.hits == 0 and memo.stats.misses > 0
+        for got, want in zip(self._frames(memoized), self._frames(plain)):
+            assert len(got) == len(want) == 3
+            for (image, depth), (image0, depth0) in zip(got, want):
+                np.testing.assert_array_equal(image, image0)
+                np.testing.assert_array_equal(depth, depth0)
+
+    def test_repeat_session_is_answered_and_outputs_are_read_only(
+            self, monkeypatch):
+        spec = get_workload("vr-lego").with_overrides(frames=3)
+        memo = SharedLRUCache(name="memo")
+        first = spec.build_session("first", FAST)
+        MultiSessionEngine([first], render_memo=memo).run()
+        stored = memo.stats.insertions
+        assert stored > 0 and memo.stats.hits == 0
+
+        delivered = []
+        deliver = RenderSession.deliver
+
+        def spy(session, output):
+            delivered.append(output)
+            return deliver(session, output)
+
+        monkeypatch.setattr(RenderSession, "deliver", spy)
+        repeat = spec.build_session("repeat", FAST)
+        MultiSessionEngine([repeat], render_memo=memo).run()
+        assert memo.stats.hits == stored
+        assert memo.stats.insertions == stored
+        got, want = self._frames([repeat])[0], self._frames([first])[0]
+        assert len(got) == len(want) == 3
+        for (image, depth), (image0, depth0) in zip(got, want):
+            np.testing.assert_array_equal(image, image0)
+            np.testing.assert_array_equal(depth, depth0)
+        assert len(delivered) == stored
+        for output in delivered:
+            for array in (output.rgb, output.depth_t, output.opacity):
+                assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                output.rgb[0] = 0.0

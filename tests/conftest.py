@@ -219,3 +219,22 @@ def fast_renderer():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def forced_memo_miss(monkeypatch):
+    """Make every cluster run's render-memo lookup miss (stores still happen).
+
+    The simulator builds its per-run memo from the ``SharedLRUCache`` name
+    in its own module, so swapping that name forces the unmemoized path
+    without a flag — the reference every memo parity test compares to.
+    """
+    from repro.cluster import simulator
+    from repro.workloads import SharedLRUCache
+
+    class MissingMemo(SharedLRUCache):
+        def get(self, key, default=None):
+            self.stats.misses += 1
+            return default
+
+    monkeypatch.setattr(simulator, "SharedLRUCache", MissingMemo)

@@ -94,3 +94,57 @@ def test_metrics_snapshot_in_artifact_is_finite(tmp_path):
         for key in ("p50", "p95", "p99", "p99.9"):
             assert isinstance(snap[key], float) \
                 and math.isfinite(snap[key]), (name, key, snap[key])
+
+
+def _observed_cluster_cli(tmp_path, name):
+    """One observed ``cli cluster`` run: (metrics block, trace census)."""
+    import collections
+    import json
+    from repro.harness.cli import main
+    out = tmp_path / name
+    trace = out / "cluster.trace.json"
+    reset_caches()
+    assert main(["cluster", "--fast", "--workload", "vr-lego:3,dolly-chair",
+                 "--arrivals", "poisson", "--rate", "6", "--duration", "2",
+                 "--workers", "1", "--queue-limit", "2", "--frames", "4",
+                 "--governor", "adaptive", "--slo", "30", "--seed", "7",
+                 "--backend", "parallel", "--engine-workers", "2",
+                 "--json-out", str(out), "--trace", str(trace)]) == 0
+    metrics = json.loads((out / "BENCH_cluster.json").read_text())["metrics"]
+    events = json.loads(trace.read_text())["traceEvents"]
+    census = collections.Counter(
+        (e["cat"], e["name"]) for e in events
+        if e["ph"] != "M" and e["name"] != "pool.dispatch")
+    return metrics, census
+
+
+def test_render_memo_leaves_engine_counters_and_trace_alone(
+        tmp_path, request):
+    """The memo saves host time only: counters and trace are unchanged.
+
+    Only ``pool.dispatch`` instants (fully memoized groups are not
+    dispatched) and wall-clock ``*_s`` sections may differ.
+    """
+    memo_metrics, memo_census = _observed_cluster_cli(tmp_path, "memo")
+    request.getfixturevalue("forced_memo_miss")
+    miss_metrics, miss_census = _observed_cluster_cli(tmp_path, "miss")
+
+    def engine_view(metrics):
+        counters = {k: v for k, v in metrics["counters"].items()
+                    if k.startswith("engine.")}
+        histograms = {k: v for k, v in metrics["histograms"].items()
+                      if k.startswith("engine.") and not k.endswith("_s")}
+        return counters, histograms
+
+    assert engine_view(memo_metrics) == engine_view(miss_metrics)
+    assert memo_metrics["counters"]["engine.nerf_calls"] > 0
+    assert memo_census == miss_census
+    memo_counters = memo_metrics["counters"]
+    miss_counters = miss_metrics["counters"]
+    assert memo_counters["cluster.render_memo.hits"] > 0
+    assert miss_counters["cluster.render_memo.hits"] == 0
+    assert (memo_counters["cluster.render_memo.hits"]
+            + memo_counters["cluster.render_memo.misses"]
+            == miss_counters["cluster.render_memo.misses"])
+    assert memo_metrics["gauges"]["cluster.render_memo.bytes"] > 0
+    assert "cluster.render_memo.evictions" in memo_counters

@@ -3,7 +3,9 @@
 Every ``benchmarks/history/*.json`` must parse with a strict parser (no
 ``NaN`` / ``Infinity``), carry the summary keys, and cover every workload
 x end-to-end metric ``BENCHMARK.json`` declares; ``tools/bench_history.py``
-must produce exactly that shape from e2e run files.
+must produce exactly that shape from e2e run files, and its
+``--trajectory`` chain must equal the product of the checked-in pairs'
+change / parent median ratios.
 """
 
 import importlib.util
@@ -93,12 +95,16 @@ def _run_file(workload, seed, index, fps):
     }
 
 
-def test_bench_history_projects_runs_into_a_summary(tmp_path):
+@pytest.fixture(scope="module")
+def tool():
     spec = importlib.util.spec_from_file_location(
         "bench_history", REPO_ROOT / "tools" / "bench_history.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
+
+def test_bench_history_projects_runs_into_a_summary(tmp_path, tool):
     runs = tmp_path / "runs"
     runs.mkdir()
     for seed, scale in ((1, 1.0), (2, 1.1), (3, 1.2)):
@@ -124,3 +130,60 @@ def test_bench_history_projects_runs_into_a_summary(tmp_path):
     # Paired by seed, every ratio is 4: the scale cancels.
     assert summary["ratios"][RATIO_KEY] == {"median": 4.0, "q1": 4.0,
                                             "q3": 4.0, "n": 3}
+
+
+def test_trajectory_chains_the_checked_in_pairs(tool):
+    pairs = {}
+    for path in HISTORY_FILES:
+        label = path.stem.removesuffix("-parent")
+        if label.startswith("pr"):
+            side = "parent" if path.stem.endswith("-parent") else "change"
+            pairs.setdefault(int(label[2:]), {})[side] = strict_load(path)
+    pairs = {n: sides for n, sides in sorted(pairs.items())
+             if len(sides) == 2}
+    assert list(pairs)[0] == 16 and 30 in pairs
+
+    expected = {}
+    for sides in pairs.values():
+        for workload in WORKLOADS:
+            for metric in METRICS:
+                ratio = (sides["change"]["workloads"][workload][metric]
+                         ["median"]
+                         / sides["parent"]["workloads"][workload][metric]
+                         ["median"])
+                expected[(workload, metric)] = (
+                    expected.get((workload, metric), 1.0) * ratio)
+
+    chains = tool.trajectory(tool.history_pairs(HISTORY_DIR))
+    assert set(chains) == set(expected)
+    for key, chain in chains.items():
+        assert list(chain["ratios"]) == [f"pr{n}" for n in pairs]
+        assert chain["chained"] == pytest.approx(expected[key], rel=1e-12)
+
+
+def test_trajectory_cancels_a_host_phase(tmp_path, tool):
+    """Two pairs measured in different host phases chain to their product."""
+    def summary(fps):
+        return {"workloads": {"cluster_sim": {"frames_per_s": {
+            "median": fps}}}}
+
+    # Pair 1 in a fast phase (+10 %), pair 2 in a slow phase (-40 %).
+    files = {"pr1-parent": 110.0, "pr1": 220.0,
+             "pr2-parent": 60.0, "pr2": 90.0,
+             "pr3-parent": 50.0,  # no change file: not a pair
+             "backfill-pr0": 1.0}
+    for name, fps in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(summary(fps)))
+    pairs = tool.history_pairs(tmp_path)
+    assert [label for label, _, _ in pairs] == ["pr1", "pr2"]
+    chain = tool.trajectory(pairs)[("cluster_sim", "frames_per_s")]
+    assert chain["ratios"] == {"pr1": 2.0, "pr2": 1.5}
+    assert chain["chained"] == pytest.approx(3.0)
+
+
+def test_trajectory_command_prints_every_workload_metric(tool, capsys):
+    assert tool.main(["--trajectory"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("x since pr16-parent")
+    rows = {tuple(line.split()[:2]) for line in lines[2:]}
+    assert rows == {(w, m) for w in WORKLOADS for m in METRICS}

@@ -13,6 +13,15 @@ It also carries ``solo_sparw / solo_dense`` ``frames_per_s`` (the paper's
 software-only speedup on this host): one ratio per pair of runs sharing a
 seed, then median and quartiles of those ratios.  Statistics are the e2e
 benchmark's own (``statistics.quantiles(n=4)``), imported from it.
+
+``--trajectory`` reads the checked-in pairs instead (``prN-parent.json``
+measured interleaved with ``prN.json``) and chains them: per workload x
+end-to-end metric, the product of every pair's change / parent median
+ratio, oldest pair first.  Absolute medians move 20-55 % between host
+phases on identical code; within a pair both sides share the phase, so
+the chained figure ("x since the first pair's parent") does not::
+
+    python tools/bench_history.py --trajectory
 """
 
 from __future__ import annotations
@@ -92,14 +101,76 @@ def summarise(runs: list, label: str) -> dict:
     }
 
 
+def strict_load(path: Path) -> dict:
+    """A history file, refusing ``NaN`` / ``Infinity``."""
+    def reject(token):
+        raise ValueError(f"{path.name}: non-finite JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def history_pairs(history_dir: Path = HISTORY_DIR) -> list:
+    """``(label, parent, change)`` of every checked-in pair, oldest first."""
+    pairs = []
+    for parent_path in history_dir.glob("pr*-parent.json"):
+        label = parent_path.name[:-len("-parent.json")]
+        change_path = history_dir / f"{label}.json"
+        if change_path.exists():
+            pairs.append((int(label[2:]), label, strict_load(parent_path),
+                          strict_load(change_path)))
+    return [(label, parent, change)
+            for _, label, parent, change in sorted(pairs)]
+
+
+def trajectory(pairs: list) -> dict:
+    """Per ``(workload, metric)``: each pair's change / parent median ratio
+    (``{label: ratio}``, in pair order) and their product."""
+    chains: dict = {}
+    for label, parent, change in pairs:
+        for workload, metrics in change["workloads"].items():
+            for metric, cell in metrics.items():
+                base = parent["workloads"].get(workload, {}).get(metric)
+                if base is None:  # a workload the parent did not run yet
+                    continue
+                chain = chains.setdefault((workload, metric),
+                                          {"ratios": {}, "chained": 1.0})
+                ratio = cell["median"] / base["median"]
+                chain["ratios"][label] = ratio
+                chain["chained"] *= ratio
+    return chains
+
+
+def print_trajectory(pairs: list) -> None:
+    """The chained table: one row per workload x metric."""
+    labels = [label for label, _, _ in pairs]
+    print(f"x since {labels[0]}-parent, chained over "
+          f"{len(labels)} pairs: {' '.join(labels)}")
+    print(f"{'workload':12s} {'metric':14s} {'chained':>8s}  per pair")
+    for (workload, metric), chain in sorted(trajectory(pairs).items()):
+        links = " ".join(f"{chain['ratios'].get(label, float('nan')):.2f}"
+                         for label in labels)
+        print(f"{workload:12s} {metric:14s} {chain['chained']:7.3f}x  "
+              f"{links}")
+
+
 def main(argv=None) -> int:
     """Entry point."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("runs", help="directory of run.py output files")
-    parser.add_argument("--label", required=True,
-                        help="names the summary (and its file)")
+    parser.add_argument("runs", nargs="?",
+                        help="directory of run.py output files")
+    parser.add_argument("--label", help="names the summary (and its file)")
     parser.add_argument("--out", help="default benchmarks/history/LABEL.json")
+    parser.add_argument("--trajectory", action="store_true",
+                        help="chain the checked-in pairs instead")
     args = parser.parse_args(argv)
+    if args.trajectory:
+        pairs = history_pairs()
+        if not pairs:
+            parser.error(f"no prN-parent.json / prN.json pair in "
+                         f"{HISTORY_DIR}")
+        print_trajectory(pairs)
+        return 0
+    if args.runs is None or args.label is None:
+        parser.error("RUNS and --label are required without --trajectory")
     runs = load_runs(args.runs)
     if not runs:
         parser.error(f"no untraced e2e run files under {args.runs}")
