@@ -4,7 +4,7 @@ The simulator owns a shared virtual clock and a single event heap:
 arrivals enter from an arrival schedule, admission bounds per-worker
 queue depth, a placement policy picks the worker, and each worker serves
 its sessions' frame streams one priced frame at a time (costs from
-:func:`~repro.hw.serving.price_session_frames` on the worker's SoC).  An
+:func:`~repro.hw.serving.session_frame_costs` on the worker's SoC).  An
 optional autoscaler grows/shrinks the fleet between events.
 
 Everything is deterministic: the only randomness lives in the seeded

@@ -5,7 +5,7 @@ renders its sequence through the worker's own
 :class:`~repro.engine.MultiSessionEngine` — against the worker-local
 reference cache, so co-located sessions of the same workload share
 reference renders — and prices every frame on the worker's SoC with
-:func:`~repro.hw.serving.price_session_frames`.  The priced frames then
+:func:`~repro.hw.serving.session_frame_costs`.  The priced frames then
 flow through the virtual-time frame queue: each session requests frame
 ``k`` at ``arrival + k / fps_target`` (the open-loop stream a real viewer
 generates), frames are served one at a time in order per session, and the

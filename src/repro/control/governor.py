@@ -234,11 +234,6 @@ class QualityGovernor:
 
     # -- reporting ---------------------------------------------------------------
 
-    @property
-    def total_transitions(self) -> int:
-        """Tier moves taken across every governed session."""
-        return sum(c.transitions for c in self.sessions.values())
-
     def level_of(self, session_id: str) -> int:
         """Current quality level of a session (0 if unregistered)."""
         control = self.sessions.get(session_id)

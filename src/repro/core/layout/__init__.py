@@ -1,12 +1,8 @@
 """Bank conflict-free SRAM interleaving (the paper's Sec. IV-B)."""
 
-from .interleave import GatherPlanCost, plan_gather_cycles, verify_conflict_free
 from .sram_layout import ChannelMajorLayout, FeatureMajorLayout
 
 __all__ = [
-    "GatherPlanCost",
-    "plan_gather_cycles",
-    "verify_conflict_free",
     "ChannelMajorLayout",
     "FeatureMajorLayout",
 ]

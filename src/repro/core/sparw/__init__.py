@@ -1,6 +1,5 @@
 """SPARW: sparse radiance warping (the paper's Sec. III)."""
 
-from .blending import SeamBlendResult, blend_seams, seam_band
 from .disocclusion import PixelClassification, classify_pixels, overlap_fraction
 from .pipeline import (
     RayRequest,
@@ -12,9 +11,6 @@ from .reference import ExtrapolatedReferencePolicy, OnTrajectoryReferencePolicy
 from .warp import VOID_FAR_DEPTH, WarpResult, warp_frame
 
 __all__ = [
-    "SeamBlendResult",
-    "blend_seams",
-    "seam_band",
     "PixelClassification",
     "classify_pixels",
     "overlap_fraction",

@@ -169,10 +169,6 @@ class SparwRenderer:
 
     # -- reference path ----------------------------------------------------------
 
-    def render_reference(self, pose: np.ndarray) -> tuple[Frame, RenderStats]:
-        """Full-frame NeRF render at ``pose`` (the green path in Fig. 10)."""
-        return self._drive(self._reference_path(pose, frame_index=0))
-
     def _reference_path(self, pose: np.ndarray, frame_index: int):
         """Generator: yield the full-frame request, return (frame, stats)."""
         camera = self.camera.with_pose(pose)

@@ -1,15 +1,9 @@
-"""Hierarchical-encoding support: per-level streaming with reversion.
+"""Memory-centric execution order for one streamable gather group.
 
-Sec. IV-A of the paper: hierarchical data structures (multi-resolution hash
-grids, factorized tensors) are streamed level-by-level for a ray group.
-Levels whose data cannot be spatially tiled — hashed levels, where vertices
-of one spatial region scatter across the table — *revert* to the original
-pixel-centric dataflow.  In Instant-NGP this happens from roughly the middle
-of the pyramid onward, leaving about half of the traffic non-streaming.
-
-The gather groups already carry a ``streamable`` flag set by each field; this
-module provides the policy helpers and the execution-order utility used to
-prove functional equivalence of the reordering.
+Sec. IV-A of the paper: a ray group's samples are processed MVoxel by
+MVoxel, so each MVoxel's features are fetched into the on-chip buffer once.
+:func:`streaming_execution_order` returns that permutation; tests use it to
+show the reordering never changes what a field computes.
 """
 
 from __future__ import annotations
@@ -19,27 +13,7 @@ import numpy as np
 from .mvoxel import MVoxelLayout
 from .rit import RayIndexTable
 
-__all__ = ["split_by_reversion", "streaming_execution_order",
-           "reverted_traffic_fraction"]
-
-
-def split_by_reversion(groups: list) -> tuple[list, list]:
-    """Partition gather groups into (streamable, reverted) lists."""
-    streamable = [g for g in groups if g.streamable]
-    reverted = [g for g in groups if not g.streamable]
-    return streamable, reverted
-
-
-def reverted_traffic_fraction(groups: list) -> float:
-    """Fraction of gather traffic that stays pixel-centric (by bytes)."""
-    total = 0
-    reverted = 0
-    for g in groups:
-        traffic = g.num_samples * g.vertices_per_sample * g.entry_bytes
-        total += traffic
-        if not g.streamable:
-            reverted += traffic
-    return 0.0 if total == 0 else reverted / total
+__all__ = ["streaming_execution_order"]
 
 
 def streaming_execution_order(group, buffer_bytes: int = 32 * 1024

@@ -116,7 +116,3 @@ class MVoxelLayout:
             block = block * self.blocks_per_axis[axis] + coords[axis] // self.side
         out[valid] = block
         return out
-
-    def mvoxel_base_address(self, mvoxel_ids: np.ndarray) -> np.ndarray:
-        """DRAM byte offset of each MVoxel in the streaming layout."""
-        return np.asarray(mvoxel_ids, dtype=np.int64) * self.mvoxel_bytes

@@ -96,16 +96,6 @@ class StreamingReport:
         return self.fs_streaming_bytes + self.fs_random_bytes
 
     @property
-    def baseline_nonstreaming_fraction(self) -> float:
-        """Access-weighted non-streaming fraction of the baseline (Fig. 4)."""
-        accesses = sum(g.vertex_accesses for g in self.groups)
-        if accesses == 0:
-            return 0.0
-        weighted = sum(g.baseline_streaming_fraction * g.vertex_accesses
-                       for g in self.groups)
-        return 1.0 - weighted / accesses
-
-    @property
     def fs_streaming_fraction(self) -> float:
         total = self.fs_bytes
         return 1.0 if total == 0 else self.fs_streaming_bytes / total

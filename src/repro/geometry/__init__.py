@@ -1,13 +1,10 @@
 """Geometry substrate: cameras, poses, rays, point clouds, projection."""
 
 from .camera import Intrinsics, PinholeCamera
-from .pointcloud import FramePointCloud, depth_to_points, frame_to_pointcloud, transform_points
-from .projection import SplatResult, splat_points
+from .pointcloud import depth_to_points, transform_points
 from .rays import RayBundle, intersect_aabb
 from .transforms import (
-    compose,
     extrapolate_pose,
-    interpolate_pose,
     invert_pose,
     is_rotation_matrix,
     look_at,
@@ -26,17 +23,11 @@ from .transforms import (
 __all__ = [
     "Intrinsics",
     "PinholeCamera",
-    "FramePointCloud",
     "depth_to_points",
-    "frame_to_pointcloud",
     "transform_points",
-    "SplatResult",
-    "splat_points",
     "RayBundle",
     "intersect_aabb",
-    "compose",
     "extrapolate_pose",
-    "interpolate_pose",
     "invert_pose",
     "is_rotation_matrix",
     "look_at",

@@ -145,12 +145,6 @@ class PinholeCamera:
 
     # -- rays --------------------------------------------------------------
 
-    def pixel_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pixel-centre coordinates ``(u, v)`` as (H, W) arrays."""
-        us = np.arange(self.width, dtype=float) + 0.5
-        vs = np.arange(self.height, dtype=float) + 0.5
-        return np.meshgrid(us, vs)
-
     def _world_rays(self, dirs_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rotate camera-space directions into world space and normalise."""
         dirs_world = _unit(dirs_cam @ self.c2w[:3, :3].T)
@@ -208,12 +202,3 @@ class PinholeCamera:
         u = intr.fx * cam[..., 0] / safe + intr.cx
         v = intr.fy * cam[..., 1] / safe + intr.cy
         return np.stack([u, v], axis=-1), depth
-
-    def visible_mask(self, uv: np.ndarray, depth: np.ndarray) -> np.ndarray:
-        """Boolean mask of projections inside the image with positive depth."""
-        u, v = uv[..., 0], uv[..., 1]
-        return (
-            (depth > 0.0)
-            & (u >= 0.0) & (u < self.width)
-            & (v >= 0.0) & (v < self.height)
-        )

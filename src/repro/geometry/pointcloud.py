@@ -7,37 +7,9 @@ per-pixel depth and the camera intrinsics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["FramePointCloud", "depth_to_points", "transform_points",
-           "clear_lift_cache"]
-
-
-@dataclass
-class FramePointCloud:
-    """Per-pixel 3D points with attached colors and validity mask.
-
-    ``points`` are in *camera* coordinates of the frame that produced them
-    unless transformed; ``valid`` marks pixels with finite depth (void/sky
-    pixels have infinite depth and carry no point).
-    """
-
-    points: np.ndarray  # (N, 3)
-    colors: np.ndarray  # (N, 3)
-    valid: np.ndarray  # (N,) bool
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def transformed(self, transform: np.ndarray) -> "FramePointCloud":
-        """Apply a 4x4 rigid transform to the points (Eq. 2)."""
-        return FramePointCloud(
-            points=transform_points(self.points, transform),
-            colors=self.colors,
-            valid=self.valid,
-        )
+__all__ = ["depth_to_points", "transform_points", "clear_lift_cache"]
 
 
 # Per-(intrinsics, shape) normalised pixel lattices for depth lifting.
@@ -77,8 +49,8 @@ def depth_to_points(depth: np.ndarray, intrinsics) -> np.ndarray:
     """Back-project a depth map into camera-space points (Eq. 1).
 
     ``depth`` is (H, W) metric z-depth.  The output is (H*W, 3), row-major.
-    Pixels with non-finite depth produce non-finite points; callers should
-    mask them via :class:`FramePointCloud`.  The normalised pixel lattice
+    Pixels with non-finite depth produce non-finite points; callers must
+    mask them.  The normalised pixel lattice
     is memoised per intrinsics (bit-identical to recomputing it: the
     lattice is a pure function of intrinsics and resolution).
     """
@@ -96,17 +68,3 @@ def transform_points(points: np.ndarray, transform: np.ndarray) -> np.ndarray:
     out += transform[:3, 3]  # in place: no second (N, 3) temporary
     return out
 
-
-def frame_to_pointcloud(image: np.ndarray, depth: np.ndarray, intrinsics) -> FramePointCloud:
-    """Lift a rendered frame (colors + depth) into a camera-space point cloud."""
-    image = np.asarray(image, dtype=float)
-    depth = np.asarray(depth, dtype=float)
-    if image.shape[:2] != depth.shape:
-        raise ValueError("image and depth resolutions differ")
-    points = depth_to_points(depth, intrinsics)
-    colors = image.reshape(-1, 3)
-    valid = np.isfinite(depth).reshape(-1) & (depth.reshape(-1) > 0.0)
-    return FramePointCloud(points=points, colors=colors, valid=valid)
-
-
-__all__.append("frame_to_pointcloud")

@@ -6,39 +6,15 @@ points can land on the same pixel; a z-buffer keeps the nearest, exactly as a
 standard rasterisation pipeline would.
 
 :func:`project_to_pixels` is the one projection routine (the SPARW warp uses
-it for surface and background points alike), :func:`nearest_source` the
-z-buffer, and :func:`splat_points` the two together with colours attached.
+it for surface and background points alike) and :func:`nearest_source` the
+z-buffer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["SplatResult", "splat_points", "project_to_pixels",
-           "nearest_source"]
-
-
-@dataclass
-class SplatResult:
-    """Result of z-buffer splatting a point cloud into a target view.
-
-    ``image``/``depth`` hold colors and z-depths for covered pixels; ``covered``
-    marks pixels that received at least one point.  Uncovered pixels keep a
-    depth of ``+inf`` and a color of zero — SPARW later classifies them as
-    disocclusion or void.
-    """
-
-    image: np.ndarray  # (H, W, 3)
-    depth: np.ndarray  # (H, W)
-    covered: np.ndarray  # (H, W) bool
-    source_index: np.ndarray  # (H, W) int64, -1 where uncovered
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of pixels covered by at least one splatted point."""
-        return float(self.covered.mean())
+__all__ = ["project_to_pixels", "nearest_source"]
 
 
 def project_to_pixels(points_cam: np.ndarray, intrinsics,
@@ -80,46 +56,3 @@ def nearest_source(pixel_ids: np.ndarray, z: np.ndarray, src: np.ndarray,
     source[pixel_ids[order]] = src[order]
     return source
 
-
-def splat_points(
-    points_cam: np.ndarray,
-    colors: np.ndarray,
-    intrinsics,
-    valid: np.ndarray | None = None,
-    depth_merge_eps: float = 0.0,
-) -> SplatResult:
-    """Project camera-space points and resolve occlusion with a z-buffer.
-
-    Parameters
-    ----------
-    points_cam:
-        (N, 3) points in the *target* camera frame (z = depth).
-    colors:
-        (N, 3) per-point colors carried from the reference frame.
-    intrinsics:
-        Target :class:`~repro.geometry.camera.Intrinsics`.
-    valid:
-        Optional (N,) mask of points eligible for splatting.
-    depth_merge_eps:
-        Reserved for soft-merging nearly equal depths; the hard z-buffer
-        (nearest wins) is what the paper's rasterisation pipeline does.
-    """
-    points = np.asarray(points_cam, dtype=float)
-    colors = np.asarray(colors, dtype=float)
-    height, width = intrinsics.height, intrinsics.width
-    num_pixels = height * width
-
-    pixel = project_to_pixels(points, intrinsics, valid)
-    landed = np.flatnonzero(pixel >= 0)
-    source = nearest_source(pixel[landed], points[landed, 2], landed,
-                            num_pixels)
-    hit = np.flatnonzero(source >= 0)
-    winners = source[hit]
-    image = np.zeros((num_pixels, 3))
-    image[hit] = colors[winners]
-    depth = np.full(num_pixels, np.inf)
-    depth[hit] = points[winners, 2]
-    return SplatResult(image=image.reshape(height, width, 3),
-                       depth=depth.reshape(height, width),
-                       covered=(source >= 0).reshape(height, width),
-                       source_index=source.reshape(height, width))

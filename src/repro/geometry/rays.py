@@ -41,25 +41,6 @@ class RayBundle:
     def __len__(self) -> int:
         return self.origins.shape[0]
 
-    @classmethod
-    def from_camera(cls, camera) -> "RayBundle":
-        """All pixel rays of a camera, flattened row-major."""
-        origins, directions = camera.generate_rays()
-        n = camera.width * camera.height
-        return cls(
-            origins=origins.reshape(n, 3),
-            directions=directions.reshape(n, 3),
-            pixel_ids=np.arange(n),
-        )
-
-    @classmethod
-    def from_camera_pixels(cls, camera, pixel_ids: np.ndarray) -> "RayBundle":
-        """Rays for a subset of pixels given by flat row-major ids."""
-        pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
-        v, u = np.divmod(pixel_ids, camera.width)
-        origins, directions = camera.rays_for_pixels(u + 0.5, v + 0.5)
-        return cls(origins=origins, directions=directions, pixel_ids=pixel_ids)
-
     def select(self, mask_or_index: np.ndarray) -> "RayBundle":
         """Sub-bundle selected by a boolean mask or index array."""
         ids = None if self.pixel_ids is None else self.pixel_ids[mask_or_index]

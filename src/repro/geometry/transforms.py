@@ -23,7 +23,6 @@ __all__ = [
     "rotation_from_axis_angle",
     "make_pose",
     "invert_pose",
-    "compose",
     "relative_pose",
     "look_at",
     "pose_translation",
@@ -31,7 +30,6 @@ __all__ = [
     "rotation_angle_deg",
     "translation_distance",
     "extrapolate_pose",
-    "interpolate_pose",
     "is_rotation_matrix",
 ]
 
@@ -81,14 +79,6 @@ def invert_pose(pose: np.ndarray) -> np.ndarray:
     inv[:3, :3] = rotation.T
     inv[:3, 3] = -rotation.T @ translation
     return inv
-
-
-def compose(*poses: np.ndarray) -> np.ndarray:
-    """Compose poses left-to-right: ``compose(A, B) == A @ B``."""
-    out = np.eye(4)
-    for pose in poses:
-        out = out @ pose
-    return out
 
 
 def relative_pose(src_c2w: np.ndarray, dst_c2w: np.ndarray) -> np.ndarray:
@@ -184,23 +174,6 @@ def extrapolate_pose(prev: np.ndarray, curr: np.ndarray, steps: float) -> np.nda
         rot = rotation_from_axis_angle(axis, angle * steps) @ pose_rotation(curr)
         rot = _orthonormalize(rot)
     return make_pose(rot, pose_translation(curr) + delta_t * steps)
-
-
-def interpolate_pose(pose_a: np.ndarray, pose_b: np.ndarray, alpha: float) -> np.ndarray:
-    """Interpolate between two poses (``alpha=0`` -> a, ``alpha=1`` -> b)."""
-    trans = (1.0 - alpha) * pose_translation(pose_a) + alpha * pose_translation(pose_b)
-    rel = pose_rotation(pose_a).T @ pose_rotation(pose_b)
-    angle = np.arccos(np.clip((np.trace(rel) - 1.0) / 2.0, -1.0, 1.0))
-    if angle < 1e-9:
-        rot = pose_rotation(pose_a)
-    else:
-        axis = np.array([
-            rel[2, 1] - rel[1, 2],
-            rel[0, 2] - rel[2, 0],
-            rel[1, 0] - rel[0, 1],
-        ]) / (2.0 * np.sin(angle))
-        rot = pose_rotation(pose_a) @ rotation_from_axis_angle(axis, angle * alpha)
-    return make_pose(_orthonormalize(rot), trans)
 
 
 def is_rotation_matrix(rotation: np.ndarray, tol: float = 1e-6) -> bool:

@@ -17,7 +17,6 @@ suite runs in minutes.  EXPERIMENTS.md records the mapping.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -108,10 +107,6 @@ def scene_of(name: str):
 @lru_cache(maxsize=None)
 def _cached_scene(name: str):
     return get_scene(name)
-
-
-def _config_key(config: ExperimentConfig) -> tuple:
-    return dataclasses.astuple(config)
 
 
 def _field_config_key(config: ExperimentConfig) -> tuple:

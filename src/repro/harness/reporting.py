@@ -91,9 +91,6 @@ def jsonable(value):
     return str(value)
 
 
-_jsonable = jsonable  # backwards-compatible private alias
-
-
 def safe_json_dumps(payload, **kwargs) -> str:
     """Strictly valid JSON: sanitise, then *refuse* any non-finite leak.
 
@@ -132,19 +129,19 @@ def bench_payload(name: str, rows: list, wall_time_s: float,
         "kind": str(kind),
         "figure": name,
         "wall_time_s": float(wall_time_s),
-        "rows": _jsonable(rows),
+        "rows": jsonable(rows),
     }
     if config is not None:
-        payload["config_scale"] = _jsonable(config)
+        payload["config_scale"] = jsonable(config)
     if extra:
-        payload["extra"] = _jsonable(extra)
+        payload["extra"] = jsonable(extra)
     if metrics is None:
         from ..obs.runtime import current_metrics
         registry = current_metrics()
         if registry is not None and len(registry):
             metrics = registry.snapshot()
     if metrics:
-        payload["metrics"] = _jsonable(metrics)
+        payload["metrics"] = jsonable(metrics)
     return payload
 
 

@@ -10,7 +10,6 @@ from .serving import (
     ServingReport,
     SessionServingStats,
     aggregate_serving,
-    price_session_frames,
 )
 from .soc import VARIANTS, FrameCost, SoCModel, SparwWorkloads
 from .workload import FrameWorkload, GatherTraffic, workload_from_stats
@@ -34,7 +33,6 @@ __all__ = [
     "ServingReport",
     "SessionServingStats",
     "aggregate_serving",
-    "price_session_frames",
     "VARIANTS",
     "FrameCost",
     "SoCModel",

@@ -110,13 +110,3 @@ class GPUModel:
             computation=self.computation_time(workload),
             warping=self.warping_time(workload),
         )
-
-    def frame_time(self, workload: FrameWorkload) -> float:
-        return self.frame_breakdown(workload).total
-
-    def frame_energy(self, workload: FrameWorkload) -> float:
-        """Board energy: measured-power x time plus DRAM traffic energy."""
-        traffic = workload.baseline_traffic
-        dram = self.energy.dram_energy(traffic.streaming_bytes,
-                                       traffic.random_bytes)
-        return self.frame_time(workload) * self.config.average_power_w + dram

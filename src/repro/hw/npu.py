@@ -48,10 +48,6 @@ class NPUModel:
         """Latency of the frame's MLP MACs on the array."""
         return workload.mlp_macs / self.config.effective_mac_rate
 
-    def computation_cycles(self, workload: FrameWorkload) -> int:
-        return int(round(self.computation_time(workload)
-                         * self.config.clock_hz))
-
     def computation_energy(self, workload: FrameWorkload) -> float:
         """MAC energy + feature-buffer SRAM traffic for activations."""
         mac = self.energy.mac_energy(workload.mlp_macs)

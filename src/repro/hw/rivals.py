@@ -17,8 +17,6 @@ architecture:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..memsys.dram import DRAMModel
 from ..memsys.energy import DEFAULT_ENERGY, EnergyModel
 from .gpu import GPUConfig, GPUModel
@@ -28,13 +26,6 @@ from .soc import FrameCost
 from .workload import FrameWorkload
 
 __all__ = ["NeuRexModel", "NGPCModel"]
-
-
-@dataclass(frozen=True)
-class _RivalConfig:
-    array_rows: int
-    array_cols: int
-    feature_buffer_bytes: int
 
 
 class _RivalBase:

@@ -20,8 +20,7 @@ from .soc import FrameCost, SoCModel
 from .workload import workload_from_stats
 
 __all__ = ["SessionServingStats", "ServingReport", "frame_cost_record",
-           "price_frame_record", "session_frame_costs",
-           "price_session_frames", "aggregate_serving"]
+           "price_frame_record", "session_frame_costs", "aggregate_serving"]
 
 
 @dataclass
@@ -107,12 +106,6 @@ def session_frame_costs(result, soc: SoCModel, variant: str = "cicero"
     """Per-frame :class:`FrameCost` of one SPARW sequence result."""
     return [frame_cost_record(record, soc, variant)
             for record in result.records]
-
-
-def price_session_frames(result, soc: SoCModel, variant: str = "cicero"
-                         ) -> list:
-    """Per-frame SoC time of one SPARW sequence result (seconds)."""
-    return [cost.time_s for cost in session_frame_costs(result, soc, variant)]
 
 
 def aggregate_serving(session_results: dict, soc: SoCModel | None = None,

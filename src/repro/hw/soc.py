@@ -175,11 +175,6 @@ class SoCModel:
         reference = self.price_nerf(workloads.reference, variant)
         return target.merge(reference.scaled(1.0 / max(workloads.window, 1)))
 
-    def price_baseline_frame(self, full_frame: FrameWorkload,
-                             variant: str = "baseline") -> FrameCost:
-        """Cost of rendering every frame with full NeRF (no SPARW)."""
-        return self.price_nerf(full_frame, variant)
-
 
 def _with_traffic(workload: FrameWorkload, traffic) -> FrameWorkload:
     """Clone a workload with its baseline traffic replaced (for FS gather)."""

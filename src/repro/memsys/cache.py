@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CacheStats", "simulate_lru", "simulate_belady",
-           "simulate_set_associative"]
+__all__ = ["CacheStats", "simulate_lru", "simulate_belady"]
 
 
 @dataclass
@@ -64,33 +63,6 @@ def simulate_lru(addresses: np.ndarray, capacity_bytes: int,
             misses += 1
             cache[block] = True
             if len(cache) > capacity:
-                cache.popitem(last=False)
-    return CacheStats(accesses=len(blocks), misses=misses,
-                      capacity_blocks=capacity, block_bytes=block_bytes)
-
-
-def simulate_set_associative(addresses: np.ndarray, capacity_bytes: int,
-                             block_bytes: int = 64, ways: int = 8
-                             ) -> CacheStats:
-    """Set-associative LRU cache (realistic GPU-L2-style organisation).
-
-    Fully-associative LRU is the optimistic bound; real caches index sets by
-    low block-address bits and suffer conflict misses on top.  ``ways`` = 1
-    gives a direct-mapped cache.
-    """
-    blocks = _to_blocks(addresses, block_bytes)
-    capacity = max(1, capacity_bytes // block_bytes)
-    num_sets = max(1, capacity // ways)
-    sets: list = [OrderedDict() for _ in range(num_sets)]
-    misses = 0
-    for block in blocks.tolist():
-        cache = sets[block % num_sets]
-        if block in cache:
-            cache.move_to_end(block)
-        else:
-            misses += 1
-            cache[block] = True
-            if len(cache) > ways:
                 cache.popitem(last=False)
     return CacheStats(accesses=len(blocks), misses=misses,
                       capacity_blocks=capacity, block_bytes=block_bytes)

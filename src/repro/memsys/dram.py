@@ -3,8 +3,7 @@
 The model charges each access either a streaming cost (row-buffer hit,
 back-to-back bursts) or a random cost (row activation + bus turnaround), with
 effective bandwidths derived from the part's peak.  Costs are computed from
-either an explicit :class:`~repro.memsys.trace.AccessTrace` or pre-classified
-byte counts (the streaming scheduler reports those directly).
+pre-classified byte counts (the streaming scheduler reports those directly).
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .energy import DEFAULT_ENERGY, EnergyModel
-from .trace import AccessTrace, analyze_streaming
 
 __all__ = ["DRAMConfig", "DRAMCost", "DRAMModel"]
 
@@ -79,10 +77,3 @@ class DRAMModel:
         return DRAMCost(streaming_bytes=int(streaming_bytes),
                         random_bytes=int(random_bytes),
                         time_s=time_s, energy_j=energy_j)
-
-    def cost_of_trace(self, trace: AccessTrace,
-                      stream_window: int = 128) -> DRAMCost:
-        """Cost of an explicit access trace (classifies runs first)."""
-        analysis = analyze_streaming(trace, stream_window=stream_window)
-        return self.cost_of_bytes(analysis.streaming_bytes,
-                                  analysis.random_bytes)

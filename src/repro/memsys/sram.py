@@ -38,12 +38,6 @@ class BankConflictStats:
         return 1.0 - self.ideal_cycles / self.actual_cycles
 
     @property
-    def conflicted_group_fraction(self) -> float:
-        if self.issue_groups == 0:
-            return 0.0
-        return self.conflicted_groups / self.issue_groups
-
-    @property
     def slowdown(self) -> float:
         if self.ideal_cycles == 0:
             return 1.0

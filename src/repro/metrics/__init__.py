@@ -1,24 +1,14 @@
 """Quality and summary metrics."""
 
-from .quality import mean_psnr, mse, psnr, psnr_sequence
-from .stats import (
-    arithmetic_mean,
-    geometric_mean,
-    mean_or_zero,
-    normalize_to,
-    percentile_or_zero,
-    speedup,
-)
+from .quality import mean_psnr, mse, psnr
+from .stats import geometric_mean, mean_or_zero, percentile_or_zero, speedup
 
 __all__ = [
     "mean_psnr",
     "mse",
     "psnr",
-    "psnr_sequence",
-    "arithmetic_mean",
     "geometric_mean",
     "mean_or_zero",
-    "normalize_to",
     "percentile_or_zero",
     "speedup",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mse", "psnr", "psnr_sequence", "mean_psnr"]
+__all__ = ["mse", "psnr", "mean_psnr"]
 
 
 def mse(image_a: np.ndarray, image_b: np.ndarray,
@@ -34,15 +34,11 @@ def psnr(image_a: np.ndarray, image_b: np.ndarray, peak: float = 1.0,
     return float(10.0 * np.log10(peak**2 / error))
 
 
-def psnr_sequence(frames_a: list, frames_b: list, peak: float = 1.0) -> list:
-    """Per-frame PSNR between two equally long image sequences."""
-    if len(frames_a) != len(frames_b):
-        raise ValueError("sequences have different lengths")
-    return [psnr(a, b, peak=peak) for a, b in zip(frames_a, frames_b)]
-
-
 def mean_psnr(frames_a: list, frames_b: list, peak: float = 1.0) -> float:
     """PSNR of the pooled MSE over a sequence (robust to infinities)."""
+    if len(frames_a) != len(frames_b):
+        raise ValueError(
+            f"sequence length mismatch: {len(frames_a)} vs {len(frames_b)}")
     errors = [mse(a, b) for a, b in zip(frames_a, frames_b)]
     pooled = float(np.mean(errors)) if errors else 0.0
     if pooled == 0.0:

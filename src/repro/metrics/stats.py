@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["geometric_mean", "arithmetic_mean", "speedup", "normalize_to",
-           "percentile_or_zero", "mean_or_zero"]
+__all__ = ["geometric_mean", "speedup", "percentile_or_zero", "mean_or_zero"]
 
 
 def percentile_or_zero(values, q: float) -> float:
@@ -34,23 +33,8 @@ def geometric_mean(values) -> float:
     return float(np.exp(np.log(arr).mean()))
 
 
-def arithmetic_mean(values) -> float:
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("arithmetic_mean of empty sequence")
-    return float(arr.mean())
-
-
 def speedup(baseline: float, candidate: float) -> float:
     """``baseline / candidate`` — >1 means the candidate is faster/cheaper."""
     if candidate <= 0.0:
         raise ValueError("candidate cost must be positive")
     return baseline / candidate
-
-
-def normalize_to(values: dict, key: str) -> dict:
-    """Divide every entry by ``values[key]`` (normalised-to-baseline plots)."""
-    base = values[key]
-    if base == 0.0:
-        raise ValueError("cannot normalise to a zero baseline")
-    return {k: v / base for k, v in values.items()}

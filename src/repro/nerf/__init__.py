@@ -1,7 +1,7 @@
 """NeRF substrate: fields, sampling, volume rendering, and the renderer."""
 
 from .baking import bake_vertex_features, vertex_grid_positions
-from .encoding import frequency_encoding, sh_basis_deg1
+from .encoding import sh_basis_deg1
 from .fields import (
     CORE_FEATURE_DIM,
     GatherGroup,
@@ -19,7 +19,6 @@ from .volume_render import CompositeResult, composite
 __all__ = [
     "bake_vertex_features",
     "vertex_grid_positions",
-    "frequency_encoding",
     "sh_basis_deg1",
     "CORE_FEATURE_DIM",
     "GatherGroup",

@@ -1,4 +1,4 @@
-"""Input encodings: frequency (positional) and spherical-harmonics (view).
+"""View-direction encoding: degree-1 spherical harmonics.
 
 The baked fields store per-vertex spherical-harmonic (SH) coefficients so the
 decoded radiance can be view-dependent — the same mechanism PlenOctrees and
@@ -10,29 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["frequency_encoding", "sh_basis_deg1", "SH_DEG1_DIM"]
+__all__ = ["sh_basis_deg1", "SH_DEG1_DIM"]
 
 SH_DEG1_DIM = 4
 
 # Real SH normalisation constants for l=0 and l=1.
 _SH_C0 = 0.28209479177387814
 _SH_C1 = 0.4886025119029199
-
-
-def frequency_encoding(x: np.ndarray, num_frequencies: int,
-                       include_input: bool = True) -> np.ndarray:
-    """Classic NeRF sinusoidal encoding of coordinates.
-
-    Maps (..., D) to (..., D * (2 * num_frequencies [+ 1])) by appending
-    sin/cos at octave frequencies.
-    """
-    x = np.asarray(x, dtype=float)
-    parts = [x] if include_input else []
-    for level in range(num_frequencies):
-        scaled = x * (2.0**level) * np.pi
-        parts.append(np.sin(scaled))
-        parts.append(np.cos(scaled))
-    return np.concatenate(parts, axis=-1)
 
 
 def sh_basis_deg1(directions: np.ndarray) -> np.ndarray:

@@ -50,10 +50,6 @@ class GatherGroup:
     def num_samples(self) -> int:
         return self.vertex_ids.shape[0]
 
-    @property
-    def storage_bytes(self) -> int:
-        return self.num_entries * self.entry_bytes
-
     def vertex_addresses(self) -> np.ndarray:
         """Byte address in DRAM of every gathered vertex, shape (N, V)."""
         return self.base_address + self.vertex_ids.astype(np.int64) * self.entry_bytes

@@ -73,14 +73,6 @@ class MLP:
     # -- cost accounting -------------------------------------------------------
 
     @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
-    @property
     def layer_dims(self) -> list:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 

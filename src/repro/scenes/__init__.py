@@ -9,7 +9,7 @@ from .library import (
 )
 from .raytracer import Frame, RayTracer
 from .scene import DirectionalLight, Material, Scene, SceneObject
-from .sdf import SDF, Box, Cylinder, Plane, Sphere, Torus
+from .sdf import SDF, Box, Cylinder, Sphere, Torus
 from .trajectory import (
     TRAJECTORY_KINDS,
     Trajectory,
@@ -21,7 +21,6 @@ from .trajectory import (
     orbit_trajectory,
     random_walk_trajectory,
     replay_trajectory,
-    resample_fps,
     save_pose_log,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "SDF",
     "Box",
     "Cylinder",
-    "Plane",
     "Sphere",
     "Torus",
     "TRAJECTORY_KINDS",
@@ -53,6 +51,5 @@ __all__ = [
     "orbit_trajectory",
     "random_walk_trajectory",
     "replay_trajectory",
-    "resample_fps",
     "save_pose_log",
 ]

@@ -33,13 +33,10 @@ __all__ = [
     "Sphere",
     "Box",
     "Torus",
-    "Plane",
     "Cylinder",
     "Union",
     "Intersection",
     "Subtraction",
-    "SmoothUnion",
-    "Translated",
     "Scaled",
     "estimate_normals",
 ]
@@ -94,9 +91,6 @@ class SDF:
     def __sub__(self, other: "SDF") -> "SDF":
         return Subtraction(self, other)
 
-    def translated(self, offset) -> "SDF":
-        return Translated(self, np.asarray(offset, dtype=float))
-
     def scaled(self, factor: float) -> "SDF":
         return Scaled(self, float(factor))
 
@@ -149,21 +143,6 @@ class Torus(SDF):
 
 
 @dataclass
-class Plane(SDF):
-    """Half-space below the plane ``dot(normal, p) = offset``."""
-
-    normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
-    offset: float = 0.0
-
-    def __post_init__(self):
-        normal = np.asarray(self.normal, dtype=float)
-        self.normal = normal / np.linalg.norm(normal)
-
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.normal - self.offset
-
-
-@dataclass
 class Cylinder(SDF):
     """Finite vertical (y-axis) cylinder."""
 
@@ -211,32 +190,6 @@ class Subtraction(SDF):
 
     def distance(self, points: np.ndarray) -> np.ndarray:
         return np.maximum(self.base.distance(points), -self.cut.distance(points))
-
-
-@dataclass
-class SmoothUnion(SDF):
-    """Polynomial smooth-min union with blend radius ``k``."""
-
-    a: SDF
-    b: SDF
-    k: float = 0.1
-
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        da = self.a.distance(points)
-        db = self.b.distance(points)
-        h = np.clip(0.5 + 0.5 * (db - da) / self.k, 0.0, 1.0)
-        return db * (1.0 - h) + da * h - self.k * h * (1.0 - h)
-
-
-@dataclass
-class Translated(SDF):
-    """Child SDF rigidly translated by ``offset``."""
-
-    child: SDF
-    offset: np.ndarray
-
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        return self.child.distance(points - self.offset)
 
 
 @dataclass

@@ -1,10 +1,10 @@
-"""Camera trajectories: orbits, handheld paths, and FPS resampling.
+"""Camera trajectories: orbits, handheld paths, and pose-log replay.
 
 Trajectory statistics drive SPARW's behaviour: the inter-frame pose delta
 determines frame overlap (Fig. 7), disocclusion rate, and the warping-angle
 distribution (Fig. 26).  The paper contrasts high-temporal-resolution capture
 (30 FPS, small deltas — VR-like) with the sparse 1 FPS Tanks-and-Temples
-sampling; :func:`resample_fps` reproduces exactly that knob.
+sampling; Fig. 25 models that knob as a 30x larger orbit step per frame.
 
 Beyond the paper's orbits, this module provides a family of deterministic
 generators (dolly, VR head shake, seeded random walk, pose-log replay) behind
@@ -28,7 +28,6 @@ __all__ = [
     "dolly_trajectory", "headshake_trajectory", "random_walk_trajectory",
     "replay_trajectory", "save_pose_log", "load_pose_log",
     "TRAJECTORY_KINDS", "make_trajectory", "trajectory_parameters",
-    "resample_fps",
 ]
 
 
@@ -318,16 +317,3 @@ def make_trajectory(kind: str, num_frames: int, seed: int = 0,
         params["seed"] = seed
     return builder(num_frames, **params)
 
-
-def resample_fps(trajectory: Trajectory, target_fps: float) -> Trajectory:
-    """Downsample a trajectory to a lower frame rate by frame dropping.
-
-    Keeps every ``round(fps / target_fps)``-th pose — the paper's "1 FPS
-    Tanks-and-Temples sequence" versus the raw 30 FPS video (Fig. 25).
-    """
-    if target_fps > trajectory.fps:
-        raise ValueError("can only downsample (target_fps <= trajectory fps)")
-    stride = max(1, int(round(trajectory.fps / target_fps)))
-    poses = trajectory.poses[::stride]
-    return Trajectory(poses=poses, fps=trajectory.fps / stride,
-                      name=f"{trajectory.name}@{target_fps:g}fps")

@@ -371,8 +371,13 @@ class FrameServer:
             self._session_seq += 1
             session_id = f"{spec.name}#{self._session_seq:04d}"
             loop = asyncio.get_running_loop()
-            session = await loop.run_in_executor(
-                self._build_pool, self._build_session, spec, session_id)
+            try:  # e.g. a failed bake: the client hears why, never EOF
+                session = await loop.run_in_executor(
+                    self._build_pool, self._build_session, spec, session_id)
+            except Exception as exc:
+                await self._fail(writer, "session build failed: "
+                                 f"{type(exc).__name__}: {exc}")
+                return
 
             queue: asyncio.Queue = asyncio.Queue()
             host.admit(session, queue)

@@ -5,6 +5,8 @@ these tests drive them with a minimal stand-in instead of real SoC
 workers — the full integration runs in test_simulator.py.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster import (
@@ -14,6 +16,7 @@ from repro.cluster import (
     Autoscaler,
     make_placement,
 )
+from repro.cluster.placement import rendezvous_score
 
 
 class StubWorker:
@@ -80,6 +83,30 @@ class TestPlacementPolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             make_placement("random")
+
+    def test_shard_affinity_prefers_holders_at_equal_load(self):
+        policy = make_placement("shard_affinity")
+        policy.store = SimpleNamespace(holders=lambda key: {"w02"})
+        assert policy.choose("key", fleet(1, 1, 1)).worker_id == "w02"
+
+    def test_shard_affinity_load_beats_residency(self):
+        policy = make_placement("shard_affinity")
+        policy.store = SimpleNamespace(holders=lambda key: {"w02"})
+        assert policy.choose("key", fleet(1, 0, 1)).worker_id == "w01"
+
+    def test_shard_affinity_without_store_is_rendezvous(self):
+        workers = fleet(0, 3, 1, 2)
+        for key in ("key-a", "key-b", "key-c"):
+            assert (make_placement("shard_affinity").choose(key, workers)
+                    is make_placement("cache_affinity").choose(key, workers))
+        assert max(workers, key=lambda w: rendezvous_score("key-a",
+                                                           w.worker_id)) \
+            is make_placement("cache_affinity").choose("key-a", workers)
+
+    def test_shard_affinity_without_key_least_loaded(self):
+        policy = make_placement("shard_affinity")
+        policy.store = SimpleNamespace(holders=lambda key: {"w00"})
+        assert policy.choose(None, fleet(2, 0, 1)).worker_id == "w01"
 
 
 class TestAdmission:

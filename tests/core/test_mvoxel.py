@@ -62,10 +62,6 @@ class TestMapping:
     def test_num_mvoxels(self, layout):
         assert layout.num_mvoxels == 4**3
 
-    def test_base_addresses_are_contiguous(self, layout):
-        addr = layout.mvoxel_base_address(np.arange(4))
-        np.testing.assert_array_equal(np.diff(addr), layout.mvoxel_bytes)
-
     @settings(max_examples=30, deadline=None)
     @given(cell=st.integers(0, 16**3 - 1))
     def test_mvoxel_ids_in_range(self, cell):

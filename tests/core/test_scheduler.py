@@ -5,8 +5,7 @@ import pytest
 
 from repro.core.streaming import (
     FullyStreamingScheduler,
-    reverted_traffic_fraction,
-    split_by_reversion,
+    StreamingReport,
     streaming_execution_order,
 )
 
@@ -63,6 +62,22 @@ class TestAggregateReport:
                                             for g in report.groups)
         assert report.fs_bytes == sum(g.fs_bytes for g in report.groups)
 
+    def test_baseline_splits_into_streaming_and_random(self, gather_groups,
+                                                       scheduler):
+        report = scheduler.analyze(gather_groups)
+        assert (report.baseline_streaming_bytes + report.baseline_random_bytes
+                == report.baseline_bytes)
+        assert report.baseline_streaming_bytes == sum(
+            g.baseline_streaming_bytes for g in report.groups)
+
+    def test_traffic_reduction_is_baseline_over_fs(self, gather_groups,
+                                                   scheduler):
+        report = scheduler.analyze(gather_groups)
+        assert report.traffic_reduction == pytest.approx(
+            report.baseline_bytes / report.fs_bytes)
+        assert StreamingReport().traffic_reduction == 0.0
+        assert StreamingReport().fs_streaming_fraction == 1.0
+
     def test_streaming_fraction_of_pure_grid_is_one(self, gather_groups,
                                                     scheduler):
         report = scheduler.analyze(gather_groups)
@@ -70,22 +85,38 @@ class TestAggregateReport:
 
 
 class TestReversionHelpers:
-    def test_split(self, gather_groups):
-        streamable, reverted = split_by_reversion(gather_groups)
-        assert len(streamable) + len(reverted) == len(gather_groups)
+    """The streamable / reverted split as the scheduler's report shows it."""
 
-    def test_reverted_fraction_zero_for_grid(self, gather_groups):
-        assert reverted_traffic_fraction(gather_groups) == 0.0
-
-    def test_reverted_fraction_for_hash(self, lego_scene):
+    @pytest.fixture(scope="class")
+    def hash_groups(self, lego_scene):
         from repro.nerf import HashGridField, VoxelGridField
         reference = VoxelGridField.bake(lego_scene, resolution=32)
         field = HashGridField.bake(lego_scene, num_levels=4,
                                    finest_resolution=32, table_size=1 << 12,
                                    reference=reference)
         pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(300, 3))
-        frac = reverted_traffic_fraction(field.gather_plan(pts))
-        assert 0.0 < frac < 1.0
+        return field.gather_plan(pts)
+
+    def test_split(self, hash_groups, scheduler):
+        report = scheduler.analyze(hash_groups)
+        assert [g.streamable for g in report.groups] == [
+            g.streamable for g in hash_groups]
+        for group in report.groups:
+            if group.streamable:
+                assert group.occupied_mvoxels > 0 and group.fs_random_bytes == 0
+            else:
+                assert group.occupied_mvoxels == 0 and group.rit_bytes == 0
+
+    def test_reverted_fraction_zero_for_grid(self, gather_groups, scheduler):
+        report = scheduler.analyze(gather_groups)
+        assert all(g.streamable for g in report.groups)
+        assert report.fs_random_bytes == 0
+
+    def test_reverted_fraction_for_hash(self, hash_groups, scheduler):
+        report = scheduler.analyze(hash_groups)
+        assert any(g.streamable for g in report.groups)
+        assert not all(g.streamable for g in report.groups)
+        assert 0.0 < report.fs_streaming_fraction < 1.0
 
 
 class TestExecutionOrder:

@@ -1,15 +1,12 @@
 """Tests for feature-major vs channel-major SRAM layouts (Sec. IV-B)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.layout import (
-    ChannelMajorLayout,
-    FeatureMajorLayout,
-    plan_gather_cycles,
-    verify_conflict_free,
-)
+from repro.core.layout import ChannelMajorLayout, FeatureMajorLayout
+from repro.hw import FrameWorkload, GatheringUnitModel, GUConfig
 
 
 class TestFeatureMajor:
@@ -62,7 +59,7 @@ class TestChannelMajor:
         vertex_ids = rng.integers(0, 100000, size=(128, 8))
         layout = ChannelMajorLayout(num_banks=32, ports_per_bank=2,
                                     feature_dim=16)
-        assert verify_conflict_free(vertex_ids, layout)
+        assert layout.simulate(vertex_ids).conflict_rate == 0.0
 
     def test_wide_vectors_wrap(self):
         layout = ChannelMajorLayout(num_banks=16, ports_per_bank=2,
@@ -83,18 +80,21 @@ class TestChannelMajor:
 
 
 class TestGatherPlan:
+    """The GU prices a gather pass with the channel-major cycle count."""
+
     def test_plan_cost_tracks_layout(self):
-        layout = ChannelMajorLayout(num_banks=32, ports_per_bank=2,
-                                    feature_dim=16)
-        cost = plan_gather_cycles(1000, 8, 32, layout)
-        assert cost.gather_cycles == layout.analytic_cycles(1000, 8)
-        assert cost.vertices_read == 8000
+        gu = GatheringUnitModel(GUConfig(num_banks=32, ports_per_bank=2))
+        cost = gu.gather_cost(FrameWorkload(num_samples=1000,
+                                            gather_bytes=8000 * 32))
+        assert cost.cycles == gu.layout.analytic_cycles(1000, 8)
+        assert cost.time_s == pytest.approx(cost.cycles / gu.config.clock_hz)
         assert cost.sram_bytes == 8000 * 32
 
     def test_merge(self):
-        layout = ChannelMajorLayout()
-        a = plan_gather_cycles(10, 8, 32, layout)
-        b = plan_gather_cycles(20, 8, 32, layout)
-        c = a.merge(b)
-        assert c.samples == 30
-        assert c.gather_cycles == a.gather_cycles + b.gather_cycles
+        gu = GatheringUnitModel()
+        a = FrameWorkload(num_samples=10, gather_bytes=80 * 32)
+        b = FrameWorkload(num_samples=20, gather_bytes=160 * 32)
+        c = gu.gather_cost(a.merge(b))
+        assert c.cycles == gu.gather_cost(a).cycles + gu.gather_cost(b).cycles
+        assert c.sram_bytes == (gu.gather_cost(a).sram_bytes
+                                + gu.gather_cost(b).sram_bytes)

@@ -18,7 +18,7 @@ from repro.core.sparw import pipeline, warp as warp_module
 from repro.core.sparw.pipeline import SparwRenderer
 from repro.geometry import Intrinsics, PinholeCamera, look_at
 from repro.geometry.pointcloud import depth_to_points
-from repro.geometry.projection import splat_points
+from repro.geometry.projection import nearest_source, project_to_pixels
 from repro.geometry.transforms import make_pose, relative_pose, rotation_y
 from repro.harness.configs import FAST
 from repro.scenes import RayTracer, orbit_trajectory
@@ -188,6 +188,48 @@ class TestEdgeCases:
         assert total == pytest.approx(1.0)
 
 
+class TestSplatSurface:
+    """Step 3 on hand-placed points: one pixel, surface vs far plane."""
+
+    INTR = Intrinsics.from_fov(4, 4, 60.0)
+
+    def _at(self, u, v, z):
+        return [(u + 0.5 - self.INTR.cx) / self.INTR.fx * z,
+                (v + 0.5 - self.INTR.cy) / self.INTR.fy * z, z]
+
+    def test_nearer_surface_hides_void(self):
+        points = np.array([self._at(1, 2, 1.0), self._at(1, 2, 9.0)])
+        source, landed_void = warp_module.splat_surface(
+            points, np.array([False, True]), self.INTR)
+        assert source[2 * 4 + 1] == 0
+        assert landed_void.tolist() == [i == 2 * 4 + 1 for i in range(16)]
+
+    def test_nearer_void_hides_surface(self):
+        points = np.array([self._at(3, 0, 5.0), self._at(3, 0, 2.0)])
+        source, landed_void = warp_module.splat_surface(
+            points, np.array([False, True]), self.INTR)
+        assert (source == -1).all()
+        assert landed_void[3]
+
+    def test_surface_only_is_the_z_buffer(self):
+        rng = np.random.default_rng(5)
+        points = np.array([self._at(u, v, z) for u, v, z in zip(
+            rng.integers(0, 4, 20), rng.integers(0, 4, 20),
+            rng.uniform(1.0, 4.0, 20))])
+        source, landed_void = warp_module.splat_surface(
+            points, np.zeros(20, dtype=bool), self.INTR)
+        np.testing.assert_array_equal(source, nearest_source(
+            project_to_pixels(points, self.INTR), points[:, 2],
+            np.arange(20), 16))
+        assert not landed_void.any()
+
+    def test_points_off_frame_land_nowhere(self):
+        points = np.array([self._at(9, 1, 2.0), [0.0, 0.0, -1.0]])
+        source, landed_void = warp_module.splat_surface(
+            points, np.array([False, True]), self.INTR)
+        assert (source == -1).all() and not landed_void.any()
+
+
 class TestWarpProperties:
     """Hypothesis invariants over random target poses (pure numpy, fast)."""
 
@@ -231,7 +273,7 @@ class TestWarpProperties:
 
 
 def _oracle_splat_points(points_cam, colors, intrinsics, valid=None):
-    """``splat_points`` as it was: boolean-mask projection, one z-buffer."""
+    """Splatting as it was: boolean-mask projection, one z-buffer."""
     points = np.asarray(points_cam, dtype=float)
     colors = np.asarray(colors, dtype=float)
     height, width = intrinsics.height, intrinsics.width
@@ -544,12 +586,13 @@ class TestOracle:
         colors = rng.uniform(size=(400, 3))
         valid = rng.uniform(size=400) < 0.8
         for mask in (None, valid):
-            got = splat_points(points, colors, intrinsics, valid=mask)
+            pixel = project_to_pixels(points, intrinsics, mask)
+            landed = np.flatnonzero(pixel >= 0)
+            source = nearest_source(pixel[landed], points[landed, 2], landed,
+                                    16 * 12)
             want = _oracle_splat_points(points, colors, intrinsics,
                                         valid=mask)
-            _assert_same_arrays(
-                [got.image, got.depth, got.covered, got.source_index],
-                [want.image, want.depth, want.covered, want.source_index])
+            _assert_same_arrays([source], [want.source_index.reshape(-1)])
 
 
 def test_depth_sort_sees_only_surface_points(monkeypatch, small_camera,

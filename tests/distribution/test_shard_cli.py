@@ -75,14 +75,6 @@ class TestCliSurface:
         assert main(["cluster", "--fast", "--zipf", "1.2"]) == 2
         assert "--catalog" in capsys.readouterr().err
 
-    def test_frontier_rejects_catalog(self, capsys):
-        # Sweep the sharded tier with cli experiment instead: frontier
-        # takes only the fleet knobs of the cluster section.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["frontier", "--fast", "--catalog", "8"])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments: --catalog" in capsys.readouterr().err
-
 
 class TestRunClusterLibrarySurface:
     def test_unsharded_summary_keeps_legacy_shape(self):

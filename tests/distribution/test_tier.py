@@ -92,6 +92,19 @@ class TestAcquire:
         store.register_worker("w05")
         assert store.acquire("w05", spec, 1.0)[0] == "bake"
 
+    def test_holders_are_the_workers_that_skip_a_bake(self):
+        store = store_with(replication=2)
+        spec = SPECS[0]
+        key = spec.cache_key(FAST)
+        assert store.holders(key) == set()
+        store.acquire("w00", spec, 0.0)
+        holders = store.holders(key)
+        assert holders == set(store.shard_map.owners(key)) | {"w00"}
+        for worker_id in sorted(holders):
+            assert store.acquire(worker_id, spec, 1.0)[0] != "bake"
+        store.remove_worker("w00")
+        assert "w00" not in store.holders(key)
+
     def test_rejects_unbounded_local_tier(self):
         with pytest.raises(ValueError):
             ShardedFieldStore(FAST, local_entries=0)

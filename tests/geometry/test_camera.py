@@ -78,12 +78,6 @@ class TestProjection:
         _, depth = camera.project_points(behind[None])
         assert depth[0] < 0
 
-    def test_visible_mask(self, camera):
-        uv = np.array([[5.0, 5.0], [-1.0, 5.0], [5.0, 500.0], [5.0, 5.0]])
-        depth = np.array([1.0, 1.0, 1.0, -1.0])
-        mask = camera.visible_mask(uv, depth)
-        np.testing.assert_array_equal(mask, [True, False, False, False])
-
 
 class TestPoseHandling:
     def test_w2c_inverts_c2w(self, camera):

@@ -7,7 +7,6 @@ from repro.geometry import (
     Intrinsics,
     PinholeCamera,
     depth_to_points,
-    frame_to_pointcloud,
     look_at,
     transform_points,
 )
@@ -77,32 +76,3 @@ class TestTransformPoints:
         np.testing.assert_allclose(transform_points(points, b @ a), both,
                                    atol=1e-9)
 
-
-class TestFrameToPointcloud:
-    def test_valid_mask_excludes_infinite_depth(self, intrinsics):
-        image = np.zeros((12, 16, 3))
-        depth = np.full((12, 16), 2.0)
-        depth[0, :] = np.inf
-        cloud = frame_to_pointcloud(image, depth, intrinsics)
-        assert cloud.valid.sum() == (12 - 1) * 16
-
-    def test_colors_flattened_row_major(self, intrinsics):
-        image = np.arange(12 * 16 * 3, dtype=float).reshape(12, 16, 3)
-        depth = np.full((12, 16), 1.0)
-        cloud = frame_to_pointcloud(image, depth, intrinsics)
-        np.testing.assert_allclose(cloud.colors, image.reshape(-1, 3))
-
-    def test_resolution_mismatch_rejected(self, intrinsics):
-        with pytest.raises(ValueError):
-            frame_to_pointcloud(np.zeros((5, 5, 3)), np.zeros((12, 16)),
-                                intrinsics)
-
-    def test_transformed_applies_rigidly(self, intrinsics):
-        image = np.zeros((12, 16, 3))
-        depth = np.full((12, 16), 2.0)
-        cloud = frame_to_pointcloud(image, depth, intrinsics)
-        t = np.eye(4)
-        t[:3, 3] = [0.0, 0.0, 1.0]
-        moved = cloud.transformed(t)
-        np.testing.assert_allclose(moved.points[:, 2], 3.0)
-        np.testing.assert_array_equal(moved.valid, cloud.valid)

@@ -87,20 +87,25 @@ class TestRayBundle:
                              look_at([0, 0, -3], [0, 0, 0]))
 
     def test_from_camera_counts(self, camera):
-        bundle = RayBundle.from_camera(camera)
+        origins, directions = camera.generate_rays()
+        bundle = RayBundle(origins.reshape(-1, 3), directions.reshape(-1, 3),
+                           pixel_ids=np.arange(64))
         assert len(bundle) == 64
-        assert bundle.pixel_ids is not None
-        np.testing.assert_array_equal(bundle.pixel_ids, np.arange(64))
+        np.testing.assert_allclose(bundle.origins,
+                                   np.broadcast_to(camera.position, (64, 3)))
+        np.testing.assert_allclose(
+            np.linalg.norm(bundle.directions, axis=1), 1.0, atol=1e-12)
 
     def test_from_camera_pixels_matches_full(self, camera):
-        full = RayBundle.from_camera(camera)
+        _, full = camera.generate_rays()
         subset_ids = np.array([0, 13, 37, 63])
-        subset = RayBundle.from_camera_pixels(camera, subset_ids)
-        np.testing.assert_allclose(subset.directions,
-                                   full.directions[subset_ids], atol=1e-12)
+        np.testing.assert_array_equal(camera.pixel_directions(subset_ids),
+                                      full.reshape(-1, 3)[subset_ids])
 
     def test_select_by_mask(self, camera):
-        bundle = RayBundle.from_camera(camera)
+        origins, directions = camera.generate_rays()
+        bundle = RayBundle(origins.reshape(64, 3), directions.reshape(64, 3),
+                           pixel_ids=np.arange(64))
         mask = np.zeros(64, dtype=bool)
         mask[[1, 5]] = True
         sub = bundle.select(mask)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.geometry import (
     extrapolate_pose,
-    interpolate_pose,
     invert_pose,
     is_rotation_matrix,
     look_at,
@@ -173,23 +172,3 @@ class TestExtrapolation:
         out = extrapolate_pose(prev, curr, steps=0.5)
         np.testing.assert_allclose(pose_translation(out), [3.0, 0.0, 0.0])
 
-
-class TestInterpolation:
-    def test_endpoints(self):
-        a = look_at([3.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        b = look_at([0.0, 0.0, 3.0], [0.0, 0.0, 0.0])
-        np.testing.assert_allclose(interpolate_pose(a, b, 0.0), a, atol=1e-9)
-        np.testing.assert_allclose(interpolate_pose(a, b, 1.0), b, atol=1e-9)
-
-    def test_midpoint_translation(self):
-        a = make_pose(np.eye(3), [0.0, 0.0, 0.0])
-        b = make_pose(np.eye(3), [2.0, 4.0, 6.0])
-        mid = interpolate_pose(a, b, 0.5)
-        np.testing.assert_allclose(pose_translation(mid), [1.0, 2.0, 3.0])
-
-    def test_rotation_geodesic(self):
-        a = make_pose(np.eye(3), [0.0, 0.0, 0.0])
-        b = make_pose(rotation_y(1.0), [0.0, 0.0, 0.0])
-        mid = interpolate_pose(a, b, 0.5)
-        np.testing.assert_allclose(pose_rotation(mid), rotation_y(0.5),
-                                   atol=1e-9)

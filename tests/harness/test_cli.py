@@ -245,17 +245,6 @@ class TestGovernorCli:
         assert main(["frontier", "--fast", "--rates", "a,b,c"]) == 2
         assert "bad --rates" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["serve", "--fast", "--host", "127.0.0.1"],
-        ["serve", "--fast", "--port", "7070"],
-        ["cluster", "--fast", "--time-scale", "0.5"],
-        ["frontier", "--fast", "--rates", "1,2,3", "--time-scale", "2"],
-    ], ids=["serve-host", "serve-port", "cluster-scale", "frontier-scale"])
-    def test_virtual_commands_reject_realserve_flags(self, capsys, argv):
-        assert_unrecognized(argv, capsys, next(
-            flag for flag in argv if flag in ("--host", "--port",
-                                              "--time-scale")))
-
     def test_governed_serve_reports_tier_state(self, capsys, tmp_path):
         rc = main(["serve", "--fast", "--frames", "3",
                    "--workload", "vr-lego:2", "--governor", "static",
@@ -326,6 +315,7 @@ FOREIGN_FLAGS = [
     ("frontier --fast --rate 3", "--rate"),
     ("frontier --fast --autoscale", "--autoscale"),
     ("frontier --fast --backend parallel", "--backend"),
+    ("frontier --fast --catalog 8", "--catalog"),  # sweep shards via experiment
     ("serve --fast --workers 2", "--workers"),
     ("serve --fast --catalog 8", "--catalog"),
     ("serve-live --fast --workload vr-lego", "--workload"),
@@ -336,6 +326,11 @@ FOREIGN_FLAGS = [
     ("list --fast", "--fast"),
     ("trace analyze t.json --fast", "--fast"),
     ("all --trace t.json", "--trace"),
+    # serve-live's socket and clock flags on the virtual-clock commands.
+    ("serve --fast --host 127.0.0.1", "--host"),
+    ("serve --fast --port 7070", "--port"),
+    ("cluster --fast --time-scale 0.5", "--time-scale"),
+    ("frontier --fast --rates 1,2,3 --time-scale 2", "--time-scale"),
     # No abbreviations: a prefix must not reach a longer flag (--rate
     # would otherwise select frontier's --rates).
     ("cluster --fast --work 2", "--work"),

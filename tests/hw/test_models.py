@@ -10,6 +10,7 @@ from repro.hw import (
     GUConfig,
     NPUConfig,
     NPUModel,
+    SoCModel,
 )
 
 
@@ -48,6 +49,13 @@ class TestGPUModel:
                                         "baseline_traffic": GatherTraffic(10e6, 0.0)})
         assert gpu.gathering_time(streaming_wl) < gpu.gathering_time(workload)
 
+    def test_indexing_charges_rays_and_samples(self, workload):
+        gpu = GPUModel()
+        assert gpu.indexing_time(workload) == pytest.approx(
+            workload.num_rays * gpu.config.index_ray_cost_s
+            + workload.num_samples * gpu.config.index_sample_cost_s)
+        assert gpu.indexing_time(FrameWorkload()) == 0.0
+
     def test_warp_cost_matches_paper_scale(self):
         """Paper: ~1 ms per million warped points on the mobile GPU."""
         gpu = GPUModel()
@@ -55,9 +63,12 @@ class TestGPUModel:
         assert gpu.warping_time(wl) == pytest.approx(1e-3, rel=0.5)
 
     def test_energy_includes_dram(self, workload):
+        cost = SoCModel().price_nerf(workload, "gpu")
         gpu = GPUModel()
-        power_only = gpu.frame_time(workload) * gpu.config.average_power_w
-        assert gpu.frame_energy(workload) > power_only
+        power_only = (gpu.frame_breakdown(workload).total
+                      * gpu.config.average_power_w)
+        assert cost.energy_parts["dram"] > 0.0
+        assert cost.energy_j > power_only
 
     def test_breakdown_merge(self, workload):
         gpu = GPUModel()
@@ -78,8 +89,9 @@ class TestNPUModel:
 
     def test_cycles_consistent(self, workload):
         npu = NPUModel()
-        assert npu.computation_cycles(workload) == pytest.approx(
-            npu.computation_time(workload) * npu.config.clock_hz, rel=1e-6)
+        cycles = npu.computation_time(workload) * npu.config.clock_hz
+        busy_macs = cycles * npu.config.macs_per_cycle * npu.config.utilization
+        assert busy_macs == pytest.approx(workload.mlp_macs, rel=1e-9)
 
     def test_energy_positive(self, workload):
         assert NPUModel().computation_energy(workload) > 0.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.sparw.pipeline import SparwSequenceResult, TargetFrameRecord
-from repro.hw.serving import aggregate_serving, price_session_frames
+from repro.hw.serving import aggregate_serving, session_frame_costs
 from repro.hw.soc import SoCModel
 from repro.nerf.renderer import RenderStats
 
@@ -37,13 +37,13 @@ def soc():
 class TestPriceSessionFrames:
     def test_one_time_per_frame(self, soc):
         result = make_result(6, window=3)
-        times = price_session_frames(result, soc)
+        times = [cost.time_s for cost in session_frame_costs(result, soc)]
         assert len(times) == 6
         assert all(t > 0 for t in times)
 
     def test_reference_frames_cost_more(self, soc):
         result = make_result(6, window=3)
-        times = price_session_frames(result, soc)
+        times = [cost.time_s for cost in session_frame_costs(result, soc)]
         # Window boundaries (0 and 3) pay the full-frame reference render.
         assert times[0] > 2 * times[1]
         assert times[3] > 2 * times[4]

@@ -31,6 +31,11 @@ class TestLRU:
         stats = simulate_lru(addrs, capacity_bytes=64, block_bytes=64)
         assert stats.misses == 1
 
+    def test_empty_trace_has_no_misses(self):
+        stats = simulate_lru(np.zeros(0, dtype=np.int64), 1024, block_bytes=64)
+        assert (stats.accesses, stats.misses, stats.hits) == (0, 0, 0)
+        assert stats.miss_rate == 0.0 and stats.hit_rate == 1.0
+
     def test_miss_bytes(self):
         addrs = np.arange(4) * 64
         stats = simulate_lru(addrs, capacity_bytes=4 * 64, block_bytes=64)

@@ -1,10 +1,10 @@
 """Tests for the DRAM model and energy constants."""
 
+import numpy as np
 import pytest
 
 from repro.memsys import DEFAULT_ENERGY, DRAMConfig, DRAMModel, EnergyModel
-from repro.memsys.trace import AccessTrace
-import numpy as np
+from repro.memsys.trace import AccessTrace, analyze_streaming
 
 
 class TestEnergyModel:
@@ -50,8 +50,15 @@ class TestDRAMModel:
         rng = np.random.default_rng(0)
         rand = AccessTrace(addresses=rng.integers(0, 1 << 30, 100) * 64,
                            sizes=np.full(100, 64))
-        assert model.cost_of_trace(seq).streaming_fraction > 0.9
-        assert model.cost_of_trace(rand).streaming_fraction < 0.1
+
+        def cost(trace):
+            analysis = analyze_streaming(trace)
+            return model.cost_of_bytes(analysis.streaming_bytes,
+                                       analysis.random_bytes)
+
+        assert cost(seq).streaming_fraction > 0.9
+        assert cost(rand).streaming_fraction < 0.1
+        assert cost(seq).total_bytes == cost(rand).total_bytes == 6400
 
     def test_merge(self):
         model = DRAMModel()

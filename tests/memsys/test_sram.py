@@ -63,7 +63,6 @@ class TestStats:
                                   actual_cycles=20, conflicted_groups=5)
         assert stats.conflict_rate == pytest.approx(0.5)
         assert stats.slowdown == pytest.approx(2.0)
-        assert stats.conflicted_group_fraction == pytest.approx(0.5)
 
     def test_merge(self):
         a = BankConflictStats(2, 2, 4, 1)
@@ -77,4 +76,3 @@ class TestStats:
         stats = BankConflictStats(0, 0, 0, 0)
         assert stats.conflict_rate == 0.0
         assert stats.slowdown == 1.0
-        assert stats.conflicted_group_fraction == 0.0

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro.metrics import (
-    arithmetic_mean,
     geometric_mean,
+    mean_or_zero,
     mean_psnr,
     mse,
-    normalize_to,
+    percentile_or_zero,
     psnr,
-    psnr_sequence,
     speedup,
 )
 
@@ -47,13 +46,14 @@ class TestMSEPSNR:
     def test_sequence_helpers(self):
         a = [np.zeros((4, 4, 3))] * 3
         b = [np.full((4, 4, 3), 0.1)] * 3
-        per_frame = psnr_sequence(a, b)
-        assert len(per_frame) == 3
         assert mean_psnr(a, b) == pytest.approx(20.0)
 
     def test_sequence_length_mismatch(self):
         with pytest.raises(ValueError):
-            psnr_sequence([np.zeros((2, 2, 3))], [])
+            mean_psnr([np.zeros((2, 2, 3))], [])
+
+    def test_empty_sequence_is_lossless(self):
+        assert mean_psnr([], []) == float("inf")
 
     def test_mean_psnr_pools_mse(self):
         """Pooled PSNR differs from averaging per-frame PSNRs."""
@@ -75,15 +75,22 @@ class TestStats:
             geometric_mean([])
 
     def test_arithmetic_mean(self):
-        assert arithmetic_mean([1.0, 3.0]) == pytest.approx(2.0)
+        assert mean_or_zero([1.0, 3.0]) == pytest.approx(2.0)
+        assert mean_or_zero(iter([2.0, 4.0, 6.0])) == pytest.approx(4.0)
+
+    def test_mean_of_nothing_is_zero(self):
+        assert mean_or_zero([]) == 0.0
+
+    def test_percentile_interpolates(self):
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert percentile_or_zero(values, 50) == pytest.approx(3.0)
+        assert percentile_or_zero(values, 95) == pytest.approx(4.8)
+        assert percentile_or_zero(iter(values), 0) == pytest.approx(1.0)
+
+    def test_percentile_of_nothing_is_zero(self):
+        assert percentile_or_zero([], 99) == 0.0
 
     def test_speedup(self):
         assert speedup(10.0, 2.0) == pytest.approx(5.0)
         with pytest.raises(ValueError):
             speedup(10.0, 0.0)
-
-    def test_normalize_to(self):
-        out = normalize_to({"a": 2.0, "b": 6.0}, "a")
-        assert out == {"a": 1.0, "b": 3.0}
-        with pytest.raises(ValueError):
-            normalize_to({"a": 0.0, "b": 1.0}, "a")

@@ -1,33 +1,9 @@
-"""Tests for positional and spherical-harmonics encodings."""
+"""Tests for the spherical-harmonics view encoding."""
 
 import numpy as np
 import pytest
 
-from repro.nerf import frequency_encoding, sh_basis_deg1
-
-
-class TestFrequencyEncoding:
-    def test_output_dim(self):
-        x = np.zeros((5, 3))
-        out = frequency_encoding(x, num_frequencies=4)
-        assert out.shape == (5, 3 * (1 + 2 * 4))
-
-    def test_without_input_passthrough(self):
-        x = np.zeros((5, 3))
-        out = frequency_encoding(x, num_frequencies=2, include_input=False)
-        assert out.shape == (5, 3 * 4)
-
-    def test_zero_maps_to_zero_sines(self):
-        out = frequency_encoding(np.zeros((1, 2)), num_frequencies=1)
-        np.testing.assert_allclose(out[0, :2], 0.0)  # passthrough
-        np.testing.assert_allclose(out[0, 2:4], 0.0)  # sin(0)
-        np.testing.assert_allclose(out[0, 4:6], 1.0)  # cos(0)
-
-    def test_octave_frequencies(self):
-        x = np.array([[0.25]])
-        out = frequency_encoding(x, num_frequencies=2, include_input=False)
-        np.testing.assert_allclose(out[0, 0], np.sin(0.25 * np.pi))
-        np.testing.assert_allclose(out[0, 2], np.sin(0.5 * np.pi))
+from repro.nerf import sh_basis_deg1
 
 
 class TestSHBasis:

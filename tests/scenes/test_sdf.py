@@ -9,7 +9,7 @@ from repro.nerf.baking import vertex_grid_positions
 from repro.scenes.sdf import (
     Box,
     Cylinder,
-    Plane,
+    Intersection,
     Sphere,
     Torus,
     Union,
@@ -59,15 +59,6 @@ class TestOtherPrimitives:
         t = Torus(major=1.0, minor=0.25)
         assert t.distance(np.array([[1.25, 0.0, 0.0]]))[0] == pytest.approx(0.0)
 
-    def test_plane_half_space(self):
-        p = Plane(normal=[0, 1, 0], offset=0.0)
-        assert p.distance(np.array([[0.0, 2.0, 0.0]]))[0] == pytest.approx(2.0)
-        assert p.distance(np.array([[0.0, -2.0, 0.0]]))[0] == pytest.approx(-2.0)
-
-    def test_plane_normalizes(self):
-        p = Plane(normal=[0, 2, 0])
-        np.testing.assert_allclose(p.normal, [0, 1, 0])
-
     def test_cylinder_radial_and_axial(self):
         c = Cylinder(radius=0.5, half_height=1.0)
         assert c.distance(np.array([[1.5, 0.0, 0.0]]))[0] == pytest.approx(1.0)
@@ -88,16 +79,32 @@ class TestCSG:
         u = a | b
         assert isinstance(u, Union)
 
+    def test_intersection_is_max(self):
+        a = Sphere(center=[0, 0, 0], radius=1.0)
+        b = Sphere(center=[1, 0, 0], radius=1.0)
+        pts = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+        np.testing.assert_allclose(Intersection([a, b]).distance(pts),
+                                   np.maximum(a.distance(pts),
+                                              b.distance(pts)))
+        # Inside both -> inside; inside only one -> outside.
+        assert Intersection([a, b]).distance(pts[:1])[0] < 0
+        assert Intersection([a, b]).distance(pts[1:])[0] > 0
+
+    def test_operator_and(self):
+        a = Sphere(radius=1.0)
+        b = Box(half_size=[0.5, 0.5, 0.5])
+        both = a & b
+        assert isinstance(both, Intersection)
+        pts = np.random.default_rng(4).uniform(-1.5, 1.5, size=(64, 3))
+        np.testing.assert_array_equal(both.distance(pts),
+                                      Intersection([a, b]).distance(pts))
+
     def test_subtraction_removes_overlap(self):
         base = Sphere(radius=1.0)
         cut = Sphere(radius=0.5)
         sub = base - cut
         # Center is inside the cut -> outside the result.
         assert sub.distance(np.zeros((1, 3)))[0] > 0
-
-    def test_translated(self):
-        s = Sphere(radius=1.0).translated([5.0, 0.0, 0.0])
-        assert s.distance(np.array([[5.0, 0.0, 0.0]]))[0] == pytest.approx(-1.0)
 
     def test_scaled(self):
         s = Sphere(radius=1.0).scaled(2.0)

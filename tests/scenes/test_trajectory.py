@@ -1,4 +1,4 @@
-"""Tests for camera trajectories and FPS resampling."""
+"""Tests for camera trajectories."""
 
 import numpy as np
 import pytest
@@ -20,9 +20,9 @@ from repro.scenes import (
     orbit_trajectory,
     random_walk_trajectory,
     replay_trajectory,
-    resample_fps,
     save_pose_log,
 )
+from repro.scenes.trajectory import trajectory_parameters
 
 
 class TestOrbit:
@@ -216,25 +216,12 @@ class TestMakeTrajectory:
             with pytest.raises(TypeError):
                 make_trajectory(kind, 3, not_a_param=1.0, **params)
 
+    def test_parameters_name_each_generators_keywords(self):
+        assert "degrees_per_frame" in trajectory_parameters("orbit")
+        assert "pose_log" in trajectory_parameters("replay")
+        for kind in TRAJECTORY_KINDS:
+            assert "num_frames" in trajectory_parameters(kind)
 
-class TestResample:
-    def test_stride(self):
-        traj = orbit_trajectory(30, fps=30.0)
-        low = resample_fps(traj, 10.0)
-        assert len(low) == 10
-        assert low.fps == pytest.approx(10.0)
-        np.testing.assert_allclose(low[1], traj[3])
-
-    def test_1fps_from_30fps(self):
-        traj = orbit_trajectory(60, fps=30.0)
-        low = resample_fps(traj, 1.0)
-        assert len(low) == 2
-        # Pose deltas grow ~30x.
-        dense_step = translation_distance(traj[0], traj[1])
-        sparse_step = translation_distance(low[0], low[1])
-        assert sparse_step > 20 * dense_step
-
-    def test_upsampling_rejected(self):
-        traj = orbit_trajectory(10, fps=10.0)
-        with pytest.raises(ValueError):
-            resample_fps(traj, 30.0)
+    def test_parameters_of_unknown_kind(self):
+        with pytest.raises(KeyError, match="orbit"):
+            trajectory_parameters("spiral")

@@ -211,6 +211,29 @@ class TestRejection:
         assert reply["type"] == "error"
         assert match in reply["message"]
 
+    def test_failed_session_build_is_an_error_and_server_lives_on(
+            self, monkeypatch):
+        build = FrameServer._build_session
+
+        def build_failing(server, spec, session_id):
+            if spec.name == "dolly-chair":
+                raise OSError("injected bake failure")
+            return build(server, spec, session_id)
+
+        monkeypatch.setattr(FrameServer, "_build_session", build_failing)
+
+        async def scenario(server):
+            failed = await _client(server.port, "dolly-chair")
+            later = await _client(server.port, "vr-lego", frames=2)
+            return failed, later
+
+        failed, later = _with_server(scenario)
+        assert failed["opened"] == {
+            "type": "error",
+            "message": "session build failed: OSError: injected bake failure"}
+        assert later["final"]["type"] == "done"
+        assert len(later["frames"]) == 2
+
     def test_port_is_ephemeral_and_reported(self):
         async def scenario(server):
             return server.port

@@ -1,0 +1,60 @@
+"""No dead library code: every def/class in ``src/repro`` must be reached.
+
+Reached means the name appears as an identifier (a name or an attribute)
+in ``src/``, ``examples/`` or ``benchmarks/``.  Docstrings, comments,
+``__all__`` lists and import lines are not identifiers, and tests do not
+count: a definition only its own tests reach is dead.  ``KEEP`` lists the
+exceptions, each with its reason, and must hold no name that is reached.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+KEEP = {
+    "area_overhead_mm2": "a test asserts the paper's Sec. V GU area (~0.048 mm^2)",
+    "streaming_execution_order": "oracle for the reordering-equivalence tests",
+    "simulate_groups": "reference for BankedSRAM.simulate_groups_fast",
+    "project_points": "oracle for the depth-lift round trip",
+    "save_arrival_trace": "writer half of the --arrival-trace format",
+    "save_pose_log": "writer half of the pose-log format replay reads",
+    "reset_caches": "keeps tests isolated from each other",
+    "metric_set": "the gauge helper beside metric_inc / metric_observe",
+    "query": "Field.query: per-sample oracle of the reordering integration test",
+    "render_pixels": "sparse renders checked against full frames (compose_pixels)",
+    "level_of": "test instrument: a governed session's current tier",
+    "render_bundles": "test instrument: serial reference for the worker pool",
+    "primary": "test instrument: ShardMap's first replica",
+    "rotation_x": "test instrument: builds test poses",
+    "rotation_y": "test instrument: builds test poses",
+    "rotation_z": "test instrument: builds test poses",
+    "rotation_angle_deg": "test instrument: checks pose extrapolation",
+    "translation_distance": "test instrument: checks trajectories",
+    "is_rotation_matrix": "test instrument: checks every generated pose",
+    "void_fraction": "test instrument: checks disocclusion classification",
+    "diffuse_radiance": "test instrument: ground truth for the field decode tests",
+    "occupancy_rate": "test instrument: checks the baked occupancy grid",
+    "frame_interval": "test instrument: a trajectory's 1 / fps",
+}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _tree(path: Path):
+    return ast.walk(ast.parse(path.read_text(), str(path)))
+
+
+def test_every_library_definition_is_reached():
+    used = set()
+    for top in ("src", "examples", "benchmarks"):
+        for path in (ROOT / top).rglob("*.py"):
+            used |= {node.id for node in _tree(path) if isinstance(node, ast.Name)}
+            used |= {node.attr for node in _tree(path)
+                     if isinstance(node, ast.Attribute)}
+    dead = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+            for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+            for node in _tree(path)
+            if isinstance(node, DEFS) and node.name not in used | set(KEEP)
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert not dead, "unreached (delete, or KEEP with a reason):\n" + "\n".join(dead)
+    assert not set(KEEP) & used, f"KEEP names that are reached: {set(KEEP) & used}"

@@ -98,6 +98,19 @@ class TestSpec:
         assert WorkloadSpec(name="w").num_frames(FAST) == FAST.num_frames
 
 
+    def test_describe_defers_unset_sizes_to_the_config(self):
+        row = WorkloadSpec(name="w").describe()
+        assert row["name"] == "w"
+        assert row["window"] == "config" and row["frames"] == "config"
+        row = WorkloadSpec(name="w", window=4, frames=6).describe()
+        assert (row["window"], row["frames"]) == (4, 6)
+
+    def test_describe_row_of_every_builtin(self):
+        for spec in list_workloads():
+            row = spec.describe()
+            assert row["name"] == spec.name and row["scene"] == spec.scene
+            assert row["slo_fps"] == spec.effective_slo_fps
+
 class TestRegistry:
     def test_builtins_are_valid(self):
         specs = list_workloads()
