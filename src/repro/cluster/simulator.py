@@ -19,8 +19,8 @@ import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from ..metrics.stats import mean_or_zero as _mean
-from ..metrics.stats import percentile_or_zero as _percentile
+from ..metrics.stats import (LATENCY_KEYS, in_ms, latency_summary,
+                             mean_or_zero, record_frame, time_to_first_frame)
 from ..obs.runtime import current_metrics, current_tracer
 from ..workloads.cache import SharedLRUCache
 from .admission import REJECT_QUEUE_FULL, AdmissionController
@@ -112,13 +112,7 @@ class ClusterReport:
             "total_frames": self.total_frames,
             "makespan_s": self.makespan_s,
             "aggregate_fps": self.aggregate_fps,
-            "ttff_mean_ms": self.ttff_mean_s * 1e3,
-            "ttff_p95_ms": self.ttff_p95_s * 1e3,
-            "mean_latency_ms": self.mean_latency_s * 1e3,
-            "p50_latency_ms": self.p50_latency_s * 1e3,
-            "p95_latency_ms": self.p95_latency_s * 1e3,
-            "p99_latency_ms": self.p99_latency_s * 1e3,
-            "worst_latency_ms": self.worst_latency_s * 1e3,
+            **in_ms({key: getattr(self, key) for key in LATENCY_KEYS}),
             "mean_utilization": self.mean_utilization,
             "total_busy_s": self.total_busy_s,
             "total_energy_j": self.total_energy_j,
@@ -391,31 +385,6 @@ class ClusterSimulator:
         return self._tracer.scope(f"worker {worker.worker_id}",
                                   base_us=now_s * 1e6)
 
-    def _trace_frame(self, worker: Worker, session, now_s: float) -> None:
-        """Emit wait/serve spans for the frame completing at ``now_s``."""
-        k = session.next_frame
-        request_s = session.request_time(k)
-        start_s = now_s - session.frame_costs[k]
-        latency_s = max(now_s - request_s, 0.0)
-        if self._metrics is not None:
-            self._metrics.inc("cluster.frames")
-            self._metrics.observe("cluster.frame_latency_s", latency_s)
-            if k == 0:
-                self._metrics.observe("cluster.ttff_s",
-                                      max(now_s - session.arrival_s, 0.0))
-        tracer = self._tracer
-        if tracer is None:
-            return
-        pid = tracer.process(f"worker {worker.worker_id}")
-        tid = tracer.thread(pid, session.session_id)
-        args = {"session": session.session_id, "frame": k,
-                "latency_ms": latency_s * 1e3}
-        tracer.complete("frame.wait", "frame", request_s * 1e6,
-                        max(start_s - request_s, 0.0) * 1e6, pid, tid,
-                        args=args)
-        tracer.complete("frame.serve", "frame", start_s * 1e6,
-                        (now_s - start_s) * 1e6, pid, tid, args=args)
-
     # -- run ---------------------------------------------------------------------
 
     def run(self, arrivals: list, label: str = "trace") -> ClusterReport:
@@ -467,13 +436,18 @@ class ClusterSimulator:
                 self._autoscale(now_s)
             elif kind == "frame_done":
                 worker, session = payload
-                self._trace_frame(worker, session, now_s)
-                worker.finish_frame(session, now_s)
+                timeline = worker.finish_frame(session, now_s)
+                k = session.next_frame - 1
+                record_frame(timeline, "cluster", f"worker {worker.worker_id}",
+                             session.session_id, k, self._metrics, self._tracer)
+                if self._metrics is not None and k == 0:
+                    self._metrics.observe("cluster.ttff_s", time_to_first_frame(
+                        session.arrival_s, session.timelines))
                 self._makespan = max(self._makespan, now_s)
                 if self.governor is not None and not session.done:
                     old_level = session.level
-                    new_level = self.governor.on_frame(
-                        session.session_id, session.latencies_s[-1])
+                    new_level = self.governor.governor.observe(
+                        session.session_id, timeline.latency_s)
                     if new_level is not None:
                         with self._worker_scope(worker, now_s):
                             retuned = worker.retune_session(session,
@@ -507,9 +481,6 @@ class ClusterSimulator:
     def _report(self, label: str) -> ClusterReport:
         placed_sessions = [s for w in self.workers
                            for s in (w.completed + w.sessions)]
-        latencies = [lat for s in placed_sessions for lat in s.latencies_s]
-        ttff = [s.first_frame_s - s.arrival_s for s in placed_sessions
-                if s.first_frame_s is not None]
         makespan = self._makespan
         per_worker = [w.stats_row(makespan) for w in self.workers]
         total_frames = sum(w.frames_served for w in self.workers)
@@ -534,8 +505,7 @@ class ClusterSimulator:
         distribution: dict = {}
         if self.field_store is not None:
             store = self.field_store
-            served = [s for s in placed_sessions
-                      if s.first_frame_s is not None]
+            served = [s for s in placed_sessions if s.timelines]
             # TTFF decomposition: the acquisition cost each session paid
             # (bake or transfer) vs everything else (queueing + first
             # frame's own service time).
@@ -543,16 +513,16 @@ class ClusterSimulator:
                     for s in served]
             transfer = [s.fetch_s if s.fetch_kind == "shard" else 0.0
                         for s in served]
-            queue = [(s.first_frame_s - s.arrival_s) - s.fetch_s
-                     for s in served]
+            queue = [time_to_first_frame(s.arrival_s, s.timelines)
+                     - s.fetch_s for s in served]
             distribution = {
                 "catalog": store.catalog_size,
                 "zipf_s": (store.zipf_s
                            if store.zipf_s is not None else 0.0),
                 **store.stats(),
-                "ttff_bake_mean_ms": _mean(bake) * 1e3,
-                "ttff_transfer_mean_ms": _mean(transfer) * 1e3,
-                "ttff_queue_mean_ms": _mean(queue) * 1e3,
+                "ttff_bake_mean_ms": mean_or_zero(bake) * 1e3,
+                "ttff_transfer_mean_ms": mean_or_zero(transfer) * 1e3,
+                "ttff_queue_mean_ms": mean_or_zero(queue) * 1e3,
             }
         return ClusterReport(
             placement=self.placement.name,
@@ -571,15 +541,10 @@ class ClusterSimulator:
             total_references=sum(s.references for s in placed_sessions),
             makespan_s=makespan,
             aggregate_fps=total_frames / makespan if makespan > 0 else 0.0,
-            ttff_mean_s=_mean(ttff),
-            ttff_p95_s=_percentile(ttff, 95),
-            mean_latency_s=_mean(latencies),
-            p50_latency_s=_percentile(latencies, 50),
-            p95_latency_s=_percentile(latencies, 95),
-            p99_latency_s=_percentile(latencies, 99),
-            worst_latency_s=max(latencies, default=0.0),
-            mean_utilization=_mean([row["utilization"]
-                                    for row in per_worker]),
+            **latency_summary((s.arrival_s, s.timelines)
+                              for s in placed_sessions),
+            mean_utilization=mean_or_zero([row["utilization"]
+                                           for row in per_worker]),
             total_busy_s=sum(w.busy_s for w in self.workers),
             total_energy_j=sum(w.energy_served_j for w in self.workers),
             ref_cache_hits=hits,

@@ -7,9 +7,9 @@ reference cache, so co-located sessions of the same workload share
 reference renders — and prices every frame on the worker's SoC with
 :func:`~repro.hw.serving.session_frame_costs`.  The priced frames then
 flow through the virtual-time frame queue: each session requests frame
-``k`` at ``arrival + k / fps_target`` (the open-loop stream a real viewer
-generates), frames are served one at a time in order per session, and the
-worker picks the oldest ready request first.
+``k`` at :func:`~repro.metrics.stats.request_time` (the open-loop
+stream a real viewer generates), frames are served one at a time in order
+per session, and the worker picks the oldest ready request first.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from ..engine import MultiSessionEngine
 from ..hw.serving import session_frame_costs
 from ..hw.soc import SoCModel
+from ..metrics.stats import FrameTimeline, request_time
 from ..workloads import SharedLRUCache
 
 __all__ = ["PlacedSession", "Worker"]
@@ -38,8 +39,7 @@ class PlacedSession:
     references: int = 0
     next_frame: int = 0
     last_completion_s: float = 0.0
-    first_frame_s: float | None = None
-    latencies_s: list = field(default_factory=list)
+    timelines: list = field(default_factory=list)  # one per served frame
     # Quality-governor state: current ladder rung, the rung each frame
     # was rendered at, which frames carried a new reference render (so a
     # retune can re-account its tail exactly), and retune count.
@@ -57,14 +57,6 @@ class PlacedSession:
     def done(self) -> bool:
         """True once every frame of the session has been served."""
         return self.next_frame >= len(self.frame_costs)
-
-    def request_time(self, frame_index: int) -> float:
-        """When the viewer asks for a frame: arrival + k at the target rate."""
-        return self.arrival_s + frame_index / self.fps_target
-
-    def ready_time(self, frame_index: int) -> float:
-        """Earliest service time: requested, and the previous frame done."""
-        return max(self.request_time(frame_index), self.last_completion_s)
 
 
 class Worker:
@@ -259,11 +251,12 @@ class Worker:
         ready_now = []
         earliest_future = None
         for session in self.sessions:
-            k = session.next_frame
-            ready = session.ready_time(k)
+            # Ready once requested and the previous frame is done.
+            request_s = request_time(session.arrival_s, session.next_frame,
+                                     session.fps_target)
+            ready = max(request_s, session.last_completion_s)
             if ready <= now_s:
-                ready_now.append((session.request_time(k),
-                                  session.session_id, session))
+                ready_now.append((request_s, session.session_id, session))
             elif earliest_future is None or ready < earliest_future:
                 earliest_future = ready
         if ready_now:
@@ -279,12 +272,14 @@ class Worker:
         self.current = session
         return completion
 
-    def finish_frame(self, session: PlacedSession, now_s: float) -> None:
-        """Record a frame completion (latency vs. its request time)."""
+    def finish_frame(self, session: PlacedSession,
+                     now_s: float) -> FrameTimeline:
+        """Record a frame completion; returns the frame's timeline."""
         k = session.next_frame
-        session.latencies_s.append(now_s - session.request_time(k))
-        if k == 0:
-            session.first_frame_s = now_s
+        timeline = FrameTimeline(
+            request_time(session.arrival_s, k, session.fps_target),
+            now_s - session.frame_costs[k], now_s)
+        session.timelines.append(timeline)
         session.last_completion_s = now_s
         session.next_frame += 1
         self.frames_served += 1
@@ -293,6 +288,7 @@ class Worker:
         if session.done:
             self.sessions.remove(session)
             self.completed.append(session)
+        return timeline
 
     # -- reporting ---------------------------------------------------------------
 

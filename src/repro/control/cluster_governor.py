@@ -98,11 +98,3 @@ class ClusterGovernor:
             return None
         self.overflow_admissions += 1
         return min(open_workers, key=lambda w: (w.load, w.worker_id))
-
-    # -- the per-frame loop ------------------------------------------------------
-
-    def on_frame(self, session_id: str, latency_s: float) -> int | None:
-        """Observe a resident frame completion; new level on transition."""
-        if session_id not in self.governor.sessions:
-            return None
-        return self.governor.observe(session_id, latency_s)

@@ -11,8 +11,9 @@ it only calls :meth:`share_weights` and :meth:`observe_record`.
 
 from __future__ import annotations
 
-from ..hw.serving import price_frame_record
+from ..hw.serving import frame_cost_record
 from ..hw.soc import SoCModel
+from ..metrics.stats import FrameTimeline, request_time
 from ..obs.runtime import current_tracer, metric_inc
 from .governor import GovernorPolicy, QualityGovernor
 from .tiers import spec_at_level
@@ -48,6 +49,7 @@ class EngineGovernor:
         self.governor = QualityGovernor(mode, policy)
         self.soc = soc or SoCModel(feature_dim=config.feature_dim)
         self.clock_s = 0.0
+        self.arrivals_s: dict = {}  # session id -> clock_s at attach
         self.events: list = []
 
     @property
@@ -67,6 +69,7 @@ class EngineGovernor:
             spec = session.workload
             if spec is None:
                 continue
+            self.arrivals_s[session.session_id] = self.clock_s
             control = self.governor.register(
                 session.session_id, spec.slo_latency_s,
                 spec.max_quality_level)
@@ -82,14 +85,16 @@ class EngineGovernor:
 
         The virtual clock models one shared SoC serving frames in
         completion order; a frame's latency is the clock at completion
-        minus its open-loop request time (``frame_index / fps_target``).
+        minus its open-loop request time from the session's arrival.
         """
         spec = session.workload
         if spec is None or session.session_id not in self.governor.sessions:
             return
-        self.clock_s += price_frame_record(record, self.soc, spec.variant)
-        request_s = record.frame_index / spec.fps_target
-        latency_s = max(self.clock_s - request_s, 0.0)
+        request_s = request_time(self.arrivals_s[session.session_id],
+                                 record.frame_index, spec.fps_target)
+        cost_s = frame_cost_record(record, self.soc, spec.variant).time_s
+        start_s, self.clock_s = self.clock_s, self.clock_s + cost_s
+        latency_s = FrameTimeline(request_s, start_s, self.clock_s).latency_s
         new_level = self.governor.observe(session.session_id, latency_s)
         if new_level is not None:
             self._retune(session, new_level)

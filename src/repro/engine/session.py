@@ -14,6 +14,7 @@ from ..core.sparw.pipeline import (
     SparwRenderer,
     SparwSequenceResult,
 )
+from ..metrics.stats import request_time
 
 __all__ = ["RenderSession"]
 
@@ -96,7 +97,7 @@ class RenderSession:
     @property
     def next_deadline(self) -> float:
         """Virtual due-time of the next frame at the session's target rate."""
-        return self.frames_completed / self.fps_target
+        return request_time(0.0, self.frames_completed, self.fps_target)
 
     # -- retuning ---------------------------------------------------------------
 

@@ -392,6 +392,7 @@ def run_serve_live(args) -> int:
 
 def run_loadgen_command(args) -> int:
     import asyncio
+    from ..metrics.stats import time_to_first_frame
     from ..server import FrameServer, LoadgenOptions, run_loadgen
     cell = cell_from_args("realserve", args)
     config = _scale(args)
@@ -436,8 +437,9 @@ def run_loadgen_command(args) -> int:
                     "self_served": args.connect is None})
     sessions = summary.pop("sessions")
     rows = [{"workload": s["workload"], "scheduled_s": s["scheduled_s"],
-             "status": s["status"], "frames": s["frames"],
-             "ttff_ms": (s["ttff_s"] or 0.0) * 1e3,
+             "status": s["status"], "frames": len(s["timelines"]),
+             "ttff_ms": time_to_first_frame(s["scheduled_s"],
+                                            s["timelines"]) * 1e3,
              "first_digest": (s["digests"][0] if s["digests"] else None)}
             for s in sessions]
     print_table(rows, title=f"loadgen: {len(rows)} sessions "

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..metrics.stats import percentile_or_zero
+from ..metrics.stats import FrameTimeline, latency_summary, record_frame
 from ..obs.runtime import current_metrics, current_tracer
 from .soc import FrameCost, SoCModel
 from .workload import workload_from_stats
 
 __all__ = ["SessionServingStats", "ServingReport", "frame_cost_record",
-           "price_frame_record", "session_frame_costs", "aggregate_serving"]
+           "session_frame_costs", "aggregate_serving"]
 
 
 @dataclass
@@ -39,8 +37,6 @@ class SessionServingStats:
     solo_fps: float  # rate if the session had the SoC to itself
     mean_latency_s: float
     p95_latency_s: float
-    p50_latency_s: float = 0.0
-    p99_latency_s: float = 0.0
     utilization: float = 0.0
     energy_j: float = 0.0  # SoC energy spent on this session's frames
 
@@ -66,11 +62,13 @@ class ServingReport:
     total_frames: int
     makespan_s: float
     aggregate_fps: float
+    ttff_mean_s: float  # latency_summary fields; sessions arrive at 0
+    ttff_p95_s: float
     mean_latency_s: float
+    p50_latency_s: float
     p95_latency_s: float
+    p99_latency_s: float
     worst_latency_s: float
-    p50_latency_s: float = 0.0
-    p99_latency_s: float = 0.0
     total_energy_j: float = 0.0
     per_session: list = field(default_factory=list)
     cache: dict | None = None
@@ -93,12 +91,6 @@ def frame_cost_record(record, soc: SoCModel, variant: str = "cicero"
         reference = workload_from_stats(record.reference_stats)
         cost = cost.merge(soc.price_nerf(reference, variant))
     return cost
-
-
-def price_frame_record(record, soc: SoCModel, variant: str = "cicero"
-                       ) -> float:
-    """SoC time (seconds) of one recorded SPARW target frame."""
-    return frame_cost_record(record, soc, variant).time_s
 
 
 def session_frame_costs(result, soc: SoCModel, variant: str = "cicero"
@@ -155,10 +147,10 @@ def aggregate_serving(session_results: dict, soc: SoCModel | None = None,
     if tracer is not None:
         soc_pid = tracer.process("soc")
         rounds_tid = tracer.thread(soc_pid, "rounds")
-        session_tids = {sid: tracer.thread(soc_pid, sid)
-                        for sid in frame_times}
+        for sid in frame_times:  # session lanes in session order
+            tracer.thread(soc_pid, sid)
 
-    latencies: dict = {sid: [] for sid in frame_times}
+    timelines: dict = {sid: [] for sid in frame_times}
     clock = 0.0
     max_frames = max((len(t) for t in frame_times.values()), default=0)
     for i in range(max_frames):
@@ -170,20 +162,9 @@ def aggregate_serving(session_results: dict, soc: SoCModel | None = None,
         for sid, cost in due:
             start = clock
             clock += cost
-            latency = clock - round_start
-            latencies[sid].append(latency)
-            if metrics is not None:
-                metrics.inc("serve.frames")
-                metrics.observe("serve.frame_latency_s", latency)
-            if tracer is not None:
-                args = {"session": sid, "frame": i,
-                        "latency_ms": latency * 1e3}
-                tracer.complete("frame.wait", "frame", round_start * 1e6,
-                                (start - round_start) * 1e6, soc_pid,
-                                session_tids[sid], args=args)
-                tracer.complete("frame.serve", "frame", start * 1e6,
-                                cost * 1e6, soc_pid, session_tids[sid],
-                                args=args)
+            timeline = FrameTimeline(round_start, start, clock)
+            timelines[sid].append(timeline)
+            record_frame(timeline, "serve", "soc", sid, i, metrics, tracer)
         if tracer is not None and due:
             tracer.complete("serve.round", "engine", round_start * 1e6,
                             (clock - round_start) * 1e6, soc_pid,
@@ -192,13 +173,10 @@ def aggregate_serving(session_results: dict, soc: SoCModel | None = None,
         if metrics is not None and due:
             metrics.inc("serve.rounds")
 
-    _pct = percentile_or_zero  # local alias keeps the stat rows compact
     per_session = []
-    all_latencies = []
     for sid, result in session_results.items():
         times = frame_times[sid]
-        lats = latencies[sid]
-        all_latencies.extend(lats)
+        latency = latency_summary([(0.0, timelines[sid])])
         busy = float(sum(times))
         per_session.append(SessionServingStats(
             session_id=sid,
@@ -206,10 +184,8 @@ def aggregate_serving(session_results: dict, soc: SoCModel | None = None,
             references=result.num_references,
             busy_s=busy,
             solo_fps=len(times) / busy if busy > 0 else 0.0,
-            mean_latency_s=float(np.mean(lats)) if lats else 0.0,
-            p95_latency_s=_pct(lats, 95),
-            p50_latency_s=_pct(lats, 50),
-            p99_latency_s=_pct(lats, 99),
+            mean_latency_s=latency["mean_latency_s"],
+            p95_latency_s=latency["p95_latency_s"],
             utilization=busy / clock if clock > 0 else 0.0,
             energy_j=float(sum(c.energy_j for c in frame_costs[sid])),
         ))
@@ -220,12 +196,7 @@ def aggregate_serving(session_results: dict, soc: SoCModel | None = None,
         total_frames=total_frames,
         makespan_s=clock,
         aggregate_fps=total_frames / clock if clock > 0 else 0.0,
-        mean_latency_s=(float(np.mean(all_latencies))
-                        if all_latencies else 0.0),
-        p95_latency_s=_pct(all_latencies, 95),
-        worst_latency_s=max(all_latencies, default=0.0),
-        p50_latency_s=_pct(all_latencies, 50),
-        p99_latency_s=_pct(all_latencies, 99),
+        **latency_summary((0.0, timelines[sid]) for sid in session_results),
         total_energy_j=sum(s.energy_j for s in per_session),
         per_session=per_session,
         cache=cache_stats,

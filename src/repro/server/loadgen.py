@@ -6,11 +6,10 @@ against a live :class:`~repro.server.FrameServer` — open loop, so a
 session's connection opens at its scheduled wall time regardless of how
 the server is keeping up, exactly matching the simulator's arrival
 semantics.  Each arrival becomes one TCP connection running one
-session; the client records wall-clock TTFF and per-frame latencies
-using the simulator's request-time convention (frame ``k`` of a session
-arriving at ``t0`` is *requested* at ``t0 + k / fps_target``), so the
-measured quantiles and a matched ``simulate_cluster`` prediction
-answer the same question.
+session; the client records each frame's ``FrameTimeline`` in virtual
+seconds and summarises with the simulator's own rules
+(:mod:`repro.metrics.stats`), so the measured quantiles and a matched
+``simulate_cluster`` prediction answer the same question.
 
 Determinism: the schedule (arrival times + workload names) is a pure
 function of ``(arrivals, mix, rate_hz, duration_s, seed)``; two runs
@@ -25,11 +24,13 @@ import time
 from dataclasses import dataclass
 
 from ..cluster.arrivals import make_arrivals
-from ..metrics.stats import mean_or_zero, percentile_or_zero
+from ..metrics.stats import (FrameTimeline, in_ms, latency_summary,
+                             request_time)
 from ..obs.runtime import metric_inc
 from .protocol import ProtocolError, read_message, write_message
 
-__all__ = ["LoadgenOptions", "loadgen_schedule", "run_loadgen"]
+__all__ = ["LoadgenOptions", "loadgen_schedule", "loadgen_summary",
+           "run_loadgen"]
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,12 @@ async def _run_session(host: str, port: int, arrival, options:
     delay = target_wall - time.perf_counter()
     if delay > 0.0:
         await asyncio.sleep(delay)
-    fps = float(arrival.spec.fps_target)
     record = {
         "workload": arrival.spec.name,
         "scheduled_s": arrival.time_s,
         "start_skew_s": time.perf_counter() - target_wall,
         "status": "ok",
-        "frames": 0,
-        "ttff_s": None,
-        "latencies_s": [],
+        "timelines": [],  # virtual seconds since the run started
         "digests": [],
     }
     try:
@@ -119,18 +117,12 @@ async def _run_session(host: str, port: int, arrival, options:
                 return record
             kind = message["type"]
             if kind == "frame":
-                now = time.perf_counter()
-                index = record["frames"]
-                # Simulator convention: frame k is requested at
-                # t0 + k / fps_target (scaled with the timeline).
-                request_wall = (target_wall
-                                + index / fps * options.time_scale)
-                record["latencies_s"].append(
-                    max(now - request_wall, 0.0) / options.time_scale)
-                if index == 0:
-                    record["ttff_s"] = (max(now - target_wall, 0.0)
-                                        / options.time_scale)
-                record["frames"] += 1
+                # The client sees only delivery, not when service began.
+                finish_s = ((time.perf_counter() - start_wall)
+                            / options.time_scale)
+                record["timelines"].append(FrameTimeline(request_time(
+                    arrival.time_s, len(record["timelines"]),
+                    arrival.spec.fps_target), finish_s, finish_s))
                 record["digests"].append(message["digest"])
                 metric_inc("loadgen.frames")
             elif kind == "done":
@@ -154,22 +146,22 @@ async def _run_session(host: str, port: int, arrival, options:
 
 async def run_loadgen(host: str, port: int,
                       options: LoadgenOptions) -> dict:
-    """Replay the seeded schedule against a live server; measure it.
-
-    Returns a strict-JSON-safe summary: the request ``schedule`` (for
-    determinism checks), per-session records, and aggregate wall-clock
-    quantiles in the cluster report's units (``*_ms`` keys, virtual
-    seconds when ``time_scale != 1``).
-    """
+    """Replay the seeded schedule on a live server; its summary."""
     schedule = loadgen_schedule(options)
     start_wall = time.perf_counter()
     sessions = await asyncio.gather(*[
         _run_session(host, port, arrival, options, start_wall)
         for arrival in schedule])
-    elapsed_s = time.perf_counter() - start_wall
+    return loadgen_summary(options, schedule, sessions,
+                           time.perf_counter() - start_wall)
+
+
+def loadgen_summary(options: LoadgenOptions, schedule: list,
+                    sessions: list, elapsed_s: float) -> dict:
+    """The run's JSON-safe summary: the request ``schedule`` (for
+    determinism checks), per-session records, and :func:`latency_summary`
+    of the ``ok`` sessions as ``*_ms`` keys, like the cluster report."""
     ok = [s for s in sessions if s["status"] == "ok"]
-    latencies = [lat for s in ok for lat in s["latencies_s"]]
-    ttff = [s["ttff_s"] for s in ok if s["ttff_s"] is not None]
     return {
         "mix": options.mix,
         "arrivals": options.arrivals,
@@ -184,11 +176,8 @@ async def run_loadgen(host: str, port: int,
         "sessions": sessions,
         "sessions_total": len(sessions),
         "sessions_ok": len(ok),
-        "frames_total": sum(s["frames"] for s in sessions),
+        "frames_total": sum(len(s["timelines"]) for s in sessions),
         "elapsed_wall_s": elapsed_s,
-        "ttff_mean_ms": mean_or_zero(ttff) * 1e3,
-        "ttff_p95_ms": percentile_or_zero(ttff, 95) * 1e3,
-        "p50_latency_ms": percentile_or_zero(latencies, 50) * 1e3,
-        "p95_latency_ms": percentile_or_zero(latencies, 95) * 1e3,
-        "p99_latency_ms": percentile_or_zero(latencies, 99) * 1e3,
+        **in_ms(latency_summary((s["scheduled_s"], s["timelines"])
+                                for s in ok)),
     }

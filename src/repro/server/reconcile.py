@@ -15,11 +15,12 @@ the simulator is not modelling.
 
 from __future__ import annotations
 
+from ..metrics.stats import in_ms, latency_summary
+
 __all__ = ["RECONCILE_METRICS", "reconcile_report"]
 
-# Measured/predicted pairs share the cluster report's *_ms key names.
-RECONCILE_METRICS = ("ttff_mean_ms", "ttff_p95_ms", "p50_latency_ms",
-                     "p95_latency_ms", "p99_latency_ms")
+# Both sides are latency_summary keyed *_ms (loadgen and ClusterReport).
+RECONCILE_METRICS = tuple(in_ms(latency_summary(())))
 
 
 def reconcile_report(measured: dict, config, use_cache: bool = True,

@@ -71,6 +71,28 @@ class TestAdaptiveEngine:
         assert digest() == digest()
 
 
+class TestLateArrival:
+    def test_late_session_is_not_charged_for_the_earlier_clock(self):
+        # The clock is shared for the server's whole life: a session
+        # attached after it advanced requests its frames from then on.
+        sessions = build_mixed_sessions("vr-lego:2", FAST, frames=3)
+        MultiSessionEngine(sessions).run()  # ungoverned: records to replay
+        first, second = sessions
+        governor = EngineGovernor(FAST, mode="adaptive")
+        governor.attach([first])
+        record = first.result.records[-1]
+        k = 0
+        while governor.clock_s < 4 * second.workload.slo_latency_s:
+            governor.observe_record(
+                first, dataclasses.replace(record, frame_index=k))
+            k += 1
+        governor.attach([second])
+        for record in second.result.records:
+            governor.observe_record(second, record)
+        assert governor.governor.sessions[second.session_id].level == 0
+        assert not governor.events
+
+
 class TestStaticEngine:
     def test_serve_static_degrades_from_frame_zero(self):
         # The harness builds static sessions already pinned, so even the

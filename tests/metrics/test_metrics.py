@@ -12,6 +12,14 @@ from repro.metrics import (
     psnr,
     speedup,
 )
+from repro.metrics.stats import (
+    LATENCY_KEYS,
+    FrameTimeline,
+    in_ms,
+    latency_summary,
+    request_time,
+    time_to_first_frame,
+)
 
 
 class TestMSEPSNR:
@@ -94,3 +102,48 @@ class TestStats:
         assert speedup(10.0, 2.0) == pytest.approx(5.0)
         with pytest.raises(ValueError):
             speedup(10.0, 0.0)
+
+
+def _summary(ttff_mean, ttff_p95, mean, p50, p95, p99, worst):
+    return dict(zip(LATENCY_KEYS, (ttff_mean, ttff_p95, mean, p50, p95,
+                                   p99, worst)))
+
+
+ZEROS = _summary(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+T = FrameTimeline
+
+
+class TestFrameTimeline:
+    @pytest.mark.parametrize("sessions, expected", [
+        # Nothing served: every key reads zero.
+        ([], ZEROS),
+        # A session that delivered nothing adds no TTFF sample.
+        ([(2.0, [])], ZEROS),
+        # One frame: latency is delivery minus request, TTFF minus arrival.
+        ([(1.0, [T(1.25, 1.5, 2.0)])],
+         _summary(1.0, 1.0, 0.75, 0.75, 0.75, 0.75, 0.75)),
+        # A frame delivered before its request instant reads 0.
+        ([(0.0, [T(1.0, 0.5, 0.75)])],
+         _summary(0.75, 0.75, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        # Frames pool across sessions; percentiles interpolate linearly.
+        ([(0.0, [T(0.0, 0.0, 0.5), T(0.5, 0.5, 1.5)]),
+          (1.0, [T(1.0, 1.5, 3.0)])],
+         _summary(1.25, 0.5 + 0.95 * 1.5, 3.5 / 3, 1.0, 1.9, 1.98, 2.0)),
+    ])
+    def test_latency_summary_table(self, sessions, expected):
+        summary = latency_summary(sessions)
+        assert list(summary) == list(LATENCY_KEYS)
+        assert summary == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_request_time_is_open_loop_from_arrival(self):
+        assert request_time(0.0, 0, 30.0) == 0.0
+        assert request_time(2.0, 3, 30.0) == 2.0 + 3 / 30.0
+
+    def test_time_to_first_frame(self):
+        assert time_to_first_frame(1.0, [T(1.0, 1.0, 1.5),
+                                         T(1.5, 1.5, 9.0)]) == 0.5
+        assert time_to_first_frame(1.0, []) == 0.0
+
+    def test_in_ms_renames_and_scales(self):
+        assert in_ms({"p99_latency_s": 0.25, "ttff_mean_s": 2.0}) == {
+            "p99_latency_ms": 250.0, "ttff_mean_ms": 2000.0}

@@ -8,7 +8,7 @@ import pytest
 from repro.harness.cli import main
 from repro.workloads import reset_caches
 
-# The two observed runs of the workflow's trace-smoke job.
+# The two observed runs of the workflow's smoke job (trace steps).
 SERVE_MIXED = ["serve", "--fast", "--frames", "4", "--seed", "0",
                "--workload", "vr-lego:2", "--workload", "dolly-chair"]
 # Tight queue + 30 fps SLO force adaptive-governor retunes, and the

@@ -15,6 +15,7 @@ import math
 
 import pytest
 
+from repro.cluster import ClusterSimulator
 from repro.harness.cli import main as cli_main
 from repro.harness.configs import FAST
 from repro.server import (
@@ -24,6 +25,7 @@ from repro.server import (
     loadgen_schedule,
     run_loadgen,
 )
+from repro.server.loadgen import loadgen_summary
 from repro.server.reconcile import RECONCILE_METRICS, reconcile_report
 
 QUANTILE_KEYS = ("ttff_mean_ms", "ttff_p95_ms", "p50_latency_ms",
@@ -101,6 +103,30 @@ class TestReconcileReport:
         # The matched simulation replays the same arrival schedule.
         assert report["sessions_predicted"] == measured["sessions_total"]
         assert report["frames_predicted"] == measured["frames_total"]
+
+    def test_simulated_timelines_reconcile_exactly(self):
+        # The measured side is the loadgen summary of a simulation's own
+        # timelines (the single-worker run reconcile re-simulates), so the
+        # two sides are one definition and every row must close exactly.
+        options = LoadgenOptions(**FAST_OPTIONS)
+        schedule = loadgen_schedule(options)
+        simulator = ClusterSimulator(FAST, workers=1,
+                                     queue_limit=len(schedule),
+                                     frames=options.frames,
+                                     seed=options.seed)
+        simulator.run(schedule, label=options.arrivals)
+        records = [{"workload": s.spec.name, "scheduled_s": s.arrival_s,
+                    "status": "ok", "timelines": s.timelines, "digests": []}
+                   for w in simulator.workers
+                   for s in w.completed + w.sessions]
+        assert len(records) == len(schedule)
+        measured = loadgen_summary(options, schedule, records, 0.0)
+        report = reconcile_report(measured, FAST)
+        assert [row["metric"] for row in report["rows"]] == \
+            list(RECONCILE_METRICS)
+        for row in report["rows"]:
+            assert row["predicted_ms"] > 0.0
+            assert row["ratio"] == 1.0 and row["gap_ms"] == 0.0
 
     def test_report_is_strict_json(self):
         from repro.harness.reporting import safe_json_dumps
