@@ -133,9 +133,8 @@ class Worker:
         quality-ladder rung; ``poses`` restricts to a trajectory slice
         (mid-serve retunes re-render only the remaining frames).
         """
-        from ..control.tiers import build_level_session
-        engine_session = build_level_session(spec, session_id, self.config,
-                                             level, poses=poses)
+        engine_session = spec.build_session(session_id, self.config,
+                                            level=level, poses=poses)
         MultiSessionEngine(
             [engine_session],
             reference_cache=(self.reference_cache if self.use_cache

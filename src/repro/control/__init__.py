@@ -9,6 +9,11 @@ shims for the multi-session engine (:class:`EngineGovernor`: mid-stream
 tier switches + per-round ray-budget weights) and the cluster fleet
 (:class:`ClusterGovernor`: pressure-scaled admission levels, resident
 degradation, bounded overflow admission instead of rejection).
+
+The ladder itself lives on the workload spec: a rung is a ``level``
+argument to :meth:`~repro.workloads.WorkloadSpec.resolve_config`,
+``cache_key``, ``build_renderer`` and ``build_session(..., level=)``, so
+this package decides *when* a session moves, never *what* a rung is.
 """
 
 from .cluster_governor import ClusterGovernor
@@ -21,12 +26,6 @@ from .governor import (
     split_budget,
 )
 from .quality import level_quality, mean_psnr_of_levels, quality_floor
-from .tiers import (
-    QUALITY_LEVELS,
-    build_level_session,
-    ladder_config,
-    spec_at_level,
-)
 
 __all__ = [
     "ClusterGovernor",
@@ -39,8 +38,4 @@ __all__ = [
     "level_quality",
     "mean_psnr_of_levels",
     "quality_floor",
-    "QUALITY_LEVELS",
-    "build_level_session",
-    "ladder_config",
-    "spec_at_level",
 ]

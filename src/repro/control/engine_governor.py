@@ -16,7 +16,6 @@ from ..hw.soc import SoCModel
 from ..metrics.stats import FrameTimeline, request_time
 from ..obs.runtime import current_tracer, metric_inc
 from .governor import GovernorPolicy, QualityGovernor
-from .tiers import spec_at_level
 
 __all__ = ["EngineGovernor"]
 
@@ -103,11 +102,11 @@ class EngineGovernor:
 
     def _retune(self, session, level: int) -> None:
         spec = session.workload
-        level_spec, config = spec_at_level(spec, self.config, level)
         from ..harness.configs import make_camera
-        session.retune(level_spec.build_renderer(config),
-                       make_camera(config), level=level,
-                       cache_key=level_spec.cache_key(config))
+        session.retune(spec.build_renderer(self.config, level),
+                       make_camera(spec.resolve_config(self.config, level)),
+                       level=level,
+                       cache_key=spec.cache_key(self.config, level))
         self.events.append({
             "clock_s": self.clock_s, "session": session.session_id,
             "frame": session.frames_completed, "level": level})

@@ -3,8 +3,8 @@
 Deterministic probe: render the first frames of a workload's trajectory
 through the real SPARW pipeline at a ladder level and score them against
 the ray-traced ground truth at the same resolution.  Probes are cached in
-the shared ``FIELD_CACHE`` (content-addressed by the level spec's cache
-key), so a frontier sweep prices each (workload, level) pair once per
+the shared ``FIELD_CACHE`` (content-addressed by the spec's cache key at
+that level), so a frontier sweep prices each (workload, level) pair once per
 process.  ``psnr`` may legitimately return ``inf`` for identical frames;
 the reporting layer's strict JSON encoder keeps that out of artifacts.
 """
@@ -12,7 +12,6 @@ the reporting layer's strict JSON encoder keeps that out of artifacts.
 from __future__ import annotations
 
 from ..metrics.quality import mean_psnr
-from .tiers import spec_at_level
 
 __all__ = ["level_quality", "quality_floor", "mean_psnr_of_levels"]
 
@@ -25,14 +24,13 @@ def level_quality(spec, base, level: int, frames: int = _PROBE_FRAMES
     from ..harness.configs import make_camera, scene_of
     from ..scenes.raytracer import RayTracer
     from ..workloads.cache import FIELD_CACHE
-    level_spec, config = spec_at_level(spec, base, level)
-    key = ("tier_psnr", level_spec.cache_key(config), frames)
+    key = ("tier_psnr", spec.cache_key(base, level), frames)
 
     def _probe() -> float:
-        poses = level_spec.build_trajectory(config).poses[:frames]
-        result = level_spec.build_sparw(config).render_sequence(poses)
+        poses = spec.build_trajectory(base).poses[:frames]
+        result = spec.build_sparw(base, level).render_sequence(poses)
         tracer = RayTracer(scene_of(spec.scene))
-        camera = make_camera(config)
+        camera = make_camera(spec.resolve_config(base, level))
         truth = [tracer.render(camera.with_pose(p)) for p in poses]
         return mean_psnr([f.image for f in result.frames],
                          [f.image for f in truth])

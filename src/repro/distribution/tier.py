@@ -23,10 +23,11 @@ bit-reproducible with the tier enabled.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from ..obs.runtime import metric_inc, metric_observe
+from ..workloads.cache import LRUCore
 from .shardmap import ShardMap
 
 __all__ = ["FieldCostModel", "ShardedFieldStore"]
@@ -66,9 +67,12 @@ class FieldCostModel:
 class ShardedFieldStore:
     """Per-worker local LRU in front of a replicated shard tier.
 
-    ``acquire(worker_id, spec, now_s)`` resolves where the session's
-    field comes from and returns ``(kind, delay_s)`` with ``kind`` one
-    of ``"local"`` / ``"shard"`` / ``"bake"``.  ``replication=0``
+    Each worker holds two :class:`~repro.workloads.cache.LRUCore` tiers:
+    a local one bounded by ``local_entries`` and a shard slice bounded by
+    ``shard_capacity_bytes``.  ``acquire(worker_id, spec, now_s)``
+    resolves where the session's field comes from and returns
+    ``(kind, delay_s)`` with ``kind`` one of ``"local"`` / ``"shard"`` /
+    ``"bake"``.  ``replication=0``
     disables the shard tier entirely — every non-local access re-bakes,
     which is the per-worker-LRU-only baseline the headline experiment
     compares against.
@@ -89,9 +93,9 @@ class ShardedFieldStore:
         self.zipf_s = zipf_s
         self.local_entries = int(local_entries)
         self.shard_capacity_bytes = int(shard_capacity_bytes)
-        self._local: dict[str, OrderedDict[str, int]] = {}
-        self._shard: dict[str, OrderedDict[str, int]] = {}
-        self._counts: dict[str, dict[str, int]] = {}
+        self._local: dict[str, LRUCore] = {}
+        self._shard: dict[str, LRUCore] = {}
+        self._counts: defaultdict[str, Counter] = defaultdict(Counter)
         self._baked_keys: set[str] = set()
         self.bake_s_total = 0.0
         self.transfer_s_total = 0.0
@@ -103,10 +107,7 @@ class ShardedFieldStore:
     def register_worker(self, worker_id: str) -> None:
         """Join a worker: empty caches, added to the shard map."""
         self.shard_map.add(worker_id)
-        self._local.setdefault(worker_id, OrderedDict())
-        self._shard.setdefault(worker_id, OrderedDict())
-        self._counts.setdefault(
-            worker_id, {"local": 0, "shard": 0, "bake": 0})
+        self._tiers(worker_id)
 
     def remove_worker(self, worker_id: str) -> None:
         """Retire a worker: its replicas vanish; surviving ranks shift up."""
@@ -126,88 +127,67 @@ class ShardedFieldStore:
     def acquire(self, worker_id: str, spec, now_s: float = 0.0):
         """Resolve ``spec``'s field for ``worker_id`` → ``(kind, delay_s)``."""
         key = spec.cache_key(self.config)
-        local = self._local.setdefault(worker_id, OrderedDict())
-        shard = self._shard.setdefault(worker_id, OrderedDict())
-        if key in local:
-            local.move_to_end(key)
-            self._count(worker_id, "local")
+        local, shard = self._tiers(worker_id)
+        if local.touch(key) is not None:
+            self._counts[worker_id]["local"] += 1
             metric_inc("cluster.field.local_hits")
             return "local", 0.0
         nbytes = self.cost.field_bytes(spec, self.config)
-        if key in shard:
+        if shard.touch(key) is not None:
             # On-box replica in this worker's own shard slice: a tier-2
             # hit with no bytes on the wire (promoted into the LRU).
-            shard.move_to_end(key)
-            self._touch_local(worker_id, key, nbytes)
-            self._count(worker_id, "shard")
-            metric_inc("cluster.field.shard_hits")
-            return "shard", 0.0
-        owners = self.shard_map.owners(key)
-        if any(key in self._shard.get(owner, ()) for owner in owners):
-            delay = self.cost.transfer_s(nbytes)
-            self._touch_local(worker_id, key, nbytes)
-            self._count(worker_id, "shard")
-            self.transfer_s_total += delay
-            metric_inc("cluster.field.shard_hits")
-            metric_observe("cluster.field.transfer_s", delay)
-            return "shard", delay
-        delay = self.cost.bake_s(nbytes)
-        for owner in owners:
-            self._shard_put(owner, key, nbytes)
-        self._touch_local(worker_id, key, nbytes)
-        self._count(worker_id, "bake")
-        self._baked_keys.add(key)
-        self.bake_s_total += delay
-        metric_inc("cluster.field.bakes")
-        metric_observe("cluster.field.bake_s", delay)
-        return "bake", delay
+            kind, delay = "shard", 0.0
+        else:
+            owners = self.shard_map.owners(key)
+            if any(key in self._shard.get(owner, ()) for owner in owners):
+                kind, delay = "shard", self.cost.transfer_s(nbytes)
+                self.transfer_s_total += delay
+                metric_observe("cluster.field.transfer_s", delay)
+            else:
+                kind, delay = "bake", self.cost.bake_s(nbytes)
+                for owner in owners:
+                    evicted = self._tiers(owner)[1].put(key, nbytes, nbytes)
+                    if evicted:
+                        self.shard_evictions += evicted
+                        metric_inc("cluster.field.shard_evictions", evicted)
+                self._baked_keys.add(key)
+                self.bake_s_total += delay
+                metric_observe("cluster.field.bake_s", delay)
+        evicted = local.put(key, nbytes)
+        if evicted:
+            self.local_evictions += evicted
+            metric_inc("cluster.field.local_evictions", evicted)
+        self._counts[worker_id][kind] += 1
+        metric_inc("cluster.field.bakes" if kind == "bake"
+                   else "cluster.field.shard_hits")
+        return kind, delay
 
     # -- internals -------------------------------------------------------
 
-    def _count(self, worker_id: str, kind: str) -> None:
-        counts = self._counts.setdefault(
-            worker_id, {"local": 0, "shard": 0, "bake": 0})
-        counts[kind] += 1
-
-    def _touch_local(self, worker_id: str, key: str, nbytes: int) -> None:
-        local = self._local.setdefault(worker_id, OrderedDict())
-        local[key] = nbytes
-        local.move_to_end(key)
-        while len(local) > self.local_entries:
-            local.popitem(last=False)
-            self.local_evictions += 1
-            metric_inc("cluster.field.local_evictions")
-
-    def _shard_put(self, worker_id: str, key: str, nbytes: int) -> None:
-        shard = self._shard.setdefault(worker_id, OrderedDict())
-        shard[key] = nbytes
-        shard.move_to_end(key)
-        while sum(shard.values()) > self.shard_capacity_bytes \
-                and len(shard) > 1:
-            shard.popitem(last=False)
-            self.shard_evictions += 1
-            metric_inc("cluster.field.shard_evictions")
+    def _tiers(self, worker_id: str) -> tuple[LRUCore, LRUCore]:
+        """``(local, shard)`` caches of ``worker_id``, created on first use."""
+        if worker_id not in self._local:
+            self._local[worker_id] = LRUCore(max_entries=self.local_entries)
+            self._shard[worker_id] = LRUCore(
+                max_bytes=self.shard_capacity_bytes)
+        return self._local[worker_id], self._shard[worker_id]
 
     # -- reporting -------------------------------------------------------
 
     def worker_stats(self, worker_id: str) -> dict:
         """Per-worker tier counters for :meth:`Worker.stats_row`."""
-        counts = self._counts.get(
-            worker_id, {"local": 0, "shard": 0, "bake": 0})
-        shard = self._shard.get(worker_id, {})
+        counts = self._counts.get(worker_id, Counter())
+        shard = self._shard.get(worker_id)
         return {
             "field_local_hits": counts["local"],
             "field_shard_hits": counts["shard"],
             "field_bakes": counts["bake"],
-            "shard_resident_bytes": int(sum(shard.values())),
+            "shard_resident_bytes": 0 if shard is None else shard.total_bytes,
         }
 
     def stats(self) -> dict:
         """Fleet-wide tier counters and hierarchy hit rate."""
-        totals = {"local": 0, "shard": 0, "bake": 0}
-        for counts in self._counts.values():
-            for kind in totals:
-                totals[kind] += counts[kind]
+        totals = sum(self._counts.values(), Counter())
         lookups = sum(totals.values())
         hits = totals["local"] + totals["shard"]
         return {
@@ -224,6 +204,6 @@ class ShardedFieldStore:
             "transfer_s_total": self.transfer_s_total,
             "local_evictions": self.local_evictions,
             "shard_evictions": self.shard_evictions,
-            "shard_resident_bytes": int(
-                sum(sum(c.values()) for c in self._shard.values())),
+            "shard_resident_bytes": sum(
+                shard.total_bytes for shard in self._shard.values()),
         }

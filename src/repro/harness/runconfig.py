@@ -415,10 +415,6 @@ class RunConfig:
                     "--algorithm/--variant/--sessions (the specs and mix "
                     "counts fix them)")
             return
-        if self.governor != "off" or self.slo_fps is not None:
-            raise RunConfigError(
-                "--governor/--slo need --workload mixes (the legacy "
-                "scene-cycling sessions carry no SLO fields)")
         algorithm = self.effective("algorithm")
         if algorithm not in ALGORITHMS:
             raise RunConfigError(f"unknown algorithm {algorithm!r}; "

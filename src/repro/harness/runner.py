@@ -274,7 +274,7 @@ def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
     engine_governor = None
     build = None
     if cell.governor != "off":
-        from ..control import EngineGovernor, build_level_session
+        from ..control import EngineGovernor
         engine_governor = EngineGovernor(
             config, mode=cell.governor,
             soc=SoCModel(feature_dim=config.feature_dim))
@@ -282,8 +282,8 @@ def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
             # Static pinning happens at build time, so even the first
             # frame renders at the min_quality_tier rung.
             def build(spec, session_id, config):
-                return build_level_session(spec, session_id, config,
-                                           spec.max_quality_level)
+                return spec.build_session(session_id, config,
+                                          level=spec.max_quality_level)
     built = build_mixed_sessions(resolved_mix, config, frames=cell.frames,
                                  seed=seed, build=build)
     engine = MultiSessionEngine(

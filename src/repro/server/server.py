@@ -327,11 +327,9 @@ class FrameServer:
 
     def _build_session(self, spec, session_id: str):
         """Build one engine session (runs on the build pool)."""
-        if self.options.governor == "static":
-            from ..control import build_level_session
-            return build_level_session(spec, session_id, self.config,
-                                       spec.max_quality_level)
-        return spec.build_session(session_id, self.config)
+        level = (spec.max_quality_level
+                 if self.options.governor == "static" else 0)
+        return spec.build_session(session_id, self.config, level=level)
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:

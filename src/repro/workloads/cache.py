@@ -17,6 +17,9 @@ that sharing:
 * :func:`rays_hash` — the exact-bytes identity of a ray bundle, the
   second half of the cluster simulator's per-run render-memo keys
   (``(cache_key, rays_hash)``, see :mod:`repro.cluster.simulator`).
+* :class:`LRUCore` — the bounded-LRU bookkeeping under every cache here,
+  without lock, counters or metrics; the sharded field store's per-worker
+  tiers (:mod:`repro.distribution.tier`) use it bare.
 
 Entries are treated as immutable by every consumer; because rendering is
 deterministic, serving a cached entry is bit-identical to recomputing it
@@ -35,7 +38,7 @@ import numpy as np
 from ..obs.runtime import metric_inc
 
 __all__ = [
-    "CacheStats", "SharedLRUCache", "pose_hash", "rays_hash",
+    "CacheStats", "LRUCore", "SharedLRUCache", "pose_hash", "rays_hash",
     "FIELD_CACHE", "REFERENCE_CACHE", "cache_report", "reset_caches",
 ]
 
@@ -81,15 +84,74 @@ class _Entry:
     size_bytes: int = 0
 
 
+class LRUCore:
+    """LRU entries under an optional entry bound and byte bound.
+
+    Whichever bound is hit first evicts least-recently-used entries.  Not
+    thread-safe and keeps no counters: :meth:`put` returns how many
+    entries left, and callers account for them.
+    """
+
+    def __init__(self, max_entries: int | None = None,
+                 max_bytes: int | None = None):
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self._entries: OrderedDict = OrderedDict()
+        self._total_bytes = 0
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
+
+    @property
+    def total_bytes(self) -> int:
+        """Sum of the sizes of all live entries."""
+        return self._total_bytes
+
+    def touch(self, key) -> _Entry | None:
+        """The entry at ``key`` (None if absent), refreshed to most-recent."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def put(self, key, value, size_bytes: int = 0) -> int:
+        """Insert (or refresh) an entry; returns the number evicted.
+
+        An entry larger than ``max_bytes`` on its own is refused (and
+        counts as one eviction): keeping it would hold ``total_bytes``
+        over the bound for as long as it stays hot, so the byte bound is
+        a strict invariant rather than a target.
+        """
+        size_bytes = int(size_bytes)
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self._total_bytes -= old.size_bytes
+        if self.max_bytes is not None and size_bytes > self.max_bytes:
+            return 1
+        self._entries[key] = _Entry(value=value, size_bytes=size_bytes)
+        self._total_bytes += size_bytes
+        # Evicting down to a single entry is enough for the byte bound:
+        # the newest entry always fits on its own.
+        evicted = 0
+        while ((self.max_entries is not None
+                and len(self._entries) > self.max_entries)
+               or (self.max_bytes is not None
+                   and self._total_bytes > self.max_bytes
+                   and len(self._entries) > 1)):
+            _, entry = self._entries.popitem(last=False)
+            self._total_bytes -= entry.size_bytes
+            evicted += 1
+        return evicted
+
+
 @dataclass
-class SharedLRUCache:
+class SharedLRUCache(LRUCore):
     """Bounded LRU keyed by content-addressed tuples/strings.
 
-    Bounded both by entry count and (optionally) by total payload bytes;
-    whichever limit is hit first evicts least-recently-used entries.  An
-    entry larger than ``max_bytes`` on its own is refused outright
-    (counted as an insertion followed by an immediate eviction), so the
-    byte bound is a strict invariant rather than a target.
+    An :class:`LRUCore` bounded by entry count and (optionally) by total
+    payload bytes, with hit/miss/insertion/eviction counters mirrored
+    into the ``cache.<name>.*`` metrics.  A refused oversized entry
+    counts as an insertion followed by an immediate eviction.
     Values are returned by reference and must be treated as immutable.
 
     Thread safety: every public operation holds one reentrant lock, and
@@ -111,9 +173,7 @@ class SharedLRUCache:
             raise ValueError("max_entries must be >= 1")
         if self.max_bytes is not None and self.max_bytes < 1:
             raise ValueError("max_bytes must be >= 1 (or None)")
-        self._entries: OrderedDict = OrderedDict()
-        self._total_bytes = 0
-        # RLock: put() calls _evict() with the lock already held.
+        LRUCore.__init__(self, self.max_entries, self.max_bytes)
         self._lock = threading.RLock()
         # key -> Event set when that key's in-flight build completes
         # (successfully or not); waiters re-check the cache afterwards.
@@ -138,39 +198,27 @@ class SharedLRUCache:
     def get(self, key, default=None):
         """Lookup; counts a hit or miss and refreshes recency on hit."""
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self.touch(key)
             if entry is None:
                 self.stats.misses += 1
                 metric_inc(f"cache.{self.name}.misses")
                 return default
-            self._entries.move_to_end(key)
             self.stats.hits += 1
             metric_inc(f"cache.{self.name}.hits")
             return entry.value
 
-    def put(self, key, value, size_bytes: int = 0) -> None:
-        """Insert (or refresh) an entry, evicting LRU entries as needed.
-
-        An entry that could never satisfy the byte bound on its own
-        (``size_bytes > max_bytes``) is not retained: keeping it would
-        leave ``total_bytes`` over the bound for as long as the entry
-        stays hot, evicting everything else instead.
-        """
-        size_bytes = int(size_bytes)
+    def put(self, key, value, size_bytes: int = 0) -> int:
+        """Insert (or refresh) an entry, evicting LRU entries as needed."""
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._total_bytes -= old.size_bytes
             self.stats.insertions += 1
             metric_inc(f"cache.{self.name}.insertions")
-            if self.max_bytes is not None and size_bytes > self.max_bytes:
-                self.stats.evictions += 1
-                metric_inc(f"cache.{self.name}.evictions")
+            evicted = LRUCore.put(self, key, value, size_bytes)
+            if evicted:
+                self.stats.evictions += evicted
+                metric_inc(f"cache.{self.name}.evictions", evicted)
+            if self.max_bytes is not None and int(size_bytes) > self.max_bytes:
                 metric_inc(f"cache.{self.name}.oversized")
-                return
-            self._entries[key] = _Entry(value=value, size_bytes=size_bytes)
-            self._total_bytes += size_bytes
-            self._evict()
+            return evicted
 
     def get_or_build(self, key, builder, size_of=None):
         """Cached ``builder()`` call: the memoisation idiom of ``configs``.
@@ -183,9 +231,8 @@ class SharedLRUCache:
         """
         while True:
             with self._lock:
-                entry = self._entries.get(key)
+                entry = self.touch(key)
                 if entry is not None:
-                    self._entries.move_to_end(key)
                     self.stats.hits += 1
                     metric_inc(f"cache.{self.name}.hits")
                     return entry.value
@@ -212,19 +259,6 @@ class SharedLRUCache:
         with self._lock:
             self._entries.clear()
             self._total_bytes = 0
-
-    def _evict(self) -> None:
-        # Callers hold self._lock.  Evicting down to a single entry is
-        # enough for the byte bound: put() refuses entries larger than
-        # max_bytes, so the newest entry always fits on its own.
-        while (len(self._entries) > self.max_entries
-               or (self.max_bytes is not None
-                   and self._total_bytes > self.max_bytes
-                   and len(self._entries) > 1)):
-            _, entry = self._entries.popitem(last=False)
-            self._total_bytes -= entry.size_bytes
-            self.stats.evictions += 1
-            metric_inc(f"cache.{self.name}.evictions")
 
     # -- reporting -------------------------------------------------------------
 

@@ -153,34 +153,51 @@ class WorkloadSpec:
         canonical = repr(sorted(payload.items()))
         return hashlib.sha1(canonical.encode()).hexdigest()[:16]
 
-    def cache_key(self, config) -> str:
+    def cache_key(self, config, level: int = 0) -> str:
         """Content-addressed identity of this spec at a config scale.
 
         Sessions whose specs and resolved configs agree produce identical
         renderers and identical reference renders, so this string is the
-        namespace half of every reference-cache key.
+        namespace half of every reference-cache key — at any ladder
+        ``level``, however the session was built.
         """
-        resolved = self.resolve_config(config)
+        resolved = self.resolve_config(config, level)
         config_hash = hashlib.sha1(
             repr(dataclasses.astuple(resolved)).encode()).hexdigest()[:16]
         return f"{self.spec_hash()}/{config_hash}"
 
     # -- resolution against a config scale --------------------------------------
 
-    def resolve_config(self, base):
-        """The :class:`ExperimentConfig` this spec renders at."""
+    def resolve_config(self, base, level: int = 0):
+        """The :class:`ExperimentConfig` this spec renders at ``level``.
+
+        The tier picks the native config (level 0); each further
+        :data:`QUALITY_LEVELS` rung halves ``image_size`` and
+        ``samples_per_ray``.  Rungs differ only in imaging parameters, so
+        every level resolves around the *same* baked field.
+        """
         from ..harness.configs import DEFAULT, FAST
-        if self.tier == "inherit":
-            return base
+        if not 0 <= level < len(QUALITY_LEVELS):
+            raise ValueError(f"quality level must be in "
+                             f"0..{len(QUALITY_LEVELS) - 1}, got {level}")
         if self.tier == "default":
-            return DEFAULT
-        if self.tier == "fast":
-            return FAST
-        # "preview": half-resolution, half-depth derivative of the base.
+            base = DEFAULT
+        elif self.tier == "fast":
+            base = FAST
+        elif self.tier == "preview":
+            # Half-resolution, half-depth derivative of the base.
+            base = dataclasses.replace(
+                base,
+                image_size=max(32, base.image_size // 2),
+                samples_per_ray=max(24, base.samples_per_ray // 2))
+        if level == 0:
+            return base
+        # Floors keep degraded configs renderable (and strictly ordered at
+        # the FAST test scale: 48px -> 24px -> 16px).
+        factor = 2 ** level
         return dataclasses.replace(
-            base,
-            image_size=max(32, base.image_size // 2),
-            samples_per_ray=max(24, base.samples_per_ray // 2))
+            base, image_size=max(16, base.image_size // factor),
+            samples_per_ray=max(12, base.samples_per_ray // factor))
 
     def num_frames(self, config) -> int:
         """Sequence length: the spec's override or the config default."""
@@ -203,35 +220,42 @@ class WorkloadSpec:
 
     # -- builders ---------------------------------------------------------------
 
-    def build_renderer(self, config):
+    def build_renderer(self, config, level: int = 0):
         """The (shared-cache-backed) NeRF renderer for this spec."""
         from ..harness.configs import build_renderer
         return build_renderer(self.algorithm, self.scene,
-                              self.resolve_config(config))
+                              self.resolve_config(config, level))
 
-    def build_sparw(self, config):
+    def build_sparw(self, config, level: int = 0):
         """A fresh SPARW pipeline for one session of this workload."""
         from ..core.sparw.pipeline import SparwRenderer
         from ..harness.configs import make_camera
-        resolved = self.resolve_config(config)
+        resolved = self.resolve_config(config, level)
         window = self.window if self.window is not None else resolved.window
-        return SparwRenderer(self.build_renderer(config),
+        return SparwRenderer(self.build_renderer(config, level),
                              make_camera(resolved), window=window,
                              policy=self.policy,
                              angle_threshold_deg=self.phi)
 
-    def build_session(self, session_id: str, config):
+    def build_session(self, session_id: str, config, level: int = 0,
+                      poses=None):
         """A :class:`~repro.engine.RenderSession` serving this workload.
 
-        The session carries the spec's content-addressed ``cache_key`` so
-        the engine can answer its reference renders from the shared cache.
+        ``level`` is the quality-ladder rung it starts at; ``poses``
+        replaces the spec's trajectory (a cluster worker re-renders only
+        the remaining poses of a retuned session).  The session carries
+        :meth:`cache_key` at that level so the engine can answer its
+        reference renders from the shared cache.
         """
         from ..engine.session import RenderSession
-        trajectory = self.build_trajectory(config)
-        return RenderSession(session_id, self.build_sparw(config),
-                             trajectory.poses, fps_target=self.fps_target,
-                             cache_key=self.cache_key(config),
-                             workload=self)
+        if poses is None:
+            poses = self.build_trajectory(config).poses
+        session = RenderSession(session_id, self.build_sparw(config, level),
+                                poses, fps_target=self.fps_target,
+                                cache_key=self.cache_key(config, level),
+                                workload=self)
+        session.quality_level = level
+        return session
 
     def run_solo(self, config):
         """Render this workload's sequence single-user (no engine, no cache)."""

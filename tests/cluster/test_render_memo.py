@@ -17,7 +17,6 @@ import pytest
 from repro.backend.parallel import WorkerPool
 from repro.cluster import ClusterSimulator, simulate_cluster
 from repro.cluster.arrivals import make_arrivals
-from repro.control.tiers import build_level_session
 from repro.core.sparw.pipeline import RayRequest
 from repro.engine import MultiSessionEngine, RenderSession
 from repro.harness.configs import FAST
@@ -208,10 +207,10 @@ class TestSafety:
         poses = spec.build_trajectory(FAST).poses
 
         def sessions():
-            return [build_level_session(spec, "head", FAST, 0,
-                                        poses=poses[:3]),
-                    build_level_session(spec, "tail", FAST, 0,
-                                        poses=poses[3:])]
+            return [spec.build_session("head", FAST, level=0,
+                                       poses=poses[:3]),
+                    spec.build_session("tail", FAST, level=0,
+                                       poses=poses[3:])]
 
         memoized = sessions()
         assert memoized[0].renderer is memoized[1].renderer

@@ -8,10 +8,8 @@ from repro.control import (
     ClusterGovernor,
     GovernorPolicy,
     QualityGovernor,
-    ladder_config,
     level_quality,
     quality_floor,
-    spec_at_level,
 )
 from repro.harness.configs import FAST
 from repro.workloads import QUALITY_LEVELS, WorkloadSpec, apply_slo, get_workload
@@ -51,7 +49,7 @@ class TestSpecSLOFields:
 class TestQualityLadder:
     def test_strictly_ordered_at_fast_scale(self):
         spec = get_workload("vr-lego")
-        configs = [ladder_config(spec, FAST, level) for level in range(3)]
+        configs = [spec.resolve_config(FAST, level) for level in range(3)]
         sizes = [c.image_size for c in configs]
         depths = [c.samples_per_ray for c in configs]
         assert sizes == sorted(sizes, reverse=True) and len(set(sizes)) == 3
@@ -59,32 +57,43 @@ class TestQualityLadder:
 
     def test_level_zero_is_native(self):
         spec = get_workload("vr-lego")
-        assert ladder_config(spec, FAST, 0) == spec.resolve_config(FAST)
+        assert spec.resolve_config(FAST, 0) == spec.resolve_config(FAST)
 
     def test_field_params_untouched(self):
         # The ladder only touches imaging parameters, which is what makes
         # tier switches re-resolve against the same baked field.
         spec = get_workload("vr-lego")
-        base, degraded = (ladder_config(spec, FAST, lvl) for lvl in (0, 2))
+        base, degraded = (spec.resolve_config(FAST, lvl) for lvl in (0, 2))
         assert degraded.grid_resolution == base.grid_resolution
         assert degraded.feature_dim == base.feature_dim
 
     def test_out_of_range_level(self):
         with pytest.raises(ValueError, match="quality level"):
-            ladder_config(get_workload("vr-lego"), FAST, 3)
+            get_workload("vr-lego").resolve_config(FAST, 3)
 
     def test_levels_get_distinct_cache_keys(self):
         spec = get_workload("vr-lego")
-        keys = {spec_at_level(spec, FAST, lvl)[0].cache_key(
-            spec_at_level(spec, FAST, lvl)[1]) for lvl in range(3)}
+        keys = {spec.cache_key(FAST, lvl) for lvl in range(3)}
         assert len(keys) == 3
+
+    def test_level_zero_key_ignores_how_the_session_was_built(self):
+        # preview-ship has its own tier: a level-0 tail re-render (a
+        # cluster retune) or a recovery to level 0 must share references
+        # with sessions built natively.
+        spec = get_workload("preview-ship")
+        native = spec.build_session("a", FAST)
+        tail = spec.build_session("b", FAST, level=0,
+                                  poses=native.poses[1:])
+        assert tail.cache_key == native.cache_key == spec.cache_key(FAST, 0)
+        degraded = spec.build_session("c", FAST, level=2)
+        assert degraded.quality_level == 2
+        assert degraded.cache_key == spec.cache_key(FAST, 2) \
+            != native.cache_key
 
     def test_tier_switch_shares_baked_field(self):
         spec = get_workload("vr-lego")
-        r0 = spec_at_level(spec, FAST, 0)[0].build_renderer(
-            spec_at_level(spec, FAST, 0)[1])
-        r2 = spec_at_level(spec, FAST, 2)[0].build_renderer(
-            spec_at_level(spec, FAST, 2)[1])
+        r0 = spec.build_renderer(FAST, 0)
+        r2 = spec.build_renderer(FAST, 2)
         assert r0 is not r2  # different sampler depth...
         assert r0.field is r2.field  # ...same baked field: no re-bake
 

@@ -218,15 +218,26 @@ class TestGovernorCli:
         assert main(["list"]) == 0
         assert "frontier" in capsys.readouterr().out
 
-    def test_serve_governor_requires_workload_mix(self, capsys):
-        assert main(["serve", "--fast", "--governor", "adaptive"]) == 2
-        assert "--workload" in capsys.readouterr().err
+    @staticmethod
+    def _scene_cycling_rows(tmp_path, *flags):
+        rc = main(["serve", "--fast", "--sessions", "2", "--frames", "2",
+                   *flags, "--json-out", str(tmp_path)])
+        assert rc == 0
+        return json.loads((tmp_path / "BENCH_serve.json").read_text())
 
-    def test_serve_slo_requires_workload_mix(self, capsys):
-        assert main(["serve", "--fast", "--sessions", "2", "--frames", "2",
-                     "--slo", "5"]) == 2
-        assert "serve: --governor/--slo need --workload mixes" \
-            in capsys.readouterr().err
+    def test_serve_governor_static_pins_scene_cycling_sessions(
+            self, tmp_path):
+        # Scene-cycling sessions are workload specs, so the static pin
+        # builds them at their deepest rung like any --workload mix.
+        payload = self._scene_cycling_rows(tmp_path, "--governor", "static")
+        assert payload["extra"]["governor"] == "static"
+        assert [row["quality_level"] for row in payload["rows"]] == [2, 2]
+
+    def test_serve_slo_applies_to_scene_cycling_sessions(self, tmp_path):
+        payload = self._scene_cycling_rows(
+            tmp_path, "--governor", "static", "--slo", "5")
+        assert payload["extra"]["governor"] == "static"
+        assert [row["quality_level"] for row in payload["rows"]] == [2, 2]
 
     def test_serve_rejects_bad_slo(self, capsys):
         assert main(["serve", "--fast", "--workload", "vr-lego",
@@ -377,7 +388,7 @@ class TestDocumentedInvocations:
 
     def test_the_extractor_finds_them(self):
         found = documented_invocations(DOCUMENTED_IN["ci.yml"].read_text())
-        assert len(found) >= 20
+        assert len(found) >= 18
         assert ["serve-live", "--fast", "--port", "7071"] in found
         # Continuation lines are joined.
         assert ["reconcile", "--input",

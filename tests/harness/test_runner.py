@@ -69,13 +69,14 @@ class TestRunConfig:
                            match="--arrival-trace is required"):
             RunConfig(mode="cluster", arrivals="replay").validate()
 
-    def test_serve_slo_requires_workload_mix(self):
-        # The scene-cycling sessions carry no SLO, so --slo would be
-        # silently ignored there.
-        with pytest.raises(RunConfigError,
-                           match="--governor/--slo need --workload"):
-            RunConfig(mode="serve", slo_fps=5.0).validate()
-        RunConfig(mode="serve", workloads="vr-lego", slo_fps=5.0).validate()
+    def test_serve_governor_accepted_without_workload_mix(self):
+        # The scene-cycling sessions are workload specs with SLO fields,
+        # so a static governor pins them like any --workload mix.
+        cell = RunConfig(mode="serve", sessions=2, frames=2,
+                         governor="static").validate()
+        result = execute_cell(cell, config=FAST)
+        assert [row["quality_level"] for row in result.rows] == [2, 2]
+        RunConfig(mode="serve", slo_fps=5.0).validate()
 
     def test_autoscale_knobs_require_autoscale(self):
         with pytest.raises(RunConfigError, match="require --autoscale"):
