@@ -40,8 +40,9 @@ _P_ARRIVAL = 2
 _P_WAKE = 3
 
 # Bounds of the per-run render memo (see ClusterSimulator.run).  A FAST
-# pass holds a few hundred entries of tens of kilobytes; at DEFAULT scale
-# a reference output is ~0.4 MB, so the byte bound is the one that binds.
+# pass holds a few hundred entries of tens of kilobytes (a target frame
+# ~85 KB); at DEFAULT scale a reference output is ~0.4 MB, so the byte
+# bound is the one that binds.
 RENDER_MEMO_ENTRIES = 4096
 RENDER_MEMO_BYTES = 64 << 20
 
@@ -397,7 +398,9 @@ class ClusterSimulator:
         exactly as long as this call: sessions of one spec are
         bit-identical by construction (every arrival gets the run's
         seed offset), so each distinct ``(cache_key, rays)`` request is
-        evaluated once per run.  The memo changes host time only — the
+        evaluated, each distinct ``(render_key, reference pose, target
+        pose)`` SPARW target frame warped, and each spec's trajectory
+        built once per run.  The memo changes host time only — the
         report, the trace's modelled spans and the workers' reference
         cache statistics are those of a run without it.
         """

@@ -129,12 +129,18 @@ class Worker:
         reference cache attached, so sessions sharing the spec's
         ``cache_key`` reuse each other's reference renders — the signal
         cache-affinity placement optimises for — and with the run's
-        render memo, which only saves host time.  ``level`` picks the
+        render memo, which only saves host time: it answers repeated NeRF
+        requests, target frames and trajectories.  ``level`` picks the
         quality-ladder rung; ``poses`` restricts to a trajectory slice
         (mid-serve retunes re-render only the remaining frames).
         """
+        if poses is None:
+            poses = self._poses(spec)
         engine_session = spec.build_session(session_id, self.config,
                                             level=level, poses=poses)
+        if self.render_memo is not None:
+            engine_session.sparw.share_targets(
+                self.render_memo, spec.render_key(self.config, level))
         MultiSessionEngine(
             [engine_session],
             reference_cache=(self.reference_cache if self.use_cache
@@ -143,6 +149,25 @@ class Worker:
             engine_workers=self.engine_workers,
             render_memo=self.render_memo).run()
         return engine_session
+
+    def _poses(self, spec) -> list:
+        """The spec's trajectory, built once per run through the render memo.
+
+        Keyed by the spec's level-0 ``cache_key``, which covers every
+        field and config value the trajectory reads; stored poses are
+        read-only.
+        """
+        memo = self.render_memo
+        if memo is None:
+            return spec.build_trajectory(self.config).poses
+        key = ("poses", spec.cache_key(self.config))
+        poses = memo.get(key)
+        if poses is None:
+            poses = spec.build_trajectory(self.config).poses
+            for pose in poses:
+                pose.flags.writeable = False
+            memo.put(key, poses, size_bytes=sum(p.nbytes for p in poses))
+        return poses
 
     def admit(self, session_id: str, spec, now_s: float,
               level: int = 0) -> PlacedSession:
@@ -217,8 +242,7 @@ class Worker:
         # Any frames/seed overrides were already folded into the placed
         # spec at arrival time; the ladder never changes the trajectory,
         # so the original poses slice cleanly.
-        poses = placed.spec.build_trajectory(self.config).poses
-        poses = poses[:total][start:]
+        poses = self._poses(placed.spec)[:total][start:]
         engine_session = self._render(
             f"{placed.session_id}/l{level}@{start}", placed.spec, level,
             poses=poses)

@@ -22,8 +22,9 @@ import numpy as np
 
 from ...geometry.camera import PinholeCamera
 from ...nerf.renderer import NeRFRenderer, RenderStats
-from ...obs.runtime import section
+from ...obs.runtime import metric_inc, section
 from ...scenes.raytracer import Frame
+from ...workloads.cache import pose_hash
 from .disocclusion import PixelClassification, classify_pixels, overlap_fraction
 from .reference import ExtrapolatedReferencePolicy, OnTrajectoryReferencePolicy
 from .warp import WarpResult, warp_frame
@@ -148,6 +149,9 @@ class SparwRenderer:
             raise ValueError(f"unknown reference policy {policy!r}")
         self._chained = policy == "on_trajectory"
         self._retune: tuple | None = None
+        # Optional (memo, namespace) pair set by share_targets; None warps
+        # every target frame.
+        self._target_memo: tuple | None = None
 
     def retune(self, renderer: NeRFRenderer | None = None,
                camera: PinholeCamera | None = None,
@@ -166,6 +170,24 @@ class SparwRenderer:
         """
         self._retune = (renderer or self.renderer, camera or self.camera,
                         on_apply)
+
+    def share_targets(self, memo, namespace: str | None) -> None:
+        """Answer repeated target frames from a shared ``memo``.
+
+        ``namespace`` is the content-addressed identity of the renderer,
+        camera and ``phi`` in use (see
+        :meth:`~repro.workloads.WorkloadSpec.render_key`); ``None``
+        shares nothing.  A target frame is then a pure function of
+        ``(namespace, reference pose, target pose)``: a hit skips warp,
+        classification and assembly but still yields the identical
+        sparse :class:`RayRequest`, so the driver's batching and
+        accounting are those of a miss.  Only references from the
+        reference path qualify — chained (``on_trajectory``) pipelines
+        and jittered samplers never consult the memo, and a landed
+        :meth:`retune` stops sharing (the namespace no longer describes
+        the renderer and camera).  Stored arrays are read-only.
+        """
+        self._target_memo = (memo, namespace) if namespace else None
 
     # -- reference path ----------------------------------------------------------
 
@@ -193,20 +215,45 @@ class SparwRenderer:
     # -- target path ------------------------------------------------------------
 
     def render_target(self, reference: Frame, pose: np.ndarray
-                      ) -> tuple[Frame, WarpResult, PixelClassification,
-                                 RenderStats]:
+                      ) -> tuple[Frame, PixelClassification, RenderStats]:
         """Warp ``reference`` to ``pose`` and fill disocclusions sparsely."""
-        return self._drive(self._target_path(reference, pose, frame_index=0))
+        frame, classification, sparse_stats, _, _ = self._drive(
+            self._target_path(reference, pose, frame_index=0))
+        return frame, classification, sparse_stats
+
+    def _target_memo_key(self, reference: Frame, pose: np.ndarray):
+        """Memo key of a target warped from a reference-path reference.
+
+        ``None`` when no memo is shared or the sampler is jittered (its
+        reference differs every render).
+        """
+        if self._target_memo is None or getattr(self.renderer.sampler,
+                                                "jitter", False):
+            return None
+        return (self._target_memo[1], pose_hash(reference.c2w),
+                pose_hash(pose))
 
     def _target_path(self, reference: Frame, pose: np.ndarray,
-                     frame_index: int):
+                     frame_index: int, memo_key=None):
         """Generator for the lightweight path: warp, classify, sparse-fill.
 
         Yields at most one sparse :class:`RayRequest`; returns
-        ``(frame, warp, classification, sparse_stats)``.  Shared by
-        :meth:`render_target` (direct rendering) and :meth:`step` (batched
-        engine driving), so the two paths cannot drift apart.
+        ``(frame, classification, sparse_stats, overlap, mean warp
+        angle)``.  Shared by :meth:`render_target` (direct rendering) and
+        :meth:`step` (batched engine driving), so the two paths cannot
+        drift apart.  With a ``memo_key`` (see :meth:`share_targets`) a
+        stored target is returned after yielding its stored request.
         """
+        memo = self._target_memo[0] if memo_key is not None else None
+        stored = memo.get(memo_key) if memo is not None else None
+        if stored is not None:
+            metric_inc("sparw.target_memo.hits")
+            target, rays = stored
+            if rays is not None:
+                yield RayRequest(kind="sparse", frame_index=frame_index,
+                                 origins=rays[0], directions=rays[1])
+            return target
+
         ref_camera = self.camera.with_pose(reference.c2w)
         target_camera = self.camera.with_pose(pose)
         with section("sparw.warp"):
@@ -215,14 +262,14 @@ class SparwRenderer:
             classification = classify_pixels(warp, self.angle_threshold_deg)
 
         pixel_ids = classification.rerender_pixel_ids()
+        rays = None
         if pixel_ids.size:
             v, u = np.divmod(pixel_ids, target_camera.width)
-            origins, directions = target_camera.rays_for_pixels(u + 0.5,
-                                                                v + 0.5)
+            rays = target_camera.rays_for_pixels(u + 0.5, v + 0.5)
             out = yield RayRequest(kind="sparse", frame_index=frame_index,
-                                   origins=origins, directions=directions)
-            colors, z = self.renderer.compose_pixels(target_camera,
-                                                     directions, out)
+                                   origins=rays[0], directions=rays[1])
+            colors, z = self.renderer.compose_pixels(target_camera, rays[1],
+                                                     out)
             sparse_stats = out.stats
         else:
             colors = np.zeros((0, 3))
@@ -232,7 +279,20 @@ class SparwRenderer:
         with section("sparw.assemble"):
             frame = self._assemble_target(warp, classification, target_camera,
                                           pixel_ids, colors, z)
-        return frame, warp, classification, sparse_stats
+        covered = classification.warped
+        mean_angle = (float(warp.warp_angle_deg[covered].mean())
+                      if covered.any() else 0.0)
+        target = (frame, classification, sparse_stats,
+                  overlap_fraction(warp), mean_angle)
+        if memo is not None:
+            arrays = (frame.image, frame.depth, frame.hit, frame.c2w,
+                      classification.warped, classification.disoccluded,
+                      classification.void, *(rays or ()))
+            for array in arrays:
+                array.flags.writeable = False
+            memo.put(memo_key, (target, rays),
+                     size_bytes=sum(a.nbytes for a in arrays))
+        return target
 
     def _assemble_target(self, warp: WarpResult,
                          classification: PixelClassification,
@@ -294,6 +354,7 @@ class SparwRenderer:
                 # fresh full render at the new resolution below.
                 self.renderer, self.camera, on_apply = self._retune
                 self._retune = None
+                self._target_memo = None
                 reference = None
                 previous_output = None
                 if on_apply is not None:
@@ -310,21 +371,23 @@ class SparwRenderer:
                     reference, ref_stats = yield from self._reference_path(
                         ref_pose, frame_index=i)
 
-            frame, warp, classification, sparse_stats = yield from (
-                self._target_path(reference, pose, frame_index=i))
+            # Only a reference-path reference is a pure function of its
+            # pose, so chained pipelines never key the target memo.
+            memo_key = (None if self._chained
+                        else self._target_memo_key(reference, pose))
+            frame, classification, sparse_stats, overlap, mean_angle = (
+                yield from self._target_path(reference, pose, frame_index=i,
+                                             memo_key=memo_key))
             if self._chained:
                 # Chained warping: the next frame warps from this output.
                 reference = frame
             previous_output = frame
 
-            covered = classification.warped
-            mean_angle = (float(warp.warp_angle_deg[covered].mean())
-                          if covered.any() else 0.0)
             yield TargetFrameRecord(
                 frame_index=i,
                 frame=frame,
                 classification=classification,
-                overlap=overlap_fraction(warp),
+                overlap=overlap,
                 new_reference=ref_stats is not None,
                 sparse_stats=sparse_stats,
                 reference_stats=ref_stats,

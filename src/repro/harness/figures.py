@@ -328,8 +328,8 @@ def fig09_disocclusion(config: ExperimentConfig = DEFAULT,
     warp = warp_frame(reference, camera.with_pose(trajectory[0]),
                       camera.with_pose(trajectory[mid]))
     sparw = SparwRenderer(renderer, camera, window=mid + 1)
-    frame, _, classification, _ = sparw.render_target(reference,
-                                                      trajectory[mid])
+    frame, classification, _ = sparw.render_target(reference,
+                                                   trajectory[mid])
     gt = gt_frames[mid].image
     naive = np.where(warp.hole_mask[..., None],
                      np.zeros_like(warp.image), warp.image)

@@ -15,6 +15,7 @@ at call time.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -159,12 +160,24 @@ class WorkloadSpec:
         Sessions whose specs and resolved configs agree produce identical
         renderers and identical reference renders, so this string is the
         namespace half of every reference-cache key — at any ladder
-        ``level``, however the session was built.
+        ``level``, however the session was built.  Specs and configs are
+        frozen, so the string is memoized per ``(spec, config, level)``.
         """
-        resolved = self.resolve_config(config, level)
-        config_hash = hashlib.sha1(
-            repr(dataclasses.astuple(resolved)).encode()).hexdigest()[:16]
-        return f"{self.spec_hash()}/{config_hash}"
+        return _keys(self, config, level)[0]
+
+    def render_key(self, config, level: int = 0) -> str:
+        """Content-addressed identity of what draws this spec's pixels.
+
+        The renderer and camera are a function of the scene, algorithm
+        and resolved config, and the SPARW target path adds ``phi``;
+        every other field only chooses *which* poses are drawn (the
+        trajectory and its seed, window, policy) or prices them.  So a
+        target frame is a pure function of this key and its reference
+        and target poses, and specs that differ only in those other
+        fields (a scene catalog's seeded variants) share target frames.
+        Memoized like :meth:`cache_key`.
+        """
+        return _keys(self, config, level)[1]
 
     # -- resolution against a config scale --------------------------------------
 
@@ -277,3 +290,16 @@ class WorkloadSpec:
             "slo_fps": self.effective_slo_fps,
             "min_tier": self.min_quality_tier,
         }
+
+
+def _sha16(payload) -> str:
+    return hashlib.sha1(repr(payload).encode()).hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=1024)
+def _keys(spec: WorkloadSpec, config, level: int) -> tuple[str, str]:
+    """``(cache_key, render_key)`` of a spec (hashing costs ~0.5 ms)."""
+    config_hash = _sha16(dataclasses.astuple(
+        spec.resolve_config(config, level)))
+    render_hash = _sha16((spec.scene, spec.algorithm, spec.phi))
+    return f"{spec.spec_hash()}/{config_hash}", f"{render_hash}/{config_hash}"

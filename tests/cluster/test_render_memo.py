@@ -1,14 +1,17 @@
 """The cluster simulator's per-run render memo: parity, dedupe, safety.
 
 ``ClusterSimulator.run`` shares one bounded render memo across every
-worker's engine for the duration of the run.  Memoized requests skip
-only the field evaluation, so every report number must equal a run whose
-memo lookups all miss (the ``forced_memo_miss`` fixture monkeypatches the
-memo's class; there is no flag), each distinct ``(cache_key, rays)`` request renders once
-per run, and nothing outlives the run.
+worker's engine and session for the duration of the run.  It answers
+NeRF requests, SPARW target frames and trajectories; memoized work is
+skipped, so every report number must equal a run whose memo lookups all
+miss (the ``forced_memo_miss`` fixture monkeypatches the memo's class;
+there is no flag), each distinct ``(cache_key, rays)`` request renders
+and each distinct target warps once per run, and nothing outlives the
+run.
 """
 
 import collections
+import copy
 import dataclasses
 
 import numpy as np
@@ -16,12 +19,16 @@ import pytest
 
 from repro.backend.parallel import WorkerPool
 from repro.cluster import ClusterSimulator, simulate_cluster
+from repro.cluster import simulator as simulator_module
 from repro.cluster.arrivals import make_arrivals
-from repro.core.sparw.pipeline import RayRequest
+from repro.core.sparw import pipeline
+from repro.core.sparw.pipeline import RayRequest, SparwRenderer
 from repro.engine import MultiSessionEngine, RenderSession
 from repro.harness.configs import FAST
 from repro.nerf.renderer import NeRFRenderer
-from repro.workloads import SharedLRUCache, get_workload, rays_hash
+from repro.nerf.sampling import UniformSampler
+from repro.workloads import (SharedLRUCache, WorkloadSpec, get_workload,
+                             rays_hash)
 
 MIX = "vr-lego:2,dolly-chair"
 BASE = dict(arrivals="poisson", rate_hz=4.0, duration_s=2.0, seed=5,
@@ -261,3 +268,177 @@ class TestSafety:
                 assert not array.flags.writeable
             with pytest.raises(ValueError):
                 output.rgb[0] = 0.0
+
+
+# -- target frames and trajectories ------------------------------------------
+
+# The base cell of the e2e cluster_sim pass (benchmarks/e2e/e2e_batch.py).
+E2E_MIX = "vr-lego:4,dolly-chair:2,vr-headshake:1"
+E2E_BASE = dict(placement="least_loaded", workers=4, rate_hz=4.0,
+                duration_s=10.0, frames=8, seed=3)
+
+
+class _WarpSpy:
+    """Counts warps and the target-memo key each target frame looked up."""
+
+    def __init__(self, monkeypatch):
+        self.warps = 0
+        self.keys = collections.Counter()
+        spy = self
+        warp_frame = pipeline.warp_frame
+        memo_key = SparwRenderer._target_memo_key
+
+        def spy_warp(*args):
+            spy.warps += 1
+            return warp_frame(*args)
+
+        def spy_key(sparw, reference, pose):
+            key = memo_key(sparw, reference, pose)
+            spy.keys[key] += 1
+            return key
+
+        monkeypatch.setattr(pipeline, "warp_frame", spy_warp)
+        monkeypatch.setattr(SparwRenderer, "_target_memo_key", spy_key)
+
+
+class TestTargetDedupe:
+    def test_e2e_base_cell_warps_each_distinct_target_once(
+            self, monkeypatch):
+        spy = _WarpSpy(monkeypatch)
+        report = simulate_cluster(E2E_MIX, FAST, **E2E_BASE)
+        assert None not in spy.keys
+        targets = sum(spy.keys.values())
+        assert targets == report.total_frames == 296
+        assert spy.warps == len(spy.keys) == 22
+
+    @pytest.mark.parametrize("name", ["base", "sharded", "governed"])
+    def test_one_warp_per_distinct_key(self, name, monkeypatch):
+        spy = _WarpSpy(monkeypatch)
+        simulate_cluster(MIX, FAST, **CELLS[name])
+        assert None not in spy.keys
+        assert spy.warps == len(spy.keys) < sum(spy.keys.values())
+
+    @pytest.mark.parametrize("name", ["base", "governed"])
+    def test_one_trajectory_build_per_spec(self, name, monkeypatch):
+        builds = collections.Counter()
+        build_trajectory = WorkloadSpec.build_trajectory
+
+        def spy(spec, config):
+            builds[spec] += 1
+            return build_trajectory(spec, config)
+
+        monkeypatch.setattr(WorkloadSpec, "build_trajectory", spy)
+        report = simulate_cluster(MIX, FAST, **CELLS[name])
+        assert set(builds.values()) == {1}
+        assert report.admitted > len(builds)
+        if name == "governed":
+            assert report.tier_transitions > 0  # retunes reuse the poses
+
+
+def _memoized_session(sid, spec, memo, namespace=None):
+    """A session whose pipeline shares ``memo``, wired as a worker does."""
+    session = spec.build_session(sid, FAST)
+    session.sparw.share_targets(memo, namespace or spec.render_key(FAST))
+    return session
+
+
+class TestTargetSafety:
+    @staticmethod
+    def _jittered(session):
+        renderer = copy.copy(session.sparw.renderer)
+        renderer.sampler = UniformSampler(
+            renderer.sampler.num_samples,
+            occupancy=renderer.sampler.occupancy, jitter=True)
+        session.sparw.renderer = renderer
+
+    @pytest.mark.parametrize("case", ["chained", "no_namespace", "jittered"])
+    def test_never_consults_the_memo(self, case):
+        spec = get_workload("vr-lego").with_overrides(frames=3)
+        if case == "chained":
+            spec = dataclasses.replace(spec, policy="on_trajectory")
+        memo = SharedLRUCache(name="memo")
+        for sid in ("a", "b"):
+            session = _memoized_session(sid, spec, memo)
+            if case == "no_namespace":
+                session.sparw.share_targets(memo, None)
+            elif case == "jittered":
+                self._jittered(session)
+            MultiSessionEngine([session]).run()
+            assert session.result.num_frames == 3
+        assert memo.stats.lookups == 0 and len(memo) == 0
+
+    def test_landed_retune_stops_sharing(self):
+        # The switch lands at frame 1: frame 0 still warps at the shared
+        # namespace, later frames (another renderer and camera) never
+        # consult the memo.
+        spec = get_workload("vr-lego").with_overrides(frames=3)
+        memo = SharedLRUCache(name="memo")
+        for sid in ("a", "b"):
+            session = _memoized_session(sid, spec, memo)
+            session.retune(spec.build_renderer(FAST, 1),
+                           spec.build_sparw(FAST, 1).camera, level=1,
+                           cache_key=spec.cache_key(FAST, 1))
+            MultiSessionEngine([session]).run()
+            assert [r.frame.image.shape[0] for r in session.result.records] \
+                == [FAST.image_size] + [FAST.image_size // 2] * 2
+        assert (memo.stats.hits, memo.stats.misses, len(memo)) == (1, 1, 1)
+
+    def test_seeded_variants_share_targets(self, monkeypatch):
+        # Specs that differ only in their trajectory seed (a scene
+        # catalog's variants) have one render_key, so one warp per target.
+        spec = get_workload("vr-lego").with_overrides(frames=3)
+        variant = spec.with_overrides(seed_offset=7)
+        assert variant.cache_key(FAST) != spec.cache_key(FAST)
+        spy = _WarpSpy(monkeypatch)
+        memo = SharedLRUCache(name="memo")
+        for sid, each in (("a", spec), ("b", variant)):
+            MultiSessionEngine([_memoized_session(sid, each, memo)]).run()
+        assert spy.warps == len(spy.keys) == 3
+        assert sum(spy.keys.values()) == 6
+
+    def test_memoized_targets_are_read_only_and_exact(self):
+        spec = get_workload("vr-lego").with_overrides(frames=4)
+        memo = SharedLRUCache(name="memo")
+        sessions = [_memoized_session(sid, spec, memo)
+                    for sid in ("first", "repeat")]
+        for session in sessions:  # one engine per session, as on a worker
+            MultiSessionEngine([session]).run()
+        assert memo.stats.hits == memo.stats.insertions == 4
+        plain = spec.build_session("plain", FAST)
+        MultiSessionEngine([plain]).run()
+        for got, want in zip(sessions[1].result.records,
+                             plain.result.records):
+            np.testing.assert_array_equal(got.frame.image, want.frame.image)
+            np.testing.assert_array_equal(got.frame.depth, want.frame.depth)
+            assert got.overlap == want.overlap
+            assert got.mean_warp_angle_deg == want.mean_warp_angle_deg
+            assert got.sparse_stats == want.sparse_stats
+            stored = (got.frame.image, got.frame.depth, got.frame.hit,
+                      got.classification.warped,
+                      got.classification.disoccluded,
+                      got.classification.void)
+            for array in stored:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+
+class TestEviction:
+    @pytest.mark.parametrize("name", ["base", "governed"])
+    def test_evicting_memo_reports_like_forced_miss(self, name, monkeypatch,
+                                                    request):
+        memos = []
+
+        class RecordedMemo(SharedLRUCache):
+            def __post_init__(self):
+                super().__post_init__()
+                memos.append(self)
+
+        monkeypatch.setattr(simulator_module, "SharedLRUCache", RecordedMemo)
+        monkeypatch.setattr(simulator_module, "RENDER_MEMO_ENTRIES", 8)
+        small = simulate_cluster(MIX, FAST, **CELLS[name])
+        (memo,) = memos
+        assert memo.stats.evictions > 0 and memo.stats.hits > 0
+        request.getfixturevalue("forced_memo_miss")
+        missed = simulate_cluster(MIX, FAST, **CELLS[name])
+        assert dataclasses.asdict(small) == dataclasses.asdict(missed)

@@ -162,20 +162,3 @@ def test_serve_trace_smoke(tmp_path):
     names = {e["name"] for e in events if e.get("ph") == "X"}
     assert "serve.round" in names
     assert "frame.serve" in names
-
-
-def test_trace_flag_rejected_outside_observed_commands(capsys, tmp_path):
-    # Only the observed commands (serve/cluster/frontier/experiment/
-    # loadgen) have a --trace flag.
-    with pytest.raises(SystemExit) as excinfo:
-        main(["reconcile", "--input", "x.json", "--trace",
-              str(tmp_path / "t.json")])
-    assert excinfo.value.code == 2
-    assert "unrecognized arguments: --trace" in capsys.readouterr().err
-
-
-def test_positional_args_rejected_outside_trace_command(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["serve", "analyze", "--fast"])
-    assert excinfo.value.code == 2
-    assert "unrecognized arguments: analyze" in capsys.readouterr().err

@@ -123,7 +123,9 @@ def test_render_memo_leaves_engine_counters_and_trace_alone(
     """The memo saves host time only: counters and trace are unchanged.
 
     Only ``pool.dispatch`` instants (fully memoized groups are not
-    dispatched) and wall-clock ``*_s`` sections may differ.
+    dispatched), wall-clock ``*_s`` sections (a memoized target frame
+    skips ``sparw.warp``) and the ``sparw.target_memo.hits`` counter may
+    differ.
     """
     memo_metrics, memo_census = _observed_cluster_cli(tmp_path, "memo")
     request.getfixturevalue("forced_memo_miss")
@@ -148,3 +150,7 @@ def test_render_memo_leaves_engine_counters_and_trace_alone(
             == miss_counters["cluster.render_memo.misses"])
     assert memo_metrics["gauges"]["cluster.render_memo.bytes"] > 0
     assert "cluster.render_memo.evictions" in memo_counters
+    # Target frames answered from the memo skip their warp; a forced-miss
+    # run warps every one.
+    assert memo_counters["sparw.target_memo.hits"] > 0
+    assert miss_counters.get("sparw.target_memo.hits", 0) == 0

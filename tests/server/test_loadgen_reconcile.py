@@ -183,14 +183,6 @@ class TestCli:
         assert cli_main(["reconcile", "--input", str(bogus)]) == 2
         assert "need 'realserve'" in capsys.readouterr().err
 
-    def test_serve_live_rejects_loadgen_flags(self, capsys):
-        # The connecting client picks the schedule: serve-live has no
-        # arrival flags at all.
-        with pytest.raises(SystemExit) as excinfo:
-            cli_main(["serve-live", "--fast", "--rate", "3"])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments: --rate" in capsys.readouterr().err
-
     def test_loadgen_rejects_malformed_connect(self, capsys):
         for target in ("localhost", ":7070", "localhost:0", "localhost:http"):
             with pytest.raises(SystemExit) as excinfo:

@@ -1,6 +1,7 @@
 """Tests for WorkloadSpec, the named registry, and mix parsing."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -63,6 +64,37 @@ class TestSpec:
         spec = WorkloadSpec(name="w")
         assert spec.cache_key(FAST) != spec.cache_key(DEFAULT)
         assert spec.cache_key(FAST) == spec.cache_key(FAST)
+
+    @pytest.mark.parametrize("config", [FAST, DEFAULT], ids=["fast",
+                                                            "default"])
+    def test_memoized_cache_key_matches_the_formula(self, config):
+        # cache_key is memoized per (spec, config, level); it must give
+        # the string the unmemoized formula gives, on every registry spec.
+        for spec in WORKLOADS.values():
+            for level in range(3):
+                resolved = spec.resolve_config(config, level)
+                config_hash = hashlib.sha1(repr(dataclasses.astuple(
+                    resolved)).encode()).hexdigest()[:16]
+                want = f"{spec.spec_hash()}/{config_hash}"
+                assert spec.cache_key(config, level) == want
+                assert spec.cache_key(config, level) == want  # cached
+
+    def test_render_key_ignores_fields_that_only_pick_poses(self):
+        base = WorkloadSpec(name="w")
+        for change in ({"name": "v"}, {"trajectory": "dolly"},
+                       {"trajectory_params": (("start_angle_deg", 10.0),)},
+                       {"frames": 3}, {"window": 3}, {"seed": 1},
+                       {"policy": "on_trajectory"}, {"variant": "gpu"},
+                       {"fps_target": 60.0}, {"slo_fps": 10.0},
+                       {"min_quality_tier": "full"}):
+            assert dataclasses.replace(base, **change).render_key(FAST) \
+                == base.render_key(FAST)
+        for change in ({"scene": "chair"}, {"algorithm": "tensorf"},
+                       {"phi": 4.0}, {"tier": "preview"}):
+            assert dataclasses.replace(base, **change).render_key(FAST) \
+                != base.render_key(FAST)
+        assert base.render_key(FAST, 1) != base.render_key(FAST)
+        assert base.render_key(DEFAULT) != base.render_key(FAST)
 
     def test_tier_resolution(self):
         assert WorkloadSpec(name="w").resolve_config(FAST) is FAST
