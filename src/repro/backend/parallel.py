@@ -84,9 +84,8 @@ def _worker_main(inq, outq, shared: dict) -> None:
             continue
         _, task_id, token, origins, directions = msg
         try:
-            out = shared[token].render_rays(origins, directions)
             outq.put(("ok", task_id,
-                      (out.rgb, out.depth_t, out.opacity, out.stats)))
+                      shared[token].render_rays(origins, directions)))
         except Exception:
             outq.put(("err", task_id, traceback.format_exc()))
 
@@ -175,7 +174,7 @@ class WorkerPool:
     def collect(self, task_ids: list) -> list:
         """Results for previously submitted tasks, in ``task_ids`` order.
 
-        Each result is the ``(rgb, depth_t, opacity, stats)`` tuple of
+        Each result is the :class:`~repro.nerf.renderer.RenderOutput` of
         one bundle — bit-identical to the serial per-bundle
         ``render_rays`` output.  Raises on worker failure, worker death
         or timeout.

@@ -1,6 +1,9 @@
-"""Comparison baselines: DS-2 downsampling and TEMP-N temporal warping."""
+"""Comparison baselines: DS-2 downsampling.
+
+The TEMP-N temporal-warping baseline is
+``SparwRenderer(..., policy="on_trajectory")``.
+"""
 
 from .ds2 import DS2Renderer, bilinear_upsample
-from .temporal import TemporalWarpRenderer
 
-__all__ = ["DS2Renderer", "bilinear_upsample", "TemporalWarpRenderer"]
+__all__ = ["DS2Renderer", "bilinear_upsample"]

@@ -201,16 +201,25 @@ class SparwRenderer:
                                directions=flat_d, pose=camera.c2w.copy())
         return self.renderer.compose_frame(camera, flat_d, out), out.stats
 
-    def _drive(self, gen):
-        """Run a path generator to completion with direct render calls."""
+    def _drive(self, gen, records: list | None = None):
+        """Run a generator to completion with direct ``render_rays`` calls.
+
+        Answers each :class:`RayRequest`; appends each
+        :class:`TargetFrameRecord` to ``records``.  Returns the
+        generator's return value.
+        """
         send_value = None
         while True:
             try:
                 event = gen.send(send_value)
             except StopIteration as stop:
                 return stop.value
-            send_value = self.renderer.render_rays(event.origins,
-                                                   event.directions)
+            if isinstance(event, RayRequest):
+                send_value = self.renderer.render_rays(event.origins,
+                                                       event.directions)
+            else:
+                records.append(event)
+                send_value = None
 
     # -- target path ------------------------------------------------------------
 
@@ -402,16 +411,5 @@ class SparwRenderer:
         ``render_rays`` call — the single-user path.
         """
         result = SparwSequenceResult()
-        gen = self.step(poses)
-        send_value = None
-        while True:
-            try:
-                event = gen.send(send_value)
-            except StopIteration:
-                return result
-            if isinstance(event, RayRequest):
-                send_value = self.renderer.render_rays(event.origins,
-                                                       event.directions)
-            else:
-                result.records.append(event)
-                send_value = None
+        self._drive(self.step(poses), result.records)
+        return result

@@ -600,11 +600,7 @@ class MultiSessionEngine:
             renderer = members[0][0].renderer
             requests = [s.pending_request for s, _ in members]
             if gi in tickets:
-                from ..nerf.renderer import RenderOutput
-                rendered = [RenderOutput(rgb=rgb, depth_t=depth_t,
-                                         opacity=opacity, stats=out_stats)
-                            for rgb, depth_t, opacity, out_stats
-                            in self._pool.collect(tickets[gi])]
+                rendered = self._pool.collect(tickets[gi])
             else:
                 bundles = self._miss_bundles(members, lookups[gi])
                 rendered = (renderer.render_ray_batch(bundles) if bundles

@@ -14,7 +14,6 @@ from functools import lru_cache
 import numpy as np
 
 from ..baselines.ds2 import DS2Renderer
-from ..baselines.temporal import TemporalWarpRenderer
 from ..core.layout.sram_layout import FeatureMajorLayout
 from ..core.sparw.disocclusion import overlap_fraction
 from ..core.sparw.pipeline import SparwRenderer, SparwSequenceResult
@@ -378,7 +377,8 @@ def fig16_quality(config: ExperimentConfig = DEFAULT,
             ds2 = DS2Renderer(renderer, camera)
             ds2_frames, _ = ds2.render_sequence(trajectory.poses)
             row["ds2"] = _sequence_psnr(ds2_frames, gt)
-            temp = TemporalWarpRenderer(renderer, camera, window=16)
+            temp = SparwRenderer(renderer, camera, window=16,
+                                 policy="on_trajectory")
             temp_result = temp.render_sequence(trajectory.poses)
             row["temp16"] = _sequence_psnr(temp_result.frames, gt)
             rows.append(row)

@@ -10,6 +10,7 @@ and can record the gather plan of every batch for the memory experiments.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from ..geometry.camera import PinholeCamera
 from ..obs.runtime import section
 from ..scenes.raytracer import Frame
-from .sampling import RaySamples, UniformSampler
+from .sampling import UniformSampler
 from .volume_render import composite
 
 __all__ = ["RenderStats", "NeRFRenderer"]
@@ -42,13 +43,6 @@ class RenderStats:
                                     + other.gather_vertex_accesses),
             gather_bytes=self.gather_bytes + other.gather_bytes,
         )
-
-
-def _count_gather(stats: RenderStats, fld, num_samples: int) -> None:
-    """Charge ``num_samples`` samples' gathers to ``stats`` (no plan built)."""
-    accesses, nbytes = fld.gather_cost
-    stats.gather_vertex_accesses += accesses * num_samples
-    stats.gather_bytes += nbytes * num_samples
 
 
 @dataclass
@@ -77,182 +71,125 @@ class NeRFRenderer:
         # benchmarks/e2e driver, whose _TimedRenderer forwards inner.backend.
         self.backend = backend
 
-    # -- core ray rendering ----------------------------------------------------
+    # -- ray rendering -----------------------------------------------------------
 
     def render_rays(self, origins: np.ndarray, directions: np.ndarray,
                     record_gather: bool = False) -> RenderOutput:
-        """Render a flat bundle of rays; returns per-ray color/depth/opacity."""
-        origins = np.atleast_2d(np.asarray(origins, dtype=float))
-        directions = np.atleast_2d(np.asarray(directions, dtype=float))
-        num_rays = origins.shape[0]
+        """Render a flat bundle of rays; returns per-ray color/depth/opacity.
 
-        rgb = np.zeros((num_rays, 3))
-        depth = np.full(num_rays, np.inf)
-        opacity = np.zeros(num_rays)
-        stats = RenderStats(num_rays=num_rays)
-        groups = []
-
-        for start in range(0, num_rays, self.chunk_size):
-            stop = min(start + self.chunk_size, num_rays)
-            with section("nerf.sample"):
-                samples = self.sampler.sample(origins[start:stop],
-                                              directions[start:stop],
-                                              self.field.bounds)
-            out = self._render_samples(samples, record_gather)
-            rgb[start:stop] = out.rgb
-            depth[start:stop] = out.depth_t
-            opacity[start:stop] = out.opacity
-            stats = stats.merge(out.stats)
-            groups.extend(out.gather_groups)
-
-        stats.num_rays = num_rays
-        return RenderOutput(rgb=rgb, depth_t=depth, opacity=opacity,
-                            stats=stats, gather_groups=groups)
-
-    def _render_samples(self, samples: RaySamples, record_gather: bool
-                        ) -> RenderOutput:
-        stats = RenderStats(num_samples=len(samples))
-        groups = []
-        if len(samples) == 0:
-            zeros = np.zeros(samples.num_rays)
-            return RenderOutput(rgb=np.zeros((samples.num_rays, 3)),
-                                depth_t=np.full(samples.num_rays, np.inf),
-                                opacity=zeros, stats=stats)
-
-        if record_gather:
-            groups = self.field.gather_plan(samples.positions)
-            for group in groups:
-                accesses = group.vertices_per_sample * group.num_samples
-                stats.gather_vertex_accesses += accesses
-                stats.gather_bytes += accesses * group.entry_bytes
-        else:
-            _count_gather(stats, self.field, len(samples))
-
-        with section("nerf.interpolate"):
-            features = self.field.interpolate(samples.positions)
-        with section("nerf.decode"):
-            sigma, rgb_s = self.field.decode(features, samples.directions)
-        stats.mlp_macs = len(samples) * self.field.decoder.macs_per_sample()
-
-        with section("nerf.composite"):
-            result = composite(sigma, rgb_s, samples.t_values, samples.deltas,
-                               samples.ray_index, samples.num_rays)
-        return RenderOutput(rgb=result.rgb, depth_t=result.depth,
-                            opacity=result.opacity, stats=stats,
-                            gather_groups=groups)
-
-    # -- batched ray rendering ---------------------------------------------------
+        With ``record_gather`` the output also carries the gather plan of
+        every chunk.
+        """
+        (out,), groups = self._render([(origins, directions)], record_gather)
+        out.gather_groups = groups
+        return out
 
     def render_ray_batch(self, bundles: list) -> list:
         """Render several ray bundles through shared vectorized field queries.
 
         ``bundles`` is a list of ``(origins, directions)`` flat ray arrays
-        (e.g. one bundle per concurrent rendering session).  All rays are
-        flattened into one stream so sampling, feature interpolation, and
-        decoding run on combined chunks — a single field evaluation spans
-        every bundle.  Compositing and work-stat accounting then replay the
-        exact per-bundle chunk boundaries of :meth:`render_rays`, so each
-        returned :class:`RenderOutput` is identical to rendering its bundle
-        alone (the sampler must be deterministic, i.e. ``jitter=False``).
+        (e.g. one bundle per concurrent rendering session).  Each returned
+        :class:`RenderOutput` is identical to :meth:`render_rays` on its
+        bundle alone (the sampler must be deterministic, i.e.
+        ``jitter=False``).
         """
-        prepped = []
-        for origins, directions in bundles:
-            o = np.atleast_2d(np.asarray(origins, dtype=float))
-            d = np.atleast_2d(np.asarray(directions, dtype=float))
-            prepped.append((o, d))
-        sizes = [o.shape[0] for o, _ in prepped]
-        total = sum(sizes)
-        if total == 0:
-            return [RenderOutput(rgb=np.zeros((0, 3)), depth_t=np.zeros(0),
-                                 opacity=np.zeros(0), stats=RenderStats())
-                    for _ in prepped]
-        flat_o = np.concatenate([o for o, _ in prepped], axis=0)
-        flat_d = np.concatenate([d for _, d in prepped], axis=0)
+        return self._render(bundles, record_gather=False)[0]
 
-        # Phase 1: one vectorized sample/interpolate/decode pass over chunks
-        # of the *combined* ray stream.  Per-sample values are independent of
-        # chunk composition, so this is safe to share across bundles.
-        parts: list = []
+    def _render(self, bundles: list, record_gather: bool
+                ) -> tuple[list, list]:
+        """The one chunk loop: sample, interpolate, decode, composite.
+
+        All rays are flattened into one stream, so sampling, feature
+        interpolation and decoding run on combined chunks — a single field
+        evaluation spans every bundle (per-sample values are independent
+        of chunk composition).  Compositing and work-stat accounting
+        replay the chunk boundaries each bundle has alone (the segmented
+        scan in `composite` depends on them), each as soon as its samples
+        are decoded, so a lone bundle holds one chunk's samples at a time.
+        Returns ``(outputs, groups)``: ``groups`` are the gather plans of
+        every chunk, built only with ``record_gather``.
+        """
+        rays = [(np.atleast_2d(np.asarray(o, dtype=float)),
+                 np.atleast_2d(np.asarray(d, dtype=float)))
+                for o, d in bundles]
+        outputs, chunks, total = [], deque(), 0
+        for o, _ in rays:
+            n = o.shape[0]
+            out = RenderOutput(rgb=np.zeros((n, 3)), depth_t=np.full(n, np.inf),
+                               opacity=np.zeros(n),
+                               stats=RenderStats(num_rays=n))
+            outputs.append(out)
+            # Each chunk of the bundle alone: (stream index of its first
+            # ray, stream index past its last, its output, its start there).
+            chunks.extend((total + cs, total + min(cs + self.chunk_size, n),
+                           out, cs) for cs in range(0, n, self.chunk_size))
+            total += n
+        groups: list = []
+        if total == 0:
+            return outputs, groups
+        flat_o, flat_d = (rays[0] if len(rays) == 1  # a lone bundle: no copy
+                          else [np.concatenate(arrays) for arrays in zip(*rays)])
+
+        macs = self.field.decoder.macs_per_sample()
+        accesses, nbytes = self.field.gather_cost  # per sample
+        pending: list = []  # decoded chunks with samples not yet composited
         for start in range(0, total, self.chunk_size):
             stop = min(start + self.chunk_size, total)
             with section("nerf.sample"):
                 samples = self.sampler.sample(flat_o[start:stop],
                                               flat_d[start:stop],
                                               self.field.bounds)
-            if len(samples) == 0:
-                continue
-            with section("nerf.interpolate"):
-                features = self.field.interpolate(samples.positions)
-            with section("nerf.decode"):
-                sigma, rgb_s = self.field.decode(features, samples.directions)
-            parts.append((samples.ray_index + start, sigma, rgb_s,
-                          samples.t_values, samples.deltas))
-        if parts:
-            ray_of = np.concatenate([p[0] for p in parts])
-            sigma = np.concatenate([p[1] for p in parts])
-            rgb_s = np.concatenate([p[2] for p in parts], axis=0)
-            t_values = np.concatenate([p[3] for p in parts])
-            deltas = np.concatenate([p[4] for p in parts])
-        else:
-            ray_of = np.zeros(0, dtype=np.int64)
-
-        # Phase 2: composite and count work per bundle, replaying the chunk
-        # boundaries render_rays would have used for that bundle alone (the
-        # segmented scan in `composite` depends on them).
-        outputs = []
-        offset = 0
-        macs = self.field.decoder.macs_per_sample()
-        for n in sizes:
-            rgb = np.zeros((n, 3))
-            depth = np.full(n, np.inf)
-            opacity = np.zeros(n)
-            stats = RenderStats(num_rays=n)
-            for cs in range(0, n, self.chunk_size):
-                ce = min(cs + self.chunk_size, n)
-                lo = np.searchsorted(ray_of, offset + cs)
-                hi = np.searchsorted(ray_of, offset + ce)
-                nsamp = int(hi - lo)
-                stats.num_samples += nsamp
-                if nsamp == 0:
+            if len(samples):
+                if record_gather:
+                    groups.extend(self.field.gather_plan(samples.positions))
+                with section("nerf.interpolate"):
+                    features = self.field.interpolate(samples.positions)
+                with section("nerf.decode"):
+                    sigma, rgb_s = self.field.decode(features,
+                                                     samples.directions)
+                pending.append((start, samples.ray_index, sigma, rgb_s,
+                                samples.t_values, samples.deltas))
+            while chunks and chunks[0][1] <= stop:
+                first, end, out, cs = chunks.popleft()
+                pieces = []
+                for begin, ray_index, *arrays in pending:
+                    lo, hi = np.searchsorted(ray_index,
+                                             (first - begin, end - begin))
+                    if hi > lo:
+                        # Ray indices relative to the bundle chunk: the
+                        # sampler's own when the chunks start together.
+                        local = ray_index[lo:hi]
+                        pieces.append([local + (begin - first)
+                                       if begin != first else local,
+                                       *(array[lo:hi] for array in arrays)])
+                # Keep the chunks that still hold samples of later rays.
+                pending = [part for part in pending
+                           if part[0] + part[1][-1] >= end]
+                if not pieces:
                     continue
+                ray_of, sigma, rgb_s, t_values, deltas = (
+                    pieces[0] if len(pieces) == 1
+                    else [np.concatenate(arrays) for arrays in zip(*pieces)])
                 with section("nerf.composite"):
-                    result = composite(sigma[lo:hi], rgb_s[lo:hi],
-                                       t_values[lo:hi], deltas[lo:hi],
-                                       ray_of[lo:hi] - (offset + cs), ce - cs)
-                rgb[cs:ce] = result.rgb
-                depth[cs:ce] = result.depth
-                opacity[cs:ce] = result.opacity
-                _count_gather(stats, self.field, nsamp)
-                stats.mlp_macs += nsamp * macs
-            outputs.append(RenderOutput(rgb=rgb, depth_t=depth,
-                                        opacity=opacity, stats=stats))
-            offset += n
-        return outputs
+                    result = composite(sigma, rgb_s, t_values, deltas,
+                                       ray_of, end - first)
+                ce = cs + end - first
+                out.rgb[cs:ce] = result.rgb
+                out.depth_t[cs:ce] = result.depth
+                out.opacity[cs:ce] = result.opacity
+                nsamp = len(sigma)
+                out.stats.num_samples += nsamp
+                out.stats.mlp_macs += nsamp * macs
+                out.stats.gather_vertex_accesses += accesses * nsamp
+                out.stats.gather_bytes += nbytes * nsamp
+        return outputs, groups
 
     # -- frame-level API ---------------------------------------------------------
 
-    def compose_frame(self, camera: PinholeCamera, flat_directions: np.ndarray,
-                      out: RenderOutput) -> Frame:
-        """Assemble a :class:`Frame` from the raw output of a full-frame pass."""
-        height, width = camera.height, camera.width
-        solid = out.opacity >= self.opacity_threshold
-        image = out.rgb.copy()
-        if self.background is not None:
-            bg = self.background(flat_directions)
-            image = image + (1.0 - out.opacity[:, None]) * bg
-        forward = camera.c2w[:3, 2]
-        z = out.depth_t * (flat_directions @ forward)
-        depth = np.where(solid & np.isfinite(out.depth_t), z, np.inf)
-
-        return Frame(image=np.clip(image, 0.0, 1.0).reshape(height, width, 3),
-                     depth=depth.reshape(height, width),
-                     hit=solid.reshape(height, width),
-                     c2w=camera.c2w.copy())
-
     def compose_pixels(self, camera: PinholeCamera, directions: np.ndarray,
                        out: RenderOutput) -> tuple[np.ndarray, np.ndarray]:
-        """(colors, z_depth) for a sparse pixel pass from its raw output."""
-        colors = out.rgb.copy()
+        """(colors, z_depth) of rendered rays: background, depth, threshold."""
+        colors = out.rgb
         if self.background is not None:
             colors = colors + (1.0 - out.opacity[:, None]) * self.background(directions)
         forward = camera.c2w[:3, 2]
@@ -260,6 +197,15 @@ class NeRFRenderer:
         solid = out.opacity >= self.opacity_threshold
         z = np.where(solid & np.isfinite(out.depth_t), z, np.inf)
         return np.clip(colors, 0.0, 1.0), z
+
+    def compose_frame(self, camera: PinholeCamera, flat_directions: np.ndarray,
+                      out: RenderOutput) -> Frame:
+        """Assemble a :class:`Frame` from the raw output of a full-frame pass."""
+        colors, z = self.compose_pixels(camera, flat_directions, out)
+        shape = (camera.height, camera.width)
+        return Frame(image=colors.reshape(*shape, 3), depth=z.reshape(shape),
+                     hit=(out.opacity >= self.opacity_threshold).reshape(shape),
+                     c2w=camera.c2w.copy())
 
     def render_frame(self, camera: PinholeCamera,
                      record_gather: bool = False) -> tuple[Frame, RenderOutput]:

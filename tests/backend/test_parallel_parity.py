@@ -44,13 +44,12 @@ def pool_results(fast_renderer, bundles):
 
 def _assert_matches_serial(renderer, bundles, results):
     assert len(results) == len(bundles)
-    for (origins, directions), (rgb, depth_t, opacity, stats) in zip(
-            bundles, results):
+    for (origins, directions), result in zip(bundles, results):
         serial = renderer.render_rays(origins, directions)
-        assert np.array_equal(rgb, serial.rgb)
-        assert np.array_equal(depth_t, serial.depth_t, equal_nan=True)
-        assert np.array_equal(opacity, serial.opacity)
-        assert stats == serial.stats
+        assert np.array_equal(result.rgb, serial.rgb)
+        assert np.array_equal(result.depth_t, serial.depth_t, equal_nan=True)
+        assert np.array_equal(result.opacity, serial.opacity)
+        assert result.stats == serial.stats
 
 
 def _forks(metrics: MetricsRegistry) -> int:
@@ -75,18 +74,17 @@ class TestPoolParity:
                                           pool_results):
         assert len(pool_results) == len(bundles)
         for (origins, directions), result in zip(bundles, pool_results):
-            rgb, depth_t, opacity, stats = result
             serial = fast_renderer.render_rays(origins, directions)
-            assert np.array_equal(rgb, serial.rgb)
-            assert np.array_equal(depth_t, serial.depth_t, equal_nan=True)
-            assert np.array_equal(opacity, serial.opacity)
+            assert np.array_equal(result.rgb, serial.rgb)
+            assert np.array_equal(result.depth_t, serial.depth_t,
+                                  equal_nan=True)
+            assert np.array_equal(result.opacity, serial.opacity)
 
     def test_bundle_stats_identical(self, fast_renderer, bundles,
                                     pool_results):
         for (origins, directions), result in zip(bundles, pool_results):
-            stats = result[3]
             serial = fast_renderer.render_rays(origins, directions)
-            assert stats == serial.stats
+            assert result.stats == serial.stats
 
 
 class TestEveryFieldKind:

@@ -70,7 +70,7 @@ print(json.dumps({
     "rss_rise_mb": (rss_after - rss_before) / 1024,
     "new_shm": sorted(shm_after - shm_before),
     "tracker_pid": tracker_pid,
-    "identical": all(np.array_equal(r[0], serial.rgb) for r in results),
+    "identical": all(np.array_equal(r.rgb, serial.rgb) for r in results),
 }))
 """
 
@@ -90,13 +90,12 @@ def test_dispatch_holds_tables_once():
 
 
 def _assert_matches_serial(renderer, bundles, results):
-    for (origins, directions), (rgb, depth_t, opacity, stats) in zip(
-            bundles, results):
+    for (origins, directions), result in zip(bundles, results):
         serial = renderer.render_rays(origins, directions)
-        assert np.array_equal(rgb, serial.rgb)
-        assert np.array_equal(depth_t, serial.depth_t, equal_nan=True)
-        assert np.array_equal(opacity, serial.opacity)
-        assert stats == serial.stats
+        assert np.array_equal(result.rgb, serial.rgb)
+        assert np.array_equal(result.depth_t, serial.depth_t, equal_nan=True)
+        assert np.array_equal(result.opacity, serial.opacity)
+        assert result.stats == serial.stats
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import DS2Renderer, TemporalWarpRenderer, bilinear_upsample
+from repro.baselines import DS2Renderer, bilinear_upsample
+from repro.core.sparw import SparwRenderer
 from repro.harness.configs import make_camera
 from repro.metrics import mean_psnr
 
@@ -75,8 +76,8 @@ class TestDS2:
 class TestTemporal:
     def test_renders_sequence(self, fast_renderer, fast_sequence, fast_config):
         trajectory, _ = fast_sequence
-        temp = TemporalWarpRenderer(fast_renderer, make_camera(fast_config),
-                                    window=4)
+        temp = SparwRenderer(fast_renderer, make_camera(fast_config),
+                             window=4, policy="on_trajectory")
         result = temp.render_sequence(trajectory.poses)
         assert result.num_frames == len(trajectory.poses)
 
@@ -84,20 +85,20 @@ class TestTemporal:
                                       fast_config):
         """Chained policy renders one full frame, then reuses outputs."""
         trajectory, _ = fast_sequence
-        temp = TemporalWarpRenderer(fast_renderer, make_camera(fast_config),
-                                    window=4)
+        temp = SparwRenderer(fast_renderer, make_camera(fast_config),
+                             window=4, policy="on_trajectory")
         result = temp.render_sequence(trajectory.poses)
         assert result.num_references == 1
 
     def test_worse_than_sparw(self, fast_renderer, fast_sequence,
                               fast_config):
         """The paper's claim: TEMP accumulates error; SPARW does not."""
-        from repro.core.sparw import SparwRenderer
         trajectory, gt = fast_sequence
         camera = make_camera(fast_config)
         gt_images = [f.image for f in gt]
 
-        temp = TemporalWarpRenderer(fast_renderer, camera, window=4)
+        temp = SparwRenderer(fast_renderer, camera, window=4,
+                             policy="on_trajectory")
         temp_psnr = mean_psnr(
             [f.image for f in temp.render_sequence(trajectory.poses).frames],
             gt_images)

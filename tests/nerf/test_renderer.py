@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from reference_kernels import render_rays_reference
 from repro.harness.configs import FAST, build_renderer
 from repro.metrics import psnr
 
@@ -69,6 +70,79 @@ class TestRenderPixels:
         b, _ = tiny_chunks.render_frame(small_camera)
         np.testing.assert_allclose(a.image, b.image, atol=1e-12)
         np.testing.assert_allclose(a.depth, b.depth, atol=1e-9)
+
+
+class TestOneChunkLoop:
+    """``render_rays`` is bit-equal to its former loop of its own.
+
+    The former loop (``reference_kernels.render_rays_reference``) is the
+    oracle for the one-bundle case of the shared chunk loop.
+    """
+
+    @staticmethod
+    def _bundle(kind, camera, bounds):
+        origins, directions = camera.generate_rays()
+        origins, directions = origins.reshape(-1, 3), directions.reshape(-1, 3)
+        if kind == "empty":
+            return origins[:0], directions[:0]
+        if kind == "miss":  # start past the field's far corner, look away
+            origins = np.broadcast_to(np.asarray(bounds[1]) + 1.0,
+                                      origins.shape)
+            return origins, np.abs(directions)
+        return origins, directions
+
+    @pytest.mark.parametrize("kind", ["frame", "empty", "miss"])
+    @pytest.mark.parametrize("record_gather", [False, True])
+    @pytest.mark.parametrize("chunk_size", [None, 97])
+    @pytest.mark.parametrize("algorithm",
+                             ["directvoxgo", "instant_ngp", "tensorf"])
+    def test_bit_equal_to_reference_loop(self, algorithm, chunk_size,
+                                         record_gather, kind, small_camera):
+        renderer = copy.copy(build_renderer(algorithm, "lego", FAST))
+        if chunk_size is not None:
+            renderer.chunk_size = chunk_size
+        origins, directions = self._bundle(kind, small_camera,
+                                           renderer.field.bounds)
+
+        got = renderer.render_rays(origins, directions, record_gather)
+        want = render_rays_reference(renderer, origins, directions,
+                                     record_gather)
+        for name in ("rgb", "depth_t", "opacity"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+        assert got.stats == want.stats
+        assert len(got.gather_groups) == len(want.gather_groups)
+        for mine, theirs in zip(got.gather_groups, want.gather_groups):
+            np.testing.assert_array_equal(mine.vertex_ids, theirs.vertex_ids)
+        if kind == "frame":
+            assert want.stats.num_samples > 0
+            assert bool(want.gather_groups) == record_gather
+        else:
+            assert want.stats.num_samples == 0
+
+    @pytest.mark.parametrize("algorithm",
+                             ["directvoxgo", "instant_ngp", "tensorf"])
+    def test_batch_bundles_bit_equal_to_reference_loop(self, algorithm,
+                                                       small_camera):
+        """Bundle chunks that straddle the shared stream's chunks."""
+        renderer = copy.copy(build_renderer(algorithm, "lego", FAST))
+        renderer.chunk_size = 97
+        origins, directions = self._bundle("frame", small_camera,
+                                           renderer.field.bounds)
+        miss = self._bundle("miss", small_camera, renderer.field.bounds)
+        bundles = [(origins[:150], directions[:150]),
+                   (origins[:0], directions[:0]),
+                   (miss[0][:60], miss[1][:60]),
+                   (origins[150:1000], directions[150:1000]),
+                   (origins[1000:1003], directions[1000:1003]),
+                   (origins[1003:], directions[1003:])]
+
+        for (o, d), got in zip(bundles, renderer.render_ray_batch(bundles)):
+            want = render_rays_reference(renderer, o, d)
+            for name in ("rgb", "depth_t", "opacity"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+            assert got.stats == want.stats
 
 
 class TestGatherAccounting:

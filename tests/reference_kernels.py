@@ -2,8 +2,8 @@
 
 When a hot path is rewritten for speed, its previous implementation moves
 here *verbatim* (modulo plumbing: methods become functions taking the
-object) and stays as an equality oracle: ``tests/perf/test_equivalence.py``
-and ``tests/nerf/test_sampling.py`` assert each optimized kernel is
+object) and stays as an equality oracle: ``tests/perf/test_equivalence.py``,
+``tests/nerf/test_sampling.py`` and ``tests/nerf/test_renderer.py`` assert each optimized kernel is
 **bit-identical** to its predecessor on representative inputs — the
 contract that lets the golden suite stay byte-stable across perf work.
 
@@ -20,8 +20,9 @@ from repro.geometry.rays import intersect_aabb
 from repro.nerf.encoding import sh_basis_deg1
 from repro.nerf.fields.hash_grid import _hash_vertices
 from repro.nerf.fields.interp import flatten_index, trilinear_setup
-from repro.nerf.renderer import NeRFRenderer
+from repro.nerf.renderer import NeRFRenderer, RenderOutput, RenderStats
 from repro.nerf.sampling import OccupancyGrid, RaySamples, UniformSampler
+from repro.nerf.volume_render import composite
 
 __all__ = [
     "occupied_reference", "sample_reference", "trilinear_setup_reference",
@@ -30,7 +31,7 @@ __all__ = [
     "decode_reference",
     "depth_to_points_reference", "rays_for_pixels_reference",
     "generate_rays_reference", "ReferenceSampler", "ReferenceField",
-    "reference_renderer",
+    "reference_renderer", "render_rays_reference",
 ]
 
 
@@ -319,3 +320,70 @@ def reference_renderer(renderer: NeRFRenderer) -> NeRFRenderer:
                         background=renderer.background,
                         chunk_size=renderer.chunk_size,
                         opacity_threshold=renderer.opacity_threshold)
+
+
+# -- solo ray rendering (pre: its own chunk loop beside render_ray_batch) ------
+
+def render_rays_reference(renderer: NeRFRenderer, origins: np.ndarray,
+                          directions: np.ndarray,
+                          record_gather: bool = False) -> RenderOutput:
+    """``render_rays`` as a loop of its own: one chunk at a time, sampled,
+    gathered (plan-counted with ``record_gather``), decoded, composited."""
+    origins = np.atleast_2d(np.asarray(origins, dtype=float))
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    num_rays = origins.shape[0]
+
+    rgb = np.zeros((num_rays, 3))
+    depth = np.full(num_rays, np.inf)
+    opacity = np.zeros(num_rays)
+    stats = RenderStats(num_rays=num_rays)
+    groups = []
+
+    for start in range(0, num_rays, renderer.chunk_size):
+        stop = min(start + renderer.chunk_size, num_rays)
+        samples = renderer.sampler.sample(origins[start:stop],
+                                          directions[start:stop],
+                                          renderer.field.bounds)
+        out = _render_samples_reference(renderer, samples, record_gather)
+        rgb[start:stop] = out.rgb
+        depth[start:stop] = out.depth_t
+        opacity[start:stop] = out.opacity
+        stats = stats.merge(out.stats)
+        groups.extend(out.gather_groups)
+
+    stats.num_rays = num_rays
+    return RenderOutput(rgb=rgb, depth_t=depth, opacity=opacity,
+                        stats=stats, gather_groups=groups)
+
+
+def _render_samples_reference(renderer: NeRFRenderer, samples: RaySamples,
+                              record_gather: bool) -> RenderOutput:
+    stats = RenderStats(num_samples=len(samples))
+    groups = []
+    if len(samples) == 0:
+        zeros = np.zeros(samples.num_rays)
+        return RenderOutput(rgb=np.zeros((samples.num_rays, 3)),
+                            depth_t=np.full(samples.num_rays, np.inf),
+                            opacity=zeros, stats=stats)
+
+    fld = renderer.field
+    if record_gather:
+        groups = fld.gather_plan(samples.positions)
+        for group in groups:
+            accesses = group.vertices_per_sample * group.num_samples
+            stats.gather_vertex_accesses += accesses
+            stats.gather_bytes += accesses * group.entry_bytes
+    else:
+        accesses, nbytes = fld.gather_cost
+        stats.gather_vertex_accesses += accesses * len(samples)
+        stats.gather_bytes += nbytes * len(samples)
+
+    features = fld.interpolate(samples.positions)
+    sigma, rgb_s = fld.decode(features, samples.directions)
+    stats.mlp_macs = len(samples) * fld.decoder.macs_per_sample()
+
+    result = composite(sigma, rgb_s, samples.t_values, samples.deltas,
+                       samples.ray_index, samples.num_rays)
+    return RenderOutput(rgb=result.rgb, depth_t=result.depth,
+                        opacity=result.opacity, stats=stats,
+                        gather_groups=groups)
