@@ -19,6 +19,7 @@ from .admission import (
 )
 from .arrivals import (
     ARRIVAL_KINDS,
+    DEFAULT_CLUSTER_MIX,
     Arrival,
     deterministic_arrivals,
     diurnal_arrivals,
@@ -47,6 +48,7 @@ __all__ = [
     "AdmissionController",
     "AdmissionStats",
     "ARRIVAL_KINDS",
+    "DEFAULT_CLUSTER_MIX",
     "Arrival",
     "deterministic_arrivals",
     "diurnal_arrivals",

@@ -31,8 +31,16 @@ from ..workloads import WorkloadSpec, get_workload, parse_mix
 __all__ = [
     "Arrival", "poisson_arrivals", "deterministic_arrivals",
     "diurnal_arrivals", "replay_arrivals", "save_arrival_trace",
-    "load_arrival_trace", "ARRIVAL_KINDS", "make_arrivals",
+    "load_arrival_trace", "ARRIVAL_KINDS", "DEFAULT_CLUSTER_MIX",
+    "make_arrivals",
 ]
+
+# The mix an arrival-driven run (cluster, frontier, loadgen) replays when
+# none is given.  Popularity-skewed: over half the arrivals share the
+# vr-lego cache key, so co-locating them (cache_affinity) visibly beats
+# spreading them (round_robin) on the cluster-wide reference-cache hit
+# rate.
+DEFAULT_CLUSTER_MIX = "vr-lego:4,dolly-chair:2,vr-headshake:1"
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 from ..metrics.stats import (LATENCY_KEYS, in_ms, latency_summary,
                              mean_or_zero, record_frame, time_to_first_frame)
-from ..obs.runtime import current_metrics, current_tracer
+from ..obs.runtime import (current_tracer, metric_inc, metric_observe,
+                           metric_set)
 from ..workloads.cache import SharedLRUCache
 from .admission import REJECT_QUEUE_FULL, AdmissionController
 from .arrivals import make_arrivals
@@ -143,10 +144,8 @@ class ClusterSimulator:
                  placement: str = "least_loaded", queue_limit: int = 4,
                  frames: int | None = None, seed: int = 0,
                  autoscaler: Autoscaler | None = None,
-                 use_cache: bool = True,
-                 worker_cache_entries: int = 256,
-                 worker_cache_bytes: int = 64 << 20,
-                 governor=None, backend: str | None = None,
+                 use_cache: bool = True, governor=None,
+                 backend: str | None = None,
                  engine_workers: int | None = None, field_store=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -177,8 +176,6 @@ class ClusterSimulator:
         # The render memo every worker's engine shares while run() runs.
         self._render_memo = None
         self._worker_seq = 0
-        self._worker_cache_entries = worker_cache_entries
-        self._worker_cache_bytes = worker_cache_bytes
         for _ in range(workers):
             self._spawn(0.0)
         self.workers_initial = workers
@@ -187,18 +184,12 @@ class ClusterSimulator:
         self._event_seq = 0
         self._heap: list = []
         self._makespan = 0.0
-        # Observability sinks, refreshed at run() so an activation made
-        # after construction still captures the run; None = no-op hooks.
-        self._tracer = None
-        self._metrics = None
 
     # -- fleet -------------------------------------------------------------------
 
     def _spawn(self, now_s: float) -> Worker:
         worker = Worker(f"w{self._worker_seq:02d}", self.config,
                         started_s=now_s, index=self._worker_seq,
-                        cache_entries=self._worker_cache_entries,
-                        cache_bytes=self._worker_cache_bytes,
                         use_cache=self.use_cache, backend=self.backend,
                         engine_workers=self.engine_workers,
                         field_store=self.field_store)
@@ -240,36 +231,28 @@ class ClusterSimulator:
         if action == "up":
             self._booting += 1
             self._push(payload, _P_WORKER_UP, "worker_up", None)
-            if self._metrics is not None:
-                self._metrics.inc("cluster.scale_up_requests")
-            if self._tracer is not None:
-                self._control_instant("scale.up_requested", "cluster",
-                                      now_s, "autoscaler",
-                                      {"ready_s": payload})
+            metric_inc("cluster.scale_up_requests")
+            self._control_instant("scale.up_requested", "cluster", now_s,
+                                  "autoscaler", {"ready_s": payload})
         else:
             payload.retire(now_s)
             if self.field_store is not None:
                 # Deterministic rebalance: the retiree's replicas vanish
                 # and surviving owners take over lazily on next miss.
                 self.field_store.remove_worker(payload.worker_id)
-            if self._metrics is not None:
-                self._metrics.inc("cluster.scale_downs")
-                self._metrics.set("cluster.workers", len(self._live()))
-            if self._tracer is not None:
-                self._control_instant("scale.down", "cluster", now_s,
-                                      "autoscaler",
-                                      {"worker": payload.worker_id})
+            metric_inc("cluster.scale_downs")
+            metric_set("cluster.workers", len(self._live()))
+            self._control_instant("scale.down", "cluster", now_s,
+                                  "autoscaler", {"worker": payload.worker_id})
 
     def _on_arrival(self, now_s: float, arrival) -> None:
         # Overrides change the spec's content hash, so placement and the
         # worker must both see the same effective spec.
         spec = arrival.spec.with_overrides(frames=self.frames,
                                            seed_offset=self.seed)
-        if self._metrics is not None:
-            self._metrics.inc("cluster.arrivals")
-        if self._tracer is not None:
-            self._control_instant("cluster.arrival", "cluster", now_s,
-                                  "arrivals", {"spec": spec.name})
+        metric_inc("cluster.arrivals")
+        self._control_instant("cluster.arrival", "cluster", now_s,
+                              "arrivals", {"spec": spec.name})
         eligible, reason = self.admission.eligible(self._live())
         if reason == REJECT_QUEUE_FULL and self.governor is not None:
             # Graceful shedding: degrade the least-loaded worker's
@@ -284,12 +267,10 @@ class ClusterSimulator:
                 return
         if reason is not None:
             self.admission.record_reject(reason)
-            if self._metrics is not None:
-                self._metrics.inc("cluster.rejected")
-            if self._tracer is not None:
-                self._control_instant("cluster.reject", "cluster", now_s,
-                                      "arrivals", {"spec": spec.name,
-                                                   "reason": reason})
+            metric_inc("cluster.rejected")
+            self._control_instant("cluster.reject", "cluster", now_s,
+                                  "arrivals",
+                                  {"spec": spec.name, "reason": reason})
             return
         worker = self.placement.choose(spec.cache_key(self.config), eligible)
         level = (self.governor.admission_level(spec, worker)
@@ -301,19 +282,16 @@ class ClusterSimulator:
                action: str | None) -> None:
         session_id = f"a{self._session_seq:04d}-{spec.name}"
         self._session_seq += 1
-        if self._metrics is not None:
-            self._metrics.inc("cluster.admitted")
-        if self._tracer is not None:
-            self._control_instant("cluster.admit", "cluster", now_s,
-                                  "arrivals",
-                                  {"session": session_id,
-                                   "worker": worker.worker_id,
-                                   "level": level})
-            pid = self._tracer.process(f"worker {worker.worker_id}")
-            self._tracer.instant(
-                "cluster.place", "cluster", now_s * 1e6, pid,
-                self._tracer.thread(pid, session_id),
-                args={"session": session_id, "level": level})
+        metric_inc("cluster.admitted")
+        self._control_instant("cluster.admit", "cluster", now_s, "arrivals",
+                              {"session": session_id,
+                               "worker": worker.worker_id, "level": level})
+        tracer = current_tracer()
+        if tracer is not None:
+            pid = tracer.process(f"worker {worker.worker_id}")
+            tracer.instant("cluster.place", "cluster", now_s * 1e6, pid,
+                           tracer.thread(pid, session_id),
+                           args={"session": session_id, "level": level})
         with self._worker_scope(worker, now_s):
             placed = worker.admit(session_id, spec, now_s, level=level)
         if placed.fetch_kind == "bake":
@@ -322,11 +300,10 @@ class ClusterSimulator:
             # the heap drains.  (Transfers keep the worker free, so the
             # ordinary dispatch below schedules their wake.)
             self._push(worker.busy_until_s, _P_WAKE, "wake", worker)
-            if self._tracer is not None:
-                self._control_instant(
-                    "field.bake", "field", now_s, "field",
-                    {"session": session_id, "bake_s": placed.fetch_s})
-        elif placed.fetch_s > 0.0 and self._tracer is not None:
+            self._control_instant(
+                "field.bake", "field", now_s, "field",
+                {"session": session_id, "bake_s": placed.fetch_s})
+        elif placed.fetch_s > 0.0:
             self._control_instant(
                 "field.transfer", "field", now_s, "field",
                 {"session": session_id, "transfer_s": placed.fetch_s})
@@ -356,35 +333,36 @@ class ClusterSimulator:
         self.governor_events.append({
             "t": now_s, "action": action, "session": session_id,
             "worker": worker.worker_id, "level": level})
-        if self._metrics is not None:
-            self._metrics.inc("governor.cluster_events")
-        if self._tracer is not None:
-            self._control_instant(f"governor.{action}", "governor", now_s,
-                                  "governor",
-                                  {"session": session_id,
-                                   "worker": worker.worker_id,
-                                   "level": level})
+        metric_inc("governor.cluster_events")
+        self._control_instant(f"governor.{action}", "governor", now_s,
+                              "governor",
+                              {"session": session_id,
+                               "worker": worker.worker_id, "level": level})
 
     # -- observability ----------------------------------------------------------
     #
-    # All read-only: instants/spans on the virtual clock plus counter and
-    # histogram bumps.  Every hook is a None check when nothing is active,
-    # and nothing here feeds back into scheduling, so traced runs stay
-    # bit-identical to untraced runs (tests/obs/test_obs_parity.py).
+    # All read-only: instants/spans on the virtual clock plus counter,
+    # gauge and histogram bumps through the repro.obs.runtime helpers.
+    # Every hook is a None check when nothing is active, and nothing here
+    # feeds back into scheduling, so traced runs stay bit-identical to
+    # untraced runs (tests/obs/test_obs_parity.py).
 
     def _control_instant(self, name: str, cat: str, now_s: float,
                          thread: str, args: dict | None = None) -> None:
-        tracer = self._tracer
+        tracer = current_tracer()
+        if tracer is None:
+            return
         pid = tracer.process("cluster")
         tracer.instant(name, cat, now_s * 1e6, pid,
                        tracer.thread(pid, thread), args=args)
 
     def _worker_scope(self, worker: Worker, now_s: float):
         """Context routing engine trace spans into the worker's lane."""
-        if self._tracer is None:
+        tracer = current_tracer()
+        if tracer is None:
             return nullcontext()
-        return self._tracer.scope(f"worker {worker.worker_id}",
-                                  base_us=now_s * 1e6)
+        return tracer.scope(f"worker {worker.worker_id}",
+                            base_us=now_s * 1e6)
 
     # -- run ---------------------------------------------------------------------
 
@@ -404,10 +382,7 @@ class ClusterSimulator:
         report, the trace's modelled spans and the workers' reference
         cache statistics are those of a run without it.
         """
-        self._tracer = current_tracer()
-        self._metrics = current_metrics()
-        if self._metrics is not None:
-            self._metrics.set("cluster.workers", len(self._live()))
+        metric_set("cluster.workers", len(self._live()))
         memo = SharedLRUCache(name="render_memo",
                               max_entries=RENDER_MEMO_ENTRIES,
                               max_bytes=RENDER_MEMO_BYTES)
@@ -416,11 +391,10 @@ class ClusterSimulator:
             self._play(arrivals)
         finally:
             self._set_render_memo(None)
-        if self._metrics is not None:
-            report = memo.report()
-            for key in ("hits", "misses", "evictions"):
-                self._metrics.inc(f"cluster.render_memo.{key}", report[key])
-            self._metrics.set("cluster.render_memo.bytes", report["bytes"])
+        report = memo.report()
+        for key in ("hits", "misses", "evictions"):
+            metric_inc(f"cluster.render_memo.{key}", report[key])
+        metric_set("cluster.render_memo.bytes", report["bytes"])
         return self._report(label)
 
     def _set_render_memo(self, memo) -> None:
@@ -442,9 +416,9 @@ class ClusterSimulator:
                 timeline = worker.finish_frame(session, now_s)
                 k = session.next_frame - 1
                 record_frame(timeline, "cluster", f"worker {worker.worker_id}",
-                             session.session_id, k, self._metrics, self._tracer)
-                if self._metrics is not None and k == 0:
-                    self._metrics.observe("cluster.ttff_s", time_to_first_frame(
+                             session.session_id, k)
+                if k == 0:
+                    metric_observe("cluster.ttff_s", time_to_first_frame(
                         session.arrival_s, session.timelines))
                 self._makespan = max(self._makespan, now_s)
                 if self.governor is not None and not session.done:
@@ -468,14 +442,11 @@ class ClusterSimulator:
                 worker = self._spawn(now_s)
                 self.autoscaler.record_up_completed(now_s,
                                                     len(self._live()))
-                if self._metrics is not None:
-                    self._metrics.inc("cluster.scale_ups")
-                    self._metrics.set("cluster.workers",
-                                      len(self._live()))
-                if self._tracer is not None:
-                    self._control_instant("scale.up_completed", "cluster",
-                                          now_s, "autoscaler",
-                                          {"worker": worker.worker_id})
+                metric_inc("cluster.scale_ups")
+                metric_set("cluster.workers", len(self._live()))
+                self._control_instant("scale.up_completed", "cluster",
+                                      now_s, "autoscaler",
+                                      {"worker": worker.worker_id})
             else:  # wake
                 self._dispatch(payload, now_s)
 

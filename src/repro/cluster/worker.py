@@ -20,7 +20,7 @@ from ..engine import MultiSessionEngine
 from ..hw.serving import session_frame_costs
 from ..hw.soc import SoCModel
 from ..metrics.stats import FrameTimeline, request_time
-from ..workloads import SharedLRUCache
+from ..workloads import REFERENCE_CACHE, SharedLRUCache
 
 __all__ = ["PlacedSession", "Worker"]
 
@@ -64,7 +64,6 @@ class Worker:
 
     def __init__(self, worker_id: str, config, soc: SoCModel | None = None,
                  started_s: float = 0.0, index: int = 0,
-                 cache_entries: int = 256, cache_bytes: int = 64 << 20,
                  use_cache: bool = True, backend: str | None = None,
                  engine_workers: int | None = None, field_store=None):
         self.worker_id = str(worker_id)
@@ -76,10 +75,12 @@ class Worker:
         self.engine_workers = engine_workers
         self.soc = soc or SoCModel(feature_dim=config.feature_dim)
         # The cache object always exists so stats report uniformly; with
-        # use_cache=False it is simply never attached to the engine.
+        # use_cache=False it is simply never attached to the engine.  It
+        # is bounded like the process-wide REFERENCE_CACHE.
         self.reference_cache = SharedLRUCache(
             name=f"{self.worker_id}/references",
-            max_entries=cache_entries, max_bytes=cache_bytes)
+            max_entries=REFERENCE_CACHE.max_entries,
+            max_bytes=REFERENCE_CACHE.max_bytes)
         self.use_cache = bool(use_cache)
         # The simulator's per-run render memo (set by ClusterSimulator.run
         # for the run's duration): repeated requests skip the NeRF

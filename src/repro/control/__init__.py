@@ -24,6 +24,7 @@ from .governor import (
     QualityGovernor,
     SessionControl,
     split_budget,
+    start_level,
 )
 from .quality import level_quality, mean_psnr_of_levels, quality_floor
 
@@ -35,6 +36,7 @@ __all__ = [
     "QualityGovernor",
     "SessionControl",
     "split_budget",
+    "start_level",
     "level_quality",
     "mean_psnr_of_levels",
     "quality_floor",

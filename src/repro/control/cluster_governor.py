@@ -15,7 +15,7 @@ dependency on :mod:`repro.cluster`.
 
 from __future__ import annotations
 
-from .governor import GovernorPolicy, QualityGovernor
+from .governor import GovernorPolicy, QualityGovernor, start_level
 
 __all__ = ["ClusterGovernor"]
 
@@ -71,10 +71,8 @@ class ClusterGovernor:
         linearly.  ``static`` mode always pins the deepest rung.
         """
         max_level = spec.max_quality_level
-        if self.mode == "static":
-            return max_level
         if self.mode != "adaptive" or max_level == 0:
-            return 0
+            return start_level(self.mode, max_level)
         pressure = worker.load / self.queue_limit
         return min(max_level, int(pressure * (max_level + 1)))
 

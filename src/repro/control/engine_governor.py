@@ -31,9 +31,6 @@ class EngineGovernor:
     mode:
         ``"static"`` or ``"adaptive"`` (``"off"`` means: don't attach a
         governor at all).
-    soc:
-        Hardware model pricing completed frames for the virtual service
-        clock (default-configured :class:`SoCModel` if None).
 
     Each session's latency target comes from its own workload's
     ``slo_latency_s`` — mix-wide SLO overrides are a spec rewrite
@@ -42,11 +39,11 @@ class EngineGovernor:
     """
 
     def __init__(self, config, mode: str = "adaptive",
-                 policy: GovernorPolicy | None = None,
-                 soc: SoCModel | None = None):
+                 policy: GovernorPolicy | None = None):
         self.config = config
         self.governor = QualityGovernor(mode, policy)
-        self.soc = soc or SoCModel(feature_dim=config.feature_dim)
+        # Prices completed frames for the virtual service clock.
+        self.soc = SoCModel(feature_dim=config.feature_dim)
         self.clock_s = 0.0
         self.arrivals_s: dict = {}  # session id -> clock_s at attach
         self.events: list = []

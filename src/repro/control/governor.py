@@ -25,9 +25,15 @@ from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = ["GOVERNOR_MODES", "GovernorPolicy", "SessionControl",
-           "QualityGovernor", "split_budget"]
+           "QualityGovernor", "split_budget", "start_level"]
 
 GOVERNOR_MODES = ("off", "static", "adaptive")
+
+
+def start_level(mode: str, max_level: int) -> int:
+    """The rung a session starts at: ``static`` pins the deepest allowed
+    rung from the first frame, every other mode starts at full quality."""
+    return max_level if mode == "static" else 0
 
 
 def split_budget(total: int, weights: list) -> list:
@@ -142,15 +148,15 @@ class QualityGovernor:
                  ) -> SessionControl:
         """Start governing a session; returns its control block.
 
-        ``level`` overrides the starting rung (``static`` mode pins the
-        deepest allowed rung; ``adaptive`` starts at full quality).
+        ``level`` overrides the starting rung (default:
+        :func:`start_level`).
         """
         if target_latency_s <= 0.0:
             raise ValueError("target_latency_s must be positive")
         if max_level < 0:
             raise ValueError("max_level must be >= 0")
         if level is None:
-            level = max_level if self.mode == "static" else 0
+            level = start_level(self.mode, max_level)
         level = min(max(level, 0), max_level)
         control = SessionControl(
             session_id=str(session_id),

@@ -17,7 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..backend import BACKENDS, DEFAULT_WORKERS
-from ..obs.runtime import current_metrics, current_tracer, section
+from ..obs.runtime import (current_tracer, metric_inc, metric_observe,
+                           section)
 from ..obs.tracer import WORK_US_PER_RAY
 from ..workloads.cache import pose_hash, rays_hash
 from .scheduler import RoundRobinScheduler
@@ -314,12 +315,10 @@ class MultiSessionEngine:
                  "rays": batch.total_rays - before[1],
                  "nerf_calls": batch.nerf_calls - before[2],
                  "cache_hits": batch.cache_hits - before[3]}
-        metrics = current_metrics()
-        if metrics is not None:
-            metrics.inc("engine.rounds")
-            for key, value in delta.items():
-                metrics.inc("engine." + key, value)
-            metrics.observe("engine.round_rays", delta["rays"])
+        metric_inc("engine.rounds")
+        for key, value in delta.items():
+            metric_inc("engine." + key, value)
+        metric_observe("engine.round_rays", delta["rays"])
         self._trace_round(round_index, sessions, delta)
 
     # -- tracing ----------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from .camera import Intrinsics, PinholeCamera
 from .pointcloud import depth_to_points, transform_points
-from .rays import RayBundle, intersect_aabb
+from .rays import intersect_aabb
 from .transforms import (
     extrapolate_pose,
     invert_pose,
@@ -25,7 +25,6 @@ __all__ = [
     "PinholeCamera",
     "depth_to_points",
     "transform_points",
-    "RayBundle",
     "intersect_aabb",
     "extrapolate_pose",
     "invert_pose",

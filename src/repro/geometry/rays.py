@@ -1,54 +1,15 @@
-"""Ray bundles and ray-box intersection.
+"""Ray-box intersection.
 
-NeRF rendering operates on flat bundles of rays; this module provides the
-container plus the axis-aligned bounding-box (AABB) clipping used to restrict
-ray sampling to the scene volume.
+NeRF rendering operates on flat ``(N, 3)`` origin/direction arrays; this
+module provides the axis-aligned bounding-box (AABB) clipping used to
+restrict ray sampling to the scene volume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["RayBundle", "intersect_aabb"]
-
-
-@dataclass
-class RayBundle:
-    """A flat bundle of rays (origins/directions shaped (N, 3)).
-
-    ``pixel_ids`` optionally records which image pixel each ray came from so
-    sparse renders can scatter results back into a frame.
-    """
-
-    origins: np.ndarray
-    directions: np.ndarray
-    pixel_ids: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.origins = np.atleast_2d(np.asarray(self.origins, dtype=float))
-        self.directions = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        if self.origins.shape != self.directions.shape:
-            raise ValueError("origins and directions must have the same shape")
-        if self.origins.shape[-1] != 3:
-            raise ValueError("rays must be 3-dimensional")
-        if self.pixel_ids is not None:
-            self.pixel_ids = np.asarray(self.pixel_ids, dtype=np.int64)
-            if self.pixel_ids.shape[0] != self.origins.shape[0]:
-                raise ValueError("pixel_ids length must match ray count")
-
-    def __len__(self) -> int:
-        return self.origins.shape[0]
-
-    def select(self, mask_or_index: np.ndarray) -> "RayBundle":
-        """Sub-bundle selected by a boolean mask or index array."""
-        ids = None if self.pixel_ids is None else self.pixel_ids[mask_or_index]
-        return RayBundle(
-            origins=self.origins[mask_or_index],
-            directions=self.directions[mask_or_index],
-            pixel_ids=ids,
-        )
+__all__ = ["intersect_aabb"]
 
 
 def intersect_aabb(

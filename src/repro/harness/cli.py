@@ -73,12 +73,7 @@ from .runconfig import (
     effective_default,
     parse_rates,
 )
-from .runner import (
-    DEFAULT_CLUSTER_MIX,
-    ExperimentTable,
-    execute_cell,
-    run_table,
-)
+from .runner import ExperimentTable, execute_cell, run_table
 
 # Where the commands that always persist their run write it by default.
 ARTIFACT_DIR = "bench-artifacts"
@@ -355,28 +350,17 @@ def run_cluster_command(args) -> int:
     return 0
 
 
-def _server_options(cell):
-    """The ServerOptions one realserve RunConfig describes."""
-    from ..server import ServerOptions
-    return ServerOptions(
-        host=cell.effective("host"), port=cell.effective("port"),
-        use_cache=cell.use_cache, governor=cell.governor,
-        slo_fps=cell.slo_fps, backend=cell.backend,
-        engine_workers=cell.engine_workers)
-
-
 def run_serve_live(args) -> int:
     import asyncio
     from ..server import FrameServer
     cell = cell_from_args("realserve", args)
 
     async def serve() -> None:
-        server = FrameServer(config=_scale(args),
-                             options=_server_options(cell))
+        server = FrameServer(_scale(args), cell)
         await server.start()
         # flush: readiness probes tail this line through a redirect.
         print(f"frame server listening on "
-              f"{server.options.host}:{server.port} (Ctrl-C to stop)",
+              f"{cell.effective('host')}:{server.port} (Ctrl-C to stop)",
               flush=True)
         try:
             await server.serve_forever()
@@ -392,6 +376,7 @@ def run_serve_live(args) -> int:
 
 def run_loadgen_command(args) -> int:
     import asyncio
+    from ..cluster import DEFAULT_CLUSTER_MIX
     from ..metrics.stats import time_to_first_frame
     from ..server import FrameServer, LoadgenOptions, run_loadgen
     cell = cell_from_args("realserve", args)
@@ -413,12 +398,10 @@ def run_loadgen_command(args) -> int:
     async def drive() -> dict:
         if args.connect is not None:
             return await run_loadgen(*args.connect, options)
-        from ..obs.runtime import current_tracer
-        server = FrameServer(config=config, options=_server_options(cell),
-                             tracer=current_tracer())
+        server = FrameServer(config, cell)
         await server.start()
         try:
-            return await run_loadgen(server.options.host, server.port,
+            return await run_loadgen(cell.effective("host"), server.port,
                                      options)
         finally:
             await server.stop()

@@ -28,8 +28,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..cluster import Autoscaler, simulate_cluster
-from ..control import mean_psnr_of_levels, quality_floor
+from ..cluster import DEFAULT_CLUSTER_MIX, Autoscaler, simulate_cluster
+from ..control import (EngineGovernor, mean_psnr_of_levels, quality_floor,
+                       start_level)
 from ..engine import MultiSessionEngine, make_scheduler
 from ..hw.serving import aggregate_serving
 from ..hw.soc import SoCModel
@@ -50,13 +51,8 @@ try:
 except ImportError:  # pragma: no cover - py3.10 CI leg
     tomllib = None
 
-__all__ = ["DEFAULT_CLUSTER_MIX", "CellResult", "ExperimentTable",
-           "execute_cell", "quality_summary", "run_table"]
-
-# Popularity-skewed default: over half the arrivals share the vr-lego
-# cache key, so co-locating them (cache_affinity) visibly beats spreading
-# them (round_robin) on the cluster-wide reference-cache hit rate.
-DEFAULT_CLUSTER_MIX = "vr-lego:4,dolly-chair:2,vr-headshake:1"
+__all__ = ["CellResult", "ExperimentTable", "execute_cell",
+           "quality_summary", "run_table"]
 
 
 @dataclass(frozen=True)
@@ -272,18 +268,15 @@ def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
     reference_before = REFERENCE_CACHE.stats.snapshot()
 
     engine_governor = None
-    build = None
     if cell.governor != "off":
-        from ..control import EngineGovernor
-        engine_governor = EngineGovernor(
-            config, mode=cell.governor,
-            soc=SoCModel(feature_dim=config.feature_dim))
-        if cell.governor == "static":
-            # Static pinning happens at build time, so even the first
-            # frame renders at the min_quality_tier rung.
-            def build(spec, session_id, config):
-                return spec.build_session(session_id, config,
-                                          level=spec.max_quality_level)
+        engine_governor = EngineGovernor(config, mode=cell.governor)
+
+    # Sessions are built at the governor's start rung, so a static cell
+    # renders even the first frame at the min_quality_tier rung.
+    def build(spec, session_id, config):
+        return spec.build_session(
+            session_id, config,
+            level=start_level(cell.governor, spec.max_quality_level))
     built = build_mixed_sessions(resolved_mix, config, frames=cell.frames,
                                  seed=seed, build=build)
     engine = MultiSessionEngine(

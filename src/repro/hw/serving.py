@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..metrics.stats import FrameTimeline, latency_summary, record_frame
-from ..obs.runtime import current_metrics, current_tracer
+from ..obs.runtime import current_tracer, metric_inc
 from .soc import FrameCost, SoCModel
 from .workload import workload_from_stats
 
@@ -143,7 +143,6 @@ def aggregate_serving(session_results: dict, soc: SoCModel | None = None,
     # Observability hooks (read-only: instrumentation records the same
     # clock/latency values the report is built from, never changes them).
     tracer = current_tracer()
-    metrics = current_metrics()
     if tracer is not None:
         soc_pid = tracer.process("soc")
         rounds_tid = tracer.thread(soc_pid, "rounds")
@@ -164,14 +163,14 @@ def aggregate_serving(session_results: dict, soc: SoCModel | None = None,
             clock += cost
             timeline = FrameTimeline(round_start, start, clock)
             timelines[sid].append(timeline)
-            record_frame(timeline, "serve", "soc", sid, i, metrics, tracer)
+            record_frame(timeline, "serve", "soc", sid, i)
         if tracer is not None and due:
             tracer.complete("serve.round", "engine", round_start * 1e6,
                             (clock - round_start) * 1e6, soc_pid,
                             rounds_tid,
                             args={"round": i, "sessions": len(due)})
-        if metrics is not None and due:
-            metrics.inc("serve.rounds")
+        if due:
+            metric_inc("serve.rounds")
 
     per_session = []
     for sid, result in session_results.items():

@@ -10,6 +10,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..obs.runtime import current_tracer, metric_inc, metric_observe
+
 __all__ = ["geometric_mean", "speedup", "percentile_or_zero", "mean_or_zero",
            "FrameTimeline", "request_time", "time_to_first_frame",
            "latency_summary", "LATENCY_KEYS", "in_ms", "record_frame"]
@@ -78,14 +80,15 @@ def in_ms(summary: dict) -> dict:
 
 
 def record_frame(timeline: FrameTimeline, prefix: str, lane: str,
-                 session_id: str, frame: int, metrics, tracer) -> None:
+                 session_id: str, frame: int) -> None:
     """Count ``<prefix>.frames``, sample ``<prefix>.frame_latency_s`` and
     draw ``frame.wait`` (request to start) and ``frame.serve`` (start to
-    delivery) on the session's thread of process ``lane`` (read-only)."""
+    delivery) on the session's thread of process ``lane``, into whatever
+    observation is active (read-only)."""
     latency_s = timeline.latency_s
-    if metrics is not None:
-        metrics.inc(f"{prefix}.frames")
-        metrics.observe(f"{prefix}.frame_latency_s", latency_s)
+    metric_inc(f"{prefix}.frames")
+    metric_observe(f"{prefix}.frame_latency_s", latency_s)
+    tracer = current_tracer()
     if tracer is None:
         return
     pid = tracer.process(lane)

@@ -23,12 +23,11 @@ claims can be checked against wall-clock behaviour:
 from .loadgen import LoadgenOptions, loadgen_schedule, run_loadgen
 from .protocol import PROTOCOL_SCHEMA, frame_digest, read_message, write_message
 from .reconcile import reconcile_report
-from .server import FrameServer, ServerOptions
+from .server import FrameServer
 
 __all__ = [
     "PROTOCOL_SCHEMA",
     "FrameServer",
-    "ServerOptions",
     "LoadgenOptions",
     "frame_digest",
     "loadgen_schedule",

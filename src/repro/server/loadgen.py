@@ -23,7 +23,7 @@ import asyncio
 import time
 from dataclasses import dataclass
 
-from ..cluster.arrivals import make_arrivals
+from ..cluster.arrivals import DEFAULT_CLUSTER_MIX, make_arrivals
 from ..metrics.stats import (FrameTimeline, in_ms, latency_summary,
                              request_time)
 from ..obs.runtime import metric_inc
@@ -37,7 +37,7 @@ __all__ = ["LoadgenOptions", "loadgen_schedule", "loadgen_summary",
 class LoadgenOptions:
     """One load-generation run (mirrors ``simulate_cluster`` knobs)."""
 
-    mix: str = "vr-lego:4,dolly-chair:2,vr-headshake:1"
+    mix: str = DEFAULT_CLUSTER_MIX
     arrivals: str = "poisson"
     rate_hz: float = 2.0
     duration_s: float = 4.0

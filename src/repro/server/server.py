@@ -17,9 +17,15 @@ Failure: if a round raises, the engine-host thread stops, every admitted
 session receives an ``error`` message, and every later ``open`` is
 refused with the same message — a crash is never a silent hang.
 
+Configuration: a server takes the validated ``realserve``
+:class:`~repro.harness.runconfig.RunConfig` the ``serve-live`` and
+``loadgen`` commands build, so every server knob is declared once, as a
+field of that cell.  The session-build pool size and the admission cap
+are constants (:data:`BUILD_WORKERS`, :data:`MAX_SESSIONS`).
+
 Wall-clock observability: each frame carries ``queue_s`` (time the
 session spent waiting for its round) and ``render_s`` (its round's
-render time); with a tracer attached the host additionally emits
+render time); while a tracer is active the host additionally emits
 ``server.round``/``frame.serve`` spans in the same Chrome-trace schema
 the virtual-clock layers use, timestamped on the real clock.
 """
@@ -27,15 +33,13 @@ the virtual-clock layers use, timestamped on the real clock.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
-from ..harness.configs import FAST
-from ..obs.runtime import metric_inc, metric_observe
-from ..workloads import get_workload
+from ..control import EngineGovernor, start_level
+from ..obs.runtime import current_tracer, metric_inc, metric_observe
+from ..workloads import apply_slo, get_workload
 from ..workloads.cache import REFERENCE_CACHE
 from .protocol import (
     PROTOCOL_SCHEMA,
@@ -45,30 +49,10 @@ from .protocol import (
     write_message,
 )
 
-__all__ = ["ServerOptions", "FrameServer"]
+__all__ = ["FrameServer"]
 
-
-@dataclass(frozen=True)
-class ServerOptions:
-    """Everything a :class:`FrameServer` needs beyond the config scale."""
-
-    host: str = "127.0.0.1"
-    port: int = 0  # 0: ephemeral (read FrameServer.port after start)
-    use_cache: bool = True
-    governor: str = "off"
-    slo_fps: float | None = None
-    backend: str | None = None
-    engine_workers: int | None = None
-    build_workers: int = 2  # session-build thread pool size
-    max_sessions: int = 64  # admission cap across live connections
-
-    def __post_init__(self):
-        if not 0 <= self.port <= 65535:
-            raise ValueError(f"port must be in 0..65535, got {self.port}")
-        if self.build_workers < 1:
-            raise ValueError("build_workers must be >= 1")
-        if self.max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1")
+BUILD_WORKERS = 2  # session-build thread pool size
+MAX_SESSIONS = 64  # admission cap across live connections
 
 
 class _EngineHost:
@@ -85,7 +69,7 @@ class _EngineHost:
     item, and so does any session admitted afterwards.
     """
 
-    def __init__(self, engine, loop, tracer=None):
+    def __init__(self, engine, loop):
         self._engine = engine
         self._loop = loop
         self._cond = threading.Condition()
@@ -93,7 +77,6 @@ class _EngineHost:
         self._ready_s: dict = {}  # session_id -> perf_counter ready time
         self._stop = False
         self.error: str | None = None  # set once serving has crashed
-        self._tracer = tracer
         self.epoch_s = time.perf_counter()  # wall anchor for trace spans
         self._thread = threading.Thread(target=self._run,
                                         name="engine-host", daemon=True)
@@ -209,7 +192,7 @@ class _EngineHost:
 
     def _trace_round(self, round_start: float, round_end: float,
                      sessions: int) -> None:
-        tracer = self._tracer
+        tracer = current_tracer()
         if tracer is None:
             return
         pid = tracer.process("server")
@@ -222,7 +205,7 @@ class _EngineHost:
 
     def _trace_frames(self, session_id: str, records, ready_s: float,
                       round_end: float) -> None:
-        tracer = self._tracer
+        tracer = current_tracer()
         if tracer is None:
             return
         pid = tracer.process("server")
@@ -242,13 +225,16 @@ class FrameServer:
     session on the worker pool, admits it into the shared engine, and
     streams frame messages until the trajectory completes (``done``)
     or the client closes early (``close``/EOF → ``closed``).
+
+    ``config`` is the :class:`ExperimentConfig` scale sessions build at;
+    ``cell`` is the validated ``realserve`` :class:`RunConfig` whose
+    host, port, governor, SLO, cache and backend fields configure the
+    server.
     """
 
-    def __init__(self, config=None, options: ServerOptions | None = None,
-                 tracer=None):
-        self.config = FAST if config is None else config
-        self.options = options or ServerOptions()
-        self.tracer = tracer
+    def __init__(self, config, cell):
+        self.config = config
+        self.cell = cell
         self._server: asyncio.AbstractServer | None = None
         self._host_thread: _EngineHost | None = None
         self._build_pool: ThreadPoolExecutor | None = None
@@ -268,25 +254,20 @@ class FrameServer:
     async def start(self) -> "FrameServer":
         """Bind the socket and start the engine-host thread."""
         from ..engine import MultiSessionEngine
-        options = self.options
-        if options.governor != "off":
-            from ..control import EngineGovernor
-            from ..hw.soc import SoCModel
-            self._governor = EngineGovernor(
-                self.config, mode=options.governor,
-                soc=SoCModel(feature_dim=self.config.feature_dim))
+        cell = self.cell
+        if cell.governor != "off":
+            self._governor = EngineGovernor(self.config, mode=cell.governor)
         engine = MultiSessionEngine(
-            [], reference_cache=(REFERENCE_CACHE if options.use_cache
-                                 else None),
-            governor=self._governor, backend=options.backend,
-            engine_workers=options.engine_workers)
+            [], reference_cache=REFERENCE_CACHE if cell.use_cache else None,
+            governor=self._governor, backend=cell.backend,
+            engine_workers=cell.engine_workers)
         loop = asyncio.get_running_loop()
-        self._host_thread = _EngineHost(engine, loop, tracer=self.tracer)
+        self._host_thread = _EngineHost(engine, loop)
         self._build_pool = ThreadPoolExecutor(
-            max_workers=options.build_workers,
-            thread_name_prefix="session-build")
+            max_workers=BUILD_WORKERS, thread_name_prefix="session-build")
         self._server = await asyncio.start_server(
-            self._handle, host=options.host, port=options.port)
+            self._handle, host=cell.effective("host"),
+            port=cell.effective("port"))
         self._host_thread.start()
         return self
 
@@ -320,16 +301,14 @@ class FrameServer:
         seed = message.get("seed")
         if seed is not None and not isinstance(seed, int):
             raise ProtocolError("open 'seed' must be an int")
-        if self.options.slo_fps is not None:
-            spec = dataclasses.replace(spec,
-                                       slo_fps=float(self.options.slo_fps))
+        [(spec, _)] = apply_slo([(spec, 1)], self.cell.slo_fps)
         return spec.with_overrides(frames=frames, seed_offset=seed)
 
     def _build_session(self, spec, session_id: str):
         """Build one engine session (runs on the build pool)."""
-        level = (spec.max_quality_level
-                 if self.options.governor == "static" else 0)
-        return spec.build_session(session_id, self.config, level=level)
+        return spec.build_session(
+            session_id, self.config,
+            level=start_level(self.cell.governor, spec.max_quality_level))
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
@@ -361,10 +340,9 @@ class FrameServer:
             if host.error is not None:
                 await self._fail(writer, host.error)
                 return
-            if host.live_sessions >= self.options.max_sessions:
-                await self._fail(
-                    writer,
-                    f"at capacity ({self.options.max_sessions} sessions)")
+            if host.live_sessions >= MAX_SESSIONS:
+                await self._fail(writer,
+                                 f"at capacity ({MAX_SESSIONS} sessions)")
                 return
             self._session_seq += 1
             session_id = f"{spec.name}#{self._session_seq:04d}"

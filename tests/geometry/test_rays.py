@@ -1,11 +1,11 @@
-"""Tests for ray bundles and AABB intersection."""
+"""Tests for camera ray bundles and AABB intersection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Intrinsics, PinholeCamera, RayBundle, intersect_aabb, look_at
+from repro.geometry import Intrinsics, PinholeCamera, intersect_aabb, look_at
 
 BOX_MIN = np.array([-1.0, -1.0, -1.0])
 BOX_MAX = np.array([1.0, 1.0, 1.0])
@@ -81,6 +81,8 @@ class TestIntersectAABB:
 
 
 class TestRayBundle:
+    """The camera's flat ray bundles: what sparse renders gather from."""
+
     @pytest.fixture
     def camera(self):
         return PinholeCamera(Intrinsics.from_fov(8, 8, 45.0),
@@ -88,35 +90,15 @@ class TestRayBundle:
 
     def test_from_camera_counts(self, camera):
         origins, directions = camera.generate_rays()
-        bundle = RayBundle(origins.reshape(-1, 3), directions.reshape(-1, 3),
-                           pixel_ids=np.arange(64))
-        assert len(bundle) == 64
-        np.testing.assert_allclose(bundle.origins,
+        origins, directions = origins.reshape(-1, 3), directions.reshape(-1, 3)
+        assert origins.shape == directions.shape == (64, 3)
+        np.testing.assert_allclose(origins,
                                    np.broadcast_to(camera.position, (64, 3)))
         np.testing.assert_allclose(
-            np.linalg.norm(bundle.directions, axis=1), 1.0, atol=1e-12)
+            np.linalg.norm(directions, axis=1), 1.0, atol=1e-12)
 
     def test_from_camera_pixels_matches_full(self, camera):
         _, full = camera.generate_rays()
         subset_ids = np.array([0, 13, 37, 63])
         np.testing.assert_array_equal(camera.pixel_directions(subset_ids),
                                       full.reshape(-1, 3)[subset_ids])
-
-    def test_select_by_mask(self, camera):
-        origins, directions = camera.generate_rays()
-        bundle = RayBundle(origins.reshape(64, 3), directions.reshape(64, 3),
-                           pixel_ids=np.arange(64))
-        mask = np.zeros(64, dtype=bool)
-        mask[[1, 5]] = True
-        sub = bundle.select(mask)
-        assert len(sub) == 2
-        np.testing.assert_array_equal(sub.pixel_ids, [1, 5])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            RayBundle(origins=np.zeros((4, 3)), directions=np.zeros((5, 3)))
-
-    def test_pixel_id_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            RayBundle(origins=np.zeros((4, 3)), directions=np.zeros((4, 3)),
-                      pixel_ids=np.arange(3))

@@ -395,7 +395,8 @@ class TestDocumentedInvocations:
     def test_the_extractor_finds_them(self):
         found = documented_invocations(DOCUMENTED_IN["ci.yml"].read_text())
         assert len(found) >= 18
-        assert ["serve-live", "--fast", "--port", "7071"] in found
+        assert ["serve-live", "--fast", "--port", "7071", "--governor",
+                "static", "--slo", "30"] in found
         # Continuation lines are joined.
         assert ["reconcile", "--input",
                 "realserve-artifacts/BENCH_realserve.json",

@@ -18,10 +18,10 @@ import pytest
 from repro.cluster import ClusterSimulator
 from repro.harness.cli import main as cli_main
 from repro.harness.configs import FAST
+from repro.harness.runconfig import RunConfig
 from repro.server import (
     FrameServer,
     LoadgenOptions,
-    ServerOptions,
     loadgen_schedule,
     run_loadgen,
 )
@@ -54,7 +54,7 @@ class TestScheduleDeterminism:
 
 def _measure(options: LoadgenOptions) -> dict:
     async def scenario():
-        server = FrameServer(config=FAST, options=ServerOptions())
+        server = FrameServer(FAST, RunConfig(mode="realserve"))
         await server.start()
         try:
             return await run_loadgen("127.0.0.1", server.port, options)

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harness.configs import FAST
-from repro.server import FrameServer, ServerOptions, read_message
+from repro.harness.runconfig import RunConfig
+from repro.server import FrameServer, read_message
 from repro.server.protocol import (
     MAX_MESSAGE_BYTES,
     ProtocolError,
@@ -189,7 +190,7 @@ async def poke(port: int, payload: bytes) -> dict | None:
 class TestHandlerNeverDies:
     def test_garbage_openings_get_clean_errors_then_service_resumes(self):
         async def scenario():
-            server = FrameServer(config=FAST, options=ServerOptions())
+            server = FrameServer(FAST, RunConfig(mode="realserve"))
             await server.start()
             try:
                 for payload in GARBAGE_OPENINGS:

@@ -16,10 +16,10 @@ import pytest
 
 from repro.engine import MultiSessionEngine
 from repro.harness.configs import FAST
+from repro.harness.runconfig import RunConfig
 from repro.nerf.renderer import NeRFRenderer
 from repro.server import (
     FrameServer,
-    ServerOptions,
     frame_digest,
     read_message,
     write_message,
@@ -64,11 +64,12 @@ async def _client(port: int, workload: str, frames=None, seed=None,
             pass
 
 
-def _with_server(coro_factory, options: ServerOptions | None = None):
-    """Run one async scenario against a fresh live server."""
+def _with_server(coro_factory, **cell_fields):
+    """Run one async scenario against a fresh live server configured by a
+    ``realserve`` cell with ``cell_fields``."""
     async def scenario():
-        server = FrameServer(config=FAST,
-                             options=options or ServerOptions())
+        cell = RunConfig(mode="realserve", **cell_fields).validate()
+        server = FrameServer(FAST, cell)
         await server.start()
         try:
             return await coro_factory(server)
@@ -78,11 +79,11 @@ def _with_server(coro_factory, options: ServerOptions | None = None):
     return asyncio.run(scenario())
 
 
-def _solo_digests(workload: str, frames: int, seed=None) -> list:
+def _solo_digests(workload: str, frames: int, seed=None, level=0) -> list:
     """Digest sequence of the same session rendered the classic way."""
     spec = get_workload(workload).with_overrides(frames=frames,
                                                 seed_offset=seed)
-    session = spec.build_session("solo", FAST)
+    session = spec.build_session("solo", FAST, level=level)
     MultiSessionEngine([session]).run()
     return [frame_digest(record.frame)
             for record in session.result.records]
@@ -151,6 +152,31 @@ class TestConcurrentClients:
         results = _with_server(scenario)
         ids = [r["opened"]["session"] for r in results]
         assert len(set(ids)) == 3
+
+
+class TestGovernor:
+    """The cell's governor and SLO reach the live engine's sessions."""
+
+    def test_static_cell_serves_frame_zero_at_the_deepest_rung(self):
+        result = _with_server(
+            lambda server: _client(server.port, "vr-lego", frames=1),
+            governor="static")
+        deepest = get_workload("vr-lego").max_quality_level
+        assert deepest > 0
+        digest = result["frames"][0]["digest"]
+        assert digest == _solo_digests("vr-lego", 1, level=deepest)[0]
+        assert digest != _solo_digests("vr-lego", 1)[0]
+
+    def test_slo_cell_sets_the_governed_latency_target(self):
+        async def scenario(server):
+            result = await _client(server.port, "vr-lego", frames=1)
+            control = server._governor.governor.control(
+                result["opened"]["session"])
+            return control.target_latency_s
+
+        assert get_workload("vr-lego").effective_slo_fps != 12.5
+        target_s = _with_server(scenario, governor="adaptive", slo_fps=12.5)
+        assert target_s == 1.0 / 12.5
 
 
 class TestClose:

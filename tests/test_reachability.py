@@ -1,10 +1,12 @@
 """No dead library code: every def/class in ``src/repro`` must be reached.
 
 Reached means the name appears as an identifier (a name or an attribute)
-in ``src/``, ``examples/`` or ``benchmarks/``.  Docstrings, comments,
-``__all__`` lists and import lines are not identifiers, and tests do not
-count: a definition only its own tests reach is dead.  ``KEEP`` lists the
-exceptions, each with its reason, and must hold no name that is reached.
+in ``src/``, ``examples/`` or ``benchmarks/``, outside the definition's
+own body: a class whose only mention is in its own methods is dead.
+Docstrings, comments, ``__all__`` lists and import lines are not
+identifiers, and tests do not count: a definition only its own tests
+reach is dead.  ``KEEP`` lists the exceptions, each with its reason, and
+must hold no name that is reached.
 """
 
 import ast
@@ -20,7 +22,6 @@ KEEP = {
     "save_arrival_trace": "writer half of the --arrival-trace format",
     "save_pose_log": "writer half of the pose-log format replay reads",
     "reset_caches": "keeps tests isolated from each other",
-    "metric_set": "the gauge helper beside metric_inc / metric_observe",
     "query": "Field.query: per-sample oracle of the reordering integration test",
     "render_pixels": "sparse renders checked against full frames (compose_pixels)",
     "level_of": "test instrument: a governed session's current tier",
@@ -44,17 +45,32 @@ def _tree(path: Path):
     return ast.walk(ast.parse(path.read_text(), str(path)))
 
 
-def test_every_library_definition_is_reached():
-    used = set()
+def _uses() -> dict:
+    """Identifier -> every ``(path, line)`` it appears at."""
+    uses: dict = {}
     for top in ("src", "examples", "benchmarks"):
         for path in (ROOT / top).rglob("*.py"):
-            used |= {node.id for node in _tree(path) if isinstance(node, ast.Name)}
-            used |= {node.attr for node in _tree(path)
-                     if isinstance(node, ast.Attribute)}
+            for node in _tree(path):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None:
+                    uses.setdefault(name, []).append((path, node.lineno))
+    return uses
+
+
+def _reached(uses: dict, path: Path, node) -> bool:
+    """Whether ``node``'s name appears anywhere but inside its own body."""
+    return any(use_path != path or not node.lineno <= line <= node.end_lineno
+               for use_path, line in uses.get(node.name, ()))
+
+
+def test_every_library_definition_is_reached():
+    uses = _uses()
     dead = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
             for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
             for node in _tree(path)
-            if isinstance(node, DEFS) and node.name not in used | set(KEEP)
+            if isinstance(node, DEFS) and node.name not in KEEP
+            and not _reached(uses, path, node)
             and not (node.name.startswith("__") and node.name.endswith("__"))]
     assert not dead, "unreached (delete, or KEEP with a reason):\n" + "\n".join(dead)
-    assert not set(KEEP) & used, f"KEEP names that are reached: {set(KEEP) & used}"
+    assert not set(KEEP) & set(uses), f"KEEP names that are reached: {set(KEEP) & set(uses)}"
