@@ -14,10 +14,10 @@ The fork-time snapshot and the re-fork rule: the pool forks its workers
 when it first has bundles to render, over a snapshot of every live
 renderer it has been handed, and forks again only when a dispatch names
 a renderer its current workers were not forked with — after collecting
-every outstanding task.  The engine hands all of a round's deterministic
-groups over in one call, so a serving run over a fixed set of renderers
-forks once.  Each fork bumps the ``pool.forks`` counter of the active
-metrics registry.
+every outstanding task.  The engine hands all of a round's groups over
+in one call, so a serving run over a fixed set of renderers forks once.
+Each fork bumps the ``pool.forks`` counter of the active metrics
+registry.
 
 Cost of the design, stated rather than hidden: a worker keeps the
 parent's memory image from its fork alive (copy-on-write) until the next
@@ -47,19 +47,9 @@ import numpy as np
 from ..obs.runtime import deactivate, metric_inc
 
 __all__ = ["WorkerPool", "get_pool", "shutdown_pool",
-           "release_process_memory", "supports_parallel"]
+           "release_process_memory"]
 
 _RESULT_TIMEOUT_S = 120.0
-
-
-def supports_parallel(renderer) -> bool:
-    """Whether a renderer's bundles may be dispatched to the pool.
-
-    Workers inherit renderers whole, so any field kind qualifies; only a
-    jittered sampler, whose RNG stream must stay on the main process,
-    keeps a renderer off the pool.
-    """
-    return not renderer.sampler.jitter
 
 
 def release_process_memory() -> None:

@@ -546,8 +546,8 @@ def simulate_cluster(mix, config, arrivals: str = "poisson",
                      frames: int | None = None,
                      autoscaler: Autoscaler | None = None,
                      use_cache: bool = True,
-                     governor: str = "off", slo_fps: float | None = None,
-                     trace=None, backend: str | None = None,
+                     governor: str = "off", trace=None,
+                     backend: str | None = None,
                      engine_workers: int | None = None,
                      catalog: int | None = None,
                      zipf: float | None = None,
@@ -559,10 +559,10 @@ def simulate_cluster(mix, config, arrivals: str = "poisson",
     count)`` pairs); ``arrivals`` picks the process (``replay`` reads
     ``trace``).  ``seed`` drives the arrival schedule *and* offsets the
     specs' trajectory seeds.  ``governor`` attaches the SLO quality
-    governor (``"static"`` or ``"adaptive"``); ``slo_fps`` rewrites every
-    workload's SLO up front (:func:`repro.workloads.apply_slo`), so the
-    governor reads exactly one SLO source — the specs.  Same arguments,
-    same seed, same report — bit for bit.
+    governor (``"static"`` or ``"adaptive"``), which reads exactly one SLO
+    source — the specs (a caller overriding it rewrites the mix with
+    :func:`repro.workloads.apply_slo` first).  Same arguments, same seed,
+    same report — bit for bit.
 
     ``catalog`` switches on the sharded field tier: the mix expands into
     that many content-distinct variants under a ``zipf``-skewed
@@ -571,9 +571,6 @@ def simulate_cluster(mix, config, arrivals: str = "poisson",
     replicas per baked field; ``ClusterReport.distribution`` reports the
     tier it ran.
     """
-    if slo_fps is not None:
-        from ..workloads import apply_slo
-        mix = apply_slo(mix, slo_fps)
     field_store = None
     if catalog is not None:
         from ..distribution import expand_field_serving

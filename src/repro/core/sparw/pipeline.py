@@ -183,9 +183,9 @@ class SparwRenderer:
         sparse :class:`RayRequest`, so the driver's batching and
         accounting are those of a miss.  Only references from the
         reference path qualify — chained (``on_trajectory``) pipelines
-        and jittered samplers never consult the memo, and a landed
-        :meth:`retune` stops sharing (the namespace no longer describes
-        the renderer and camera).  Stored arrays are read-only.
+        never consult the memo, and a landed :meth:`retune` stops sharing
+        (the namespace no longer describes the renderer and camera).
+        Stored arrays are read-only.
         """
         self._target_memo = (memo, namespace) if namespace else None
 
@@ -233,11 +233,9 @@ class SparwRenderer:
     def _target_memo_key(self, reference: Frame, pose: np.ndarray):
         """Memo key of a target warped from a reference-path reference.
 
-        ``None`` when no memo is shared or the sampler is jittered (its
-        reference differs every render).
+        ``None`` when no memo is shared.
         """
-        if self._target_memo is None or getattr(self.renderer.sampler,
-                                                "jitter", False):
+        if self._target_memo is None:
             return None
         return (self._target_memo[1], pose_hash(reference.c2w),
                 pose_hash(pose))

@@ -27,20 +27,15 @@ from .session import RenderSession
 __all__ = ["BatchStats", "EngineResult", "MultiSessionEngine", "batch_key"]
 
 
-def batch_key(renderer) -> tuple | None:
+def batch_key(renderer) -> tuple:
     """Grouping key for renderers whose ray work can share one evaluation.
 
     Two sessions may be answered from the same vectorized field query iff
     their renderers would produce identical outputs for the same rays:
-    same field and sampler state, same chunk geometry, and a deterministic
-    sampler.  Returns ``None`` for renderers with a stochastic (jittered)
-    sampler — their requests must each get their own render call (even two
-    sessions sharing one such renderer cannot batch: combined chunks would
-    reorder the sampler's RNG stream).
+    same field and sampler state and same chunk geometry.  Every sampler
+    is deterministic, so every renderer has a key.
     """
     sampler = renderer.sampler
-    if getattr(sampler, "jitter", False):
-        return None
     return (id(renderer.field), id(getattr(sampler, "occupancy", None)),
             sampler.num_samples, renderer.chunk_size)
 
@@ -135,9 +130,9 @@ class MultiSessionEngine:
     backend:
         Where rounds render (one of :data:`repro.backend.BACKENDS`;
         ``None`` is ``"numpy"``, in-process).  ``"parallel"`` fans each
-        deterministic render group's bundles out to the persistent
-        worker pool — results stay bit-identical to serial serving
-        because per-bundle rendering is exact (see
+        render group's bundles out to the persistent worker pool —
+        results stay bit-identical to serial serving because
+        per-bundle rendering is exact (see
         :meth:`~repro.nerf.renderer.NeRFRenderer.render_ray_batch`).
     engine_workers:
         Pool size for the ``parallel`` backend (default:
@@ -145,12 +140,12 @@ class MultiSessionEngine:
     render_memo:
         Optional :class:`~repro.workloads.cache.SharedLRUCache` of
         render outputs keyed by ``(session.cache_key, rays_hash)``.  A
-        request of a session with a ``cache_key`` and a deterministic
-        renderer whose rays were already rendered is answered from it
-        instead of evaluating the field (serially or on the pool);
-        everything else — reference-cache traffic, batching statistics,
-        trace spans, delivery order — runs exactly as without it, so
-        the memo changes host time only.  Stored outputs are read-only.
+        request of a session with a ``cache_key`` whose rays were
+        already rendered is answered from it instead of evaluating the
+        field (serially or on the pool); everything else —
+        reference-cache traffic, batching statistics, trace spans,
+        delivery order — runs exactly as without it, so the memo
+        changes host time only.  Stored outputs are read-only.
         ``None`` (the default) renders every request.
     """
 
@@ -471,16 +466,12 @@ class MultiSessionEngine:
         """Shared-cache key of the session's pending request, if cacheable.
 
         Only full-frame reference requests of sessions with a
-        content-addressed workload identity qualify, and only when the
-        renderer is deterministic (a jittered sampler would make "the same
-        reference" a different image every time).
+        content-addressed workload identity qualify.
         """
         if self.reference_cache is None or session.cache_key is None:
             return None
         request = session.pending_request
         if request.kind != "reference" or request.pose is None:
-            return None
-        if batch_key(session.renderer) is None:  # stochastic sampler
             return None
         return (session.cache_key, pose_hash(request.pose), request.num_rays)
 
@@ -492,17 +483,15 @@ class MultiSessionEngine:
     def _memo_lookup(self, members: list) -> list:
         """``(memo key, memoized output or None)`` per group member.
 
-        Only sessions with a content-addressed ``cache_key`` and a
-        deterministic renderer are eligible; their key is the cache key
-        plus the exact bytes of the requested rays, never an object id
-        (a renderer evicted from ``FIELD_CACHE`` and rebuilt may reuse
-        the address of another).
+        Only sessions with a content-addressed ``cache_key`` are
+        eligible; their key is the cache key plus the exact bytes of the
+        requested rays, never an object id (a renderer evicted from
+        ``FIELD_CACHE`` and rebuilt may reuse the address of another).
         """
         memo = self.render_memo
         lookups = []
         for session, _ in members:
-            if (memo is None or session.cache_key is None
-                    or batch_key(session.renderer) is None):
+            if memo is None or session.cache_key is None:
                 lookups.append((None, None))
                 continue
             request = session.pending_request
@@ -552,7 +541,7 @@ class MultiSessionEngine:
         """
         groups: dict = {}
         followers: dict = {}  # cache key -> sessions awaiting the primary
-        for index, session in enumerate(served):
+        for session in served:
             ckey = self._reference_cache_key(session)
             if ckey is not None:
                 if ckey in followers:  # coalesce with this round's primary
@@ -566,29 +555,24 @@ class MultiSessionEngine:
                     continue
                 self._trace_cache(session, hit=False)
                 followers[ckey] = []
-            key = batch_key(session.renderer)
-            if key is None:  # stochastic sampler: one call per request
-                key = ("solo", index)
-            groups.setdefault(key, []).append((session, ckey))
+            groups.setdefault(batch_key(session.renderer),
+                              []).append((session, ckey))
 
         # Render-memo hits (see _memo_lookup) leave only the misses to
         # render; with no memo every request is a miss.  With the
-        # parallel backend, every deterministic group's misses are
-        # queued to the pool up-front, in one call (so the pool forks at
-        # most once per round), and workers overlap across groups;
-        # stochastic (solo) groups render on the main process to keep
-        # their RNG streams untouched.  Accounting and delivery below
-        # walk groups in insertion order either way, so stats, cache
-        # traffic, and delivery order are identical to serial.
+        # parallel backend, every group's misses are queued to the pool
+        # up-front, in one call (so the pool forks at most once per
+        # round), and workers overlap across groups.  Accounting and
+        # delivery below walk groups in insertion order either way, so
+        # stats, cache traffic, and delivery order are identical to serial.
         group_list = list(groups.values())
         lookups = [self._memo_lookup(members) for members in group_list]
         tickets: dict = {}
         if self._pool is not None:
-            from ..backend.parallel import supports_parallel
             pooled = {}
             for gi, members in enumerate(group_list):
                 bundles = self._miss_bundles(members, lookups[gi])
-                if bundles and supports_parallel(members[0][0].renderer):
+                if bundles:
                     pooled[gi] = (members[0][0].renderer, bundles)
             tickets = dict(zip(pooled, self._pool.submit(
                 list(pooled.values()))))

@@ -228,6 +228,8 @@ def _legacy_mix(cell: RunConfig) -> list:
     orbit with start angles spread around the circle so every user sees
     different content (no two sessions share reference renders — the
     cache-free worst case the registry's duplicated mixes contrast with).
+    Every spec carries the cell's ``variant``, so the report and the
+    governor price the same SoC.
     """
     sessions = cell.effective("sessions")
     scenes = cell.effective("scenes")
@@ -236,7 +238,8 @@ def _legacy_mix(cell: RunConfig) -> list:
         scene = scenes[i % len(scenes)]
         spec = WorkloadSpec.make(
             f"user{i:02d}-{scene}", scene=scene,
-            algorithm=cell.effective("algorithm"), trajectory="orbit",
+            algorithm=cell.effective("algorithm"),
+            variant=cell.effective("variant"), trajectory="orbit",
             start_angle_deg=360.0 * i / sessions)
         mix.append((spec, 1))
     return mix
@@ -246,9 +249,9 @@ def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
     """Serve concurrent users on one SoC through the batched engine.
 
     The sessions come from a workload mix (``mix``, else the cell's
-    ``workloads``) or, when neither is given, from :func:`_legacy_mix`,
-    priced under the cell's single ``variant``.  ``use_cache`` attaches
-    the process-global reference cache, which changes only the work:
+    ``workloads``) or, when neither is given, from :func:`_legacy_mix`;
+    each session prices under its spec's ``variant``.  ``use_cache``
+    attaches the process-global reference cache, which changes only the work:
     serving is bit-identical either way and across backends.  A governed
     cell splits ``ray_budget`` by the governor's weights, and a
     ``static`` one builds every session already pinned at its
@@ -263,7 +266,6 @@ def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
     resolved_mix = apply_slo(_legacy_mix(cell) if legacy else serve_mix,
                              cell.slo_fps)
     scheduler = cell.effective("scheduler")
-    variant = cell.effective("variant")
     field_before = FIELD_CACHE.stats.snapshot()
     reference_before = REFERENCE_CACHE.stats.snapshot()
 
@@ -287,16 +289,12 @@ def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
         engine_workers=cell.engine_workers)
     result = engine.run()
 
-    # Each spec prices under its own SoC variant (legacy sessions under
-    # the cell's).  Every session carries its spec, so the mapping never
-    # depends on build order.
-    session_variants = {
-        s.session_id: (variant if legacy or s.workload is None
-                       else s.workload.variant)
-        for s in built}
+    # Each spec prices under its own SoC variant.  Every session carries
+    # its spec, so the mapping never depends on build order.
+    session_variants = {s.session_id: s.workload.variant for s in built}
     report = aggregate_serving(
         {s.session_id: s.result for s in result.sessions},
-        soc=SoCModel(feature_dim=config.feature_dim), variant=variant,
+        soc=SoCModel(feature_dim=config.feature_dim),
         order="sjf" if scheduler == "deadline" else "arrival",
         variants=session_variants,
         cache_stats=cache_report(field_since=field_before,

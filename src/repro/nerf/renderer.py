@@ -90,8 +90,7 @@ class NeRFRenderer:
         ``bundles`` is a list of ``(origins, directions)`` flat ray arrays
         (e.g. one bundle per concurrent rendering session).  Each returned
         :class:`RenderOutput` is identical to :meth:`render_rays` on its
-        bundle alone (the sampler must be deterministic, i.e.
-        ``jitter=False``).
+        bundle alone.
         """
         return self._render(bundles, record_gather=False)[0]
 

@@ -186,18 +186,13 @@ class OccupancyGrid:
 class UniformSampler:
     """Stratified uniform sampling within the AABB, with optional occupancy cull.
 
-    ``jitter=False`` (default) centres samples in their strata, making renders
-    deterministic; set ``jitter=True`` with a seed for stochastic sampling.
+    Samples sit at the centres of their strata, so renders are deterministic.
     """
 
-    def __init__(self, num_samples: int = 96, occupancy: OccupancyGrid | None = None,
-                 jitter: bool = False, seed: int = 0):
+    def __init__(self, num_samples: int = 96, occupancy: OccupancyGrid | None = None):
         self.num_samples = int(num_samples)
         self.occupancy = occupancy
-        self.jitter = jitter
-        self._rng = np.random.default_rng(seed)
-        # Deterministic strata midpoints (steps + 0.5) / S, precomputed:
-        # the jitter-free path reuses them every call.
+        # Strata midpoints (steps + 0.5) / S, precomputed once per sampler.
         self._midpoints = ((np.arange(self.num_samples) + 0.5)
                            / self.num_samples)
 
@@ -239,20 +234,12 @@ class UniformSampler:
         live_d = np.take(directions, rows, axis=0)
         t_near = np.take(t_near, rows)
         spans = np.take(t_far, rows) - t_near
-        if self.jitter:
-            # Drawn for the full bundle so the stream matches the
-            # predecessor's whatever the cull dropped.
-            offsets = self._rng.uniform(size=(num_rays, num_samples))
-            frac = (np.arange(num_samples)[None, :]
-                    + np.take(offsets, rows, axis=0)) / num_samples
-        else:
-            frac = self._midpoints[None, :]
-        # t_near + frac*spans and origins + t*d, accumulated into scratch
+        # t_near + midpoint*spans and origins + t*d, accumulated into scratch
         # (addition is commutative, so summing into the product term gives
         # the same array with no fresh multi-megabyte temporaries).
         lattice = (rows.shape[0], num_samples)
         t = _scratch("sample.t", lattice, np.float64)
-        np.multiply(frac, spans[:, None], out=t)
+        np.multiply(self._midpoints[None, :], spans[:, None], out=t)
         t += t_near[:, None]
         delta = spans / num_samples
 

@@ -308,12 +308,7 @@ def make_trajectory(kind: str, num_frames: int, seed: int = 0,
     bit-parity of cached serving) possible.  Unknown ``params`` raise
     ``TypeError`` for every kind, including ``replay``.
     """
-    builder = TRAJECTORY_KINDS.get(kind)
-    if builder is None:
-        known = ", ".join(sorted(TRAJECTORY_KINDS))
-        raise KeyError(f"unknown trajectory kind {kind!r}; "
-                       f"one of: {known}")
     if "seed" in trajectory_parameters(kind):
         params["seed"] = seed
-    return builder(num_frames, **params)
+    return TRAJECTORY_KINDS[kind](num_frames, **params)
 

@@ -37,9 +37,10 @@ def reconcile_report(measured: dict, config, use_cache: bool = True,
     measured quantile with the prediction (``gap_ms``,  ``ratio``).
     """
     from ..cluster.simulator import simulate_cluster
+    from ..workloads import apply_slo
 
     report = simulate_cluster(
-        measured["mix"], config,
+        apply_slo(measured["mix"], slo_fps), config,
         arrivals=measured["arrivals"],
         rate_hz=measured["rate_hz"],
         duration_s=measured["duration_s"],
@@ -48,8 +49,7 @@ def reconcile_report(measured: dict, config, use_cache: bool = True,
         queue_limit=max(measured["sessions_total"], 1),
         frames=measured.get("frames"),
         trace=measured.get("arrival_trace"),
-        use_cache=use_cache, governor=governor, slo_fps=slo_fps,
-        backend=backend)
+        use_cache=use_cache, governor=governor, backend=backend)
     predicted = report.summary()
     rows = []
     for metric in RECONCILE_METRICS:

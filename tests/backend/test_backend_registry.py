@@ -1,8 +1,8 @@
-"""The backend name set: what ``--backend`` accepts and its default."""
+"""The backend name set: what ``--backend`` accepts."""
 
 import pytest
 
-from repro.backend import BACKENDS, DEFAULT_BACKEND
+from repro.backend import BACKENDS
 from repro.engine import MultiSessionEngine
 from repro.harness.runconfig import RunConfig, RunConfigError
 
@@ -10,9 +10,6 @@ from repro.harness.runconfig import RunConfig, RunConfigError
 class TestRegistry:
     def test_names(self):
         assert BACKENDS == ("numpy", "parallel")
-
-    def test_default_is_numpy(self):
-        assert DEFAULT_BACKEND == "numpy"
 
     def test_unknown_name_lists_registered(self):
         # Both places a backend name enters — a run's config and the

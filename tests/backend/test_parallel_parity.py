@@ -13,7 +13,7 @@ registry counts both.
 import numpy as np
 import pytest
 
-from repro.backend.parallel import WorkerPool, shutdown_pool, supports_parallel
+from repro.backend.parallel import WorkerPool, shutdown_pool
 from repro.engine import MultiSessionEngine
 from repro.harness.configs import FAST, build_renderer, make_camera
 from repro.obs import MetricsRegistry, Observation, activate
@@ -58,18 +58,6 @@ def _forks(metrics: MetricsRegistry) -> int:
 
 
 class TestPoolParity:
-    def test_supports_fast_renderer(self, fast_renderer):
-        assert supports_parallel(fast_renderer)
-
-    def test_rejects_jittered_sampler(self, fast_renderer):
-        from repro.nerf import NeRFRenderer, UniformSampler
-        sampler = fast_renderer.sampler
-        jittered = NeRFRenderer(
-            fast_renderer.field,
-            UniformSampler(sampler.num_samples,
-                           occupancy=sampler.occupancy, jitter=True))
-        assert not supports_parallel(jittered)
-
     def test_bundle_outputs_bit_identical(self, fast_renderer, bundles,
                                           pool_results):
         assert len(pool_results) == len(bundles)
@@ -92,7 +80,6 @@ class TestEveryFieldKind:
     @pytest.mark.parametrize("algorithm", ["instant_ngp", "tensorf"])
     def test_bit_identical(self, algorithm, fast_config, bundles):
         renderer = build_renderer(algorithm, "lego", fast_config)
-        assert supports_parallel(renderer)
         pool = WorkerPool(2)
         try:
             results = pool.render_bundles(renderer, bundles)

@@ -11,7 +11,6 @@ run.
 """
 
 import collections
-import copy
 import dataclasses
 
 import numpy as np
@@ -26,7 +25,6 @@ from repro.core.sparw.pipeline import RayRequest, SparwRenderer
 from repro.engine import MultiSessionEngine, RenderSession
 from repro.harness.configs import FAST
 from repro.nerf.renderer import NeRFRenderer
-from repro.nerf.sampling import UniformSampler
 from repro.workloads import (SharedLRUCache, WorkloadSpec, get_workload,
                              rays_hash)
 
@@ -149,7 +147,6 @@ class TestDedupe:
 
 
 class _Sampler:
-    jitter = False
     num_samples = 8
 
 
@@ -190,16 +187,6 @@ class TestSafety:
         renderer = _Renderer()
         MultiSessionEngine([_scripted("a", renderer, None),
                             _scripted("b", renderer, None)],
-                           render_memo=memo).run()
-        assert memo.stats.lookups == 0 and len(memo) == 0
-        assert renderer.bundles == 4
-
-    def test_jittered_sampler_is_never_memoized(self):
-        memo = SharedLRUCache(name="memo")
-        renderer = _Renderer()
-        renderer.sampler.jitter = True
-        MultiSessionEngine([_scripted("a", renderer, "spec/cfg"),
-                            _scripted("b", renderer, "spec/cfg")],
                            render_memo=memo).run()
         assert memo.stats.lookups == 0 and len(memo) == 0
         assert renderer.bundles == 4
@@ -343,15 +330,7 @@ def _memoized_session(sid, spec, memo, namespace=None):
 
 
 class TestTargetSafety:
-    @staticmethod
-    def _jittered(session):
-        renderer = copy.copy(session.sparw.renderer)
-        renderer.sampler = UniformSampler(
-            renderer.sampler.num_samples,
-            occupancy=renderer.sampler.occupancy, jitter=True)
-        session.sparw.renderer = renderer
-
-    @pytest.mark.parametrize("case", ["chained", "no_namespace", "jittered"])
+    @pytest.mark.parametrize("case", ["chained", "no_namespace"])
     def test_never_consults_the_memo(self, case):
         spec = get_workload("vr-lego").with_overrides(frames=3)
         if case == "chained":
@@ -361,8 +340,6 @@ class TestTargetSafety:
             session = _memoized_session(sid, spec, memo)
             if case == "no_namespace":
                 session.sparw.share_targets(memo, None)
-            elif case == "jittered":
-                self._jittered(session)
             MultiSessionEngine([session]).run()
             assert session.result.num_frames == 3
         assert memo.stats.lookups == 0 and len(memo) == 0

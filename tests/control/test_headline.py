@@ -35,8 +35,8 @@ def off_report():
 
 @pytest.fixture(scope="module")
 def adaptive_report():
-    return simulate_cluster(MIX, FAST, governor="adaptive",
-                            slo_fps=SLO_FPS, **OVERLOAD)
+    return simulate_cluster(apply_slo(MIX, SLO_FPS), FAST,
+                            governor="adaptive", **OVERLOAD)
 
 
 class TestHeadline:

@@ -19,7 +19,6 @@ from repro.engine.engine import batch_key
 
 
 class FakeSampler:
-    jitter = False
     num_samples = 8
 
 
@@ -140,19 +139,6 @@ class TestEngineBatching:
         result = MultiSessionEngine(sessions).run()
         assert result.batch.nerf_calls == 2
         assert len(a.batch_calls) == 1 and len(b.batch_calls) == 1
-
-    def test_jittered_sampler_never_shares(self):
-        renderer = FakeRenderer()
-        renderer.sampler = FakeSampler()
-        renderer.sampler.jitter = True
-        assert batch_key(renderer) is None
-        # Even two sessions on the SAME jittered renderer get separate
-        # render calls — combined chunks would reorder its RNG stream.
-        sessions = [make_session("a", renderer, frames=1),
-                    make_session("b", renderer, frames=1)]
-        result = MultiSessionEngine(sessions).run()
-        assert result.batch.nerf_calls == 2
-        assert all(len(call) == 1 for call in renderer.batch_calls)
 
     def test_deterministic_sampler_key_is_stable(self):
         renderer = FakeRenderer()

@@ -23,7 +23,6 @@ from repro.engine import (
 
 
 class FakeSampler:
-    jitter = False
     num_samples = 8
 
 

@@ -25,7 +25,8 @@ from repro.harness.configs import FAST
 from repro.harness.reporting import jsonable
 from repro.nerf import HashGridField, VoxelGridField
 from repro.scenes import REAL_WORLD_SCENES, SYNTHETIC_SCENES
-from repro.workloads import SharedLRUCache, build_mixed_sessions, get_workload
+from repro.workloads import (SharedLRUCache, apply_slo, build_mixed_sessions,
+                             get_workload)
 
 FRAMES = 4
 
@@ -86,9 +87,9 @@ class TestClusterGolden:
         # The governor's decisions are part of the determinism contract:
         # same seed, same degradations, same report.
         report = simulate_cluster(
-            "vr-lego:3,dolly-chair:1", FAST, arrivals="poisson",
-            rate_hz=30.0, duration_s=0.5, workers=1, queue_limit=2,
-            frames=3, seed=7, governor="adaptive", slo_fps=3000.0)
+            apply_slo("vr-lego:3,dolly-chair:1", 3000.0), FAST,
+            arrivals="poisson", rate_hz=30.0, duration_s=0.5, workers=1,
+            queue_limit=2, frames=3, seed=7, governor="adaptive")
         golden("cluster_governed", {
             "admitted": report.admitted,
             "rejected": report.rejected,

@@ -313,6 +313,31 @@ class TestExecuteCellParity:
             "hierarchy_hit_rate": 0.5714285714285714, "field_bakes": 3,
             "ttff_p95_ms": 557.3573691437908}
 
+    def test_governed_legacy_serve_prices_one_variant(self, monkeypatch):
+        # The governor closes its loop on the same SoC clock the report
+        # prices: a scene-cycling cell's sessions carry the cell's variant.
+        from repro.harness import runner
+        governors, reports = [], []
+
+        class SpyGovernor(runner.EngineGovernor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                governors.append(self)
+
+        def spy_aggregate(*args, **kwargs):
+            reports.append(runner_aggregate(*args, **kwargs))
+            return reports[-1]
+
+        runner_aggregate = runner.aggregate_serving
+        monkeypatch.setattr(runner, "EngineGovernor", SpyGovernor)
+        monkeypatch.setattr(runner, "aggregate_serving", spy_aggregate)
+        cell = RunConfig(mode="serve", sessions=2, frames=4,
+                         governor="adaptive", slo_fps=30.0,
+                         variant="gpu").validate()
+        execute_cell(cell, config=FAST)
+        (governor,), (report,) = governors, reports
+        assert governor.clock_s == pytest.approx(report.makespan_s)
+
     def test_serve_cell_reports_energy(self):
         cell = RunConfig(mode="serve", workloads="vr-lego:2",
                          frames=2).validate()

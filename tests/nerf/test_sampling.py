@@ -57,13 +57,6 @@ class TestUniformSampler:
                            np.array([[0.0, 0.0, 1.0]]), BOUNDS)
         np.testing.assert_allclose(a.positions, b.positions)
 
-    def test_jitter_changes_positions(self):
-        a = UniformSampler(16, jitter=True, seed=1).sample(
-            np.array([[0.0, 0.0, -3.0]]), np.array([[0.0, 0.0, 1.0]]), BOUNDS)
-        b = UniformSampler(16, jitter=True, seed=2).sample(
-            np.array([[0.0, 0.0, -3.0]]), np.array([[0.0, 0.0, 1.0]]), BOUNDS)
-        assert not np.allclose(a.positions, b.positions)
-
     def test_deltas_cover_span(self):
         sampler = UniformSampler(num_samples=10)
         samples = sampler.sample(np.array([[0.0, 0.0, -3.0]]),

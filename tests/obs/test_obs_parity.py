@@ -17,7 +17,7 @@ from repro.harness.runconfig import RunConfig
 from repro.harness.runner import execute_cell
 from repro.cluster import simulate_cluster
 from repro.obs import MetricsRegistry, Observation, Tracer, activate
-from repro.workloads import reset_caches
+from repro.workloads import apply_slo, reset_caches
 
 MIX = "vr-lego:2,dolly-chair"
 
@@ -49,9 +49,9 @@ def test_cluster_bit_parity():
     def run():
         reset_caches()
         return simulate_cluster(
-            MIX, FAST, arrivals="poisson", rate_hz=4.0, duration_s=3.0,
-            seed=7, workers=2, queue_limit=2, frames=4,
-            governor="adaptive", slo_fps=30.0)
+            apply_slo(MIX, 30.0), FAST, arrivals="poisson", rate_hz=4.0,
+            duration_s=3.0, seed=7, workers=2, queue_limit=2, frames=4,
+            governor="adaptive")
     plain = run()
     traced = _observed(run)
     assert dataclasses.asdict(traced) == dataclasses.asdict(plain)

@@ -4,7 +4,7 @@ Every such optimization moved its previous implementation into
 ``tests/reference_kernels.py``; these tests pin the optimized kernels to
 those predecessors with exact (``array_equal``) comparisons on inputs
 that include the awkward cases — coordinates exactly on cell boundaries,
-out-of-bounds points, rays that miss the AABB, jittered samplers.
+out-of-bounds points, rays that miss the AABB.
 """
 
 import ast
@@ -130,9 +130,8 @@ def test_occupancy_lookup_bit_identical():
                           occupied_reference(grid, points))
 
 
-@pytest.mark.parametrize("jitter", [False, True])
 @pytest.mark.parametrize("with_occupancy", [False, True])
-def test_sampler_bit_identical(jitter, with_occupancy):
+def test_sampler_bit_identical(with_occupancy):
     renderer = build_renderer("directvoxgo", "lego", FAST)
     occupancy = renderer.sampler.occupancy if with_occupancy else None
     camera = make_camera(FAST)
@@ -142,10 +141,9 @@ def test_sampler_bit_identical(jitter, with_occupancy):
     directions = directions.reshape(-1, 3).copy()
     directions[:40] = np.array([0.0, 0.0, -1.0])  # fire backwards
 
-    fast = UniformSampler(24, occupancy=occupancy, jitter=jitter, seed=3)
-    slow = UniformSampler(24, occupancy=occupancy, jitter=jitter, seed=3)
-    got = fast.sample(origins, directions, renderer.field.bounds)
-    want = sample_reference(slow, origins, directions,
+    sampler = UniformSampler(24, occupancy=occupancy)
+    got = sampler.sample(origins, directions, renderer.field.bounds)
+    want = sample_reference(sampler, origins, directions,
                             renderer.field.bounds)
     assert got.num_rays == want.num_rays
     for name in ("positions", "directions", "t_values", "deltas",
@@ -192,10 +190,9 @@ def _cull_bundle(kind, renderer, origins, directions):
             np.concatenate([directions, extra_d]))
 
 
-@pytest.mark.parametrize("jitter", [False, True])
 @pytest.mark.parametrize("kind", ["mixed", "all_miss", "single_ray"])
-def test_sampler_cull_bit_identical(kind, jitter):
-    """The occupied-box ray cull never changes the kept set or the RNG."""
+def test_sampler_cull_bit_identical(kind):
+    """The occupied-box ray cull never changes the kept set."""
     renderer, origins, directions = _orbit_frame()
     occupancy = renderer.sampler.occupancy
     bounds = renderer.field.bounds
@@ -208,18 +205,15 @@ def test_sampler_cull_bit_identical(kind, jitter):
         assert (~field_hit).any() and (field_hit & ~box_hit).any()
         assert (field_hit & box_hit).any()
 
-    fast = UniformSampler(24, occupancy=occupancy, jitter=jitter, seed=3)
-    slow = UniformSampler(24, occupancy=occupancy, jitter=jitter, seed=3)
-    got = fast.sample(origins, directions, bounds)
-    want = sample_reference(slow, origins, directions, bounds)
+    sampler = UniformSampler(24, occupancy=occupancy)
+    got = sampler.sample(origins, directions, bounds)
+    want = sample_reference(sampler, origins, directions, bounds)
     assert got.num_rays == want.num_rays == origins.shape[0]
     assert len(want) > 0 or kind == "all_miss"
     for name in ("positions", "directions", "t_values", "deltas",
                  "ray_index"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.positions.flags.c_contiguous
-    # Same number of draws, so the next jittered call stays in step too.
-    assert fast._rng.bit_generator.state == slow._rng.bit_generator.state
 
 
 def test_sampler_lattice_covers_live_rays_only():

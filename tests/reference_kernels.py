@@ -69,10 +69,7 @@ def sample_reference(sampler: UniformSampler, origins: np.ndarray,
                                         near=1e-4)
     spans = np.where(hit, t_far - t_near, 0.0)
     steps = np.arange(sampler.num_samples)
-    if sampler.jitter:
-        offsets = sampler._rng.uniform(size=(num_rays, sampler.num_samples))
-    else:
-        offsets = np.full((num_rays, sampler.num_samples), 0.5)
+    offsets = np.full((num_rays, sampler.num_samples), 0.5)
     t = (t_near[:, None]
          + (steps[None, :] + offsets) / sampler.num_samples * spans[:, None])
     delta = spans / sampler.num_samples
@@ -271,9 +268,7 @@ class ReferenceSampler(UniformSampler):
 
     def __init__(self, sampler: UniformSampler):
         super().__init__(num_samples=sampler.num_samples,
-                         occupancy=sampler.occupancy,
-                         jitter=sampler.jitter)
-        self._rng = sampler._rng  # share RNG state for jittered parity
+                         occupancy=sampler.occupancy)
 
     def sample(self, origins: np.ndarray, directions: np.ndarray,
                bounds: tuple) -> RaySamples:

@@ -2,7 +2,9 @@
 
 Reached means the name appears as an identifier (a name or an attribute)
 in ``src/``, ``examples/`` or ``benchmarks/``, outside the definition's
-own body: a class whose only mention is in its own methods is dead.
+own body: a class whose only mention is in its own methods is dead.  The
+same holds for every module-level UPPER_CASE constant: one that nothing
+reads outside its own assignment is dead.
 Docstrings, comments, ``__all__`` lists and import lines are not
 identifiers, and tests do not count: a definition only its own tests
 reach is dead.  ``KEEP`` lists the exceptions, each with its reason, and
@@ -10,6 +12,7 @@ must hold no name that is reached.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,6 +42,7 @@ KEEP = {
     "frame_interval": "test instrument: a trajectory's 1 / fps",
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*$")
 
 
 def _tree(path: Path):
@@ -58,10 +62,21 @@ def _uses() -> dict:
     return uses
 
 
-def _reached(uses: dict, path: Path, node) -> bool:
-    """Whether ``node``'s name appears anywhere but inside its own body."""
+def _constants(path: Path):
+    """``(name, assignment)`` per module-level UPPER_CASE constant."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and CONSTANT.match(name.id):
+                    yield name.id, node
+
+
+def _reached(uses: dict, path: Path, name: str, node) -> bool:
+    """Whether ``name`` appears anywhere but inside ``node``'s own lines."""
     return any(use_path != path or not node.lineno <= line <= node.end_lineno
-               for use_path, line in uses.get(node.name, ()))
+               for use_path, line in uses.get(name, ()))
 
 
 def test_every_library_definition_is_reached():
@@ -70,7 +85,16 @@ def test_every_library_definition_is_reached():
             for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
             for node in _tree(path)
             if isinstance(node, DEFS) and node.name not in KEEP
-            and not _reached(uses, path, node)
+            and not _reached(uses, path, node.name, node)
             and not (node.name.startswith("__") and node.name.endswith("__"))]
     assert not dead, "unreached (delete, or KEEP with a reason):\n" + "\n".join(dead)
     assert not set(KEEP) & set(uses), f"KEEP names that are reached: {set(KEEP) & set(uses)}"
+
+
+def test_every_library_constant_is_read():
+    uses = _uses()
+    dead = [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+            for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+            for name, node in _constants(path)
+            if name not in KEEP and not _reached(uses, path, name, node)]
+    assert not dead, "unread (delete, or KEEP with a reason):\n" + "\n".join(dead)
