@@ -42,7 +42,7 @@ class RoundRobinPlacement:
     def __init__(self):
         self._next = 0
 
-    def choose(self, cache_key: str | None, workers: list):
+    def choose(self, cache_key: str, workers: list):
         """Cycle through the open workers in order."""
         worker = workers[self._next % len(workers)]
         self._next += 1
@@ -54,7 +54,7 @@ class LeastLoadedPlacement:
 
     name = "least_loaded"
 
-    def choose(self, cache_key: str | None, workers: list):
+    def choose(self, cache_key: str, workers: list):
         """Pick the worker with the fewest resident sessions (ties by id)."""
         return min(workers, key=lambda w: (w.load, w.worker_id))
 
@@ -70,15 +70,10 @@ class CacheAffinityPlacement:
 
     name = "cache_affinity"
 
-    @staticmethod
-    def _score(cache_key: str, worker_id: str) -> str:
-        return rendezvous_score(cache_key, worker_id)
-
-    def choose(self, cache_key: str | None, workers: list):
+    def choose(self, cache_key: str, workers: list):
         """Rendezvous-hash the content key onto the live fleet."""
-        if cache_key is None:  # nothing to be affine to
-            return LeastLoadedPlacement().choose(cache_key, workers)
-        return max(workers, key=lambda w: self._score(cache_key, w.worker_id))
+        return max(workers,
+                   key=lambda w: rendezvous_score(cache_key, w.worker_id))
 
 
 class ShardAffinityPlacement:
@@ -105,17 +100,14 @@ class ShardAffinityPlacement:
     def __init__(self):
         self.store = None
 
-    def choose(self, cache_key: str | None, workers: list):
+    def choose(self, cache_key: str, workers: list):
         """Least-loaded eligible worker, holders first on ties."""
-        if cache_key is None:
-            return LeastLoadedPlacement().choose(cache_key, workers)
         if self.store is not None:
             holder_ids = self.store.holders(cache_key)
             return min(workers,
                        key=lambda w: (w.load, w.worker_id not in holder_ids,
                                       w.worker_id))
-        return max(workers,
-                   key=lambda w: rendezvous_score(cache_key, w.worker_id))
+        return CacheAffinityPlacement().choose(cache_key, workers)
 
 
 PLACEMENTS = {

@@ -144,9 +144,7 @@ class ClusterSimulator:
                  placement: str = "least_loaded", queue_limit: int = 4,
                  frames: int | None = None, seed: int = 0,
                  autoscaler: Autoscaler | None = None,
-                 use_cache: bool = True, governor=None,
-                 backend: str | None = None,
-                 engine_workers: int | None = None, field_store=None):
+                 use_cache: bool = True, governor=None, field_store=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.config = config
@@ -155,10 +153,6 @@ class ClusterSimulator:
         # with a ``store`` attribute see shard residency, and the report
         # gains the ``distribution`` block.
         self.field_store = field_store
-        # Backend every spawned Worker's engine renders on (results are
-        # backend-independent).
-        self.backend = backend
-        self.engine_workers = engine_workers
         self.frames = frames
         self.seed = seed  # offsets spec trajectory seeds (with_overrides)
         self.placement = (make_placement(placement)
@@ -190,8 +184,7 @@ class ClusterSimulator:
     def _spawn(self, now_s: float) -> Worker:
         worker = Worker(f"w{self._worker_seq:02d}", self.config,
                         started_s=now_s, index=self._worker_seq,
-                        use_cache=self.use_cache, backend=self.backend,
-                        engine_workers=self.engine_workers,
+                        use_cache=self.use_cache,
                         field_store=self.field_store)
         worker.render_memo = self._render_memo
         self._worker_seq += 1
@@ -547,8 +540,6 @@ def simulate_cluster(mix, config, arrivals: str = "poisson",
                      autoscaler: Autoscaler | None = None,
                      use_cache: bool = True,
                      governor: str = "off", trace=None,
-                     backend: str | None = None,
-                     engine_workers: int | None = None,
                      catalog: int | None = None,
                      zipf: float | None = None,
                      replication: int | None = None,
@@ -596,7 +587,5 @@ def simulate_cluster(mix, config, arrivals: str = "poisson",
                                  seed=seed, autoscaler=autoscaler,
                                  use_cache=use_cache,
                                  governor=cluster_governor,
-                                 backend=backend,
-                                 engine_workers=engine_workers,
                                  field_store=field_store)
     return simulator.run(schedule, label=arrivals)

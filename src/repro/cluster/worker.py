@@ -64,15 +64,9 @@ class Worker:
 
     def __init__(self, worker_id: str, config, soc: SoCModel | None = None,
                  started_s: float = 0.0, index: int = 0,
-                 use_cache: bool = True, backend: str | None = None,
-                 engine_workers: int | None = None, field_store=None):
+                 use_cache: bool = True, field_store=None):
         self.worker_id = str(worker_id)
         self.config = config
-        # Backend for this worker's render engine (see repro.backend);
-        # results are backend-independent, so this only changes render
-        # wall-time.
-        self.backend = backend
-        self.engine_workers = engine_workers
         self.soc = soc or SoCModel(feature_dim=config.feature_dim)
         # The cache object always exists so stats report uniformly; with
         # use_cache=False it is simply never attached to the engine.  It
@@ -146,8 +140,6 @@ class Worker:
             [engine_session],
             reference_cache=(self.reference_cache if self.use_cache
                              else None),
-            backend=self.backend,
-            engine_workers=self.engine_workers,
             render_memo=self.render_memo).run()
         return engine_session
 

@@ -320,10 +320,7 @@ def run_cluster_command(args) -> int:
     cell = cell_from_args("cluster", args)
     config = _scale(args)
     started = time.perf_counter()
-    try:
-        result = execute_cell(cell, config=config)
-    except (ValueError, KeyError, OSError) as exc:
-        return _fail("cluster", exc)
+    result = execute_cell(cell, config=config)
     rows, summary = result.rows, result.summary
     elapsed = time.perf_counter() - started
     print_table(rows, title=f"cluster: {len(rows)} workers "
@@ -407,10 +404,7 @@ def run_loadgen_command(args) -> int:
             await server.stop()
 
     started = time.perf_counter()
-    try:
-        summary = asyncio.run(drive())
-    except (ValueError, KeyError, OSError) as exc:
-        return _fail("loadgen", exc)
+    summary = asyncio.run(drive())
     elapsed = time.perf_counter() - started
     # The reconcile command re-simulates from the artifact alone, so the
     # summary must pin down how the live server was configured too.
@@ -447,8 +441,6 @@ def run_reconcile_command(args) -> int:
     from ..server import reconcile_report
     try:
         artifact = json.loads(Path(args.input).read_text())
-    except OSError as exc:
-        return _fail("reconcile", exc)
     except json.JSONDecodeError as exc:
         print(f"reconcile: {args.input} is not JSON: {exc}",
               file=sys.stderr)
@@ -462,15 +454,11 @@ def run_reconcile_command(args) -> int:
     scale = measured.get("scale", "fast" if args.fast else "default")
     config = FAST if scale == "fast" else DEFAULT
     started = time.perf_counter()
-    try:
-        report = reconcile_report(
-            measured, config,
-            use_cache=measured.get("use_cache", True),
-            governor=measured.get("governor", "off"),
-            slo_fps=measured.get("slo_fps"),
-            backend=measured.get("backend"))
-    except (ValueError, KeyError) as exc:
-        return _fail("reconcile", exc)
+    report = reconcile_report(
+        measured, config,
+        use_cache=measured.get("use_cache", True),
+        governor=measured.get("governor", "off"),
+        slo_fps=measured.get("slo_fps"))
     elapsed = time.perf_counter() - started
     print_table(report["rows"],
                 title=f"sim-vs-real reconciliation ({elapsed:.1f}s wall)")
@@ -510,11 +498,7 @@ def run_frontier_command(args) -> int:
     table = ExperimentTable(name="frontier", base=base,
                             axes=(("governor", modes), ("rate_hz", rates)))
     started = time.perf_counter()
-    try:
-        results = [execute_cell(each, config=config)
-                   for each in table.cells()]
-    except (ValueError, KeyError) as exc:
-        return _fail("frontier", exc)
+    results = [execute_cell(each, config=config) for each in table.cells()]
     elapsed = time.perf_counter() - started
     rows = [result.row for result in results]
     summary = {
@@ -552,14 +536,10 @@ def run_trace_command(args) -> int:
 
 
 def run_experiment_command(args) -> int:
-    try:
-        table = ExperimentTable.from_file(args.table)
-        rows, extra, path = run_table(
-            table, args.out, resume=args.resume,
-            default_scale="fast" if args.fast else "default",
-            log=print)
-    except (ValueError, KeyError, OSError) as exc:
-        return _fail("experiment", exc)
+    table = ExperimentTable.from_file(args.table)
+    rows, extra, path = run_table(
+        table, args.out, resume=args.resume,
+        default_scale="fast" if args.fast else "default", log=print)
     columns = list(dict.fromkeys(key for row in rows for key in row))
     print_table(rows, columns=columns,
                 title=f"experiment {table.name}: {len(rows)} cells "
@@ -591,7 +571,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RunConfigError as exc:
+    except (ValueError, KeyError, OSError) as exc:
+        # RunConfigError, a refused artifact overwrite, a missing input
+        # file: every user-facing failure exits 2 with its message.
         return _fail(args.figure, exc)
 
 

@@ -33,18 +33,18 @@ from ..backend import BACKENDS, DEFAULT_WORKERS
 from ..cluster import ARRIVAL_KINDS, PLACEMENTS
 from ..control import GOVERNOR_MODES
 from ..distribution import DEFAULT_REPLICATION, DEFAULT_ZIPF_S
+from ..engine import SCHEDULERS
 from ..hw.soc import VARIANTS
 from ..workloads import parse_mix
 from .configs import ALGORITHMS, DEFAULT, FAST, scene_of
 
-__all__ = ["MODES", "SCALES", "SCHEDULERS", "ClusterConfig",
+__all__ = ["MODES", "SCALES", "ClusterConfig", "EngineConfig",
            "RealserveConfig", "RunConfig", "RunConfigError", "ServeConfig",
            "SharedConfig", "config_fields", "effective_default",
            "parse_rates"]
 
 MODES = ("serve", "cluster", "realserve")
 SCALES = ("default", "fast")
-SCHEDULERS = ("round_robin", "deadline")
 
 
 class RunConfigError(ValueError):
@@ -96,14 +96,23 @@ class SharedConfig:
     use_cache: bool = option(
         "--no-cache", "disable the shared cross-session reference cache "
         "(outputs are bit-identical either way)", True, const=False)
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """Where the engine renders; declared once for the two modes (serve,
+    live server) whose engine rounds batch many sessions.  A cluster
+    worker renders one session per round, so it always renders
+    in-process."""
+
     # None lets the engine default (numpy) apply.
     backend: str | None = option(
         "--backend", "where the engine renders: 'numpy' (default, "
         "in-process) or 'parallel' (sessions fan out to a worker pool "
         "forked from this process, which inherits the baked tables "
         "instead of copying them; bit-identical to numpy); taken by "
-        "serve, cluster, serve-live and loadgen, and as the "
-        "'backend' field of experiment tables", choices=BACKENDS)
+        "serve, serve-live and loadgen, and as the 'backend' field of "
+        "serve cells in experiment tables", choices=BACKENDS)
     engine_workers: int | None = option(
         "--engine-workers", "worker-process count for --backend parallel; "
         "rejected with the in-process backend", type=int, ge=1,
@@ -111,7 +120,7 @@ class SharedConfig:
 
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(EngineConfig):
     """Closed-set serving on one SoC (``cli serve``)."""
 
     sessions: int | None = option(
@@ -119,7 +128,7 @@ class ServeConfig:
         "mix counts decide)", type=int, ge=1, effective=4)
     scheduler: str | None = option(
         "--scheduler", "session scheduling policy",
-        choices=SCHEDULERS, effective="round_robin")
+        choices=tuple(SCHEDULERS), effective="round_robin")
     variant: str | None = option(
         "--variant", "SoC variant to price frames under",
         choices=VARIANTS, effective="cicero")
@@ -202,7 +211,7 @@ class ClusterConfig(ArrivalConfig):
 
 
 @dataclass(frozen=True)
-class RealserveConfig(ArrivalConfig):
+class RealserveConfig(ArrivalConfig, EngineConfig):
     """The live frame server and its load generator (``cli serve-live``,
     ``cli loadgen``; see :mod:`repro.server`)."""
 
@@ -387,6 +396,8 @@ class RunConfig:
             if value is not None:
                 _check_value(field, value)
         self._validate_shared()
+        if isinstance(self.section, EngineConfig):
+            self._validate_engine()
         if self.mode == "serve":
             self._validate_serve()
         else:
@@ -401,6 +412,8 @@ class RunConfig:
                 parse_mix(self.workloads)
             except (KeyError, ValueError) as exc:
                 raise RunConfigError(exc.args[0]) from None
+
+    def _validate_engine(self) -> None:
         if self.engine_workers is not None and self.backend != "parallel":
             raise RunConfigError(
                 "--engine-workers requires --backend parallel "

@@ -134,7 +134,6 @@ def _execute_cluster(cell: RunConfig, config, mix, seed: int) -> CellResult:
         frames=cell.frames, autoscaler=autoscaler,
         use_cache=cell.use_cache, governor=cell.governor,
         trace=cell.arrival_trace,
-        backend=cell.backend, engine_workers=cell.engine_workers,
         catalog=cell.catalog, zipf=cell.zipf, replication=cell.replication)
     mix_label = _mix_label(resolved_mix)
     if cell.catalog is None:

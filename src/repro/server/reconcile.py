@@ -25,8 +25,7 @@ RECONCILE_METRICS = tuple(in_ms(latency_summary(())))
 
 def reconcile_report(measured: dict, config, use_cache: bool = True,
                      governor: str = "off",
-                     slo_fps: float | None = None,
-                     backend: str | None = None) -> dict:
+                     slo_fps: float | None = None) -> dict:
     """Pair a loadgen summary with its matched simulator prediction.
 
     ``measured`` is the summary :func:`~.loadgen.run_loadgen` returned
@@ -49,7 +48,7 @@ def reconcile_report(measured: dict, config, use_cache: bool = True,
         queue_limit=max(measured["sessions_total"], 1),
         frames=measured.get("frames"),
         trace=measured.get("arrival_trace"),
-        use_cache=use_cache, governor=governor, backend=backend)
+        use_cache=use_cache, governor=governor)
     predicted = report.summary()
     rows = []
     for metric in RECONCILE_METRICS:

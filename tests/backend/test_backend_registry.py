@@ -15,7 +15,7 @@ class TestRegistry:
         # Both places a backend name enters — a run's config and the
         # engine itself — name the bad value and every registered one.
         with pytest.raises(RunConfigError) as config_err:
-            RunConfig(backend="cuda").validate()
+            RunConfig(mode="serve", backend="cuda").validate()
         with pytest.raises(ValueError) as engine_err:
             MultiSessionEngine([], backend="cuda")
         for err in (config_err, engine_err):

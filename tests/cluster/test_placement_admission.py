@@ -76,10 +76,6 @@ class TestPlacementPolicies:
         assert fallback != preferred.worker_id
         assert policy.choose("key", remaining).worker_id == fallback
 
-    def test_cache_affinity_without_key_least_loaded(self):
-        policy = make_placement("cache_affinity")
-        assert policy.choose(None, fleet(2, 0, 1)).worker_id == "w01"
-
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             make_placement("random")
@@ -102,11 +98,6 @@ class TestPlacementPolicies:
         assert max(workers, key=lambda w: rendezvous_score("key-a",
                                                            w.worker_id)) \
             is make_placement("cache_affinity").choose("key-a", workers)
-
-    def test_shard_affinity_without_key_least_loaded(self):
-        policy = make_placement("shard_affinity")
-        policy.store = SimpleNamespace(holders=lambda key: {"w00"})
-        assert policy.choose(None, fleet(2, 0, 1)).worker_id == "w01"
 
 
 class TestAdmission:

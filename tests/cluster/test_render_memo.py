@@ -16,7 +16,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.backend.parallel import WorkerPool
 from repro.cluster import ClusterSimulator, simulate_cluster
 from repro.cluster import simulator as simulator_module
 from repro.cluster.arrivals import make_arrivals
@@ -39,9 +38,6 @@ CELLS = {
     # recover residents.
     "governed": dict(BASE, rate_hz=8.0, seed=7, queue_limit=2, frames=8,
                      governor="adaptive"),
-    "parallel": dict(BASE, arrivals="deterministic", rate_hz=3.0,
-                     seed=1, workers=1, frames=3, backend="parallel",
-                     engine_workers=2),
 }
 
 
@@ -85,7 +81,6 @@ class _RenderSpy:
         spy = self
         deliver = RenderSession.deliver
         render_ray_batch = NeRFRenderer.render_ray_batch
-        submit = WorkerPool.submit
 
         def spy_deliver(session, output):
             request = session.pending_request
@@ -98,14 +93,8 @@ class _RenderSpy:
             spy.rendered.extend(rays_hash(o, d) for o, d in bundles)
             return render_ray_batch(renderer, bundles)
 
-        def spy_submit(pool, groups):
-            spy.rendered.extend(rays_hash(o, d) for _, bundles in groups
-                                for o, d in bundles)
-            return submit(pool, groups)
-
         monkeypatch.setattr(RenderSession, "deliver", spy_deliver)
         monkeypatch.setattr(NeRFRenderer, "render_ray_batch", spy_render)
-        monkeypatch.setattr(WorkerPool, "submit", spy_submit)
 
     def reset(self):
         self.delivered.clear()
@@ -118,7 +107,7 @@ class _RenderSpy:
 
 
 class TestDedupe:
-    @pytest.mark.parametrize("name", ["base", "governed", "parallel"])
+    @pytest.mark.parametrize("name", ["base", "governed"])
     def test_each_distinct_request_renders_once(self, name, monkeypatch):
         spy = _RenderSpy(monkeypatch)
         report = simulate_cluster(MIX, FAST, **CELLS[name])

@@ -91,6 +91,22 @@ class TestMain:
         assert payload["config_scale"]["image_size"] == 48
         assert any("vft_kb" in row for row in payload["rows"])
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--fast", "--sessions", "1", "--frames", "1"],
+        ["frontier", "--fast", "--governor", "off", "--rates", "1,2,3",
+         "--frames", "1", "--workers", "1"],
+    ], ids=["serve", "frontier"])
+    def test_refused_artifact_overwrite_exits_2(self, capsys, tmp_path,
+                                                argv):
+        stale = tmp_path / f"BENCH_{argv[0]}.json"
+        stale.write_text(json.dumps({"kind": "cluster", "rows": []}))
+        assert main([*argv, "--json-out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{argv[0]}: refusing to overwrite {stale}" in err
+        assert "'cluster' artifact" in err
+        assert "Traceback" not in err
+        assert json.loads(stale.read_text())["kind"] == "cluster"
+
 
 class TestServe:
     def test_serve_reports_aggregate_fps_and_p95(self, capsys, tmp_path):
@@ -337,6 +353,9 @@ FOREIGN_FLAGS = [
     ("serve --fast --host 127.0.0.1", "--host"),
     ("serve --fast --port 7070", "--port"),
     ("cluster --fast --time-scale 0.5", "--time-scale"),
+    # A cluster worker renders one session per round: it has no pool.
+    ("cluster --fast --backend parallel --engine-workers 2",
+     "--backend --engine-workers"),
     ("frontier --fast --rates 1,2,3 --time-scale 2", "--time-scale"),
     # No abbreviations: a prefix must not reach a longer flag (--rate
     # would otherwise select frontier's --rates).

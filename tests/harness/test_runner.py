@@ -82,10 +82,18 @@ class TestRunConfig:
         with pytest.raises(RunConfigError, match="require --autoscale"):
             RunConfig(mode="cluster", min_workers=1).validate()
 
+    def test_cluster_rejects_backend(self):
+        with pytest.raises(RunConfigError,
+                           match=r"--backend \(backend\) is a "
+                                 r"serve/realserve-only option: not valid "
+                                 r"on a cluster cell"):
+            RunConfig(mode="cluster", backend="parallel").validate()
+
     @pytest.mark.parametrize("build", [
-        lambda: RunConfig(backend="numba").validate(),
+        lambda: RunConfig(mode="serve", backend="numba").validate(),
         lambda: ExperimentTable.from_dict(
-            {"base": {}, "axes": {"backend": ["numpy", "numba"]}}).cells(),
+            {"base": {"mode": "serve"},
+             "axes": {"backend": ["numpy", "numba"]}}).cells(),
     ], ids=["config", "table-cell"])
     def test_dropped_numba_backend_is_unknown(self, build):
         with pytest.raises(RunConfigError,

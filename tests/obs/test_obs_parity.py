@@ -57,17 +57,18 @@ def test_cluster_bit_parity():
     assert dataclasses.asdict(traced) == dataclasses.asdict(plain)
 
 
-def test_cluster_parity_with_parallel_backend():
+def test_serve_parity_with_parallel_backend():
     # The parallel pool dispatch path has its own instrumentation hook.
     def run():
         reset_caches()
-        return simulate_cluster(
-            MIX, FAST, arrivals="deterministic", rate_hz=3.0,
-            duration_s=2.0, seed=1, workers=1, frames=3,
-            backend="parallel")
-    plain = run()
-    traced = _observed(run)
-    assert dataclasses.asdict(traced) == dataclasses.asdict(plain)
+        result = execute_cell(
+            RunConfig(mode="serve", workloads=MIX, frames=3, seed=1,
+                      backend="parallel", engine_workers=2), config=FAST)
+        return result.rows, result.summary
+    plain_rows, plain_summary = run()
+    traced_rows, traced_summary = _observed(run)
+    assert traced_rows == plain_rows
+    assert traced_summary == plain_summary
 
 
 def test_metrics_snapshot_in_artifact_is_finite(tmp_path):
@@ -108,13 +109,11 @@ def _observed_cluster_cli(tmp_path, name):
                  "--arrivals", "poisson", "--rate", "6", "--duration", "2",
                  "--workers", "1", "--queue-limit", "2", "--frames", "4",
                  "--governor", "adaptive", "--slo", "30", "--seed", "7",
-                 "--backend", "parallel", "--engine-workers", "2",
                  "--json-out", str(out), "--trace", str(trace)]) == 0
     metrics = json.loads((out / "BENCH_cluster.json").read_text())["metrics"]
     events = json.loads(trace.read_text())["traceEvents"]
     census = collections.Counter(
-        (e["cat"], e["name"]) for e in events
-        if e["ph"] != "M" and e["name"] != "pool.dispatch")
+        (e["cat"], e["name"]) for e in events if e["ph"] != "M")
     return metrics, census
 
 
@@ -122,9 +121,8 @@ def test_render_memo_leaves_engine_counters_and_trace_alone(
         tmp_path, request):
     """The memo saves host time only: counters and trace are unchanged.
 
-    Only ``pool.dispatch`` instants (fully memoized groups are not
-    dispatched), wall-clock ``*_s`` sections (a memoized target frame
-    skips ``sparw.warp``) and the ``sparw.target_memo.hits`` counter may
+    Only wall-clock ``*_s`` sections (a memoized target frame skips
+    ``sparw.warp``) and the ``sparw.target_memo.hits`` counter may
     differ.
     """
     memo_metrics, memo_census = _observed_cluster_cli(tmp_path, "memo")

@@ -69,7 +69,8 @@ PROBE = textwrap.dedent("""
 def _probe(import_repro: bool) -> dict:
     out = subprocess.run(
         [sys.executable, "-c", PROBE.format(import_repro=import_repro)],
-        env={"PYTHONPATH": str(SRC), "PATH": ""}, check=True,
+        env={"PYTHONPATH": str(SRC), "PATH": "",
+             "PYTHONDONTWRITEBYTECODE": "1"}, check=True,
         capture_output=True, text=True).stdout
     return dict(line.split() for line in out.strip().splitlines())
 
