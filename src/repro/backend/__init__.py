@@ -8,7 +8,9 @@ renderers they inherited — a copy-on-write snapshot of the parent's
 baked tables taken at the fork, so each table is held once — and fork
 again only for a renderer they were not forked with.  A worker pins the
 parent's memory image from its fork until the next re-fork or shutdown,
-and the backend needs a platform with ``fork``.  Serving output does not depend on the backend.
+and the backend needs a platform with ``fork``.  Serving output does not
+depend on the backend.  Only ``serve`` (and serve cells) choose one: the
+live server and the cluster simulator's workers render in-process.
 
 :mod:`repro.backend.parallel` is imported lazily by the engine, never
 here, to keep this package import-light and cycle-free.

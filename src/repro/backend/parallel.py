@@ -23,8 +23,8 @@ Cost of the design, stated rather than hidden: a worker keeps the
 parent's memory image from its fork alive (copy-on-write) until the next
 re-fork or shutdown — bounded by one process image per worker — so a
 renderer the parent drops in the meantime is freed only then; the same
-holds for descriptors the parent had open at the fork (a live server's
-client sockets).  The backend needs a platform with ``fork``.
+holds for descriptors the parent had open at the fork.  The backend
+needs a platform with ``fork``.
 
 Lifecycle: :func:`get_pool` returns the process-wide pool (created
 without forking); :func:`shutdown_pool`, also run ``atexit``, stops the
@@ -205,10 +205,6 @@ class WorkerPool:
                     f"parallel backend: worker failed:\n{payload}")
             self._done[task_id] = payload
             needed.discard(task_id)
-
-    def render_bundles(self, renderer, bundles: list) -> list:
-        """Blocking convenience: submit then collect one bundle list."""
-        return self.collect(self.submit([(renderer, bundles)])[0])
 
     def release(self) -> None:
         """Broadcast a scratch-arena release to every worker."""

@@ -176,9 +176,8 @@ class MultiSessionEngine:
         # None keeps every hook on the no-op fast path.
         self._trace = None
         # Live-serving state (see admit/retire/run_round): admission
-        # mutations and round execution synchronise on this lock, so a
-        # server connection thread can admit/retire sessions while the
-        # engine-host thread is mid-round.
+        # mutations and round execution synchronise on this lock, so any
+        # thread can admit/retire sessions while another is mid-round.
         self._admission = threading.Lock()
         self._round_index = 0
         self.batch = BatchStats()  # cumulative stats across run_round calls

@@ -91,8 +91,7 @@ DEFAULT_FRONTIER_RATES = (8.0, 24.0, 72.0)
 # Every frontier cell is a short run, so the sweep overrides these cluster
 # fields' effective defaults ('cli frontier --help' quotes them).
 SWEEP_DEFAULTS = {"duration_s": 1.0, "frames": 3}
-SERVE_LIVE_FIELDS = ("governor", "slo_fps", "use_cache", "backend",
-                     "engine_workers", "host", "port")
+SERVE_LIVE_FIELDS = ("governor", "slo_fps", "use_cache", "host", "port")
 
 
 def _existing_dir_or_new(text: str) -> str:
@@ -409,8 +408,7 @@ def run_loadgen_command(args) -> int:
     # The reconcile command re-simulates from the artifact alone, so the
     # summary must pin down how the live server was configured too.
     summary.update({"governor": cell.governor, "slo_fps": cell.slo_fps,
-                    "use_cache": cell.use_cache, "backend": cell.backend,
-                    "scale": cell.scale,
+                    "use_cache": cell.use_cache, "scale": cell.scale,
                     "self_served": args.connect is None})
     sessions = summary.pop("sessions")
     rows = [{"workload": s["workload"], "scheduled_s": s["scheduled_s"],

@@ -38,10 +38,9 @@ from ..hw.soc import VARIANTS
 from ..workloads import parse_mix
 from .configs import ALGORITHMS, DEFAULT, FAST, scene_of
 
-__all__ = ["MODES", "SCALES", "ClusterConfig", "EngineConfig",
-           "RealserveConfig", "RunConfig", "RunConfigError", "ServeConfig",
-           "SharedConfig", "config_fields", "effective_default",
-           "parse_rates"]
+__all__ = ["MODES", "SCALES", "ClusterConfig", "RealserveConfig",
+           "RunConfig", "RunConfigError", "ServeConfig", "SharedConfig",
+           "config_fields", "effective_default", "parse_rates"]
 
 MODES = ("serve", "cluster", "realserve")
 SCALES = ("default", "fast")
@@ -99,11 +98,10 @@ class SharedConfig:
 
 
 @dataclass(frozen=True)
-class EngineConfig:
-    """Where the engine renders; declared once for the two modes (serve,
-    live server) whose engine rounds batch many sessions.  A cluster
-    worker renders one session per round, so it always renders
-    in-process."""
+class ServeConfig:
+    """Closed-set serving on one SoC (``cli serve``): the one mode whose
+    engine may render on the forked worker pool (the live server and a
+    cluster worker always render in-process)."""
 
     # None lets the engine default (numpy) apply.
     backend: str | None = option(
@@ -111,18 +109,12 @@ class EngineConfig:
         "in-process) or 'parallel' (sessions fan out to a worker pool "
         "forked from this process, which inherits the baked tables "
         "instead of copying them; bit-identical to numpy); taken by "
-        "serve, serve-live and loadgen, and as the 'backend' field of "
-        "serve cells in experiment tables", choices=BACKENDS)
+        "serve, and as the 'backend' field of serve cells in experiment "
+        "tables", choices=BACKENDS)
     engine_workers: int | None = option(
         "--engine-workers", "worker-process count for --backend parallel; "
         "rejected with the in-process backend", type=int, ge=1,
         metavar="N", effective=DEFAULT_WORKERS)
-
-
-@dataclass(frozen=True)
-class ServeConfig(EngineConfig):
-    """Closed-set serving on one SoC (``cli serve``)."""
-
     sessions: int | None = option(
         "--sessions", "number of concurrent sessions (with --workload the "
         "mix counts decide)", type=int, ge=1, effective=4)
@@ -211,7 +203,7 @@ class ClusterConfig(ArrivalConfig):
 
 
 @dataclass(frozen=True)
-class RealserveConfig(ArrivalConfig, EngineConfig):
+class RealserveConfig(ArrivalConfig):
     """The live frame server and its load generator (``cli serve-live``,
     ``cli loadgen``; see :mod:`repro.server`)."""
 
@@ -396,8 +388,6 @@ class RunConfig:
             if value is not None:
                 _check_value(field, value)
         self._validate_shared()
-        if isinstance(self.section, EngineConfig):
-            self._validate_engine()
         if self.mode == "serve":
             self._validate_serve()
         else:
@@ -413,13 +403,11 @@ class RunConfig:
             except (KeyError, ValueError) as exc:
                 raise RunConfigError(exc.args[0]) from None
 
-    def _validate_engine(self) -> None:
+    def _validate_serve(self) -> None:
         if self.engine_workers is not None and self.backend != "parallel":
             raise RunConfigError(
                 "--engine-workers requires --backend parallel "
                 "(the numpy backend runs in-process)")
-
-    def _validate_serve(self) -> None:
         if self.workloads is not None:
             if (self.scenes or self.algorithm is not None
                     or self.variant is not None or self.sessions is not None):

@@ -60,9 +60,11 @@ class _EngineHost:
 
     Connections :meth:`admit` sessions (with an ``asyncio.Queue`` the
     host feeds, through the event loop, with ``(kind, payload, done)``
-    items) and :meth:`retire` them on close.  The host blocks on a
-    condition variable while nothing is runnable, so an idle server
-    burns no CPU.
+    items) and :meth:`retire` them on close.  Both only record the
+    request: the host thread applies it to the engine between rounds,
+    so the event loop never waits for a round in flight.  The host
+    blocks on a condition variable while nothing is runnable, so an
+    idle server burns no CPU.
 
     If serving raises, the thread stops: :attr:`error` records why,
     every admitted session's queue gets an ``("error", message, True)``
@@ -75,6 +77,8 @@ class _EngineHost:
         self._cond = threading.Condition()
         self._queues: dict = {}  # session_id -> asyncio.Queue
         self._ready_s: dict = {}  # session_id -> perf_counter ready time
+        self._admitting: dict = {}  # session_id -> session to admit
+        self._retiring: set = set()  # session ids to retire
         self._stop = False
         self.error: str | None = None  # set once serving has crashed
         self.epoch_s = time.perf_counter()  # wall anchor for trace spans
@@ -109,19 +113,20 @@ class _EngineHost:
             if self.error is not None:
                 self._post(queue, ("error", self.error, True))
                 return
-            self._engine.admit(session)
+            self._admitting[session.session_id] = session
             self._ready_s[session.session_id] = time.perf_counter()
             self._cond.notify()
 
     def retire(self, session_id: str) -> None:
-        """Stop serving (idempotent; late round results are dropped)."""
+        """Stop serving (idempotent; late round results are dropped; a
+        session retired before the host admitted it never renders)."""
         with self._cond:
-            try:
-                self._engine.retire(session_id)
-            except KeyError:
-                pass
-            self._queues.pop(session_id, None)
+            if self._queues.pop(session_id, None) is None:
+                return
             self._ready_s.pop(session_id, None)
+            if self._admitting.pop(session_id, None) is None:
+                self._retiring.add(session_id)
+            self._cond.notify()
 
     def _post(self, queue: asyncio.Queue, item: tuple) -> None:
         self._loop.call_soon_threadsafe(queue.put_nowait, item)
@@ -129,7 +134,17 @@ class _EngineHost:
     # -- the host thread --------------------------------------------------------
 
     def _runnable(self) -> bool:
-        return any(not s.done for s in self._engine.sessions)
+        """A request to apply, or an admitted session still rendering."""
+        return bool(self._admitting or self._retiring) or any(
+            not s.done for s in self._engine.sessions)
+
+    def _apply_requests(self) -> None:
+        """Apply the recorded admissions and retirements (holds _cond)."""
+        for session in self._admitting.values():
+            self._engine.admit(session)
+        for session_id in self._retiring:
+            self._engine.retire(session_id)
+        self._admitting, self._retiring = {}, set()
 
     def _run(self) -> None:
         try:
@@ -141,10 +156,11 @@ class _EngineHost:
     def _serve_rounds(self) -> None:
         while True:
             with self._cond:
+                self._apply_requests()
+                # Every request and stop() notifies under _cond, so no
+                # wakeup is lost between the check and the wait.
                 while not self._stop and not self._runnable():
-                    # Timeout guards against a lost wakeup if an
-                    # admit lands between the check and the wait.
-                    self._cond.wait(timeout=0.05)
+                    self._cond.wait()
                 if self._stop:
                     return
             round_start = time.perf_counter()
@@ -168,10 +184,10 @@ class _EngineHost:
             session_id = session.session_id
             with self._cond:
                 queue = self._queues.get(session_id)
-                ready_s = self._ready_s.get(session_id, round_start)
+                if queue is None:  # retired mid-round: drop the late frames
+                    continue
+                ready_s = self._ready_s[session_id]
                 self._ready_s[session_id] = round_end
-            if queue is None:  # retired mid-round: drop the late frames
-                continue
             queue_s = max(round_start - ready_s, 0.0)
             payloads = [{
                 "type": "frame",
@@ -228,8 +244,7 @@ class FrameServer:
 
     ``config`` is the :class:`ExperimentConfig` scale sessions build at;
     ``cell`` is the validated ``realserve`` :class:`RunConfig` whose
-    host, port, governor, SLO, cache and backend fields configure the
-    server.
+    host, port, governor, SLO and cache fields configure the server.
     """
 
     def __init__(self, config, cell):
@@ -259,8 +274,7 @@ class FrameServer:
             self._governor = EngineGovernor(self.config, mode=cell.governor)
         engine = MultiSessionEngine(
             [], reference_cache=REFERENCE_CACHE if cell.use_cache else None,
-            governor=self._governor, backend=cell.backend,
-            engine_workers=cell.engine_workers)
+            governor=self._governor)
         loop = asyncio.get_running_loop()
         self._host_thread = _EngineHost(engine, loop)
         self._build_pool = ThreadPoolExecutor(

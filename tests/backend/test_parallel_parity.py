@@ -20,6 +20,8 @@ from repro.obs import MetricsRegistry, Observation, activate
 from repro.scenes import orbit_trajectory
 from repro.workloads import build_mixed_sessions
 
+from pool_bundles import render_bundles
+
 
 @pytest.fixture(scope="module")
 def bundles(fast_config):
@@ -37,7 +39,7 @@ def bundles(fast_config):
 def pool_results(fast_renderer, bundles):
     pool = WorkerPool(2)
     try:
-        return pool.render_bundles(fast_renderer, bundles)
+        return render_bundles(pool, fast_renderer, bundles)
     finally:
         pool.shutdown()
 
@@ -82,7 +84,7 @@ class TestEveryFieldKind:
         renderer = build_renderer(algorithm, "lego", fast_config)
         pool = WorkerPool(2)
         try:
-            results = pool.render_bundles(renderer, bundles)
+            results = render_bundles(pool, renderer, bundles)
         finally:
             pool.shutdown()
         _assert_matches_serial(renderer, bundles, results)
@@ -103,17 +105,17 @@ class TestForkCount:
         pool = WorkerPool(2)
         try:
             with activate(Observation(metrics=metrics)):
-                pool.render_bundles(fast_renderer, bundles[:1])
+                render_bundles(pool, fast_renderer, bundles[:1])
                 assert _forks(metrics) == 1
                 # Built after the workers forked: they cannot hold it.
                 late = NeRFRenderer(
                     fast_renderer.field,
                     UniformSampler(fast_config.samples_per_ray // 2,
                                    occupancy=fast_renderer.sampler.occupancy))
-                late_results = pool.render_bundles(late, bundles)
+                late_results = render_bundles(pool, late, bundles)
                 assert _forks(metrics) == 2
                 # The re-fork's snapshot holds both renderers.
-                again = pool.render_bundles(fast_renderer, bundles)
+                again = render_bundles(pool, fast_renderer, bundles)
                 assert _forks(metrics) == 2
         finally:
             pool.shutdown()

@@ -29,6 +29,8 @@ from repro.nerf import NeRFRenderer
 from repro.obs import MetricsRegistry, Observation, activate
 from repro.obs.runtime import metric_inc
 
+from pool_bundles import render_bundles
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 _MEMORY_PROBE = r"""
@@ -61,7 +63,7 @@ serial = renderer.render_rays(origins, directions)  # warm every arena
 
 shm_before, rss_before = shm(), rss_kb()
 pool = WorkerPool(2)
-results = pool.render_bundles(renderer, bundles)
+results = pool.collect(pool.submit([(renderer, bundles)])[0])
 rss_after, shm_after = rss_kb(), shm()
 tracker_pid = resource_tracker._resource_tracker._pid
 pool.shutdown()
@@ -112,7 +114,7 @@ def test_dead_worker_raises_at_once_then_reforks(fast_renderer, bundles,
     pool = WorkerPool(2)
     try:
         with activate(Observation(metrics=metrics)):
-            pool.render_bundles(fast_renderer, bundles[:1])  # fork
+            render_bundles(pool, fast_renderer, bundles[:1])  # fork
             tickets = pool.submit([(fast_renderer, bundles)])[0]
             os.kill(pool._procs[0].pid, signal.SIGKILL)
             start = time.monotonic()
@@ -120,7 +122,7 @@ def test_dead_worker_raises_at_once_then_reforks(fast_renderer, bundles,
                                match=r"worker 0 exited with code -9"):
                 pool.collect(tickets)
             assert time.monotonic() - start < 5.0
-            results = pool.render_bundles(fast_renderer, bundles)
+            results = render_bundles(pool, fast_renderer, bundles)
         assert metrics.counters["pool.forks"].value == 2
     finally:
         pool.shutdown()
@@ -155,7 +157,7 @@ def test_fork_while_registry_lock_held(fast_renderer, bundles, monkeypatch):
         with activate(Observation(metrics=metrics)):
             holder.start()
             held.wait()
-            results = pool.render_bundles(renderer, bundles)
+            results = render_bundles(pool, renderer, bundles)
         holder.join()
     finally:
         pool.shutdown()

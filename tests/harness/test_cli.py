@@ -138,7 +138,7 @@ class TestServe:
         assert excinfo.value.code == 2
         assert "warpcore" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["serve", "serve-live"])
+    @pytest.mark.parametrize("command", ["serve"])
     def test_dropped_numba_backend_is_invalid_choice(self, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--backend", "numba"])
@@ -353,8 +353,12 @@ FOREIGN_FLAGS = [
     ("serve --fast --host 127.0.0.1", "--host"),
     ("serve --fast --port 7070", "--port"),
     ("cluster --fast --time-scale 0.5", "--time-scale"),
-    # A cluster worker renders one session per round: it has no pool.
+    # A cluster worker renders one session per round, and the live
+    # server always renders in-process: only serve has a pool.
     ("cluster --fast --backend parallel --engine-workers 2",
+     "--backend --engine-workers"),
+    ("serve-live --fast --backend parallel", "--backend"),
+    ("loadgen --fast --backend parallel --engine-workers 2",
      "--backend --engine-workers"),
     ("frontier --fast --rates 1,2,3 --time-scale 2", "--time-scale"),
     # No abbreviations: a prefix must not reach a longer flag (--rate

@@ -85,9 +85,15 @@ class TestRunConfig:
     def test_cluster_rejects_backend(self):
         with pytest.raises(RunConfigError,
                            match=r"--backend \(backend\) is a "
-                                 r"serve/realserve-only option: not valid "
+                                 r"serve-only option: not valid "
                                  r"on a cluster cell"):
             RunConfig(mode="cluster", backend="parallel").validate()
+        # The live server renders in-process too.
+        with pytest.raises(RunConfigError,
+                           match=r"--engine-workers \(engine_workers\) is "
+                                 r"a serve-only option: not valid on a "
+                                 r"realserve cell"):
+            RunConfig(mode="realserve", engine_workers=2).validate()
 
     @pytest.mark.parametrize("build", [
         lambda: RunConfig(mode="serve", backend="numba").validate(),

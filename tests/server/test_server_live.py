@@ -11,6 +11,8 @@ on ``FIELD_CACHE`` from the server's worker threads.
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.server import (
     read_message,
     write_message,
 )
+from repro.server.server import _EngineHost
 from repro.workloads import get_workload
 
 
@@ -268,14 +271,19 @@ class TestRejection:
         assert 1024 <= port <= 65535
 
 
-class _ExplodingRenderer(NeRFRenderer):
-    """Same field and sampler as ``inner``; every render call raises."""
+class _CopiedRenderer(NeRFRenderer):
+    """A new renderer over ``inner``'s field and sampler, so overriding
+    its render calls leaves the shared cached renderer alone."""
 
     def __init__(self, inner: NeRFRenderer):
         super().__init__(inner.field, inner.sampler,
                          background=inner.background,
                          chunk_size=inner.chunk_size,
                          opacity_threshold=inner.opacity_threshold)
+
+
+class _ExplodingRenderer(_CopiedRenderer):
+    """Every render call raises."""
 
     def render_rays(self, *args, **kwargs):
         raise RuntimeError("injected renderer failure")
@@ -331,3 +339,71 @@ class TestEngineFailure:
             assert message["type"] == "error"
             assert "injected renderer failure" in message["message"]
             assert seconds < 1.0
+
+
+class _SlowRenderer(_CopiedRenderer):
+    """Every engine render call sets ``rendering`` and then sleeps, so a
+    round stays in flight."""
+
+    def __init__(self, inner: NeRFRenderer, rendering: threading.Event):
+        super().__init__(inner)
+        self.rendering = rendering
+
+    def render_ray_batch(self, *args, **kwargs):
+        self.rendering.set()
+        time.sleep(0.3)
+        return super().render_ray_batch(*args, **kwargs)
+
+
+def _session(session_id: str):
+    spec = get_workload("vr-lego").with_overrides(frames=2)
+    return spec.build_session(session_id, FAST)
+
+
+class TestEngineHost:
+    """Connections only record admissions and retirements; the host
+    thread applies them between rounds, so the event loop never waits
+    for a round in flight."""
+
+    @pytest.fixture
+    def mid_round(self):
+        """An engine host whose one session ``slow`` is mid-round, and
+        two more built sessions; the host is stopped afterwards."""
+        rendering = threading.Event()
+        slow = _session("slow")
+        slow.sparw.renderer = _SlowRenderer(slow.sparw.renderer, rendering)
+        others = [_session("other"), _session("gone")]
+        loop = asyncio.new_event_loop()  # never run: posts just queue up
+        host = _EngineHost(MultiSessionEngine([]), loop)
+        host.start()
+        host.admit(slow, asyncio.Queue())
+        assert rendering.wait(timeout=30.0)
+        try:
+            yield host, others
+        finally:
+            host.stop()
+            loop.close()
+
+    def test_admit_and_retire_do_not_wait_for_the_round(self, mid_round):
+        host, (other, gone) = mid_round
+        waited = {}
+        for name, request in (
+                ("admit", lambda: host.admit(other, asyncio.Queue())),
+                ("retire", lambda: host.retire("slow"))):
+            start = time.perf_counter()
+            request()
+            waited[name] = time.perf_counter() - start
+        # Admitted and retired before the host applied it: never renders.
+        host.admit(gone, asyncio.Queue())
+        host.retire("gone")
+        host.stop()
+        assert waited["admit"] < 0.05 and waited["retire"] < 0.05, waited
+        assert [s.session_id for s in host._engine.sessions] == ["other"]
+        assert gone.result.num_frames == 0
+
+    def test_mid_round_retire_leaves_no_ready_entry(self, mid_round):
+        host, _ = mid_round
+        host.retire("slow")
+        host.stop()  # joins once the round in flight is dispatched
+        assert host._engine.batch.rounds >= 1
+        assert host._ready_s == {}

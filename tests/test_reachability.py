@@ -28,7 +28,6 @@ KEEP = {
     "query": "Field.query: per-sample oracle of the reordering integration test",
     "render_pixels": "sparse renders checked against full frames (compose_pixels)",
     "level_of": "test instrument: a governed session's current tier",
-    "render_bundles": "test instrument: serial reference for the worker pool",
     "primary": "test instrument: ShardMap's first replica",
     "rotation_x": "test instrument: builds test poses",
     "rotation_y": "test instrument: builds test poses",
