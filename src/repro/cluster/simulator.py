@@ -366,12 +366,14 @@ class ClusterSimulator:
         offset the specs), so a run is replayable from its own report.
 
         Every worker's engine renders through one render memo that lives
-        exactly as long as this call: sessions of one spec are
-        bit-identical by construction (every arrival gets the run's
-        seed offset), so each distinct ``(cache_key, rays)`` request is
-        evaluated, each distinct ``(render_key, reference pose, target
-        pose)`` SPARW target frame warped, and each spec's trajectory
-        built once per run.  The memo changes host time only — the
+        exactly as long as this call: a render is a pure function of
+        its renderer and rays, and sessions of one spec are bit-identical
+        by construction (every arrival gets the run's seed offset), so
+        each distinct ``(render_key, rays)`` NeRF request is evaluated,
+        each distinct ``(render_key, reference pose, target pose)`` SPARW
+        target frame warped, and each spec's trajectory built once per
+        run — catalog variants and specs that differ only in pricing
+        share the first two.  The memo changes host time only — the
         report, the trace's modelled spans and the workers' reference
         cache statistics are those of a run without it.
         """

@@ -125,17 +125,19 @@ class Worker:
         ``cache_key`` reuse each other's reference renders — the signal
         cache-affinity placement optimises for — and with the run's
         render memo, which only saves host time: it answers repeated NeRF
-        requests, target frames and trajectories.  ``level`` picks the
-        quality-ladder rung; ``poses`` restricts to a trajectory slice
-        (mid-serve retunes re-render only the remaining frames).
+        requests and target frames (both keyed by the session's
+        ``render_key``, whatever spec drew them) and trajectories.
+        ``level`` picks the quality-ladder rung; ``poses`` restricts to a
+        trajectory slice (mid-serve retunes re-render only the remaining
+        frames).
         """
         if poses is None:
             poses = self._poses(spec)
         engine_session = spec.build_session(session_id, self.config,
                                             level=level, poses=poses)
         if self.render_memo is not None:
-            engine_session.sparw.share_targets(
-                self.render_memo, spec.render_key(self.config, level))
+            engine_session.sparw.share_targets(self.render_memo,
+                                               engine_session.render_key)
         MultiSessionEngine(
             [engine_session],
             reference_cache=(self.reference_cache if self.use_cache

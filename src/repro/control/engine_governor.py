@@ -103,7 +103,8 @@ class EngineGovernor:
         session.retune(spec.build_renderer(self.config, level),
                        make_camera(spec.resolve_config(self.config, level)),
                        level=level,
-                       cache_key=spec.cache_key(self.config, level))
+                       cache_key=spec.cache_key(self.config, level),
+                       render_key=spec.render_key(self.config, level))
         self.events.append({
             "clock_s": self.clock_s, "session": session.session_id,
             "frame": session.frames_completed, "level": level})

@@ -139,12 +139,13 @@ class MultiSessionEngine:
         :data:`repro.backend.DEFAULT_WORKERS`); ignored otherwise.
     render_memo:
         Optional :class:`~repro.workloads.cache.SharedLRUCache` of
-        render outputs keyed by ``(session.cache_key, rays_hash)``.  A
-        request of a session with a ``cache_key`` whose rays were
-        already rendered is answered from it instead of evaluating the
-        field (serially or on the pool); everything else —
-        reference-cache traffic, batching statistics, trace spans,
-        delivery order — runs exactly as without it, so the memo
+        render outputs keyed by ``(session.render_key, rays_hash)``.  A
+        request of a session with a ``render_key`` whose rays were
+        already rendered by the same renderer — for any session, whatever
+        its trajectory seed, variant or SLO — is answered from it instead
+        of evaluating the field (serially or on the pool); everything
+        else — reference-cache traffic, batching statistics, trace
+        spans, delivery order — runs exactly as without it, so the memo
         changes host time only.  Stored outputs are read-only.
         ``None`` (the default) renders every request.
     """
@@ -482,21 +483,26 @@ class MultiSessionEngine:
     def _memo_lookup(self, members: list) -> list:
         """``(memo key, memoized output or None)`` per group member.
 
-        Only sessions with a content-addressed ``cache_key`` are
-        eligible; their key is the cache key plus the exact bytes of the
-        requested rays, never an object id (a renderer evicted from
+        Only sessions with a content-addressed ``render_key`` are
+        eligible; their key is the render key plus the exact bytes of
+        the requested rays, never an object id (a renderer evicted from
         ``FIELD_CACHE`` and rebuilt may reuse the address of another).
+        Each lookup counts into ``engine.render_memo.hits`` / ``.misses``
+        (a miss is a bundle the field evaluates).
         """
         memo = self.render_memo
         lookups = []
         for session, _ in members:
-            if memo is None or session.cache_key is None:
+            if memo is None or session.render_key is None:
                 lookups.append((None, None))
                 continue
             request = session.pending_request
-            key = (session.cache_key,
+            key = (session.render_key,
                    rays_hash(request.origins, request.directions))
-            lookups.append((key, memo.get(key)))
+            output = memo.get(key)
+            metric_inc("engine.render_memo.misses" if output is None
+                       else "engine.render_memo.hits")
+            lookups.append((key, output))
         return lookups
 
     @staticmethod

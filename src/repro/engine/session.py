@@ -43,6 +43,12 @@ class RenderSession:
         poses, so the engine may answer their reference requests from the
         shared cross-session cache.  ``None`` disables reference caching
         for this session.
+    render_key:
+        Optional content-addressed identity of what draws the session's
+        pixels (see :meth:`~repro.workloads.WorkloadSpec.render_key`):
+        its renderer's output for given rays is a pure function of this
+        key, so the engine's render memo keys NeRF outputs by it.
+        ``None`` disables the render memo for this session.
     workload:
         Optional spec this session was built from (opaque to the engine;
         the serving harness reads it back for per-session pricing).
@@ -50,7 +56,7 @@ class RenderSession:
 
     def __init__(self, session_id: str, sparw: SparwRenderer, poses: list,
                  fps_target: float = 30.0, cache_key: str | None = None,
-                 workload=None):
+                 render_key: str | None = None, workload=None):
         if fps_target <= 0.0:
             raise ValueError("fps_target must be positive")
         self.session_id = str(session_id)
@@ -58,6 +64,7 @@ class RenderSession:
         self.poses = list(poses)
         self.fps_target = float(fps_target)
         self.cache_key = cache_key
+        self.render_key = render_key
         self.workload = workload
         self.quality_level = 0  # ladder rung (0 = the spec's native tier)
         self.result = SparwSequenceResult()
@@ -102,22 +109,26 @@ class RenderSession:
     # -- retuning ---------------------------------------------------------------
 
     def retune(self, renderer, camera, level: int | None = None,
-               cache_key: str | None = None) -> None:
+               cache_key: str | None = None,
+               render_key: str | None = None) -> None:
         """Switch this session's quality tier mid-stream (governor move).
 
         Stages the swap in the SPARW pipeline; it lands at the next frame
         boundary with a forced fresh reference.  The session's ladder
-        level and content-addressed ``cache_key`` update *when the swap
-        lands*, not when it is staged — a request generated at the old
-        settings may still be pending, and it must keep coalescing with
-        old-tier peers in the shared cache until the new tier actually
-        renders.
+        level and content-addressed ``cache_key`` and ``render_key``
+        update *when the swap lands*, not when it is staged — a request
+        generated at the old settings may still be pending, and it must
+        keep coalescing with old-tier peers in the shared cache (and be
+        memoized under the old renderer's key) until the new tier
+        actually renders.
         """
         def _apply() -> None:
             if level is not None:
                 self.quality_level = int(level)
             if cache_key is not None:
                 self.cache_key = cache_key
+            if render_key is not None:
+                self.render_key = render_key
 
         self.sparw.retune(renderer=renderer, camera=camera,
                           on_apply=_apply)

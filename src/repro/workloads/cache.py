@@ -16,7 +16,7 @@ that sharing:
   consults it so identical sessions render each reference once.
 * :func:`rays_hash` — the exact-bytes identity of a ray bundle, the
   second half of the cluster simulator's per-run render-memo keys
-  (``(cache_key, rays_hash)``, see :mod:`repro.cluster.simulator`).
+  (``(render_key, rays_hash)``, see :mod:`repro.cluster.simulator`).
 * :class:`LRUCore` — the bounded-LRU bookkeeping under every cache here,
   without lock, counters or metrics; the sharded field store's per-worker
   tiers (:mod:`repro.distribution.tier`) use it bare.

@@ -257,8 +257,9 @@ class WorkloadSpec:
         ``level`` is the quality-ladder rung it starts at; ``poses``
         replaces the spec's trajectory (a cluster worker re-renders only
         the remaining poses of a retuned session).  The session carries
-        :meth:`cache_key` at that level so the engine can answer its
-        reference renders from the shared cache.
+        :meth:`cache_key` and :meth:`render_key` at that level, so the
+        engine can answer its reference renders from the shared cache
+        and its NeRF requests from a render memo.
         """
         from ..engine.session import RenderSession
         if poses is None:
@@ -266,6 +267,7 @@ class WorkloadSpec:
         session = RenderSession(session_id, self.build_sparw(config, level),
                                 poses, fps_target=self.fps_target,
                                 cache_key=self.cache_key(config, level),
+                                render_key=self.render_key(config, level),
                                 workload=self)
         session.quality_level = level
         return session

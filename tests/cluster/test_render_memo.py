@@ -5,9 +5,9 @@ worker's engine and session for the duration of the run.  It answers
 NeRF requests, SPARW target frames and trajectories; memoized work is
 skipped, so every report number must equal a run whose memo lookups all
 miss (the ``forced_memo_miss`` fixture monkeypatches the memo's class;
-there is no flag), each distinct ``(cache_key, rays)`` request renders
-and each distinct target warps once per run, and nothing outlives the
-run.
+there is no flag), each distinct ``(render_key, rays)`` request renders
+and each distinct target warps once per run — across catalog variants
+and pricing-only copies of a spec too — and nothing outlives the run.
 """
 
 import collections
@@ -24,8 +24,18 @@ from repro.core.sparw.pipeline import RayRequest, SparwRenderer
 from repro.engine import MultiSessionEngine, RenderSession
 from repro.harness.configs import FAST
 from repro.nerf.renderer import NeRFRenderer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import Observation, activate
 from repro.workloads import (SharedLRUCache, WorkloadSpec, get_workload,
                              rays_hash)
+
+# The base and sharded cells of the e2e cluster_sim pass
+# (benchmarks/e2e/e2e_batch.py) at seed 3.
+E2E_MIX = "vr-lego:4,dolly-chair:2,vr-headshake:1"
+E2E_BASE = dict(placement="least_loaded", workers=4, rate_hz=4.0,
+                duration_s=10.0, frames=8, seed=3)
+E2E_SHARDED = dict(E2E_BASE, placement="shard_affinity", catalog=40,
+                   zipf=1.1, replication=2)
 
 MIX = "vr-lego:2,dolly-chair"
 BASE = dict(arrivals="poisson", rate_hz=4.0, duration_s=2.0, seed=5,
@@ -78,15 +88,17 @@ class _RenderSpy:
     def __init__(self, monkeypatch):
         self.delivered: set = set()
         self.rendered: list = []
+        self.workloads: set = set()
         spy = self
         deliver = RenderSession.deliver
         render_ray_batch = NeRFRenderer.render_ray_batch
 
         def spy_deliver(session, output):
             request = session.pending_request
-            spy.delivered.add((session.cache_key,
+            spy.delivered.add((session.render_key,
                                rays_hash(request.origins,
                                          request.directions)))
+            spy.workloads.add(session.workload.name)
             return deliver(session, output)
 
         def spy_render(renderer, bundles):
@@ -99,6 +111,7 @@ class _RenderSpy:
     def reset(self):
         self.delivered.clear()
         self.rendered.clear()
+        self.workloads.clear()
 
     def assert_each_distinct_request_rendered_once(self):
         assert self.rendered
@@ -107,13 +120,49 @@ class _RenderSpy:
 
 
 class TestDedupe:
-    @pytest.mark.parametrize("name", ["base", "governed"])
+    @pytest.mark.parametrize("name", list(CELLS))
     def test_each_distinct_request_renders_once(self, name, monkeypatch):
         spy = _RenderSpy(monkeypatch)
         report = simulate_cluster(MIX, FAST, **CELLS[name])
         spy.assert_each_distinct_request_rendered_once()
         # Repeats exist, so the memo actually saved evaluations.
         assert report.admitted > len({key for key, _ in spy.delivered})
+
+    def test_e2e_sharded_cell_renders_each_distinct_bundle_once(
+            self, monkeypatch):
+        # 40 catalog variants draw 3 pose sequences: keyed by cache_key
+        # the memo evaluated 127 bundles (82 807 rays) here, by
+        # render_key the same 24 bundles as the base cell.
+        spy = _RenderSpy(monkeypatch)
+        metrics = MetricsRegistry()
+        with activate(Observation(metrics=metrics)):
+            report = simulate_cluster(E2E_MIX, FAST, **E2E_SHARDED)
+        spy.assert_each_distinct_request_rendered_once()
+        assert report.total_frames == 296
+        assert len(spy.rendered) == len(spy.delivered) == 24
+        # The engine's NeRF-memo counter reads the same without a spy.
+        assert metrics.counter("engine.render_memo.misses").value == 24
+
+    def test_pricing_copy_shares_every_render(self, monkeypatch,
+                                              request):
+        # A copy that differs only in what prices or governs a frame
+        # draws the same pixels, so it evaluates no bundle of its own.
+        # Its cache_key still differs: the modelled reference caches and
+        # the shard tier keep treating it as distinct content.
+        spec = get_workload("vr-lego")
+        gpu = dataclasses.replace(spec, name="vr-lego-gpu", variant="gpu",
+                                  slo_fps=12.0)
+        assert gpu.render_key(FAST) == spec.render_key(FAST)
+        assert gpu.cache_key(FAST) != spec.cache_key(FAST)
+        mix = [(spec, 1), (gpu, 1)]
+        spy = _RenderSpy(monkeypatch)
+        report = simulate_cluster(mix, FAST, **BASE)
+        spy.assert_each_distinct_request_rendered_once()
+        assert set(collections.Counter(spy.rendered).values()) == {1}
+        assert spy.workloads == {"vr-lego", "vr-lego-gpu"}
+        request.getfixturevalue("forced_memo_miss")
+        missed = simulate_cluster(mix, FAST, **BASE)
+        assert dataclasses.asdict(report) == dataclasses.asdict(missed)
 
     def test_nothing_outlives_a_run(self, monkeypatch):
         spy = _RenderSpy(monkeypatch)
@@ -165,13 +214,14 @@ class _Pipeline:
                              directions=rays)
 
 
-def _scripted(sid, renderer, cache_key):
+def _scripted(sid, renderer, render_key):
     return RenderSession(sid, _Pipeline(renderer, 2), poses=[None, None],
-                         cache_key=cache_key)
+                         cache_key="content", render_key=render_key)
 
 
 class TestSafety:
-    def test_sessions_without_cache_key_are_never_memoized(self):
+    def test_sessions_without_render_key_are_never_memoized(self):
+        # A cache_key alone (reference-cache identity) does not qualify.
         memo = SharedLRUCache(name="memo")
         renderer = _Renderer()
         MultiSessionEngine([_scripted("a", renderer, None),
@@ -197,7 +247,7 @@ class TestSafety:
 
         memoized = sessions()
         assert memoized[0].renderer is memoized[1].renderer
-        assert memoized[0].cache_key == memoized[1].cache_key
+        assert memoized[0].render_key == memoized[1].render_key
         memo = SharedLRUCache(name="memo")
         # One engine per session, as on a cluster worker, so the second
         # session's lookups see everything the first one stored.
@@ -246,13 +296,53 @@ class TestSafety:
                 output.rgb[0] = 0.0
 
 
+class TestRetune:
+    """A retune re-keys the session's NeRF requests when it lands."""
+
+    @staticmethod
+    def _retuned(sid, spec, camera):
+        # The switch is staged while frame 0's level-0 request is pending,
+        # so it lands at frame 1 with a fresh reference.  Keeping the
+        # level-0 camera keeps that reference's rays equal to a level-0
+        # reference's at the same pose: only the key tells them apart.
+        session = spec.build_session(sid, FAST)
+        session.retune(spec.build_renderer(FAST, 1),
+                       spec.build_sparw(FAST, 1).camera
+                       if camera == "switched" else None,
+                       level=1, cache_key=spec.cache_key(FAST, 1),
+                       render_key=spec.render_key(FAST, 1))
+        return session
+
+    @pytest.mark.parametrize("camera", ["switched", "kept"])
+    def test_retuned_session_matches_a_memo_less_run(self, camera):
+        spec = get_workload("vr-lego").with_overrides(frames=3)
+        memo = SharedLRUCache(name="memo")
+        # A level-0 twin whose retune to its own level forces the same
+        # fresh reference at frame 1 fills the memo with level-0 entries
+        # for every request the retuned session will make at level 0.
+        twin = spec.build_session("twin", FAST)
+        twin.retune(spec.build_renderer(FAST), None, level=0,
+                    cache_key=spec.cache_key(FAST),
+                    render_key=spec.render_key(FAST))
+        MultiSessionEngine([twin], render_memo=memo).run()
+        memoized = self._retuned("memoized", spec, camera)
+        assert memoized.render_key == spec.render_key(FAST)  # not landed
+        MultiSessionEngine([memoized], render_memo=memo).run()
+        assert memoized.render_key == spec.render_key(FAST, 1)
+        assert memoized.quality_level == 1
+        assert memo.stats.hits > 0  # frame 0 is still a level-0 request
+        plain = self._retuned("plain", spec, camera)
+        MultiSessionEngine([plain]).run()
+        got, want = memoized.result.records, plain.result.records
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.frame.image, b.frame.image)
+            np.testing.assert_array_equal(a.frame.depth, b.frame.depth)
+            assert a.sparse_stats == b.sparse_stats
+            assert a.reference_stats == b.reference_stats
+
+
 # -- target frames and trajectories ------------------------------------------
-
-# The base cell of the e2e cluster_sim pass (benchmarks/e2e/e2e_batch.py).
-E2E_MIX = "vr-lego:4,dolly-chair:2,vr-headshake:1"
-E2E_BASE = dict(placement="least_loaded", workers=4, rate_hz=4.0,
-                duration_s=10.0, frames=8, seed=3)
-
 
 class _WarpSpy:
     """Counts warps and the target-memo key each target frame looked up."""

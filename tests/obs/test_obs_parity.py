@@ -122,8 +122,8 @@ def test_render_memo_leaves_engine_counters_and_trace_alone(
     """The memo saves host time only: counters and trace are unchanged.
 
     Only wall-clock ``*_s`` sections (a memoized target frame skips
-    ``sparw.warp``) and the ``sparw.target_memo.hits`` counter may
-    differ.
+    ``sparw.warp``) and the memo's own counters
+    (``engine.render_memo.*``, ``sparw.target_memo.hits``) may differ.
     """
     memo_metrics, memo_census = _observed_cluster_cli(tmp_path, "memo")
     request.getfixturevalue("forced_memo_miss")
@@ -131,7 +131,8 @@ def test_render_memo_leaves_engine_counters_and_trace_alone(
 
     def engine_view(metrics):
         counters = {k: v for k, v in metrics["counters"].items()
-                    if k.startswith("engine.")}
+                    if k.startswith("engine.")
+                    and not k.startswith("engine.render_memo.")}
         histograms = {k: v for k, v in metrics["histograms"].items()
                       if k.startswith("engine.") and not k.endswith("_s")}
         return counters, histograms
@@ -148,6 +149,14 @@ def test_render_memo_leaves_engine_counters_and_trace_alone(
             == miss_counters["cluster.render_memo.misses"])
     assert memo_metrics["gauges"]["cluster.render_memo.bytes"] > 0
     assert "cluster.render_memo.evictions" in memo_counters
+    # NeRF lookups alone: a miss is a bundle the field evaluated.
+    assert memo_counters["engine.render_memo.hits"] > 0
+    assert "engine.render_memo.hits" not in miss_counters
+    assert (memo_counters["engine.render_memo.hits"]
+            + memo_counters["engine.render_memo.misses"]
+            == miss_counters["engine.render_memo.misses"])
+    assert (memo_counters["engine.render_memo.misses"]
+            < memo_counters["cluster.render_memo.misses"])
     # Target frames answered from the memo skip their warp; a forced-miss
     # run warps every one.
     assert memo_counters["sparw.target_memo.hits"] > 0

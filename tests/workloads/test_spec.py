@@ -5,10 +5,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.harness.configs import ALGORITHMS, DEFAULT, FAST
-from repro.scenes import TRAJECTORY_KINDS, get_scene, orbit_trajectory
+from repro.harness.configs import ALGORITHMS, DEFAULT, FAST, make_camera
+from repro.hw import VARIANTS
+from repro.scenes import (SYNTHETIC_SCENES, TRAJECTORY_KINDS, get_scene,
+                          orbit_trajectory)
 from repro.workloads import (
+    QUALITY_LEVELS,
+    TIERS,
     WORKLOADS,
     WorkloadSpec,
     build_mixed_sessions,
@@ -142,6 +148,84 @@ class TestSpec:
             row = spec.describe()
             assert row["name"] == spec.name and row["scene"] == spec.scene
             assert row["slo_fps"] == spec.effective_slo_fps
+
+
+# Every spec field outside render_key: they choose which poses are drawn,
+# or price or govern the frames, and never reach the renderer.
+OUTSIDE_RENDER_KEY = {
+    "name": st.text(min_size=1, max_size=8),
+    "seed": st.integers(min_value=0, max_value=2 ** 16),
+    "variant": st.sampled_from(VARIANTS),
+    "slo_fps": st.none() | st.floats(min_value=1.0, max_value=120.0),
+    "fps_target": st.floats(min_value=1.0, max_value=120.0),
+    "window": st.none() | st.integers(min_value=1, max_value=32),
+    "policy": st.sampled_from(("extrapolated", "on_trajectory")),
+    "frames": st.none() | st.integers(min_value=1, max_value=64),
+    "min_quality_tier": st.sampled_from(QUALITY_LEVELS),
+}
+
+
+def _fixed_bundle():
+    """64 rays of a FAST camera on the figure orbit's second pose."""
+    camera = make_camera(FAST).with_pose(
+        orbit_trajectory(2, radius=FAST.orbit_radius,
+                         degrees_per_frame=FAST.degrees_per_frame).poses[1])
+    origins, directions = (rays.reshape(-1, 3)
+                           for rays in camera.generate_rays())
+    step = origins.shape[0] // 64
+    return origins[::step][:64], directions[::step][:64]
+
+
+class TestRenderKeyIdentity:
+    """The render memo's key is exactly what determines a render.
+
+    Specs equal on ``render_key`` render bit-identical outputs for the
+    same rays (the memo may answer one from the other); a field that
+    reaches the renderer changes the key (it never answers across them).
+    """
+
+    BUNDLE = _fixed_bundle()
+
+    @given(changes=st.fixed_dictionaries({}, optional=OUTSIDE_RENDER_KEY))
+    @settings(max_examples=30, deadline=None)
+    def test_fields_outside_the_key_never_change_a_render(self, changes):
+        base = get_workload("vr-lego")
+        other = dataclasses.replace(base, **changes)
+        assert other.render_key(FAST) == base.render_key(FAST)
+        for level in range(len(QUALITY_LEVELS)):
+            assert other.render_key(FAST, level) \
+                == base.render_key(FAST, level)
+        want = base.build_renderer(FAST).render_rays(*self.BUNDLE)
+        got = other.build_renderer(FAST).render_rays(*self.BUNDLE)
+        for name in ("rgb", "depth_t", "opacity"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+        assert got.stats == want.stats
+
+    @given(scene=st.sampled_from(sorted(SYNTHETIC_SCENES)),
+           algorithm=st.sampled_from(ALGORITHMS),
+           tier=st.sampled_from(TIERS),
+           level=st.integers(min_value=0,
+                             max_value=len(QUALITY_LEVELS) - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_fields_that_reach_the_renderer_change_the_key(
+            self, scene, algorithm, tier, level):
+        base = get_workload("vr-lego")
+        other = dataclasses.replace(base, scene=scene, algorithm=algorithm,
+                                    tier=tier)
+        same_renderer = (
+            (scene, algorithm) == (base.scene, base.algorithm)
+            and other.resolve_config(FAST, level)
+            == base.resolve_config(FAST, level))
+        assert (other.render_key(FAST, level)
+                == base.render_key(FAST, level)) == same_renderer
+        # At the native rung a tier that resolves to another config
+        # (``default`` or ``preview`` at FAST) changes the key; ``fast``
+        # at FAST is the inherited config and draws the same pixels, and
+        # so does ``preview`` at the floored ``minimal`` rung.
+        if tier in ("default", "preview") and level == 0:
+            assert other.render_key(FAST) != base.render_key(FAST)
+
 
 class TestRegistry:
     def test_builtins_are_valid(self):
