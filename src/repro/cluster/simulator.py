@@ -558,7 +558,8 @@ def simulate_cluster(mix, config, arrivals: str = "poisson",
     same report — bit for bit.
 
     ``catalog`` switches on the sharded field tier: the mix expands into
-    that many content-distinct variants under a ``zipf``-skewed
+    that many variant identities (each draws its base's pixels) under a
+    ``zipf``-skewed
     popularity law (seeded from ``seed``), served through a
     :class:`~repro.distribution.ShardedFieldStore` with ``replication``
     replicas per baked field; ``ClusterReport.distribution`` reports the

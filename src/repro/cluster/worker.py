@@ -62,12 +62,12 @@ class PlacedSession:
 class Worker:
     """One SoC's slice of the fleet: engine, reference cache, frame queue."""
 
-    def __init__(self, worker_id: str, config, soc: SoCModel | None = None,
+    def __init__(self, worker_id: str, config,
                  started_s: float = 0.0, index: int = 0,
                  use_cache: bool = True, field_store=None):
         self.worker_id = str(worker_id)
         self.config = config
-        self.soc = soc or SoCModel(feature_dim=config.feature_dim)
+        self.soc = SoCModel(feature_dim=config.feature_dim)
         # The cache object always exists so stats report uniformly; with
         # use_cache=False it is simply never attached to the engine.  It
         # is bounded like the process-wide REFERENCE_CACHE.

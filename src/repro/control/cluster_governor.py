@@ -15,7 +15,7 @@ dependency on :mod:`repro.cluster`.
 
 from __future__ import annotations
 
-from .governor import GovernorPolicy, QualityGovernor, start_level
+from .governor import QualityGovernor, start_level
 
 __all__ = ["ClusterGovernor"]
 
@@ -42,12 +42,11 @@ class ClusterGovernor:
     """
 
     def __init__(self, config, mode: str = "adaptive",
-                 policy: GovernorPolicy | None = None,
                  queue_limit: int = 4, overflow_slots: int | None = None):
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         self.config = config
-        self.governor = QualityGovernor(mode, policy)
+        self.governor = QualityGovernor(mode)
         self.queue_limit = int(queue_limit)
         self.overflow_slots = (max(1, queue_limit // 2)
                                if overflow_slots is None

@@ -81,7 +81,10 @@ class EngineGovernor:
 
         The virtual clock models one shared SoC serving frames in
         completion order; a frame's latency is the clock at completion
-        minus its open-loop request time from the session's arrival.
+        minus its open-loop request time from the session's arrival.  A
+        session that is done after this round still advances the clock,
+        but is not observed: it renders no later frame a switch could
+        land on.
         """
         spec = session.workload
         if spec is None or session.session_id not in self.governor.sessions:
@@ -90,6 +93,8 @@ class EngineGovernor:
                                  record.frame_index, spec.fps_target)
         cost_s = frame_cost_record(record, self.soc, spec.variant).time_s
         start_s, self.clock_s = self.clock_s, self.clock_s + cost_s
+        if session.done:
+            return
         latency_s = FrameTimeline(request_s, start_s, self.clock_s).latency_s
         new_level = self.governor.observe(session.session_id, latency_s)
         if new_level is not None:

@@ -112,7 +112,6 @@ class SessionControl:
     target_latency_s: float  # per-frame budget implied by the SLO
     max_level: int           # deepest allowed ladder rung
     level: int = 0
-    transitions: int = 0
     violation_streak: int = 0
     headroom_streak: int = 0
     recent: deque = field(default_factory=lambda: deque(maxlen=8))
@@ -195,7 +194,6 @@ class QualityGovernor:
             if control.violation_streak >= policy.degrade_after \
                     and control.level < control.max_level:
                 control.level += 1
-                control.transitions += 1
                 control.violation_streak = 0
                 return control.level
         elif latency_s < policy.headroom_ratio * target:
@@ -204,7 +202,6 @@ class QualityGovernor:
             if control.headroom_streak >= policy.recover_after \
                     and control.level > 0:
                 control.level -= 1
-                control.transitions += 1
                 control.headroom_streak = 0
                 return control.level
         else:  # dead band: neither violating nor comfortable

@@ -18,16 +18,15 @@ __all__ = ["level_quality", "quality_floor", "mean_psnr_of_levels"]
 _PROBE_FRAMES = 2
 
 
-def level_quality(spec, base, level: int, frames: int = _PROBE_FRAMES
-                  ) -> float:
+def level_quality(spec, base, level: int) -> float:
     """Probe PSNR (dB) of this workload rendered at a ladder level."""
     from ..harness.configs import make_camera, scene_of
     from ..scenes.raytracer import RayTracer
     from ..workloads.cache import FIELD_CACHE
-    key = ("tier_psnr", spec.cache_key(base, level), frames)
+    key = ("tier_psnr", spec.cache_key(base, level), _PROBE_FRAMES)
 
     def _probe() -> float:
-        poses = spec.build_trajectory(base).poses[:frames]
+        poses = spec.build_trajectory(base).poses[:_PROBE_FRAMES]
         result = spec.build_sparw(base, level).render_sequence(poses)
         tracer = RayTracer(scene_of(spec.scene))
         camera = make_camera(spec.resolve_config(base, level))

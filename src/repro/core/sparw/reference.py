@@ -27,7 +27,6 @@ class ExtrapolatedReferencePolicy:
     """Velocity-extrapolated, off-trajectory reference poses (Eq. 5-6)."""
 
     name = "extrapolated"
-    overlaps_rendering = True
 
     def __init__(self, window: int):
         if window < 1:
@@ -61,7 +60,6 @@ class OnTrajectoryReferencePolicy:
     """Reference = an actual past frame (prior-work temporal warping)."""
 
     name = "on_trajectory"
-    overlaps_rendering = False
 
     def __init__(self, window: int):
         if window < 1:

@@ -123,13 +123,13 @@ def _warp_angle_deg(points_ref: np.ndarray, ref_c2w: np.ndarray,
 
 
 def _fill_pinholes(image: np.ndarray, depth: np.ndarray, covered: np.ndarray,
-                   width: int, min_neighbors: int = 5) -> None:
+                   width: int) -> None:
     """Fill isolated 1-pixel splat gaps from their covered neighbours.
 
     Forward point splatting leaves single-pixel "pinholes" wherever the view
     expands (one source pixel maps to slightly more than one target pixel).
     Real point renderers close these with a small splat kernel; we fill any
-    hole with >= ``min_neighbors`` covered 8-neighbours using the neighbour
+    hole with >= 5 covered 8-neighbours using the neighbour
     mean, in place, on flat ``(H*W, 3)`` / ``(H*W,)`` arrays.  Genuine
     disocclusion bands are wider than one pixel and survive untouched.
 
@@ -147,7 +147,7 @@ def _fill_pinholes(image: np.ndarray, depth: np.ndarray, covered: np.ndarray,
         count += padded[1 + dy:1 + dy + height, 1 + dx:1 + dx + width]
     count = count.reshape(-1)
 
-    fill = np.flatnonzero(~covered & (count >= min_neighbors))
+    fill = np.flatnonzero(~covered & (count >= 5))
     if not fill.size:
         return
     # (8, F) neighbour ids: in the bordered frame, then in the image (an

@@ -5,8 +5,9 @@ lives here.  The package answers three questions the single-worker
 serving stack never had to ask:
 
 * *What are we serving?* — :class:`SceneCatalog` expands the curated
-  workload specs into hundreds-to-thousands of content-distinct
-  variants under a seeded zipfian popularity law.
+  workload specs into hundreds-to-thousands of variants under a seeded
+  zipfian popularity law: distinct identities for placement, the shard
+  map and the field-tier cost model, whose pixels are their base's.
 * *Who owns what?* — :class:`ShardMap` generalizes the cluster's
   rendezvous hash to replicated owner sets with deterministic,
   minimal rebalance on fleet resize.

@@ -1,13 +1,15 @@
-"""Seeded scene catalog: many content-distinct variants from few specs.
+"""Seeded scene catalog: many variant identities from few specs.
 
 Fleet-scale serving is about the *number of distinct fields*, not the
 number of distinct hand-built scenes.  :class:`SceneCatalog` expands a
 curated workload mix into hundreds-to-thousands of variants by
 perturbing each base spec's ``seed`` — every field the specs carry feeds
 :meth:`~repro.workloads.WorkloadSpec.spec_hash`, so each variant gets a
-distinct content-addressed ``cache_key`` (a distinct baked field as far
-as the distribution tier is concerned) while reusing the existing scene
-assets and trajectory builders.
+distinct ``cache_key``.  A variant is a distinct identity for placement,
+the shard map and the field-tier cost model (a distinct baked field as
+far as the distribution tier is concerned); its pixels are its base's.
+It shares the base's ``render_key``, and the orbit, dolly and headshake
+trajectories ignore ``seed``, so it draws the base's frames.
 
 Popularity follows a zipfian law over a seeded permutation of the
 catalog (so "which variant is hot" is itself a function of the seed, not

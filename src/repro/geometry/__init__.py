@@ -6,18 +6,12 @@ from .rays import intersect_aabb
 from .transforms import (
     extrapolate_pose,
     invert_pose,
-    is_rotation_matrix,
     look_at,
     make_pose,
     pose_rotation,
     pose_translation,
     relative_pose,
-    rotation_angle_deg,
     rotation_from_axis_angle,
-    rotation_x,
-    rotation_y,
-    rotation_z,
-    translation_distance,
 )
 
 __all__ = [
@@ -28,16 +22,10 @@ __all__ = [
     "intersect_aabb",
     "extrapolate_pose",
     "invert_pose",
-    "is_rotation_matrix",
     "look_at",
     "make_pose",
     "pose_rotation",
     "pose_translation",
     "relative_pose",
-    "rotation_angle_deg",
     "rotation_from_axis_angle",
-    "rotation_x",
-    "rotation_y",
-    "rotation_z",
-    "translation_distance",
 ]

@@ -17,9 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "rotation_x",
-    "rotation_y",
-    "rotation_z",
     "rotation_from_axis_angle",
     "make_pose",
     "invert_pose",
@@ -27,29 +24,8 @@ __all__ = [
     "look_at",
     "pose_translation",
     "pose_rotation",
-    "rotation_angle_deg",
-    "translation_distance",
     "extrapolate_pose",
-    "is_rotation_matrix",
 ]
-
-
-def rotation_x(angle_rad: float) -> np.ndarray:
-    """Rotation about the x axis by ``angle_rad`` radians."""
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rotation_y(angle_rad: float) -> np.ndarray:
-    """Rotation about the y axis by ``angle_rad`` radians."""
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rotation_z(angle_rad: float) -> np.ndarray:
-    """Rotation about the z axis by ``angle_rad`` radians."""
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def rotation_from_axis_angle(axis: np.ndarray, angle_rad: float) -> np.ndarray:
@@ -91,11 +67,11 @@ def relative_pose(src_c2w: np.ndarray, dst_c2w: np.ndarray) -> np.ndarray:
     return invert_pose(dst_c2w) @ src_c2w
 
 
-def look_at(eye: np.ndarray, target: np.ndarray, up=(0.0, 1.0, 0.0)) -> np.ndarray:
+def look_at(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Camera-to-world pose for a camera at ``eye`` looking at ``target``.
 
     Uses the CV convention (+z forward, +y down in camera frame), so the
-    world-space ``up`` maps to camera ``-y``.
+    world-space up, +y, maps to camera ``-y``.
     """
     eye = np.asarray(eye, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -104,7 +80,7 @@ def look_at(eye: np.ndarray, target: np.ndarray, up=(0.0, 1.0, 0.0)) -> np.ndarr
     if norm == 0.0:
         raise ValueError("eye and target coincide")
     forward = forward / norm
-    up = np.asarray(up, dtype=float)
+    up = np.array([0.0, 1.0, 0.0])
     right = np.cross(forward, up)
     right_norm = np.linalg.norm(right)
     if right_norm < 1e-9:
@@ -126,19 +102,6 @@ def pose_translation(pose: np.ndarray) -> np.ndarray:
 def pose_rotation(pose: np.ndarray) -> np.ndarray:
     """Rotation block of a pose."""
     return pose[:3, :3].copy()
-
-
-def rotation_angle_deg(rot_a: np.ndarray, rot_b: np.ndarray) -> float:
-    """Geodesic angle in degrees between two rotation matrices."""
-    rel = rot_a.T @ rot_b
-    cos = (np.trace(rel) - 1.0) / 2.0
-    cos = np.clip(cos, -1.0, 1.0)
-    return float(np.degrees(np.arccos(cos)))
-
-
-def translation_distance(pose_a: np.ndarray, pose_b: np.ndarray) -> float:
-    """Euclidean distance between the camera centres of two poses."""
-    return float(np.linalg.norm(pose_translation(pose_a) - pose_translation(pose_b)))
 
 
 def _orthonormalize(rotation: np.ndarray) -> np.ndarray:
@@ -175,10 +138,3 @@ def extrapolate_pose(prev: np.ndarray, curr: np.ndarray, steps: float) -> np.nda
         rot = _orthonormalize(rot)
     return make_pose(rot, pose_translation(curr) + delta_t * steps)
 
-
-def is_rotation_matrix(rotation: np.ndarray, tol: float = 1e-6) -> bool:
-    """True when ``rotation`` is orthonormal with determinant +1."""
-    if rotation.shape != (3, 3):
-        return False
-    identity_err = np.abs(rotation @ rotation.T - np.eye(3)).max()
-    return bool(identity_err < tol and abs(np.linalg.det(rotation) - 1.0) < tol)

@@ -232,10 +232,10 @@ def build_renderer(algorithm: str, scene_name: str,
 
 @lru_cache(maxsize=None)
 def _cached_gt_sequence(scene_name: str, config: ExperimentConfig,
-                        degrees_per_frame: float, num_frames: int):
+                        degrees_per_frame: float):
     scene = scene_of(scene_name)
     tracer = RayTracer(scene)
-    trajectory = orbit_trajectory(num_frames,
+    trajectory = orbit_trajectory(config.num_frames,
                                   radius=config.orbit_radius,
                                   degrees_per_frame=degrees_per_frame)
     camera = make_camera(config)
@@ -244,11 +244,9 @@ def _cached_gt_sequence(scene_name: str, config: ExperimentConfig,
 
 
 def ground_truth_sequence(scene_name: str, config: ExperimentConfig = DEFAULT,
-                          degrees_per_frame: float | None = None,
-                          num_frames: int | None = None):
+                          degrees_per_frame: float | None = None):
     """(trajectory, ground-truth frames) for an orbit, cached per process."""
     dpf = (config.degrees_per_frame if degrees_per_frame is None
            else degrees_per_frame)
-    n = config.num_frames if num_frames is None else num_frames
-    trajectory, frames = _cached_gt_sequence(scene_name, config, dpf, n)
+    trajectory, frames = _cached_gt_sequence(scene_name, config, dpf)
     return trajectory, list(frames)

@@ -149,8 +149,7 @@ def _scale_stats(stats, factor: float):
 
 
 def figure_workload(algorithm: str, scene_name: str = "lego",
-                    window: int | None = None, policy: str = "extrapolated",
-                    phi: float | None = None,
+                    window: int | None = None, phi: float | None = None,
                     degrees_per_frame: float | None = None) -> WorkloadSpec:
     """The figure harness's SPARW configuration as a declarative spec.
 
@@ -164,8 +163,8 @@ def figure_workload(algorithm: str, scene_name: str = "lego",
         params["degrees_per_frame"] = degrees_per_frame
     return WorkloadSpec.make(
         f"fig-{algorithm}-{scene_name}", scene=scene_name,
-        algorithm=algorithm, trajectory="orbit", window=window,
-        policy=policy, phi=phi, **params)
+        algorithm=algorithm, trajectory="orbit", window=window, phi=phi,
+        **params)
 
 
 @lru_cache(maxsize=None)
@@ -176,11 +175,10 @@ def _cached_sparw_sequence(spec: WorkloadSpec, config: ExperimentConfig
 
 def run_sparw(algorithm: str, scene_name: str = "lego",
               config: ExperimentConfig = DEFAULT, window: int | None = None,
-              policy: str = "extrapolated", phi: float | None = None,
+              phi: float | None = None,
               degrees_per_frame: float | None = None) -> SparwSequenceResult:
     """Cached SPARW sequence render of a figure workload spec."""
-    spec = figure_workload(algorithm, scene_name, window=window,
-                           policy=policy, phi=phi,
+    spec = figure_workload(algorithm, scene_name, window=window, phi=phi,
                            degrees_per_frame=degrees_per_frame)
     return _cached_sparw_sequence(spec, config)
 
@@ -194,10 +192,10 @@ def _sequence_psnr(result_frames: list, gt_frames: list) -> float:
 # Sec. II characterisation (Figs. 2-7)
 # ---------------------------------------------------------------------------
 
-def fig02_fps_model_size(config: ExperimentConfig = DEFAULT,
-                         scene_name: str = "lego") -> list:
+def fig02_fps_model_size(config: ExperimentConfig = DEFAULT) -> list:
     """Frame rate (simulated mobile GPU) vs model size per algorithm."""
     from .configs import build_field
+    scene_name = "lego"
     soc = SoCModel(feature_dim=config.feature_dim)
     rows = []
     for algorithm in ALGORITHMS:
@@ -213,10 +211,10 @@ def fig02_fps_model_size(config: ExperimentConfig = DEFAULT,
     return rows
 
 
-def fig03_stage_breakdown(config: ExperimentConfig = DEFAULT,
-                          scene_name: str = "lego") -> list:
+def fig03_stage_breakdown(config: ExperimentConfig = DEFAULT) -> list:
     """Normalised I/G/F execution breakdown on the GPU."""
     from ..hw.gpu import GPUModel
+    scene_name = "lego"
     gpu = GPUModel()
     rows = []
     for algorithm in ALGORITHMS:
@@ -232,9 +230,9 @@ def fig03_stage_breakdown(config: ExperimentConfig = DEFAULT,
     return rows
 
 
-def fig04_nonstreaming(config: ExperimentConfig = DEFAULT,
-                       scene_name: str = "lego") -> list:
+def fig04_nonstreaming(config: ExperimentConfig = DEFAULT) -> list:
     """Non-streaming DRAM access fraction: pixel-centric vs fully-streaming."""
+    scene_name = "lego"
     rows = []
     for algorithm in ALGORITHMS:
         profile = full_frame_profile(algorithm, scene_name, config)
@@ -250,15 +248,14 @@ def fig04_nonstreaming(config: ExperimentConfig = DEFAULT,
     return rows
 
 
-def fig05_cache_miss(config: ExperimentConfig = DEFAULT,
-                     scene_name: str = "lego",
-                     max_accesses: int = 400_000) -> list:
+def fig05_cache_miss(config: ExperimentConfig = DEFAULT) -> list:
     """Oracle (Belady) miss rate of feature gathering with the 2 MB buffer."""
+    scene_name = "lego"
     rows = []
     for algorithm in ALGORITHMS:
         profile = full_frame_profile(algorithm, scene_name, config)
         trace = interleaved_gather_trace(profile.gather_groups)
-        addresses = trace.addresses[:max_accesses]
+        addresses = trace.addresses[:400_000]
         stats = simulate_belady(addresses, config.onchip_cache_bytes,
                                 block_bytes=config.cache_block_bytes)
         rows.append({
@@ -269,11 +266,10 @@ def fig05_cache_miss(config: ExperimentConfig = DEFAULT,
     return rows
 
 
-def fig06_bank_conflicts(config: ExperimentConfig = DEFAULT,
-                         scene_name: str = "lego",
-                         max_samples: int = 30_000) -> list:
+def fig06_bank_conflicts(config: ExperimentConfig = DEFAULT) -> list:
     """Feature-major bank-conflict rate (16 banks / 16 rays) per algorithm."""
     from ..core.layout.sram_layout import ChannelMajorLayout
+    scene_name, max_samples = "lego", 30_000
     rows = []
     for algorithm in ALGORITHMS:
         profile = full_frame_profile(algorithm, scene_name, config)
@@ -314,10 +310,9 @@ def fig07_overlap(config: ExperimentConfig = DEFAULT,
     return rows
 
 
-def fig09_disocclusion(config: ExperimentConfig = DEFAULT,
-                       scene_name: str = "lego",
-                       algorithm: str = "directvoxgo") -> dict:
+def fig09_disocclusion(config: ExperimentConfig = DEFAULT) -> dict:
     """Naive warping vs SPARW: hole counts and quality on one frame pair."""
+    scene_name, algorithm = "lego", "directvoxgo"
     trajectory, gt_frames = ground_truth_sequence(scene_name, config)
     renderer = build_renderer(algorithm, scene_name, config)
     camera = make_camera(config)
@@ -357,8 +352,7 @@ def _baseline_sequence(algorithm, scene_name, config,
 
 def fig16_quality(config: ExperimentConfig = DEFAULT,
                   scene_names: tuple = ("lego", "materials"),
-                  algorithms: tuple = ALGORITHMS,
-                  windows: tuple = (6, 16)) -> list:
+                  algorithms: tuple = ALGORITHMS) -> list:
     """PSNR of baseline / Cicero-N / DS-2 / TEMP-16 per algorithm+scene."""
     rows = []
     for algorithm in algorithms:
@@ -370,7 +364,7 @@ def fig16_quality(config: ExperimentConfig = DEFAULT,
             row = {"algorithm": algorithm, "scene": scene_name}
             baseline = _baseline_sequence(algorithm, scene_name, config)
             row["baseline"] = _sequence_psnr(baseline, gt)
-            for window in windows:
+            for window in (6, 16):
                 result = run_sparw(algorithm, scene_name, config,
                                    window=window)
                 row[f"cicero_{window}"] = _sequence_psnr(result.frames, gt)
@@ -385,10 +379,9 @@ def fig16_quality(config: ExperimentConfig = DEFAULT,
     return rows
 
 
-def fig17_gpu_speedup(config: ExperimentConfig = DEFAULT,
-                      scene_name: str = "lego",
-                      window: int = 16) -> list:
+def fig17_gpu_speedup(config: ExperimentConfig = DEFAULT) -> list:
     """Pure-software Cicero vs DS-2: speed-up and energy saving on the GPU."""
+    scene_name, window = "lego", 16
     soc = SoCModel(feature_dim=config.feature_dim)
     rows = []
     for algorithm in ALGORITHMS:
@@ -412,10 +405,9 @@ def fig17_gpu_speedup(config: ExperimentConfig = DEFAULT,
 
 
 def fig18_gpu_distribution(config: ExperimentConfig = DEFAULT,
-                           scene_name: str = "lego",
-                           algorithm: str = "instant_ngp",
                            windows: tuple = (6, 16)) -> list:
     """GPU execution-time distribution of Cicero-N (full/sparse/warp)."""
+    scene_name, algorithm = "lego", "instant_ngp"
     soc = SoCModel(feature_dim=config.feature_dim)
     rows = []
     profile = full_frame_profile(algorithm, scene_name, config)
@@ -440,10 +432,9 @@ def fig18_gpu_distribution(config: ExperimentConfig = DEFAULT,
 # Architecture results (Figs. 19-24)
 # ---------------------------------------------------------------------------
 
-def fig19_local_remote(config: ExperimentConfig = DEFAULT,
-                       scene_name: str = "lego",
-                       window: int = 16) -> list:
+def fig19_local_remote(config: ExperimentConfig = DEFAULT) -> list:
     """End-to-end speed-up/energy of SPARW / +FS / Cicero, local and remote."""
+    scene_name, window = "lego", 16
     soc = SoCModel(feature_dim=config.feature_dim)
     frame_bytes = config.image_size * config.image_size * 4
     remote = RemoteScenario(soc, RemoteConfig())
@@ -469,10 +460,10 @@ def fig19_local_remote(config: ExperimentConfig = DEFAULT,
     return rows
 
 
-def fig20_gather_speedup(config: ExperimentConfig = DEFAULT,
-                         scene_name: str = "lego") -> list:
+def fig20_gather_speedup(config: ExperimentConfig = DEFAULT) -> list:
     """Feature-gathering speed-up and energy saving of the GU over the GPU."""
     from ..hw.gpu import GPUModel
+    scene_name = "lego"
     gpu = GPUModel()
     gu = GatheringUnitModel(GUConfig(vft_bytes=config.vft_buffer_bytes),
                             feature_dim=config.feature_dim)
@@ -491,8 +482,7 @@ def fig20_gather_speedup(config: ExperimentConfig = DEFAULT,
     return rows
 
 
-def fig21_memory_saving(config: ExperimentConfig = DEFAULT,
-                        scene_name: str = "lego") -> list:
+def fig21_memory_saving(config: ExperimentConfig = DEFAULT) -> list:
     """DRAM energy-saving split: traffic reduction vs random->stream.
 
     For each algorithm the saving decomposes against a counterfactual that
@@ -502,6 +492,7 @@ def fig21_memory_saving(config: ExperimentConfig = DEFAULT,
     reported as-is (negative traffic share, >1 streaming share).
     """
     from ..memsys.energy import DEFAULT_ENERGY as e
+    scene_name = "lego"
     rows = []
     for algorithm in ALGORITHMS:
         report = full_frame_profile(algorithm, scene_name,
@@ -524,10 +515,9 @@ def fig21_memory_saving(config: ExperimentConfig = DEFAULT,
 
 
 def fig22_window_sensitivity(config: ExperimentConfig = DEFAULT,
-                             scene_name: str = "lego",
-                             algorithm: str = "instant_ngp",
                              windows: tuple = (1, 6, 11, 16, 21, 26)) -> list:
     """Speed-up and PSNR vs warping-window size (local + remote)."""
+    scene_name, algorithm = "lego", "instant_ngp"
     soc = SoCModel(feature_dim=config.feature_dim)
     remote = RemoteScenario(soc, RemoteConfig())
     frame_bytes = config.image_size * config.image_size * 4
@@ -553,11 +543,9 @@ def fig22_window_sensitivity(config: ExperimentConfig = DEFAULT,
 
 
 def fig23_vft_sweep(config: ExperimentConfig = DEFAULT,
-                    scene_name: str = "lego",
-                    algorithm: str = "directvoxgo",
                     sizes_kb: tuple = (8, 16, 32, 64, 128, 256)) -> list:
     """GU energy sensitivity to VFT buffer size."""
-    profile = full_frame_profile(algorithm, scene_name, config)
+    profile = full_frame_profile("directvoxgo", "lego", config)
     rows = []
     for size_kb in sizes_kb:
         gu = GatheringUnitModel(GUConfig(vft_bytes=size_kb * 1024),
@@ -570,11 +558,9 @@ def fig23_vft_sweep(config: ExperimentConfig = DEFAULT,
     return rows
 
 
-def fig24_rivals(config: ExperimentConfig = DEFAULT,
-                 scene_name: str = "lego",
-                 window: int = 16) -> list:
+def fig24_rivals(config: ExperimentConfig = DEFAULT) -> list:
     """Cicero vs NeuRex vs NGPC on Instant-NGP, normalised to the GPU."""
-    algorithm = "instant_ngp"
+    algorithm, scene_name, window = "instant_ngp", "lego", 16
     soc = SoCModel(feature_dim=config.feature_dim)
     profile = full_frame_profile(algorithm, scene_name, config)
     gpu_base = soc.price_nerf(profile.workload, "gpu")
@@ -600,16 +586,14 @@ def fig24_rivals(config: ExperimentConfig = DEFAULT,
 # Real-world sensitivity (Figs. 25-26)
 # ---------------------------------------------------------------------------
 
-def fig25_fps_sensitivity(config: ExperimentConfig = DEFAULT,
-                          scene_name: str = "ignatius",
-                          algorithm: str = "directvoxgo",
-                          windows: tuple = (6, 16)) -> list:
+def fig25_fps_sensitivity(config: ExperimentConfig = DEFAULT) -> list:
     """PSNR on the real-world scene at sparse (1 FPS) vs dense (30 FPS) capture.
 
     1 FPS capture means 30x larger pose deltas between consecutive frames;
     we sweep ``degrees_per_frame`` accordingly (0.5 deg at 30 FPS -> 15 deg
     at 1 FPS).
     """
+    scene_name, algorithm = "ignatius", "directvoxgo"
     rows = []
     for label, dpf in (("dense_30fps", config.degrees_per_frame),
                        ("sparse_1fps", config.degrees_per_frame * 30.0)):
@@ -618,7 +602,7 @@ def fig25_fps_sensitivity(config: ExperimentConfig = DEFAULT,
         baseline = _baseline_sequence(algorithm, scene_name, config,
                                       degrees_per_frame=dpf)
         row = {"capture": label, "baseline": _sequence_psnr(baseline, gt)}
-        for window in windows:
+        for window in (6, 16):
             result = run_sparw(algorithm, scene_name, config, window=window,
                                degrees_per_frame=dpf)
             row[f"cicero_{window}"] = _sequence_psnr(result.frames, gt)
@@ -627,11 +611,9 @@ def fig25_fps_sensitivity(config: ExperimentConfig = DEFAULT,
 
 
 def fig26_phi_sweep(config: ExperimentConfig = DEFAULT,
-                    scene_name: str = "ignatius",
-                    algorithm: str = "directvoxgo",
-                    window: int = 16,
                     phis: tuple = (1.0, 2.0, 4.0, 8.0, 16.0, None)) -> list:
     """Speed-up and PSNR vs warping threshold phi on the sparse sequence."""
+    scene_name, algorithm, window = "ignatius", "directvoxgo", 16
     dpf = config.degrees_per_frame * 30.0  # 1 FPS capture
     soc = SoCModel(feature_dim=config.feature_dim)
     profile = full_frame_profile(algorithm, scene_name, config)

@@ -110,7 +110,7 @@ SCHEMA_VERSION = 2
 
 def bench_payload(name: str, rows: list, wall_time_s: float,
                   config=None, extra: dict | None = None,
-                  kind: str = "figure", metrics: dict | None = None) -> dict:
+                  kind: str = "figure") -> dict:
     """The JSON document persisted for one figure/experiment run.
 
     ``kind`` says which harness surface produced the artifact
@@ -118,11 +118,10 @@ def bench_payload(name: str, rows: list, wall_time_s: float,
     ``reconcile``, ``experiment``, ``experiment-cell``) so consumers can
     dispatch without parsing the name.
 
-    ``metrics`` attaches an observability snapshot (see
-    ``docs/observability.md``).  When omitted, the snapshot of the
-    run's active :class:`~repro.obs.MetricsRegistry` — if one is
-    activated and non-empty — is attached automatically, so every
-    artifact written inside an observed run carries its metrics.
+    The snapshot of the run's active :class:`~repro.obs.MetricsRegistry`
+    — if one is activated and non-empty — is attached as ``metrics`` (see
+    ``docs/observability.md``), so every artifact written inside an
+    observed run carries its metrics.
     """
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -135,13 +134,10 @@ def bench_payload(name: str, rows: list, wall_time_s: float,
         payload["config_scale"] = jsonable(config)
     if extra:
         payload["extra"] = jsonable(extra)
-    if metrics is None:
-        from ..obs.runtime import current_metrics
-        registry = current_metrics()
-        if registry is not None and len(registry):
-            metrics = registry.snapshot()
-    if metrics:
-        payload["metrics"] = jsonable(metrics)
+    from ..obs.runtime import current_metrics
+    registry = current_metrics()
+    if registry is not None and len(registry):
+        payload["metrics"] = jsonable(registry.snapshot())
     return payload
 
 
@@ -159,8 +155,7 @@ def _existing_kind(path: Path) -> str | None:
 
 def write_bench_json(directory, name: str, rows: list, wall_time_s: float,
                      config=None, extra: dict | None = None,
-                     kind: str = "figure",
-                     metrics: dict | None = None) -> Path:
+                     kind: str = "figure") -> Path:
     """Write ``BENCH_<name>.json`` under ``directory``; returns the path.
 
     This is the single entry point every BENCH artifact goes through —
@@ -182,7 +177,7 @@ def write_bench_json(directory, name: str, rows: list, wall_time_s: float,
                 f"{str(kind)!r} one (write to a different directory or "
                 "name, or remove the stale artifact)")
     payload = bench_payload(name, rows, wall_time_s, config=config,
-                            extra=extra, kind=kind, metrics=metrics)
+                            extra=extra, kind=kind)
     path.write_text(safe_json_dumps(payload, indent=2, sort_keys=True)
                     + "\n")
     return path

@@ -189,8 +189,9 @@ class ClusterConfig(ArrivalConfig):
     # Sharded field tier (repro.distribution): catalog switches it on,
     # zipf shapes the popularity skew, replication sizes the owner sets.
     catalog: int | None = option(
-        "--catalog", "expand the workload mix into N content-distinct "
-        "scene variants served through the sharded field tier (see "
+        "--catalog", "expand the workload mix into N scene variants (distinct "
+        "identities for placement and the field tier, with their base's "
+        "pixels) served through the sharded field tier (see "
         "docs/sharded-serving.md)", type=int, ge=1, metavar="N")
     zipf: float | None = option(
         "--zipf", "zipfian popularity skew over the catalog (0 = uniform; "

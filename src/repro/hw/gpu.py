@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..memsys.energy import DEFAULT_ENERGY, EnergyModel
 from .workload import FrameWorkload
 
 __all__ = ["GPUConfig", "StageBreakdown", "GPUModel"]
@@ -63,10 +62,8 @@ class StageBreakdown:
 class GPUModel:
     """Prices a workload when every stage runs on the mobile GPU."""
 
-    def __init__(self, config: GPUConfig | None = None,
-                 energy: EnergyModel | None = None):
-        self.config = config or GPUConfig()
-        self.energy = energy or DEFAULT_ENERGY
+    def __init__(self):
+        self.config = GPUConfig()
 
     # -- per-stage timing ---------------------------------------------------------
 

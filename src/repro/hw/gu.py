@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.layout.sram_layout import ChannelMajorLayout
-from ..memsys.energy import DEFAULT_ENERGY, EnergyModel
+from ..memsys.energy import DEFAULT_ENERGY
 from .workload import FrameWorkload
 
 __all__ = ["GUConfig", "GUCost", "GatheringUnitModel"]
@@ -60,10 +60,8 @@ class GatheringUnitModel:
     """Prices Feature Gathering (G) on the GU."""
 
     def __init__(self, config: GUConfig | None = None,
-                 energy: EnergyModel | None = None,
                  feature_dim: int = 16):
         self.config = config or GUConfig()
-        self.energy = energy or DEFAULT_ENERGY
         self.layout = ChannelMajorLayout(
             num_banks=self.config.num_banks,
             ports_per_bank=self.config.ports_per_bank,
@@ -88,8 +86,8 @@ class GatheringUnitModel:
             rit_bytes = 2 * workload.rit_bytes
         else:
             rit_bytes = 2 * samples * self.config.rit_entry_bytes
-        energy_j = (self.energy.sram_energy(sram_bytes) * self._vft_energy_scale()
-                    + self.energy.sram_energy(rit_bytes))
+        energy_j = (DEFAULT_ENERGY.sram_energy(sram_bytes) * self._vft_energy_scale()
+                    + DEFAULT_ENERGY.sram_energy(rit_bytes))
         return GUCost(cycles=cycles, time_s=time_s, energy_j=energy_j,
                       sram_bytes=sram_bytes)
 

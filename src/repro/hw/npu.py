@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..memsys.energy import DEFAULT_ENERGY, EnergyModel
+from ..memsys.energy import DEFAULT_ENERGY
 from .workload import FrameWorkload
 
 __all__ = ["NPUConfig", "NPUModel"]
@@ -39,10 +39,8 @@ class NPUConfig:
 class NPUModel:
     """Prices MLP inference (stage F) on the systolic array."""
 
-    def __init__(self, config: NPUConfig | None = None,
-                 energy: EnergyModel | None = None):
+    def __init__(self, config: NPUConfig | None = None):
         self.config = config or NPUConfig()
-        self.energy = energy or DEFAULT_ENERGY
 
     def computation_time(self, workload: FrameWorkload) -> float:
         """Latency of the frame's MLP MACs on the array."""
@@ -50,9 +48,9 @@ class NPUModel:
 
     def computation_energy(self, workload: FrameWorkload) -> float:
         """MAC energy + feature-buffer SRAM traffic for activations."""
-        mac = self.energy.mac_energy(workload.mlp_macs)
+        mac = DEFAULT_ENERGY.mac_energy(workload.mlp_macs)
         # Each sample's feature vector is written once and read once from the
         # global feature buffer.
         feature_bytes = 2.0 * workload.gather_bytes / max(
             workload.vertices_per_sample, 1.0)
-        return mac + self.energy.sram_energy(feature_bytes)
+        return mac + DEFAULT_ENERGY.sram_energy(feature_bytes)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..memsys.energy import DEFAULT_ENERGY, EnergyModel
+from ..memsys.energy import DEFAULT_ENERGY
 from .soc import FrameCost, SoCModel, SparwWorkloads
 from .workload import FrameWorkload
 
@@ -42,11 +42,9 @@ class RemoteConfig:
 class RemoteScenario:
     """Prices the remote-rendering deployments."""
 
-    def __init__(self, soc: SoCModel, config: RemoteConfig | None = None,
-                 energy: EnergyModel | None = None):
+    def __init__(self, soc: SoCModel, config: RemoteConfig | None = None):
         self.soc = soc
         self.config = config or RemoteConfig()
-        self.energy = energy or DEFAULT_ENERGY
 
     # -- baseline: render everything remotely ----------------------------------------
 
@@ -56,8 +54,8 @@ class RemoteScenario:
         remote_render = self.soc.price_nerf(full_frame, "gpu")
         remote_time = remote_render.time_s / self.config.remote_speedup
         link_bytes = self.config.frame_bytes_on_link(frame_bytes)
-        comm_time = self.energy.wireless_latency(link_bytes)
-        comm_energy = self.energy.wireless_energy(link_bytes)
+        comm_time = DEFAULT_ENERGY.wireless_latency(link_bytes)
+        comm_energy = DEFAULT_ENERGY.wireless_energy(link_bytes)
         # Remote rendering and streaming pipeline across frames.
         time_s = max(remote_time, comm_time)
         return FrameCost(time_s=time_s, energy_j=comm_energy,
@@ -76,9 +74,9 @@ class RemoteScenario:
                            / max(workloads.window, 1))
 
         link_bytes = self.config.frame_bytes_on_link(frame_bytes)
-        comm_time = self.energy.wireless_latency(link_bytes) / max(
+        comm_time = DEFAULT_ENERGY.wireless_latency(link_bytes) / max(
             workloads.window, 1)
-        comm_energy = self.energy.wireless_energy(link_bytes) / max(
+        comm_energy = DEFAULT_ENERGY.wireless_energy(link_bytes) / max(
             workloads.window, 1)
 
         # Off-trajectory references let remote rendering and the local

@@ -18,9 +18,8 @@ architecture:
 from __future__ import annotations
 
 from ..memsys.dram import DRAMModel
-from ..memsys.energy import DEFAULT_ENERGY, EnergyModel
-from .gpu import GPUConfig, GPUModel
-from .gu import GatheringUnitModel, GUConfig
+from .gpu import GPUModel
+from .gu import GatheringUnitModel
 from .npu import NPUConfig, NPUModel
 from .soc import FrameCost
 from .workload import FrameWorkload
@@ -31,14 +30,12 @@ __all__ = ["NeuRexModel", "NGPCModel"]
 class _RivalBase:
     """Shared pricing skeleton: GPU indexing + dedicated gather + PE array."""
 
-    def __init__(self, array_rows: int, array_cols: int,
-                 energy: EnergyModel | None = None):
-        self.energy = energy or DEFAULT_ENERGY
-        self.gpu = GPUModel(GPUConfig(), self.energy)
+    def __init__(self, array_rows: int, array_cols: int):
+        self.gpu = GPUModel()
         self.npu = NPUModel(NPUConfig(array_rows=array_rows,
-                                      array_cols=array_cols), self.energy)
-        self.gather = GatheringUnitModel(GUConfig(), self.energy)
-        self.dram = DRAMModel(energy=self.energy)
+                                      array_cols=array_cols))
+        self.gather = GatheringUnitModel()
+        self.dram = DRAMModel()
 
     def _price(self, workload: FrameWorkload, gather_slowdown: float,
                dram_traffic) -> FrameCost:
@@ -71,8 +68,8 @@ class NeuRexModel(_RivalBase):
 
     name = "neurex"
 
-    def __init__(self, energy: EnergyModel | None = None):
-        super().__init__(array_rows=32, array_cols=32, energy=energy)
+    def __init__(self):
+        super().__init__(array_rows=32, array_cols=32)
 
     def price_frame(self, workload: FrameWorkload) -> FrameCost:
         """Gathering dilates by the measured feature-major conflict slowdown."""
@@ -87,8 +84,8 @@ class NGPCModel(_RivalBase):
     name = "ngpc"
     feature_buffer_bytes = 16 * 1024 * 1024
 
-    def __init__(self, energy: EnergyModel | None = None):
-        super().__init__(array_rows=24, array_cols=24, energy=energy)
+    def __init__(self):
+        super().__init__(array_rows=24, array_cols=24)
 
     def price_frame(self, workload: FrameWorkload) -> FrameCost:
         """Conflict-free per-level banks; feature traffic never leaves chip."""

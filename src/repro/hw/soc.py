@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..memsys.dram import DRAMModel
-from ..memsys.energy import DEFAULT_ENERGY, EnergyModel
-from .gpu import GPUConfig, GPUModel
-from .gu import GatheringUnitModel, GUConfig
-from .npu import NPUConfig, NPUModel
+from ..memsys.energy import DEFAULT_ENERGY
+from .gpu import GPUModel
+from .gu import GatheringUnitModel
+from .npu import NPUModel
 from .workload import FrameWorkload
 
 __all__ = ["FrameCost", "SparwWorkloads", "SoCModel", "VARIANTS"]
@@ -84,17 +84,11 @@ class SparwWorkloads:
 class SoCModel:
     """Prices workloads under the five evaluation variants."""
 
-    def __init__(self, gpu: GPUConfig | None = None,
-                 npu: NPUConfig | None = None,
-                 gu: GUConfig | None = None,
-                 dram: DRAMModel | None = None,
-                 energy: EnergyModel | None = None,
-                 feature_dim: int = 16):
-        self.energy = energy or DEFAULT_ENERGY
-        self.gpu = GPUModel(gpu, self.energy)
-        self.npu = NPUModel(npu, self.energy)
-        self.gu = GatheringUnitModel(gu, self.energy, feature_dim=feature_dim)
-        self.dram = dram or DRAMModel(energy=self.energy)
+    def __init__(self, feature_dim: int = 16):
+        self.gpu = GPUModel()
+        self.npu = NPUModel()
+        self.gu = GatheringUnitModel(feature_dim=feature_dim)
+        self.dram = DRAMModel()
 
     # -- single NeRF render (full frame or sparse batch) ---------------------------
 
@@ -126,7 +120,7 @@ class SoCModel:
                 # GPU's banked buffers still suffer layout conflicts.
                 effective = _with_traffic(workload, traffic)
             t_gather_engine = self.gpu.gathering_time(effective)
-            e_gather = self.energy.sram_energy(workload.gather_bytes)
+            e_gather = DEFAULT_ENERGY.sram_energy(workload.gather_bytes)
             gpu_busy = t_index + t_warp + t_gather_engine
 
         t_gather = max(t_gather_engine, dram_cost.time_s)
@@ -140,7 +134,7 @@ class SoCModel:
             gpu_busy += t_compute
 
         e_gpu = gpu_busy * self.gpu.config.average_power_w
-        e_rit = self.energy.sram_energy(2.0 * workload.rit_bytes)
+        e_rit = DEFAULT_ENERGY.sram_energy(2.0 * workload.rit_bytes)
 
         stage_times = {
             "indexing": t_index,

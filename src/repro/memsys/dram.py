@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .energy import DEFAULT_ENERGY, EnergyModel
+from .energy import DEFAULT_ENERGY
 
 __all__ = ["DRAMConfig", "DRAMCost", "DRAMModel"]
 
@@ -63,17 +63,15 @@ class DRAMCost:
 class DRAMModel:
     """Turns traffic (traces or byte counts) into time and energy."""
 
-    def __init__(self, config: DRAMConfig | None = None,
-                 energy: EnergyModel | None = None):
-        self.config = config or DRAMConfig()
-        self.energy = energy or DEFAULT_ENERGY
+    def __init__(self):
+        self.config = DRAMConfig()
 
     def cost_of_bytes(self, streaming_bytes: float, random_bytes: float
                       ) -> DRAMCost:
         """Cost of a pre-classified traffic mix."""
         time_s = (streaming_bytes / self.config.stream_bw
                   + random_bytes / self.config.random_bw)
-        energy_j = self.energy.dram_energy(streaming_bytes, random_bytes)
+        energy_j = DEFAULT_ENERGY.dram_energy(streaming_bytes, random_bytes)
         return DRAMCost(streaming_bytes=int(streaming_bytes),
                         random_bytes=int(random_bytes),
                         time_s=time_s, energy_j=energy_j)

@@ -26,7 +26,6 @@ class EnergyModel:
     dram_stream_pj_per_byte: float = 6.25 / 3.0
     sram_pj_per_byte: float = 6.25 / 25.0
     mac_pj: float = 0.25  # one fp16 multiply-accumulate at ~12 nm
-    gpu_idle_pj_per_cycle: float = 0.0
     wireless_nj_per_byte: float = 100.0
     wireless_bytes_per_second: float = 10.0e6
 

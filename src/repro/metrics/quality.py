@@ -34,7 +34,7 @@ def psnr(image_a: np.ndarray, image_b: np.ndarray, peak: float = 1.0,
     return float(10.0 * np.log10(peak**2 / error))
 
 
-def mean_psnr(frames_a: list, frames_b: list, peak: float = 1.0) -> float:
+def mean_psnr(frames_a: list, frames_b: list) -> float:
     """PSNR of the pooled MSE over a sequence (robust to infinities)."""
     if len(frames_a) != len(frames_b):
         raise ValueError(
@@ -43,4 +43,4 @@ def mean_psnr(frames_a: list, frames_b: list, peak: float = 1.0) -> float:
     pooled = float(np.mean(errors)) if errors else 0.0
     if pooled == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(peak**2 / pooled))
+    return float(10.0 * np.log10(1.0 / pooled))

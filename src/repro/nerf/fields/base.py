@@ -59,6 +59,7 @@ class RadianceField(ABC):
     """A renderable neural radiance field with traceable memory behaviour."""
 
     name: str = "field"
+    bytes_per_channel: int = 2  # fp16 feature storage
 
     @property
     @abstractmethod

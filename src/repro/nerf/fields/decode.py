@@ -44,8 +44,7 @@ class SHDecoder:
     better than the sharp density itself.
     """
 
-    def __init__(self, feature_dim: int = 16, hidden_layers: int = 2,
-                 max_density: float = 800.0):
+    def __init__(self, feature_dim: int = 16, max_density: float = 800.0):
         if feature_dim < CORE_FEATURE_DIM:
             raise ValueError(
                 f"feature_dim must be >= {CORE_FEATURE_DIM}, got {feature_dim}")
@@ -53,7 +52,7 @@ class SHDecoder:
         self.max_density = float(max_density)
         matrix = np.zeros((feature_dim + SH_DEG1_DIM, CORE_FEATURE_DIM))
         matrix[:CORE_FEATURE_DIM, :CORE_FEATURE_DIM] = np.eye(CORE_FEATURE_DIM)
-        self.mlp: MLP = identity_affine_mlp(matrix, hidden_layers=hidden_layers)
+        self.mlp: MLP = identity_affine_mlp(matrix, hidden_layers=2)
 
     def density(self, features: np.ndarray) -> np.ndarray:
         """Density activation alone (used by occupancy-grid construction)."""

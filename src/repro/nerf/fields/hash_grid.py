@@ -89,7 +89,7 @@ class HashGridField(RadianceField):
     name = "instant_ngp"
 
     def __init__(self, levels: list, bounds: tuple,
-                 decoder: SHDecoder | None = None, bytes_per_channel: int = 2):
+                 decoder: SHDecoder | None = None):
         if not levels:
             raise ValueError("need at least one level")
         self.levels = levels
@@ -97,7 +97,6 @@ class HashGridField(RadianceField):
                         np.asarray(bounds[1], dtype=float))
         feature_dim = levels[0].table.shape[1]
         self.decoder = decoder or SHDecoder(feature_dim=feature_dim)
-        self.bytes_per_channel = bytes_per_channel
 
     # -- construction --------------------------------------------------------
 

@@ -85,8 +85,7 @@ class TensorFactorField(RadianceField):
     name = "tensorf"
 
     def __init__(self, modes: list, bounds: tuple,
-                 decoder: SHDecoder | None = None, feature_dim: int = 16,
-                 bytes_per_channel: int = 2):
+                 decoder: SHDecoder | None = None, feature_dim: int = 16):
         if len(modes) != 3:
             raise ValueError("TensorFactorField needs exactly 3 modes")
         self.modes = modes
@@ -94,7 +93,6 @@ class TensorFactorField(RadianceField):
                         np.asarray(bounds[1], dtype=float))
         self._feature_dim = feature_dim
         self.decoder = decoder or SHDecoder(feature_dim=feature_dim)
-        self.bytes_per_channel = bytes_per_channel
 
     # -- construction ------------------------------------------------------------
 

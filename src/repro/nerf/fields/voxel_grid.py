@@ -24,8 +24,7 @@ class VoxelGridField(RadianceField):
     name = "directvoxgo"
 
     def __init__(self, vertex_features: np.ndarray, resolution: int,
-                 bounds: tuple, decoder: SHDecoder | None = None,
-                 bytes_per_channel: int = 2):
+                 bounds: tuple, decoder: SHDecoder | None = None):
         resolution = int(resolution)
         expected = (resolution + 1) ** 3
         vertex_features = np.asarray(vertex_features, dtype=float)
@@ -38,7 +37,6 @@ class VoxelGridField(RadianceField):
         self._bounds = (np.asarray(bounds[0], dtype=float),
                         np.asarray(bounds[1], dtype=float))
         self.decoder = decoder or SHDecoder(feature_dim=vertex_features.shape[1])
-        self.bytes_per_channel = bytes_per_channel
 
     # -- construction --------------------------------------------------------
 

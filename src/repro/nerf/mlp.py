@@ -46,12 +46,12 @@ class MLP:
                 raise ValueError("layer dimension mismatch")
 
     @classmethod
-    def random(cls, layer_dims: list, seed: int = 0, scale: float = 0.1) -> "MLP":
+    def random(cls, layer_dims: list, seed: int = 0) -> "MLP":
         """He-style random initialisation (used in tests and cost studies)."""
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-            weights.append(rng.normal(scale=scale / np.sqrt(fan_in),
+            weights.append(rng.normal(scale=0.1 / np.sqrt(fan_in),
                                       size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
         return cls(weights=weights, biases=biases)
@@ -80,10 +80,10 @@ class MLP:
         """Multiply-accumulates for one input vector (NPU cost input)."""
         return int(sum(w.shape[0] * w.shape[1] for w in self.weights))
 
-    def weight_bytes(self, bytes_per_param: int = 2) -> int:
-        """Model-weight footprint (fp16 by default, as on the paper's NPU)."""
+    def weight_bytes(self) -> int:
+        """Model-weight footprint in fp16, as on the paper's NPU."""
         params = sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-        return int(params) * bytes_per_param
+        return int(params) * 2
 
 
 def identity_affine_mlp(matrix: np.ndarray, bias: np.ndarray | None = None,

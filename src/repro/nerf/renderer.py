@@ -215,8 +215,7 @@ class NeRFRenderer:
         out = self.render_rays(flat_o, flat_d, record_gather=record_gather)
         return self.compose_frame(camera, flat_d, out), out
 
-    def render_pixels(self, camera: PinholeCamera, pixel_ids: np.ndarray,
-                      record_gather: bool = False
+    def render_pixels(self, camera: PinholeCamera, pixel_ids: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, RenderOutput]:
         """Render a sparse pixel subset; returns (colors, z_depth, output)."""
         pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
@@ -226,6 +225,6 @@ class NeRFRenderer:
             return np.zeros((0, 3)), np.zeros(0), empty
         v, u = np.divmod(pixel_ids, camera.width)
         origins, directions = camera.rays_for_pixels(u + 0.5, v + 0.5)
-        out = self.render_rays(origins, directions, record_gather=record_gather)
+        out = self.render_rays(origins, directions)
         colors, z = self.compose_pixels(camera, directions, out)
         return colors, z, out

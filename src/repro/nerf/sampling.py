@@ -120,26 +120,24 @@ class OccupancyGrid:
                 np.where(last == res - 1, np.inf, lo + (last + 2) * cell))
 
     @classmethod
-    def from_field(cls, field, resolution: int = 32,
-                   threshold: float = 0.05, dilate: int = 1) -> "OccupancyGrid":
-        """Probe the field's density on a lattice and threshold + dilate it."""
+    def from_field(cls, field, resolution: int = 32) -> "OccupancyGrid":
+        """Probe the field's density on a lattice, threshold it and dilate
+        it by one cell."""
         lo, hi = field.bounds
         axes = [np.linspace(lo[a], hi[a], resolution) for a in range(3)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         points = grid.reshape(-1, 3)
         features = field.interpolate(points)
         density = field.decoder.density(features).reshape((resolution,) * 3)
-        occ = density > threshold
-        for _ in range(dilate):
-            grown = occ.copy()
-            grown[1:, :, :] |= occ[:-1, :, :]
-            grown[:-1, :, :] |= occ[1:, :, :]
-            grown[:, 1:, :] |= occ[:, :-1, :]
-            grown[:, :-1, :] |= occ[:, 1:, :]
-            grown[:, :, 1:] |= occ[:, :, :-1]
-            grown[:, :, :-1] |= occ[:, :, 1:]
-            occ = grown
-        return cls(occ, field.bounds)
+        occ = density > 0.05
+        grown = occ.copy()
+        grown[1:, :, :] |= occ[:-1, :, :]
+        grown[:-1, :, :] |= occ[1:, :, :]
+        grown[:, 1:, :] |= occ[:, :-1, :]
+        grown[:, :-1, :] |= occ[:, 1:, :]
+        grown[:, :, 1:] |= occ[:, :, :-1]
+        grown[:, :, :-1] |= occ[:, :, 1:]
+        return cls(grown, field.bounds)
 
     def occupied(self, points: np.ndarray) -> np.ndarray:
         """Boolean occupancy lookup for (N, 3) world points.

@@ -209,18 +209,12 @@ class MetricsRegistry:
                 gauge = self.gauges.setdefault(name, Gauge(name))
         return gauge
 
-    def histogram(self, name: str,
-                  bounds=DEFAULT_LATENCY_BOUNDS) -> Histogram:
-        """The histogram called ``name`` (created on first use).
-
-        ``bounds`` only applies at creation; later calls reuse the
-        existing histogram unchanged.
-        """
+    def histogram(self, name: str) -> Histogram:
+        """The histogram called ``name`` (created on first use)."""
         histogram = self.histograms.get(name)
         if histogram is None:
             with self._lock:
-                histogram = self.histograms.setdefault(
-                    name, Histogram(name, bounds))
+                histogram = self.histograms.setdefault(name, Histogram(name))
         return histogram
 
     # -- recording shorthands --------------------------------------------------

@@ -40,11 +40,10 @@ class Frame:
 class RayTracer:
     """Sphere tracer with fixed iteration budget and distance threshold."""
 
-    def __init__(self, scene, max_steps: int = 96, hit_eps: float = 1e-3,
-                 max_distance: float = 30.0):
+    def __init__(self, scene, max_distance: float = 30.0):
         self.scene = scene
-        self.max_steps = max_steps
-        self.hit_eps = hit_eps
+        self.max_steps = 96
+        self.hit_eps = 1e-3
         self.max_distance = max_distance
 
     # -- core marching -------------------------------------------------------

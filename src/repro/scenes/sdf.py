@@ -203,12 +203,13 @@ class Scaled(SDF):
         return self.child.distance(points / self.factor) * self.factor
 
 
-def estimate_normals(sdf, points: np.ndarray, eps: float = 1e-4) -> np.ndarray:
+def estimate_normals(sdf, points: np.ndarray) -> np.ndarray:
     """Central-difference surface normals at ``points``.
 
     ``sdf`` is anything with a ``distance(points)`` method: an :class:`SDF`
     or a whole :class:`~repro.scenes.scene.Scene`.
     """
+    eps = 1e-4
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, 3)
     # Stepping along axis ``a`` is ``p + eps*e_a`` and ``p - eps*e_a``; on the

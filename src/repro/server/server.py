@@ -255,7 +255,6 @@ class FrameServer:
         self._build_pool: ThreadPoolExecutor | None = None
         self._session_seq = 0
         self._governor = None
-        self.connections_total = 0
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -326,7 +325,6 @@ class FrameServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        self.connections_total += 1
         metric_inc("server.connections")
         session_id = None
         host = self._host_thread

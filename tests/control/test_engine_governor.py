@@ -71,6 +71,35 @@ class TestAdaptiveEngine:
         assert digest() == digest()
 
 
+class TestSwitchesLand:
+    def test_reported_levels_and_transitions_are_the_landed_ones(self):
+        # These sessions degrade after their first two frames, then earn
+        # a recovery on their last one.  A switch staged after a session's
+        # last frame never lands, so the governor must not count it, nor
+        # move its own level for it.
+        spec = dataclasses.replace(get_workload("vr-lego"),
+                                   fps_target=2000.0, slo_fps=4000.0)
+        sessions = build_mixed_sessions([(spec, 3)], FAST, frames=FRAMES)
+        landed = []
+        for session in sessions:
+            stage = session.sparw.retune
+
+            def spy(on_apply, _stage=stage, **kwargs):
+                _stage(on_apply=lambda: (landed.append(1), on_apply()),
+                       **kwargs)
+            session.sparw.retune = spy
+        governor = EngineGovernor(FAST, mode="adaptive")
+        MultiSessionEngine(sessions, ray_budget=4096,
+                           governor=governor).run()
+        summary = governor.summary()
+        assert landed
+        assert summary["tier_transitions"] == len(landed)
+        assert all(s.quality_level == governor.governor.level_of(s.session_id)
+                   for s in sessions)
+        assert summary["mean_final_level"] == (
+            sum(s.quality_level for s in sessions) / len(sessions))
+
+
 class TestLateArrival:
     def test_late_session_is_not_charged_for_the_earlier_clock(self):
         # The clock is shared for the server's whole life: a session

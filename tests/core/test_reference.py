@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from pose_helpers import translation_distance
 
 from repro.core.sparw import ExtrapolatedReferencePolicy, OnTrajectoryReferencePolicy
-from repro.geometry import translation_distance
 from repro.scenes import orbit_trajectory
 
 
@@ -63,7 +63,3 @@ class TestOnTrajectoryPolicy:
         assert policy.needs_new_reference(0)
         assert not policy.needs_new_reference(3)
         assert policy.needs_new_reference(10)
-
-    def test_does_not_overlap(self):
-        assert not OnTrajectoryReferencePolicy(4).overlaps_rendering
-        assert ExtrapolatedReferencePolicy(4).overlaps_rendering

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pose_helpers import rotation_y
 
 from repro.core.sparw import VOID_FAR_DEPTH, classify_pixels, warp_frame
 from repro.core.sparw import pipeline, warp as warp_module
@@ -19,7 +20,7 @@ from repro.core.sparw.pipeline import SparwRenderer
 from repro.geometry import Intrinsics, PinholeCamera, look_at
 from repro.geometry.pointcloud import depth_to_points
 from repro.geometry.projection import nearest_source, project_to_pixels
-from repro.geometry.transforms import make_pose, relative_pose, rotation_y
+from repro.geometry.transforms import make_pose, relative_pose
 from repro.harness.configs import FAST
 from repro.scenes import RayTracer, orbit_trajectory
 from repro.scenes.raytracer import Frame

@@ -1,7 +1,11 @@
 """Seeded scene catalog: variant identity, popularity law, determinism."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from repro.cluster import DEFAULT_CLUSTER_MIX
 from repro.distribution import SceneCatalog
 from repro.harness.configs import FAST
 from repro.workloads import WORKLOADS, parse_mix
@@ -33,6 +37,22 @@ class TestVariantIdentity:
                      for spec, _ in parse_mix(FULL_MIX)}
         variant_keys = {spec.cache_key(FAST) for spec in catalog.specs}
         assert not base_keys & variant_keys
+
+    def test_variants_draw_their_base_pixels(self):
+        # A variant differs from its base only by seed, which the orbit,
+        # dolly and headshake trajectories ignore: 40 identities for
+        # placement and the field tier draw 2 renderers and 3 pose
+        # sequences.
+        specs = SceneCatalog(DEFAULT_CLUSTER_MIX, 40).specs
+        assert len({spec.cache_key(FAST) for spec in specs}) == 40
+        assert len({spec.render_key(FAST) for spec in specs}) == 2
+        sequences: dict = {}
+        for spec in specs:
+            poses = np.stack(spec.build_trajectory(FAST).poses).tobytes()
+            sequences.setdefault(poses, []).append(spec.name.split("@")[0])
+        assert sorted(Counter(names).most_common()
+                      for names in sequences.values()) == [
+            [("dolly-chair", 13)], [("vr-headshake", 13)], [("vr-lego", 14)]]
 
     def test_rejects_empty_catalog(self):
         with pytest.raises(ValueError):

@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pose_helpers import (
+    is_rotation_matrix,
+    rotation_angle_deg,
+    rotation_x,
+    rotation_y,
+    rotation_z,
+    translation_distance,
+)
 
 from repro.geometry import (
     extrapolate_pose,
     invert_pose,
-    is_rotation_matrix,
     look_at,
     make_pose,
     pose_rotation,
     pose_translation,
     relative_pose,
-    rotation_angle_deg,
     rotation_from_axis_angle,
-    rotation_x,
-    rotation_y,
-    rotation_z,
-    translation_distance,
 )
 
 angles = st.floats(min_value=-np.pi, max_value=np.pi,

@@ -2,14 +2,9 @@
 
 import numpy as np
 import pytest
+from pose_helpers import is_rotation_matrix, rotation_angle_deg, translation_distance
 
-from repro.geometry import (
-    is_rotation_matrix,
-    pose_rotation,
-    pose_translation,
-    rotation_angle_deg,
-    translation_distance,
-)
+from repro.geometry import pose_rotation, pose_translation
 from repro.scenes import (
     TRAJECTORY_KINDS,
     dolly_trajectory,
