@@ -42,19 +42,15 @@ def bilinear_upsample(image: np.ndarray, out_height: int, out_width: int
 
 
 class DS2Renderer:
-    """Renders every frame at ``1/factor`` resolution and upsamples."""
+    """Renders every frame at half resolution and upsamples."""
 
-    def __init__(self, renderer: NeRFRenderer, camera: PinholeCamera,
-                 factor: int = 2):
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
+    def __init__(self, renderer: NeRFRenderer, camera: PinholeCamera):
         self.renderer = renderer
         self.camera = camera
-        self.factor = int(factor)
 
     def render_frame(self, pose: np.ndarray) -> tuple[Frame, RenderStats]:
-        """One DS-``factor`` frame at ``pose``, upsampled to full resolution."""
-        low_camera = self.camera.scaled(1.0 / self.factor).with_pose(pose)
+        """One DS-2 frame at ``pose``, upsampled to full resolution."""
+        low_camera = self.camera.scaled(0.5).with_pose(pose)
         low_frame, out = self.renderer.render_frame(low_camera)
 
         height, width = self.camera.height, self.camera.width

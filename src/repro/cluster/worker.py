@@ -340,8 +340,3 @@ class Worker:
             # reports (and their goldens) keep their exact shape.
             row.update(self.field_store.worker_stats(self.worker_id))
         return row
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "live" if self.live else "retired"
-        return (f"Worker({self.worker_id!r}, load={self.load}, "
-                f"{self.frames_served} frames, {state})")

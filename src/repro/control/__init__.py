@@ -20,7 +20,6 @@ from .cluster_governor import ClusterGovernor
 from .engine_governor import EngineGovernor
 from .governor import (
     GOVERNOR_MODES,
-    GovernorPolicy,
     QualityGovernor,
     SessionControl,
     split_budget,
@@ -32,7 +31,6 @@ __all__ = [
     "ClusterGovernor",
     "EngineGovernor",
     "GOVERNOR_MODES",
-    "GovernorPolicy",
     "QualityGovernor",
     "SessionControl",
     "split_budget",

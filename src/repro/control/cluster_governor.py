@@ -31,10 +31,8 @@ class ClusterGovernor:
         ``"static"`` or ``"adaptive"`` (``"off"`` means no governor).
     queue_limit:
         The admission controller's per-worker resident bound; admission
-        levels scale against it and overflow extends it.
-    overflow_slots:
-        Extra resident slots per worker the adaptive governor may fill by
-        degrading (default: half the queue limit, at least one).
+        levels scale against it, and overflow extends it by half of it
+        (at least one slot) for sessions the adaptive governor degrades.
 
     Latency targets come from each workload's own ``slo_latency_s``;
     mix-wide SLO overrides are a spec rewrite
@@ -42,17 +40,13 @@ class ClusterGovernor:
     """
 
     def __init__(self, config, mode: str = "adaptive",
-                 queue_limit: int = 4, overflow_slots: int | None = None):
+                 queue_limit: int = 4):
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         self.config = config
         self.governor = QualityGovernor(mode)
         self.queue_limit = int(queue_limit)
-        self.overflow_slots = (max(1, queue_limit // 2)
-                               if overflow_slots is None
-                               else int(overflow_slots))
-        if self.overflow_slots < 1:
-            raise ValueError("overflow_slots must be >= 1")
+        self.overflow_slots = max(1, queue_limit // 2)
         self.overflow_admissions = 0
 
     @property

@@ -15,7 +15,7 @@ from ..hw.serving import frame_cost_record
 from ..hw.soc import SoCModel
 from ..metrics.stats import FrameTimeline, request_time
 from ..obs.runtime import current_tracer, metric_inc
-from .governor import GovernorPolicy, QualityGovernor
+from .governor import QualityGovernor
 
 __all__ = ["EngineGovernor"]
 
@@ -38,10 +38,9 @@ class EngineGovernor:
     exactly one place an SLO can come from.
     """
 
-    def __init__(self, config, mode: str = "adaptive",
-                 policy: GovernorPolicy | None = None):
+    def __init__(self, config, mode: str = "adaptive"):
         self.config = config
-        self.governor = QualityGovernor(mode, policy)
+        self.governor = QualityGovernor(mode)
         # Prices completed frames for the virtual service clock.
         self.soc = SoCModel(feature_dim=config.feature_dim)
         self.clock_s = 0.0

@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-__all__ = ["GOVERNOR_MODES", "GovernorPolicy", "SessionControl",
-           "QualityGovernor", "split_budget", "start_level"]
+__all__ = ["GOVERNOR_MODES", "SessionControl", "QualityGovernor",
+           "split_budget", "start_level"]
 
 GOVERNOR_MODES = ("off", "static", "adaptive")
 
@@ -83,25 +83,12 @@ def split_budget(total: int, weights: list) -> list:
     return shares
 
 
-@dataclass(frozen=True)
-class GovernorPolicy:
-    """Tuning constants of the adaptive loop (deterministic throughout)."""
-
-    latency_window: int = 4    # sliding window backing the budget weights
-    degrade_after: int = 2     # consecutive SLO violations before degrading
-    recover_after: int = 6     # consecutive headroom frames before recovering
-    headroom_ratio: float = 0.5  # "headroom" = latency below this x budget
-    min_weight: float = 0.25   # budget-weight clamp
-    max_weight: float = 4.0
-
-    def __post_init__(self):
-        if self.latency_window < 1 or self.degrade_after < 1 \
-                or self.recover_after < 1:
-            raise ValueError("window/streak lengths must be >= 1")
-        if not 0.0 < self.headroom_ratio < 1.0:
-            raise ValueError("headroom_ratio must be in (0, 1)")
-        if not 0.0 < self.min_weight <= self.max_weight:
-            raise ValueError("need 0 < min_weight <= max_weight")
+# Tuning constants of the adaptive loop (deterministic throughout).
+LATENCY_WINDOW = 4     # sliding window backing the budget weights
+DEGRADE_AFTER = 2      # consecutive SLO violations before degrading
+RECOVER_AFTER = 6      # consecutive headroom frames before recovering
+HEADROOM_RATIO = 0.5   # "headroom" = latency below this x budget
+MIN_WEIGHT, MAX_WEIGHT = 0.25, 4.0  # budget-weight clamp
 
 
 @dataclass
@@ -131,13 +118,11 @@ class QualityGovernor:
     stay reproducible per seed.
     """
 
-    def __init__(self, mode: str = "adaptive",
-                 policy: GovernorPolicy | None = None):
+    def __init__(self, mode: str = "adaptive"):
         if mode not in GOVERNOR_MODES:
             raise ValueError(f"unknown governor mode {mode!r}; "
                              f"one of {GOVERNOR_MODES}")
         self.mode = mode
-        self.policy = policy or GovernorPolicy()
         self.sessions: dict = {}
 
     # -- registration -----------------------------------------------------------
@@ -161,7 +146,7 @@ class QualityGovernor:
             session_id=str(session_id),
             target_latency_s=float(target_latency_s),
             max_level=int(max_level), level=level,
-            recent=deque(maxlen=self.policy.latency_window))
+            recent=deque(maxlen=LATENCY_WINDOW))
         self.sessions[control.session_id] = control
         return control
 
@@ -186,20 +171,19 @@ class QualityGovernor:
         control.recent.append(float(latency_s))
         if self.mode != "adaptive":
             return None
-        policy = self.policy
         target = control.target_latency_s
         if latency_s > target:
             control.violation_streak += 1
             control.headroom_streak = 0
-            if control.violation_streak >= policy.degrade_after \
+            if control.violation_streak >= DEGRADE_AFTER \
                     and control.level < control.max_level:
                 control.level += 1
                 control.violation_streak = 0
                 return control.level
-        elif latency_s < policy.headroom_ratio * target:
+        elif latency_s < HEADROOM_RATIO * target:
             control.headroom_streak += 1
             control.violation_streak = 0
-            if control.headroom_streak >= policy.recover_after \
+            if control.headroom_streak >= RECOVER_AFTER \
                     and control.level > 0:
                 control.level -= 1
                 control.headroom_streak = 0
@@ -214,7 +198,7 @@ class QualityGovernor:
 
         Resets both hysteresis streaks so the forced move sticks: a
         session degraded to make room for an overflow admission must earn
-        ``recover_after`` fresh headroom frames before climbing back,
+        ``RECOVER_AFTER`` fresh headroom frames before climbing back,
         instead of cashing in a streak accumulated before the shed.
         Returns the clamped level actually applied.
         """
@@ -232,12 +216,4 @@ class QualityGovernor:
         if control is None or self.mode != "adaptive" or not control.recent:
             return 1.0
         ratio = control.mean_recent_latency_s / control.target_latency_s
-        return min(max(ratio, self.policy.min_weight),
-                   self.policy.max_weight)
-
-    # -- reporting ---------------------------------------------------------------
-
-    def level_of(self, session_id: str) -> int:
-        """Current quality level of a session (0 if unregistered)."""
-        control = self.sessions.get(session_id)
-        return control.level if control is not None else 0
+        return min(max(ratio, MIN_WEIGHT), MAX_WEIGHT)

@@ -26,13 +26,13 @@ __all__ = ["FeatureMajorLayout", "ChannelMajorLayout"]
 
 
 class FeatureMajorLayout:
-    """``bank = vertex % B``; a vector is contiguous within its bank."""
+    """``bank = vertex % B``; a vector is contiguous within its bank, and
+    each bank has one port."""
 
     name = "feature_major"
 
-    def __init__(self, num_banks: int = 16, ports_per_bank: int = 1):
+    def __init__(self, num_banks: int = 16):
         self.num_banks = int(num_banks)
-        self.ports_per_bank = int(ports_per_bank)
 
     def issue_groups(self, vertex_ids: np.ndarray, concurrent_rays: int = 16
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -61,7 +61,7 @@ class FeatureMajorLayout:
                  ) -> BankConflictStats:
         """Conflict statistics for a batch of gathered samples."""
         banks, addresses = self.issue_groups(vertex_ids, concurrent_rays)
-        sram = BankedSRAM(self.num_banks, self.ports_per_bank)
+        sram = BankedSRAM(self.num_banks, 1)
         return sram.simulate_groups_fast(banks, addresses)
 
 

@@ -33,20 +33,12 @@ class PixelClassification:
     void: np.ndarray  # (H, W) bool — background, skipped
 
     @property
-    def num_pixels(self) -> int:
-        return self.warped.size
-
-    @property
     def warped_fraction(self) -> float:
         return float(self.warped.mean())
 
     @property
     def disoccluded_fraction(self) -> float:
         return float(self.disoccluded.mean())
-
-    @property
-    def void_fraction(self) -> float:
-        return float(self.void.mean())
 
     def rerender_pixel_ids(self) -> np.ndarray:
         """Flat row-major pixel ids to hand to the sparse NeRF renderer."""

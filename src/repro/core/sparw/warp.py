@@ -167,14 +167,13 @@ def _fill_pinholes(image: np.ndarray, depth: np.ndarray, covered: np.ndarray,
 
 
 def warp_frame(reference: Frame, ref_camera: PinholeCamera,
-               target_camera: PinholeCamera,
-               fill_pinholes: bool = True) -> WarpResult:
+               target_camera: PinholeCamera) -> WarpResult:
     """Warp ``reference`` (rendered at ``ref_camera``) into ``target_camera``.
 
     Both cameras must share intrinsics resolution-wise with the frames they
     produced.  Returns the naive warp F'_tgt; hole filling is the sparse
-    NeRF pass handled by the SPARW pipeline.  ``fill_pinholes`` closes
-    single-pixel splatting gaps (not true disocclusions) in the warped image.
+    NeRF pass handled by the SPARW pipeline.  Single-pixel splatting gaps
+    (not true disocclusions) in the warped image are closed here.
     """
     intr = ref_camera.intrinsics
     if reference.depth.shape != (intr.height, intr.width):
@@ -208,8 +207,7 @@ def warp_frame(reference: Frame, ref_camera: PinholeCamera,
         angle[covered_ids] = _warp_angle_deg(points_ref.take(winners, axis=0),
                                              reference.c2w,
                                              target_camera.position)
-    if fill_pinholes:
-        _fill_pinholes(image, depth_out, covered, tgt.width)
+    _fill_pinholes(image, depth_out, covered, tgt.width)
     shape = (tgt.height, tgt.width)
     return WarpResult(image=image.reshape(*shape, 3),
                       depth=depth_out.reshape(shape),

@@ -16,8 +16,7 @@ from .rit import RayIndexTable
 __all__ = ["streaming_execution_order"]
 
 
-def streaming_execution_order(group, buffer_bytes: int = 32 * 1024
-                              ) -> np.ndarray:
+def streaming_execution_order(group) -> np.ndarray:
     """Memory-centric sample permutation for one streamable group.
 
     Returns sample indices ordered by ascending MVoxel — the order in which
@@ -27,9 +26,9 @@ def streaming_execution_order(group, buffer_bytes: int = 32 * 1024
     """
     layout = MVoxelLayout(grid_shape=group.grid_shape,
                           entry_bytes=group.entry_bytes,
-                          buffer_bytes=buffer_bytes)
+                          buffer_bytes=32 * 1024)  # the VFT buffer
     sample_mvoxels = layout.mvoxel_of_cells(group.cell_ids)
     rit = RayIndexTable.build(sample_mvoxels)
-    scheduled = rit.streaming_sample_order()
+    scheduled = rit.order
     outside = np.nonzero(np.asarray(group.cell_ids) < 0)[0]
     return np.concatenate([scheduled, outside])

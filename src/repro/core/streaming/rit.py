@@ -76,7 +76,3 @@ class RayIndexTable:
     def table_bytes(self) -> int:
         """DRAM footprint of the RIT itself (one entry per sample)."""
         return self.num_scheduled_samples * RIT_ENTRY_BYTES
-
-    def streaming_sample_order(self) -> np.ndarray:
-        """The full memory-centric sample permutation."""
-        return self.order.copy()

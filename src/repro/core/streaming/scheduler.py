@@ -52,15 +52,6 @@ class GroupStreamingReport:
     total_mvoxels: int = 0
     storage_overhead: float = 1.0
 
-    @property
-    def fs_bytes(self) -> int:
-        return self.fs_streaming_bytes + self.fs_random_bytes
-
-    @property
-    def traffic_reduction(self) -> float:
-        """Baseline / fully-streaming DRAM bytes."""
-        return self.baseline_bytes / max(self.fs_bytes, 1)
-
 
 @dataclass
 class StreamingReport:

@@ -60,22 +60,17 @@ class SceneCatalog:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def zipf_mix(self, s: float = 1.1,
-                 total: int | None = None) -> list[tuple[WorkloadSpec, int]]:
+    def zipf_mix(self, s: float = 1.1) -> list[tuple[WorkloadSpec, int]]:
         """Catalog as ``(spec, count)`` pairs under a zipf(s) popularity law.
 
-        ``total`` is the integer weight budget spread over the catalog
-        (default ``8 × size``); every variant keeps a floor count of 1 so
-        the whole catalog stays samplable.  ``s = 0`` degenerates to a
-        uniform mix.
+        An integer weight budget of ``8 × size`` is spread over the
+        catalog; every variant keeps a floor count of 1 so the whole
+        catalog stays samplable.  ``s = 0`` degenerates to a uniform mix.
         """
         if s < 0:
             raise ValueError(f"zipf skew must be >= 0, got {s}")
         size = len(self.specs)
-        total = 8 * size if total is None else int(total)
-        if total < size:
-            raise ValueError(
-                f"zipf mix total {total} cannot cover catalog size {size}")
+        total = 8 * size
         weights = [float((rank + 1) ** -s) for rank in self.ranks]
         shares = split_budget(total - size, weights)
         return [(spec, share + 1)

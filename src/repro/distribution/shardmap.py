@@ -27,21 +27,11 @@ __all__ = ["ShardMap"]
 class ShardMap:
     """Deterministic key → owner-set mapping over a mutable fleet."""
 
-    def __init__(self, members=(), replication: int = 2):
+    def __init__(self, replication: int = 2):
         if replication < 0:
             raise ValueError(f"replication must be >= 0, got {replication}")
         self.replication = int(replication)
         self._members: set[str] = set()
-        for member in members:
-            self.add(member)
-
-    @property
-    def members(self) -> tuple[str, ...]:
-        """Current fleet, in stable id order."""
-        return tuple(sorted(self._members))
-
-    def __len__(self) -> int:
-        return len(self._members)
 
     def add(self, member: str) -> None:
         """Join a worker; idempotent."""
@@ -61,8 +51,3 @@ class ShardMap:
         if not self.replication or not self._members:
             return ()
         return tuple(self.ranking(key)[:self.replication])
-
-    def primary(self, key: str) -> str | None:
-        """Best-ranked owner of ``key`` (None for an empty fleet or R=0)."""
-        owners = self.owners(key)
-        return owners[0] if owners else None

@@ -32,6 +32,10 @@ from .shardmap import ShardMap
 
 __all__ = ["FieldCostModel", "ShardedFieldStore"]
 
+#: Bytes of baked fields one worker's shard slice holds before its LRU
+#: replicas are evicted.
+SHARD_CAPACITY_BYTES = 256 << 20
+
 
 @dataclass(frozen=True)
 class FieldCostModel:
@@ -69,7 +73,7 @@ class ShardedFieldStore:
 
     Each worker holds two :class:`~repro.workloads.cache.LRUCore` tiers:
     a local one bounded by ``local_entries`` and a shard slice bounded by
-    ``shard_capacity_bytes``.  ``acquire(worker_id, spec, now_s)``
+    :data:`SHARD_CAPACITY_BYTES`.  ``acquire(worker_id, spec, now_s)``
     resolves where the session's field comes from and returns
     ``(kind, delay_s)`` with ``kind`` one of ``"local"`` / ``"shard"`` /
     ``"bake"``.  ``replication=0``
@@ -79,20 +83,17 @@ class ShardedFieldStore:
     """
 
     def __init__(self, config, replication: int = 2,
-                 cost_model: FieldCostModel | None = None,
                  local_entries: int = 8,
-                 shard_capacity_bytes: int = 256 << 20,
                  catalog_size: int = 0, zipf_s: float | None = None):
         if local_entries < 1:
             raise ValueError(
                 f"local_entries must be >= 1, got {local_entries}")
         self.config = config
-        self.cost = cost_model or FieldCostModel()
+        self.cost = FieldCostModel()
         self.shard_map = ShardMap(replication=replication)
         self.catalog_size = int(catalog_size)
         self.zipf_s = zipf_s
         self.local_entries = int(local_entries)
-        self.shard_capacity_bytes = int(shard_capacity_bytes)
         self._local: dict[str, LRUCore] = {}
         self._shard: dict[str, LRUCore] = {}
         self._counts: defaultdict[str, Counter] = defaultdict(Counter)
@@ -168,8 +169,7 @@ class ShardedFieldStore:
         """``(local, shard)`` caches of ``worker_id``, created on first use."""
         if worker_id not in self._local:
             self._local[worker_id] = LRUCore(max_entries=self.local_entries)
-            self._shard[worker_id] = LRUCore(
-                max_bytes=self.shard_capacity_bytes)
+            self._shard[worker_id] = LRUCore(max_bytes=SHARD_CAPACITY_BYTES)
         return self._local[worker_id], self._shard[worker_id]
 
     # -- reporting -------------------------------------------------------

@@ -80,13 +80,6 @@ class EngineResult:
     sessions: list = field(default_factory=list)
     batch: BatchStats = field(default_factory=BatchStats)
 
-    def session(self, session_id: str) -> RenderSession:
-        """Look up a session by id; raises KeyError for unknown ids."""
-        for session in self.sessions:
-            if session.session_id == session_id:
-                return session
-        raise KeyError(f"no session {session_id!r}")
-
     @property
     def total_frames(self) -> int:
         """Frames completed across every session."""

@@ -156,7 +156,3 @@ class RenderSession:
                 return
             self.result.records.append(event)
             send_value = None
-
-    def __repr__(self) -> str:
-        return (f"RenderSession({self.session_id!r}, "
-                f"{self.frames_completed}/{self.num_frames} frames)")

@@ -78,14 +78,6 @@ class Intrinsics:
         return cls(width=width, height=height, fx=fx, fy=fx,
                    cx=width / 2.0, cy=height / 2.0)
 
-    def matrix(self) -> np.ndarray:
-        """3x3 intrinsic matrix K."""
-        return np.array([
-            [self.fx, 0.0, self.cx],
-            [0.0, self.fy, self.cy],
-            [0.0, 0.0, 1.0],
-        ])
-
     def scaled(self, factor: float) -> "Intrinsics":
         """Intrinsics for an image rescaled by ``factor`` (e.g. 0.5 for DS-2)."""
         return Intrinsics(
@@ -96,10 +88,6 @@ class Intrinsics:
             cx=self.cx * factor,
             cy=self.cy * factor,
         )
-
-    @property
-    def num_pixels(self) -> int:
-        return self.width * self.height
 
 
 @dataclass(frozen=True)

@@ -17,22 +17,18 @@ import numpy as np
 __all__ = ["project_to_pixels", "nearest_source"]
 
 
-def project_to_pixels(points_cam: np.ndarray, intrinsics,
-                      valid: np.ndarray | None = None) -> np.ndarray:
+def project_to_pixels(points_cam: np.ndarray, intrinsics) -> np.ndarray:
     """Flat row-major pixel id each camera-space point lands on, or -1.
 
     A point lands on pixel ``(floor(v), floor(u))`` with
     ``u = fx * x / z + cx`` and ``v = fy * y / z + cy``.  It lands nowhere
     (-1) when its depth is not finite or not in front of the camera
-    (``z <= 1e-9``), when ``valid`` (optional, (N,) bool) excludes it, or
-    when ``(u, v)`` falls outside the image.
+    (``z <= 1e-9``) or when ``(u, v)`` falls outside the image.
     """
     points = np.asarray(points_cam, dtype=float)
     height, width = intrinsics.height, intrinsics.width
     z = points[:, 2]
     ok = np.isfinite(z) & (z > 1e-9)
-    if valid is not None:
-        ok &= np.asarray(valid, dtype=bool)
     safe_z = np.where(ok, z, 1.0)
     px = np.floor(intrinsics.fx * points[:, 0] / safe_z + intrinsics.cx)
     py = np.floor(intrinsics.fy * points[:, 1] / safe_z + intrinsics.cy)

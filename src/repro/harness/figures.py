@@ -289,12 +289,10 @@ def fig06_bank_conflicts(config: ExperimentConfig = DEFAULT) -> list:
     return rows
 
 
-def fig07_overlap(config: ExperimentConfig = DEFAULT,
-                  scene_names: tuple = None) -> list:
+def fig07_overlap(config: ExperimentConfig = DEFAULT) -> list:
     """Adjacent-frame overlap fraction across the synthetic suite."""
-    names = scene_names or tuple(sorted(SYNTHETIC_SCENES))
     rows = []
-    for name in names:
+    for name in sorted(SYNTHETIC_SCENES):
         trajectory, gt_frames = ground_truth_sequence(name, config)
         camera = make_camera(config)
         overlaps = []

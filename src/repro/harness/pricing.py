@@ -55,8 +55,8 @@ class CostModel:
 DEFAULT_COST = CostModel()
 
 
-def frame_economics(total_frames: int, energy_j: float, busy_s: float,
-                    cost: CostModel = DEFAULT_COST) -> dict:
+def frame_economics(total_frames: int, energy_j: float, busy_s: float
+                    ) -> dict:
     """The J/frame and $/frame columns of one run-table row.
 
     ``busy_s`` is the summed SoC-busy time behind the frames (cluster:
@@ -71,5 +71,5 @@ def frame_economics(total_frames: int, energy_j: float, busy_s: float,
     return {
         "total_energy_j": float(energy_j),
         "joules_per_frame": float(energy_j) / frames,
-        "usd_per_frame": cost.run_cost_usd(energy_j, busy_s) / frames,
+        "usd_per_frame": DEFAULT_COST.run_cost_usd(energy_j, busy_s) / frames,
     }

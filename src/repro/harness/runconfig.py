@@ -82,7 +82,7 @@ class SharedConfig:
         unset="config scale")
     seed: int = option(
         "--seed", "seed for every stochastic choice (trajectory sampling, "
-        "arrival schedule); same seed, same run", 0, type=int)
+        "arrival schedule); same seed, same run", 0, type=int, ge=0)
     governor: str = option(
         "--governor", "SLO quality governor: 'off' serves every session at "
         "its native tier, 'static' pins each workload's min_quality_tier, "
@@ -178,14 +178,14 @@ class ClusterConfig(ArrivalConfig):
         "--max-workers", False, const=True)
     min_workers: int | None = option(
         "--min-workers", "autoscaler floor (requires --autoscale)",
-        type=int, effective=1)
+        type=int, ge=1, effective=1)
     max_workers: int | None = option(
         "--max-workers", "autoscaler ceiling (requires --autoscale)",
-        type=int, unset="2x --workers")
+        type=int, ge=1, unset="2x --workers")
     scale_up_latency_s: float | None = option(
         "--scale-up-latency", "provisioning delay in virtual seconds before "
         "a scaled-up worker takes sessions (requires --autoscale)",
-        type=float, effective=1.0)
+        type=float, ge=0, effective=1.0)
     # Sharded field tier (repro.distribution): catalog switches it on,
     # zipf shapes the popularity skew, replication sizes the owner sets.
     catalog: int | None = option(
@@ -447,6 +447,19 @@ class RunConfig:
             raise RunConfigError(
                 "--min-workers/--max-workers/--scale-up-latency require "
                 "--autoscale")
+        if self.autoscale:
+            # The autoscaler only moves the fleet between the bounds — it
+            # never provisions up to a floor above the initial fleet, and
+            # a ceiling below it would start the run permanently over
+            # limit — so the initial size must sit inside them.
+            workers = self.effective("workers")
+            floor = self.effective("min_workers")
+            ceiling = (2 * workers if self.max_workers is None
+                       else self.max_workers)
+            if not floor <= workers <= ceiling:
+                raise RunConfigError(
+                    f"initial workers ({workers}) must lie within "
+                    f"--min-workers..--max-workers ({floor}..{ceiling})")
         if self.catalog is None and (self.zipf is not None
                                      or self.replication is not None):
             raise RunConfigError(

@@ -75,33 +75,32 @@ class CellResult:
     mix_label: str
 
 
-def execute_cell(cell: RunConfig, config=None, mix=None) -> CellResult:
+def execute_cell(cell: RunConfig, config=None) -> CellResult:
     """Run one cell through the real serve/cluster paths.
 
     ``config`` overrides the :class:`ExperimentConfig` scale (default:
-    the cell's own ``scale`` field); ``mix`` lets library callers pass
-    an already-resolved ``[(spec, count), ...]`` mix instead of the
-    cell's ``workloads`` string.  Same cell, same seed, same result —
-    bit for bit.
+    the cell's own ``scale`` field).  Same cell, same seed, same result —
+    bit for bit.  The cell is validated first, so a library caller meets
+    the same bounds and within-mode rules as the CLI.
     """
+    cell = cell.validate()
     if config is None:
         config = cell.experiment_config()
     seed = cell.seed + cell.repetition
     if cell.mode == "serve":
-        return _execute_serve(cell, config, mix, seed)
-    return _execute_cluster(cell, config, mix, seed)
+        return _execute_serve(cell, config, seed)
+    return _execute_cluster(cell, config, seed)
 
 
 def _mix_label(mix) -> str:
     return ",".join(f"{spec.name}:{count}" for spec, count in mix)
 
 
-def _execute_cluster(cell: RunConfig, config, mix, seed: int) -> CellResult:
-    raw_mix = mix if mix is not None else (cell.workloads
-                                           or DEFAULT_CLUSTER_MIX)
+def _execute_cluster(cell: RunConfig, config, seed: int) -> CellResult:
     # The SLO is applied once, here: the simulator and the quality
     # accounting both read it from the specs.
-    resolved_mix = apply_slo(raw_mix, cell.slo_fps)
+    resolved_mix = apply_slo(cell.workloads or DEFAULT_CLUSTER_MIX,
+                             cell.slo_fps)
     # Unset knobs resolve to the effective defaults their fields declare.
     rate_hz = cell.effective("rate_hz")
     workers = cell.effective("workers")
@@ -110,14 +109,6 @@ def _execute_cluster(cell: RunConfig, config, mix, seed: int) -> CellResult:
     if cell.autoscale:
         floor = cell.effective("min_workers")
         ceiling = 2 * workers if cell.max_workers is None else cell.max_workers
-        # The autoscaler only moves the fleet between the bounds — it
-        # never provisions up to a floor above the initial fleet, and a
-        # ceiling below it would start the run permanently over limit —
-        # so the initial size must sit inside them.
-        if not floor <= workers <= ceiling:
-            raise ValueError(
-                f"initial workers ({workers}) must lie within "
-                f"min_workers..max_workers ({floor}..{ceiling})")
         # Admission caps load per worker at queue_limit, so the scale-up
         # threshold must sit below it or tight queues would shed every
         # overload as rejects without ever growing the fleet.
@@ -244,13 +235,13 @@ def _legacy_mix(cell: RunConfig) -> list:
     return mix
 
 
-def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
+def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
     """Serve concurrent users on one SoC through the batched engine.
 
-    The sessions come from a workload mix (``mix``, else the cell's
-    ``workloads``) or, when neither is given, from :func:`_legacy_mix`;
-    each session prices under its spec's ``variant``.  ``use_cache``
-    attaches the process-global reference cache, which changes only the work:
+    The sessions come from the cell's ``workloads`` mix or, when it is
+    unset, from :func:`_legacy_mix`; every session prices on the one SoC
+    ``variant`` its specs carry.  ``use_cache`` attaches the
+    process-global reference cache, which changes only the work:
     serving is bit-identical either way and across backends.  A governed
     cell splits ``ray_budget`` by the governor's weights, and a
     ``static`` one builds every session already pinned at its
@@ -258,11 +249,10 @@ def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
     service order the latency model prices: arrival order for
     round-robin, shortest-job-first for deadline.
     """
-    serve_mix = mix if mix is not None else cell.workloads
-    legacy = serve_mix is None
+    legacy = cell.workloads is None
     # One SLO source: rewrite the specs, then everything (governor
     # included) reads spec.slo_latency_s.
-    resolved_mix = apply_slo(_legacy_mix(cell) if legacy else serve_mix,
+    resolved_mix = apply_slo(_legacy_mix(cell) if legacy else cell.workloads,
                              cell.slo_fps)
     scheduler = cell.effective("scheduler")
     field_before = FIELD_CACHE.stats.snapshot()
@@ -288,14 +278,13 @@ def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
         engine_workers=cell.engine_workers)
     result = engine.run()
 
-    # Each spec prices under its own SoC variant.  Every session carries
-    # its spec, so the mapping never depends on build order.
-    session_variants = {s.session_id: s.workload.variant for s in built}
+    # One SoC prices the serve: the legacy mix's specs carry the cell's
+    # variant, and every registered workload carries "cicero".
+    (variant,) = {spec.variant for spec, _ in resolved_mix}
     report = aggregate_serving(
         {s.session_id: s.result for s in result.sessions},
-        soc=SoCModel(feature_dim=config.feature_dim),
+        soc=SoCModel(feature_dim=config.feature_dim), variant=variant,
         order="sjf" if scheduler == "deadline" else "arrival",
-        variants=session_variants,
         cache_stats=cache_report(field_since=field_before,
                                  reference_since=reference_before))
 
@@ -316,12 +305,10 @@ def _execute_serve(cell: RunConfig, config, mix, seed: int) -> CellResult:
         rows.append(detail)
     batch = result.batch
     ref_cache = report.cache["references"]
-    variants_used = sorted(set(session_variants.values()))
     summary = {
         "sessions": report.num_sessions,
         "scheduler": scheduler,
-        "variant": (variants_used[0] if len(variants_used) == 1
-                    else "mixed"),
+        "variant": variant,
         "cache_enabled": cell.use_cache,
         "total_frames": report.total_frames,
         "aggregate_fps": report.aggregate_fps,

@@ -50,14 +50,6 @@ class StageBreakdown:
     def total(self) -> float:
         return self.indexing + self.gathering + self.computation + self.warping
 
-    def merge(self, other: "StageBreakdown") -> "StageBreakdown":
-        return StageBreakdown(
-            indexing=self.indexing + other.indexing,
-            gathering=self.gathering + other.gathering,
-            computation=self.computation + other.computation,
-            warping=self.warping + other.warping,
-        )
-
 
 class GPUModel:
     """Prices a workload when every stage runs on the mobile GPU."""

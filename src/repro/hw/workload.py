@@ -50,37 +50,6 @@ class FrameWorkload:
     warp_points: int = 0  # SPARW steps 1-3 point ops (0 for full frames)
     vertices_per_sample: float = 8.0
 
-    def merge(self, other: "FrameWorkload") -> "FrameWorkload":
-        def wavg(a, wa, b, wb):
-            total = wa + wb
-            return (a * wa + b * wb) / total if total else 1.0
-
-        return FrameWorkload(
-            num_rays=self.num_rays + other.num_rays,
-            num_samples=self.num_samples + other.num_samples,
-            mlp_macs=self.mlp_macs + other.mlp_macs,
-            gather_accesses=self.gather_accesses + other.gather_accesses,
-            gather_bytes=self.gather_bytes + other.gather_bytes,
-            baseline_traffic=GatherTraffic(
-                self.baseline_traffic.streaming_bytes
-                + other.baseline_traffic.streaming_bytes,
-                self.baseline_traffic.random_bytes
-                + other.baseline_traffic.random_bytes),
-            streaming_traffic=GatherTraffic(
-                self.streaming_traffic.streaming_bytes
-                + other.streaming_traffic.streaming_bytes,
-                self.streaming_traffic.random_bytes
-                + other.streaming_traffic.random_bytes),
-            rit_bytes=self.rit_bytes + other.rit_bytes,
-            gather_conflict_slowdown=wavg(
-                self.gather_conflict_slowdown, self.gather_accesses,
-                other.gather_conflict_slowdown, other.gather_accesses),
-            warp_points=self.warp_points + other.warp_points,
-            vertices_per_sample=wavg(
-                self.vertices_per_sample, self.num_samples,
-                other.vertices_per_sample, other.num_samples),
-        )
-
     def scaled(self, factor: float) -> "FrameWorkload":
         """Scale all work counts (e.g. amortise a reference over a window)."""
         return FrameWorkload(

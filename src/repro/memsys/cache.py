@@ -29,16 +29,8 @@ class CacheStats:
     block_bytes: int
 
     @property
-    def hits(self) -> int:
-        return self.accesses - self.misses
-
-    @property
     def miss_rate(self) -> float:
         return 0.0 if self.accesses == 0 else self.misses / self.accesses
-
-    @property
-    def hit_rate(self) -> float:
-        return 1.0 - self.miss_rate
 
     @property
     def miss_bytes(self) -> int:

@@ -42,23 +42,6 @@ class DRAMCost:
     time_s: float
     energy_j: float
 
-    @property
-    def total_bytes(self) -> int:
-        return self.streaming_bytes + self.random_bytes
-
-    @property
-    def streaming_fraction(self) -> float:
-        total = self.total_bytes
-        return 1.0 if total == 0 else self.streaming_bytes / total
-
-    def merge(self, other: "DRAMCost") -> "DRAMCost":
-        return DRAMCost(
-            streaming_bytes=self.streaming_bytes + other.streaming_bytes,
-            random_bytes=self.random_bytes + other.random_bytes,
-            time_s=self.time_s + other.time_s,
-            energy_j=self.energy_j + other.energy_j,
-        )
-
 
 class DRAMModel:
     """Turns traffic (traces or byte counts) into time and energy."""

@@ -3,7 +3,7 @@
 An :class:`AccessTrace` is an ordered sequence of (byte address, size)
 accesses.  The analysis here answers the paper's Fig. 4 question — what
 fraction of DRAM traffic is *non-streaming* — by detecting forward-sequential
-runs: an access continues a stream when it starts within ``stream_window``
+runs: an access continues a stream when it starts within ``STREAM_WINDOW``
 bytes after the previous access's end (covering burst alignment and small
 skips that a DRAM prefetcher absorbs).
 """
@@ -16,6 +16,12 @@ import numpy as np
 
 __all__ = ["AccessTrace", "StreamAnalysis", "analyze_streaming",
            "trace_from_gather_group", "interleaved_gather_trace"]
+
+# One LPDDR3 row (2 KB): forward jumps within the open row are row-buffer
+# hits and cost streaming energy.
+STREAM_WINDOW = 2048
+# Samples per block of a hierarchical model's per-level kernel launches.
+BLOCK_SAMPLES = 4096
 
 
 @dataclass
@@ -73,16 +79,6 @@ class AccessTrace:
         ends = (seg_end + 1) * block_bytes
         return AccessTrace(addresses=addresses, sizes=ends - addresses)
 
-    @classmethod
-    def concatenate(cls, traces: list) -> "AccessTrace":
-        if not traces:
-            return cls(addresses=np.zeros(0, dtype=np.int64),
-                       sizes=np.zeros(0, dtype=np.int64))
-        return cls(
-            addresses=np.concatenate([t.addresses for t in traces]),
-            sizes=np.concatenate([t.sizes for t in traces]),
-        )
-
 
 @dataclass
 class StreamAnalysis:
@@ -103,20 +99,13 @@ class StreamAnalysis:
     def non_streaming_fraction(self) -> float:
         return 1.0 - self.streaming_fraction
 
-    @property
-    def random_bytes(self) -> int:
-        return self.total_bytes - self.streaming_bytes
 
-
-def analyze_streaming(trace: AccessTrace, stream_window: int = 2048
-                      ) -> StreamAnalysis:
+def analyze_streaming(trace: AccessTrace) -> StreamAnalysis:
     """Classify each access as stream-continuing or random.
 
     The first access of a run is charged as random (it opens a new DRAM row);
-    subsequent accesses landing within ``[end, end + stream_window)`` of the
-    previous access continue the stream.  The default window is one LPDDR3
-    row (2 KB): forward jumps within the open row are row-buffer hits and
-    cost streaming energy.
+    subsequent accesses landing within ``[end, end + STREAM_WINDOW)`` of the
+    previous access continue the stream.
     """
     n = len(trace)
     if n == 0:
@@ -124,7 +113,7 @@ def analyze_streaming(trace: AccessTrace, stream_window: int = 2048
     ends = trace.addresses + trace.sizes
     gaps = trace.addresses[1:] - ends[:-1]
     streaming = np.zeros(n, dtype=bool)
-    streaming[1:] = (gaps >= 0) & (gaps < stream_window)
+    streaming[1:] = (gaps >= 0) & (gaps < STREAM_WINDOW)
     return StreamAnalysis(
         num_accesses=n,
         streaming_accesses=int(streaming.sum()),
@@ -133,8 +122,7 @@ def analyze_streaming(trace: AccessTrace, stream_window: int = 2048
     )
 
 
-def interleaved_gather_trace(groups: list, block_samples: int = 4096
-                             ) -> AccessTrace:
+def interleaved_gather_trace(groups: list) -> AccessTrace:
     """Realistic pixel-centric access order across multiple gather groups.
 
     Hierarchical models process a *block* of samples through every level
@@ -149,8 +137,8 @@ def interleaved_gather_trace(groups: list, block_samples: int = 4096
     num_samples = max(a.shape[0] for a, _ in per_group)
     addr_parts = []
     size_parts = []
-    for start in range(0, num_samples, block_samples):
-        stop = start + block_samples
+    for start in range(0, num_samples, BLOCK_SAMPLES):
+        stop = start + BLOCK_SAMPLES
         for addresses, entry_bytes in per_group:
             chunk = addresses[start:stop].reshape(-1)
             if chunk.size:
@@ -161,18 +149,13 @@ def interleaved_gather_trace(groups: list, block_samples: int = 4096
                        sizes=np.concatenate(size_parts))
 
 
-def trace_from_gather_group(group, sample_order: np.ndarray | None = None
-                            ) -> AccessTrace:
+def trace_from_gather_group(group) -> AccessTrace:
     """Flatten a gather group's vertex fetches into a DRAM access trace.
 
-    The default order is pixel-centric: samples in the order the renderer
-    produced them (ray-major), each fetching its vertices in corner order —
-    exactly the access stream of the baseline pipeline.  ``sample_order``
-    reorders samples (e.g. by MVoxel for memory-centric rendering).
+    The order is pixel-centric: samples in the order the renderer produced
+    them (ray-major), each fetching its vertices in corner order — exactly
+    the access stream of the baseline pipeline.
     """
-    addresses = group.vertex_addresses()
-    if sample_order is not None:
-        addresses = addresses[sample_order]
-    flat = addresses.reshape(-1)
+    flat = group.vertex_addresses().reshape(-1)
     sizes = np.full(flat.shape, group.entry_bytes, dtype=np.int64)
     return AccessTrace(addresses=flat, sizes=sizes)

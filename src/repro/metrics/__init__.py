@@ -1,7 +1,7 @@
 """Quality and summary metrics."""
 
 from .quality import mean_psnr, mse, psnr
-from .stats import geometric_mean, mean_or_zero, percentile_or_zero, speedup
+from .stats import geometric_mean, mean_or_zero, percentile_or_zero
 
 __all__ = [
     "mean_psnr",
@@ -10,5 +10,4 @@ __all__ = [
     "geometric_mean",
     "mean_or_zero",
     "percentile_or_zero",
-    "speedup",
 ]

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..obs.runtime import current_tracer, metric_inc, metric_observe
 
-__all__ = ["geometric_mean", "speedup", "percentile_or_zero", "mean_or_zero",
+__all__ = ["geometric_mean", "percentile_or_zero", "mean_or_zero",
            "FrameTimeline", "request_time", "time_to_first_frame",
            "latency_summary", "LATENCY_KEYS", "in_ms", "record_frame"]
 
@@ -111,10 +111,3 @@ def geometric_mean(values) -> float:
     if (arr <= 0.0).any():
         raise ValueError("geometric_mean requires positive values")
     return float(np.exp(np.log(arr).mean()))
-
-
-def speedup(baseline: float, candidate: float) -> float:
-    """``baseline / candidate`` — >1 means the candidate is faster/cheaper."""
-    if candidate <= 0.0:
-        raise ValueError("candidate cost must be positive")
-    return baseline / candidate

@@ -105,7 +105,6 @@ class HashGridField(RadianceField):
         cls,
         scene,
         num_levels: int = 6,
-        base_resolution: int = 8,
         finest_resolution: int = 64,
         table_size: int = 1 << 14,
         feature_dim: int = 16,
@@ -115,6 +114,7 @@ class HashGridField(RadianceField):
 
         ``reference`` (a baked :class:`VoxelGridField`) provides the target
         features; it is baked at ``finest_resolution`` when not supplied.
+        Level resolutions grow geometrically from 8 to ``finest_resolution``.
         Each level stores the residual between the target and what the
         coarser levels already reconstruct, so the level sum approximates
         the target; hash collisions on fine levels average their residuals.
@@ -125,8 +125,8 @@ class HashGridField(RadianceField):
         if num_levels == 1:
             resolutions = [finest_resolution]
         else:
-            ratio = (finest_resolution / base_resolution) ** (1.0 / (num_levels - 1))
-            resolutions = [int(round(base_resolution * ratio**i))
+            ratio = (finest_resolution / 8) ** (1.0 / (num_levels - 1))
+            resolutions = [int(round(8 * ratio**i))
                            for i in range(num_levels)]
 
         levels = []

@@ -45,17 +45,6 @@ class MLP:
             if prev.shape[1] != nxt.shape[0]:
                 raise ValueError("layer dimension mismatch")
 
-    @classmethod
-    def random(cls, layer_dims: list, seed: int = 0) -> "MLP":
-        """He-style random initialisation (used in tests and cost studies)."""
-        rng = np.random.default_rng(seed)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-            weights.append(rng.normal(scale=0.1 / np.sqrt(fan_in),
-                                      size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(weights=weights, biases=biases)
-
     # -- inference -----------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -72,10 +61,6 @@ class MLP:
 
     # -- cost accounting -------------------------------------------------------
 
-    @property
-    def layer_dims(self) -> list:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
     def macs_per_sample(self) -> int:
         """Multiply-accumulates for one input vector (NPU cost input)."""
         return int(sum(w.shape[0] * w.shape[1] for w in self.weights))
@@ -86,9 +71,8 @@ class MLP:
         return int(params) * 2
 
 
-def identity_affine_mlp(matrix: np.ndarray, bias: np.ndarray | None = None,
-                        hidden_layers: int = 1) -> MLP:
-    """Build an MLP that computes ``y = x @ matrix + bias`` *exactly*.
+def identity_affine_mlp(matrix: np.ndarray, hidden_layers: int = 1) -> MLP:
+    """Build an MLP that computes ``y = x @ matrix`` *exactly*.
 
     Every hidden layer doubles the width and splits each value into its
     positive and negative parts (``relu(v)`` and ``relu(-v)``); the final
@@ -99,11 +83,8 @@ def identity_affine_mlp(matrix: np.ndarray, bias: np.ndarray | None = None,
     """
     matrix = np.asarray(matrix, dtype=float)
     fan_in, fan_out = matrix.shape
-    if bias is None:
-        bias = np.zeros(fan_out)
-    bias = np.asarray(bias, dtype=float)
     if hidden_layers < 1:
-        return MLP(weights=[matrix.copy()], biases=[bias.copy()])
+        return MLP(weights=[matrix.copy()], biases=[np.zeros(fan_out)])
 
     split = np.concatenate([np.eye(fan_in), -np.eye(fan_in)], axis=1)
     merge = np.concatenate([np.eye(fan_in), -np.eye(fan_in)], axis=0)
@@ -114,5 +95,5 @@ def identity_affine_mlp(matrix: np.ndarray, bias: np.ndarray | None = None,
         weights.append(merge @ split)
         biases.append(np.zeros(2 * fan_in))
     weights.append(merge @ matrix)
-    biases.append(bias.copy())
+    biases.append(np.zeros(fan_out))
     return MLP(weights=weights, biases=biases)

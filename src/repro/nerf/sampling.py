@@ -175,11 +175,6 @@ class OccupancyGrid:
         # mode="clip" only selects take's no-bounds-check fast path.
         return np.take(self._flat, flat, mode="clip")
 
-    @property
-    def occupancy_rate(self) -> float:
-        """Fraction of grid cells marked occupied."""
-        return float(self.occupancy.mean())
-
 
 class UniformSampler:
     """Stratified uniform sampling within the AABB, with optional occupancy cull.

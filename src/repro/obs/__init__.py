@@ -10,14 +10,14 @@ reference.
 """
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .runtime import (Observation, activate, current, current_metrics,
+from .runtime import (Observation, activate, current_metrics,
                       current_tracer, metric_inc, metric_observe,
                       metric_set, section)
 from .tracer import Tracer, WORK_US_PER_RAY
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "Observation", "activate", "current", "current_metrics",
+    "Observation", "activate", "current_metrics",
     "current_tracer", "metric_inc", "metric_observe", "metric_set",
     "section", "Tracer", "WORK_US_PER_RAY",
 ]

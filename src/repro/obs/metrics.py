@@ -88,14 +88,10 @@ class Histogram:
     __slots__ = ("name", "bounds", "counts", "count", "total",
                  "min_value", "max_value", "dropped")
 
-    def __init__(self, name: str, bounds=DEFAULT_LATENCY_BOUNDS):
-        bounds = tuple(float(b) for b in bounds)
-        if not bounds or any(b2 <= b1 for b1, b2
-                             in zip(bounds, bounds[1:])):
-            raise ValueError("bounds must be a non-empty ascending tuple")
+    def __init__(self, name: str):
         self.name = str(name)
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)  # [+1 overflow bucket]
+        self.bounds = DEFAULT_LATENCY_BOUNDS
+        self.counts = [0] * (len(self.bounds) + 1)  # [+1 overflow bucket]
         self.count = 0
         self.total = 0.0
         self.min_value = 0.0

@@ -111,11 +111,6 @@ def deactivate() -> None:
     _ACTIVE = None
 
 
-def current() -> Observation | None:
-    """The active observation, or ``None``."""
-    return _ACTIVE
-
-
 def current_tracer():
     """The active tracer, or ``None`` (the disabled fast path)."""
     obs = _ACTIVE

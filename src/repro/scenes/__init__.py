@@ -14,14 +14,10 @@ from .trajectory import (
     TRAJECTORY_KINDS,
     Trajectory,
     dolly_trajectory,
-    handheld_trajectory,
     headshake_trajectory,
-    load_pose_log,
     make_trajectory,
     orbit_trajectory,
     random_walk_trajectory,
-    replay_trajectory,
-    save_pose_log,
 )
 
 __all__ = [
@@ -44,12 +40,8 @@ __all__ = [
     "TRAJECTORY_KINDS",
     "Trajectory",
     "dolly_trajectory",
-    "handheld_trajectory",
     "headshake_trajectory",
-    "load_pose_log",
     "make_trajectory",
     "orbit_trajectory",
     "random_walk_trajectory",
-    "replay_trajectory",
-    "save_pose_log",
 ]

@@ -32,19 +32,15 @@ class Frame:
     hit: np.ndarray  # (H, W) bool
     c2w: np.ndarray  # (4, 4)
 
-    @property
-    def resolution(self) -> tuple[int, int]:
-        return self.depth.shape
-
 
 class RayTracer:
     """Sphere tracer with fixed iteration budget and distance threshold."""
 
-    def __init__(self, scene, max_distance: float = 30.0):
+    def __init__(self, scene):
         self.scene = scene
         self.max_steps = 96
         self.hit_eps = 1e-3
-        self.max_distance = max_distance
+        self.max_distance = 30.0
 
     # -- core marching -------------------------------------------------------
 
@@ -101,16 +97,3 @@ class RayTracer:
         depth = np.where(hit, z, np.inf).reshape(height, width)
         return Frame(image=image, depth=depth,
                      hit=hit.reshape(height, width), c2w=camera.c2w.copy())
-
-    def render_pixels(self, camera: PinholeCamera, pixel_ids: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Render a sparse set of pixels; returns (colors, z_depth)."""
-        pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
-        v, u = np.divmod(pixel_ids, camera.width)
-        origins, directions = camera.rays_for_pixels(u + 0.5, v + 0.5)
-        t, hit = self.trace(origins, directions)
-        colors = self.shade_hits(origins.reshape(-1, 3),
-                                 directions.reshape(-1, 3), t, hit)
-        forward = camera.c2w[:3, 2]
-        z = np.where(hit, t * (directions.reshape(-1, 3) @ forward), np.inf)
-        return colors, z

@@ -191,32 +191,7 @@ class Scene:
         """Surface normals of the combined field."""
         return estimate_normals(self, points)
 
-    # -- volumetric density (for NeRF baking) --------------------------------
-
-    def density(self, points: np.ndarray, sharpness: float = 40.0,
-                max_density: float = 120.0) -> np.ndarray:
-        """Soft occupancy derived from the SDF.
-
-        ``sigma(x) = max_density * sigmoid(-sharpness * d(x))`` — solid inside
-        the surface, a thin soft shell at the boundary so that trilinear
-        interpolation of a baked grid reconstructs the surface smoothly.
-        """
-        d = self.distance(points)
-        return max_density / (1.0 + np.exp(np.clip(sharpness * d, -40.0, 40.0)))
-
     # -- shading --------------------------------------------------------------
-
-    def albedo(self, points: np.ndarray) -> np.ndarray:
-        """Albedo of the nearest object at each point."""
-        points = np.asarray(points, dtype=float)
-        flat = points.reshape(-1, 3)
-        idx = self.object_index(flat)
-        out = np.zeros_like(flat)
-        for i, obj in enumerate(self.objects):
-            mask = idx == i
-            if mask.any():
-                out[mask] = obj.material.albedo(flat[mask])
-        return out.reshape(points.shape)
 
     def surface(self, points: np.ndarray,
                 normals: np.ndarray | None = None) -> "SurfaceShading":
@@ -232,10 +207,6 @@ class Scene:
         the baked NeRF fields approximate with spherical harmonics.
         """
         return self.surface(points, normals).shade(view_dirs)
-
-    def diffuse_radiance(self, points: np.ndarray) -> np.ndarray:
-        """View-independent part of the radiance (used for grid baking)."""
-        return self.surface(points).diffuse()
 
 
 class ObjectShading:

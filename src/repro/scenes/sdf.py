@@ -1,4 +1,4 @@
-"""Signed-distance-field primitives and CSG combinators.
+"""Signed-distance-field primitives.
 
 The procedural scenes that stand in for Synthetic-NeRF / Tanks-and-Temples
 are built from these analytic SDFs.  Having exact geometry gives the
@@ -34,9 +34,6 @@ __all__ = [
     "Box",
     "Torus",
     "Cylinder",
-    "Union",
-    "Intersection",
-    "Subtraction",
     "Scaled",
     "estimate_normals",
 ]
@@ -79,17 +76,6 @@ class SDF:
 
     def distance(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    # CSG sugar -------------------------------------------------------------
-
-    def __or__(self, other: "SDF") -> "SDF":
-        return Union([self, other])
-
-    def __and__(self, other: "SDF") -> "SDF":
-        return Intersection([self, other])
-
-    def __sub__(self, other: "SDF") -> "SDF":
-        return Subtraction(self, other)
 
     def scaled(self, factor: float) -> "SDF":
         return Scaled(self, float(factor))
@@ -157,39 +143,6 @@ class Cylinder(SDF):
         axial = np.abs(y, out=y)
         axial -= self.half_height
         return _box_distance(radial, axial).reshape(shape)
-
-
-@dataclass
-class Union(SDF):
-    """CSG union: minimum of child distances."""
-
-    children: list
-
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        dists = [child.distance(points) for child in self.children]
-        return np.minimum.reduce(dists)
-
-
-@dataclass
-class Intersection(SDF):
-    """CSG intersection: maximum of child distances."""
-
-    children: list
-
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        dists = [child.distance(points) for child in self.children]
-        return np.maximum.reduce(dists)
-
-
-@dataclass
-class Subtraction(SDF):
-    """CSG subtraction: ``base`` minus ``cut``."""
-
-    base: SDF
-    cut: SDF
-
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        return np.maximum(self.base.distance(points), -self.cut.distance(points))
 
 
 @dataclass

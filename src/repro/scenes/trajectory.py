@@ -1,4 +1,4 @@
-"""Camera trajectories: orbits, handheld paths, and pose-log replay.
+"""Camera trajectories: orbits, dollies, head shakes and random walks.
 
 Trajectory statistics drive SPARW's behaviour: the inter-frame pose delta
 determines frame overlap (Fig. 7), disocclusion rate, and the warping-angle
@@ -7,7 +7,7 @@ distribution (Fig. 26).  The paper contrasts high-temporal-resolution capture
 sampling; Fig. 25 models that knob as a 30x larger orbit step per frame.
 
 Beyond the paper's orbits, this module provides a family of deterministic
-generators (dolly, VR head shake, seeded random walk, pose-log replay) behind
+generators (dolly, VR head shake, seeded random walk) behind
 the :func:`make_trajectory` registry, so the serving layer can mix
 heterogeneous user motions from declarative workload specs.
 """
@@ -15,18 +15,15 @@ heterogeneous user motions from declarative workload specs.
 from __future__ import annotations
 
 import inspect
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..geometry.transforms import look_at
 
 __all__ = [
-    "Trajectory", "orbit_trajectory", "handheld_trajectory",
-    "dolly_trajectory", "headshake_trajectory", "random_walk_trajectory",
-    "replay_trajectory", "save_pose_log", "load_pose_log",
+    "Trajectory", "orbit_trajectory", "dolly_trajectory",
+    "headshake_trajectory", "random_walk_trajectory",
     "TRAJECTORY_KINDS", "make_trajectory", "trajectory_parameters",
 ]
 
@@ -44,11 +41,6 @@ class Trajectory:
 
     def __getitem__(self, idx):
         return self.poses[idx]
-
-    @property
-    def frame_interval(self) -> float:
-        """Seconds between consecutive frames (delta-t in Eq. 5)."""
-        return 1.0 / self.fps
 
 
 def orbit_trajectory(
@@ -74,43 +66,6 @@ def orbit_trajectory(
             radius * np.cos(angle), height, radius * np.sin(angle)])
         poses.append(look_at(eye, target))
     return Trajectory(poses=poses, fps=fps, name=f"orbit_{degrees_per_frame}dpf")
-
-
-def handheld_trajectory(
-    num_frames: int,
-    radius: float = 3.2,
-    height: float = 0.8,
-    target=(0.0, 0.0, 0.0),
-    degrees_per_frame: float = 0.5,
-    jitter_translation: float = 0.01,
-    jitter_target: float = 0.01,
-    seed: int = 0,
-    fps: float = 30.0,
-) -> Trajectory:
-    """Orbit with smooth random jitter, imitating a handheld capture.
-
-    The jitter is a low-pass-filtered random walk, so consecutive poses stay
-    close (as real captures do) while the path is not perfectly circular.
-    """
-    rng = np.random.default_rng(seed)
-    target = np.asarray(target, dtype=float)
-
-    def smooth_noise(n: int, scale: float) -> np.ndarray:
-        raw = rng.normal(scale=scale, size=(n + 8, 3))
-        kernel = np.ones(9) / 9.0
-        out = np.stack([np.convolve(raw[:, k], kernel, mode="valid") for k in range(3)], axis=1)
-        return out[:n]
-
-    eye_noise = smooth_noise(num_frames, jitter_translation * 6.0)
-    tgt_noise = smooth_noise(num_frames, jitter_target * 6.0)
-
-    poses = []
-    for i in range(num_frames):
-        angle = np.radians(degrees_per_frame * i)
-        eye = target + np.array([
-            radius * np.cos(angle), height, radius * np.sin(angle)]) + eye_noise[i]
-        poses.append(look_at(eye, target + tgt_noise[i]))
-    return Trajectory(poses=poses, fps=fps, name="handheld")
 
 
 def dolly_trajectory(
@@ -225,66 +180,15 @@ def random_walk_trajectory(
     return Trajectory(poses=poses, fps=fps, name=f"walk_seed{seed}")
 
 
-def replay_trajectory(poses, fps: float = 30.0,
-                      name: str = "replay") -> Trajectory:
-    """Trajectory from an explicit pose sequence (e.g. a recorded session)."""
-    poses = [np.asarray(p, dtype=float) for p in poses]
-    for pose in poses:
-        if pose.shape != (4, 4):
-            raise ValueError(f"poses must be (4, 4) matrices, got {pose.shape}")
-    return Trajectory(poses=poses, fps=fps, name=name)
-
-
-def save_pose_log(trajectory: Trajectory, path) -> Path:
-    """Persist a trajectory as a JSON pose log; returns the path.
-
-    JSON floats round-trip exactly (shortest-repr), so
-    ``load_pose_log(save_pose_log(t, p))`` reproduces ``t`` bit-for-bit.
-    """
-    path = Path(path)
-    payload = {
-        "schema": 1,
-        "name": trajectory.name,
-        "fps": trajectory.fps,
-        "poses": [np.asarray(p, dtype=float).tolist()
-                  for p in trajectory.poses],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
-def load_pose_log(path) -> Trajectory:
-    """Load a trajectory saved by :func:`save_pose_log`."""
-    payload = json.loads(Path(path).read_text())
-    return replay_trajectory(payload["poses"], fps=float(payload["fps"]),
-                             name=str(payload.get("name", "replay")))
-
-
-def _replay_from_log(num_frames: int, seed: int = 0, pose_log=None,
-                     fps: float | None = None) -> Trajectory:
-    if pose_log is None:
-        raise ValueError("replay trajectories need a pose_log=PATH parameter")
-    trajectory = load_pose_log(pose_log)
-    if num_frames > len(trajectory):
-        raise ValueError(
-            f"pose log {pose_log!r} has {len(trajectory)} poses, "
-            f"{num_frames} requested")
-    return Trajectory(poses=trajectory.poses[:num_frames],
-                      fps=fps if fps is not None else trajectory.fps,
-                      name=trajectory.name)
-
-
 # Generator registry: each builder takes num_frames first; builders with a
 # ``seed`` parameter receive it, deterministic ones never see it.  None of
 # them accepts **kwargs, so unknown parameters fail loudly (and the
 # workload layer can validate spec params against these signatures).
 TRAJECTORY_KINDS = {
     "orbit": orbit_trajectory,
-    "handheld": handheld_trajectory,
     "dolly": dolly_trajectory,
     "headshake": headshake_trajectory,
     "random_walk": random_walk_trajectory,
-    "replay": _replay_from_log,
 }
 
 
@@ -306,7 +210,7 @@ def make_trajectory(kind: str, num_frames: int, seed: int = 0,
     All generators are deterministic given ``(kind, num_frames, seed,
     params)``, which is what makes trajectory-derived cache keys (and the
     bit-parity of cached serving) possible.  Unknown ``params`` raise
-    ``TypeError`` for every kind, including ``replay``.
+    ``TypeError`` for every kind.
     """
     if "seed" in trajectory_parameters(kind):
         params["seed"] = seed

@@ -181,19 +181,9 @@ class SharedLRUCache(LRUCore):
 
     # -- core ------------------------------------------------------------------
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def __contains__(self, key) -> bool:
         with self._lock:
             return key in self._entries
-
-    @property
-    def total_bytes(self) -> int:
-        """Sum of the sizes of all live entries."""
-        with self._lock:
-            return self._total_bytes
 
     def get(self, key, default=None):
         """Lookup; counts a hit or miss and refreshes recency on hit."""

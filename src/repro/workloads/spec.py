@@ -29,9 +29,9 @@ from ..scenes.trajectory import (
 __all__ = ["WorkloadSpec", "TIERS", "QUALITY_LEVELS"]
 
 # Resolution/quality tiers.  "inherit" uses whatever config scale the
-# harness is running at (--fast or default); the named tiers force a scale
-# or derive a cheaper one, letting one serve mix heterogeneous qualities.
-TIERS = ("inherit", "default", "fast", "preview")
+# harness is running at (--fast or default); "preview" derives a cheaper
+# one from it, letting one serve mix heterogeneous qualities.
+TIERS = ("inherit", "preview")
 
 # Degradation ladder the SLO governor moves sessions along, *relative to
 # the spec's own tier*: "full" is the spec's native quality, each step
@@ -189,15 +189,10 @@ class WorkloadSpec:
         ``samples_per_ray``.  Rungs differ only in imaging parameters, so
         every level resolves around the *same* baked field.
         """
-        from ..harness.configs import DEFAULT, FAST
         if not 0 <= level < len(QUALITY_LEVELS):
             raise ValueError(f"quality level must be in "
                              f"0..{len(QUALITY_LEVELS) - 1}, got {level}")
-        if self.tier == "default":
-            base = DEFAULT
-        elif self.tier == "fast":
-            base = FAST
-        elif self.tier == "preview":
+        if self.tier == "preview":
             # Half-resolution, half-depth derivative of the base.
             base = dataclasses.replace(
                 base,
@@ -225,7 +220,7 @@ class WorkloadSpec:
         """
         config = self.resolve_config(config)
         params = dict(self.trajectory_params)
-        if self.trajectory in ("orbit", "handheld"):
+        if self.trajectory == "orbit":
             params.setdefault("radius", config.orbit_radius)
             params.setdefault("degrees_per_frame", config.degrees_per_frame)
         return make_trajectory(self.trajectory, self.num_frames(config),

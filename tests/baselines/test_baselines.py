@@ -1,7 +1,6 @@
 """Tests for DS-2 and TEMP-N baselines."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import DS2Renderer, bilinear_upsample
 from repro.core.sparw import SparwRenderer
@@ -68,9 +67,32 @@ class TestDS2:
         assert (mean_psnr([f.image for f in frames], gt_images)
                 <= mean_psnr([f.image for f in full], gt_images) + 0.3)
 
-    def test_invalid_factor_rejected(self, fast_renderer, fast_config):
-        with pytest.raises(ValueError):
-            DS2Renderer(fast_renderer, make_camera(fast_config), factor=0)
+
+    def test_depth_and_hit_are_the_half_resolution_ones_repeated(
+            self, fast_renderer, fast_sequence, fast_config):
+        trajectory, _ = fast_sequence
+        camera = make_camera(fast_config)
+        frame, _ = DS2Renderer(fast_renderer, camera).render_frame(
+            trajectory[0])
+        low, _ = fast_renderer.render_frame(
+            camera.scaled(0.5).with_pose(trajectory[0]))
+        # Nearest-neighbour: each low-res pixel covers a 2x2 block.
+        for dy in (0, 1):
+            for dx in (0, 1):
+                np.testing.assert_array_equal(frame.depth[dy::2, dx::2],
+                                              low.depth)
+                np.testing.assert_array_equal(frame.hit[dy::2, dx::2],
+                                              low.hit)
+        assert 0.0 <= frame.image.min() and frame.image.max() <= 1.0
+        np.testing.assert_array_equal(frame.c2w, trajectory[0])
+
+    def test_sequence_stats_sum_the_frames(self, fast_renderer,
+                                           fast_sequence, fast_config):
+        trajectory, _ = fast_sequence
+        ds2 = DS2Renderer(fast_renderer, make_camera(fast_config))
+        frames, total = ds2.render_sequence(trajectory.poses[:2])
+        assert len(frames) == 2
+        assert total.num_rays == 2 * (fast_config.image_size ** 2 // 4)
 
 
 class TestTemporal:

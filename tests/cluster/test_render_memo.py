@@ -227,7 +227,7 @@ class TestSafety:
         MultiSessionEngine([_scripted("a", renderer, None),
                             _scripted("b", renderer, None)],
                            render_memo=memo).run()
-        assert memo.stats.lookups == 0 and len(memo) == 0
+        assert memo.stats.lookups == 0 and memo.report()["entries"] == 0
         assert renderer.bundles == 4
 
     @staticmethod
@@ -421,7 +421,7 @@ class TestTargetSafety:
                 session.sparw.share_targets(memo, None)
             MultiSessionEngine([session]).run()
             assert session.result.num_frames == 3
-        assert memo.stats.lookups == 0 and len(memo) == 0
+        assert memo.stats.lookups == 0 and memo.report()["entries"] == 0
 
     def test_landed_retune_stops_sharing(self):
         # The switch lands at frame 1: frame 0 still warps at the shared
@@ -437,7 +437,7 @@ class TestTargetSafety:
             MultiSessionEngine([session]).run()
             assert [r.frame.image.shape[0] for r in session.result.records] \
                 == [FAST.image_size] + [FAST.image_size // 2] * 2
-        assert (memo.stats.hits, memo.stats.misses, len(memo)) == (1, 1, 1)
+        assert (memo.stats.hits, memo.stats.misses, memo.report()["entries"]) == (1, 1, 1)
 
     def test_seeded_variants_share_targets(self, monkeypatch):
         # Specs that differ only in their trajectory seed (a scene

@@ -13,7 +13,7 @@ import pytest
 from repro.cluster import Autoscaler, simulate_cluster
 from repro.harness.cli import main
 from repro.harness.configs import FAST
-from repro.harness.runconfig import RunConfig
+from repro.harness.runconfig import RunConfig, RunConfigError
 from repro.harness.runner import execute_cell
 
 # Scene-skewed mix: 3 of 4 arrivals (in expectation) share the vr-lego
@@ -179,10 +179,16 @@ class TestHarness:
         assert summary["scale_ups"] >= 1
 
     def test_autoscale_bounds_must_bracket_initial_fleet(self):
-        with pytest.raises(ValueError, match="min_workers..max_workers"):
-            run_cluster(FAST, workers=2, autoscale=True, min_workers=3)
-        with pytest.raises(ValueError, match="min_workers..max_workers"):
-            run_cluster(FAST, workers=4, autoscale=True, max_workers=2)
+        for fields in ({"workers": 2, "min_workers": 3},
+                       {"workers": 4, "max_workers": 2}):
+            cell = RunConfig(mode="cluster", autoscale=True, **fields)
+            with pytest.raises(RunConfigError,
+                               match="--min-workers..--max-workers"):
+                cell.validate()
+            # The library entry point validates too: no run starts.
+            with pytest.raises(RunConfigError,
+                               match="--min-workers..--max-workers"):
+                run_cluster(FAST, autoscale=True, **fields)
 
     def test_run_cluster_rows_and_summary(self):
         rows, summary = run_cluster(

@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from instruments import level_of
 from repro.control import EngineGovernor
 from repro.engine import MultiSessionEngine
 from repro.harness.configs import FAST
@@ -94,7 +95,7 @@ class TestSwitchesLand:
         summary = governor.summary()
         assert landed
         assert summary["tier_transitions"] == len(landed)
-        assert all(s.quality_level == governor.governor.level_of(s.session_id)
+        assert all(s.quality_level == level_of(governor.governor, s.session_id)
                    for s in sessions)
         assert summary["mean_final_level"] == (
             sum(s.quality_level for s in sessions) / len(sessions))

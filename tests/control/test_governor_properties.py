@@ -13,7 +13,9 @@ The three contracts the serving stack leans on:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.control import GovernorPolicy, QualityGovernor, split_budget
+from instruments import level_of
+from repro.control import QualityGovernor, split_budget
+from repro.control.governor import HEADROOM_RATIO, RECOVER_AFTER
 
 TARGET = 1.0  # target latency; latencies are drawn around it
 
@@ -31,7 +33,7 @@ class TestTierFloor:
         governor.register("s", TARGET, max_level)
         for latency in seq:
             governor.observe("s", latency)
-            level = governor.level_of("s")
+            level = level_of(governor, "s")
             assert 0 <= level <= max_level
 
     @given(seq=latencies)
@@ -42,7 +44,7 @@ class TestTierFloor:
         governor.register("s", TARGET, 0)
         for latency in seq:
             assert governor.observe("s", latency) is None
-            assert governor.level_of("s") == 0
+            assert level_of(governor, "s") == 0
 
 
 class TestMonotoneRecovery:
@@ -51,18 +53,17 @@ class TestMonotoneRecovery:
     @settings(max_examples=150, deadline=None)
     def test_sustained_headroom_recovers_monotonically(self, prefix,
                                                        max_level):
-        policy = GovernorPolicy()
-        governor = QualityGovernor("adaptive", policy)
+        governor = QualityGovernor("adaptive")
         governor.register("s", TARGET, max_level)
         for latency in prefix:  # arbitrary history first
             governor.observe("s", latency)
-        start = governor.level_of("s")
-        headroom = 0.25 * policy.headroom_ratio * TARGET
+        start = level_of(governor, "s")
+        headroom = 0.25 * HEADROOM_RATIO * TARGET
         levels = []
         # Enough comfortable frames to unwind every rung.
-        for _ in range(policy.recover_after * (max_level + 1)):
+        for _ in range(RECOVER_AFTER * (max_level + 1)):
             governor.observe("s", headroom)
-            levels.append(governor.level_of("s"))
+            levels.append(level_of(governor, "s"))
         # Never re-degrades under headroom, steps down one rung at a
         # time, and fully recovers to native quality.
         assert all(b <= a for a, b in zip([start] + levels, levels))
@@ -72,15 +73,14 @@ class TestMonotoneRecovery:
     @given(max_level=st.integers(min_value=1, max_value=2))
     @settings(max_examples=20, deadline=None)
     def test_recovery_is_hysteretic_not_immediate(self, max_level):
-        policy = GovernorPolicy()
-        governor = QualityGovernor("adaptive", policy)
+        governor = QualityGovernor("adaptive")
         control = governor.register("s", TARGET, max_level)
         control.level = max_level  # start degraded
-        for _ in range(policy.recover_after - 1):
+        for _ in range(RECOVER_AFTER - 1):
             governor.observe("s", 0.0)
-        assert governor.level_of("s") == max_level  # not yet
+        assert level_of(governor, "s") == max_level  # not yet
         governor.observe("s", 0.0)
-        assert governor.level_of("s") == max_level - 1  # exactly then
+        assert level_of(governor, "s") == max_level - 1  # exactly then
 
 
 class TestBudgetConservation:

@@ -4,13 +4,14 @@ import dataclasses
 
 import pytest
 
+from instruments import level_of
 from repro.control import (
     ClusterGovernor,
-    GovernorPolicy,
     QualityGovernor,
     level_quality,
     quality_floor,
 )
+from repro.control.governor import MIN_WEIGHT
 from repro.harness.configs import FAST
 from repro.workloads import QUALITY_LEVELS, WorkloadSpec, apply_slo, get_workload
 
@@ -115,22 +116,19 @@ class TestGovernorModes:
         governor.register("s", 0.01, 2)
         for _ in range(10):
             assert governor.observe("s", 99.0) is None
-        assert governor.level_of("s") == 0
+        assert level_of(governor, "s") == 0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="governor mode"):
             QualityGovernor("turbo")
 
     def test_degrade_needs_consecutive_violations(self):
-        policy = GovernorPolicy(degrade_after=3)
-        governor = QualityGovernor("adaptive", policy)
+        governor = QualityGovernor("adaptive")  # degrades after 2
         governor.register("s", 1.0, 2)
-        governor.observe("s", 2.0)
         governor.observe("s", 2.0)
         governor.observe("s", 0.8)  # dead band resets the streak
         governor.observe("s", 2.0)
-        governor.observe("s", 2.0)
-        assert governor.level_of("s") == 0
+        assert level_of(governor, "s") == 0
         assert governor.observe("s", 2.0) == 1
 
     def test_weight_tracks_slo_pressure(self):
@@ -141,7 +139,7 @@ class TestGovernorModes:
             governor.observe("a", 3.0)  # far behind
             governor.observe("b", 0.1)  # comfortable
         assert governor.weight("a") > 1.0 > governor.weight("b")
-        assert governor.weight("b") >= governor.policy.min_weight
+        assert governor.weight("b") >= MIN_WEIGHT
         assert governor.weight("missing") == 1.0
 
 
@@ -172,8 +170,7 @@ class TestClusterGovernorPolicy:
             == spec.max_quality_level
 
     def test_overflow_target_bounded(self):
-        governor = ClusterGovernor(FAST, "adaptive", queue_limit=2,
-                                   overflow_slots=1)
+        governor = ClusterGovernor(FAST, "adaptive", queue_limit=2)
         full = [self.Stub("w00", 2), self.Stub("w01", 2)]
         target = governor.overflow_target(full)
         assert target.worker_id == "w00"  # least-loaded tie by id

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from instruments import void_fraction
 from repro.core.sparw import classify_pixels, overlap_fraction, warp_frame
 from repro.core.sparw.warp import WarpResult
 
@@ -35,7 +36,7 @@ class TestClassify:
     def test_fractions_sum_to_one(self):
         cls = classify_pixels(_synthetic_warp())
         assert (cls.warped_fraction + cls.disoccluded_fraction
-                + cls.void_fraction) == pytest.approx(1.0)
+                + void_fraction(cls)) == pytest.approx(1.0)
 
     def test_angle_threshold_demotes_pixels(self):
         warp = _synthetic_warp()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from instruments import void_fraction
 from repro.core.sparw import SparwRenderer
 from repro.metrics import mean_psnr
 
@@ -37,7 +38,7 @@ class TestSequenceStructure:
         for record in sparw_result.records:
             c = record.classification
             assert (c.warped_fraction + c.disoccluded_fraction
-                    + c.void_fraction) == pytest.approx(1.0)
+                    + void_fraction(c)) == pytest.approx(1.0)
 
     def test_overlap_high_on_smooth_orbit(self, sparw_result):
         overlaps = [r.overlap for r in sparw_result.records]

@@ -47,7 +47,7 @@ class TestBuild:
     def test_schedule_is_permutation_of_valid_samples(self, mvoxels):
         arr = np.array(mvoxels)
         rit = RayIndexTable.build(arr)
-        order = rit.streaming_sample_order()
+        order = rit.order
         valid = np.nonzero(arr >= 0)[0]
         np.testing.assert_array_equal(np.sort(order), valid)
 
@@ -56,5 +56,5 @@ class TestBuild:
     def test_streaming_order_is_mvoxel_sorted(self, mvoxels):
         arr = np.array(mvoxels)
         rit = RayIndexTable.build(arr)
-        keys = arr[rit.streaming_sample_order()]
+        keys = arr[rit.order]
         assert (np.diff(keys) >= 0).all()

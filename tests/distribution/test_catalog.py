@@ -102,5 +102,3 @@ class TestZipfMix:
         catalog = SceneCatalog(FULL_MIX, 16, seed=2)
         with pytest.raises(ValueError):
             catalog.zipf_mix(-0.1)
-        with pytest.raises(ValueError):
-            catalog.zipf_mix(1.0, total=8)  # cannot cover 16 variants

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import pytest
 
+from instruments import primary
 from repro.distribution import ShardMap
 
 worker_ids = st.lists(
@@ -26,13 +27,21 @@ keys = st.lists(st.text(min_size=1, max_size=12), min_size=1,
 replications = st.integers(min_value=0, max_value=5)
 
 
+def shard_map_of(members, replication: int) -> ShardMap:
+    """A shard map over ``members``, joined in order."""
+    shard_map = ShardMap(replication=replication)
+    for member in members:
+        shard_map.add(member)
+    return shard_map
+
+
 class TestOwnerSets:
     @given(members=worker_ids, key=st.text(min_size=1, max_size=12),
            replication=replications)
     @settings(max_examples=200, deadline=None)
     def test_exactly_min_r_workers_distinct_members(self, members, key,
                                                     replication):
-        shard_map = ShardMap(members, replication=replication)
+        shard_map = shard_map_of(members, replication=replication)
         owners = shard_map.owners(key)
         assert len(owners) == len(set(owners)) == min(replication,
                                                       len(members))
@@ -43,15 +52,15 @@ class TestOwnerSets:
     @settings(max_examples=100, deadline=None)
     def test_owners_prefix_the_full_ranking(self, members, key,
                                             replication):
-        shard_map = ShardMap(members, replication=replication)
+        shard_map = shard_map_of(members, replication=replication)
         ranking = shard_map.ranking(key)
         assert list(shard_map.owners(key)) == ranking[:replication]
-        assert shard_map.primary(key) == ranking[0]
+        assert primary(shard_map, key) == ranking[0]
 
     def test_empty_fleet_and_zero_replication(self):
         assert ShardMap(replication=2).owners("k") == ()
-        assert ShardMap(["w00"], replication=0).owners("k") == ()
-        assert ShardMap(replication=2).primary("k") is None
+        assert shard_map_of(["w00"], replication=0).owners("k") == ()
+        assert primary(ShardMap(replication=2), "k") is None
         with pytest.raises(ValueError):
             ShardMap(replication=-1)
 
@@ -61,13 +70,13 @@ class TestRemoveRehomesOnlyOwnedKeys:
     @settings(max_examples=150, deadline=None)
     def test_survivor_ranking_is_stable(self, members, key_set,
                                         replication):
-        shard_map = ShardMap(members, replication=replication)
+        shard_map = shard_map_of(members, replication=replication)
         before = {key: shard_map.owners(key) for key in key_set}
         removed = sorted(members)[0]
         shard_map.remove(removed)
         for key in key_set:
             expected = tuple(
-                owner for owner in ShardMap(
+                owner for owner in shard_map_of(
                     members, replication=len(members)).owners(key)
                 if owner != removed)[:replication]
             assert shard_map.owners(key) == expected
@@ -82,7 +91,7 @@ class TestAddRehomesMinimally:
     def test_only_keys_the_newcomer_wins_change(self, members, key_set,
                                                 replication):
         newcomer = "brand-new-worker"
-        shard_map = ShardMap(members, replication=replication)
+        shard_map = shard_map_of(members, replication=replication)
         before = {key: shard_map.owners(key) for key in key_set}
         shard_map.add(newcomer)
         for key in key_set:
@@ -102,9 +111,9 @@ class TestAddRehomesMinimally:
         n, catalog = 5, 1000
         members = [f"w{i:02d}" for i in range(n)]
         key_set = [f"scene-{i:04d}" for i in range(catalog)]
-        shard_map = ShardMap(members, replication=1)
-        before = {key: shard_map.primary(key) for key in key_set}
+        shard_map = shard_map_of(members, replication=1)
+        before = {key: primary(shard_map, key) for key in key_set}
         shard_map.add(f"w{n:02d}")
         moved = sum(1 for key in key_set
-                    if shard_map.primary(key) != before[key])
+                    if primary(shard_map, key) != before[key])
         assert 0 < moved <= catalog / n + 0.05 * catalog

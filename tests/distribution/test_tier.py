@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.distribution import tier
 from repro.distribution import (
     FieldCostModel,
     SceneCatalog,
@@ -72,11 +73,10 @@ class TestAcquire:
         assert store.acquire("w00", SPECS[0], 1.0)[0] == "bake"
         assert store.acquire("w00", SPECS[2], 1.0)[0] == "local"
 
-    def test_shard_capacity_evicts_lru_replicas(self):
+    def test_shard_capacity_evicts_lru_replicas(self, monkeypatch):
         nbytes = FieldCostModel().field_bytes(SPECS[0], FAST)
-        store = store_with(workers=1, replication=1,
-                           shard_capacity_bytes=2 * nbytes,
-                           local_entries=1)
+        monkeypatch.setattr(tier, "SHARD_CAPACITY_BYTES", 2 * nbytes)
+        store = store_with(workers=1, replication=1, local_entries=1)
         for spec in SPECS[:4]:
             store.acquire("w00", spec, 0.0)
         assert store.shard_evictions > 0

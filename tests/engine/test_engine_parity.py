@@ -10,6 +10,7 @@ statistics must be identical to driving each session alone through
 import numpy as np
 import pytest
 
+from instruments import session_of
 from repro.core.sparw import SparwRenderer
 from repro.engine import MultiSessionEngine, RenderSession, RoundRobinScheduler
 from repro.harness.configs import make_camera
@@ -55,7 +56,7 @@ class TestParity:
 
     def test_frame_stats_identical(self, engine_result, solo_results):
         for i, solo in enumerate(solo_results):
-            batched = engine_result.session(f"s{i}").result
+            batched = session_of(engine_result, f"s{i}").result
             assert batched.num_frames == solo.num_frames
             for br, sr in zip(batched.records, solo.records):
                 assert br.frame_index == sr.frame_index
@@ -68,7 +69,7 @@ class TestParity:
 
     def test_classifications_identical(self, engine_result, solo_results):
         for i, solo in enumerate(solo_results):
-            batched = engine_result.session(f"s{i}").result
+            batched = session_of(engine_result, f"s{i}").result
             for br, sr in zip(batched.records, solo.records):
                 assert np.array_equal(br.classification.warped,
                                       sr.classification.warped)
@@ -79,7 +80,7 @@ class TestParity:
 
     def test_frames_identical(self, engine_result, solo_results):
         for i, solo in enumerate(solo_results):
-            batched = engine_result.session(f"s{i}").result
+            batched = session_of(engine_result, f"s{i}").result
             for bf, sf in zip(batched.frames, solo.frames):
                 assert np.array_equal(bf.image, sf.image)
                 assert np.array_equal(bf.depth, sf.depth)
@@ -105,7 +106,7 @@ class TestParity:
         result = MultiSessionEngine(sessions,
                                     scheduler=DeadlineScheduler()).run()
         for i, solo in enumerate(solo_results):
-            batched = result.session(f"s{i}").result
+            batched = session_of(result, f"s{i}").result
             for br, sr in zip(batched.records, solo.records):
                 assert br.sparse_stats == sr.sparse_stats
                 assert np.array_equal(br.frame.image, sr.frame.image)

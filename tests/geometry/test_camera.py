@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.geometry import Intrinsics, PinholeCamera, look_at
+from repro.geometry.camera import (_DIR_GRID_CACHE, _DIR_GRID_CACHE_MAX,
+                                   clear_dir_grid_cache)
 
 
 @pytest.fixture
@@ -18,13 +20,6 @@ class TestIntrinsics:
         assert intr.fx == pytest.approx(50.0)
         assert intr.cx == pytest.approx(50.0)
 
-    def test_matrix_layout(self):
-        intr = Intrinsics(width=10, height=8, fx=5.0, fy=6.0, cx=5.0, cy=4.0)
-        k = intr.matrix()
-        assert k[0, 0] == 5.0 and k[1, 1] == 6.0
-        assert k[0, 2] == 5.0 and k[1, 2] == 4.0
-        assert k[2, 2] == 1.0
-
     def test_scaled_halves_everything(self):
         intr = Intrinsics.from_fov(64, 64, 45.0)
         half = intr.scaled(0.5)
@@ -32,8 +27,16 @@ class TestIntrinsics:
         assert half.fx == pytest.approx(intr.fx / 2)
         assert half.cx == pytest.approx(intr.cx / 2)
 
-    def test_num_pixels(self):
-        assert Intrinsics.from_fov(10, 20, 45.0).num_pixels == 200
+    def test_from_fov_square_pixels_centred_principal_point(self):
+        intr = Intrinsics.from_fov(64, 48, 60.0)
+        assert intr.fy == intr.fx
+        assert (intr.cx, intr.cy) == (32.0, 24.0)
+        # The horizontal half-angle at the image edge is the half-fov.
+        assert np.degrees(np.arctan(intr.cx / intr.fx)) == pytest.approx(30.0)
+
+    def test_scaled_keeps_at_least_one_pixel(self):
+        tiny = Intrinsics.from_fov(4, 2, 45.0).scaled(0.1)
+        assert (tiny.width, tiny.height) == (1, 1)
 
 
 class TestRays:
@@ -59,6 +62,33 @@ class TestRays:
         origins, dirs = camera.generate_rays()
         assert origins.shape == (48, 64, 3)
         assert dirs.shape == (48, 64, 3)
+
+    def test_pixel_centre_rays_match_generate_rays(self, camera):
+        _, full = camera.generate_rays()
+        v, u = np.mgrid[0:camera.height, 0:camera.width]
+        _, dirs = camera.rays_for_pixels(u + 0.5, v + 0.5)
+        np.testing.assert_allclose(dirs, full, atol=1e-12)
+
+
+class TestDirectionLattice:
+    def test_lattice_is_memoised_and_read_only(self, camera):
+        clear_dir_grid_cache()
+        camera.generate_rays()
+        camera.with_pose(np.eye(4)).generate_rays()
+        assert list(_DIR_GRID_CACHE) == [camera.intrinsics]
+        grid = _DIR_GRID_CACHE[camera.intrinsics]
+        assert not grid.flags.writeable
+        clear_dir_grid_cache()
+        assert not _DIR_GRID_CACHE
+
+    def test_cache_is_bounded_and_evicts_oldest_first(self):
+        clear_dir_grid_cache()
+        sizes = range(1, _DIR_GRID_CACHE_MAX + 6)
+        for size in sizes:
+            PinholeCamera(Intrinsics.from_fov(size, 1, 45.0)).generate_rays()
+        assert len(_DIR_GRID_CACHE) == _DIR_GRID_CACHE_MAX
+        assert [intr.width for intr in _DIR_GRID_CACHE] == list(sizes)[5:]
+        clear_dir_grid_cache()
 
 
 class TestProjection:

@@ -34,16 +34,22 @@ class TestSplatBasics:
         pixel = project_to_pixels(np.array([[0.0, 0.0, -1.0]]), intrinsics)
         assert pixel.tolist() == [-1]
 
+    def test_non_finite_depth_ignored(self, intrinsics):
+        points = np.array([[0.0, 0.0, np.nan], [0.0, 0.0, np.inf],
+                           [np.nan, 0.0, 2.0], [0.0, 0.0, 0.0]])
+        assert project_to_pixels(points, intrinsics).tolist() == [-1] * 4
+
+    def test_pixel_edges_belong_to_the_pixel_they_open(self, intrinsics):
+        points = np.array([_point_at_pixel(intrinsics, 0.0, 0.0, 2.0),
+                           _point_at_pixel(intrinsics, 3.0, 4.0, 2.0),
+                           _point_at_pixel(intrinsics, 15.99, 15.99, 2.0),
+                           _point_at_pixel(intrinsics, 16.0, 8.0, 2.0)])
+        pixel = project_to_pixels(points, intrinsics)
+        assert pixel.tolist() == [0, 4 * 16 + 3, 16 * 16 - 1, -1]
+
     def test_point_outside_frustum_ignored(self, intrinsics):
         point = _point_at_pixel(intrinsics, 100.0, 7.5, 2.0)
         assert project_to_pixels(np.array([point]), intrinsics).tolist() == [-1]
-
-    def test_valid_mask_filters(self, intrinsics):
-        points = np.array([_point_at_pixel(intrinsics, 5.5, 5.5, 2.0),
-                           _point_at_pixel(intrinsics, 9.5, 9.5, 2.0)])
-        valid = np.array([True, False])
-        pixel = project_to_pixels(points, intrinsics, valid=valid)
-        assert pixel.tolist() == [5 * 16 + 5, -1]
 
 
 class TestZBuffer:

@@ -89,11 +89,6 @@ class TestExperimentRegistry:
                     "fig21", "fig22", "fig23", "fig24", "fig25", "fig26"}
         assert expected == set(EXPERIMENTS)
 
-    def test_fig07_runs_on_subset(self):
-        rows = EXPERIMENTS["fig07"](FAST, scene_names=("lego",))
-        assert len(rows) == 1
-        assert 0.8 < rows[0]["overlap_mean"] <= 1.0
-
     def test_fig23_normalized_at_32kb(self):
         rows = EXPERIMENTS["fig23"](FAST, sizes_kb=(16, 32, 64))
         at32 = next(r for r in rows if r["vft_kb"] == 32)

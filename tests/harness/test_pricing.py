@@ -32,17 +32,18 @@ class TestFrameEconomics:
         assert row["usd_per_frame"] == pytest.approx(
             DEFAULT_COST.run_cost_usd(8.0, 2.0) / 4)
 
+    def test_idle_energy_free_frames_still_pay_for_the_soc(self):
+        row = frame_economics(10, energy_j=0.0, busy_s=5.0)
+        assert row["joules_per_frame"] == 0.0
+        assert row["usd_per_frame"] == pytest.approx(
+            5.0 * DEFAULT_COST.usd_per_busy_second / 10)
+        assert row["usd_per_frame"] > 0.0
+
     def test_zero_frames_report_finite_zeros(self):
         row = frame_economics(0, energy_j=5.0, busy_s=1.0)
         assert row == {"total_energy_j": 5.0, "joules_per_frame": 0.0,
                        "usd_per_frame": 0.0}
         assert all(math.isfinite(v) for v in row.values())
-
-    def test_cost_model_is_a_parameter(self):
-        cheap = CostModel(electricity_usd_per_kwh=0.0, soc_capital_usd=0.0)
-        row = frame_economics(3, energy_j=9.0, busy_s=1.0, cost=cheap)
-        assert row["usd_per_frame"] == 0.0
-        assert row["joules_per_frame"] == pytest.approx(3.0)
 
 
 class TestParseRates:

@@ -95,6 +95,38 @@ class TestRunConfig:
                                  r"realserve cell"):
             RunConfig(mode="realserve", engine_workers=2).validate()
 
+    @pytest.mark.parametrize("mode, fields, message", [
+        ("cluster", {"seed": -1}, "--seed must be >= 0"),
+        ("serve", {"seed": -8, "workloads": "walk-materials"},
+         "--seed must be >= 0"),
+        ("realserve", {"seed": -1}, "--seed must be >= 0"),
+        ("cluster", {"autoscale": True, "min_workers": 0},
+         "--min-workers must be >= 1"),
+        ("cluster", {"autoscale": True, "max_workers": 0},
+         "--max-workers must be >= 1"),
+        ("cluster", {"autoscale": True, "scale_up_latency_s": -1.0},
+         "--scale-up-latency must be >= 0"),
+    ])
+    def test_values_the_executor_refuses_fail_validation(self, mode, fields,
+                                                         message):
+        with pytest.raises(RunConfigError, match=message):
+            RunConfig(mode=mode, **fields).validate()
+
+    def test_a_refused_cell_stops_the_table_before_any_cell_runs(self):
+        table = ExperimentTable.from_dict(
+            {"base": {"mode": "cluster"}, "axes": {"seed": [0, -1]}})
+        with pytest.raises(RunConfigError, match="--seed must be >= 0"):
+            table.cells()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cluster", "--fast", "--seed", "-1"], "--seed must be >= 0"),
+        (["cluster", "--fast", "--autoscale", "--min-workers", "0"],
+         "--min-workers must be >= 1"),
+    ])
+    def test_cli_names_the_refused_flag(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert f"{argv[0]}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("build", [
         lambda: RunConfig(mode="serve", backend="numba").validate(),
         lambda: ExperimentTable.from_dict(

@@ -70,11 +70,22 @@ class TestGPUModel:
         assert cost.energy_parts["dram"] > 0.0
         assert cost.energy_j > power_only
 
-    def test_breakdown_merge(self, workload):
+    def test_breakdown_total_is_the_sum_of_its_stages(self, workload):
         gpu = GPUModel()
-        b = gpu.frame_breakdown(workload)
-        double = b.merge(b)
-        assert double.total == pytest.approx(2 * b.total)
+        wl = FrameWorkload(**{**workload.__dict__, "warp_points": 10_000})
+        b = gpu.frame_breakdown(wl)
+        assert b.indexing == gpu.indexing_time(wl)
+        assert b.gathering == gpu.gathering_time(wl)
+        assert b.computation == gpu.computation_time(wl)
+        assert b.warping == gpu.warping_time(wl) > 0.0
+        assert b.total == pytest.approx(
+            b.indexing + b.gathering + b.computation + b.warping)
+
+    def test_breakdown_is_linear_in_the_work(self, workload):
+        gpu = GPUModel()
+        once = gpu.frame_breakdown(workload)
+        twice = gpu.frame_breakdown(workload.scaled(2.0))
+        assert twice.total == pytest.approx(2.0 * once.total)
 
 
 class TestNPUModel:

@@ -101,9 +101,3 @@ class TestWorkloadAlgebra:
         assert half.num_samples == full_frame.num_samples // 2
         assert half.baseline_traffic.total_bytes == pytest.approx(
             full_frame.baseline_traffic.total_bytes / 2)
-
-    def test_merge_weighted_slowdown(self, full_frame):
-        other = full_frame.scaled(1.0)
-        other.gather_conflict_slowdown = 4.0
-        merged = full_frame.merge(other)
-        assert 2.0 < merged.gather_conflict_slowdown < 4.0

@@ -59,13 +59,23 @@ class TestWorkloadFromStats:
 
 
 class TestWorkloadMergeScale:
-    def test_merge_empty_with_nonempty(self):
-        a = FrameWorkload(num_samples=100, gather_accesses=800,
-                          gather_conflict_slowdown=2.0)
-        b = FrameWorkload()
-        merged = a.merge(b)
-        assert merged.num_samples == 100
-        assert merged.gather_conflict_slowdown == 2.0
+    def test_scale_halves_counts_and_keeps_rates(self):
+        wl = FrameWorkload(num_rays=10, num_samples=100, mlp_macs=1000,
+                           gather_accesses=800, gather_bytes=6400,
+                           baseline_traffic=GatherTraffic(10.0, 20.0),
+                           streaming_traffic=GatherTraffic(30.0, 0.0),
+                           rit_bytes=48, gather_conflict_slowdown=2.5,
+                           warp_points=64, vertices_per_sample=4.0)
+        half = wl.scaled(0.5)
+        assert (half.num_rays, half.num_samples, half.mlp_macs) == (
+            5, 50, 500)
+        assert (half.gather_accesses, half.gather_bytes, half.rit_bytes,
+                half.warp_points) == (400, 3200, 24, 32)
+        assert half.baseline_traffic == GatherTraffic(5.0, 10.0)
+        assert half.streaming_traffic == GatherTraffic(15.0, 0.0)
+        # Per-access properties are not amounts: they do not scale.
+        assert half.gather_conflict_slowdown == 2.5
+        assert half.vertices_per_sample == 4.0
 
     def test_scale_zero(self):
         wl = FrameWorkload(num_samples=100, mlp_macs=1000,

@@ -89,8 +89,7 @@ class TestStreamingEquivalence:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
         group = field.gather_plan(pts)[0]
-        order = streaming_execution_order(group,
-                                          buffer_bytes=FAST.vft_buffer_bytes)
+        order = streaming_execution_order(group)
         sigma_direct, rgb_direct = field.query(pts, dirs)
         sigma_stream, rgb_stream = field.query(pts[order], dirs[order])
         np.testing.assert_allclose(sigma_stream, sigma_direct[order],

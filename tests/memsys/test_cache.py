@@ -18,7 +18,7 @@ class TestLRU:
         addrs = np.array([0, 0, 0, 0])
         stats = simulate_lru(addrs, capacity_bytes=64, block_bytes=64)
         assert stats.misses == 1
-        assert stats.hit_rate == pytest.approx(0.75)
+        assert stats.miss_rate == pytest.approx(0.25)
 
     def test_capacity_thrashing(self):
         # Cyclic access to N+1 blocks with capacity N thrashes LRU fully.
@@ -33,8 +33,8 @@ class TestLRU:
 
     def test_empty_trace_has_no_misses(self):
         stats = simulate_lru(np.zeros(0, dtype=np.int64), 1024, block_bytes=64)
-        assert (stats.accesses, stats.misses, stats.hits) == (0, 0, 0)
-        assert stats.miss_rate == 0.0 and stats.hit_rate == 1.0
+        assert (stats.accesses, stats.misses) == (0, 0)
+        assert stats.miss_rate == 0.0
 
     def test_miss_bytes(self):
         addrs = np.arange(4) * 64

@@ -53,20 +53,33 @@ class TestDRAMModel:
 
         def cost(trace):
             analysis = analyze_streaming(trace)
-            return model.cost_of_bytes(analysis.streaming_bytes,
-                                       analysis.random_bytes)
+            return model.cost_of_bytes(
+                analysis.streaming_bytes,
+                analysis.total_bytes - analysis.streaming_bytes)
 
-        assert cost(seq).streaming_fraction > 0.9
-        assert cost(rand).streaming_fraction < 0.1
-        assert cost(seq).total_bytes == cost(rand).total_bytes == 6400
+        assert cost(seq).streaming_bytes > 0.9 * 6400
+        assert cost(rand).streaming_bytes < 0.1 * 6400
+        for each in (cost(seq), cost(rand)):
+            assert each.streaming_bytes + each.random_bytes == 6400
 
-    def test_merge(self):
+    def test_cost_is_additive_in_traffic(self):
+        # Callers price a frame by summing byte counts first; that is only
+        # sound because time and energy are linear in each byte class.
         model = DRAMModel()
-        a = model.cost_of_bytes(100, 0)
-        b = model.cost_of_bytes(0, 200)
-        c = a.merge(b)
-        assert c.total_bytes == 300
-        assert c.energy_j == pytest.approx(a.energy_j + b.energy_j)
+        a = model.cost_of_bytes(3000, 500)
+        b = model.cost_of_bytes(1000, 7000)
+        both = model.cost_of_bytes(4000, 7500)
+        assert both.time_s == pytest.approx(a.time_s + b.time_s)
+        assert both.energy_j == pytest.approx(a.energy_j + b.energy_j)
+
+    def test_time_is_bytes_over_effective_bandwidth(self):
+        model = DRAMModel()
+        config = model.config
+        assert model.cost_of_bytes(config.stream_bw, 0).time_s == (
+            pytest.approx(1.0))
+        assert model.cost_of_bytes(0, config.random_bw).time_s == (
+            pytest.approx(1.0))
+        assert model.cost_of_bytes(0, 0).time_s == 0.0
 
     def test_config_bandwidths(self):
         config = DRAMConfig()

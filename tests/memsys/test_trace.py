@@ -32,10 +32,6 @@ class TestAccessTrace:
             AccessTrace(addresses=np.zeros(3, dtype=np.int64),
                         sizes=np.zeros(2, dtype=np.int64))
 
-    def test_concatenate(self):
-        combined = AccessTrace.concatenate([_trace([0]), _trace([64])])
-        assert len(combined) == 2
-
 
 class TestStreamingAnalysis:
     def test_sequential_is_streaming(self):
@@ -49,14 +45,25 @@ class TestStreamingAnalysis:
         assert analysis.streaming_fraction == 0.0
 
     def test_window_tolerates_small_skips(self):
-        trace = _trace([0, 96, 192])  # gaps of 64 bytes
-        analysis = analyze_streaming(trace, stream_window=128)
+        # Gaps of 64 bytes continue the stream; a 2 KB gap opens a new row.
+        trace = _trace([0, 96, 192, 192 + 32 + 2048])
+        analysis = analyze_streaming(trace)
         assert analysis.streaming_accesses == 2
 
     def test_backward_jump_breaks_stream(self):
         trace = _trace([1000, 0])
         analysis = analyze_streaming(trace)
         assert analysis.streaming_accesses == 0
+
+    def test_run_openers_are_charged_as_random_bytes(self):
+        trace = AccessTrace(addresses=np.array([0, 32, 4096, 4096 + 64]),
+                            sizes=np.array([32, 16, 64, 8]))
+        analysis = analyze_streaming(trace)
+        assert analysis.num_accesses == 4
+        assert analysis.streaming_accesses == 2
+        assert analysis.total_bytes == 120
+        assert analysis.streaming_bytes == 16 + 8
+        assert analysis.non_streaming_fraction == pytest.approx(0.5)
 
     def test_empty_trace(self):
         analysis = analyze_streaming(_trace([]))
@@ -81,6 +88,10 @@ class TestCoalescing:
         merged = trace.coalesced(block_bytes=64)
         assert len(merged) == 2
 
+    def test_empty_trace_stays_empty(self):
+        coalesced = _trace([]).coalesced()
+        assert len(coalesced) == 0 and coalesced.total_bytes == 0
+
     def test_preserves_total_coverage(self):
         rng = np.random.default_rng(0)
         trace = _trace(rng.integers(0, 10000, size=500) * 32, size=32)
@@ -103,15 +114,8 @@ class TestGatherTraces:
         expected_first = group.base_address + group.vertex_ids[0, 0] * group.entry_bytes
         assert trace.addresses[0] == expected_first
 
-    def test_sample_order_reorders(self, gather_groups):
-        group = gather_groups[0]
-        order = np.arange(group.num_samples)[::-1]
-        trace = trace_from_gather_group(group, sample_order=order)
-        expected_first = group.base_address + group.vertex_ids[-1, 0] * group.entry_bytes
-        assert trace.addresses[0] == expected_first
-
     def test_interleaved_trace_covers_all_groups(self, gather_groups):
-        trace = interleaved_gather_trace(gather_groups, block_samples=128)
+        trace = interleaved_gather_trace(gather_groups)
         total = sum(g.num_samples * g.vertices_per_sample
                     for g in gather_groups)
         assert len(trace) == total

@@ -10,7 +10,6 @@ from repro.metrics import (
     mse,
     percentile_or_zero,
     psnr,
-    speedup,
 )
 from repro.metrics.stats import (
     LATENCY_KEYS,
@@ -97,11 +96,6 @@ class TestStats:
 
     def test_percentile_of_nothing_is_zero(self):
         assert percentile_or_zero([], 99) == 0.0
-
-    def test_speedup(self):
-        assert speedup(10.0, 2.0) == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            speedup(10.0, 0.0)
 
 
 def _summary(ttff_mean, ttff_p95, mean, p50, p95, p99, worst):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instruments import diffuse_radiance
 from repro.nerf import SHDecoder
 
 floats = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -71,7 +72,7 @@ class TestBakeDecodeRoundtrip:
         # With zero SH (diffuse lego), rgb == diffuse == scene shading.
         _, rgb = small_field.decoder.decode(
             features, np.tile([0.0, 0.0, 1.0], (near.size, 1)))
-        expected = lego_scene.diffuse_radiance(positions[near])
+        expected = diffuse_radiance(lego_scene, positions[near])
         err = np.abs(rgb - expected).mean()
         assert err < 0.05
 

@@ -175,8 +175,7 @@ class TestVoxelGridField:
 class TestHashGridField:
     @pytest.fixture(scope="class")
     def field(self, scene, reference):
-        return HashGridField.bake(scene, num_levels=4, base_resolution=8,
-                                  finest_resolution=32, table_size=1 << 12,
+        return HashGridField.bake(scene, num_levels=4, finest_resolution=32, table_size=1 << 12,
                                   reference=reference)
 
     def test_level_structure(self, field):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_kernels import sample_reference
 
+from instruments import occupancy_rate
 from repro.geometry import Intrinsics, PinholeCamera, look_at
 from repro.geometry.rays import intersect_aabb
 from repro.nerf import OccupancyGrid, UniformSampler
@@ -76,7 +77,7 @@ class TestUniformSampler:
 class TestOccupancyGrid:
     def test_from_field_culls_empty_space(self, small_field):
         grid = OccupancyGrid.from_field(small_field, resolution=24)
-        assert 0.0 < grid.occupancy_rate < 0.6
+        assert 0.0 < occupancy_rate(grid) < 0.6
 
     def test_occupied_lookup_shapes(self, small_field):
         grid = OccupancyGrid.from_field(small_field, resolution=24)

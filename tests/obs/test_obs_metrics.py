@@ -31,11 +31,13 @@ class TestGauge:
 
 
 class TestHistogram:
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError, match="ascending"):
-            Histogram("h", bounds=())
-        with pytest.raises(ValueError, match="ascending"):
-            Histogram("h", bounds=(1.0, 1.0, 2.0))
+    def test_default_bounds_ascend_strictly_with_one_overflow_bucket(self):
+        bounds = DEFAULT_LATENCY_BOUNDS
+        assert all(low < high for low, high in zip(bounds, bounds[1:]))
+        assert bounds[0] > 0.0
+        hist = Histogram("h")
+        assert hist.bounds == bounds
+        assert len(hist.counts) == len(bounds) + 1
 
     def test_empty_snapshot_is_all_zero(self):
         snap = Histogram("h").snapshot()
@@ -55,10 +57,13 @@ class TestHistogram:
     def test_bucket_edges_are_upper_inclusive_lower_exclusive(self):
         # bisect_left(bounds, v) puts a value exactly on an edge into
         # the bucket whose upper edge it is.
-        hist = Histogram("h", bounds=(1.0, 2.0))
-        for value in (0.5, 1.0, 1.5, 2.0, 99.0):
+        hist = Histogram("h")
+        low, high = DEFAULT_LATENCY_BOUNDS[:2]
+        for value in (low / 2, low, (low + high) / 2, high,
+                      DEFAULT_LATENCY_BOUNDS[-1] * 2):
             hist.observe(value)
-        assert hist.counts == [2, 2, 1]
+        assert hist.counts[:2] == [2, 2] and hist.counts[-1] == 1
+        assert sum(hist.counts) == 5
 
     def test_overflow_bucket_keeps_quantiles_finite(self):
         hist = Histogram("h")
@@ -85,13 +90,14 @@ class TestHistogram:
         assert all(hist.percentile(pct) == 0.0042 for _, pct in QUANTILES)
 
     def test_snapshot_shape_and_sparse_buckets(self):
-        hist = Histogram("h", bounds=(1.0, 2.0, 5.0))
-        hist.observe(0.5)
-        hist.observe(7.0)
+        hist = Histogram("h")
+        first, last = DEFAULT_LATENCY_BOUNDS[0], DEFAULT_LATENCY_BOUNDS[-1]
+        hist.observe(first / 2)
+        hist.observe(last * 2)
         snap = hist.snapshot()
         assert snap["count"] == 2
-        assert snap["sum"] == 7.5
-        assert snap["buckets"] == {"1.0": 1, "inf": 1}
+        assert snap["sum"] == first / 2 + last * 2
+        assert snap["buckets"] == {str(first): 1, "inf": 1}
 
 
 class TestRegistry:

@@ -3,13 +3,12 @@
 import time
 
 from repro.obs import (Observation, Tracer, MetricsRegistry, activate,
-                       current, current_metrics, current_tracer,
+                       current_metrics, current_tracer,
                        metric_inc, metric_observe, metric_set, section)
 
 
 class TestActivation:
     def test_inactive_by_default(self):
-        assert current() is None
         assert current_tracer() is None
         assert current_metrics() is None
 
@@ -19,7 +18,7 @@ class TestActivation:
             assert active is obs
             assert current_tracer() is obs.tracer
             assert current_metrics() is obs.metrics
-        assert current() is None
+        assert current_tracer() is None and current_metrics() is None
 
     def test_nested_activation_shadows_then_restores(self):
         outer = Observation(metrics=MetricsRegistry())
@@ -33,11 +32,11 @@ class TestActivation:
 
     def test_restores_on_exception(self):
         try:
-            with activate(Observation()):
+            with activate(Observation(metrics=MetricsRegistry())):
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        assert current() is None
+        assert current_metrics() is None
 
 
 class TestGuardedHelpers:

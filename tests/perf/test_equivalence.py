@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from instruments import diffuse_radiance
 from reference_kernels import (bilinear_setup_reference, decode_reference,
                                depth_to_points_reference,
                                generate_rays_reference,
@@ -422,7 +423,7 @@ def test_scene_queries_bit_identical_to_per_query_formulas(
         assert_same_bits(scene.object_index(points),
                          old.object_index(points))
         assert_same_bits(scene.normals(points), old.normals(points))
-        assert_same_bits(scene.diffuse_radiance(points),
+        assert_same_bits(diffuse_radiance(scene, points),
                          old.diffuse_radiance(points))
 
     normals = old.normals(pts)

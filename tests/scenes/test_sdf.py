@@ -1,4 +1,4 @@
-"""Tests for SDF primitives and CSG combinators."""
+"""Tests for SDF primitives."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,8 @@ from repro.nerf.baking import vertex_grid_positions
 from repro.scenes.sdf import (
     Box,
     Cylinder,
-    Intersection,
     Sphere,
     Torus,
-    Union,
     estimate_normals,
 )
 
@@ -66,49 +64,23 @@ class TestOtherPrimitives:
 
 
 class TestCSG:
-    def test_union_is_min(self):
-        a = Sphere(center=[0, 0, 0], radius=1.0)
-        b = Sphere(center=[3, 0, 0], radius=1.0)
-        u = Union([a, b])
-        pts = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-        np.testing.assert_allclose(u.distance(pts), [-1.0, -1.0])
-
-    def test_operator_or(self):
-        a = Sphere(radius=1.0)
-        b = Box(half_size=[0.5, 0.5, 0.5])
-        u = a | b
-        assert isinstance(u, Union)
-
-    def test_intersection_is_max(self):
-        a = Sphere(center=[0, 0, 0], radius=1.0)
-        b = Sphere(center=[1, 0, 0], radius=1.0)
-        pts = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
-        np.testing.assert_allclose(Intersection([a, b]).distance(pts),
-                                   np.maximum(a.distance(pts),
-                                              b.distance(pts)))
-        # Inside both -> inside; inside only one -> outside.
-        assert Intersection([a, b]).distance(pts[:1])[0] < 0
-        assert Intersection([a, b]).distance(pts[1:])[0] > 0
-
-    def test_operator_and(self):
-        a = Sphere(radius=1.0)
-        b = Box(half_size=[0.5, 0.5, 0.5])
-        both = a & b
-        assert isinstance(both, Intersection)
-        pts = np.random.default_rng(4).uniform(-1.5, 1.5, size=(64, 3))
-        np.testing.assert_array_equal(both.distance(pts),
-                                      Intersection([a, b]).distance(pts))
-
-    def test_subtraction_removes_overlap(self):
-        base = Sphere(radius=1.0)
-        cut = Sphere(radius=0.5)
-        sub = base - cut
-        # Center is inside the cut -> outside the result.
-        assert sub.distance(np.zeros((1, 3)))[0] > 0
-
     def test_scaled(self):
         s = Sphere(radius=1.0).scaled(2.0)
         assert s.distance(np.array([[2.0, 0.0, 0.0]]))[0] == pytest.approx(0.0)
+
+    def test_scaled_is_the_scaled_primitive_everywhere(self):
+        # Scaling about the origin scales centre and extents alike, and
+        # the result stays an exact distance (not just a zero set).
+        pts = np.random.default_rng(9).uniform(-3.0, 3.0, size=(256, 3))
+        pairs = [
+            (Sphere(center=[0.2, 0.0, -0.1], radius=0.5),
+             Sphere(center=[0.6, 0.0, -0.3], radius=1.5)),
+            (Box(center=[0.0, 0.1, 0.0], half_size=[0.2, 0.3, 0.4]),
+             Box(center=[0.0, 0.3, 0.0], half_size=[0.6, 0.9, 1.2])),
+        ]
+        for small, big in pairs:
+            np.testing.assert_allclose(small.scaled(3.0).distance(pts),
+                                       big.distance(pts), atol=1e-12)
 
 
 class TestNormals:
@@ -204,6 +176,16 @@ class TestColumnPrimitives:
             single = sdf.distance(pts[row])
             assert np.shape(single) == ()
             assert_same_bits(np.float64(single), flat[row])
+
+    def test_distance_is_one_lipschitz(self, name):
+        # Sphere tracing steps by the distance: it may never overstate
+        # how far the surface is, i.e. |d(p) - d(q)| <= |p - q|.
+        sdf = PRIMITIVES[name]
+        rng = np.random.default_rng(23)
+        p = rng.uniform(-1.5, 1.5, size=(2000, 3))
+        q = p + rng.normal(scale=0.3, size=p.shape)
+        gap = np.abs(sdf.distance(p) - sdf.distance(q))
+        assert (gap <= np.linalg.norm(p - q, axis=1) + 1e-12).all()
 
     def test_input_is_not_written(self, name):
         pts = _probe_points(PRIMITIVES[name])

@@ -2,20 +2,17 @@
 
 import numpy as np
 import pytest
+from instruments import frame_interval
 from pose_helpers import is_rotation_matrix, rotation_angle_deg, translation_distance
 
 from repro.geometry import pose_rotation, pose_translation
 from repro.scenes import (
     TRAJECTORY_KINDS,
     dolly_trajectory,
-    handheld_trajectory,
     headshake_trajectory,
-    load_pose_log,
     make_trajectory,
     orbit_trajectory,
     random_walk_trajectory,
-    replay_trajectory,
-    save_pose_log,
 )
 from repro.scenes.trajectory import trajectory_parameters
 
@@ -24,7 +21,7 @@ class TestOrbit:
     def test_length_and_fps(self):
         traj = orbit_trajectory(30, fps=30.0)
         assert len(traj) == 30
-        assert traj.frame_interval == pytest.approx(1.0 / 30.0)
+        assert frame_interval(traj) == pytest.approx(1.0 / 30.0)
 
     def test_constant_radius(self):
         traj = orbit_trajectory(20, radius=3.0, height=1.0, target=(0, 0, 0))
@@ -47,28 +44,8 @@ class TestOrbit:
             assert is_rotation_matrix(pose_rotation(pose), tol=1e-8)
 
 
-class TestHandheld:
-    def test_deterministic_in_seed(self):
-        a = handheld_trajectory(10, seed=5)
-        b = handheld_trajectory(10, seed=5)
-        for pa, pb in zip(a.poses, b.poses):
-            np.testing.assert_allclose(pa, pb)
-
-    def test_jitter_stays_small(self):
-        smooth = orbit_trajectory(20)
-        shaky = handheld_trajectory(20, jitter_translation=0.01)
-        for ps, ph in zip(smooth.poses, shaky.poses):
-            assert translation_distance(ps, ph) < 0.25
-
-    def test_consecutive_poses_close(self):
-        traj = handheld_trajectory(20, degrees_per_frame=0.5)
-        for a, b in zip(traj.poses, traj.poses[1:]):
-            assert translation_distance(a, b) < 0.2
-
-
 GENERATOR_CASES = {
     "orbit": lambda n, seed: orbit_trajectory(n),
-    "handheld": lambda n, seed: handheld_trajectory(n, seed=seed),
     "dolly": lambda n, seed: dolly_trajectory(n),
     "headshake": lambda n, seed: headshake_trajectory(n),
     "random_walk": lambda n, seed: random_walk_trajectory(n, seed=seed),
@@ -102,8 +79,19 @@ class TestAllGenerators:
             assert rotation_angle_deg(pose_rotation(a),
                                       pose_rotation(b)) < 10.0
 
+    @pytest.mark.parametrize("kind", ["dolly", "orbit", "random_walk"])
+    def test_gaze_stays_on_the_target(self, kind):
+        # Every kind but the head shake keeps the scene centred, which is
+        # what keeps consecutive frames overlapping for the warp.
+        traj = GENERATOR_CASES[kind](15, 4)
+        for pose in traj.poses:
+            to_target = -pose_translation(pose)
+            to_target /= np.linalg.norm(to_target)
+            np.testing.assert_allclose(pose_rotation(pose)[:, 2], to_target,
+                                       atol=1e-12)
+
     def test_registry_covers_every_generator(self):
-        assert set(GENERATOR_CASES) | {"replay"} == set(TRAJECTORY_KINDS)
+        assert set(GENERATOR_CASES) == set(TRAJECTORY_KINDS)
 
 
 class TestDolly:
@@ -155,38 +143,6 @@ class TestRandomWalk:
             random_walk_trajectory(5, radius=5.0, max_radius=4.0)
 
 
-class TestReplay:
-    def test_pose_log_round_trip_exact(self, tmp_path):
-        traj = random_walk_trajectory(10, seed=4, fps=24.0)
-        path = save_pose_log(traj, tmp_path / "log.json")
-        loaded = load_pose_log(path)
-        assert loaded.fps == traj.fps
-        assert loaded.name == traj.name
-        assert len(loaded) == len(traj)
-        for pa, pb in zip(traj.poses, loaded.poses):
-            np.testing.assert_array_equal(pa, pb)
-
-    def test_make_trajectory_replay_from_log(self, tmp_path):
-        traj = orbit_trajectory(8)
-        path = save_pose_log(traj, tmp_path / "log.json")
-        replayed = make_trajectory("replay", 5, pose_log=str(path))
-        assert len(replayed) == 5
-        np.testing.assert_array_equal(replayed[4], traj[4])
-
-    def test_replay_requires_enough_poses(self, tmp_path):
-        path = save_pose_log(orbit_trajectory(3), tmp_path / "log.json")
-        with pytest.raises(ValueError):
-            make_trajectory("replay", 4, pose_log=str(path))
-
-    def test_replay_requires_pose_log(self):
-        with pytest.raises(ValueError):
-            make_trajectory("replay", 4)
-
-    def test_rejects_bad_pose_shape(self):
-        with pytest.raises(ValueError):
-            replay_trajectory([np.eye(3)])
-
-
 class TestMakeTrajectory:
     def test_dispatch_and_determinism(self):
         a = make_trajectory("random_walk", 6, seed=11)
@@ -204,16 +160,13 @@ class TestMakeTrajectory:
         with pytest.raises(KeyError, match="unknown trajectory"):
             make_trajectory("spiral", 5)
 
-    def test_unknown_param_raises_for_every_kind(self, tmp_path):
-        path = save_pose_log(orbit_trajectory(4), tmp_path / "log.json")
+    def test_unknown_param_raises_for_every_kind(self):
         for kind in TRAJECTORY_KINDS:
-            params = {"pose_log": str(path)} if kind == "replay" else {}
             with pytest.raises(TypeError):
-                make_trajectory(kind, 3, not_a_param=1.0, **params)
+                make_trajectory(kind, 3, not_a_param=1.0)
 
     def test_parameters_name_each_generators_keywords(self):
         assert "degrees_per_frame" in trajectory_parameters("orbit")
-        assert "pose_log" in trajectory_parameters("replay")
         for kind in TRAJECTORY_KINDS:
             assert "num_frames" in trajectory_parameters(kind)
 

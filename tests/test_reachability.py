@@ -9,8 +9,8 @@ Three rules, each over ``src/repro``:
 * *Constants.* Every module-level UPPER_CASE constant is read the same
   way, outside its own assignment.
 * *Parameters.* Every defaulted parameter of a def is passed, by position
-  or by keyword, by at least one call in ``src/``, ``examples/``,
-  ``benchmarks/`` or ``tests/``.  Calls match by name, like identifiers;
+  or by keyword, by at least one call in ``src/``, ``examples/`` or
+  ``benchmarks/``.  Calls match by name, like identifiers;
   a class call, ``super().__init__(...)`` and ``cls(...)`` in a
   classmethod bind to ``__init__``, an import alias to the imported name
   and ``TABLE[key](...)`` to the module dict's entry.  A def some call
@@ -19,15 +19,21 @@ Three rules, each over ``src/repro``:
   skipped: its callers cannot be read.
 
 Docstrings, comments, ``__all__`` lists and import lines are not
-identifiers.  Tests do not count for definitions and constants: one only
-its own tests reach is dead.  They do count for parameters: a parameter
-only a test passes is that test's way into a non-default branch, so
-deleting it deletes tested behaviour, which is a separate decision.
-``KEEP`` and ``KEEP_PARAMS`` list the exceptions, each with its reason,
-and must hold no name that is reached or parameter that is passed.
+identifiers.  Tests count for none of the three rules: a definition only
+its own tests reach is dead, and a parameter only a test passes is a
+branch only that test takes.  ``KEEP`` and ``KEEP_PARAMS`` list the
+exceptions, each with its reason, and must hold no name that is reached
+or parameter that is passed.  A ``KEEP_PARAMS`` entry is a seam: a test
+passes a fake through it, or shrinks a bound through it to reach at FAST
+a branch real runs take.
+
+Names match regardless of owner, so a same-named identifier anywhere
+hides a dead definition (``Scene.density`` once passed because
+``SHDecoder.density`` is called).  ``tools/traffic.py`` answers the
+question by execution; ``docs/architecture.md`` ("What the library
+keeps") says what it may list.
 """
 
-import ast
 import ast
 import re
 from pathlib import Path
@@ -40,16 +46,9 @@ KEEP = {
     "simulate_groups": "reference for BankedSRAM.simulate_groups_fast",
     "project_points": "oracle for the depth-lift round trip",
     "save_arrival_trace": "writer half of the --arrival-trace format",
-    "save_pose_log": "writer half of the pose-log format replay reads",
     "reset_caches": "keeps tests isolated from each other",
     "query": "Field.query: per-sample oracle of the reordering integration test",
     "render_pixels": "sparse renders checked against full frames (compose_pixels)",
-    "level_of": "test instrument: a governed session's current tier",
-    "primary": "test instrument: ShardMap's first replica",
-    "void_fraction": "test instrument: checks disocclusion classification",
-    "diffuse_radiance": "test instrument: ground truth for the field decode tests",
-    "occupancy_rate": "test instrument: checks the baked occupancy grid",
-    "frame_interval": "test instrument: a trajectory's 1 / fps",
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*$")
@@ -113,7 +112,16 @@ def test_every_library_constant_is_read():
 
 # -- parameters ---------------------------------------------------------------
 
-KEEP_PARAMS: dict = {}
+KEEP_PARAMS = {
+    "Autoscaler.__init__(cooldown_s)":
+        "bound: tests shrink the 1 s cooldown to reach, in sub-second "
+        "runs, the scale-ups and scale-downs --autoscale runs take",
+    "ShardedFieldStore.__init__(local_entries)":
+        "bound: tests shrink the local LRU to reach the eviction the "
+        "--catalog 80 run takes",
+    "git_revision(repo_root)":
+        "fake: tests point it at fabricated .git layouts",
+}
 
 
 def _name(node):
@@ -143,7 +151,7 @@ def _calls():
     class's base names; and the classes that define ``__init__``.
     """
     trees = [ast.parse(path.read_text(), str(path))
-             for top in ("src", "examples", "benchmarks", "tests")
+             for top in ("src", "examples", "benchmarks")
              for path in sorted((ROOT / top).rglob("*.py"))]
     aliases, bases, inits, tables, stored = {}, {}, set(), {}, set()
     for tree in trees:

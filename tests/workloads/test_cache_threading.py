@@ -115,13 +115,13 @@ class TestConcurrentMutation:
                 key = f"{index}:{step % 24}"
                 cache.put(key, step, size_bytes=50 + (step % 3) * 25)
                 cache.get(key)
-                len(cache)
+                cache.report()
 
         _run_threads(8, worker)
-        assert len(cache) <= 16
-        assert cache.total_bytes <= 1000
+        assert cache.report()["entries"] <= 16
+        assert cache.report()["bytes"] <= 1000
         # The byte ledger must agree with the surviving entries.
-        assert cache.total_bytes == sum(
+        assert cache.report()["bytes"] == sum(
             entry.size_bytes for entry in cache._entries.values())
 
     def test_counters_are_not_lost(self):

@@ -10,6 +10,7 @@ run demonstrably serves reference renders from the cache.
 import numpy as np
 import pytest
 
+from instruments import session_of
 from repro.engine import MultiSessionEngine
 from repro.harness.configs import FAST
 from repro.harness.runconfig import RunConfig
@@ -47,7 +48,7 @@ class TestCachedServingParity:
         assert cache.stats.insertions > 0
         # The duplicated vr-lego sessions issue one reference per window;
         # every one after the primary's must be served from the cache.
-        lego = result.session("vr-lego-01").result
+        lego = session_of(result, "vr-lego-01").result
         assert result.batch.cache_hits >= lego.num_references
 
     def test_fewer_rays_rendered_with_cache(self, cached_run, uncached):
@@ -57,7 +58,7 @@ class TestCachedServingParity:
     def test_frames_bit_identical(self, cached_run, uncached):
         result, _ = cached_run
         for solo in uncached.sessions:
-            twin = result.session(solo.session_id).result
+            twin = session_of(result, solo.session_id).result
             ref = solo.result
             assert twin.num_frames == ref.num_frames == FRAMES
             for bf, sf in zip(twin.frames, ref.frames):
@@ -68,7 +69,7 @@ class TestCachedServingParity:
     def test_records_identical(self, cached_run, uncached):
         result, _ = cached_run
         for solo in uncached.sessions:
-            twin = result.session(solo.session_id).result
+            twin = session_of(result, solo.session_id).result
             for br, sr in zip(twin.records, solo.result.records):
                 assert br.frame_index == sr.frame_index
                 assert br.new_reference == sr.new_reference
@@ -86,8 +87,8 @@ class TestCachedServingParity:
     def test_duplicated_sessions_identical_output(self, cached_run):
         """Two users of one workload see exactly the same frames."""
         result, _ = cached_run
-        a = result.session("vr-lego-00").result
-        b = result.session("vr-lego-01").result
+        a = session_of(result, "vr-lego-00").result
+        b = session_of(result, "vr-lego-01").result
         for fa, fb in zip(a.frames, b.frames):
             assert np.array_equal(fa.image, fb.image)
 
@@ -126,7 +127,7 @@ class TestCachedServingParity:
         cache = SharedLRUCache(name="unused", max_entries=8)
         result = MultiSessionEngine(sessions, reference_cache=cache).run()
         assert result.batch.cache_hits == 0
-        assert len(cache) == 0
+        assert cache.report()["entries"] == 0
         assert cache.stats.lookups == 0
 
 
@@ -163,15 +164,11 @@ class TestServeHarnessParity:
         assert summary_on["p95_latency_ms"] == summary_off["p95_latency_ms"]
 
     def test_per_spec_variants_priced(self):
-        """Heterogeneous mixes price each session under its spec's variant."""
-        import dataclasses
-
-        from repro.workloads import WORKLOADS
-
-        cicero = WORKLOADS["vr-lego"]
-        gpu = dataclasses.replace(cicero, name="vr-lego-gpu", variant="gpu")
-        result = execute_cell(RunConfig(mode="serve", frames=2), config=FAST,
-                              mix=[(cicero, 1), (gpu, 1)])
-        assert result.summary["variant"] == "mixed"
-        # Identical content, different SoC variant: pricing must differ.
-        assert result.rows[0]["solo_fps"] != result.rows[1]["solo_fps"]
+        """Each session prices under its spec's variant: the same content
+        priced on another SoC variant reports different frame rates."""
+        cicero, gpu = (execute_cell(RunConfig(mode="serve", frames=2,
+                                              variant=variant), config=FAST)
+                       for variant in ("cicero", "gpu"))
+        assert (cicero.summary["variant"], gpu.summary["variant"]) \
+            == ("cicero", "gpu")
+        assert cicero.rows[0]["solo_fps"] != gpu.rows[0]["solo_fps"]

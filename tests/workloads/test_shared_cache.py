@@ -35,7 +35,7 @@ class TestSharedLRUCache:
         cache.put("a", 1, size_bytes=60)
         cache.put("b", 2, size_bytes=60)
         assert "a" not in cache
-        assert cache.total_bytes == 60
+        assert cache.report()["bytes"] == 60
 
     def test_oversized_entry_is_refused(self):
         # Pre-fix, an entry larger than max_bytes was retained forever:
@@ -48,20 +48,20 @@ class TestSharedLRUCache:
         cache.put("c", 3, size_bytes=500)
         assert "c" not in cache
         assert "b" in cache  # the refusal does not evict smaller entries
-        assert cache.total_bytes == 60
+        assert cache.report()["bytes"] == 60
         assert cache.stats.insertions == 2
         assert cache.stats.evictions == 1  # counted as insert-then-evict
         # Refreshing an existing key with an oversized value drops it.
         cache.put("b", 4, size_bytes=500)
         assert "b" not in cache
-        assert cache.total_bytes == 0
+        assert cache.report()["bytes"] == 0
 
     def test_put_refreshes_existing_key(self):
         cache = SharedLRUCache(name="t", max_entries=2)
         cache.put("a", 1, size_bytes=10)
         cache.put("a", 2, size_bytes=20)
-        assert len(cache) == 1
-        assert cache.total_bytes == 20
+        assert cache.report()["entries"] == 1
+        assert cache.report()["bytes"] == 20
         assert cache.get("a") == 2
         assert cache.stats.evictions == 0
 
