@@ -40,7 +40,7 @@ def main():
             "traffic_reduction": report.baseline_bytes / max(report.fs_bytes, 1),
         })
 
-        feature_major = FeatureMajorLayout(num_banks=16)
+        feature_major = FeatureMajorLayout(num_banks=config.fig6_banks)
         channel_major = ChannelMajorLayout(num_banks=32, ports_per_bank=2,
                                            feature_dim=config.feature_dim)
         group = profile.gather_groups[0]
@@ -61,7 +61,8 @@ def main():
     # Show the actual MVoxel schedule for the dense grid.
     profile = full_frame_profile("directvoxgo", "lego", config)
     scheduler = FullyStreamingScheduler(buffer_bytes=config.vft_buffer_bytes,
-                                        baseline_cache_bytes=None)
+                                        baseline_cache_bytes=None,
+                                        cache_block_bytes=config.cache_block_bytes)
     report, rit, layout = scheduler.schedule_group(profile.gather_groups[0])
     print(f"\nMVoxel schedule: {report.occupied_mvoxels}/{report.total_mvoxels}"
           f" MVoxels occupied (side {report.mvoxel_side} cells, "

@@ -23,7 +23,7 @@ from repro.scenes import RayTracer, get_scene, orbit_trajectory
 def main():
     # 1. Scene + ground truth ------------------------------------------------
     scene = get_scene("lego")
-    trajectory = orbit_trajectory(12, degrees_per_frame=0.5)
+    trajectory = orbit_trajectory(12, radius=3.2, degrees_per_frame=0.5)
     camera = PinholeCamera(Intrinsics.from_fov(96, 96, 45.0), trajectory[0])
 
     tracer = RayTracer(scene)
@@ -32,7 +32,8 @@ def main():
           f"frames at {camera.width}x{camera.height}")
 
     # 2. Bake + render a NeRF field -------------------------------------------
-    field = VoxelGridField.bake(scene, resolution=96)
+    field = VoxelGridField.bake(scene, resolution=96, feature_dim=16,
+                                max_density=800.0)
     occupancy = OccupancyGrid.from_field(field, resolution=32)
     renderer = NeRFRenderer(field, UniformSampler(96, occupancy=occupancy),
                             background=scene.background)

@@ -23,11 +23,8 @@ from .arrivals import (
     Arrival,
     deterministic_arrivals,
     diurnal_arrivals,
-    load_arrival_trace,
     make_arrivals,
     poisson_arrivals,
-    replay_arrivals,
-    save_arrival_trace,
 )
 from .autoscale import Autoscaler, ScaleEvent
 from .placement import (
@@ -52,11 +49,8 @@ __all__ = [
     "Arrival",
     "deterministic_arrivals",
     "diurnal_arrivals",
-    "load_arrival_trace",
     "make_arrivals",
     "poisson_arrivals",
-    "replay_arrivals",
-    "save_arrival_trace",
     "Autoscaler",
     "ScaleEvent",
     "PLACEMENTS",

@@ -11,7 +11,6 @@ popularity weights):
 * ``deterministic`` — evenly spaced arrivals cycling through the mix.
 * ``diurnal`` — an inhomogeneous Poisson process (sinusoidal rate profile
   between a trough and the peak rate) via thinning.
-* ``replay`` — exact arrival times/workloads from a JSON trace.
 
 Every generator is deterministic given ``(mix, rate, duration, seed)``, so
 a cluster run is reproducible end to end from ``--seed``.
@@ -19,23 +18,20 @@ a cluster run is reproducible end to end from ``--seed``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ..workloads import WorkloadSpec, get_workload, parse_mix
+from ..workloads import WorkloadSpec, parse_mix
 
 __all__ = [
     "Arrival", "poisson_arrivals", "deterministic_arrivals",
-    "diurnal_arrivals", "replay_arrivals", "save_arrival_trace",
-    "load_arrival_trace", "ARRIVAL_KINDS", "DEFAULT_CLUSTER_MIX",
+    "diurnal_arrivals", "ARRIVAL_KINDS", "DEFAULT_CLUSTER_MIX",
     "make_arrivals",
 ]
 
-# The mix an arrival-driven run (cluster, frontier, loadgen) replays when
+# The mix an arrival-driven run (cluster, loadgen) replays when
 # none is given.  Popularity-skewed: over half the arrivals share the
 # vr-lego cache key, so co-locating them (cache_affinity) visibly beats
 # spreading them (round_robin) on the cluster-wide reference-cache hit
@@ -85,10 +81,14 @@ def _expand_mix(mix) -> _WeightedSpecs:
 
 
 def _check_rate_duration(rate_hz: float, duration_s: float) -> None:
-    if not rate_hz > 0.0:
-        raise ValueError(f"arrival rate must be > 0, got {rate_hz}")
-    if not duration_s > 0.0:
-        raise ValueError(f"arrival duration must be > 0, got {duration_s}")
+    # An infinite rate draws zero gaps and an infinite window never
+    # closes: either would grow the schedule forever.
+    if not (rate_hz > 0.0 and math.isfinite(rate_hz)):
+        raise ValueError(f"arrival rate must be finite and > 0, "
+                         f"got {rate_hz}")
+    if not (duration_s > 0.0 and math.isfinite(duration_s)):
+        raise ValueError(f"arrival duration must be finite and > 0, "
+                         f"got {duration_s}")
 
 
 def deterministic_arrivals(mix, rate_hz: float, duration_s: float,
@@ -121,30 +121,30 @@ def poisson_arrivals(mix, rate_hz: float, duration_s: float,
     return arrivals
 
 
-def diurnal_arrivals(mix, rate_hz: float, duration_s: float, seed: int = 0,
-                     depth: float = 0.8, period_s: float | None = None
-                     ) -> list:
+# The diurnal profile's swing: the trough is this share below the peak.
+# Its period is the whole arrival window, one trough-to-trough day.
+DIURNAL_DEPTH = 0.8
+
+
+def diurnal_arrivals(mix, rate_hz: float, duration_s: float,
+                     seed: int = 0) -> list:
     """Inhomogeneous Poisson arrivals with a sinusoidal daily profile.
 
     ``rate_hz`` is the *peak* rate; the instantaneous rate swings between
-    ``(1 - depth) * rate_hz`` (trough, at t = 0) and ``rate_hz`` (peak, at
-    half a period) following ``1 - depth/2 * (1 + cos(2*pi*t/period))``.
-    Generated by thinning a homogeneous peak-rate process, so the schedule
-    stays exactly reproducible from the seed.
+    ``(1 - DIURNAL_DEPTH) * rate_hz`` (trough, at t = 0 and t =
+    ``duration_s``) and ``rate_hz`` (peak, half-way) following ``1 -
+    DIURNAL_DEPTH/2 * (1 + cos(2*pi*t/duration_s))``.  Generated by thinning a
+    homogeneous peak-rate process, so the schedule stays exactly
+    reproducible from the seed.
     """
     _check_rate_duration(rate_hz, duration_s)
-    if not 0.0 <= depth <= 1.0:
-        raise ValueError(f"diurnal depth must be in [0, 1], got {depth}")
-    period = duration_s if period_s is None else float(period_s)
-    if not period > 0.0:
-        raise ValueError(f"diurnal period must be > 0, got {period}")
     specs = _expand_mix(mix)
     rng = np.random.default_rng(seed)
     arrivals = []
     t = float(rng.exponential(1.0 / rate_hz))
     while t < duration_s:
-        acceptance = 1.0 - depth * 0.5 * (1.0 + math.cos(2.0 * math.pi
-                                                         * t / period))
+        acceptance = 1.0 - DIURNAL_DEPTH * 0.5 * (
+            1.0 + math.cos(2.0 * math.pi * t / duration_s))
         if float(rng.random()) < acceptance:
             arrivals.append(Arrival(
                 time_s=t, spec=specs[int(rng.integers(len(specs)))]))
@@ -152,73 +152,21 @@ def diurnal_arrivals(mix, rate_hz: float, duration_s: float, seed: int = 0,
     return arrivals
 
 
-def save_arrival_trace(path, arrivals: list) -> Path:
-    """Persist an arrival schedule as a replayable JSON trace.
-
-    Workloads are stored by registry name, so a trace replays anywhere the
-    same registry is loaded (custom specs must be registered before
-    replay).
-    """
-    path = Path(path)
-    payload = {
-        "schema": 1,
-        "arrivals": [{"t": float(a.time_s), "workload": a.spec.name}
-                     for a in arrivals],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
-def load_arrival_trace(trace) -> list:
-    """Arrival schedule from a trace file path, JSON dict, or entry list.
-
-    Entries are ``{"t": seconds, "workload": registry-name}``; names
-    resolve through the workload registry and the result is sorted by
-    time (stable, so equal-time entries keep trace order).
-    """
-    if isinstance(trace, (str, Path)):
-        trace = json.loads(Path(trace).read_text())
-    entries = trace.get("arrivals", []) if isinstance(trace, dict) else trace
-    arrivals = []
-    for entry in entries:
-        if not isinstance(entry, dict) or "t" not in entry \
-                or "workload" not in entry:
-            raise ValueError(
-                f"bad arrival-trace entry {entry!r}; expected "
-                "{'t': seconds, 'workload': registry-name}")
-        time_s = float(entry["t"])
-        if time_s < 0.0:
-            raise ValueError(f"arrival time must be >= 0, got {time_s}")
-        arrivals.append(Arrival(time_s=time_s,
-                                spec=get_workload(str(entry["workload"]))))
-    return sorted(arrivals, key=lambda a: a.time_s)
-
-
-def replay_arrivals(mix, rate_hz: float, duration_s: float, seed: int = 0,
-                    trace=None) -> list:
-    """Replay a recorded trace (``mix``/``rate``/``duration``/seed unused)."""
-    if trace is None:
-        raise ValueError("replay arrivals require a trace "
-                         "(path or parsed JSON)")
-    return load_arrival_trace(trace)
-
-
 _GENERATORS = {
     "poisson": poisson_arrivals,
     "deterministic": deterministic_arrivals,
     "diurnal": diurnal_arrivals,
-    "replay": replay_arrivals,
 }
 
 ARRIVAL_KINDS = tuple(sorted(_GENERATORS))
 
 
 def make_arrivals(kind: str, mix, rate_hz: float = 1.0,
-                  duration_s: float = 10.0, seed: int = 0, **params) -> list:
+                  duration_s: float = 10.0, seed: int = 0) -> list:
     """Arrival schedule by generator name (see :data:`ARRIVAL_KINDS`)."""
     try:
         generator = _GENERATORS[kind]
     except KeyError:
         raise ValueError(f"unknown arrival process {kind!r}; one of "
                          f"{ARRIVAL_KINDS}") from None
-    return generator(mix, rate_hz, duration_s, seed=seed, **params)
+    return generator(mix, rate_hz, duration_s, seed=seed)

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 
 __all__ = ["ScaleEvent", "Autoscaler"]
 
+# Mean resident sessions per provisioned worker below which an idle worker
+# retires.  The scale-up threshold stays above it (hysteresis).
+DOWN_LOAD = 0.25
+
 
 @dataclass(frozen=True)
 class ScaleEvent:
@@ -37,20 +41,19 @@ class Autoscaler:
     """
 
     def __init__(self, min_workers: int = 1, max_workers: int = 8,
-                 up_load: float = 2.0, down_load: float = 0.25,
-                 scale_up_latency_s: float = 1.0, cooldown_s: float = 1.0):
+                 up_load: float = 2.0, scale_up_latency_s: float = 1.0,
+                 cooldown_s: float = 1.0):
         if min_workers < 1:
             raise ValueError("min_workers must be >= 1")
         if max_workers < min_workers:
             raise ValueError("max_workers must be >= min_workers")
-        if down_load >= up_load:
-            raise ValueError("down_load must be < up_load (hysteresis)")
+        if up_load <= DOWN_LOAD:
+            raise ValueError(f"up_load must be > {DOWN_LOAD} (hysteresis)")
         if scale_up_latency_s < 0.0 or cooldown_s < 0.0:
             raise ValueError("latencies must be >= 0")
         self.min_workers = min_workers
         self.max_workers = max_workers
         self.up_load = up_load
-        self.down_load = down_load
         self.scale_up_latency_s = scale_up_latency_s
         self.cooldown_s = cooldown_s
         self.events: list = []
@@ -75,7 +78,7 @@ class Autoscaler:
             self.events.append(ScaleEvent(now_s, "up_requested",
                                           len(live_workers)))
             return ("up", now_s + self.scale_up_latency_s)
-        if (mean_load < self.down_load and booting == 0
+        if (mean_load < DOWN_LOAD and booting == 0
                 and len(live_workers) > self.min_workers):
             # Retire the youngest idle worker (latest start, then spawn
             # order) so the fleet shrinks last-in-first-out.

@@ -541,19 +541,18 @@ def simulate_cluster(mix, config, arrivals: str = "poisson",
                      frames: int | None = None,
                      autoscaler: Autoscaler | None = None,
                      use_cache: bool = True,
-                     governor: str = "off", trace=None,
+                     governor: str = "off",
                      catalog: int | None = None,
                      zipf: float | None = None,
-                     replication: int | None = None,
-                     **arrival_params) -> ClusterReport:
+                     replication: int | None = None) -> ClusterReport:
     """One-call cluster run: generate arrivals, simulate, report.
 
     ``mix`` is any serve mix (``"vr-lego:3,dolly-chair"`` or ``(spec,
-    count)`` pairs); ``arrivals`` picks the process (``replay`` reads
-    ``trace``).  ``seed`` drives the arrival schedule *and* offsets the
-    specs' trajectory seeds.  ``governor`` attaches the SLO quality
-    governor (``"static"`` or ``"adaptive"``), which reads exactly one SLO
-    source — the specs (a caller overriding it rewrites the mix with
+    count)`` pairs); ``arrivals`` picks the process.  ``seed`` drives
+    the arrival schedule *and* offsets the specs' trajectory seeds.
+    ``governor`` attaches the SLO quality governor (``"static"`` or
+    ``"adaptive"``), which reads exactly one SLO source — the specs (a
+    caller overriding it rewrites the mix with
     :func:`repro.workloads.apply_slo` first).  Same arguments, same seed,
     same report — bit for bit.
 
@@ -574,11 +573,8 @@ def simulate_cluster(mix, config, arrivals: str = "poisson",
     elif zipf is not None or replication is not None:
         raise ValueError("zipf/replication require catalog "
                          "(the sharded field tier)")
-    if arrivals == "replay":
-        arrival_params["trace"] = trace
     schedule = make_arrivals(arrivals, mix, rate_hz=rate_hz,
-                             duration_s=duration_s, seed=seed,
-                             **arrival_params)
+                             duration_s=duration_s, seed=seed)
     cluster_governor = None
     if governor != "off":
         from ..control import ClusterGovernor

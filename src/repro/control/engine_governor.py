@@ -115,7 +115,7 @@ class EngineGovernor:
         metric_inc("governor.engine_transitions")
         tracer = current_tracer()
         if tracer is not None:
-            pid, base_us = tracer.current_scope("engine")
+            pid, base_us = tracer.current_scope()
             tracer.instant(
                 "governor.retune", "governor",
                 base_us + self.clock_s * 1e6, pid,

@@ -31,7 +31,7 @@ class FeatureMajorLayout:
 
     name = "feature_major"
 
-    def __init__(self, num_banks: int = 16):
+    def __init__(self, num_banks: int):
         self.num_banks = int(num_banks)
 
     def issue_groups(self, vertex_ids: np.ndarray, concurrent_rays: int = 16
@@ -70,8 +70,8 @@ class ChannelMajorLayout:
 
     name = "channel_major"
 
-    def __init__(self, num_banks: int = 32, ports_per_bank: int = 2,
-                 feature_dim: int = 16):
+    def __init__(self, num_banks: int, ports_per_bank: int,
+                 feature_dim: int):
         if feature_dim > num_banks:
             # Oversized vectors wrap around banks (Sec. IV-B); each wrap is
             # a separate cycle, handled by the address-generation sequencer.

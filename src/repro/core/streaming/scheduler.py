@@ -111,9 +111,8 @@ class FullyStreamingScheduler:
         Cache line size for the baseline cache simulation.
     """
 
-    def __init__(self, buffer_bytes: int = 32 * 1024,
-                 baseline_cache_bytes: int | None = 2 * 1024 * 1024,
-                 cache_block_bytes: int = 64):
+    def __init__(self, buffer_bytes: int, baseline_cache_bytes: int | None,
+                 cache_block_bytes: int):
         self.buffer_bytes = int(buffer_bytes)
         self.baseline_cache_bytes = baseline_cache_bytes
         self.cache_block_bytes = int(cache_block_bytes)

@@ -321,7 +321,7 @@ class MultiSessionEngine:
         if tracer is None:
             self._trace = None
             return
-        pid, base_us = tracer.current_scope("engine")
+        pid, base_us = tracer.current_scope()
         self._trace = {
             "tracer": tracer,
             "pid": pid,

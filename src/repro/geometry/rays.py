@@ -18,12 +18,11 @@ def intersect_aabb(
     box_min: np.ndarray,
     box_max: np.ndarray,
     near: float = 0.0,
-    far: float = np.inf,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slab-method ray/AABB intersection.
 
     Returns ``(t_near, t_far, hit)`` per ray; ``hit`` is False when the ray
-    misses the box within ``[near, far]``.  Zero direction components are
+    misses the box beyond ``near``.  Zero direction components are
     handled by the usual +/-inf slab arithmetic.
     """
     origins = np.asarray(origins, dtype=float)
@@ -44,6 +43,6 @@ def intersect_aabb(
     t_big = np.where(np.isnan(t_big), np.where(inside, np.inf, -np.inf), t_big)
 
     t_near = np.maximum(t_small.max(axis=-1), near)
-    t_far = np.minimum(t_big.min(axis=-1), far)
+    t_far = t_big.min(axis=-1)
     hit = t_near < t_far
     return t_near, t_far, hit

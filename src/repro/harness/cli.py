@@ -14,8 +14,9 @@ open-loop cluster simulator from a shell::
         --rate 1.5 --duration 8 --workers 4 --placement cache_affinity
     python -m repro.harness.cli cluster --fast --governor adaptive \\
         --slo 2000 --rate 40 --duration 1 --workers 1 --queue-limit 2
-    python -m repro.harness.cli frontier --fast --rates 8,24,72 --frames 3
     python -m repro.harness.cli experiment --table examples/experiments/quick.json
+    python -m repro.harness.cli experiment \\
+        --table examples/experiments/frontier-fast.json
     python -m repro.harness.cli experiment --table t.json --resume --out runs
     python -m repro.harness.cli cluster --fast --trace run.trace.json
     python -m repro.harness.cli trace analyze run.trace.json --top 20
@@ -41,8 +42,9 @@ one heterogeneous serve with the shared cross-session reference cache.
 workers with admission control, placement, and optional autoscaling;
 ``--seed`` makes every stochastic run reproducible.  ``experiment``
 executes a factorial run table of such cells (``--table table.json``,
-``--resume`` to complete an interrupted run; see docs/experiments.md).
-``--trace PATH`` records any serve/cluster/frontier/experiment run as
+``--resume`` to complete an interrupted run; see docs/experiments.md);
+``frontier-fast.json`` is the governor x offered-load sweep.
+``--trace PATH`` records any serve/cluster/experiment/loadgen run as
 Chrome Trace Event JSON, and ``trace analyze PATH`` summarises such a
 trace from the artifact alone (see docs/observability.md).
 ``serve-live`` binds the real asyncio frame server on a TCP port;
@@ -61,7 +63,6 @@ import sys
 import time
 from pathlib import Path
 
-from ..control import GOVERNOR_MODES
 from ..workloads import list_workloads
 from .configs import DEFAULT, FAST
 from .figures import EXPERIMENTS
@@ -71,26 +72,14 @@ from .runconfig import (
     RunConfigError,
     config_fields,
     effective_default,
-    parse_rates,
 )
 from .runner import ExperimentTable, execute_cell, run_table
 
 # Where the commands that always persist their run write it by default.
 ARTIFACT_DIR = "bench-artifacts"
 
-# The cluster knobs a frontier sweep takes (it fixes poisson arrivals and
-# sweeps the rate itself), and the server-side knobs 'serve-live' takes
-# (the connecting client picks workloads, frames and the schedule).
-FRONTIER_FIELDS = ("workloads", "frames", "seed", "governor", "slo_fps",
-                   "use_cache", "duration_s", "workers", "placement",
-                   "queue_limit")
-# Light / saturated / overloaded against the default small fleet: session
-# residency is frames/fps_target seconds, so tens of arrivals per second
-# are needed before admission queues fill at test scales.
-DEFAULT_FRONTIER_RATES = (8.0, 24.0, 72.0)
-# Every frontier cell is a short run, so the sweep overrides these cluster
-# fields' effective defaults ('cli frontier --help' quotes them).
-SWEEP_DEFAULTS = {"duration_s": 1.0, "frames": 3}
+# The server-side knobs 'serve-live' takes (the connecting client picks
+# workloads, frames and the schedule).
 SERVE_LIVE_FIELDS = ("governor", "slo_fps", "use_cache", "host", "port")
 
 
@@ -108,25 +97,21 @@ def _host_port(text: str) -> tuple:
     return host, int(port)
 
 
-def add_config_options(sub, mode: str, only=None, defaults=None) -> None:
+def add_config_options(sub, mode: str, only=None) -> None:
     """Generate one flag per field of the sections a ``mode`` cell takes.
 
     Each flag's ``dest`` is its field name and its default is
     ``SUPPRESS``, so the parsed namespace holds exactly the fields the
     user set (see :func:`cell_from_args`).  ``only`` restricts the
-    command to a subset of the fields; ``defaults`` overrides the
-    effective defaults quoted in the help.
+    command to a subset of the fields.
     """
     for field in config_fields(mode):
         if only is not None and field.name not in only:
             continue
         meta = field.metadata
-        default = (defaults or {}).get(
-            field.name, effective_default(field.name, mode))
+        default = effective_default(field.name, mode)
         if default is None or isinstance(default, bool):
             default = meta.get("unset")
-        elif isinstance(default, tuple):
-            default = ",".join(default)
         kwargs = {"dest": field.name, "default": argparse.SUPPRESS,
                   "help": meta["help"] + ("" if default is None
                                           else f" (default {default})")}
@@ -205,16 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("cluster", run_cluster_command, "simulate sessions arriving over "
         "time against a fleet of SoC workers",
         json_out="always", trace=True, mode="cluster")
-    sub = add("frontier", run_frontier_command, "quality-vs-throughput "
-              "sweep: offered load x governor mode",
-              json_out="always", trace=True, mode="cluster",
-              only=FRONTIER_FIELDS,
-              defaults={**SWEEP_DEFAULTS, "governor": "sweep all modes"})
-    rates = ",".join(f"{rate:g}" for rate in DEFAULT_FRONTIER_RATES)
-    sub.add_argument("--rates", metavar="R1,R2,...", default=None,
-                     help="comma-separated offered arrival rates "
-                          f"(sessions/s) to sweep (default {rates}; need "
-                          ">= 3 points for a frontier)")
     sub = add("experiment", run_experiment_command, "execute a factorial "
               "run table of serve/cluster cells (see docs/experiments.md)",
               trace=True)
@@ -388,8 +363,7 @@ def run_loadgen_command(args) -> int:
         rate_hz=cell.effective("rate_hz"),
         duration_s=cell.effective("duration_s"),
         seed=cell.seed, frames=cell.frames,
-        time_scale=cell.effective("time_scale"),
-        arrival_trace=cell.arrival_trace)
+        time_scale=cell.effective("time_scale"))
 
     async def drive() -> dict:
         if args.connect is not None:
@@ -468,58 +442,6 @@ def run_reconcile_command(args) -> int:
         args.json_out, "reconcile", report["rows"], elapsed, config=config,
         extra={k: v for k, v in report.items() if k != "rows"},
         kind="reconcile")
-    print(f"\nwrote {path}")
-    return 0
-
-
-def run_frontier_command(args) -> int:
-    """Sweep governor mode x offered load: a built-in experiment table.
-
-    Every (mode, rate) cell runs through :func:`execute_cell`, so a
-    checked-in table with the same axes reproduces these rows bit for bit
-    (``examples/experiments/frontier-fast.json`` is ``frontier --fast``).
-    The summary pairs each mode's aggregate admitted rate with its mean
-    probe PSNR — the frontier the governor is supposed to bend.
-    """
-    cell = cell_from_args("cluster", args)
-    config = _scale(args)
-    rates = (DEFAULT_FRONTIER_RATES if args.rates is None
-             else parse_rates(args.rates))
-    # --governor restricts the sweep to one mode (default: all three).
-    modes = (cell.governor,) if "governor" in args else GOVERNOR_MODES
-    base = cell.with_updates(
-        arrivals="poisson",
-        **{name: cell.effective(name)
-           for name in ("workers", "placement", "queue_limit")},
-        **{name: default for name, default in SWEEP_DEFAULTS.items()
-           if getattr(cell, name) is None})
-    table = ExperimentTable(name="frontier", base=base,
-                            axes=(("governor", modes), ("rate_hz", rates)))
-    started = time.perf_counter()
-    results = [execute_cell(each, config=config) for each in table.cells()]
-    elapsed = time.perf_counter() - started
-    rows = [result.row for result in results]
-    summary = {
-        "mix": results[-1].mix_label,
-        "rates_hz": list(rates),
-        **{name: getattr(base, name) for name in (
-            "duration_s", "workers", "placement", "queue_limit", "seed",
-            "slo_fps")},
-        "modes": list(modes),
-    }
-    for mode in modes:
-        cells = [row for row in rows if row["governor"] == mode]
-        offered = sum(row["offered"] for row in cells)
-        summary[f"{mode}_admitted_rate"] = (
-            sum(row["admitted"] for row in cells) / offered
-            if offered else 0.0)
-        summary[f"{mode}_mean_psnr"] = (
-            sum(row["mean_psnr"] for row in cells) / len(cells))
-    print_table(rows, title=f"frontier: {len(rows)} cells "
-                            f"({elapsed:.1f}s wall)")
-    print_table([summary], title="sweep")
-    path = write_bench_json(args.json_out, "frontier", rows, elapsed,
-                            config=config, extra=summary, kind="frontier")
     print(f"\nwrote {path}")
     return 0
 

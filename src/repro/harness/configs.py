@@ -156,15 +156,12 @@ def _bake_field(algorithm: str, scene_name: str, config: ExperimentConfig):
         return reference
     if algorithm == "instant_ngp":
         return HashGridField.bake(
-            scene, num_levels=config.hash_levels,
+            scene, reference, num_levels=config.hash_levels,
             finest_resolution=config.hash_finest_resolution,
-            table_size=config.hash_table_size,
-            feature_dim=config.feature_dim, reference=reference)
+            table_size=config.hash_table_size)
     if algorithm == "tensorf":
-        return TensorFactorField.bake(
-            scene, resolution=config.tensorf_resolution,
-            rank_per_mode=config.tensorf_rank,
-            feature_dim=config.feature_dim, reference=reference)
+        return TensorFactorField.bake(scene, reference,
+                                      rank_per_mode=config.tensorf_rank)
     raise KeyError(f"unknown algorithm {algorithm!r}; one of {ALGORITHMS}")
 
 
@@ -235,8 +232,7 @@ def _cached_gt_sequence(scene_name: str, config: ExperimentConfig,
                         degrees_per_frame: float):
     scene = scene_of(scene_name)
     tracer = RayTracer(scene)
-    trajectory = orbit_trajectory(config.num_frames,
-                                  radius=config.orbit_radius,
+    trajectory = orbit_trajectory(config.num_frames, config.orbit_radius,
                                   degrees_per_frame=degrees_per_frame)
     camera = make_camera(config)
     frames = [tracer.render(camera.with_pose(p)) for p in trajectory.poses]

@@ -270,6 +270,9 @@ def fig06_bank_conflicts(config: ExperimentConfig = DEFAULT) -> list:
     """Feature-major bank-conflict rate (16 banks / 16 rays) per algorithm."""
     from ..core.layout.sram_layout import ChannelMajorLayout
     scene_name, max_samples = "lego", 30_000
+    gu = GUConfig()
+    channel_major = ChannelMajorLayout(gu.num_banks, gu.ports_per_bank,
+                                       config.feature_dim)
     rows = []
     for algorithm in ALGORITHMS:
         profile = full_frame_profile(algorithm, scene_name, config)
@@ -278,7 +281,6 @@ def fig06_bank_conflicts(config: ExperimentConfig = DEFAULT) -> list:
                                        config.fig6_rays, max_samples)
         fm64 = _simulate_feature_major(feature_major, profile.gather_groups,
                                        64, max_samples)
-        channel_major = ChannelMajorLayout(feature_dim=config.feature_dim)
         cm = channel_major.simulate(profile.gather_groups[0].vertex_ids[:8000])
         rows.append({
             "algorithm": algorithm,
@@ -463,8 +465,8 @@ def fig20_gather_speedup(config: ExperimentConfig = DEFAULT) -> list:
     from ..hw.gpu import GPUModel
     scene_name = "lego"
     gpu = GPUModel()
-    gu = GatheringUnitModel(GUConfig(vft_bytes=config.vft_buffer_bytes),
-                            feature_dim=config.feature_dim)
+    gu = GatheringUnitModel(config.feature_dim,
+                            GUConfig(vft_bytes=config.vft_buffer_bytes))
     rows = []
     for algorithm in ALGORITHMS:
         profile = full_frame_profile(algorithm, scene_name, config)
@@ -546,8 +548,8 @@ def fig23_vft_sweep(config: ExperimentConfig = DEFAULT,
     profile = full_frame_profile("directvoxgo", "lego", config)
     rows = []
     for size_kb in sizes_kb:
-        gu = GatheringUnitModel(GUConfig(vft_bytes=size_kb * 1024),
-                                feature_dim=config.feature_dim)
+        gu = GatheringUnitModel(config.feature_dim,
+                                GUConfig(vft_bytes=size_kb * 1024))
         cost = gu.gather_cost(profile.workload)
         rows.append({"vft_kb": size_kb, "gu_energy_j": cost.energy_j})
     base = next(r for r in rows if r["vft_kb"] == 32)["gu_energy_j"]
@@ -563,8 +565,8 @@ def fig24_rivals(config: ExperimentConfig = DEFAULT) -> list:
     profile = full_frame_profile(algorithm, scene_name, config)
     gpu_base = soc.price_nerf(profile.workload, "gpu")
 
-    neurex = NeuRexModel().price_frame(profile.workload)
-    ngpc = NGPCModel().price_frame(profile.workload)
+    neurex = NeuRexModel(config.feature_dim).price_frame(profile.workload)
+    ngpc = NGPCModel(config.feature_dim).price_frame(profile.workload)
     cicero_nosparw = soc.price_nerf(profile.workload, "cicero")
     result = run_sparw(algorithm, scene_name, config, window=window)
     wls = sparw_workloads_from_result(result, profile, window)

@@ -1,7 +1,7 @@
 """Frame economics: the one place that prices served frames in $ and J.
 
-Every harness surface (``serve``, ``cluster``, ``frontier``, and the
-``experiment`` runner) folds the same two capacity-planning columns into
+Every harness surface (``serve``, ``cluster`` and the ``experiment``
+runner) folds the same two capacity-planning columns into
 its aggregated rows through :func:`frame_economics`:
 
 * ``joules_per_frame`` — SoC energy per served frame, accumulated from

@@ -18,8 +18,9 @@ __all__ = ["SCHEMA_VERSION", "format_table", "print_table", "format_value",
            "write_bench_json"]
 
 
-def format_value(value, precision: int = 3) -> str:
-    """Human-friendly formatting: floats rounded, rest stringified."""
+def format_value(value) -> str:
+    """Human-friendly formatting: floats to three decimals, rest
+    stringified."""
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, float):
@@ -29,18 +30,18 @@ def format_value(value, precision: int = 3) -> str:
             return "inf"
         if abs(value) >= 1000:
             return f"{value:,.0f}"
-        return f"{value:.{precision}f}"
+        return f"{value:.3f}"
     return str(value)
 
 
 def format_table(rows: list, columns: list | None = None,
-                 title: str | None = None, precision: int = 3) -> str:
+                 title: str | None = None) -> str:
     """Render a list of dict rows as a fixed-width text table."""
     if not rows:
         return f"{title}\n(no rows)" if title else "(no rows)"
     if columns is None:
         columns = list(rows[0].keys())
-    rendered = [[format_value(row.get(col, ""), precision) for col in columns]
+    rendered = [[format_value(row.get(col, "")) for col in columns]
                 for row in rows]
     widths = [max(len(str(col)), *(len(r[i]) for r in rendered))
               for i, col in enumerate(columns)]
@@ -59,10 +60,9 @@ def format_table(rows: list, columns: list | None = None,
 
 
 def print_table(rows: list, columns: list | None = None,
-                title: str | None = None, precision: int = 3) -> None:
+                title: str | None = None) -> None:
     print()
-    print(format_table(rows, columns=columns, title=title,
-                       precision=precision))
+    print(format_table(rows, columns=columns, title=title))
 
 
 def jsonable(value):
@@ -114,9 +114,9 @@ def bench_payload(name: str, rows: list, wall_time_s: float,
     """The JSON document persisted for one figure/experiment run.
 
     ``kind`` says which harness surface produced the artifact
-    (``figure``, ``serve``, ``cluster``, ``frontier``, ``realserve``,
-    ``reconcile``, ``experiment``, ``experiment-cell``) so consumers can
-    dispatch without parsing the name.
+    (``figure``, ``serve``, ``cluster``, ``realserve``, ``reconcile``,
+    ``experiment``, ``experiment-cell``) so consumers can dispatch
+    without parsing the name.
 
     The snapshot of the run's active :class:`~repro.obs.MetricsRegistry`
     — if one is activated and non-empty — is attached as ``metrics`` (see

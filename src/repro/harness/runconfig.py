@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from ..backend import BACKENDS, DEFAULT_WORKERS
@@ -34,13 +35,12 @@ from ..cluster import ARRIVAL_KINDS, PLACEMENTS
 from ..control import GOVERNOR_MODES
 from ..distribution import DEFAULT_REPLICATION, DEFAULT_ZIPF_S
 from ..engine import SCHEDULERS
-from ..hw.soc import VARIANTS
 from ..workloads import parse_mix
-from .configs import ALGORITHMS, DEFAULT, FAST, scene_of
+from .configs import DEFAULT, FAST
 
 __all__ = ["MODES", "SCALES", "ClusterConfig", "RealserveConfig",
            "RunConfig", "RunConfigError", "ServeConfig", "SharedConfig",
-           "config_fields", "effective_default", "parse_rates"]
+           "config_fields", "effective_default"]
 
 MODES = ("serve", "cluster", "realserve")
 SCALES = ("default", "fast")
@@ -61,7 +61,8 @@ def option(flag: str, help: str, default=None, **meta):
     ``{mode: value}`` dict where modes differ), ``unset`` (prose for the
     help where that default is not a literal), ``const`` (the flag is a
     switch storing this value) and ``repeat`` (the flag is repeatable;
-    the callable folds the collected list into the field value).
+    the callable folds the collected list into the field value).  A
+    float field's value must also be finite.
     """
     return dataclasses.field(
         default=default, metadata={"flag": flag, "help": help, **meta})
@@ -73,10 +74,10 @@ class SharedConfig:
 
     workloads: str | None = option(
         "--workload", "named workload spec to serve, optionally duplicated "
-        "N times (repeatable; see the 'workloads' command; the spec fixes "
-        "scene/algorithm/variant, so --scene/--algorithm/--variant/"
-        "--sessions do not apply; arrival-driven commands use the counts "
-        "as popularity weights)", metavar="NAME[:N]", repeat=",".join)
+        "N times (repeatable; see the 'workloads' command; the mix counts "
+        "fix the session count, so --sessions does not apply; "
+        "arrival-driven commands use the counts as popularity weights)",
+        metavar="NAME[:N]", repeat=",".join)
     frames: int | None = option(
         "--frames", "frames per session", type=int, ge=1,
         unset="config scale")
@@ -116,20 +117,12 @@ class ServeConfig:
         "rejected with the in-process backend", type=int, ge=1,
         metavar="N", effective=DEFAULT_WORKERS)
     sessions: int | None = option(
-        "--sessions", "number of concurrent sessions (with --workload the "
-        "mix counts decide)", type=int, ge=1, effective=4)
+        "--sessions", "number of concurrent sessions, each a distinct lego "
+        "orbit on directvoxgo priced on cicero (with --workload the mix "
+        "counts decide)", type=int, ge=1, effective=4)
     scheduler: str | None = option(
         "--scheduler", "session scheduling policy",
         choices=tuple(SCHEDULERS), effective="round_robin")
-    variant: str | None = option(
-        "--variant", "SoC variant to price frames under",
-        choices=VARIANTS, effective="cicero")
-    scenes: tuple = option(
-        "--scene", "scene(s) to cycle sessions over (repeatable)", (),
-        metavar="NAME", repeat=tuple, effective=("lego",))
-    algorithm: str | None = option(
-        "--algorithm", "NeRF algorithm for every session",
-        effective="directvoxgo")
     ray_budget: int | None = option(
         "--ray-budget", "cap on rays served per engine round; with "
         "--governor the budget is split into per-session shares by SLO "
@@ -145,22 +138,17 @@ class ArrivalConfig:
         "--arrivals", "arrival process",
         choices=ARRIVAL_KINDS, effective="poisson")
     rate_hz: float | None = option(
-        "--rate", "arrival rate in sessions/s; peak rate for diurnal (not "
-        "valid with --arrivals replay)", type=float, gt=0,
-        effective={"cluster": 1.0, "realserve": 2.0})
+        "--rate", "arrival rate in sessions/s; peak rate for diurnal",
+        type=float, gt=0, effective={"cluster": 1.0, "realserve": 2.0})
     duration_s: float | None = option(
-        "--duration", "arrival window in virtual seconds (not valid with "
-        "--arrivals replay)", type=float, gt=0,
-        effective={"cluster": 10.0, "realserve": 4.0})
-    arrival_trace: str | None = option(
-        "--arrival-trace", "JSON arrival trace for --arrivals replay",
-        metavar="PATH")
+        "--duration", "arrival window in virtual seconds", type=float,
+        gt=0, effective={"cluster": 10.0, "realserve": 4.0})
 
 
 @dataclass(frozen=True)
 class ClusterConfig(ArrivalConfig):
     """Open-loop arrivals against a simulated SoC fleet (``cli cluster``,
-    ``cli frontier``, experiment tables)."""
+    experiment tables)."""
 
     workers: int | None = option(
         "--workers", "initial SoC worker count", type=int, ge=1, effective=4)
@@ -248,8 +236,13 @@ def effective_default(name: str, mode: str):
 
 
 def _check_value(field, value) -> None:
-    """The metadata-declared checks on one set field: choices, bounds."""
+    """The checks on one set field: a float is finite, then the
+    metadata-declared choices and bounds."""
     meta = field.metadata
+    # A bound test is false for NaN and passes infinity, which would
+    # hang an arrival schedule or a loadgen sleep.
+    if meta.get("type") is float and not math.isfinite(value):
+        raise RunConfigError(f"{meta['flag']} must be finite")
     choices = meta.get("choices")
     if choices is not None and value not in choices:
         raise RunConfigError(
@@ -339,12 +332,10 @@ class RunConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        """Flat plain-JSON dict of every field of every section (tuples
-        become lists; inactive sections contribute their defaults)."""
-        out = {name: getattr(self, name)
-               for name in _HEADER + tuple(_FIELDS)}
-        out["scenes"] = list(out["scenes"])
-        return out
+        """Flat plain-JSON dict of every field of every section
+        (inactive sections contribute their defaults)."""
+        return {name: getattr(self, name)
+                for name in _HEADER + tuple(_FIELDS)}
 
     def with_updates(self, **updates) -> "RunConfig":
         """A copy with ``updates`` applied (routed like the constructor)."""
@@ -370,7 +361,7 @@ class RunConfig:
         """The field's value, or — when unset — the default its executor
         applies (:func:`effective_default`)."""
         value = getattr(self, name)
-        if value is None or value == ():
+        if value is None:
             return effective_default(name, self.mode)
         return value
 
@@ -391,10 +382,8 @@ class RunConfig:
         self._validate_shared()
         if self.mode == "serve":
             self._validate_serve()
-        else:
-            self._validate_arrivals()
-            if self.mode == "cluster":
-                self._validate_cluster()
+        elif self.mode == "cluster":
+            self._validate_cluster()
         return self
 
     def _validate_shared(self) -> None:
@@ -409,38 +398,12 @@ class RunConfig:
             raise RunConfigError(
                 "--engine-workers requires --backend parallel "
                 "(the numpy backend runs in-process)")
-        if self.workloads is not None:
-            if (self.scenes or self.algorithm is not None
-                    or self.variant is not None or self.sessions is not None):
-                raise RunConfigError(
-                    "--workload cannot be combined with --scene/"
-                    "--algorithm/--variant/--sessions (the specs and mix "
-                    "counts fix them)")
-            return
-        algorithm = self.effective("algorithm")
-        if algorithm not in ALGORITHMS:
-            raise RunConfigError(f"unknown algorithm {algorithm!r}; "
-                                 f"one of {ALGORITHMS}")
-        for name in self.scenes:
-            try:
-                scene_of(name)
-            except KeyError as exc:
-                raise RunConfigError(exc.args[0]) from None
-
-    def _validate_arrivals(self) -> None:
-        replay = self.effective("arrivals") == "replay"
-        if replay != (self.arrival_trace is not None):
+        if self.workloads is not None and self.sessions is not None:
             raise RunConfigError(
-                "--arrival-trace is required for (and only valid with) "
-                "--arrivals replay")
+                "--workload cannot be combined with --sessions (the mix "
+                "counts fix it)")
 
     def _validate_cluster(self) -> None:
-        if self.arrivals == "replay" and (self.workloads is not None
-                                          or self.rate_hz is not None
-                                          or self.duration_s is not None):
-            raise RunConfigError(
-                "--workload/--rate/--duration do not apply to --arrivals "
-                "replay (the trace fixes every arrival)")
         if not self.autoscale and (self.min_workers is not None
                                    or self.max_workers is not None
                                    or self.scale_up_latency_s is not None):
@@ -465,16 +428,3 @@ class RunConfig:
             raise RunConfigError(
                 "--zipf/--replication require --catalog (the sharded "
                 "field tier)")
-
-
-def parse_rates(text: str) -> tuple:
-    """Parse a frontier ``--rates`` list; >= 3 positive load points."""
-    try:
-        rates = tuple(float(part) for part in text.split(",")
-                      if part.strip())
-    except ValueError:
-        raise RunConfigError(f"bad --rates {text!r}; expected "
-                             "comma-separated numbers") from None
-    if len(rates) < 3 or any(r <= 0 for r in rates):
-        raise RunConfigError("--rates needs >= 3 positive load points")
-    return rates

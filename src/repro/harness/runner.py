@@ -5,8 +5,7 @@ This is the only way a serve or cluster run starts.  A single cell
 serve cell through the batched :class:`~repro.engine.MultiSessionEngine`
 on one SoC, a cluster cell through ``simulate_cluster``; both fold the
 frame-economics columns (:mod:`.pricing`) into the aggregate.  ``cli
-serve`` and ``cli cluster`` execute their one cell here and ``cli
-frontier`` executes a built-in :class:`ExperimentTable`, so a cell
+serve`` and ``cli cluster`` execute their one cell here, so a cell
 executed from a table file is bit-for-bit the run the standalone
 commands produce.
 
@@ -61,11 +60,10 @@ class CellResult:
 
     ``rows`` are the run's detail rows (per-worker for cluster cells,
     per-session for serve cells), ``summary`` the aggregate dict the
-    standalone commands print, and ``row`` the flat run-table row —
-    frontier-shaped for cluster cells — with the J/frame and $/frame
-    economics columns folded in.  ``mix_label`` names the resolved
-    workload mix (``"vr-lego:4,dolly-chair:2"``; empty for legacy
-    scene-cycling serves).
+    standalone commands print, and ``row`` the flat run-table row, with
+    the J/frame and $/frame economics columns folded in.  ``mix_label``
+    names the resolved workload mix (``"vr-lego:4,dolly-chair:2"``;
+    empty for a ``--sessions`` serve).
     """
 
     cell: RunConfig
@@ -111,11 +109,11 @@ def _execute_cluster(cell: RunConfig, config, seed: int) -> CellResult:
         ceiling = 2 * workers if cell.max_workers is None else cell.max_workers
         # Admission caps load per worker at queue_limit, so the scale-up
         # threshold must sit below it or tight queues would shed every
-        # overload as rejects without ever growing the fleet.
-        up_load = min(2.0, 0.5 * queue_limit)
+        # overload as rejects without ever growing the fleet.  (It stays
+        # >= 0.5, above the autoscaler's 0.25 scale-down threshold.)
         autoscaler = Autoscaler(
             min_workers=floor, max_workers=ceiling,
-            up_load=up_load, down_load=min(0.25, up_load / 2),
+            up_load=min(2.0, 0.5 * queue_limit),
             scale_up_latency_s=cell.effective("scale_up_latency_s"))
     report = simulate_cluster(
         resolved_mix, config, arrivals=cell.effective("arrivals"),
@@ -124,7 +122,6 @@ def _execute_cluster(cell: RunConfig, config, seed: int) -> CellResult:
         queue_limit=queue_limit,
         frames=cell.frames, autoscaler=autoscaler,
         use_cache=cell.use_cache, governor=cell.governor,
-        trace=cell.arrival_trace,
         catalog=cell.catalog, zipf=cell.zipf, replication=cell.replication)
     mix_label = _mix_label(resolved_mix)
     if cell.catalog is None:
@@ -166,8 +163,8 @@ def _execute_cluster(cell: RunConfig, config, seed: int) -> CellResult:
         **economics,
     }
     if cell.catalog is not None:
-        # Sharded-tier columns, only when the tier ran (frontier rows
-        # and un-sharded cells keep their exact legacy shape).
+        # Sharded-tier columns, only when the tier ran (un-sharded cells
+        # keep their exact legacy shape).
         row.update({
             "hierarchy_hit_rate":
                 report.distribution["hierarchy_hit_rate"],
@@ -211,36 +208,26 @@ def quality_summary(resolved_mix, config, report) -> dict:
     }
 
 
-def _legacy_mix(cell: RunConfig) -> list:
-    """The scene-cycling serve shape as ``(spec, 1)`` pairs.
+def _sessions_mix(sessions: int) -> list:
+    """``sessions`` distinct lego orbits as ``(spec, 1)`` pairs.
 
-    ``sessions`` sessions cycle over the cell's scenes, each on its own
-    orbit with start angles spread around the circle so every user sees
-    different content (no two sessions share reference renders — the
-    cache-free worst case the registry's duplicated mixes contrast with).
-    Every spec carries the cell's ``variant``, so the report and the
-    governor price the same SoC.
+    Each session is the spec default (lego, directvoxgo, priced on
+    cicero) on its own orbit, with start angles spread around the circle
+    so every user sees different content (no two sessions share
+    reference renders — the cache-free worst case the registry's
+    duplicated mixes contrast with).
     """
-    sessions = cell.effective("sessions")
-    scenes = cell.effective("scenes")
-    mix = []
-    for i in range(sessions):
-        scene = scenes[i % len(scenes)]
-        spec = WorkloadSpec.make(
-            f"user{i:02d}-{scene}", scene=scene,
-            algorithm=cell.effective("algorithm"),
-            variant=cell.effective("variant"), trajectory="orbit",
-            start_angle_deg=360.0 * i / sessions)
-        mix.append((spec, 1))
-    return mix
+    return [(WorkloadSpec.make(f"user{i:02d}-lego",
+                               start_angle_deg=360.0 * i / sessions), 1)
+            for i in range(sessions)]
 
 
 def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
     """Serve concurrent users on one SoC through the batched engine.
 
     The sessions come from the cell's ``workloads`` mix or, when it is
-    unset, from :func:`_legacy_mix`; every session prices on the one SoC
-    ``variant`` its specs carry.  ``use_cache`` attaches the
+    unset, from :func:`_sessions_mix`; every session prices on the one
+    SoC ``variant`` its specs carry.  ``use_cache`` attaches the
     process-global reference cache, which changes only the work:
     serving is bit-identical either way and across backends.  A governed
     cell splits ``ray_budget`` by the governor's weights, and a
@@ -249,11 +236,12 @@ def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
     service order the latency model prices: arrival order for
     round-robin, shortest-job-first for deadline.
     """
-    legacy = cell.workloads is None
+    by_count = cell.workloads is None
     # One SLO source: rewrite the specs, then everything (governor
     # included) reads spec.slo_latency_s.
-    resolved_mix = apply_slo(_legacy_mix(cell) if legacy else cell.workloads,
-                             cell.slo_fps)
+    resolved_mix = apply_slo(
+        _sessions_mix(cell.effective("sessions")) if by_count
+        else cell.workloads, cell.slo_fps)
     scheduler = cell.effective("scheduler")
     field_before = FIELD_CACHE.stats.snapshot()
     reference_before = REFERENCE_CACHE.stats.snapshot()
@@ -278,8 +266,8 @@ def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
         engine_workers=cell.engine_workers)
     result = engine.run()
 
-    # One SoC prices the serve: the legacy mix's specs carry the cell's
-    # variant, and every registered workload carries "cicero".
+    # One SoC prices the serve: every spec, registered or built from
+    # --sessions, carries "cicero".
     (variant,) = {spec.variant for spec, _ in resolved_mix}
     report = aggregate_serving(
         {s.session_id: s.result for s in result.sessions},
@@ -350,7 +338,7 @@ def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
         "usd_per_frame": summary["usd_per_frame"],
     }
     return CellResult(cell=cell, rows=rows, summary=summary, row=row,
-                      mix_label="" if legacy else _mix_label(resolved_mix))
+                      mix_label="" if by_count else _mix_label(resolved_mix))
 
 
 # ---------------------------------------------------------------------------

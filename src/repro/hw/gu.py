@@ -59,8 +59,7 @@ class GUCost:
 class GatheringUnitModel:
     """Prices Feature Gathering (G) on the GU."""
 
-    def __init__(self, config: GUConfig | None = None,
-                 feature_dim: int = 16):
+    def __init__(self, feature_dim: int, config: GUConfig | None = None):
         self.config = config or GUConfig()
         self.layout = ChannelMajorLayout(
             num_banks=self.config.num_banks,

@@ -30,11 +30,11 @@ __all__ = ["NeuRexModel", "NGPCModel"]
 class _RivalBase:
     """Shared pricing skeleton: GPU indexing + dedicated gather + PE array."""
 
-    def __init__(self, array_rows: int, array_cols: int):
+    def __init__(self, feature_dim: int, array_rows: int, array_cols: int):
         self.gpu = GPUModel()
         self.npu = NPUModel(NPUConfig(array_rows=array_rows,
                                       array_cols=array_cols))
-        self.gather = GatheringUnitModel()
+        self.gather = GatheringUnitModel(feature_dim)
         self.dram = DRAMModel()
 
     def _price(self, workload: FrameWorkload, gather_slowdown: float,
@@ -68,8 +68,8 @@ class NeuRexModel(_RivalBase):
 
     name = "neurex"
 
-    def __init__(self):
-        super().__init__(array_rows=32, array_cols=32)
+    def __init__(self, feature_dim: int):
+        super().__init__(feature_dim, array_rows=32, array_cols=32)
 
     def price_frame(self, workload: FrameWorkload) -> FrameCost:
         """Gathering dilates by the measured feature-major conflict slowdown."""
@@ -84,8 +84,8 @@ class NGPCModel(_RivalBase):
     name = "ngpc"
     feature_buffer_bytes = 16 * 1024 * 1024
 
-    def __init__(self):
-        super().__init__(array_rows=24, array_cols=24)
+    def __init__(self, feature_dim: int):
+        super().__init__(feature_dim, array_rows=24, array_cols=24)
 
     def price_frame(self, workload: FrameWorkload) -> FrameCost:
         """Conflict-free per-level banks; feature traffic never leaves chip."""

@@ -74,8 +74,7 @@ class ServingReport:
     cache: dict | None = None
 
 
-def frame_cost_record(record, soc: SoCModel, variant: str = "cicero"
-                      ) -> FrameCost:
+def frame_cost_record(record, soc: SoCModel, variant: str) -> FrameCost:
     """Full SoC cost (time *and* energy) of one recorded SPARW frame.
 
     The frame is priced from its recorded sparse-NeRF stats and warp
@@ -93,14 +92,13 @@ def frame_cost_record(record, soc: SoCModel, variant: str = "cicero"
     return cost
 
 
-def session_frame_costs(result, soc: SoCModel, variant: str = "cicero"
-                        ) -> list:
+def session_frame_costs(result, soc: SoCModel, variant: str) -> list:
     """Per-frame :class:`FrameCost` of one SPARW sequence result."""
     return [frame_cost_record(record, soc, variant)
             for record in result.records]
 
 
-def aggregate_serving(session_results: dict, soc: SoCModel | None = None,
+def aggregate_serving(session_results: dict, soc: SoCModel,
                       variant: str = "cicero",
                       order: str = "arrival",
                       variants: dict | None = None,
@@ -113,7 +111,7 @@ def aggregate_serving(session_results: dict, soc: SoCModel | None = None,
         ``{session_id: SparwSequenceResult}`` — the engine's per-session
         outputs (or any solo pipeline results).
     soc:
-        Hardware model to price frames on (default configuration if None).
+        Hardware model to price frames on.
     variant:
         SoC variant to price under (see :data:`repro.hw.soc.VARIANTS`).
     order:
@@ -132,7 +130,6 @@ def aggregate_serving(session_results: dict, soc: SoCModel | None = None,
     """
     if order not in ("arrival", "sjf"):
         raise ValueError(f"unknown service order {order!r}")
-    soc = soc or SoCModel()
     variants = variants or {}
     frame_costs = {
         sid: session_frame_costs(result, soc, variants.get(sid, variant))

@@ -84,10 +84,10 @@ class SparwWorkloads:
 class SoCModel:
     """Prices workloads under the five evaluation variants."""
 
-    def __init__(self, feature_dim: int = 16):
+    def __init__(self, feature_dim: int):
         self.gpu = GPUModel()
         self.npu = NPUModel()
-        self.gu = GatheringUnitModel(feature_dim=feature_dim)
+        self.gu = GatheringUnitModel(feature_dim)
         self.dram = DRAMModel()
 
     # -- single NeRF render (full frame or sparse batch) ---------------------------

@@ -42,7 +42,7 @@ def _to_blocks(addresses: np.ndarray, block_bytes: int) -> np.ndarray:
 
 
 def simulate_lru(addresses: np.ndarray, capacity_bytes: int,
-                 block_bytes: int = 64) -> CacheStats:
+                 block_bytes: int) -> CacheStats:
     """Fully-associative LRU cache over a byte-address sequence."""
     blocks = _to_blocks(addresses, block_bytes)
     capacity = max(1, capacity_bytes // block_bytes)
@@ -61,7 +61,7 @@ def simulate_lru(addresses: np.ndarray, capacity_bytes: int,
 
 
 def simulate_belady(addresses: np.ndarray, capacity_bytes: int,
-                    block_bytes: int = 64) -> CacheStats:
+                    block_bytes: int) -> CacheStats:
     """Fully-associative Belady (MIN / oracle) cache simulation.
 
     Evicts the resident block whose next use is farthest in the future.

@@ -57,7 +57,7 @@ class AccessTrace:
         blocks = np.unique(np.concatenate(spans))
         return int(blocks.size) * granularity
 
-    def coalesced(self, block_bytes: int = 64) -> "AccessTrace":
+    def coalesced(self, block_bytes: int) -> "AccessTrace":
         """Merge temporally adjacent accesses that form one DRAM burst.
 
         Consecutive accesses are merged while they stay within the running

@@ -7,31 +7,22 @@ import numpy as np
 __all__ = ["mse", "psnr", "mean_psnr"]
 
 
-def mse(image_a: np.ndarray, image_b: np.ndarray,
-        mask: np.ndarray | None = None) -> float:
-    """Mean squared error between two images, optionally masked."""
+def mse(image_a: np.ndarray, image_b: np.ndarray) -> float:
+    """Mean squared error between two images."""
     a = np.asarray(image_a, dtype=float)
     b = np.asarray(image_b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    err = (a - b) ** 2
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != a.shape[:2]:
-            raise ValueError("mask must match image height x width")
-        if not mask.any():
-            return 0.0
-        err = err[mask]
-    return float(err.mean())
+    return float(((a - b) ** 2).mean())
 
 
-def psnr(image_a: np.ndarray, image_b: np.ndarray, peak: float = 1.0,
-         mask: np.ndarray | None = None) -> float:
-    """Peak signal-to-noise ratio in dB (returns +inf for identical images)."""
-    error = mse(image_a, image_b, mask=mask)
+def psnr(image_a: np.ndarray, image_b: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB for images in [0, 1] (returns
+    +inf for identical images)."""
+    error = mse(image_a, image_b)
     if error == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(peak**2 / error))
+    return float(10.0 * np.log10(1.0 / error))
 
 
 def mean_psnr(frames_a: list, frames_b: list) -> float:

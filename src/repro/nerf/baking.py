@@ -86,7 +86,7 @@ def _fit_view_dependence(part) -> np.ndarray:
 def bake_vertex_features(
     scene,
     positions: np.ndarray,
-    feature_dim: int = 16,
+    feature_dim: int,
     shell_width: float | None = None,
     density_sharpness: float = 40.0,
     surface_bias: float = 0.0,

@@ -44,7 +44,7 @@ class SHDecoder:
     better than the sharp density itself.
     """
 
-    def __init__(self, feature_dim: int = 16, max_density: float = 800.0):
+    def __init__(self, feature_dim: int, max_density: float):
         if feature_dim < CORE_FEATURE_DIM:
             raise ValueError(
                 f"feature_dim must be >= {CORE_FEATURE_DIM}, got {feature_dim}")

@@ -88,15 +88,13 @@ class HashGridField(RadianceField):
 
     name = "instant_ngp"
 
-    def __init__(self, levels: list, bounds: tuple,
-                 decoder: SHDecoder | None = None):
+    def __init__(self, levels: list, bounds: tuple, decoder: SHDecoder):
         if not levels:
             raise ValueError("need at least one level")
         self.levels = levels
         self._bounds = (np.asarray(bounds[0], dtype=float),
                         np.asarray(bounds[1], dtype=float))
-        feature_dim = levels[0].table.shape[1]
-        self.decoder = decoder or SHDecoder(feature_dim=feature_dim)
+        self.decoder = decoder
 
     # -- construction --------------------------------------------------------
 
@@ -104,24 +102,21 @@ class HashGridField(RadianceField):
     def bake(
         cls,
         scene,
-        num_levels: int = 6,
-        finest_resolution: int = 64,
-        table_size: int = 1 << 14,
-        feature_dim: int = 16,
-        reference: VoxelGridField | None = None,
+        reference: VoxelGridField,
+        num_levels: int,
+        finest_resolution: int,
+        table_size: int,
     ) -> "HashGridField":
         """Bake residual features per level against a dense reference grid.
 
         ``reference`` (a baked :class:`VoxelGridField`) provides the target
-        features; it is baked at ``finest_resolution`` when not supplied.
-        Level resolutions grow geometrically from 8 to ``finest_resolution``.
+        features, their width and the density scale.  Level resolutions
+        grow geometrically from 8 to ``finest_resolution``.
         Each level stores the residual between the target and what the
         coarser levels already reconstruct, so the level sum approximates
         the target; hash collisions on fine levels average their residuals.
         """
-        if reference is None:
-            reference = VoxelGridField.bake(scene, resolution=finest_resolution,
-                                            feature_dim=feature_dim)
+        feature_dim = reference.feature_dim
         if num_levels == 1:
             resolutions = [finest_resolution]
         else:

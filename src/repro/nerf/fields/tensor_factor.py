@@ -84,26 +84,21 @@ class TensorFactorField(RadianceField):
 
     name = "tensorf"
 
-    def __init__(self, modes: list, bounds: tuple,
-                 decoder: SHDecoder | None = None, feature_dim: int = 16):
+    def __init__(self, modes: list, bounds: tuple, decoder: SHDecoder):
         if len(modes) != 3:
             raise ValueError("TensorFactorField needs exactly 3 modes")
         self.modes = modes
         self._bounds = (np.asarray(bounds[0], dtype=float),
                         np.asarray(bounds[1], dtype=float))
-        self._feature_dim = feature_dim
-        self.decoder = decoder or SHDecoder(feature_dim=feature_dim)
+        self.decoder = decoder
 
     # -- construction ------------------------------------------------------------
 
     @classmethod
-    def bake(cls, scene, resolution: int = 64, rank_per_mode: int = 24,
-             feature_dim: int = 16, reference: VoxelGridField | None = None
+    def bake(cls, scene, reference: VoxelGridField, rank_per_mode: int
              ) -> "TensorFactorField":
-        """Fit VM factors against a dense reference grid of ``resolution``."""
-        if reference is None:
-            reference = VoxelGridField.bake(scene, resolution=resolution,
-                                            feature_dim=feature_dim)
+        """Fit VM factors against a dense reference grid."""
+        feature_dim = reference.feature_dim
         side = reference.resolution + 1
         dense = reference.vertex_features.reshape(side, side, side, feature_dim)
 
@@ -116,14 +111,13 @@ class TensorFactorField(RadianceField):
                                                        feature_dim)
         decoder = SHDecoder(feature_dim=feature_dim,
                             max_density=reference.decoder.max_density)
-        return cls(modes, scene.bounds, decoder=decoder,
-                   feature_dim=feature_dim)
+        return cls(modes, scene.bounds, decoder=decoder)
 
     # -- RadianceField API ----------------------------------------------------------
 
     @property
     def feature_dim(self) -> int:
-        return self._feature_dim
+        return self.decoder.feature_dim
 
     @property
     def bounds(self) -> tuple:
@@ -165,7 +159,7 @@ class TensorFactorField(RadianceField):
 
     def interpolate(self, points: np.ndarray) -> np.ndarray:
         coords = self.normalized_coords(points)
-        total = np.zeros((coords.shape[0], self._feature_dim))
+        total = np.zeros((coords.shape[0], self.decoder.feature_dim))
         for mode_idx, mode in enumerate(self.modes):
             products = self._mode_features(coords, mode_idx)
             total += products @ mode.basis

@@ -24,7 +24,7 @@ class VoxelGridField(RadianceField):
     name = "directvoxgo"
 
     def __init__(self, vertex_features: np.ndarray, resolution: int,
-                 bounds: tuple, decoder: SHDecoder | None = None):
+                 bounds: tuple, decoder: SHDecoder):
         resolution = int(resolution)
         expected = (resolution + 1) ** 3
         vertex_features = np.asarray(vertex_features, dtype=float)
@@ -36,13 +36,13 @@ class VoxelGridField(RadianceField):
         self.resolution = resolution
         self._bounds = (np.asarray(bounds[0], dtype=float),
                         np.asarray(bounds[1], dtype=float))
-        self.decoder = decoder or SHDecoder(feature_dim=vertex_features.shape[1])
+        self.decoder = decoder
 
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def bake(cls, scene, resolution: int = 64, feature_dim: int = 16,
-             **bake_kwargs) -> "VoxelGridField":
+    def bake(cls, scene, resolution: int, feature_dim: int,
+             max_density: float, **bake_kwargs) -> "VoxelGridField":
         """Bake a field from an analytic scene at the given grid resolution."""
         positions = vertex_grid_positions(scene.bounds, resolution)
         lo, hi = scene.bounds
@@ -51,7 +51,6 @@ class VoxelGridField(RadianceField):
         bake_kwargs.setdefault("surface_bias", 0.3 * voxel)
         # Density transition ~1/6 voxel wide: sharp at any grid resolution.
         bake_kwargs.setdefault("density_sharpness", 6.0 / voxel)
-        max_density = bake_kwargs.pop("max_density", 800.0)
         features = bake_vertex_features(scene, positions, feature_dim,
                                         **bake_kwargs)
         return cls(features, resolution, scene.bounds,

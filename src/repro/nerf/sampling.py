@@ -120,7 +120,7 @@ class OccupancyGrid:
                 np.where(last == res - 1, np.inf, lo + (last + 2) * cell))
 
     @classmethod
-    def from_field(cls, field, resolution: int = 32) -> "OccupancyGrid":
+    def from_field(cls, field, resolution: int) -> "OccupancyGrid":
         """Probe the field's density on a lattice, threshold it and dilate
         it by one cell."""
         lo, hi = field.bounds

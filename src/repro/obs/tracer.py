@@ -132,11 +132,11 @@ class Tracer:
         finally:
             self._scopes.pop()
 
-    def current_scope(self, default_label: str = "engine"):
-        """(pid, base_us) of the innermost scope, or a fresh default lane."""
+    def current_scope(self):
+        """(pid, base_us) of the innermost scope, or the ``engine`` lane."""
         if self._scopes:
             return self._scopes[-1]
-        return self.process(default_label), 0.0
+        return self.process("engine"), 0.0
 
     # -- export ----------------------------------------------------------------
 

@@ -28,12 +28,30 @@ __all__ = [
 ]
 
 
+# The shape every generator shares: the eye HEIGHT above the orbit plane,
+# gaze on the origin, sampled at FPS.  The eye's distance from the origin
+# is the experiment config's ``orbit_radius``, which :func:`make_trajectory`
+# passes on; workload specs vary only the motion itself (orbit step and
+# start, dolly end, head-shake yaw, walk seed).
+HEIGHT = 0.8
+FPS = 30.0
+# Head shake: the neck's sinusoidal sway and the scan period.
+SHAKE_SWAY = 0.02
+SHAKE_PERIOD_FRAMES = 24.0
+# Random walk: the spherical shell the eye stays in, and the scale of its
+# per-frame steps.
+WALK_MIN_RADIUS, WALK_MAX_RADIUS = 2.2, 4.2
+WALK_STEP = 0.04
+
+ORIGIN = np.zeros(3)
+
+
 @dataclass
 class Trajectory:
     """A sequence of camera-to-world poses sampled at a fixed frame rate."""
 
     poses: list  # list of (4, 4) ndarray
-    fps: float = 30.0
+    fps: float = FPS
     name: str = "trajectory"
 
     def __len__(self) -> int:
@@ -45,39 +63,27 @@ class Trajectory:
 
 def orbit_trajectory(
     num_frames: int,
-    radius: float = 3.2,
-    height: float = 0.8,
-    target=(0.0, 0.0, 0.0),
+    radius: float,
     degrees_per_frame: float = 0.5,
     start_angle_deg: float = 0.0,
-    fps: float = 30.0,
 ) -> Trajectory:
-    """Smooth orbit around ``target`` — the canonical VR-viewing motion.
+    """Smooth orbit around the origin — the canonical VR-viewing motion.
 
     ``degrees_per_frame`` controls the inter-frame camera delta.  At 30 FPS a
     comfortable head-turn of ~15 deg/s gives 0.5 deg/frame, which produces
     the >98% frame overlap the paper measures on Synthetic-NeRF.
     """
-    target = np.asarray(target, dtype=float)
     poses = []
     for i in range(num_frames):
         angle = np.radians(start_angle_deg + degrees_per_frame * i)
-        eye = target + np.array([
-            radius * np.cos(angle), height, radius * np.sin(angle)])
-        poses.append(look_at(eye, target))
-    return Trajectory(poses=poses, fps=fps, name=f"orbit_{degrees_per_frame}dpf")
+        eye = np.array([radius * np.cos(angle), HEIGHT, radius * np.sin(angle)])
+        poses.append(look_at(eye, ORIGIN))
+    return Trajectory(poses=poses, name=f"orbit_{degrees_per_frame}dpf")
 
 
-def dolly_trajectory(
-    num_frames: int,
-    start_distance: float = 4.0,
-    end_distance: float = 2.0,
-    height: float = 0.8,
-    target=(0.0, 0.0, 0.0),
-    azimuth_deg: float = 0.0,
-    fps: float = 30.0,
-) -> Trajectory:
-    """Straight push-in (or pull-out) toward ``target`` along one azimuth.
+def dolly_trajectory(num_frames: int, start_distance: float = 4.0,
+                     end_distance: float = 2.0) -> Trajectory:
+    """Straight push-in (or pull-out) toward the origin along +x.
 
     Dolly moves stress SPARW differently from orbits: the warp field is
     mostly radial scaling, overlap stays high, but disocclusion concentrates
@@ -85,81 +91,51 @@ def dolly_trajectory(
     """
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
-    target = np.asarray(target, dtype=float)
-    angle = np.radians(azimuth_deg)
-    direction = np.array([np.cos(angle), 0.0, np.sin(angle)])
     distances = np.linspace(start_distance, end_distance, num_frames)
-    poses = [look_at(target + direction * d + np.array([0.0, height, 0.0]),
-                     target)
-             for d in distances]
-    return Trajectory(poses=poses, fps=fps,
+    poses = [look_at(np.array([d, HEIGHT, 0.0]), ORIGIN) for d in distances]
+    return Trajectory(poses=poses,
                       name=f"dolly_{start_distance:g}to{end_distance:g}")
 
 
-def headshake_trajectory(
-    num_frames: int,
-    radius: float = 3.2,
-    height: float = 0.8,
-    target=(0.0, 0.0, 0.0),
-    azimuth_deg: float = 0.0,
-    yaw_amplitude_deg: float = 4.0,
-    period_frames: float = 24.0,
-    sway: float = 0.02,
-    fps: float = 30.0,
-) -> Trajectory:
+def headshake_trajectory(num_frames: int, radius: float,
+                         yaw_amplitude_deg: float = 4.0) -> Trajectory:
     """VR-style head shake: a seated viewer scanning left and right.
 
-    The eye stays (almost) put — a small sinusoidal sway models neck
-    motion — while the gaze target oscillates laterally, producing the
-    rotation-dominated pose deltas typical of head-mounted displays.
+    The eye stays (almost) put on the +x axis — a SHAKE_SWAY sinusoidal
+    sway models neck motion — while the gaze target oscillates laterally
+    with a ``yaw_amplitude_deg`` peak yaw and a SHAKE_PERIOD_FRAMES period,
+    producing the rotation-dominated pose deltas typical of head-mounted
+    displays.
     """
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
-    if period_frames <= 0.0:
-        raise ValueError("period_frames must be positive")
-    target = np.asarray(target, dtype=float)
-    angle = np.radians(azimuth_deg)
-    back = np.array([np.cos(angle), 0.0, np.sin(angle)])
-    lateral = np.array([-np.sin(angle), 0.0, np.cos(angle)])
-    eye0 = target + back * radius + np.array([0.0, height, 0.0])
+    lateral = np.array([0.0, 0.0, 1.0])
+    eye0 = np.array([radius, HEIGHT, 0.0])
     # Gaze swing wide enough that yaw_amplitude_deg is the peak yaw angle.
     swing = radius * np.tan(np.radians(yaw_amplitude_deg))
 
     poses = []
     for i in range(num_frames):
-        phase = 2.0 * np.pi * i / period_frames
-        eye = eye0 + lateral * (sway * np.sin(phase))
-        gaze = target + lateral * (swing * np.sin(phase))
-        poses.append(look_at(eye, gaze))
-    return Trajectory(poses=poses, fps=fps,
+        wave = np.sin(2.0 * np.pi * i / SHAKE_PERIOD_FRAMES)
+        eye = eye0 + lateral * (SHAKE_SWAY * wave)
+        poses.append(look_at(eye, lateral * (swing * wave)))
+    return Trajectory(poses=poses,
                       name=f"headshake_{yaw_amplitude_deg:g}deg")
 
 
-def random_walk_trajectory(
-    num_frames: int,
-    seed: int = 0,
-    target=(0.0, 0.0, 0.0),
-    radius: float = 3.2,
-    min_radius: float = 2.2,
-    max_radius: float = 4.2,
-    height: float = 0.8,
-    step_scale: float = 0.04,
-    fps: float = 30.0,
-) -> Trajectory:
-    """Seeded smooth random walk around ``target``, gaze locked on it.
+def random_walk_trajectory(num_frames: int, radius: float,
+                           seed: int = 0) -> Trajectory:
+    """Seeded smooth random walk around the origin, gaze locked on it.
 
-    The eye performs a low-pass-filtered random walk constrained to a
-    spherical shell ``[min_radius, max_radius]``, modelling an exploring
-    user.  Fully deterministic in ``seed``.
+    The eye starts ``radius`` out on +x and performs a low-pass-filtered
+    random walk constrained to the spherical shell ``[WALK_MIN_RADIUS,
+    WALK_MAX_RADIUS]``, modelling an exploring user.  Fully deterministic
+    in ``seed``.
     """
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
-    if not (0.0 < min_radius <= radius <= max_radius):
-        raise ValueError("need 0 < min_radius <= radius <= max_radius")
     rng = np.random.default_rng(seed)
-    target = np.asarray(target, dtype=float)
-
-    steps = rng.normal(scale=step_scale, size=(num_frames, 3))
+    steps = rng.normal(scale=WALK_STEP, size=(num_frames, 3))
     # Low-pass the steps so consecutive poses stay close (real motion has
     # momentum; white-noise steps would thrash the warp).
     kernel = np.ones(5) / 5.0
@@ -167,22 +143,21 @@ def random_walk_trajectory(
     smooth = np.stack([np.convolve(padded[:, k], kernel, mode="valid")
                        for k in range(3)], axis=1)
 
-    eye = target + np.array([radius, height, 0.0])
+    eye = np.array([radius, HEIGHT, 0.0])
     poses = []
     for i in range(num_frames):
         eye = eye + smooth[i]
-        offset = eye - target
-        dist = float(np.linalg.norm(offset))
-        clamped = float(np.clip(dist, min_radius, max_radius))
+        dist = float(np.linalg.norm(eye))
+        clamped = float(np.clip(dist, WALK_MIN_RADIUS, WALK_MAX_RADIUS))
         if dist > 0.0 and clamped != dist:
-            eye = target + offset * (clamped / dist)
-        poses.append(look_at(eye, target))
-    return Trajectory(poses=poses, fps=fps, name=f"walk_seed{seed}")
+            eye = eye * (clamped / dist)
+        poses.append(look_at(eye, ORIGIN))
+    return Trajectory(poses=poses, name=f"walk_seed{seed}")
 
 
 # Generator registry: each builder takes num_frames first; builders with a
-# ``seed`` parameter receive it, deterministic ones never see it.  None of
-# them accepts **kwargs, so unknown parameters fail loudly (and the
+# ``radius`` or ``seed`` parameter receive it, the others never see it.
+# None of them accepts **kwargs, so unknown parameters fail loudly (and the
 # workload layer can validate spec params against these signatures).
 TRAJECTORY_KINDS = {
     "orbit": orbit_trajectory,
@@ -203,16 +178,18 @@ def trajectory_parameters(kind: str) -> dict:
     return dict(inspect.signature(builder).parameters)
 
 
-def make_trajectory(kind: str, num_frames: int, seed: int = 0,
+def make_trajectory(kind: str, num_frames: int, radius: float, seed: int = 0,
                     **params) -> Trajectory:
     """Build a trajectory by registry name — the workload layer's entry point.
 
-    All generators are deterministic given ``(kind, num_frames, seed,
-    params)``, which is what makes trajectory-derived cache keys (and the
-    bit-parity of cached serving) possible.  Unknown ``params`` raise
+    All generators are deterministic given ``(kind, num_frames, radius,
+    seed, params)``, which is what makes trajectory-derived cache keys (and
+    the bit-parity of cached serving) possible.  Unknown ``params`` raise
     ``TypeError`` for every kind.
     """
-    if "seed" in trajectory_parameters(kind):
+    accepted = trajectory_parameters(kind)
+    if "radius" in accepted:
+        params["radius"] = radius
+    if "seed" in accepted:
         params["seed"] = seed
     return TRAJECTORY_KINDS[kind](num_frames, **params)
-

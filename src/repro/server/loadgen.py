@@ -20,6 +20,7 @@ with the same seed issue identical request schedules (the wall-clock
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass
 
@@ -44,13 +45,13 @@ class LoadgenOptions:
     seed: int = 0
     frames: int | None = None  # per-session frame-count override
     time_scale: float = 1.0  # wall seconds per virtual second
-    arrival_trace: str | None = None  # for arrivals="replay"
     connect_timeout_s: float = 30.0
 
     def __post_init__(self):
-        if not self.time_scale > 0.0:
+        # An infinite scale would sleep forever before the first arrival.
+        if not (self.time_scale > 0.0 and math.isfinite(self.time_scale)):
             raise ValueError(
-                f"time_scale must be > 0, got {self.time_scale}")
+                f"time_scale must be finite and > 0, got {self.time_scale}")
 
 
 def loadgen_schedule(options: LoadgenOptions) -> list:
@@ -60,12 +61,10 @@ def loadgen_schedule(options: LoadgenOptions) -> list:
     seconds; :func:`run_loadgen` maps virtual time ``t`` to wall time
     ``start + t * time_scale``.
     """
-    params = ({"trace": options.arrival_trace}
-              if options.arrivals == "replay" else {})
     return make_arrivals(options.arrivals, options.mix,
                          rate_hz=options.rate_hz,
                          duration_s=options.duration_s,
-                         seed=options.seed, **params)
+                         seed=options.seed)
 
 
 async def _run_session(host: str, port: int, arrival, options:
@@ -170,7 +169,6 @@ def loadgen_summary(options: LoadgenOptions, schedule: list,
         "seed": options.seed,
         "frames": options.frames,
         "time_scale": options.time_scale,
-        "arrival_trace": options.arrival_trace,
         "schedule": [{"t": a.time_s, "workload": a.spec.name}
                      for a in schedule],
         "sessions": sessions,

@@ -47,7 +47,6 @@ def reconcile_report(measured: dict, config, use_cache: bool = True,
         workers=1,  # the live server is one shared engine
         queue_limit=max(measured["sessions_total"], 1),
         frames=measured.get("frames"),
-        trace=measured.get("arrival_trace"),
         use_cache=use_cache, governor=governor)
     predicted = report.summary()
     rows = []

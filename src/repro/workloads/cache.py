@@ -185,14 +185,15 @@ class SharedLRUCache(LRUCore):
         with self._lock:
             return key in self._entries
 
-    def get(self, key, default=None):
-        """Lookup; counts a hit or miss and refreshes recency on hit."""
+    def get(self, key):
+        """Lookup (``None`` on a miss); counts a hit or miss and refreshes
+        recency on hit."""
         with self._lock:
             entry = self.touch(key)
             if entry is None:
                 self.stats.misses += 1
                 metric_inc(f"cache.{self.name}.misses")
-                return default
+                return None
             self.stats.hits += 1
             metric_inc(f"cache.{self.name}.hits")
             return entry.value

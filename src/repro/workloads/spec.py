@@ -91,9 +91,10 @@ class WorkloadSpec:
         # is either a generator-param typo or a misspelled spec field that
         # :meth:`make` routed into trajectory_params.
         accepted = trajectory_parameters(self.trajectory)
-        # num_frames/seed come from the spec's own frames/seed fields.
-        accepted.pop("num_frames", None)
-        accepted.pop("seed", None)
+        # num_frames/seed come from the spec's own frames/seed fields, the
+        # radius from the config.
+        for key in ("num_frames", "seed", "radius"):
+            accepted.pop(key, None)
         for key, _ in self.trajectory_params:
             if key not in accepted:
                 raise ValueError(
@@ -214,17 +215,16 @@ class WorkloadSpec:
     def build_trajectory(self, config) -> Trajectory:
         """Deterministic trajectory at the resolved config scale.
 
-        Orbit-family generators default their radius/step to the config's
-        values so spec-built orbits are pose-identical to the figure
-        harness's ground-truth trajectories.
+        Every generator takes the config's orbit radius, and orbits default
+        their step to the config's, so spec-built orbits are pose-identical
+        to the figure harness's ground-truth trajectories.
         """
         config = self.resolve_config(config)
         params = dict(self.trajectory_params)
         if self.trajectory == "orbit":
-            params.setdefault("radius", config.orbit_radius)
             params.setdefault("degrees_per_frame", config.degrees_per_frame)
         return make_trajectory(self.trajectory, self.num_frames(config),
-                               seed=self.seed, **params)
+                               config.orbit_radius, seed=self.seed, **params)
 
     # -- builders ---------------------------------------------------------------
 

@@ -52,7 +52,8 @@ def shm():
 resolution, feature_dim = 80, 16  # 81^3 x 16 float64 = 65 MB, all touched
 table = np.full(((resolution + 1) ** 3, feature_dim), 0.01)
 field = VoxelGridField(table, resolution, ((-1.5,) * 3, (1.5,) * 3),
-                       decoder=SHDecoder(feature_dim=feature_dim))
+                       decoder=SHDecoder(feature_dim=feature_dim,
+                                         max_density=800.0))
 renderer = NeRFRenderer(field, UniformSampler(32))
 rng = np.random.default_rng(0)
 origins = np.tile([0.0, 0.0, -4.0], (256, 1))

@@ -1,14 +1,14 @@
-"""Arrival-process tests: determinism, rate shapes, and trace replay."""
+"""Arrival-process tests: determinism and rate shapes."""
+
+import math
 
 import pytest
 
 from repro.cluster import (
     deterministic_arrivals,
     diurnal_arrivals,
-    load_arrival_trace,
     make_arrivals,
     poisson_arrivals,
-    save_arrival_trace,
 )
 
 MIX = "vr-lego:2,dolly-chair"
@@ -66,7 +66,7 @@ class TestDiurnal:
     def test_thinning_reduces_volume(self):
         flat = poisson_arrivals(MIX, rate_hz=5.0, duration_s=40.0, seed=0)
         shaped = diurnal_arrivals(MIX, rate_hz=5.0, duration_s=40.0,
-                                  seed=0, depth=0.9)
+                                  seed=0)
         assert 0 < len(shaped) < len(flat)
 
     def test_deterministic_per_seed(self):
@@ -75,55 +75,24 @@ class TestDiurnal:
         assert times(a) == times(b)
 
     def test_peak_denser_than_trough(self):
-        # Rate profile troughs at t=0 and peaks at half the period.
-        a = diurnal_arrivals(MIX, rate_hz=10.0, duration_s=100.0, seed=0,
-                             depth=1.0, period_s=100.0)
+        # Rate profile troughs at t=0 and peaks half-way through.
+        a = diurnal_arrivals(MIX, rate_hz=10.0, duration_s=100.0, seed=0)
         first_quarter = sum(1 for t in times(a) if t < 25.0)
         middle = sum(1 for t in times(a) if 37.5 <= t < 62.5)
         assert middle > first_quarter
-
-    def test_bad_depth_rejected(self):
-        with pytest.raises(ValueError):
-            diurnal_arrivals(MIX, rate_hz=1.0, duration_s=1.0, depth=1.5)
-
-
-class TestReplay:
-    def test_trace_round_trip(self, tmp_path):
-        original = poisson_arrivals(MIX, rate_hz=2.0, duration_s=10.0,
-                                    seed=5)
-        path = save_arrival_trace(tmp_path / "trace.json", original)
-        replayed = load_arrival_trace(path)
-        assert times(replayed) == times(original)
-        assert [x.spec.name for x in replayed] == \
-               [x.spec.name for x in original]
-
-    def test_replay_via_registry_kind(self, tmp_path):
-        original = deterministic_arrivals(MIX, rate_hz=1.0, duration_s=3.0)
-        path = save_arrival_trace(tmp_path / "trace.json", original)
-        replayed = make_arrivals("replay", MIX, trace=str(path))
-        assert times(replayed) == times(original)
-
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(KeyError):
-            load_arrival_trace([{"t": 0.0, "workload": "no-such-workload"}])
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            load_arrival_trace([{"t": -1.0, "workload": "vr-lego"}])
-
-    def test_replay_requires_trace(self):
-        with pytest.raises(ValueError):
-            make_arrivals("replay", MIX)
-
-    def test_unsorted_trace_sorted_on_load(self):
-        arrivals = load_arrival_trace([
-            {"t": 2.0, "workload": "vr-lego"},
-            {"t": 1.0, "workload": "dolly-chair"},
-        ])
-        assert times(arrivals) == [1.0, 2.0]
 
 
 class TestRegistry:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_arrivals("bursty", MIX)
+
+    @pytest.mark.parametrize("kind", ["poisson", "deterministic", "diurnal"])
+    @pytest.mark.parametrize("rate_hz, duration_s", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_rate_duration_rejected(self, kind, rate_hz,
+                                               duration_s):
+        # An infinite rate draws zero gaps, an infinite window never
+        # closes: both would grow the schedule until memory runs out.
+        with pytest.raises(ValueError, match="finite"):
+            make_arrivals(kind, MIX, rate_hz=rate_hz, duration_s=duration_s)

@@ -32,7 +32,7 @@ def fleet(*loads):
 
 def overloaded_scaler(**kwargs):
     defaults = dict(min_workers=1, max_workers=8, up_load=2.0,
-                    down_load=0.25, cooldown_s=1.0)
+                    cooldown_s=1.0)
     defaults.update(kwargs)
     return Autoscaler(**defaults)
 
@@ -76,7 +76,7 @@ class TestScaleUpCap:
 class TestScaleDownResidents:
     def test_never_removes_worker_with_residents(self):
         scaler = overloaded_scaler(cooldown_s=0.0)
-        # Mean load 0.2 < down_load 0.25, but one worker holds a session:
+        # Mean load 0.2 < DOWN_LOAD 0.25, but one worker holds a session:
         # the retire candidate must be one of the empty ones.
         workers = fleet(1, 0, 0, 0, 0)
         decision = scaler.evaluate(0.0, workers, 0)

@@ -154,8 +154,7 @@ class TestAutoscaler:
         assert scaler.evaluate(1.0, fleet(5, 5), booting=0) is None
 
     def test_scales_down_idle_worker(self):
-        scaler = Autoscaler(min_workers=1, up_load=2.0, down_load=0.5,
-                            cooldown_s=0.0)
+        scaler = Autoscaler(min_workers=1, up_load=2.0, cooldown_s=0.0)
         workers = fleet(0, 0)
         decision = scaler.evaluate(1.0, workers, booting=0)
         # Retires the youngest idle worker (LIFO).
@@ -164,15 +163,14 @@ class TestAutoscaler:
     def test_scale_down_is_lifo_by_spawn_order_not_id_string(self):
         # Spawn indices past 99 would reverse under lexicographic id
         # comparison ("w100" < "w99"); LIFO must follow spawn order.
-        scaler = Autoscaler(min_workers=1, up_load=2.0, down_load=0.5,
-                            cooldown_s=0.0)
+        scaler = Autoscaler(min_workers=1, up_load=2.0, cooldown_s=0.0)
         old = StubWorker("w99", started_s=0.0, index=99)
         young = StubWorker("w100", started_s=5.0, index=100)
         decision = scaler.evaluate(10.0, [old, young], booting=0)
         assert decision == ("down", young)
 
     def test_never_below_min_workers(self):
-        scaler = Autoscaler(min_workers=1, down_load=0.5, cooldown_s=0.0)
+        scaler = Autoscaler(min_workers=1, cooldown_s=0.0)
         assert scaler.evaluate(1.0, fleet(0), booting=0) is None
 
     def test_cooldown_spaces_actions(self):
@@ -183,4 +181,4 @@ class TestAutoscaler:
 
     def test_hysteresis_required(self):
         with pytest.raises(ValueError):
-            Autoscaler(up_load=1.0, down_load=1.0)
+            Autoscaler(up_load=0.25)

@@ -179,7 +179,7 @@ def gt_frame(lego_scene, small_camera):
 @pytest.fixture(scope="session")
 def small_field(lego_scene):
     """A 32^3 baked voxel-grid field of the lego scene."""
-    return VoxelGridField.bake(lego_scene, resolution=32)
+    return VoxelGridField.bake(lego_scene, resolution=32, feature_dim=16, max_density=800.0)
 
 
 @pytest.fixture(scope="session")

@@ -4,11 +4,14 @@ On an overloaded seeded cluster mix, the adaptive governor must achieve
 *strictly* lower reject rate and *strictly* lower p99 frame latency than
 running ungoverned — while every workload's served mean probe PSNR stays
 at or above the quality floor implied by its ``min_quality_tier``.  And
-``cli frontier`` must emit a strictly valid ``BENCH_frontier.json`` with
-at least three load points per governor mode.
+the CI's governor x offered-load table
+(``examples/experiments/frontier-smoke.json``) must emit a strictly valid
+``BENCH_experiment.json`` with at least three load points per governor
+mode.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,15 +86,16 @@ class TestHeadline:
         json.dumps(summary)  # stays artifact-safe
 
 
+FRONTIER_TABLE = (Path(__file__).resolve().parents[2] / "examples"
+                  / "experiments" / "frontier-smoke.json")
+
+
 class TestFrontierArtifact:
-    def test_cli_frontier_writes_valid_artifact(self, tmp_path):
-        rc = main(["frontier", "--fast", "--frames", "2",
-                   "--duration", "0.4", "--rates", "10,30,90",
-                   "--slo", "3000", "--workers", "1",
-                   "--queue-limit", "2",
-                   "--json-out", str(tmp_path)])
+    def test_frontier_table_writes_valid_artifact(self, tmp_path):
+        rc = main(["experiment", "--table", str(FRONTIER_TABLE),
+                   "--out", str(tmp_path)])
         assert rc == 0
-        path = tmp_path / "BENCH_frontier.json"
+        path = tmp_path / "BENCH_experiment.json"
         payload = json.loads(
             path.read_text(),
             parse_constant=lambda c: pytest.fail(

@@ -74,7 +74,7 @@ class TestOverlap:
     def test_real_adjacent_frames_high_overlap(self, lego_scene, small_camera,
                                                gt_frame):
         from repro.scenes import orbit_trajectory
-        traj = orbit_trajectory(2, degrees_per_frame=0.5)
+        traj = orbit_trajectory(2, 3.2, degrees_per_frame=0.5)
         from repro.scenes import RayTracer
         tracer = RayTracer(lego_scene)
         ref = tracer.render(small_camera.with_pose(traj[0]))

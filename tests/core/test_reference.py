@@ -10,7 +10,7 @@ from repro.scenes import orbit_trajectory
 
 @pytest.fixture
 def poses():
-    return orbit_trajectory(40, degrees_per_frame=1.0).poses
+    return orbit_trajectory(40, 3.2, degrees_per_frame=1.0).poses
 
 
 class TestExtrapolatedPolicy:

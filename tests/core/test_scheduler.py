@@ -13,7 +13,8 @@ from repro.core.streaming import (
 @pytest.fixture(scope="module")
 def scheduler():
     return FullyStreamingScheduler(buffer_bytes=32 * 1024,
-                                   baseline_cache_bytes=64 * 1024)
+                                   baseline_cache_bytes=64 * 1024,
+                                   cache_block_bytes=64)
 
 
 class TestScheduleGroup:
@@ -35,15 +36,15 @@ class TestScheduleGroup:
         assert report.rit_bytes == rit.table_bytes
 
     def test_baseline_includes_cache_filtering(self, gather_groups):
-        no_cache = FullyStreamingScheduler(baseline_cache_bytes=None)
-        cached = FullyStreamingScheduler(baseline_cache_bytes=1024 * 1024)
+        no_cache = FullyStreamingScheduler(32 * 1024, None, 64)
+        cached = FullyStreamingScheduler(32 * 1024, 1024 * 1024, 64)
         a, _, _ = no_cache.schedule_group(gather_groups[0])
         b, _, _ = cached.schedule_group(gather_groups[0])
         assert b.baseline_bytes <= a.baseline_bytes
 
     def test_nonstreamable_group_reverts(self, scheduler, lego_scene):
         from repro.nerf import HashGridField, VoxelGridField
-        reference = VoxelGridField.bake(lego_scene, resolution=32)
+        reference = VoxelGridField.bake(lego_scene, resolution=32, feature_dim=16, max_density=800.0)
         field = HashGridField.bake(lego_scene, num_levels=4,
                                    finest_resolution=32, table_size=1 << 12,
                                    reference=reference)
@@ -92,7 +93,7 @@ class TestReversionHelpers:
     @pytest.fixture(scope="class")
     def hash_groups(self, lego_scene):
         from repro.nerf import HashGridField, VoxelGridField
-        reference = VoxelGridField.bake(lego_scene, resolution=32)
+        reference = VoxelGridField.bake(lego_scene, resolution=32, feature_dim=16, max_density=800.0)
         field = HashGridField.bake(lego_scene, num_levels=4,
                                    finest_resolution=32, table_size=1 << 12,
                                    reference=reference)

@@ -83,7 +83,7 @@ class TestGatherPlan:
     """The GU prices a gather pass with the channel-major cycle count."""
 
     def test_plan_cost_tracks_layout(self):
-        gu = GatheringUnitModel(GUConfig(num_banks=32, ports_per_bank=2))
+        gu = GatheringUnitModel(16, GUConfig(num_banks=32, ports_per_bank=2))
         cost = gu.gather_cost(FrameWorkload(num_samples=1000,
                                             gather_bytes=8000 * 32))
         assert cost.cycles == gu.layout.analytic_cycles(1000, 8)
@@ -93,7 +93,7 @@ class TestGatherPlan:
     def test_merge(self):
         # The gather cost of two workloads' merged counts is the sum of
         # their costs.
-        gu = GatheringUnitModel()
+        gu = GatheringUnitModel(16)
         a = FrameWorkload(num_samples=10, gather_bytes=80 * 32)
         b = FrameWorkload(num_samples=20, gather_bytes=160 * 32)
         c = gu.gather_cost(FrameWorkload(num_samples=30,

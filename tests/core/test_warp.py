@@ -30,7 +30,7 @@ from repro.workloads import get_workload
 
 @pytest.fixture(scope="module")
 def orbit(lego_scene):
-    return orbit_trajectory(6, degrees_per_frame=1.0)
+    return orbit_trajectory(6, FAST.orbit_radius, degrees_per_frame=1.0)
 
 
 @pytest.fixture(scope="module")

@@ -48,11 +48,6 @@ class TestIntersectAABB:
             BOX_MIN, BOX_MAX)
         assert not hit[0]
 
-    def test_far_clip(self):
-        _, _, hit = intersect_aabb(
-            np.array([[0.0, 0.0, -5.0]]), np.array([[0.0, 0.0, 1.0]]),
-            BOX_MIN, BOX_MAX, far=3.0)
-        assert not hit[0]
 
     def test_ray_pointing_away(self):
         _, _, hit = intersect_aabb(

@@ -1,11 +1,10 @@
-"""Frame economics and the frontier ``--rates`` list."""
+"""Frame economics."""
 
 import math
 
 import pytest
 
 from repro.harness.pricing import DEFAULT_COST, CostModel, frame_economics
-from repro.harness.runconfig import RunConfigError, parse_rates
 
 
 class TestCostModel:
@@ -44,13 +43,3 @@ class TestFrameEconomics:
         assert row == {"total_energy_j": 5.0, "joules_per_frame": 0.0,
                        "usd_per_frame": 0.0}
         assert all(math.isfinite(v) for v in row.values())
-
-
-class TestParseRates:
-    def test_comma_list_with_blanks(self):
-        assert parse_rates("1, 2.5,4,") == (1.0, 2.5, 4.0)
-
-    @pytest.mark.parametrize("text", ["1,2", "1,0,2", "1,-2,3", "a,b,c", ""])
-    def test_rejected(self, text):
-        with pytest.raises(RunConfigError):
-            parse_rates(text)

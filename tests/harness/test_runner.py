@@ -10,10 +10,12 @@ import pytest
 from repro.harness.cli import build_parser, cell_from_args, main
 from repro.harness.configs import FAST
 from repro.harness.runconfig import (
+    MODES,
     ClusterConfig,
     RunConfig,
     RunConfigError,
     ServeConfig,
+    config_fields,
 )
 from repro.harness.runner import ExperimentTable, execute_cell, run_table
 
@@ -63,11 +65,6 @@ class TestRunConfig:
     def test_cluster_rejects_serve_only_knobs(self):
         with pytest.raises(RunConfigError, match="serve-only"):
             RunConfig(mode="cluster", sessions=4).validate()
-
-    def test_replay_requires_trace(self):
-        with pytest.raises(RunConfigError,
-                           match="--arrival-trace is required"):
-            RunConfig(mode="cluster", arrivals="replay").validate()
 
     def test_serve_governor_accepted_without_workload_mix(self):
         # The scene-cycling sessions are workload specs with SLO fields,
@@ -145,30 +142,29 @@ class TestWireFormatLock:
     them byte for byte."""
 
     KEYS = [
-        "algorithm", "arrival_trace", "arrivals", "autoscale", "backend",
-        "catalog", "duration_s", "engine_workers", "frames", "governor",
-        "host", "label", "max_workers", "min_workers", "mode", "placement",
-        "port", "queue_limit", "rate_hz", "ray_budget", "repetition",
-        "replication", "scale", "scale_up_latency_s", "scenes", "scheduler",
-        "seed", "sessions", "slo_fps", "time_scale", "use_cache", "variant",
-        "workers", "workloads", "zipf"]
+        "arrivals", "autoscale", "backend", "catalog", "duration_s",
+        "engine_workers", "frames", "governor", "host", "label",
+        "max_workers", "min_workers", "mode", "placement", "port",
+        "queue_limit", "rate_hz", "ray_budget", "repetition", "replication",
+        "scale", "scale_up_latency_s", "scheduler", "seed", "sessions",
+        "slo_fps", "time_scale", "use_cache", "workers", "workloads", "zipf"]
 
     def test_flat_key_set(self):
         assert sorted(RunConfig().to_dict()) == self.KEYS
-        assert len(self.KEYS) == 35
+        assert len(self.KEYS) == 31
 
     def test_default_cell_hash(self):
         assert RunConfig().config_hash() == (
-            "b090bfd30e90b413fd56d0aa82c25a98"
-            "7899e9020122ee130ea2427134732644")
+            "d5c59e9219f70c6441932bb78ffad692"
+            "0b049d70aeec6b2ab6ea222827275624")
 
     @pytest.mark.parametrize("table, first, last", [
         ("quick.json",
-         "53e78b0d2e7877102e0a153a4e46e1f996dbc2394f00f77b04ba1856f9ecb822",
-         "176b1464a193c8bfcfdaaa75460d0262ef6bf7ad5c75fe776a93efbb9ea51485"),
+         "42675091ff3aa671511a84bf8f50920c15e00d44889081f6e1371618f8268f4c",
+         "1e7c931b25861b4552919e84612686b6b9c4223195e1b20b0e737d66451ecaf0"),
         ("frontier-fast.json",
-         "1cbe68cf030cd8c8b5e3c726cd77f0a1ad40841b98d03e6e3299e73b04a8c8f1",
-         "ff3d0aa28484f6e41151b6f6128a1beb92a838d83c7b07b9648e1f58ba19c748"),
+         "3305650424bb96790efe40c4bf44e4f3c2084ccebea06db78459db1553900c1c",
+         "338ab757948d12b18bbb36ecf1990d2a31b48862840b59a6ef778e3fb4dc8fe9"),
     ], ids=["quick", "frontier-fast"])
     def test_checked_in_table_cell_hashes(self, table, first, last):
         cells = ExperimentTable.from_file(EXAMPLES / table).cells()
@@ -179,7 +175,7 @@ class TestWireFormatLock:
         # to_dict() writes every section, so from_dict() must accept an
         # inactive section's keys at their defaults — and only there.
         flat = RunConfig(mode="serve", sessions=3).to_dict()
-        assert flat["workers"] is None and flat["scenes"] == []
+        assert flat["workers"] is None and flat["use_cache"] is True
         assert RunConfig.from_dict(flat) == RunConfig(mode="serve",
                                                       sessions=3)
         with pytest.raises(RunConfigError, match="cluster-only"):
@@ -201,20 +197,36 @@ class TestCliParity:
             [command, "--fast", meta["flag"], *sample])
         return meta["flag"] not in unknown
 
-    @pytest.mark.parametrize("command", ["cluster", "frontier"])
-    def test_serve_only_rejection_is_identical(self, command):
+    def test_serve_only_rejection_is_identical(self):
         for field in dataclasses.fields(ServeConfig):
-            assert not self._takes(command, field)
+            assert not self._takes("cluster", field)
             assert self._takes("serve", field)
 
-    @pytest.mark.parametrize("command", ["serve", "cluster", "frontier"])
+    @pytest.mark.parametrize("command", ["serve", "cluster"])
     def test_bad_frames_rejection_is_identical(self, command, capsys):
-        mode = "serve" if command == "serve" else "cluster"
         args = build_parser().parse_args([command, "--fast", "--frames", "0"])
         with pytest.raises(RunConfigError, match=r"--frames must be >= 1"):
-            cell_from_args(mode, args)
+            cell_from_args(command, args)
         assert main([command, "--fast", "--frames", "0"]) == 2
         assert f"{command}: --frames must be >= 1" in capsys.readouterr().err
+
+    # Through the parser, never main(): a run that accepted inf would
+    # not return.
+    @pytest.mark.parametrize("mode, field", [
+        (mode, field) for mode in MODES for field in config_fields(mode)
+        if field.metadata.get("type") is float],
+        ids=lambda each: each if isinstance(each, str) else each.name)
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_float_flag_is_rejected(self, mode, field, value):
+        command = {"serve": "serve", "cluster": "cluster",
+                   "realserve": "loadgen"}[mode]
+        flag = field.metadata["flag"]
+        args = build_parser().parse_args([command, "--fast",
+                                          f"{flag}={value}"])
+        with pytest.raises(RunConfigError, match=f"{flag} must be finite"):
+            cell_from_args(mode, args)
+        with pytest.raises(RunConfigError, match=f"{flag} must be finite"):
+            RunConfig(mode=mode, **{field.name: float(value)}).validate()
 
     def test_serve_rejects_cluster_flags(self):
         for field in dataclasses.fields(ClusterConfig):
@@ -315,24 +327,6 @@ class TestRunTable:
 
 
 class TestExecuteCellParity:
-    def test_frontier_cell_matches_run_frontier(self, tmp_path):
-        # 'cli frontier' is a built-in table: its rows are execute_cell
-        # over a checked-in table with the same axes, bit for bit.
-        assert main(["frontier", "--fast", "--workload", "vr-lego:1",
-                     "--rates", "5,6,7", "--duration", "0.2",
-                     "--frames", "1", "--workers", "1", "--queue-limit",
-                     "2", "--governor", "off",
-                     "--json-out", str(tmp_path)]) == 0
-        payload = json.loads((tmp_path / "BENCH_frontier.json").read_text())
-        table = ExperimentTable.from_dict({
-            "base": {"mode": "cluster", "workloads": "vr-lego:1",
-                     "arrivals": "poisson", "duration_s": 0.2,
-                     "workers": 1, "queue_limit": 2, "frames": 1},
-            "axes": {"governor": ["off"], "rate_hz": [5.0, 6.0, 7.0]}})
-        rows = [execute_cell(cell, config=FAST).row for cell in table.cells()]
-        assert len(rows) == 3
-        assert payload["rows"] == json.loads(json.dumps(rows))
-
     def test_catalog_cell_label_and_row(self):
         # The catalog expands inside simulate_cluster (the one catalog
         # path); the cell's label and row are those recorded when the
@@ -359,9 +353,9 @@ class TestExecuteCellParity:
             "hierarchy_hit_rate": 0.5714285714285714, "field_bakes": 3,
             "ttff_p95_ms": 557.3573691437908}
 
-    def test_governed_legacy_serve_prices_one_variant(self, monkeypatch):
+    def test_governed_sessions_serve_prices_one_variant(self, monkeypatch):
         # The governor closes its loop on the same SoC clock the report
-        # prices: a scene-cycling cell's sessions carry the cell's variant.
+        # prices: a --sessions cell's specs carry the one variant.
         from repro.harness import runner
         governors, reports = [], []
 
@@ -378,8 +372,7 @@ class TestExecuteCellParity:
         monkeypatch.setattr(runner, "EngineGovernor", SpyGovernor)
         monkeypatch.setattr(runner, "aggregate_serving", spy_aggregate)
         cell = RunConfig(mode="serve", sessions=2, frames=4,
-                         governor="adaptive", slo_fps=30.0,
-                         variant="gpu").validate()
+                         governor="adaptive", slo_fps=30.0).validate()
         execute_cell(cell, config=FAST)
         (governor,), (report,) = governors, reports
         assert governor.clock_s == pytest.approx(report.makespan_s)

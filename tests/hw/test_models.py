@@ -63,7 +63,7 @@ class TestGPUModel:
         assert gpu.warping_time(wl) == pytest.approx(1e-3, rel=0.5)
 
     def test_energy_includes_dram(self, workload):
-        cost = SoCModel().price_nerf(workload, "gpu")
+        cost = SoCModel(16).price_nerf(workload, "gpu")
         gpu = GPUModel()
         power_only = (gpu.frame_breakdown(workload).total
                       * gpu.config.average_power_w)
@@ -110,32 +110,32 @@ class TestNPUModel:
 
 class TestGUModel:
     def test_gather_cycles_scale_with_samples(self, workload):
-        gu = GatheringUnitModel()
+        gu = GatheringUnitModel(16)
         half = FrameWorkload(**{**workload.__dict__,
                                 "num_samples": workload.num_samples // 2})
         assert gu.gather_cost(half).cycles < gu.gather_cost(workload).cycles
 
     def test_gu_beats_gpu_gather(self, workload):
-        gu = GatheringUnitModel()
+        gu = GatheringUnitModel(16)
         gpu = GPUModel()
         assert gu.gather_cost(workload).time_s < gpu.gathering_time(workload)
 
     def test_vft_energy_grows_with_size(self, workload):
-        small = GatheringUnitModel(GUConfig(vft_bytes=32 * 1024))
-        big = GatheringUnitModel(GUConfig(vft_bytes=256 * 1024))
+        small = GatheringUnitModel(16, GUConfig(vft_bytes=32 * 1024))
+        big = GatheringUnitModel(16, GUConfig(vft_bytes=256 * 1024))
         assert big.gather_cost(workload).energy_j > (
             small.gather_cost(workload).energy_j)
 
     def test_vft_energy_floor_below_8kb(self, workload):
-        tiny = GatheringUnitModel(GUConfig(vft_bytes=4 * 1024))
-        small = GatheringUnitModel(GUConfig(vft_bytes=8 * 1024))
+        tiny = GatheringUnitModel(16, GUConfig(vft_bytes=4 * 1024))
+        small = GatheringUnitModel(16, GUConfig(vft_bytes=8 * 1024))
         ratio = (tiny.gather_cost(workload).energy_j
                  / small.gather_cost(workload).energy_j)
         assert ratio > 0.85  # flattens out, no free lunch from shrinking
 
     def test_area_overhead_matches_paper(self):
         """Paper: 44 KB of SRAM -> ~0.048 mm^2 at 12 nm."""
-        gu = GatheringUnitModel(GUConfig())
+        gu = GatheringUnitModel(16, GUConfig())
         assert gu.area_overhead_mm2() == pytest.approx(0.048, rel=0.15)
 
     def test_rit_buffer_size(self):

@@ -38,7 +38,7 @@ class TestRemote:
     def test_baseline_remote_has_lowest_device_energy(self, full_frame,
                                                       workloads):
         """Fig. 19b's observation: offloading everything minimises energy."""
-        soc = SoCModel()
+        soc = SoCModel(16)
         remote = RemoteScenario(soc)
         frame_bytes = 96 * 96 * 4
         base = remote.price_baseline_remote(full_frame, frame_bytes)
@@ -47,7 +47,7 @@ class TestRemote:
 
     def test_cicero_remote_faster_than_baseline_remote(self, full_frame,
                                                        workloads):
-        soc = SoCModel()
+        soc = SoCModel(16)
         remote = RemoteScenario(soc)
         frame_bytes = 96 * 96 * 4
         base = remote.price_baseline_remote(full_frame, frame_bytes)
@@ -60,7 +60,7 @@ class TestRemote:
 
     def test_reference_overlap_hides_latency(self, full_frame, workloads):
         """With a large window the remote reference fully hides."""
-        soc = SoCModel()
+        soc = SoCModel(16)
         remote = RemoteScenario(soc)
         cost = remote.price_sparw_remote(workloads, "cicero", 96 * 96 * 4)
         target = soc.price_nerf(workloads.target, "cicero")
@@ -70,27 +70,27 @@ class TestRemote:
 class TestRivals:
     def test_cicero_no_sparw_beats_neurex(self, full_frame):
         """Paper: ~2x over NeuRex from conflict elimination."""
-        soc = SoCModel()
-        neurex = NeuRexModel().price_frame(full_frame)
+        soc = SoCModel(16)
+        neurex = NeuRexModel(16).price_frame(full_frame)
         cicero = soc.price_nerf(full_frame, "cicero")
         assert cicero.time_s < neurex.time_s
 
     def test_ngpc_close_to_cicero_no_sparw(self, full_frame):
-        soc = SoCModel()
-        ngpc = NGPCModel().price_frame(full_frame)
+        soc = SoCModel(16)
+        ngpc = NGPCModel(16).price_frame(full_frame)
         cicero = soc.price_nerf(full_frame, "cicero")
         ratio = ngpc.time_s / cicero.time_s
         assert 0.5 < ratio < 2.5
 
     def test_ngpc_has_no_dram_gather_traffic(self, full_frame):
-        cost = NGPCModel().price_frame(full_frame)
+        cost = NGPCModel(16).price_frame(full_frame)
         assert cost.energy_parts["dram"] == pytest.approx(0.0)
 
     def test_neurex_pays_conflicts(self, full_frame):
-        slow = NeuRexModel().price_frame(full_frame)
+        slow = NeuRexModel(16).price_frame(full_frame)
         no_conflicts = FrameWorkload(**{**full_frame.__dict__,
                                         "gather_conflict_slowdown": 1.0})
-        fast = NeuRexModel().price_frame(no_conflicts)
+        fast = NeuRexModel(16).price_frame(no_conflicts)
         # Gather-stage energy dilates by the conflict slowdown; latency only
         # when the engine (not DRAM) is the gather bottleneck.
         assert slow.energy_parts["gather"] > fast.energy_parts["gather"]

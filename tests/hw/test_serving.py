@@ -31,19 +31,19 @@ def make_result(num_frames, window, sparse_rays=200, sparse_samples=2000):
 
 @pytest.fixture(scope="module")
 def soc():
-    return SoCModel()
+    return SoCModel(16)
 
 
 class TestPriceSessionFrames:
     def test_one_time_per_frame(self, soc):
         result = make_result(6, window=3)
-        times = [cost.time_s for cost in session_frame_costs(result, soc)]
+        times = [cost.time_s for cost in session_frame_costs(result, soc, "cicero")]
         assert len(times) == 6
         assert all(t > 0 for t in times)
 
     def test_reference_frames_cost_more(self, soc):
         result = make_result(6, window=3)
-        times = [cost.time_s for cost in session_frame_costs(result, soc)]
+        times = [cost.time_s for cost in session_frame_costs(result, soc, "cicero")]
         # Window boundaries (0 and 3) pay the full-frame reference render.
         assert times[0] > 2 * times[1]
         assert times[3] > 2 * times[4]

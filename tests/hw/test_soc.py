@@ -29,7 +29,7 @@ def sparw_workloads(full_frame):
 
 @pytest.fixture
 def soc():
-    return SoCModel()
+    return SoCModel(16)
 
 
 class TestVariantOrdering:

@@ -39,7 +39,7 @@ class TestWorkloadFromStats:
     def test_with_report_traffic_copied(self, stats, gather_groups):
         from repro.core.streaming import FullyStreamingScheduler
         report = FullyStreamingScheduler(
-            baseline_cache_bytes=None).analyze(gather_groups)
+            32 * 1024, None, 64).analyze(gather_groups)
         wl = workload_from_stats(stats, streaming_report=report)
         assert wl.streaming_traffic.streaming_bytes == report.fs_streaming_bytes
         assert wl.rit_bytes == sum(g.rit_bytes for g in report.groups)

@@ -98,7 +98,8 @@ class TestStreamingEquivalence:
 
     def test_fs_traffic_less_than_uncached_baseline(self):
         profile = full_frame_profile("directvoxgo", "lego", FAST)
-        scheduler = FullyStreamingScheduler(baseline_cache_bytes=None)
+        scheduler = FullyStreamingScheduler(
+            FAST.vft_buffer_bytes, None, FAST.cache_block_bytes)
         report = scheduler.analyze(profile.gather_groups)
         assert report.fs_bytes < report.baseline_bytes
         assert report.fs_streaming_fraction == pytest.approx(1.0)

@@ -89,7 +89,7 @@ class TestCoalescing:
         assert len(merged) == 2
 
     def test_empty_trace_stays_empty(self):
-        coalesced = _trace([]).coalesced()
+        coalesced = _trace([]).coalesced(64)
         assert len(coalesced) == 0 and coalesced.total_bytes == 0
 
     def test_preserves_total_coverage(self):

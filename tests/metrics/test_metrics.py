@@ -37,19 +37,6 @@ class TestMSEPSNR:
         with pytest.raises(ValueError):
             mse(np.zeros((4, 4, 3)), np.zeros((5, 4, 3)))
 
-    def test_masked(self):
-        a = np.zeros((4, 4, 3))
-        b = np.zeros((4, 4, 3))
-        b[0, 0] = 1.0
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[1:, :] = True
-        assert mse(a, b, mask=mask) == 0.0
-        assert mse(a, b) > 0.0
-
-    def test_empty_mask(self):
-        a = np.zeros((4, 4, 3))
-        assert mse(a, a, mask=np.zeros((4, 4), dtype=bool)) == 0.0
-
     def test_sequence_helpers(self):
         a = [np.zeros((4, 4, 3))] * 3
         b = [np.full((4, 4, 3), 0.1)] * 3

@@ -16,7 +16,7 @@ class TestDecodeProperties:
     @given(r=floats, g=floats, b=floats)
     def test_diffuse_linearity(self, r, g, b):
         """Without SH coefficients, rgb is the clipped diffuse channels."""
-        decoder = SHDecoder(feature_dim=16)
+        decoder = SHDecoder(feature_dim=16, max_density=800.0)
         features = np.zeros((1, 16))
         features[0, 1:4] = [r, g, b]
         _, rgb = decoder.decode(features, np.array([[0.0, 0.0, 1.0]]))
@@ -29,7 +29,7 @@ class TestDecodeProperties:
         """Linear SH integrates to zero over the sphere: the mean decoded
         color over antipodal direction pairs equals the diffuse color."""
         rng = np.random.default_rng(seed)
-        decoder = SHDecoder(feature_dim=16)
+        decoder = SHDecoder(feature_dim=16, max_density=800.0)
         features = np.zeros((1, 16))
         features[0, 1:4] = rng.uniform(0.2, 0.8, 3)
         features[0, 4:13] = rng.uniform(-0.1, 0.1, 9)
@@ -50,7 +50,7 @@ class TestDecodeProperties:
         assert sigma.max() < 500.0
 
     def test_decode_density_consistent_with_density_helper(self):
-        decoder = SHDecoder(feature_dim=16)
+        decoder = SHDecoder(feature_dim=16, max_density=800.0)
         rng = np.random.default_rng(0)
         features = rng.normal(size=(50, 16))
         dirs = rng.normal(size=(50, 3))
@@ -80,7 +80,7 @@ class TestBakeDecodeRoundtrip:
         from repro.nerf import VoxelGridField
         from repro.scenes import get_scene
         scene = get_scene("materials")
-        field = VoxelGridField.bake(scene, resolution=24)
+        field = VoxelGridField.bake(scene, resolution=24, feature_dim=16, max_density=800.0)
         sh = field.vertex_features[:, 4:13]
         assert np.abs(sh).max() > 0.01, "specular scenes need SH content"
 

@@ -46,7 +46,7 @@ def scene():
 
 @pytest.fixture(scope="module")
 def reference(scene):
-    return VoxelGridField.bake(scene, resolution=32)
+    return VoxelGridField.bake(scene, resolution=32, feature_dim=16, max_density=800.0)
 
 
 @pytest.fixture(scope="module")
@@ -60,10 +60,10 @@ def surface_points(scene):
 class TestSHDecoder:
     def test_rejects_small_feature_dim(self):
         with pytest.raises(ValueError):
-            SHDecoder(feature_dim=4)
+            SHDecoder(feature_dim=4, max_density=800.0)
 
     def test_decode_shapes(self):
-        decoder = SHDecoder(feature_dim=16)
+        decoder = SHDecoder(feature_dim=16, max_density=800.0)
         sigma, rgb = decoder.decode(np.zeros((7, 16)), np.ones((7, 3)))
         assert sigma.shape == (7,)
         assert rgb.shape == (7, 3)
@@ -80,14 +80,14 @@ class TestSHDecoder:
         assert sigma[2] == pytest.approx(0.0, abs=1e-6)
 
     def test_diffuse_passthrough(self):
-        decoder = SHDecoder(feature_dim=16)
+        decoder = SHDecoder(feature_dim=16, max_density=800.0)
         features = np.zeros((1, 16))
         features[0, 1:4] = [0.2, 0.4, 0.6]
         _, rgb = decoder.decode(features, np.array([[0.0, 0.0, 1.0]]))
         np.testing.assert_allclose(rgb[0], [0.2, 0.4, 0.6], atol=1e-9)
 
     def test_sh_coefficients_add_view_dependence(self):
-        decoder = SHDecoder(feature_dim=16)
+        decoder = SHDecoder(feature_dim=16, max_density=800.0)
         features = np.zeros((1, 16))
         features[0, 1:4] = 0.5
         features[0, 4:13] = 0.3  # uniform linear-SH coefficients
@@ -96,7 +96,7 @@ class TestSHDecoder:
         assert not np.allclose(rgb_a, rgb_b)
 
     def test_mac_count_positive(self):
-        assert SHDecoder(feature_dim=16).macs_per_sample() > 0
+        assert SHDecoder(feature_dim=16, max_density=800.0).macs_per_sample() > 0
 
 
 class TestBaking:
@@ -110,7 +110,7 @@ class TestBaking:
     def test_logit_sign_tracks_sdf(self, scene):
         inside = np.array([[0.35, 0.05, 0.0]])  # inside the tower box
         outside = np.array([[0.0, 1.4, 1.4]])
-        features = bake_vertex_features(scene, np.vstack([inside, outside]),
+        features = bake_vertex_features(scene, np.vstack([inside, outside]), 16,
                                         density_sharpness=200.0)
         assert features[0, 0] > 0.0
         assert features[1, 0] < 0.0
@@ -121,7 +121,7 @@ class TestBaking:
 
     def test_color_only_near_surface(self, scene):
         far = np.array([[1.45, 1.45, 1.45]])
-        features = bake_vertex_features(scene, far, shell_width=0.01)
+        features = bake_vertex_features(scene, far, 16, shell_width=0.01)
         np.testing.assert_allclose(features[0, 1:4], 0.0)
 
     def test_a_bake_costs_one_geometry_pass_per_shell_vertex(self):
@@ -164,7 +164,8 @@ class TestVoxelGridField:
     def test_wrong_vertex_count_rejected(self, scene):
         with pytest.raises(ValueError):
             VoxelGridField(np.zeros((10, 16)), resolution=32,
-                           bounds=scene.bounds)
+                           bounds=scene.bounds,
+                           decoder=SHDecoder(16, max_density=800.0))
 
     def test_density_positive_near_surface(self, reference, surface_points):
         features = reference.interpolate(surface_points)
@@ -206,15 +207,14 @@ class TestHashGridField:
         assert corr > 0.9
 
     def test_model_smaller_than_dense_equivalent(self, scene, field):
-        dense = VoxelGridField.bake(scene, resolution=32)
+        dense = VoxelGridField.bake(scene, resolution=32, feature_dim=16, max_density=800.0)
         assert field.model_size_bytes < dense.model_size_bytes * 2
 
 
 class TestTensorFactorField:
     @pytest.fixture(scope="class")
     def field(self, scene, reference):
-        return TensorFactorField.bake(scene, resolution=32, rank_per_mode=16,
-                                      reference=reference)
+        return TensorFactorField.bake(scene, reference, rank_per_mode=16)
 
     def test_three_modes(self, field):
         assert len(field.modes) == 3
@@ -242,4 +242,4 @@ class TestTensorFactorField:
 
     def test_wrong_mode_count_rejected(self, field, scene):
         with pytest.raises(ValueError):
-            TensorFactorField(field.modes[:2], scene.bounds)
+            TensorFactorField(field.modes[:2], scene.bounds, field.decoder)

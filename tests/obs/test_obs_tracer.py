@@ -78,8 +78,7 @@ class TestScope:
             with tracer.scope("worker 1", base_us=200.0) as inner_pid:
                 assert tracer.current_scope() == (inner_pid, 200.0)
             assert tracer.current_scope() == (outer_pid, 100.0)
-        assert tracer.current_scope("fallback")[0] \
-            == tracer.process("fallback")
+        assert tracer.current_scope()[0] == tracer.process("engine")
 
     def test_scope_pops_on_exception(self):
         tracer = Tracer()

@@ -14,41 +14,49 @@ from repro.scenes import (
     orbit_trajectory,
     random_walk_trajectory,
 )
-from repro.scenes.trajectory import trajectory_parameters
+from repro.scenes.trajectory import (
+    HEIGHT,
+    WALK_MAX_RADIUS,
+    WALK_MIN_RADIUS,
+    trajectory_parameters,
+)
+
+RADIUS = 3.2
 
 
 class TestOrbit:
     def test_length_and_fps(self):
-        traj = orbit_trajectory(30, fps=30.0)
+        traj = orbit_trajectory(30, RADIUS)
         assert len(traj) == 30
         assert frame_interval(traj) == pytest.approx(1.0 / 30.0)
 
     def test_constant_radius(self):
-        traj = orbit_trajectory(20, radius=3.0, height=1.0, target=(0, 0, 0))
+        traj = orbit_trajectory(20, 3.0)
         for pose in traj.poses:
             position = pose_translation(pose)
             radial = np.linalg.norm([position[0], position[2]])
             assert radial == pytest.approx(3.0, abs=1e-9)
-            assert position[1] == pytest.approx(1.0)
+            assert position[1] == pytest.approx(HEIGHT)
 
     def test_pose_delta_matches_degrees_per_frame(self):
-        traj = orbit_trajectory(10, degrees_per_frame=2.0)
+        traj = orbit_trajectory(10, RADIUS, degrees_per_frame=2.0)
         angle = rotation_angle_deg(pose_rotation(traj[0]),
                                    pose_rotation(traj[1]))
         # Rotation between consecutive look-at poses tracks the orbit step.
         assert angle == pytest.approx(2.0, abs=0.3)
 
     def test_all_poses_valid(self):
-        traj = orbit_trajectory(15, degrees_per_frame=3.0)
+        traj = orbit_trajectory(15, RADIUS, degrees_per_frame=3.0)
         for pose in traj.poses:
             assert is_rotation_matrix(pose_rotation(pose), tol=1e-8)
 
 
 GENERATOR_CASES = {
-    "orbit": lambda n, seed: orbit_trajectory(n),
+    "orbit": lambda n, seed: orbit_trajectory(n, RADIUS),
     "dolly": lambda n, seed: dolly_trajectory(n),
-    "headshake": lambda n, seed: headshake_trajectory(n),
-    "random_walk": lambda n, seed: random_walk_trajectory(n, seed=seed),
+    "headshake": lambda n, seed: headshake_trajectory(n, RADIUS),
+    "random_walk": lambda n, seed: random_walk_trajectory(n, RADIUS,
+                                                          seed=seed),
 }
 
 
@@ -96,28 +104,27 @@ class TestAllGenerators:
 
 class TestDolly:
     def test_moves_along_line_toward_target(self):
-        traj = dolly_trajectory(10, start_distance=4.0, end_distance=2.0,
-                                height=0.5)
-        d0 = np.linalg.norm(pose_translation(traj[0]) - [0, 0.5, 0])
-        d_last = np.linalg.norm(pose_translation(traj[-1]) - [0, 0.5, 0])
+        traj = dolly_trajectory(10, start_distance=4.0, end_distance=2.0)
+        d0 = np.linalg.norm(pose_translation(traj[0]) - [0, HEIGHT, 0])
+        d_last = np.linalg.norm(pose_translation(traj[-1]) - [0, HEIGHT, 0])
         assert d0 == pytest.approx(4.0)
         assert d_last == pytest.approx(2.0)
         # Monotone push-in.
-        dists = [np.linalg.norm(pose_translation(p) - [0, 0.5, 0])
+        dists = [np.linalg.norm(pose_translation(p) - [0, HEIGHT, 0])
                  for p in traj.poses]
         assert all(a > b for a, b in zip(dists, dists[1:]))
 
 
 class TestHeadshake:
     def test_eye_stays_near_anchor(self):
-        traj = headshake_trajectory(30, radius=3.0, sway=0.02)
+        traj = headshake_trajectory(30, RADIUS)
         anchor = pose_translation(traj[0])
+        assert np.linalg.norm(anchor - [RADIUS, HEIGHT, 0]) < 0.1
         for pose in traj.poses:
             assert np.linalg.norm(pose_translation(pose) - anchor) < 0.1
 
     def test_yaw_oscillates(self):
-        traj = headshake_trajectory(48, yaw_amplitude_deg=5.0,
-                                    period_frames=24.0)
+        traj = headshake_trajectory(48, RADIUS, yaw_amplitude_deg=5.0)
         # Max rotation from the first pose should approach the amplitude.
         angles = [rotation_angle_deg(pose_rotation(traj[0]),
                                      pose_rotation(p)) for p in traj.poses]
@@ -126,44 +133,44 @@ class TestHeadshake:
 
 class TestRandomWalk:
     def test_different_seeds_differ(self):
-        a = random_walk_trajectory(15, seed=1)
-        b = random_walk_trajectory(15, seed=2)
+        a = random_walk_trajectory(15, RADIUS, seed=1)
+        b = random_walk_trajectory(15, RADIUS, seed=2)
         assert any(translation_distance(pa, pb) > 1e-6
                    for pa, pb in zip(a.poses, b.poses))
 
     def test_stays_in_shell(self):
-        traj = random_walk_trajectory(60, seed=9, min_radius=2.2,
-                                      max_radius=4.2, step_scale=0.3)
-        for pose in traj.poses:
-            dist = np.linalg.norm(pose_translation(pose))
-            assert 2.2 - 1e-9 <= dist <= 4.2 + 1e-9
-
-    def test_invalid_shell_rejected(self):
-        with pytest.raises(ValueError):
-            random_walk_trajectory(5, radius=5.0, max_radius=4.0)
+        # Long enough for this seed's walk to reach both walls of the
+        # shell, so the clamp runs on the way in and on the way out.
+        traj = random_walk_trajectory(3000, RADIUS, seed=0)
+        dists = np.array([np.linalg.norm(pose_translation(pose))
+                          for pose in traj.poses])
+        assert np.all(dists >= WALK_MIN_RADIUS - 1e-9)
+        assert np.all(dists <= WALK_MAX_RADIUS + 1e-9)
+        for wall in (WALK_MIN_RADIUS, WALK_MAX_RADIUS):
+            assert np.any(np.abs(dists - wall) < 1e-9)
 
 
 class TestMakeTrajectory:
     def test_dispatch_and_determinism(self):
-        a = make_trajectory("random_walk", 6, seed=11)
-        b = make_trajectory("random_walk", 6, seed=11)
+        a = make_trajectory("random_walk", 6, RADIUS, seed=11)
+        b = make_trajectory("random_walk", 6, RADIUS, seed=11)
         for pa, pb in zip(a.poses, b.poses):
             np.testing.assert_array_equal(pa, pb)
 
     def test_params_forwarded(self):
-        traj = make_trajectory("orbit", 4, degrees_per_frame=3.0)
+        traj = make_trajectory("orbit", 4, RADIUS, degrees_per_frame=3.0)
         angle = rotation_angle_deg(pose_rotation(traj[0]),
                                    pose_rotation(traj[1]))
         assert angle == pytest.approx(3.0, abs=0.4)
 
     def test_unknown_kind(self):
         with pytest.raises(KeyError, match="unknown trajectory"):
-            make_trajectory("spiral", 5)
+            make_trajectory("spiral", 5, RADIUS)
 
     def test_unknown_param_raises_for_every_kind(self):
         for kind in TRAJECTORY_KINDS:
             with pytest.raises(TypeError):
-                make_trajectory(kind, 3, not_a_param=1.0)
+                make_trajectory(kind, 3, RADIUS, not_a_param=1.0)
 
     def test_parameters_name_each_generators_keywords(self):
         assert "degrees_per_frame" in trajectory_parameters("orbit")

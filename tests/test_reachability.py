@@ -45,7 +45,6 @@ KEEP = {
     "streaming_execution_order": "oracle for the reordering-equivalence tests",
     "simulate_groups": "reference for BankedSRAM.simulate_groups_fast",
     "project_points": "oracle for the depth-lift round trip",
-    "save_arrival_trace": "writer half of the --arrival-trace format",
     "reset_caches": "keeps tests isolated from each other",
     "query": "Field.query: per-sample oracle of the reordering integration test",
     "render_pixels": "sparse renders checked against full frames (compose_pixels)",

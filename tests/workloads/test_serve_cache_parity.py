@@ -162,13 +162,3 @@ class TestServeHarnessParity:
         # identical — so the aggregate numbers agree exactly.
         assert summary_on["aggregate_fps"] == summary_off["aggregate_fps"]
         assert summary_on["p95_latency_ms"] == summary_off["p95_latency_ms"]
-
-    def test_per_spec_variants_priced(self):
-        """Each session prices under its spec's variant: the same content
-        priced on another SoC variant reports different frame rates."""
-        cicero, gpu = (execute_cell(RunConfig(mode="serve", frames=2,
-                                              variant=variant), config=FAST)
-                       for variant in ("cicero", "gpu"))
-        assert (cicero.summary["variant"], gpu.summary["variant"]) \
-            == ("cicero", "gpu")
-        assert cicero.rows[0]["solo_fps"] != gpu.rows[0]["solo_fps"]

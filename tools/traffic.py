@@ -1,40 +1,57 @@
 #!/usr/bin/env python
-"""Which library functions the project's own traffic never calls.
+"""What the project's own traffic never calls, and what it never sets.
 
     python tools/traffic.py
 
 Runs the traffic the project ships, in this process and under a trace
-hook, and prints the ``src/repro`` functions that none of it called,
-grouped by file.  The traffic is:
+hook, and prints two lists:
+
+* *never called*: the ``src/repro`` functions none of it called;
+* *never set*: the data surface none of it set to a value other than the
+  default.  That is every ``RunConfig`` field (the generated CLI flags
+  and the wire keys), every ``WorkloadSpec`` field of a spec that gets
+  built, and every defaulted parameter of a called ``src/repro``
+  function, including those only ``**kwargs`` reach (trajectory and
+  arrival parameters).  A parameter of a function the first list names
+  is not listed again.
+
+Both lists are compared against ``tools/traffic_expected.txt``, which
+names each entry with its keep category; any difference, or an entry
+without a known category, exits 1.  The traffic is:
 
 * the CI smoke commands, plus the flag variants they leave out (deadline
   scheduler, ray budget, static and adaptive governors, ``--no-cache``,
   diurnal and deterministic arrivals, autoscaling with and without the
   shard tier, round-robin placement, a ``--catalog 80`` fleet with and
   without the shard tier);
-* ``frontier``, both checked-in experiment tables, a self-hosted
-  ``loadgen``, ``reconcile`` on its artifact and ``trace analyze``;
+* both checked-in experiment tables (``frontier-fast.json`` is the
+  governor x offered-load sweep), a self-hosted ``loadgen``,
+  ``reconcile`` on its artifact and ``trace analyze``;
 * every ``examples/*.py``;
 * every ``benchmarks/e2e`` workload at ``--smoke`` scale, two of them
   traced.
 
-A function listed here is reached by nothing but tests.  It stays only
-in one of the keep categories ``docs/architecture.md`` ("What the library
-keeps") names: a CLI choice or error path, an oracle a test compares
-against, surface the frozen e2e driver pins, or a seam a test passes a
-fake or a smaller bound through.
+An entry stays only in one of the keep categories ``docs/architecture.md``
+("What the library keeps") names: a CLI choice or error path, an oracle
+a test compares against, surface the frozen e2e driver pins, a seam a
+test passes a fake or a smaller bound through, code the recorder cannot
+see, or a deployment setting.
 
 What it cannot see: code that runs in another process.  Forked pool
 workers (``--backend parallel``) render in children, and the live e2e
 workloads start ``serve-live`` as a subprocess; the self-hosted
-``loadgen`` run covers the server in-process.  A full run takes several
-minutes on 2 vCPUs; every run in it must exit 0.
+``loadgen`` run covers the server in-process.  Run it on a git checkout
+(outside one, ``perf/envinfo.py``'s ``.git`` readers go uncalled).  A
+full run takes several minutes on 2 vCPUs; every run in it must exit 0.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import contextlib
+import dataclasses
+import gc
 import importlib.util
 import io
 import os
@@ -46,12 +63,27 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = REPO_ROOT / "src" / "repro"
+EXPECTED = REPO_ROOT / "tools" / "traffic_expected.txt"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# The keep categories of docs/architecture.md ("What the library keeps").
+CATEGORIES = ("choice", "oracle", "pinned", "seam", "unseen", "deployment")
+# The two dataclasses whose fields are the data surface, by the library
+# method that sees them set: RunConfig's keyword fields, and a built
+# WorkloadSpec (its generated __init__ is not library code).
+FIELD_OWNERS = {(str(LIBRARY / "harness" / "runconfig.py"), "__init__"):
+                "RunConfig",
+                (str(LIBRARY / "workloads" / "spec.py"), "__post_init__"):
+                "WorkloadSpec"}
+
+
+# One src/repro function: its file (relative to the repository root),
+# the line of its def, its dotted name and its defaulted parameters.
+Def = collections.namedtuple("Def", "path line qualname defaulted")
 
 
 def library_defs() -> dict:
-    """``(file, first line, name)`` -> ``"line qualname"`` per function
-    of ``src/repro``; the first line is a decorator's, as in the code
+    """``(file, first line, name)`` -> :class:`Def` per function of
+    ``src/repro``; the first line is a decorator's, as in the code
     object."""
     found = {}
     for path in sorted(LIBRARY.rglob("*.py")):
@@ -68,24 +100,111 @@ def library_defs() -> dict:
                 owner = owners.get(owner)
             first = min([node.lineno]
                         + [each.lineno for each in node.decorator_list])
-            found[(str(path), first, node.name)] = (
-                f"{node.lineno} {'.'.join(names)}")
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = [arg.arg for arg
+                         in positional[len(positional) - len(args.defaults):]]
+            defaulted += [arg.arg for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            found[(str(path), first, node.name)] = Def(
+                str(path.relative_to(REPO_ROOT)), node.lineno,
+                ".".join(names), tuple(defaulted))
     return found
 
 
-def record(commands) -> set:
+def library_fields() -> tuple:
+    """``"Owner.field"`` per defaulted field of the data-surface
+    dataclasses (``RunConfig``'s are its section fields)."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.harness.runconfig import MODES, config_fields
+    from repro.workloads import WorkloadSpec
+    names = {f"RunConfig.{field.name}" for mode in MODES
+             for field in config_fields(mode)}
+    names |= {f"WorkloadSpec.{field.name}"
+              for field in dataclasses.fields(WorkloadSpec)
+              if field.default is not dataclasses.MISSING}
+    return tuple(sorted(names))
+
+
+def _differs(value, default) -> bool:
+    """Whether ``value`` is something other than ``default``."""
+    if value is default:
+        return False
+    try:
+        return not bool(value == default)
+    except (TypeError, ValueError):  # an array compares elementwise
+        return True
+
+
+def _defaults(code) -> dict:
+    """``{parameter: default}`` of the live function behind ``code``
+    (empty for one the collector cannot find)."""
+    for function in gc.get_referrers(code):
+        if getattr(function, "__code__", None) is code:
+            names = code.co_varnames[:code.co_argcount]
+            defaults = function.__defaults__ or ()
+            return {**dict(zip(names[len(names) - len(defaults):],
+                               defaults)),
+                    **(function.__kwdefaults__ or {})}
+    return {}
+
+
+class Surface:
+    """What the traffic sets: per code object, the defaulted parameters
+    still at their default, and the fields set on the two dataclasses."""
+
+    def __init__(self):
+        self.pending: dict = {}  # code -> {parameter: default}
+        self.set: set = set()  # (file, first line, name, parameter)
+        self.fields: set = set()  # "Owner.field"
+
+    def note(self, frame, key) -> None:
+        """Record the arguments of one library call at its ``call``
+        event, before the body rebinds them."""
+        code = frame.f_code
+        pending = self.pending.get(code)
+        if pending is None:
+            pending = self.pending[code] = _defaults(code)
+        owner = FIELD_OWNERS.get((code.co_filename, code.co_name))
+        if not pending and owner is None:
+            return
+        arguments = frame.f_locals
+        for name, default in list(pending.items()):
+            if _differs(arguments[name], default):
+                self.set.add((*key, name))
+                del pending[name]
+        if owner == "RunConfig":
+            fields = frame.f_globals["_FIELDS"]
+            self.fields.update(
+                f"RunConfig.{name}"
+                for name, value in arguments["fields"].items()
+                if _differs(value, fields[name].default))
+        elif owner == "WorkloadSpec":
+            spec = arguments["self"]
+            self.fields.update(
+                f"WorkloadSpec.{field.name}"
+                for field in dataclasses.fields(spec)
+                if field.default is not dataclasses.MISSING
+                and _differs(getattr(spec, field.name), field.default))
+
+
+def record(commands) -> tuple:
     """Run each ``(label, thunk)`` under a trace hook; return the
-    ``(file, first line, name)`` of every library function called.
+    ``(file, first line, name)`` of every library function called and
+    the :class:`Surface` the calls set.
 
     A thunk returns its exit code, and a non-zero one raises: traffic
     that fails reaches code no working run does.
     """
-    called, library = set(), str(LIBRARY)
+    called, library, surface = set(), str(LIBRARY), Surface()
 
     def hook(frame, event, arg):
         code = frame.f_code
         if code.co_filename.startswith(library):
-            called.add((code.co_filename, code.co_firstlineno, code.co_name))
+            key = (code.co_filename, code.co_firstlineno, code.co_name)
+            called.add(key)
+            surface.note(frame, key)
         return None  # no per-line tracing
 
     for label, thunk in commands:
@@ -101,20 +220,60 @@ def record(commands) -> set:
         if code:
             raise SystemExit(f"traffic: {label} exited {code}")
         print(f"ran {label}", file=sys.stderr)
-    return called
+    return called, surface
 
 
-def uncalled(called: set) -> dict:
-    """Relative file -> the ``"line qualname"`` of each function in it
-    that ``called`` misses, in source order."""
-    report: dict = {}
-    for key, name in library_defs().items():
-        if key not in called:
-            path = str(Path(key[0]).relative_to(REPO_ROOT))
-            report.setdefault(path, []).append(name)
-    for names in report.values():
-        names.sort(key=lambda name: int(name.split()[0]))
-    return report
+def never_called(called: set) -> list:
+    """``"file qualname"`` per library function ``called`` misses, in
+    file and source order."""
+    defs = sorted(library_defs().items(),
+                  key=lambda item: (item[1].path, item[1].line))
+    return [f"{each.path} {each.qualname}" for key, each in defs
+            if key not in called]
+
+
+def never_set(called: set, surface: Surface) -> list:
+    """The data surface ``surface`` never set: ``"Owner.field"`` per
+    dataclass field, then ``"file qualname(parameter)"`` per defaulted
+    parameter of a called function, in file and source order."""
+    unset = [name for name in library_fields()
+             if name not in surface.fields]
+    defs = sorted(library_defs().items(),
+                  key=lambda item: (item[1].path, item[1].line))
+    unset += [f"{each.path} {each.qualname}({name})"
+              for key, each in defs if key in called
+              for name in each.defaulted if (*key, name) not in surface.set]
+    return unset
+
+
+def load_expected(path: Path = EXPECTED) -> dict:
+    """``section -> {entry: category}`` from the checked-in list, whose
+    lines read ``SECTION: ENTRY | CATEGORY`` (``#`` starts a comment)."""
+    expected: dict = {"never called": {}, "never set": {}}
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        section, _, rest = line.partition(": ")
+        entry, _, category = (part.strip() for part in rest.partition("|"))
+        if section not in expected or category not in CATEGORIES:
+            raise SystemExit(f"{path.name}:{number}: expected 'never called"
+                             f"|never set: ENTRY | CATEGORY' with CATEGORY "
+                             f"one of {', '.join(CATEGORIES)}; got {line!r}")
+        expected[section][entry] = category
+    return expected
+
+
+def compare(report: dict, expected: dict) -> list:
+    """One line per entry the report and the expected list disagree on."""
+    problems = []
+    for section, entries in report.items():
+        listed = expected[section]
+        problems += [f"{section}, not in {EXPECTED.name}: {entry}"
+                     for entry in entries if entry not in listed]
+        problems += [f"{EXPECTED.name} lists, but no longer {section}: "
+                     f"{entry}" for entry in listed if entry not in entries]
+    return problems
 
 
 def cli(*argv):
@@ -164,7 +323,7 @@ def commands(out: Path) -> list:
                      "BENCH_experiment.json"):
             (out / "quick" / name).unlink()
         return cli("experiment", "--table", quick, "--out",
-                   str(out / "quick"), "--resume")[1]()
+                   str(out / "quick"), "--resume", "--fast")[1]()
 
     runs = [
         cli("workloads"),
@@ -177,9 +336,6 @@ def commands(out: Path) -> list:
             "--duration", "8", "--workers", "3", "--placement",
             "cache_affinity", "--frames", "3", "--seed", "0",
             "--json-out", str(out)),
-        cli("frontier", "--fast", "--frames", "2", "--duration", "0.4",
-            "--rates", "10,30,90", "--slo", "3000", "--workers", "1",
-            "--queue-limit", "2", "--json-out", str(out)),
         cli("serve", "--fast", "--frames", "4", "--seed", "0", "--workload",
             "vr-lego:2", "--workload", "dolly-chair", "--backend",
             "parallel", "--engine-workers", "2", "--json-out", str(out),
@@ -189,7 +345,7 @@ def commands(out: Path) -> list:
             "--workers", "1", "--queue-limit", "2", "--frames", "6",
             "--governor", "adaptive", "--slo", "30", "--seed", "7",
             "--json-out", str(out), "--trace", trace),
-        cli("trace", "analyze", trace, "--top", "10"),
+        cli("trace", "analyze", trace, "--top", "5"),
         cli("serve", "--fast", "--sessions", "4", "--frames", "3", "--seed",
             "7", "--no-cache", "--json-out", str(out)),
         cli("loadgen", "--fast", "--rate", "3", "--duration", "2", "--seed",
@@ -198,8 +354,12 @@ def commands(out: Path) -> list:
         cli("reconcile", "--input", str(out / "BENCH_realserve.json"),
             "--json-out", str(out)),
         cli("loadgen", "--fast", "--governor", "static", "--slo", "30",
-            "--rate", "3", "--duration", "1", "--seed", "7", "--frames", "3",
-            "--time-scale", "0.2", "--json-out", str(out / "static")),
+            "--no-cache", "--rate", "3", "--duration", "1", "--seed", "7",
+            "--frames", "3", "--time-scale", "0.2", "--json-out",
+            str(out / "static")),
+        cli("reconcile", "--input",
+            str(out / "static" / "BENCH_realserve.json"),
+            "--json-out", str(out / "static")),
         cli("experiment", "--table", quick, "--out", str(out / "quick")),
         ("experiment --resume", resume),
         cli("experiment", "--table", frontier, "--out",
@@ -222,13 +382,16 @@ def commands(out: Path) -> list:
         cli("serve", "--fast", "--frames", "3", "--workload",
             "walk-materials", "--governor", "static"),
         cli("cluster", "--fast", "--arrivals", "diurnal", "--rate", "3",
-            "--duration", "4", "--frames", "2", "--json-out", str(out)),
+            "--duration", "4", "--frames", "2", "--seed", "3",
+            "--json-out", str(out)),
         cli("cluster", "--fast", "--arrivals", "deterministic", "--rate",
             "2", "--duration", "3", "--frames", "2", "--placement",
-            "round_robin", "--json-out", str(out)),
-        cli("cluster", "--fast", "--autoscale", "--workers", "1",
-            "--min-workers", "1", "--max-workers", "3", "--rate", "8",
-            "--duration", "3", "--frames", "2", "--json-out", str(out)),
+            "round_robin", "--no-cache", "--seed", "3",
+            "--json-out", str(out)),
+        cli("cluster", "--fast", "--autoscale", "--workers", "2",
+            "--min-workers", "2", "--max-workers", "3", "--queue-limit",
+            "2", "--scale-up-latency", "0.5", "--rate", "8", "--duration",
+            "3", "--frames", "2", "--json-out", str(out)),
         cli("cluster", "--fast", "--workload", "vr-lego,dolly-chair",
             "--catalog", "8", "--autoscale", "--workers", "2",
             "--max-workers", "4", "--rate", "8", "--duration", "3",
@@ -246,23 +409,28 @@ def commands(out: Path) -> list:
 
 
 def main() -> int:
-    """Record the traffic and print what it never called, by file."""
+    """Record the traffic, print what it never called and never set, and
+    exit 1 unless that is what ``tools/traffic_expected.txt`` lists."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
+    expected = load_expected()
     with tempfile.TemporaryDirectory() as out:
         previous = os.getcwd()
         os.chdir(out)  # whatever a run writes by default lands here
         try:
-            called = record(commands(Path(out)))
+            called, surface = record(commands(Path(out)))
         finally:
             os.chdir(previous)
-    report = uncalled(called)
-    total = len(library_defs())
-    missed = sum(len(names) for names in report.values())
-    print(f"{missed} of {total} src/repro functions never called")
-    for path, names in sorted(report.items()):
-        print(f"\n{path}")
-        print("\n".join(f"  {name}" for name in names))
-    return 0
+    report = {"never called": never_called(called),
+              "never set": never_set(called, surface)}
+    for section, entries in report.items():
+        print(f"\n{section}: {len(entries)}")
+        for entry in entries:
+            category = expected[section].get(entry, "?")
+            print(f"  {entry} | {category}")
+    problems = compare(report, expected)
+    print("\n" + "\n".join(problems) if problems else
+          f"\nboth lists match {EXPECTED.name}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
