@@ -23,7 +23,8 @@ from ..metrics.stats import (LATENCY_KEYS, in_ms, latency_summary,
                              mean_or_zero, record_frame, time_to_first_frame)
 from ..obs.runtime import (current_tracer, metric_inc, metric_observe,
                            metric_set)
-from ..workloads.cache import SharedLRUCache
+from ..workloads.cache import (RENDER_MEMO_ENTRIES, SharedLRUCache,
+                               make_render_memo, record_render_memo)
 from .admission import REJECT_QUEUE_FULL, AdmissionController
 from .arrivals import make_arrivals
 from .autoscale import Autoscaler
@@ -39,13 +40,6 @@ _P_WORKER_UP = 0
 _P_FRAME_DONE = 1
 _P_ARRIVAL = 2
 _P_WAKE = 3
-
-# Bounds of the per-run render memo (see ClusterSimulator.run).  A FAST
-# pass holds a few hundred entries of tens of kilobytes (a target frame
-# ~85 KB); at DEFAULT scale a reference output is ~0.4 MB, so the byte
-# bound is the one that binds.
-RENDER_MEMO_ENTRIES = 4096
-RENDER_MEMO_BYTES = 64 << 20
 
 
 @dataclass
@@ -378,18 +372,14 @@ class ClusterSimulator:
         cache statistics are those of a run without it.
         """
         metric_set("cluster.workers", len(self._live()))
-        memo = SharedLRUCache(name="render_memo",
-                              max_entries=RENDER_MEMO_ENTRIES,
-                              max_bytes=RENDER_MEMO_BYTES)
+        # Both names resolve in this module at run time.
+        memo = make_render_memo(SharedLRUCache, RENDER_MEMO_ENTRIES)
         self._set_render_memo(memo)
         try:
             self._play(arrivals)
         finally:
             self._set_render_memo(None)
-        report = memo.report()
-        for key in ("hits", "misses", "evictions"):
-            metric_inc(f"cluster.render_memo.{key}", report[key])
-        metric_set("cluster.render_memo.bytes", report["bytes"])
+        record_render_memo(memo, "cluster")
         return self._report(label)
 
     def _set_render_memo(self, memo) -> None:

@@ -126,43 +126,21 @@ class Worker:
         cache-affinity placement optimises for — and with the run's
         render memo, which only saves host time: it answers repeated NeRF
         requests and target frames (both keyed by the session's
-        ``render_key``, whatever spec drew them) and trajectories.
-        ``level`` picks the quality-ladder rung; ``poses`` restricts to a
-        trajectory slice (mid-serve retunes re-render only the remaining
-        frames).
+        ``render_key``, whatever spec drew them) and trajectories (see
+        :meth:`WorkloadSpec.build_session
+        <repro.workloads.WorkloadSpec.build_session>`).  ``level`` picks
+        the quality-ladder rung; ``poses`` restricts to a trajectory
+        slice (mid-serve retunes re-render only the remaining frames).
         """
-        if poses is None:
-            poses = self._poses(spec)
         engine_session = spec.build_session(session_id, self.config,
-                                            level=level, poses=poses)
-        if self.render_memo is not None:
-            engine_session.sparw.share_targets(self.render_memo,
-                                               engine_session.render_key)
+                                            level=level, poses=poses,
+                                            memo=self.render_memo)
         MultiSessionEngine(
             [engine_session],
             reference_cache=(self.reference_cache if self.use_cache
                              else None),
             render_memo=self.render_memo).run()
         return engine_session
-
-    def _poses(self, spec) -> list:
-        """The spec's trajectory, built once per run through the render memo.
-
-        Keyed by the spec's level-0 ``cache_key``, which covers every
-        field and config value the trajectory reads; stored poses are
-        read-only.
-        """
-        memo = self.render_memo
-        if memo is None:
-            return spec.build_trajectory(self.config).poses
-        key = ("poses", spec.cache_key(self.config))
-        poses = memo.get(key)
-        if poses is None:
-            poses = spec.build_trajectory(self.config).poses
-            for pose in poses:
-                pose.flags.writeable = False
-            memo.put(key, poses, size_bytes=sum(p.nbytes for p in poses))
-        return poses
 
     def admit(self, session_id: str, spec, now_s: float,
               level: int = 0) -> PlacedSession:
@@ -237,7 +215,8 @@ class Worker:
         # Any frames/seed overrides were already folded into the placed
         # spec at arrival time; the ladder never changes the trajectory,
         # so the original poses slice cleanly.
-        poses = self._poses(placed.spec)[:total][start:]
+        poses = placed.spec.build_poses(self.config,
+                                        self.render_memo)[:total][start:]
         engine_session = self._render(
             f"{placed.session_id}/l{level}@{start}", placed.spec, level,
             poses=poses)

@@ -7,7 +7,11 @@ state machine; one dedicated *engine-host* thread owns the existing
 connections batch their ray work into shared field evaluations and hit
 the shared cross-session caches exactly like the simulated serving
 paths — the rendering results are bit-identical to solo rendering
-(locked by ``tests/server/test_server_live.py``).  Session *builds*
+(locked by ``tests/server/test_server_live.py``).  With the cell's
+caches on, one render memo lives as long as the server: every session
+built and every round served answers repeated NeRF requests, SPARW
+target frames and trajectories from it, so a session whose content an
+earlier one drew evaluates no field at all.  Session *builds*
 (field baking through the thread-safe, single-flight
 :data:`~repro.workloads.cache.FIELD_CACHE`) run on a small worker
 thread pool so a cold-cache open never stalls the event loop or the
@@ -40,7 +44,8 @@ from concurrent.futures import ThreadPoolExecutor
 from ..control import EngineGovernor, start_level
 from ..obs.runtime import current_tracer, metric_inc, metric_observe
 from ..workloads import apply_slo, get_workload
-from ..workloads.cache import REFERENCE_CACHE
+from ..workloads.cache import (REFERENCE_CACHE, make_render_memo,
+                               record_render_memo)
 from .protocol import (
     PROTOCOL_SCHEMA,
     ProtocolError,
@@ -97,12 +102,6 @@ class _EngineHost:
             self._stop = True
             self._cond.notify_all()
         self._thread.join(timeout=30.0)
-
-    @property
-    def live_sessions(self) -> int:
-        """Number of sessions currently admitted with an attached queue."""
-        with self._cond:
-            return len(self._queues)
 
     def admit(self, session, queue: asyncio.Queue) -> None:
         """Hand a built session to the engine; ``queue`` receives a
@@ -245,6 +244,8 @@ class FrameServer:
     ``config`` is the :class:`ExperimentConfig` scale sessions build at;
     ``cell`` is the validated ``realserve`` :class:`RunConfig` whose
     host, port, governor, SLO and cache fields configure the server.
+    ``use_cache`` attaches both the process-wide reference cache and the
+    server's :attr:`render_memo`.
     """
 
     def __init__(self, config, cell):
@@ -254,7 +255,12 @@ class FrameServer:
         self._host_thread: _EngineHost | None = None
         self._build_pool: ThreadPoolExecutor | None = None
         self._session_seq = 0
+        # Connections holding an admission slot, from before their build
+        # to their close (event-loop thread only).
+        self._slots = 0
         self._governor = None
+        # Set by start() when the cell's caches are on.
+        self.render_memo = None
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -271,9 +277,11 @@ class FrameServer:
         cell = self.cell
         if cell.governor != "off":
             self._governor = EngineGovernor(self.config, mode=cell.governor)
+        if cell.use_cache:
+            self.render_memo = make_render_memo()
         engine = MultiSessionEngine(
             [], reference_cache=REFERENCE_CACHE if cell.use_cache else None,
-            governor=self._governor)
+            governor=self._governor, render_memo=self.render_memo)
         loop = asyncio.get_running_loop()
         self._host_thread = _EngineHost(engine, loop)
         self._build_pool = ThreadPoolExecutor(
@@ -290,7 +298,11 @@ class FrameServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Close the socket, stop the engine host, release the pool."""
+        """Close the socket, stop the engine host, release the pool.
+
+        The render memo's lookups over the server's life are added to the
+        active metrics as ``server.render_memo.*``.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -298,6 +310,8 @@ class FrameServer:
             self._host_thread.stop()
         if self._build_pool is not None:
             self._build_pool.shutdown(wait=False)
+        if self.render_memo is not None:
+            record_render_memo(self.render_memo, "server")
 
     # -- connection handling ----------------------------------------------------
 
@@ -307,12 +321,13 @@ class FrameServer:
         if not isinstance(name, str):
             raise ProtocolError("open needs a string 'workload' name")
         spec = get_workload(name)  # KeyError lists valid names
+        # type() rather than isinstance(): JSON true/false decode to
+        # bool, which is an int subclass.
         frames = message.get("frames")
-        if frames is not None and (not isinstance(frames, int)
-                                   or frames < 1):
+        if frames is not None and (type(frames) is not int or frames < 1):
             raise ProtocolError("open 'frames' must be a positive int")
         seed = message.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and type(seed) is not int:
             raise ProtocolError("open 'seed' must be an int")
         [(spec, _)] = apply_slo([(spec, 1)], self.cell.slo_fps)
         return spec.with_overrides(frames=frames, seed_offset=seed)
@@ -321,12 +336,13 @@ class FrameServer:
         """Build one engine session (runs on the build pool)."""
         return spec.build_session(
             session_id, self.config,
-            level=start_level(self.cell.governor, spec.max_quality_level))
+            level=start_level(self.cell.governor, spec.max_quality_level),
+            memo=self.render_memo)
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         metric_inc("server.connections")
-        session_id = None
+        session_id = None  # set once this connection holds a slot
         host = self._host_thread
         try:
             write_message(writer, {
@@ -352,10 +368,12 @@ class FrameServer:
             if host.error is not None:
                 await self._fail(writer, host.error)
                 return
-            if host.live_sessions >= MAX_SESSIONS:
+            if self._slots >= MAX_SESSIONS:
                 await self._fail(writer,
                                  f"at capacity ({MAX_SESSIONS} sessions)")
                 return
+            # The slot is held across the build, up to the close below.
+            self._slots += 1
             self._session_seq += 1
             session_id = f"{spec.name}#{self._session_seq:04d}"
             loop = asyncio.get_running_loop()
@@ -385,6 +403,7 @@ class FrameServer:
         finally:
             if session_id is not None:
                 host.retire(session_id)
+                self._slots -= 1
             writer.close()
             try:
                 await writer.wait_closed()

@@ -9,7 +9,9 @@ multi-session engine) consumes workloads through this package:
   (``vr-lego:3,dolly-chair:2``).
 * :mod:`~repro.workloads.cache` — bounded content-addressed LRU caches
   shared across sessions: baked fields/renderers and SPARW reference
-  renders, with hit/miss/eviction stats surfaced in serving reports.
+  renders, with hit/miss/eviction stats surfaced in serving reports, and
+  the render memo a cluster run or live server answers repeated NeRF
+  requests, target frames and trajectories from.
 """
 
 from .cache import (
@@ -18,6 +20,7 @@ from .cache import (
     CacheStats,
     SharedLRUCache,
     cache_report,
+    make_render_memo,
     pose_hash,
     rays_hash,
     reset_caches,
@@ -39,6 +42,7 @@ __all__ = [
     "CacheStats",
     "SharedLRUCache",
     "cache_report",
+    "make_render_memo",
     "pose_hash",
     "rays_hash",
     "reset_caches",

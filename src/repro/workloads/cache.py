@@ -14,9 +14,13 @@ that sharing:
   :class:`~repro.nerf.renderer.RenderOutput` results, keyed by
   (workload-spec hash, pose hash, ray count).  The multi-session engine
   consults it so identical sessions render each reference once.
+* :func:`make_render_memo` — a fresh bounded render memo: NeRF outputs
+  keyed by ``(render_key, rays_hash)``, SPARW target frames and
+  trajectories.  A ``simulate_cluster`` run and a ``serve-live`` process
+  each hold one (see :meth:`WorkloadSpec.build_session
+  <repro.workloads.WorkloadSpec.build_session>`).
 * :func:`rays_hash` — the exact-bytes identity of a ray bundle, the
-  second half of the cluster simulator's per-run render-memo keys
-  (``(render_key, rays_hash)``, see :mod:`repro.cluster.simulator`).
+  second half of a render memo's NeRF keys.
 * :class:`LRUCore` — the bounded-LRU bookkeeping under every cache here,
   without lock, counters or metrics; the sharded field store's per-worker
   tiers (:mod:`repro.distribution.tier`) use it bare.
@@ -35,11 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs.runtime import metric_inc
+from ..obs.runtime import metric_inc, metric_set
 
 __all__ = [
     "CacheStats", "LRUCore", "SharedLRUCache", "pose_hash", "rays_hash",
-    "FIELD_CACHE", "REFERENCE_CACHE", "cache_report", "reset_caches",
+    "FIELD_CACHE", "REFERENCE_CACHE", "RENDER_MEMO_BYTES",
+    "RENDER_MEMO_ENTRIES", "cache_report", "make_render_memo",
+    "record_render_memo", "reset_caches",
 ]
 
 
@@ -297,6 +303,42 @@ def rays_hash(origins: np.ndarray, directions: np.ndarray) -> str:
 FIELD_CACHE = SharedLRUCache(name="fields", max_entries=48)
 REFERENCE_CACHE = SharedLRUCache(name="references", max_entries=256,
                                  max_bytes=64 << 20)
+
+# Bounds of a render memo.  A FAST pass holds a few hundred entries of
+# tens of kilobytes (a target frame ~85 KB); at DEFAULT scale a reference
+# output is ~0.4 MB, so the byte bound is the one that binds.
+RENDER_MEMO_ENTRIES = 4096
+RENDER_MEMO_BYTES = 64 << 20
+
+
+def make_render_memo(cache_class: type = SharedLRUCache,
+                     max_entries: int = RENDER_MEMO_ENTRIES) -> SharedLRUCache:
+    """A fresh render memo: one per ``simulate_cluster`` run or live server.
+
+    It answers NeRF outputs (keyed by ``(render_key, rays_hash)``, see
+    :class:`~repro.engine.MultiSessionEngine`), SPARW target frames and
+    trajectories (see :meth:`WorkloadSpec.build_session
+    <repro.workloads.WorkloadSpec.build_session>`), each a pure function
+    of its key, so a hit changes host time only.  ``cache_class`` and
+    ``max_entries`` let the cluster simulator resolve both in its own
+    module, where its memo tests swap them; the byte bound is read at
+    call time.
+    """
+    return cache_class(name="render_memo", max_entries=max_entries,
+                       max_bytes=RENDER_MEMO_BYTES)
+
+
+def record_render_memo(memo: SharedLRUCache, owner: str) -> None:
+    """Add a render memo's totals to the active metrics, once, at its end.
+
+    ``<owner>.render_memo.hits`` / ``.misses`` / ``.evictions`` are
+    incremented by its counters and ``<owner>.render_memo.bytes`` is set
+    to what it holds.
+    """
+    report = memo.report()
+    for key in ("hits", "misses", "evictions"):
+        metric_inc(f"{owner}.render_memo.{key}", report[key])
+    metric_set(f"{owner}.render_memo.bytes", report["bytes"])
 
 
 def cache_report(field_since: CacheStats | None = None,

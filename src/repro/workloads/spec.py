@@ -226,6 +226,24 @@ class WorkloadSpec:
         return make_trajectory(self.trajectory, self.num_frames(config),
                                config.orbit_radius, seed=self.seed, **params)
 
+    def build_poses(self, config, memo=None) -> list:
+        """The trajectory's poses, built once per ``memo`` (if one is given).
+
+        Keyed by ``("poses", cache_key(config))`` at rung 0, which covers
+        every field and config value the trajectory reads; poses stored
+        in the memo are read-only.
+        """
+        if memo is None:
+            return self.build_trajectory(config).poses
+        key = ("poses", self.cache_key(config))
+        poses = memo.get(key)
+        if poses is None:
+            poses = self.build_trajectory(config).poses
+            for pose in poses:
+                pose.flags.writeable = False
+            memo.put(key, poses, size_bytes=sum(p.nbytes for p in poses))
+        return poses
+
     # -- builders ---------------------------------------------------------------
 
     def build_renderer(self, config, level: int = 0):
@@ -246,7 +264,7 @@ class WorkloadSpec:
                              angle_threshold_deg=self.phi)
 
     def build_session(self, session_id: str, config, level: int = 0,
-                      poses=None):
+                      poses=None, memo=None):
         """A :class:`~repro.engine.RenderSession` serving this workload.
 
         ``level`` is the quality-ladder rung it starts at; ``poses``
@@ -255,16 +273,23 @@ class WorkloadSpec:
         :meth:`cache_key` and :meth:`render_key` at that level, so the
         engine can answer its reference renders from the shared cache
         and its NeRF requests from a render memo.
+
+        With a render ``memo`` (:func:`~repro.workloads.make_render_memo`)
+        the trajectory comes from it (:meth:`build_poses`) and the
+        session's SPARW pipeline answers repeated target frames from it
+        under its ``render_key``; neither changes a frame.
         """
         from ..engine.session import RenderSession
         if poses is None:
-            poses = self.build_trajectory(config).poses
+            poses = self.build_poses(config, memo)
         session = RenderSession(session_id, self.build_sparw(config, level),
                                 poses, fps_target=self.fps_target,
                                 cache_key=self.cache_key(config, level),
                                 render_key=self.render_key(config, level),
                                 workload=self)
         session.quality_level = level
+        if memo is not None:
+            session.sparw.share_targets(memo, session.render_key)
         return session
 
     def run_solo(self, config):

@@ -16,17 +16,22 @@ import time
 
 import pytest
 
+from repro.core.sparw import pipeline
 from repro.engine import MultiSessionEngine
 from repro.harness.configs import FAST
 from repro.harness.runconfig import RunConfig
 from repro.nerf.renderer import NeRFRenderer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import Observation, activate
 from repro.server import (
     FrameServer,
     frame_digest,
     read_message,
     write_message,
 )
+from repro.server import server as server_module
 from repro.server.server import _EngineHost
+from repro.workloads import cache as cache_module
 from repro.workloads import get_workload
 
 
@@ -221,6 +226,8 @@ class TestRejection:
         ({"type": "open", "workload": "no-such-workload"}, "unknown"),
         ({"type": "open"}, "workload"),
         ({"type": "open", "workload": "vr-lego", "frames": 0}, "frames"),
+        ({"type": "open", "workload": "vr-lego", "frames": True}, "frames"),
+        ({"type": "open", "workload": "vr-lego", "seed": False}, "seed"),
         ({"type": "frame"}, "expected 'open'"),
     ])
     def test_bad_open_gets_error_message(self, open_message, match):
@@ -269,6 +276,156 @@ class TestRejection:
 
         port = _with_server(scenario)
         assert 1024 <= port <= 65535
+
+
+class TestCapacity:
+    """An admission slot is held from before the build to the close."""
+
+    @pytest.fixture
+    def one_slot(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_SESSIONS", 1)
+
+    def test_concurrent_opens_cannot_overrun_the_cap(self, one_slot):
+        async def scenario(server):
+            first = await asyncio.gather(*[
+                _client(server.port, "vr-lego", frames=2)
+                for _ in range(3)])
+            return first, await _client(server.port, "vr-lego", frames=2)
+
+        first, later = _with_server(scenario)
+        opened = [r for r in first if r["opened"]["type"] == "opened"]
+        refused = [r for r in first if r["opened"]["type"] == "error"]
+        assert len(opened) == 1 and len(refused) == 2
+        assert opened[0]["final"]["type"] == "done"
+        assert all("at capacity (1 sessions)" in r["opened"]["message"]
+                   for r in refused)
+        assert later["final"]["type"] == "done"
+        assert len(later["frames"]) == 2
+
+    def test_failed_build_releases_its_slot(self, one_slot, monkeypatch):
+        build = FrameServer._build_session
+
+        def build_failing(server, spec, session_id):
+            if spec.name == "dolly-chair":
+                raise OSError("injected bake failure")
+            return build(server, spec, session_id)
+
+        monkeypatch.setattr(FrameServer, "_build_session", build_failing)
+
+        async def scenario(server):
+            failed = await _client(server.port, "dolly-chair")
+            return failed, await _client(server.port, "vr-lego", frames=1)
+
+        failed, later = _with_server(scenario)
+        assert failed["opened"]["type"] == "error"
+        assert later["final"]["type"] == "done"
+
+
+class _WorkSpy:
+    """Counts the NeRF bundles the engine evaluates and the targets warped."""
+
+    def __init__(self, monkeypatch):
+        self.bundles = 0
+        self.warps = 0
+        spy = self
+        render_ray_batch = NeRFRenderer.render_ray_batch
+        warp_frame = pipeline.warp_frame
+
+        def spy_render(renderer, bundles):
+            spy.bundles += len(bundles)
+            return render_ray_batch(renderer, bundles)
+
+        def spy_warp(*args):
+            spy.warps += 1
+            return warp_frame(*args)
+
+        monkeypatch.setattr(NeRFRenderer, "render_ray_batch", spy_render)
+        monkeypatch.setattr(pipeline, "warp_frame", spy_warp)
+
+    def take(self) -> tuple:
+        """``(bundles, warps)`` since the last call."""
+        counts = (self.bundles, self.warps)
+        self.bundles = self.warps = 0
+        return counts
+
+
+async def _back_to_back(server, spy, workload: str, frames: int) -> list:
+    """Two sequential sessions: ``[(result, (bundles, warps)), ...]``."""
+    spy.take()
+    runs = []
+    for _ in range(2):
+        result = await _client(server.port, workload, frames=frames)
+        runs.append((result, spy.take()))
+    return runs
+
+
+class TestRenderMemo:
+    """One render memo per server: repeats cost no field evaluation."""
+
+    def test_repeat_session_evaluates_no_bundle_and_warps_no_target(
+            self, monkeypatch):
+        spy = _WorkSpy(monkeypatch)
+        metrics = MetricsRegistry()
+
+        async def scenario(server):
+            runs = await _back_to_back(server, spy, "vr-headshake", 4)
+            return runs, server.render_memo
+
+        with activate(Observation(metrics=metrics)):
+            runs, memo = _with_server(scenario)
+        expected = _solo_digests("vr-headshake", 4)
+        for result, _ in runs:
+            assert result["final"]["type"] == "done"
+            assert [f["digest"] for f in result["frames"]] == expected
+        (_, first), (_, second) = runs
+        assert first[0] > 0 and first[1] > 0
+        assert second == (0, 0)
+        counters = metrics.snapshot()["counters"]
+        assert counters["sparw.target_memo.hits"] == first[1]
+        # stop() added the memo's life totals, as a cluster run does.
+        report = memo.report()
+        for key in ("hits", "misses", "evictions"):
+            assert counters.get(f"server.render_memo.{key}", 0) == report[key]
+        assert metrics.gauge("server.render_memo.bytes").value == report[
+            "bytes"] > 0
+
+    def test_no_cache_server_attaches_no_memo(self, monkeypatch):
+        spy = _WorkSpy(monkeypatch)
+
+        async def scenario(server):
+            runs = await _back_to_back(server, spy, "vr-lego", 3)
+            return runs, server.render_memo, server._host_thread._engine
+
+        runs, memo, engine = _with_server(scenario, use_cache=False)
+        assert memo is None and engine.render_memo is None
+        (first_result, first), (second_result, second) = runs
+        assert first[0] > 0 and second == first
+        assert ([f["digest"] for f in second_result["frames"]]
+                == [f["digest"] for f in first_result["frames"]]
+                == _solo_digests("vr-lego", 3))
+
+    def test_byte_bound_holds_across_distinct_sessions(self, monkeypatch):
+        bound = 200_000  # a few FAST outputs and target frames
+        monkeypatch.setattr(cache_module, "RENDER_MEMO_BYTES", bound)
+        sessions = [("vr-lego", 0), ("dolly-chair", 0), ("vr-headshake", 0),
+                    ("walk-materials", 3), ("vr-lego", 5)]
+        sizes = []
+
+        async def scenario(server):
+            results = []
+            for name, seed in sessions:
+                results.append(await _client(server.port, name, frames=3,
+                                             seed=seed))
+                sizes.append(server.render_memo.report()["bytes"])
+            return results, server.render_memo.report()
+
+        results, report = _with_server(scenario)
+        assert report["evictions"] > 0
+        assert max(sizes) <= bound
+        for (name, seed), result in zip(sessions, results):
+            assert result["final"]["type"] == "done"
+            assert ([f["digest"] for f in result["frames"]]
+                    == _solo_digests(name, 3, seed=seed))
 
 
 class _CopiedRenderer(NeRFRenderer):
