@@ -4,10 +4,11 @@ Paper claims: software-only Cicero-16 achieves ~8x speed-up and energy
 saving over the GPU baseline; DS-2 only reaches ~4x.
 """
 
+from statistics import geometric_mean
+
 from conftest import run_once
 
 from repro.harness import EXPERIMENTS, print_table
-from repro.metrics import geometric_mean
 
 
 def test_fig17_software_speedup(benchmark, bench_config):

@@ -5,10 +5,11 @@ with energy savings exceeding the speed-up.  Remote: Cicero ~8x faster than
 the render-remotely baseline, but the baseline wins on device energy.
 """
 
+from statistics import geometric_mean
+
 from conftest import run_once
 
 from repro.harness import EXPERIMENTS, print_table
-from repro.metrics import geometric_mean
 
 
 def test_fig19_local_and_remote(benchmark, bench_config):

@@ -5,10 +5,11 @@ all of the gather energy reduction, with the biggest win on the
 hash-grid algorithm whose conflicts it eliminates.
 """
 
+from statistics import geometric_mean
+
 from conftest import run_once
 
 from repro.harness import EXPERIMENTS, print_table
-from repro.metrics import geometric_mean
 
 
 def test_fig20_gather_unit(benchmark, bench_config):

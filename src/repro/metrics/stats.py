@@ -12,9 +12,9 @@ import numpy as np
 
 from ..obs.runtime import current_tracer, metric_inc, metric_observe
 
-__all__ = ["geometric_mean", "percentile_or_zero", "mean_or_zero",
-           "FrameTimeline", "request_time", "time_to_first_frame",
-           "latency_summary", "LATENCY_KEYS", "in_ms", "record_frame"]
+__all__ = ["percentile_or_zero", "mean_or_zero", "FrameTimeline",
+           "request_time", "time_to_first_frame", "latency_summary",
+           "LATENCY_KEYS", "in_ms", "record_frame"]
 
 
 def percentile_or_zero(values, q: float) -> float:
@@ -101,13 +101,3 @@ def record_frame(timeline: FrameTimeline, prefix: str, lane: str,
     tracer.complete("frame.serve", "frame", timeline.start_s * 1e6,
                     (timeline.finish_s - timeline.start_s) * 1e6, pid, tid,
                     args=args)
-
-
-def geometric_mean(values) -> float:
-    """Geometric mean (the standard for speed-up aggregation)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("geometric_mean of empty sequence")
-    if (arr <= 0.0).any():
-        raise ValueError("geometric_mean requires positive values")
-    return float(np.exp(np.log(arr).mean()))

@@ -4,12 +4,15 @@
 behind: the sampling scratch arenas, memoised camera direction grids,
 and depth-lift grids are cleared in its ``finally`` block (and pool
 workers clear their own on a ``release`` broadcast), so repeated runs
-in one process cannot accumulate arena growth.
+in one process cannot accumulate arena growth.  With a reference cache
+and a render memo both attached, a reference output is one object that
+both hold, not two copies.
 """
 
 from repro.engine import MultiSessionEngine
 from repro.harness.configs import FAST
-from repro.workloads import build_mixed_sessions
+from repro.workloads import SharedLRUCache, build_mixed_sessions
+from repro.workloads.cache import make_render_memo
 
 
 def _arena_sizes() -> tuple:
@@ -50,3 +53,17 @@ class TestMemoryRelease:
         assert _arena_sizes() != (0, 0, 0)
         release_process_memory()
         assert _arena_sizes() == (0, 0, 0)
+
+
+class TestReferenceOutputsHeldOnce:
+    def test_reference_cache_entries_are_the_memo_entries(self):
+        references = SharedLRUCache(name="references", max_entries=256)
+        memo = make_render_memo()
+        sessions = build_mixed_sessions("vr-lego:2", FAST, frames=4)
+        MultiSessionEngine(sessions, reference_cache=references,
+                           render_memo=memo).run()
+        cached = [entry.value for entry in references._entries.values()]
+        memoized = {id(entry.value) for entry in memo._entries.values()}
+        assert cached and memo.report()["bytes"] > references.total_bytes
+        # Each output counts against both byte bounds, but is held once.
+        assert all(id(output) in memoized for output in cached)

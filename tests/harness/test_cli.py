@@ -370,14 +370,22 @@ class TestDocumentedInvocations:
     the cli docstring quote still parses."""
 
     def test_the_extractor_finds_them(self):
-        found = documented_invocations(DOCUMENTED_IN["ci.yml"].read_text())
-        assert len(found) >= 18
-        assert ["serve-live", "--fast", "--port", "7071", "--governor",
-                "static", "--slo", "30"] in found
-        # Continuation lines are joined.
-        assert ["reconcile", "--input",
-                "realserve-artifacts/BENCH_realserve.json",
-                "--json-out", "realserve-artifacts"] in found
+        # The workflow runs its commands through tools/traffic.py, so the
+        # shell forms it used to quote are exercised here.
+        found = documented_invocations(
+            'python -m repro.harness.cli serve-live --fast --port 7071 \\\n'
+            '  --slo 30 > server.txt 2>&1 &\n'
+            'python -m repro.harness.cli reconcile \\\n'
+            '  --input out/BENCH_realserve.json | tee out.txt\n'
+            'python -m repro.harness.cli cluster --workload "$MIX"  # fleet\n'
+            'python -m repro.harness.cli <command> [options]\n')
+        assert found == [
+            ["serve-live", "--fast", "--port", "7071", "--slo", "30"],
+            # Continuation lines are joined.
+            ["reconcile", "--input", "out/BENCH_realserve.json"],
+            ["cluster", "--workload", "$MIX"]]
+        assert len(documented_invocations(
+            DOCUMENTED_IN["serving-guide.md"].read_text())) >= 5
 
     @pytest.mark.parametrize("source", [*DOCUMENTED_IN, "cli.__doc__"])
     def test_documented_invocations_parse(self, source, capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.metrics import (
-    geometric_mean,
     mean_or_zero,
     mean_psnr,
     mse,
@@ -59,15 +58,6 @@ class TestMSEPSNR:
 
 
 class TestStats:
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
     def test_arithmetic_mean(self):
         assert mean_or_zero([1.0, 3.0]) == pytest.approx(2.0)
         assert mean_or_zero(iter([2.0, 4.0, 6.0])) == pytest.approx(4.0)

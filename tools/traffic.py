@@ -17,19 +17,32 @@ hook, and prints two lists:
 
 Both lists are compared against ``tools/traffic_expected.txt``, which
 names each entry with its keep category; any difference, or an entry
-without a known category, exits 1.  The traffic is:
+without a known category, exits 1.  This is the project's one run list,
+and CI's smoke job runs it and nothing else.  The traffic is:
 
-* the CI smoke commands, plus the flag variants they leave out (deadline
-  scheduler, ray budget, static and adaptive governors, ``--no-cache``,
-  diurnal and deterministic arrivals, autoscaling with and without the
-  shard tier, round-robin placement, a ``--catalog 80`` fleet with and
-  without the shard tier);
+* every figure at ``--fast``, the serve, mixed-serve, cluster, traced
+  serve and cluster, pool-backend, self-hosted ``loadgen``,
+  ``reconcile`` and ``--catalog 80`` fleet runs (with and without the
+  shard tier), ``trace analyze``, and the flag variants those leave out
+  (deadline scheduler, ray budget, static and adaptive governors,
+  ``--no-cache``, diurnal and deterministic arrivals, autoscaling with
+  and without the shard tier, round-robin placement);
+* ``serve-live`` in a child process, driven by ``loadgen --connect``
+  from this one;
 * both checked-in experiment tables (``frontier-fast.json`` is the
-  governor x offered-load sweep), a self-hosted ``loadgen``,
-  ``reconcile`` on its artifact and ``trace analyze``;
+  governor x offered-load sweep), the quick one resumed after losing
+  two cells;
 * every ``examples/*.py``;
 * every ``benchmarks/e2e`` workload at ``--smoke`` scale, two of them
-  traced.
+  traced;
+* checks: the pool and ``--no-cache`` numpy serves report the same
+  sessions, and ``trace analyze`` prints its event census and engine
+  round occupancy.
+
+Each run's output (stdout and stderr) goes to its own log under
+``bench-artifacts/traffic/logs``, beside the artifacts the runs write;
+the directory is emptied first.  A failing run or check exits 1 with its
+label and the tail of its log.
 
 An entry stays only in one of the keep categories ``docs/architecture.md``
 ("What the library keeps") names: a CLI choice or error path, an oracle
@@ -38,11 +51,11 @@ test passes a fake or a smaller bound through, code the recorder cannot
 see, or a deployment setting.
 
 What it cannot see: code that runs in another process.  Forked pool
-workers (``--backend parallel``) render in children, and the live e2e
-workloads start ``serve-live`` as a subprocess; the self-hosted
-``loadgen`` run covers the server in-process.  Run it on a git checkout
-(outside one, ``perf/envinfo.py``'s ``.git`` readers go uncalled).  A
-full run takes several minutes on 2 vCPUs; every run in it must exit 0.
+workers (``--backend parallel``) render in children, and ``serve-live``
+runs as a subprocess here and in the live e2e workloads; the
+self-hosted ``loadgen`` runs cover the server in-process.  Run it on a
+git checkout (outside one, ``perf/envinfo.py``'s ``.git`` readers go
+uncalled).  A full run takes several minutes on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -54,16 +67,26 @@ import dataclasses
 import gc
 import importlib.util
 import io
+import json
 import os
+import re
 import runpy
+import shutil
+import signal
+import subprocess
 import sys
-import tempfile
 import threading
+import time
+import traceback
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = REPO_ROOT / "src" / "repro"
 EXPECTED = REPO_ROOT / "tools" / "traffic_expected.txt"
+# Where the runs' logs and artifacts go (gitignored; emptied per run).
+OUT = REPO_ROOT / "bench-artifacts" / "traffic"
+TAIL_LINES = 20  # of a failing run's log, in the exit message
+READY_TIMEOUT_S = 60.0  # for the serve-live child to listen
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # The keep categories of docs/architecture.md ("What the library keeps").
 CATEGORIES = ("choice", "oracle", "pinned", "seam", "unseen", "deployment")
@@ -189,15 +212,19 @@ class Surface:
                 and _differs(getattr(spec, field.name), field.default))
 
 
-def record(commands) -> tuple:
+def record(commands, out: Path) -> tuple:
     """Run each ``(label, thunk)`` under a trace hook; return the
     ``(file, first line, name)`` of every library function called and
     the :class:`Surface` the calls set.
 
-    A thunk returns its exit code, and a non-zero one raises: traffic
-    that fails reaches code no working run does.
+    Each run's stdout and stderr go to its log, ``out/logs/NN.txt`` for
+    the NNth run.  A thunk returns its exit code; a non-zero one, or an
+    exception (a failed check raises ``AssertionError``), exits with the
+    run's label and the tail of its log: traffic that fails reaches code
+    no working run does.
     """
     called, library, surface = set(), str(LIBRARY), Surface()
+    (out / "logs").mkdir(parents=True, exist_ok=True)
 
     def hook(frame, event, arg):
         code = frame.f_code
@@ -207,19 +234,32 @@ def record(commands) -> tuple:
             surface.note(frame, key)
         return None  # no per-line tracing
 
-    for label, thunk in commands:
+    for number, (label, thunk) in enumerate(commands, 1):
+        log = out / "logs" / f"{number:02d}.txt"
         previous = sys.gettrace(), threading.gettrace()
-        threading.settrace(hook)
-        sys.settrace(hook)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
+        # Line-buffered, so a forked pool worker inherits no pending text.
+        with log.open("w", buffering=1) as stream, \
+                contextlib.redirect_stdout(stream), \
+                contextlib.redirect_stderr(stream):
+            print(f"$ {label}")
+            threading.settrace(hook)
+            sys.settrace(hook)
+            try:
                 code = thunk()
-        finally:
-            sys.settrace(previous[0])
-            threading.settrace(previous[1])
+            except SystemExit as stop:  # an argparse usage error
+                code = stop.code
+            except Exception:
+                traceback.print_exc()
+                code = 1
+            finally:
+                sys.settrace(previous[0])
+                threading.settrace(previous[1])
         if code:
-            raise SystemExit(f"traffic: {label} exited {code}")
-        print(f"ran {label}", file=sys.stderr)
+            tail = log.read_text().splitlines()[-TAIL_LINES:]
+            raise SystemExit("\n".join(
+                [f"traffic: {label} exited {code}; the tail of {log}:",
+                 *tail]))
+        print(f"ran {log.name} {label}", file=sys.stderr)
     return called, surface
 
 
@@ -306,8 +346,90 @@ def _e2e(workload: str, out: Path, trace: bool = False):
     return f"e2e {workload}{' (traced)' if trace else ''}", run
 
 
+def _printing(run, *headings):
+    """``run``, failing unless its stdout shows each of ``headings``."""
+    label, thunk = run
+
+    def checked():
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            code = thunk()
+        print(text.getvalue(), end="")
+        missing = [each for each in headings if each not in text.getvalue()]
+        if missing:
+            raise AssertionError(f"the output lacks {missing}")
+        return code
+    return label, checked
+
+
+def _same_sessions(pool: Path, numpy: Path):
+    """A check that two ``serve`` artifacts report the same sessions.
+
+    Only the reference-cache bookkeeping may differ: the numpy run has
+    ``--no-cache``.
+    """
+    def check():
+        a, b = (json.loads((side / "BENCH_serve.json").read_text())
+                for side in (pool, numpy))
+        if a["rows"] != b["rows"]:
+            raise AssertionError("per-session rows differ")
+        differ = {key for key in a["extra"].keys() | b["extra"].keys()
+                  if a["extra"].get(key) != b["extra"].get(key)}
+        unexpected = sorted(key for key in differ - {"cache", "cache_enabled"}
+                            if not key.startswith("ref_cache_"))
+        if unexpected:
+            raise AssertionError(f"extra blocks differ in {unexpected}")
+        print("rows equal; extra differs only in", sorted(differ))
+        return 0
+    return "check: the pool and numpy serves report the same sessions", check
+
+
+@contextlib.contextmanager
+def live_server(log: Path, *flags):
+    """``serve-live --fast --port 0 FLAGS`` in a child process writing
+    ``log``; yields the child and the ``HOST:PORT`` it listens on, and
+    reaps it on every exit path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    with log.open("w") as stream:
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness.cli", "serve-live",
+             "--fast", "--port", "0", *flags],
+            env=env, stdout=stream, stderr=subprocess.STDOUT)
+    try:
+        deadline = time.monotonic() + READY_TIMEOUT_S
+        while not (found := re.search(r"listening on (\S+:\d+)",
+                                      log.read_text())):
+            if server.poll() is not None or time.monotonic() > deadline:
+                raise RuntimeError(f"serve-live not listening: "
+                                   f"{log.read_text()!r}")
+            time.sleep(0.1)
+        yield server, found.group(1)
+    finally:
+        server.send_signal(signal.SIGINT)
+        try:
+            server.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            server.wait()
+
+
+def _connected_loadgen(out: Path):
+    """``loadgen --connect`` in this process against a ``serve-live``
+    child."""
+    def run():
+        out.mkdir(parents=True, exist_ok=True)
+        with live_server(out / "serve-live.txt", "--governor", "static",
+                         "--slo", "30") as (_, address):
+            return cli("loadgen", "--fast", "--connect", address, "--rate",
+                       "3", "--duration", "1", "--seed", "7", "--frames",
+                       "3", "--time-scale", "0.2", "--json-out",
+                       str(out))[1]()
+    return "loadgen --connect to serve-live (a child process)", run
+
+
 def commands(out: Path) -> list:
-    """The traffic: ``(label, thunk)`` per run, artifacts under ``out``."""
+    """The traffic: ``(label, thunk)`` per run or check, artifacts under
+    ``out``."""
     mix = ("dolly-chair,orbit-ngp,orbit-tensorf,preview-ship,"
            "sparse-ignatius,vr-headshake,vr-lego,walk-materials")
     fleet = ("--rate", "10", "--duration", "10", "--workers", "4",
@@ -315,7 +437,8 @@ def commands(out: Path) -> list:
     quick = str(REPO_ROOT / "examples" / "experiments" / "quick.json")
     frontier = str(REPO_ROOT / "examples" / "experiments"
                    / "frontier-fast.json")
-    trace = str(out / "cluster.trace.json")
+    trace = str(out / "trace" / "cluster.trace.json")
+    variants = str(out / "variants")
 
     def resume():
         for name in ("cells/BENCH_quick_cell001.json",
@@ -327,39 +450,48 @@ def commands(out: Path) -> list:
 
     runs = [
         cli("workloads"),
-        cli("all", "--fast", "--json-out", str(out)),
-        cli("serve", "--sessions", "8", "--fast", "--json-out", str(out)),
+        cli("all", "--fast", "--json-out", str(out / "figures")),
+        cli("serve", "--sessions", "8", "--fast", "--json-out",
+            str(out / "serve")),
         cli("serve", "--fast", "--frames", "6", "--workload", "vr-lego:3",
             "--workload", "vr-headshake", "--workload", "dolly-chair:2",
-            "--workload", "orbit-ngp", "--json-out", str(out)),
+            "--workload", "orbit-ngp", "--json-out", str(out / "serve")),
         cli("cluster", "--fast", "--arrivals", "poisson", "--rate", "1.5",
             "--duration", "8", "--workers", "3", "--placement",
             "cache_affinity", "--frames", "3", "--seed", "0",
-            "--json-out", str(out)),
+            "--json-out", str(out / "cluster")),
         cli("serve", "--fast", "--frames", "4", "--seed", "0", "--workload",
             "vr-lego:2", "--workload", "dolly-chair", "--backend",
-            "parallel", "--engine-workers", "2", "--json-out", str(out),
-            "--trace", str(out / "serve.trace.json")),
+            "parallel", "--engine-workers", "2", "--json-out",
+            str(out / "trace"), "--trace",
+            str(out / "trace" / "serve.trace.json")),
         cli("cluster", "--fast", "--workload", "vr-lego:3,dolly-chair:2",
             "--arrivals", "poisson", "--rate", "6", "--duration", "4",
             "--workers", "1", "--queue-limit", "2", "--frames", "6",
             "--governor", "adaptive", "--slo", "30", "--seed", "7",
-            "--json-out", str(out), "--trace", trace),
-        cli("trace", "analyze", trace, "--top", "5"),
+            "--json-out", str(out / "trace"), "--trace", trace),
+        _printing(cli("trace", "analyze", trace, "--top", "5"),
+                  "event census", "engine round occupancy"),
         cli("serve", "--fast", "--sessions", "4", "--frames", "3", "--seed",
-            "7", "--no-cache", "--json-out", str(out)),
+            "7", "--backend", "parallel", "--engine-workers", "2",
+            "--json-out", str(out / "pool")),
+        cli("serve", "--fast", "--sessions", "4", "--frames", "3", "--seed",
+            "7", "--no-cache", "--json-out", str(out / "numpy")),
+        _same_sessions(out / "pool", out / "numpy"),
+        _connected_loadgen(out / "realserve" / "standalone"),
         cli("loadgen", "--fast", "--rate", "3", "--duration", "2", "--seed",
             "7", "--frames", "3", "--time-scale", "0.2", "--json-out",
-            str(out)),
-        cli("reconcile", "--input", str(out / "BENCH_realserve.json"),
-            "--json-out", str(out)),
+            str(out / "realserve")),
+        cli("reconcile", "--input",
+            str(out / "realserve" / "BENCH_realserve.json"),
+            "--json-out", str(out / "realserve")),
         cli("loadgen", "--fast", "--governor", "static", "--slo", "30",
             "--no-cache", "--rate", "3", "--duration", "1", "--seed", "7",
             "--frames", "3", "--time-scale", "0.2", "--json-out",
-            str(out / "static")),
+            str(out / "realserve" / "static")),
         cli("reconcile", "--input",
-            str(out / "static" / "BENCH_realserve.json"),
-            "--json-out", str(out / "static")),
+            str(out / "realserve" / "static" / "BENCH_realserve.json"),
+            "--json-out", str(out / "realserve" / "static")),
         cli("experiment", "--table", quick, "--out", str(out / "quick")),
         ("experiment --resume", resume),
         cli("experiment", "--table", frontier, "--out",
@@ -367,12 +499,12 @@ def commands(out: Path) -> list:
         cli("cluster", "--fast", "--workload", mix, "--catalog", "80",
             "--zipf", "1.3", "--replication", "2", "--placement",
             "shard_affinity", "--arrivals", "poisson", *fleet,
-            "--json-out", str(out)),
+            "--json-out", str(out / "shard")),
         cli("cluster", "--fast", "--workload", mix, "--catalog", "80",
             "--zipf", "1.3", "--replication", "0", "--placement",
             "least_loaded", "--arrivals", "poisson", *fleet,
-            "--json-out", str(out)),
-        # Flag variants the CI smoke leaves out.
+            "--json-out", str(out / "shard" / "baseline")),
+        # Flag variants the runs above leave out.
         cli("serve", "--fast", "--sessions", "4", "--frames", "4",
             "--scheduler", "deadline"),
         cli("serve", "--fast", "--sessions", "4", "--frames", "4",
@@ -383,19 +515,19 @@ def commands(out: Path) -> list:
             "walk-materials", "--governor", "static"),
         cli("cluster", "--fast", "--arrivals", "diurnal", "--rate", "3",
             "--duration", "4", "--frames", "2", "--seed", "3",
-            "--json-out", str(out)),
+            "--json-out", variants),
         cli("cluster", "--fast", "--arrivals", "deterministic", "--rate",
             "2", "--duration", "3", "--frames", "2", "--placement",
             "round_robin", "--no-cache", "--seed", "3",
-            "--json-out", str(out)),
+            "--json-out", variants),
         cli("cluster", "--fast", "--autoscale", "--workers", "2",
             "--min-workers", "2", "--max-workers", "3", "--queue-limit",
             "2", "--scale-up-latency", "0.5", "--rate", "8", "--duration",
-            "3", "--frames", "2", "--json-out", str(out)),
+            "3", "--frames", "2", "--json-out", variants),
         cli("cluster", "--fast", "--workload", "vr-lego,dolly-chair",
             "--catalog", "8", "--autoscale", "--workers", "2",
             "--max-workers", "4", "--rate", "8", "--duration", "3",
-            "--frames", "2", "--json-out", str(out)),  # scales down
+            "--frames", "2", "--json-out", variants),  # scales down
     ]
     runs += [_example(path)
              for path in sorted((REPO_ROOT / "examples").glob("*.py"))]
@@ -413,13 +545,14 @@ def main() -> int:
     exit 1 unless that is what ``tools/traffic_expected.txt`` lists."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     expected = load_expected()
-    with tempfile.TemporaryDirectory() as out:
-        previous = os.getcwd()
-        os.chdir(out)  # whatever a run writes by default lands here
-        try:
-            called, surface = record(commands(Path(out)))
-        finally:
-            os.chdir(previous)
+    shutil.rmtree(OUT, ignore_errors=True)  # a rerun starts clean
+    OUT.mkdir(parents=True)
+    previous = os.getcwd()
+    os.chdir(OUT)  # whatever a run writes by default lands here
+    try:
+        called, surface = record(commands(OUT), OUT)
+    finally:
+        os.chdir(previous)
     report = {"never called": never_called(called),
               "never set": never_set(called, surface)}
     for section, entries in report.items():
