@@ -19,6 +19,7 @@ import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
+from ..control import QualityGovernor, start_level
 from ..metrics.stats import (LATENCY_KEYS, in_ms, latency_summary,
                              mean_or_zero, record_frame, time_to_first_frame)
 from ..obs.runtime import (current_tracer, metric_inc, metric_observe,
@@ -132,13 +133,25 @@ class ClusterReport:
 
 
 class ClusterSimulator:
-    """Deterministic discrete-event fleet of :class:`~.worker.Worker`\\ s."""
+    """Deterministic discrete-event fleet of :class:`~.worker.Worker`\\ s.
+
+    ``governor`` (``"static"`` or ``"adaptive"``; ``"off"`` attaches
+    none) bends quality before the admission controller breaks: worker
+    pressure maps to a degraded admission level, SLO-violating residents
+    are retuned at frame boundaries, and when every worker sits at the
+    queue limit the least-loaded one's residents are degraded and the
+    newcomer is admitted at its deepest allowed rung into a bounded
+    overflow slot (half the queue limit, at least one) instead of being
+    rejected.  Latency targets come from each workload's own
+    ``slo_latency_s``.
+    """
 
     def __init__(self, config, workers: int = 4,
                  placement: str = "least_loaded", queue_limit: int = 4,
                  frames: int | None = None, seed: int = 0,
                  autoscaler: Autoscaler | None = None,
-                 use_cache: bool = True, governor=None, field_store=None):
+                 use_cache: bool = True, governor: str = "off",
+                 field_store=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.config = config
@@ -155,9 +168,9 @@ class ClusterSimulator:
             self.placement.store = self.field_store
         self.admission = AdmissionController(queue_limit)
         self.autoscaler = autoscaler
-        # Optional ClusterGovernor: pressure-scaled admission levels,
-        # SLO-driven retuning of residents, and overflow admission.
-        self.governor = governor
+        self.governor = (QualityGovernor(governor) if governor != "off"
+                         else None)
+        self.overflow_admissions = 0
         self.governor_events: list = []
         self.use_cache = use_cache
         self.workers: list = []
@@ -245,7 +258,7 @@ class ClusterSimulator:
             # Graceful shedding: degrade the least-loaded worker's
             # residents and take the newcomer into an overflow slot at
             # its deepest allowed rung, instead of rejecting it.
-            worker = self.governor.overflow_target(self._live())
+            worker = self.overflow_target(self._live())
             if worker is not None:
                 self._shed(worker, now_s)
                 self._admit(worker, spec, now_s,
@@ -260,7 +273,7 @@ class ClusterSimulator:
                                   {"spec": spec.name, "reason": reason})
             return
         worker = self.placement.choose(spec.cache_key(self.config), eligible)
-        level = (self.governor.admission_level(spec, worker)
+        level = (self.admission_level(spec, worker)
                  if self.governor is not None else 0)
         self._admit(worker, spec, now_s, level=level,
                     action="degraded_admit" if level else None)
@@ -296,11 +309,42 @@ class ClusterSimulator:
                 {"session": session_id, "transfer_s": placed.fetch_s})
         self.admission.record_admit()
         if self.governor is not None:
-            self.governor.register(session_id, spec, level)
+            self.governor.register(session_id, spec.slo_latency_s,
+                                   spec.max_quality_level, level=level)
             if action is not None:
                 self._governor_event(now_s, action, session_id, worker,
                                      level)
         self._dispatch(worker, now_s)
+
+    def admission_level(self, spec, worker: Worker) -> int:
+        """Ladder rung a newcomer lands on, from the worker's pressure.
+
+        Empty workers admit at full quality; a worker at the queue limit
+        admits at the spec's deepest allowed rung; loads in between map
+        linearly.  ``static`` mode always pins the deepest rung.
+        """
+        max_level = spec.max_quality_level
+        if self.governor.mode != "adaptive" or max_level == 0:
+            return start_level(self.governor.mode, max_level)
+        pressure = worker.load / self.admission.queue_limit
+        return min(max_level, int(pressure * (max_level + 1)))
+
+    def overflow_target(self, workers: list) -> Worker | None:
+        """Worker to shed onto when the whole fleet is at its queue limit.
+
+        Least-loaded worker with a free overflow slot (ties by id), or
+        ``None`` when overflow capacity is exhausted too — only then does
+        the admission controller reject.
+        """
+        if self.governor.mode != "adaptive":
+            return None
+        limit = self.admission.queue_limit
+        cap = limit + max(1, limit // 2)  # the overflow slots
+        open_workers = [w for w in workers if w.load < cap]
+        if not open_workers:
+            return None
+        self.overflow_admissions += 1
+        return min(open_workers, key=lambda w: (w.load, w.worker_id))
 
     def _shed(self, worker: Worker, now_s: float) -> None:
         """Degrade every retunable resident of ``worker`` by one rung."""
@@ -311,7 +355,7 @@ class ClusterSimulator:
             with self._worker_scope(worker, now_s):
                 retuned = worker.retune_session(placed, target)
             if retuned:
-                self.governor.governor.pin(placed.session_id, target)
+                self.governor.pin(placed.session_id, target)
                 self._governor_event(now_s, "shed_degrade",
                                      placed.session_id, worker, target)
 
@@ -408,7 +452,7 @@ class ClusterSimulator:
                 self._makespan = max(self._makespan, now_s)
                 if self.governor is not None and not session.done:
                     old_level = session.level
-                    new_level = self.governor.governor.observe(
+                    new_level = self.governor.observe(
                         session.session_id, timeline.latency_s)
                     if new_level is not None:
                         with self._worker_scope(worker, now_s):
@@ -513,8 +557,7 @@ class ClusterSimulator:
             scale_events=scale_events,
             governor=(self.governor.mode if self.governor is not None
                       else "off"),
-            overflow_admissions=(self.governor.overflow_admissions
-                                 if self.governor is not None else 0),
+            overflow_admissions=self.overflow_admissions,
             tier_transitions=sum(s.transitions for s in placed_sessions),
             mean_quality_level=(level_sum / level_frames
                                 if level_frames else 0.0),
@@ -565,16 +608,11 @@ def simulate_cluster(mix, config, arrivals: str = "poisson",
                          "(the sharded field tier)")
     schedule = make_arrivals(arrivals, mix, rate_hz=rate_hz,
                              duration_s=duration_s, seed=seed)
-    cluster_governor = None
-    if governor != "off":
-        from ..control import ClusterGovernor
-        cluster_governor = ClusterGovernor(config, mode=governor,
-                                           queue_limit=queue_limit)
     simulator = ClusterSimulator(config, workers=workers,
                                  placement=placement,
                                  queue_limit=queue_limit, frames=frames,
                                  seed=seed, autoscaler=autoscaler,
                                  use_cache=use_cache,
-                                 governor=cluster_governor,
+                                 governor=governor,
                                  field_store=field_store)
     return simulator.run(schedule, label=arrivals)

@@ -20,7 +20,7 @@ from ..engine import MultiSessionEngine
 from ..hw.serving import session_frame_costs
 from ..hw.soc import SoCModel
 from ..metrics.stats import FrameTimeline, request_time
-from ..workloads import REFERENCE_CACHE, SharedLRUCache
+from ..workloads import make_reference_cache
 
 __all__ = ["PlacedSession", "Worker"]
 
@@ -69,12 +69,9 @@ class Worker:
         self.config = config
         self.soc = SoCModel(feature_dim=config.feature_dim)
         # The cache object always exists so stats report uniformly; with
-        # use_cache=False it is simply never attached to the engine.  It
-        # is bounded like the process-wide REFERENCE_CACHE.
-        self.reference_cache = SharedLRUCache(
-            name=f"{self.worker_id}/references",
-            max_entries=REFERENCE_CACHE.max_entries,
-            max_bytes=REFERENCE_CACHE.max_bytes)
+        # use_cache=False it is simply never attached to the engine.
+        self.reference_cache = make_reference_cache(
+            f"{self.worker_id}/references")
         self.use_cache = bool(use_cache)
         # The simulator's per-run render memo (set by ClusterSimulator.run
         # for the run's duration): repeated requests skip the NeRF
@@ -117,8 +114,8 @@ class Worker:
 
     # -- admission ---------------------------------------------------------------
 
-    def _render(self, session_id: str, spec, level: int, poses=None):
-        """Render (a slice of) a session's sequence on this worker's engine.
+    def _render(self, session_id: str, spec, level: int, start: int = 0):
+        """Render a session's sequence from frame ``start`` on this worker.
 
         Rendering goes through this worker's engine with the worker-local
         reference cache attached, so sessions sharing the spec's
@@ -129,12 +126,14 @@ class Worker:
         ``render_key``, whatever spec drew them) and trajectories (see
         :meth:`WorkloadSpec.build_session
         <repro.workloads.WorkloadSpec.build_session>`).  ``level`` picks
-        the quality-ladder rung; ``poses`` restricts to a trajectory
-        slice (mid-serve retunes re-render only the remaining frames).
+        the quality-ladder rung; ``start`` > 0 renders a retuned tail
+        exactly as a switch landing at that frame renders it on the
+        engine path.
         """
         engine_session = spec.build_session(session_id, self.config,
-                                            level=level, poses=poses,
-                                            memo=self.render_memo)
+                                            level=level,
+                                            memo=self.render_memo,
+                                            start=start)
         MultiSessionEngine(
             [engine_session],
             reference_cache=(self.reference_cache if self.use_cache
@@ -200,9 +199,11 @@ class Worker:
         """Re-render a resident session's remaining frames at a new rung.
 
         Frames already served (and the frame currently in flight, if this
-        session owns it) keep their recorded costs and levels; everything
-        after is re-rendered at ``level`` through the worker's engine —
-        the re-render starts with a fresh reference, so the quality
+        session owns it) keep their recorded costs and levels.  From the
+        first unstarted frame on, the session renders what a switch
+        landing there renders on the engine path (:meth:`RenderSession.retune
+        <repro.engine.RenderSession.retune>`): a fresh pipeline at
+        ``level`` that opens with a fresh reference, so the quality
         switch pays a realistic keyframe cost.  Returns the number of
         frames retuned (0 means nothing left to change).
         """
@@ -212,14 +213,9 @@ class Worker:
         total = len(placed.frame_costs)
         if level == placed.level or start >= total:
             return 0
-        # Any frames/seed overrides were already folded into the placed
-        # spec at arrival time; the ladder never changes the trajectory,
-        # so the original poses slice cleanly.
-        poses = placed.spec.build_poses(self.config,
-                                        self.render_memo)[:total][start:]
         engine_session = self._render(
             f"{placed.session_id}/l{level}@{start}", placed.spec, level,
-            poses=poses)
+            start=start)
         costs = session_frame_costs(engine_session.result, self.soc,
                                     placed.spec.variant)
         refs = [r.new_reference for r in engine_session.result.records]

@@ -3,9 +3,10 @@
 Wraps a :class:`~.governor.QualityGovernor` with everything the
 multi-session engine needs to run it online: a virtual service clock
 (each completed frame is priced on the SoC model and advances it), SLO
-latency derivation per workload, mid-stream retuning (resolving the
-degraded renderer through the shared ``FIELD_CACHE`` — no re-bake), and
-the per-round ray-budget weights.  The engine itself stays policy-free:
+latency derivation per workload, mid-stream retuning (a fresh pipeline
+from :meth:`~repro.workloads.WorkloadSpec.build_sparw`, whose renderer
+resolves through the shared ``FIELD_CACHE`` — no re-bake), and the
+per-round ray-budget weights.  The engine itself stays policy-free:
 it only calls :meth:`share_weights` and :meth:`observe_record`.
 """
 
@@ -103,12 +104,9 @@ class EngineGovernor:
 
     def _retune(self, session, level: int) -> None:
         spec = session.workload
-        from ..harness.configs import make_camera
-        session.retune(spec.build_renderer(self.config, level),
-                       make_camera(spec.resolve_config(self.config, level)),
-                       level=level,
-                       cache_key=spec.cache_key(self.config, level),
-                       render_key=spec.render_key(self.config, level))
+        session.retune(spec.build_sparw(self.config, level), level,
+                       spec.cache_key(self.config, level),
+                       spec.render_key(self.config, level))
         self.events.append({
             "clock_s": self.clock_s, "session": session.session_id,
             "frame": session.frames_completed, "level": level})

@@ -148,28 +148,9 @@ class SparwRenderer:
         else:
             raise ValueError(f"unknown reference policy {policy!r}")
         self._chained = policy == "on_trajectory"
-        self._retune: tuple | None = None
         # Optional (memo, namespace) pair set by share_targets; None warps
         # every target frame.
         self._target_memo: tuple | None = None
-
-    def retune(self, renderer: NeRFRenderer | None = None,
-               camera: PinholeCamera | None = None,
-               on_apply=None) -> None:
-        """Stage a mid-stream quality switch (the governor's tier move).
-
-        Takes effect at the start of the next frame :meth:`step` begins:
-        the pipeline swaps in the new renderer/camera and *forces a fresh
-        reference*, so warped targets never mix resolutions with their
-        reference.  ``on_apply`` (optional) is called at that moment — a
-        frame may still be in flight at the old settings when the switch
-        is staged, so level/cache bookkeeping must wait for the swap to
-        land.  ``None`` keeps the current renderer or camera.  A pipeline
-        that is never retuned behaves bit-identically to one without this
-        method.
-        """
-        self._retune = (renderer or self.renderer, camera or self.camera,
-                        on_apply)
 
     def share_targets(self, memo, namespace: str | None) -> None:
         """Answer repeated target frames from a shared ``memo``.
@@ -183,9 +164,7 @@ class SparwRenderer:
         sparse :class:`RayRequest`, so the driver's batching and
         accounting are those of a miss.  Only references from the
         reference path qualify — chained (``on_trajectory``) pipelines
-        never consult the memo, and a landed :meth:`retune` stops sharing
-        (the namespace no longer describes the renderer and camera).
-        Stored arrays are read-only.
+        never consult the memo.  Stored arrays are read-only.
         """
         self._target_memo = (memo, namespace) if namespace else None
 
@@ -333,8 +312,8 @@ class SparwRenderer:
 
     # -- sequence rendering --------------------------------------------------------
 
-    def step(self, poses: list):
-        """Resumable per-frame generator over a pose sequence.
+    def step(self, poses: list, start: int = 0):
+        """Resumable per-frame generator over frames ``start…`` of ``poses``.
 
         Yields two kinds of events:
 
@@ -349,34 +328,27 @@ class SparwRenderer:
         batching engine (:mod:`repro.engine`) drive this generator; the
         engine interleaves many of them and answers their requests from
         shared vectorized field queries.
+
+        ``poses`` is always the whole trajectory: a pipeline started at
+        frame ``start`` (a quality switch landing there) keeps global
+        frame indices and the trajectory's window grid, extrapolates its
+        references from the real past poses, and opens with a fresh
+        reference at ``start``.
         """
         poses = [np.asarray(p, dtype=float) for p in poses]
         reference: Frame | None = None
-        previous_output: Frame | None = None
 
-        for i, pose in enumerate(poses):
-            if self._retune is not None:
-                # Apply the staged quality switch at a frame boundary:
-                # dropping the reference (and chained output) forces a
-                # fresh full render at the new resolution below.
-                self.renderer, self.camera, on_apply = self._retune
-                self._retune = None
-                self._target_memo = None
-                reference = None
-                previous_output = None
-                if on_apply is not None:
-                    on_apply()
+        for i in range(start, len(poses)):
+            pose = poses[i]
             ref_stats = None
-            new_ref = self.policy.needs_new_reference(i)
-            if new_ref or reference is None:
-                if self._chained and previous_output is not None:
-                    # TEMP baseline: reuse the last *output* frame; no fresh
-                    # full render (errors accumulate across windows too).
-                    reference = previous_output
-                else:
-                    ref_pose = self.policy.reference_pose(i, poses)
-                    reference, ref_stats = yield from self._reference_path(
-                        ref_pose, frame_index=i)
+            # TEMP baseline (chained): a window boundary keeps warping
+            # from the last *output* frame; no fresh full render (errors
+            # accumulate across windows too).
+            if reference is None or (self.policy.needs_new_reference(i)
+                                     and not self._chained):
+                ref_pose = self.policy.reference_pose(i, poses)
+                reference, ref_stats = yield from self._reference_path(
+                    ref_pose, frame_index=i)
 
             # Only a reference-path reference is a pure function of its
             # pose, so chained pipelines never key the target memo.
@@ -388,7 +360,6 @@ class SparwRenderer:
             if self._chained:
                 # Chained warping: the next frame warps from this output.
                 reference = frame
-            previous_output = frame
 
             yield TargetFrameRecord(
                 frame_index=i,

@@ -52,25 +52,33 @@ class RenderSession:
     workload:
         Optional spec this session was built from (opaque to the engine;
         the serving harness reads it back for per-session pricing).
+    start:
+        First frame of ``poses`` the session renders (a cluster worker
+        re-renders a retuned session from there); frame indices and the
+        reference windows stay those of the whole trajectory.
     """
 
     def __init__(self, session_id: str, sparw: SparwRenderer, poses: list,
                  fps_target: float = 30.0, cache_key: str | None = None,
-                 render_key: str | None = None, workload=None):
+                 render_key: str | None = None, workload=None,
+                 start: int = 0):
         if fps_target <= 0.0:
             raise ValueError("fps_target must be positive")
         self.session_id = str(session_id)
         self.sparw = sparw
         self.poses = list(poses)
+        self.start = int(start)
         self.fps_target = float(fps_target)
         self.cache_key = cache_key
         self.render_key = render_key
         self.workload = workload
         self.quality_level = 0  # ladder rung (0 = the spec's native tier)
         self.result = SparwSequenceResult()
-        self._gen = sparw.step(self.poses)
+        self._gen = sparw.step(self.poses, self.start)
         self._pending: RayRequest | None = None
-        self._done = len(self.poses) == 0
+        # A retune staged by :meth:`retune`, waiting for a frame boundary.
+        self._staged: tuple | None = None
+        self._done = self.num_frames <= 0
         if not self._done:
             self._advance(None)
 
@@ -89,7 +97,7 @@ class RenderSession:
     @property
     def num_frames(self) -> int:
         """Total frames this session will render."""
-        return len(self.poses)
+        return len(self.poses) - self.start
 
     @property
     def frames_completed(self) -> int:
@@ -108,30 +116,26 @@ class RenderSession:
 
     # -- retuning ---------------------------------------------------------------
 
-    def retune(self, renderer, camera, level: int | None = None,
-               cache_key: str | None = None,
-               render_key: str | None = None) -> None:
+    def retune(self, sparw: SparwRenderer, level: int,
+               cache_key: str | None, render_key: str | None) -> None:
         """Switch this session's quality tier mid-stream (governor move).
 
-        Stages the swap in the SPARW pipeline; it lands at the next frame
-        boundary with a forced fresh reference.  The session's ladder
-        level and content-addressed ``cache_key`` and ``render_key``
-        update *when the swap lands*, not when it is staged — a request
-        generated at the old settings may still be pending, and it must
-        keep coalescing with old-tier peers in the shared cache (and be
-        memoized under the old renderer's key) until the new tier
-        actually renders.
+        ``sparw`` is a fresh pipeline at the new tier
+        (:meth:`WorkloadSpec.build_sparw
+        <repro.workloads.WorkloadSpec.build_sparw>`).  The switch lands
+        at the next frame boundary: from the first unstarted frame ``k``
+        the session continues with ``sparw.step(poses, k)``, which opens
+        with a fresh reference, so warped targets never mix resolutions
+        with their reference.  The ladder level, ``cache_key`` and
+        ``render_key`` update *when the switch lands*, not when it is
+        staged — a request generated at the old settings may still be
+        pending, and it must keep coalescing with old-tier peers in the
+        shared cache (and be memoized under the old renderer's key) until
+        the new tier actually renders.  A later call before the landing
+        replaces the staged switch; one staged during the last frame
+        never lands.
         """
-        def _apply() -> None:
-            if level is not None:
-                self.quality_level = int(level)
-            if cache_key is not None:
-                self.cache_key = cache_key
-            if render_key is not None:
-                self.render_key = render_key
-
-        self.sparw.retune(renderer=renderer, camera=camera,
-                          on_apply=_apply)
+        self._staged = (sparw, int(level), cache_key, render_key)
 
     # -- driving ----------------------------------------------------------------
 
@@ -156,3 +160,10 @@ class RenderSession:
                 return
             self.result.records.append(event)
             send_value = None
+            k = event.frame_index + 1
+            if self._staged is not None and k < len(self.poses):
+                # Land the staged switch at this frame boundary.
+                (self.sparw, self.quality_level, self.cache_key,
+                 self.render_key) = self._staged
+                self._staged = None
+                self._gen = self.sparw.step(self.poses, k)

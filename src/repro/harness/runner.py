@@ -35,11 +35,11 @@ from ..hw.serving import aggregate_serving
 from ..hw.soc import SoCModel
 from ..workloads import (
     FIELD_CACHE,
-    REFERENCE_CACHE,
     WorkloadSpec,
     apply_slo,
     build_mixed_sessions,
     cache_report,
+    make_reference_cache,
 )
 from .pricing import frame_economics
 from .reporting import jsonable, write_bench_json
@@ -227,9 +227,9 @@ def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
 
     The sessions come from the cell's ``workloads`` mix or, when it is
     unset, from :func:`_sessions_mix`; every session prices on the one
-    SoC ``variant`` its specs carry.  ``use_cache`` attaches the
-    process-global reference cache, which changes only the work:
-    serving is bit-identical either way and across backends.  A governed
+    SoC ``variant`` its specs carry.  ``use_cache`` attaches the run's
+    own reference cache, which changes only the work: serving is
+    bit-identical either way and across backends.  A governed
     cell splits ``ray_budget`` by the governor's weights, and a
     ``static`` one builds every session already pinned at its
     ``min_quality_tier`` rung.  The scheduler also picks the within-round
@@ -244,7 +244,7 @@ def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
         else cell.workloads, cell.slo_fps)
     scheduler = cell.effective("scheduler")
     field_before = FIELD_CACHE.stats.snapshot()
-    reference_before = REFERENCE_CACHE.stats.snapshot()
+    references = make_reference_cache()
 
     engine_governor = None
     if cell.governor != "off":
@@ -261,7 +261,7 @@ def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
     engine = MultiSessionEngine(
         built, scheduler=make_scheduler(scheduler),
         ray_budget=cell.ray_budget,
-        reference_cache=REFERENCE_CACHE if cell.use_cache else None,
+        reference_cache=references if cell.use_cache else None,
         governor=engine_governor, backend=cell.backend,
         engine_workers=cell.engine_workers)
     result = engine.run()
@@ -273,8 +273,7 @@ def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
         {s.session_id: s.result for s in result.sessions},
         soc=SoCModel(feature_dim=config.feature_dim), variant=variant,
         order="sjf" if scheduler == "deadline" else "arrival",
-        cache_stats=cache_report(field_since=field_before,
-                                 reference_since=reference_before))
+        cache_stats=cache_report(references, field_since=field_before))
 
     rows = []
     for session, stats in zip(result.sessions, report.per_session):

@@ -44,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from ..control import EngineGovernor, start_level
 from ..obs.runtime import current_tracer, metric_inc, metric_observe
 from ..workloads import apply_slo, get_workload
-from ..workloads.cache import (REFERENCE_CACHE, make_render_memo,
+from ..workloads.cache import (make_reference_cache, make_render_memo,
                                record_render_memo)
 from .protocol import (
     PROTOCOL_SCHEMA,
@@ -244,8 +244,8 @@ class FrameServer:
     ``config`` is the :class:`ExperimentConfig` scale sessions build at;
     ``cell`` is the validated ``realserve`` :class:`RunConfig` whose
     host, port, governor, SLO and cache fields configure the server.
-    ``use_cache`` attaches both the process-wide reference cache and the
-    server's :attr:`render_memo`.
+    ``use_cache`` attaches both a reference cache of the server's own
+    (built by :meth:`start`) and its :attr:`render_memo`.
     """
 
     def __init__(self, config, cell):
@@ -280,7 +280,8 @@ class FrameServer:
         if cell.use_cache:
             self.render_memo = make_render_memo()
         engine = MultiSessionEngine(
-            [], reference_cache=REFERENCE_CACHE if cell.use_cache else None,
+            [], reference_cache=(make_reference_cache() if cell.use_cache
+                                 else None),
             governor=self._governor, render_memo=self.render_memo)
         loop = asyncio.get_running_loop()
         self._host_thread = _EngineHost(engine, loop)

@@ -8,18 +8,18 @@ multi-session engine) consumes workloads through this package:
 * :mod:`~repro.workloads.registry` — named specs and serve-mix parsing
   (``vr-lego:3,dolly-chair:2``).
 * :mod:`~repro.workloads.cache` — bounded content-addressed LRU caches
-  shared across sessions: baked fields/renderers and SPARW reference
-  renders, with hit/miss/eviction stats surfaced in serving reports, and
-  the render memo a cluster run or live server answers repeated NeRF
-  requests, target frames and trajectories from.
+  shared across sessions: baked fields/renderers (process-wide) and a
+  run's SPARW reference renders, with hit/miss/eviction stats surfaced
+  in serving reports, and the render memo a cluster run or live server
+  answers repeated NeRF requests, target frames and trajectories from.
 """
 
 from .cache import (
     FIELD_CACHE,
-    REFERENCE_CACHE,
     CacheStats,
     SharedLRUCache,
     cache_report,
+    make_reference_cache,
     make_render_memo,
     pose_hash,
     rays_hash,
@@ -38,10 +38,10 @@ from .spec import QUALITY_LEVELS, TIERS, WorkloadSpec
 
 __all__ = [
     "FIELD_CACHE",
-    "REFERENCE_CACHE",
     "CacheStats",
     "SharedLRUCache",
     "cache_report",
+    "make_reference_cache",
     "make_render_memo",
     "pose_hash",
     "rays_hash",

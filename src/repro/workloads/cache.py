@@ -10,10 +10,11 @@ that sharing:
   keyed by (algorithm, scene, config scale).  Replaces the previously
   *unbounded* ``functools.lru_cache`` on ``build_renderer``, which grew
   without limit under many-scene serving.
-* :data:`REFERENCE_CACHE` — full-frame SPARW reference
-  :class:`~repro.nerf.renderer.RenderOutput` results, keyed by
-  (workload-spec hash, pose hash, ray count).  The multi-session engine
-  consults it so identical sessions render each reference once.
+* :func:`make_reference_cache` — a fresh bounded cache of full-frame
+  SPARW reference :class:`~repro.nerf.renderer.RenderOutput` results,
+  keyed by (workload-spec hash, pose hash, ray count).  A serve run, a
+  live server and each cluster worker hold their own; the multi-session
+  engine consults it so identical sessions render each reference once.
 * :func:`make_render_memo` — a fresh bounded render memo: NeRF outputs
   keyed by ``(render_key, rays_hash)``, SPARW target frames and
   trajectories.  A ``simulate_cluster`` run and a ``serve-live`` process
@@ -43,8 +44,8 @@ from ..obs.runtime import metric_inc, metric_set
 
 __all__ = [
     "CacheStats", "LRUCore", "SharedLRUCache", "pose_hash", "rays_hash",
-    "FIELD_CACHE", "REFERENCE_CACHE", "RENDER_MEMO_BYTES",
-    "RENDER_MEMO_ENTRIES", "cache_report", "make_render_memo",
+    "FIELD_CACHE", "RENDER_MEMO_BYTES", "RENDER_MEMO_ENTRIES",
+    "cache_report", "make_reference_cache", "make_render_memo",
     "record_render_memo", "reset_caches",
 ]
 
@@ -163,10 +164,10 @@ class SharedLRUCache(LRUCore):
     Thread safety: every public operation holds one reentrant lock, and
     :meth:`get_or_build` is additionally *single-flight* — concurrent
     callers missing on the same key run ``builder()`` exactly once and
-    share its result.  Both matter because :data:`FIELD_CACHE` and
-    :data:`REFERENCE_CACHE` are hit from the live frame server's worker
-    threads (see :mod:`repro.server`), not just the single-threaded
-    harness.
+    share its result.  Both matter because :data:`FIELD_CACHE` and a
+    live server's reference cache and render memo are hit from its
+    worker threads (see :mod:`repro.server`), not just the
+    single-threaded harness.
     """
 
     name: str = "cache"
@@ -297,12 +298,8 @@ def rays_hash(origins: np.ndarray, directions: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-# Process-wide shared caches.  Field entries are few but heavy (baked
-# tensors); reference entries are many but uniform (one RenderOutput per
-# (spec, pose)), so that cache is additionally byte-bounded.
+# The process-wide field cache: entries are few but heavy (baked tensors).
 FIELD_CACHE = SharedLRUCache(name="fields", max_entries=48)
-REFERENCE_CACHE = SharedLRUCache(name="references", max_entries=256,
-                                 max_bytes=64 << 20)
 
 # Bounds of a render memo.  A FAST pass holds a few hundred entries of
 # tens of kilobytes (a target frame ~85 KB); at DEFAULT scale a reference
@@ -328,6 +325,16 @@ def make_render_memo(cache_class: type = SharedLRUCache,
                        max_bytes=RENDER_MEMO_BYTES)
 
 
+def make_reference_cache(name: str = "references") -> SharedLRUCache:
+    """A fresh reference cache: one per serve run, live server or worker.
+
+    Each run owns its cache, so what a run reports never depends on what
+    ran before it in the same process.  Entries are many but uniform (one
+    RenderOutput per (spec, pose)), so the cache is byte-bounded too.
+    """
+    return SharedLRUCache(name=name, max_entries=256, max_bytes=64 << 20)
+
+
 def record_render_memo(memo: SharedLRUCache, owner: str) -> None:
     """Add a render memo's totals to the active metrics, once, at its end.
 
@@ -341,17 +348,16 @@ def record_render_memo(memo: SharedLRUCache, owner: str) -> None:
     metric_set(f"{owner}.render_memo.bytes", report["bytes"])
 
 
-def cache_report(field_since: CacheStats | None = None,
-                 reference_since: CacheStats | None = None) -> dict:
-    """Combined stats of the shared caches for serving reports."""
+def cache_report(references: SharedLRUCache,
+                 field_since: CacheStats | None = None) -> dict:
+    """Stats of a run's reference cache and the field cache, for reports."""
     return {
         "fields": FIELD_CACHE.report(since=field_since),
-        "references": REFERENCE_CACHE.report(since=reference_since),
+        "references": references.report(),
     }
 
 
 def reset_caches() -> None:
-    """Drop every shared cache entry and reset counters (test isolation)."""
-    for cache in (FIELD_CACHE, REFERENCE_CACHE):
-        cache.clear()
-        cache.stats = CacheStats()
+    """Drop every field cache entry and reset its counters (test isolation)."""
+    FIELD_CACHE.clear()
+    FIELD_CACHE.stats = CacheStats()

@@ -264,12 +264,14 @@ class WorkloadSpec:
                              angle_threshold_deg=self.phi)
 
     def build_session(self, session_id: str, config, level: int = 0,
-                      poses=None, memo=None):
+                      memo=None, start: int = 0):
         """A :class:`~repro.engine.RenderSession` serving this workload.
 
-        ``level`` is the quality-ladder rung it starts at; ``poses``
-        replaces the spec's trajectory (a cluster worker re-renders only
-        the remaining poses of a retuned session).  The session carries
+        ``level`` is the quality-ladder rung it starts at; ``start`` is
+        the first frame it renders (a cluster worker re-renders a retuned
+        session from there, exactly as a switch landing at that frame
+        renders it, see :meth:`RenderSession.retune
+        <repro.engine.RenderSession.retune>`).  The session carries
         :meth:`cache_key` and :meth:`render_key` at that level, so the
         engine can answer its reference renders from the shared cache
         and its NeRF requests from a render memo.
@@ -280,13 +282,12 @@ class WorkloadSpec:
         under its ``render_key``; neither changes a frame.
         """
         from ..engine.session import RenderSession
-        if poses is None:
-            poses = self.build_poses(config, memo)
         session = RenderSession(session_id, self.build_sparw(config, level),
-                                poses, fps_target=self.fps_target,
+                                self.build_poses(config, memo),
+                                fps_target=self.fps_target,
                                 cache_key=self.cache_key(config, level),
                                 render_key=self.render_key(config, level),
-                                workload=self)
+                                workload=self, start=start)
         session.quality_level = level
         if memo is not None:
             session.sparw.share_targets(memo, session.render_key)

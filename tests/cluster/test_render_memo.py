@@ -207,7 +207,7 @@ class _Pipeline:
         self.renderer = renderer
         self.frames = frames
 
-    def step(self, poses):
+    def step(self, poses, start=0):
         for i in range(self.frames):
             rays = np.zeros((4, 3))
             yield RayRequest(kind="sparse", frame_index=i, origins=rays,
@@ -237,13 +237,11 @@ class TestSafety:
 
     def test_shared_renderer_different_trajectories_do_not_share(self):
         spec = get_workload("vr-lego").with_overrides(frames=6)
-        poses = spec.build_trajectory(FAST).poses
+        head = spec.with_overrides(frames=3)  # the orbit's first 3 poses
 
         def sessions():
-            return [spec.build_session("head", FAST, level=0,
-                                       poses=poses[:3]),
-                    spec.build_session("tail", FAST, level=0,
-                                       poses=poses[3:])]
+            return [head.build_session("head", FAST, level=0),
+                    spec.build_session("tail", FAST, level=0, start=3)]
 
         memoized = sessions()
         assert memoized[0].renderer is memoized[1].renderer
@@ -306,11 +304,11 @@ class TestRetune:
         # level-0 camera keeps that reference's rays equal to a level-0
         # reference's at the same pose: only the key tells them apart.
         session = spec.build_session(sid, FAST)
-        session.retune(spec.build_renderer(FAST, 1),
-                       spec.build_sparw(FAST, 1).camera
-                       if camera == "switched" else None,
-                       level=1, cache_key=spec.cache_key(FAST, 1),
-                       render_key=spec.render_key(FAST, 1))
+        sparw = spec.build_sparw(FAST, 1)
+        if camera == "kept":
+            sparw.camera = session.sparw.camera
+        session.retune(sparw, 1, spec.cache_key(FAST, 1),
+                       spec.render_key(FAST, 1))
         return session
 
     @pytest.mark.parametrize("camera", ["switched", "kept"])
@@ -321,9 +319,8 @@ class TestRetune:
         # fresh reference at frame 1 fills the memo with level-0 entries
         # for every request the retuned session will make at level 0.
         twin = spec.build_session("twin", FAST)
-        twin.retune(spec.build_renderer(FAST), None, level=0,
-                    cache_key=spec.cache_key(FAST),
-                    render_key=spec.render_key(FAST))
+        twin.retune(spec.build_sparw(FAST), 0, spec.cache_key(FAST),
+                    spec.render_key(FAST))
         MultiSessionEngine([twin], render_memo=memo).run()
         memoized = self._retuned("memoized", spec, camera)
         assert memoized.render_key == spec.render_key(FAST)  # not landed
@@ -425,15 +422,14 @@ class TestTargetSafety:
 
     def test_landed_retune_stops_sharing(self):
         # The switch lands at frame 1: frame 0 still warps at the shared
-        # namespace, later frames (another renderer and camera) never
-        # consult the memo.
+        # namespace, later frames come from the staged pipeline, which
+        # was built without the memo and never consults it.
         spec = get_workload("vr-lego").with_overrides(frames=3)
         memo = SharedLRUCache(name="memo")
         for sid in ("a", "b"):
             session = _memoized_session(sid, spec, memo)
-            session.retune(spec.build_renderer(FAST, 1),
-                           spec.build_sparw(FAST, 1).camera, level=1,
-                           cache_key=spec.cache_key(FAST, 1))
+            session.retune(spec.build_sparw(FAST, 1), 1,
+                           spec.cache_key(FAST, 1), spec.render_key(FAST, 1))
             MultiSessionEngine([session]).run()
             assert [r.frame.image.shape[0] for r in session.result.records] \
                 == [FAST.image_size] + [FAST.image_size // 2] * 2

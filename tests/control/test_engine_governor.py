@@ -81,14 +81,20 @@ class TestSwitchesLand:
         spec = dataclasses.replace(get_workload("vr-lego"),
                                    fps_target=2000.0, slo_fps=4000.0)
         sessions = build_mixed_sessions([(spec, 3)], FAST, frames=FRAMES)
+        # A staged pipeline starts stepping exactly when its switch lands.
         landed = []
         for session in sessions:
-            stage = session.sparw.retune
+            stage = session.retune
 
-            def spy(on_apply, _stage=stage, **kwargs):
-                _stage(on_apply=lambda: (landed.append(1), on_apply()),
-                       **kwargs)
-            session.sparw.retune = spy
+            def spy(sparw, *args, _stage=stage):
+                step = sparw.step
+
+                def landing(*step_args):
+                    landed.append(1)
+                    return step(*step_args)
+                sparw.step = landing
+                _stage(sparw, *args)
+            session.retune = spy
         governor = EngineGovernor(FAST, mode="adaptive")
         MultiSessionEngine(sessions, ray_budget=4096,
                            governor=governor).run()

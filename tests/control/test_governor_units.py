@@ -5,12 +5,8 @@ import dataclasses
 import pytest
 
 from instruments import level_of
-from repro.control import (
-    ClusterGovernor,
-    QualityGovernor,
-    level_quality,
-    quality_floor,
-)
+from repro.cluster import ClusterSimulator
+from repro.control import QualityGovernor, level_quality, quality_floor
 from repro.control.governor import MIN_WEIGHT
 from repro.harness.configs import FAST
 from repro.workloads import QUALITY_LEVELS, WorkloadSpec, apply_slo, get_workload
@@ -83,8 +79,7 @@ class TestQualityLadder:
         # with sessions built natively.
         spec = get_workload("preview-ship")
         native = spec.build_session("a", FAST)
-        tail = spec.build_session("b", FAST, level=0,
-                                  poses=native.poses[1:])
+        tail = spec.build_session("b", FAST, level=0, start=1)
         assert tail.cache_key == native.cache_key == spec.cache_key(FAST, 0)
         degraded = spec.build_session("c", FAST, level=2)
         assert degraded.quality_level == 2
@@ -143,37 +138,43 @@ class TestGovernorModes:
         assert governor.weight("missing") == 1.0
 
 
+def governed_simulator(mode, queue_limit):
+    """A governed simulator; its policy methods are what these tests call."""
+    return ClusterSimulator(FAST, workers=1, queue_limit=queue_limit,
+                            governor=mode)
+
+
 class TestClusterGovernorPolicy:
     class Stub:
         def __init__(self, worker_id, load):
             self.worker_id, self.load = worker_id, load
 
     def test_admission_level_scales_with_pressure(self):
-        governor = ClusterGovernor(FAST, "adaptive", queue_limit=4)
+        simulator = governed_simulator("adaptive", 4)
         spec = get_workload("vr-lego")  # max level 2
-        levels = [governor.admission_level(spec, self.Stub("w", load))
+        levels = [simulator.admission_level(spec, self.Stub("w", load))
                   for load in range(5)]
         assert levels[0] == 0
         assert levels == sorted(levels)
         assert levels[-1] == spec.max_quality_level
 
     def test_admission_respects_min_tier(self):
-        governor = ClusterGovernor(FAST, "adaptive", queue_limit=2)
+        simulator = governed_simulator("adaptive", 2)
         pinned = dataclasses.replace(get_workload("vr-lego"),
                                      min_quality_tier="full")
-        assert governor.admission_level(pinned, self.Stub("w", 2)) == 0
+        assert simulator.admission_level(pinned, self.Stub("w", 2)) == 0
 
     def test_static_pins_admission(self):
-        governor = ClusterGovernor(FAST, "static", queue_limit=4)
+        simulator = governed_simulator("static", 4)
         spec = get_workload("vr-lego")
-        assert governor.admission_level(spec, self.Stub("w", 0)) \
+        assert simulator.admission_level(spec, self.Stub("w", 0)) \
             == spec.max_quality_level
 
     def test_overflow_target_bounded(self):
-        governor = ClusterGovernor(FAST, "adaptive", queue_limit=2)
+        simulator = governed_simulator("adaptive", 2)
         full = [self.Stub("w00", 2), self.Stub("w01", 2)]
-        target = governor.overflow_target(full)
+        target = simulator.overflow_target(full)
         assert target.worker_id == "w00"  # least-loaded tie by id
         saturated = [self.Stub("w00", 3), self.Stub("w01", 3)]
-        assert governor.overflow_target(saturated) is None
-        assert governor.overflow_admissions == 1  # only the granted one
+        assert simulator.overflow_target(saturated) is None
+        assert simulator.overflow_admissions == 1  # only the granted one

@@ -44,7 +44,7 @@ class FakePipeline:
         self.num_frames = num_frames
         self.rays_per_frame = rays_per_frame
 
-    def step(self, poses):
+    def step(self, poses, start=0):
         for i in range(self.num_frames):
             rays = np.zeros((self.rays_per_frame, 3))
             out = yield RayRequest(kind="sparse", frame_index=i,

@@ -52,8 +52,6 @@ class TestSoloPipelineGolden:
 
 class TestEngineGolden:
     def test_multi_session_engine_digest(self, golden, frames_digest):
-        # A fresh private cache keeps the digest independent of whatever
-        # other tests left in the process-global REFERENCE_CACHE.
         sessions = build_mixed_sessions("vr-lego:2,dolly-chair",
                                         FAST, frames=FRAMES)
         cache = SharedLRUCache(name="golden", max_entries=64)

@@ -377,6 +377,20 @@ class TestExecuteCellParity:
         (governor,), (report,) = governors, reports
         assert governor.clock_s == pytest.approx(report.makespan_s)
 
+    @pytest.mark.parametrize("knobs", [
+        {}, dict(ray_budget=3000, governor="adaptive", slo_fps=400.0)])
+    def test_serve_cell_repeats_in_one_process(self, knobs):
+        # Each run owns its reference cache, so a repeat hits nothing the
+        # first run left behind; only the process-wide field cache (the
+        # host-side "fields" block) remembers it.
+        cell = RunConfig(mode="serve", workloads="vr-lego:3,dolly-chair:1",
+                         frames=6, **knobs).validate()
+        first, second = (execute_cell(cell, config=FAST).summary
+                         for _ in range(2))
+        for summary in (first, second):
+            del summary["cache"]["fields"]
+        assert first == second
+
     def test_serve_cell_reports_energy(self):
         cell = RunConfig(mode="serve", workloads="vr-lego:2",
                          frames=2).validate()
