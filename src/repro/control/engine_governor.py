@@ -82,9 +82,10 @@ class EngineGovernor:
         The virtual clock models one shared SoC serving frames in
         completion order; a frame's latency is the clock at completion
         minus its open-loop request time from the session's arrival.  A
-        session that is done after this round still advances the clock,
-        but is not observed: it renders no later frame a switch could
-        land on.
+        session that is done after this round, or whose pending request
+        belongs to its trajectory's last frame, still advances the clock
+        but is not observed: no later frame is left for a switch to land
+        on.
         """
         spec = session.workload
         if spec is None or session.session_id not in self.governor.sessions:
@@ -93,7 +94,8 @@ class EngineGovernor:
                                  record.frame_index, spec.fps_target)
         cost_s = frame_cost_record(record, self.soc, spec.variant).time_s
         start_s, self.clock_s = self.clock_s, self.clock_s + cost_s
-        if session.done:
+        if (session.done or session.pending_request.frame_index + 1
+                >= len(session.poses)):
             return
         latency_s = FrameTimeline(request_s, start_s, self.clock_s).latency_s
         new_level = self.governor.observe(session.session_id, latency_s)

@@ -13,6 +13,7 @@ alone through :meth:`SparwRenderer.render_sequence`.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -86,6 +87,12 @@ class EngineResult:
         return sum(s.frames_completed for s in self.sessions)
 
 
+def _freeze(output) -> None:
+    """Make a shared render output's arrays read-only."""
+    for array in (output.rgb, output.depth_t, output.opacity):
+        array.flags.writeable = False
+
+
 class MultiSessionEngine:
     """Runs N sessions to completion with cross-session ray batching.
 
@@ -108,9 +115,13 @@ class MultiSessionEngine:
         full-frame reference render outputs.  Reference requests of
         sessions carrying a content-addressed ``cache_key`` are answered
         from it (and identical requests arriving in the same round share
-        one evaluation).  Because rendering is deterministic, cached
-        serving is bit-identical to uncached serving.  ``None`` disables
-        cross-session reference reuse.
+        one evaluation).  While it is attached, requests of one render
+        group whose rays are bit-identical — a lockstep copy's sparse
+        fill as much as its reference — are evaluated once per round and
+        the output shared (read-only).  Because rendering is
+        deterministic, cached serving is bit-identical to uncached
+        serving.  ``None`` disables cross-session reuse: every request
+        renders.
     governor:
         Optional :class:`~repro.control.EngineGovernor`.  When attached,
         each completed frame is reported to it (it may retune a session's
@@ -473,56 +484,83 @@ class MultiSessionEngine:
         return int(output.rgb.nbytes + output.depth_t.nbytes
                    + output.opacity.nbytes)
 
-    def _memo_lookup(self, members: list) -> list:
-        """``(memo key, memoized output or None)`` per group member.
+    def _lookup(self, members: list) -> list:
+        """How each group member is answered: ``(memo key, source)``.
 
-        Only sessions with a content-addressed ``render_key`` are
-        eligible; their key is the render key plus the exact bytes of
-        the requested rays, never an object id (a renderer evicted from
+        ``source`` is the memoized output (a hit), the index of an earlier
+        member of the group whose rays are bit-identical (its output is
+        shared, so the field evaluates the bundle once), or ``None``
+        (render it).  Members share only while a reference cache is
+        attached — the engine shares across sessions exactly then — and
+        only rays of equal count can match, so a lone request (every
+        one-session group) is never hashed for that.  Keys are exact
+        bytes, never an object id (a renderer evicted from
         ``FIELD_CACHE`` and rebuilt may reuse the address of another).
-        Each lookup counts into ``engine.render_memo.hits`` / ``.misses``
-        (a miss is a bundle the field evaluates).
+
+        The render memo answers sessions with a content-addressed
+        ``render_key``, under the render key plus the requested rays;
+        each lookup counts into ``engine.render_memo.hits`` / ``.misses``
+        (a miss is a bundle the field evaluates).  A member sharing an
+        earlier one's output consults no memo and counts into
+        ``engine.coalesced_requests`` instead.
         """
         memo = self.render_memo
-        lookups = []
-        for session, _ in members:
-            if memo is None or session.render_key is None:
-                lookups.append((None, None))
+        requests = [session.pending_request for session, _ in members]
+        sizes = (Counter(request.num_rays for request in requests)
+                 if self.reference_cache is not None else {})
+        leaders: dict = {}  # rays hash -> first member with those rays
+        plan = []
+        for index, ((session, _), request) in enumerate(zip(members,
+                                                            requests)):
+            memoized = memo is not None and session.render_key is not None
+            matchable = sizes.get(request.num_rays, 0) > 1
+            digest = (rays_hash(request.origins, request.directions)
+                      if memoized or matchable else None)
+            if matchable:
+                if digest in leaders:
+                    metric_inc("engine.coalesced_requests")
+                    plan.append((None, leaders[digest]))
+                    continue
+                leaders[digest] = index
+            if not memoized:
+                plan.append((None, None))
                 continue
-            request = session.pending_request
-            key = (session.render_key,
-                   rays_hash(request.origins, request.directions))
+            key = (session.render_key, digest)
             output = memo.get(key)
             metric_inc("engine.render_memo.misses" if output is None
                        else "engine.render_memo.hits")
-            lookups.append((key, output))
-        return lookups
+            plan.append((key, output))
+        return plan
 
     @staticmethod
-    def _miss_bundles(members: list, lookups: list) -> list:
-        """Ray bundles of the group members the render memo did not answer."""
+    def _bundles(members: list, plan: list) -> list:
+        """Ray bundles of the group members ``plan`` says to render."""
         return [(s.pending_request.origins, s.pending_request.directions)
-                for (s, _), (_, hit) in zip(members, lookups) if hit is None]
+                for (s, _), (_, source) in zip(members, plan)
+                if source is None]
 
-    def _memo_fill(self, lookups: list, rendered: list) -> list:
-        """Merge memo hits with freshly rendered misses, in member order.
+    def _fill(self, plan: list, rendered: list) -> list:
+        """Outputs in member order: hits, fresh renders and shared ones.
 
-        Every rendered output with a memo key is frozen (read-only
-        arrays, so a consumer mutating a shared output fails loudly) and
+        An output that more than one member receives or the memo stores
+        is frozen (read-only arrays, so a consumer mutating a shared
+        output fails loudly); a rendered output with a memo key is
         stored.
         """
         rendered = iter(rendered)
         outputs = []
-        for key, hit in lookups:
-            if hit is not None:
-                outputs.append(hit)
-                continue
-            output = next(rendered)
-            if key is not None:
-                for array in (output.rgb, output.depth_t, output.opacity):
-                    array.flags.writeable = False
-                self.render_memo.put(key, output,
-                                     size_bytes=self._output_size(output))
+        for key, source in plan:
+            if isinstance(source, int):
+                output = outputs[source]
+                _freeze(output)
+            elif source is None:
+                output = next(rendered)
+                if key is not None:
+                    _freeze(output)
+                    self.render_memo.put(
+                        key, output, size_bytes=self._output_size(output))
+            else:
+                output = source
             outputs.append(output)
         return outputs
 
@@ -530,12 +568,13 @@ class MultiSessionEngine:
         """Batch the pending requests of ``served`` by renderer and answer.
 
         With a reference cache attached, cached reference requests are
-        answered without touching the renderer, and identical reference
+        answered without touching the renderer, identical reference
         requests arriving in the same round (sessions consuming the same
-        content in lockstep) coalesce into a single evaluation.  With a
-        render memo attached, memoized requests skip only the field
-        evaluation: the round's accounting, cache traffic, trace spans
-        and deliveries are those of a memo-less round.
+        content in lockstep) coalesce into a single evaluation, and so do
+        bit-identical requests of one render group (see :meth:`_lookup`).
+        Memo hits and in-group sharing skip only the field evaluation:
+        the round's accounting, cache traffic, trace spans and
+        deliveries are those of a round that renders every request.
         """
         groups: dict = {}
         followers: dict = {}  # cache key -> sessions awaiting the primary
@@ -556,20 +595,20 @@ class MultiSessionEngine:
             groups.setdefault(batch_key(session.renderer),
                               []).append((session, ckey))
 
-        # Render-memo hits (see _memo_lookup) leave only the misses to
-        # render; with no memo every request is a miss.  With the
-        # parallel backend, every group's misses are queued to the pool
-        # up-front, in one call (so the pool forks at most once per
-        # round), and workers overlap across groups.  Accounting and
-        # delivery below walk groups in insertion order either way, so
-        # stats, cache traffic, and delivery order are identical to serial.
+        # Memo hits and shared requests (see _lookup) leave only each
+        # group's distinct misses to render.  With the parallel backend,
+        # every group's misses are queued to the pool up-front, in one
+        # call (so the pool forks at most once per round), and workers
+        # overlap across groups.  Accounting and delivery below walk
+        # groups in insertion order either way, so stats, cache traffic,
+        # and delivery order are identical to serial.
         group_list = list(groups.values())
-        lookups = [self._memo_lookup(members) for members in group_list]
+        plans = [self._lookup(members) for members in group_list]
         tickets: dict = {}
         if self._pool is not None:
             pooled = {}
             for gi, members in enumerate(group_list):
-                bundles = self._miss_bundles(members, lookups[gi])
+                bundles = self._bundles(members, plans[gi])
                 if bundles:
                     pooled[gi] = (members[0][0].renderer, bundles)
             tickets = dict(zip(pooled, self._pool.submit(
@@ -583,10 +622,10 @@ class MultiSessionEngine:
             if gi in tickets:
                 rendered = self._pool.collect(tickets[gi])
             else:
-                bundles = self._miss_bundles(members, lookups[gi])
+                bundles = self._bundles(members, plans[gi])
                 rendered = (renderer.render_ray_batch(bundles) if bundles
                             else [])
-            outputs = self._memo_fill(lookups[gi], rendered)
+            outputs = self._fill(plans[gi], rendered)
             stats.nerf_calls += 1
             stats.requests += len(requests)
             batch_rays = sum(r.num_rays for r in requests)

@@ -106,6 +106,19 @@ class TestSwitchesLand:
         assert summary["mean_final_level"] == (
             sum(s.quality_level for s in sessions) / len(sessions))
 
+    def test_no_switch_is_staged_while_the_last_frame_is_in_flight(self):
+        # Overloaded from the first frame, but only three frames long: the
+        # SLO miss is seen while each session's last frame is pending, so
+        # no switch could land and none may be counted.
+        sessions = build_mixed_sessions(overloaded_mix(), FAST, frames=3)
+        governor = EngineGovernor(FAST, mode="adaptive")
+        MultiSessionEngine(sessions, ray_budget=4096,
+                           governor=governor).run()
+        assert governor.events == []
+        assert governor.summary()["tier_transitions"] == 0
+        assert all(s.quality_level == level_of(governor.governor, s.session_id)
+                   for s in sessions)
+
 
 class TestLateArrival:
     def test_late_session_is_not_charged_for_the_earlier_clock(self):
