@@ -45,10 +45,10 @@ def batch_key(renderer) -> tuple:
 class BatchStats:
     """How much ray work the engine coalesced across sessions.
 
-    ``requests`` counts only requests answered by *rendering* (flattened
-    into a batched field evaluation); requests served from the shared
-    reference cache — direct hits and same-round coalesced followers —
-    are counted in ``cache_hits`` instead, so the total served is
+    ``requests`` and ``total_rays`` count the requests a round accounts
+    as renders (see :meth:`MultiSessionEngine._lookup`), memo hits and
+    coalesced members included; ``cache_hits`` counts reference-cache
+    hits and same-round followers.  The total served is
     ``requests + cache_hits``.
     """
 
@@ -57,7 +57,7 @@ class BatchStats:
     nerf_calls: int = 0  # batched field evaluations issued
     total_rays: int = 0
     max_batch_rays: int = 0
-    cache_hits: int = 0  # requests answered from the shared reference cache
+    cache_hits: int = 0  # reference-cache hits and same-round followers
 
     @property
     def requests_per_call(self) -> float:
@@ -87,6 +87,19 @@ class EngineResult:
         return sum(s.frames_completed for s in self.sessions)
 
 
+@dataclass
+class _Answer:
+    """How one served session is answered this round (see ``_lookup``);
+    ``_fill`` stores a render under ``memo_key`` / ``ref_key`` (a follower
+    reads its leader's ``ref_key``)."""
+
+    session: RenderSession
+    hit: bool
+    source: object = None
+    memo_key: tuple | None = None
+    ref_key: tuple | None = None
+
+
 def _freeze(output) -> None:
     """Make a shared render output's arrays read-only."""
     for array in (output.rgb, output.depth_t, output.opacity):
@@ -112,16 +125,14 @@ class MultiSessionEngine:
         every runnable session each round.
     reference_cache:
         Optional shared :class:`~repro.workloads.cache.SharedLRUCache` of
-        full-frame reference render outputs.  Reference requests of
-        sessions carrying a content-addressed ``cache_key`` are answered
-        from it (and identical requests arriving in the same round share
-        one evaluation).  While it is attached, requests of one render
-        group whose rays are bit-identical — a lockstep copy's sparse
-        fill as much as its reference — are evaluated once per round and
-        the output shared (read-only).  Because rendering is
-        deterministic, cached serving is bit-identical to uncached
-        serving.  ``None`` disables cross-session reuse: every request
-        renders.
+        full-frame reference render outputs, keyed by the session's
+        ``cache_key`` and the pose.  While it is attached, each round
+        answers what it can without evaluating the field — cached
+        references, references another session of the round renders, and
+        bit-identical requests of one render group (see :meth:`_lookup`)
+        — and every shared or stored output is read-only.  Rendering is
+        deterministic, so this changes no frame.  ``None`` disables
+        cross-session reuse: every request renders.
     governor:
         Optional :class:`~repro.control.EngineGovernor`.  When attached,
         each completed frame is reported to it (it may retune a session's
@@ -143,15 +154,11 @@ class MultiSessionEngine:
         :data:`repro.backend.DEFAULT_WORKERS`); ignored otherwise.
     render_memo:
         Optional :class:`~repro.workloads.cache.SharedLRUCache` of
-        render outputs keyed by ``(session.render_key, rays_hash)``.  A
-        request of a session with a ``render_key`` whose rays were
-        already rendered by the same renderer — for any session, whatever
-        its trajectory seed, variant or SLO — is answered from it instead
-        of evaluating the field (serially or on the pool); everything
-        else — reference-cache traffic, batching statistics, trace
-        spans, delivery order — runs exactly as without it, so the memo
-        changes host time only.  Stored outputs are read-only.
-        ``None`` (the default) renders every request.
+        render outputs keyed by ``(session.render_key, rays_hash)``: a
+        request whose rays the same renderer already rendered, for any
+        session, is answered from it instead of evaluating the field.  A
+        memo hit is accounted and traced as a render, so the memo changes
+        host time only.  ``None`` (the default) renders every request.
     """
 
     def __init__(self, sessions: list, scheduler=None,
@@ -368,27 +375,18 @@ class MultiSessionEngine:
             args={"session": session.session_id, "rays": rays})
         trace["cursor_us"] += duration
 
-    def _trace_cache(self, session: RenderSession, hit: bool) -> None:
+    def _trace_instant(self, name: str, lane: str | None, **args) -> None:
+        """A point event at the work-clock cursor, on a session's lane
+        (``None``: the rounds lane); its category is the name's prefix."""
         trace = self._trace
         if trace is None:
             return
         tracer = trace["tracer"]
         trace.setdefault("round_start_us", trace["cursor_us"])
-        tracer.instant(
-            "cache.hit" if hit else "cache.miss", "cache",
-            trace["cursor_us"], trace["pid"],
-            tracer.thread(trace["pid"], session.session_id),
-            args={"session": session.session_id})
-
-    def _trace_dispatch(self, group: int, bundles: int) -> None:
-        trace = self._trace
-        if trace is None:
-            return
-        trace.setdefault("round_start_us", trace["cursor_us"])
-        trace["tracer"].instant(
-            "pool.dispatch", "pool", trace["cursor_us"],
-            trace["pid"], trace["rounds_tid"],
-            args={"group": group, "bundles": bundles})
+        tid = (trace["rounds_tid"] if lane is None
+               else tracer.thread(trace["pid"], lane))
+        tracer.instant(name, name.split(".")[0], trace["cursor_us"],
+                       trace["pid"], tid, args=args)
 
     def _release_memory(self) -> None:
         """Drop scratch arenas and geometry memos after a run.
@@ -407,32 +405,19 @@ class MultiSessionEngine:
     # -- internals --------------------------------------------------------------
 
     def _select(self, ordered: list) -> list:
-        """Prefix of the scheduler ordering that fits the ray budget.
-
-        Requests that will be answered from the reference cache (already
-        cached, or coalescing with an identical request earlier in this
-        round's ordering) render zero new rays, so they don't consume
-        budget.
-        """
+        """Prefix of the scheduler ordering that fits the ray budget."""
         if self.ray_budget is None:
             return ordered
         if self.governor is not None:
             return self._select_weighted(ordered)
-        served, spent = [], 0
-        seen_keys: set = set()
+        served, spent, rendering = [], 0, set()
         for session in ordered:
-            ckey = self._reference_cache_key(session)
-            if ckey is not None and (ckey in seen_keys
-                                     or ckey in self.reference_cache):
-                rays = 0
-            else:
-                rays = session.pending_request.num_rays
-                if ckey is not None:
-                    seen_keys.add(ckey)
+            rays, key = self._budget_rays(session, rendering)
             if served and spent + rays > self.ray_budget:
                 break
             served.append(session)
             spent += rays
+            rendering.add(key)
         return served
 
     def _select_weighted(self, ordered: list) -> list:
@@ -447,24 +432,31 @@ class MultiSessionEngine:
         from ..control.governor import split_budget
         shares = split_budget(self.ray_budget,
                               self.governor.share_weights(ordered))
-        served, carry = [], 0
-        seen_keys: set = set()
+        served, carry, rendering = [], 0, set()
         for session, share in zip(ordered, shares):
-            ckey = self._reference_cache_key(session)
-            if ckey is not None and (ckey in seen_keys
-                                     or ckey in self.reference_cache):
-                rays = 0
-            else:
-                rays = session.pending_request.num_rays
+            rays, key = self._budget_rays(session, rendering)
             allowance = share + carry
             if not served or rays <= allowance:
-                if rays and ckey is not None:
-                    seen_keys.add(ckey)
                 served.append(session)
                 carry = max(allowance - rays, 0)
+                rendering.add(key)
             else:
                 carry = allowance
         return served
+
+    def _budget_rays(self, session: RenderSession, rendering: set) -> tuple:
+        """``(rays, key)``: what selecting ``session`` adds to the round.
+
+        A reference the cache holds, or one a selected session renders
+        (its key is in ``rendering``), is a hit and costs 0 rays; else
+        ``key`` is the reference it renders (or ``None``), for the caller
+        to add to ``rendering`` once it selects the session.
+        """
+        key = self._reference_cache_key(session)
+        if key is not None and (key in rendering
+                                or key in self.reference_cache):
+            return 0, None
+        return session.pending_request.num_rays, key
 
     def _reference_cache_key(self, session: RenderSession) -> tuple | None:
         """Shared-cache key of the session's pending request, if cacheable.
@@ -484,165 +476,171 @@ class MultiSessionEngine:
         return int(output.rgb.nbytes + output.depth_t.nbytes
                    + output.opacity.nbytes)
 
-    def _lookup(self, members: list) -> list:
-        """How each group member is answered: ``(memo key, source)``.
+    def _lookup(self, served: list) -> list:
+        """The round's plan: how each served session is answered.
 
-        ``source`` is the memoized output (a hit), the index of an earlier
-        member of the group whose rays are bit-identical (its output is
-        shared, so the field evaluates the bundle once), or ``None``
-        (render it).  Members share only while a reference cache is
-        attached — the engine shares across sessions exactly then — and
-        only rays of equal count can match, so a lone request (every
-        one-session group) is never hashed for that.  Keys are exact
-        bytes, never an object id (a renderer evicted from
-        ``FIELD_CACHE`` and rebuilt may reuse the address of another).
+        One plan per render group (sessions whose renderers share a
+        :func:`batch_key`), in render order, then the plan of
+        reference-cache hits.  Each entry is an :class:`_Answer`:
 
-        The render memo answers sessions with a content-addressed
-        ``render_key``, under the render key plus the requested rays;
-        each lookup counts into ``engine.render_memo.hits`` / ``.misses``
-        (a miss is a bundle the field evaluates).  A member sharing an
-        earlier one's output consults no memo and counts into
-        ``engine.coalesced_requests`` instead.
+        ===================  ==========  ===================
+        answer               accounting  source
+        ===================  ==========  ===================
+        reference-cache hit  hit         the cached output
+        same-round follower  hit         its leader's index
+        render-memo hit      render      the memoized output
+        coalesced member     render      its leader's index
+        render               render      ``None``
+        ===================  ==========  ===================
+
+        A follower asks for the reference (same reference-cache key)
+        that an earlier session of the round renders, and is planned
+        right after it.  Each reference-cache read here is traced.
+        """
+        hits, groups = [], {}
+        leaders: dict = {}  # reference-cache key -> [leader, *followers]
+        for session in served:
+            key = self._reference_cache_key(session)
+            if key in leaders:
+                leaders[key].append(session)
+                continue
+            if key is not None:
+                cached = self.reference_cache.get(key)
+                self._trace_instant(
+                    "cache.miss" if cached is None else "cache.hit",
+                    session.session_id, session=session.session_id)
+                if cached is not None:
+                    hits.append(_Answer(session, True, cached))
+                    continue
+            slot = [session]
+            if key is not None:
+                leaders[key] = slot
+            groups.setdefault(batch_key(session.renderer),
+                              []).append((key, slot))
+        return [*map(self._plan_group, groups.values()), hits]
+
+    def _plan_group(self, slots: list) -> list:
+        """One render group's plan; its followers are hits, never hashed.
+
+        While a reference cache is attached, render answers whose rays
+        are bit-identical share one output and count
+        ``engine.coalesced_requests``; rays are hashed only among answers
+        of equal ray count, by their bytes, never an object id (a rebuilt
+        renderer may reuse another's address).  The others of sessions
+        with a ``render_key`` look up the render memo, counting
+        ``engine.render_memo.hits`` / ``.misses`` (a miss is a bundle the
+        field evaluates).
         """
         memo = self.render_memo
-        requests = [session.pending_request for session, _ in members]
-        sizes = (Counter(request.num_rays for request in requests)
+        sizes = (Counter(slot[0].pending_request.num_rays
+                         for _, slot in slots)
                  if self.reference_cache is not None else {})
-        leaders: dict = {}  # rays hash -> first member with those rays
+        shared: dict = {}  # rays hash -> index of the first answer with them
         plan = []
-        for index, ((session, _), request) in enumerate(zip(members,
-                                                            requests)):
+        for ref_key, (session, *followers) in slots:
+            request = session.pending_request
+            answer = _Answer(session, False, ref_key=ref_key)
             memoized = memo is not None and session.render_key is not None
             matchable = sizes.get(request.num_rays, 0) > 1
             digest = (rays_hash(request.origins, request.directions)
                       if memoized or matchable else None)
-            if matchable:
-                if digest in leaders:
-                    metric_inc("engine.coalesced_requests")
-                    plan.append((None, leaders[digest]))
-                    continue
-                leaders[digest] = index
-            if not memoized:
-                plan.append((None, None))
-                continue
-            key = (session.render_key, digest)
-            output = memo.get(key)
-            metric_inc("engine.render_memo.misses" if output is None
-                       else "engine.render_memo.hits")
-            plan.append((key, output))
+            if matchable and digest in shared:
+                metric_inc("engine.coalesced_requests")
+                answer.source = shared[digest]
+            else:
+                if matchable:
+                    shared[digest] = len(plan)
+                if memoized:
+                    answer.memo_key = (session.render_key, digest)
+                    answer.source = memo.get(answer.memo_key)
+                    metric_inc("engine.render_memo.misses"
+                               if answer.source is None
+                               else "engine.render_memo.hits")
+            leader = len(plan)
+            plan.append(answer)
+            plan.extend(_Answer(follower, True, leader, ref_key=ref_key)
+                        for follower in followers)
         return plan
 
-    @staticmethod
-    def _bundles(members: list, plan: list) -> list:
-        """Ray bundles of the group members ``plan`` says to render."""
-        return [(s.pending_request.origins, s.pending_request.directions)
-                for (s, _), (_, source) in zip(members, plan)
-                if source is None]
-
     def _fill(self, plan: list, rendered: list) -> list:
-        """Outputs in member order: hits, fresh renders and shared ones.
+        """Outputs in plan order, each taken from its source.
 
-        An output that more than one member receives or the memo stores
-        is frozen (read-only arrays, so a consumer mutating a shared
-        output fails loudly); a rendered output with a memo key is
-        stored.
+        The one place outputs are stored and frozen: an output delivered
+        to more than one session, or stored in either cache, gets
+        read-only arrays, so a consumer mutating it fails loudly.  A
+        follower reads the entry its leader just stored, so the
+        reference cache counts it as the hit it is.
         """
         rendered = iter(rendered)
         outputs = []
-        for key, source in plan:
-            if isinstance(source, int):
-                output = outputs[source]
+        for answer in plan:
+            source = answer.source
+            output = (next(rendered) if source is None
+                      else outputs[source] if isinstance(source, int)
+                      else source)
+            if (source is not None or answer.memo_key is not None
+                    or answer.ref_key is not None):
                 _freeze(output)
-            elif source is None:
-                output = next(rendered)
-                if key is not None:
-                    _freeze(output)
-                    self.render_memo.put(
-                        key, output, size_bytes=self._output_size(output))
-            else:
-                output = source
+            if source is None and answer.memo_key is not None:
+                self.render_memo.put(answer.memo_key, output,
+                                     size_bytes=self._output_size(output))
+            if answer.ref_key is not None and answer.hit:
+                self.reference_cache.get(answer.ref_key)
+            elif answer.ref_key is not None:
+                self.reference_cache.put(answer.ref_key, output,
+                                         size_bytes=self._output_size(output))
             outputs.append(output)
         return outputs
 
     def _serve_round(self, served: list, stats: BatchStats) -> None:
-        """Batch the pending requests of ``served`` by renderer and answer.
+        """Answer the pending requests of ``served`` by the round's plan.
 
-        With a reference cache attached, cached reference requests are
-        answered without touching the renderer, identical reference
-        requests arriving in the same round (sessions consuming the same
-        content in lockstep) coalesce into a single evaluation, and so do
-        bit-identical requests of one render group (see :meth:`_lookup`).
-        Memo hits and in-group sharing skip only the field evaluation:
-        the round's accounting, cache traffic, trace spans and
-        deliveries are those of a round that renders every request.
+        Each render group's bundles left to render (see :meth:`_lookup`)
+        go to its renderer in one batched call, :meth:`_fill` takes every
+        output from its source, and each session is delivered its own.
+        A render answer is accounted and traced as a render whatever its
+        source: hits and sharing skip only the field evaluation.
         """
-        groups: dict = {}
-        followers: dict = {}  # cache key -> sessions awaiting the primary
-        for session in served:
-            ckey = self._reference_cache_key(session)
-            if ckey is not None:
-                if ckey in followers:  # coalesce with this round's primary
-                    followers[ckey].append(session)
-                    continue
-                cached = self.reference_cache.get(ckey)
-                if cached is not None:
-                    stats.cache_hits += 1
-                    self._trace_cache(session, hit=True)
-                    session.deliver(cached)
-                    continue
-                self._trace_cache(session, hit=False)
-                followers[ckey] = []
-            groups.setdefault(batch_key(session.renderer),
-                              []).append((session, ckey))
-
-        # Memo hits and shared requests (see _lookup) leave only each
-        # group's distinct misses to render.  With the parallel backend,
-        # every group's misses are queued to the pool up-front, in one
-        # call (so the pool forks at most once per round), and workers
-        # overlap across groups.  Accounting and delivery below walk
-        # groups in insertion order either way, so stats, cache traffic,
-        # and delivery order are identical to serial.
-        group_list = list(groups.values())
-        plans = [self._lookup(members) for members in group_list]
+        plans = self._lookup(served)
+        bundles = [[(a.session.pending_request.origins,
+                     a.session.pending_request.directions)
+                    for a in plan if a.source is None] for plan in plans]
+        # With the parallel backend, every group's bundles are queued to
+        # the pool up-front, in one call (so the pool forks at most once
+        # per round), and workers overlap across groups.  Accounting and
+        # delivery below walk the plans in order either way, so stats,
+        # cache traffic, and delivery order are identical to serial.
         tickets: dict = {}
         if self._pool is not None:
-            pooled = {}
-            for gi, members in enumerate(group_list):
-                bundles = self._bundles(members, plans[gi])
-                if bundles:
-                    pooled[gi] = (members[0][0].renderer, bundles)
+            pooled = {gi: (plan[0].session.renderer, todo)
+                      for gi, (plan, todo) in enumerate(zip(plans, bundles))
+                      if todo}
             tickets = dict(zip(pooled, self._pool.submit(
                 list(pooled.values()))))
-            for gi, (_, bundles) in pooled.items():
-                self._trace_dispatch(gi, len(bundles))
+            for gi, (_, todo) in pooled.items():
+                self._trace_instant("pool.dispatch", None, group=gi,
+                                    bundles=len(todo))
 
-        for gi, members in enumerate(group_list):
-            renderer = members[0][0].renderer
-            requests = [s.pending_request for s, _ in members]
-            if gi in tickets:
-                rendered = self._pool.collect(tickets[gi])
-            else:
-                bundles = self._bundles(members, plans[gi])
-                rendered = (renderer.render_ray_batch(bundles) if bundles
-                            else [])
-            outputs = self._fill(plans[gi], rendered)
-            stats.nerf_calls += 1
-            stats.requests += len(requests)
-            batch_rays = sum(r.num_rays for r in requests)
-            stats.total_rays += batch_rays
-            stats.max_batch_rays = max(stats.max_batch_rays, batch_rays)
-            for (session, ckey), request, output in zip(members, requests,
-                                                        outputs):
-                if ckey is not None:
-                    self.reference_cache.put(ckey, output,
-                                             size_bytes=self._output_size(output))
-                self._trace_render(session, request.num_rays)
+        for gi, (plan, todo) in enumerate(zip(plans, bundles)):
+            rendered = (self._pool.collect(tickets[gi]) if gi in tickets
+                        else plan[0].session.renderer.render_ray_batch(todo)
+                        if todo else [])
+            outputs = self._fill(plan, rendered)
+            rays = [a.session.pending_request.num_rays
+                    for a in plan if not a.hit]
+            if rays:  # the plan of reference-cache hits has none
+                stats.nerf_calls += 1
+                stats.requests += len(rays)
+                stats.total_rays += sum(rays)
+                stats.max_batch_rays = max(stats.max_batch_rays, sum(rays))
+            stats.cache_hits += len(plan) - len(rays)
+            for answer, output in zip(plan, outputs):
+                session = answer.session
+                if not answer.hit:
+                    self._trace_render(session,
+                                       session.pending_request.num_rays)
+                elif isinstance(answer.source, int):
+                    # A follower's read is drawn after its leader's render.
+                    self._trace_instant("cache.hit", session.session_id,
+                                        session=session.session_id)
                 session.deliver(output)
-                for follower in (followers.get(ckey, ())
-                                 if ckey is not None else ()):
-                    # Followers read the entry the primary just inserted, so
-                    # coalesced requests register as cache hits too.
-                    shared = self.reference_cache.get(ckey)
-                    stats.cache_hits += 1
-                    self._trace_cache(follower, hit=True)
-                    follower.deliver(shared if shared is not None else output)

@@ -26,9 +26,10 @@ that sharing:
   without lock, counters or metrics; the sharded field store's per-worker
   tiers (:mod:`repro.distribution.tier`) use it bare.
 
-Entries are treated as immutable by every consumer; because rendering is
-deterministic, serving a cached entry is bit-identical to recomputing it
-(locked by ``tests/workloads/test_serve_cache_parity.py``).
+The engine freezes every render output it stores in a reference cache or
+a render memo (read-only arrays); because rendering is deterministic,
+serving a cached entry is bit-identical to recomputing it (locked by
+``tests/workloads/test_serve_cache_parity.py``).
 """
 
 from __future__ import annotations
