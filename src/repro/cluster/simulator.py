@@ -211,10 +211,11 @@ class ClusterSimulator:
         self._event_seq += 1
 
     def _dispatch(self, worker: Worker, now_s: float) -> None:
-        """Re-poll a worker; start a frame or schedule its next wake."""
-        action, payload = worker.poll(now_s)
+        """Re-poll a worker's queue; start a frame or schedule a wake (a
+        retired worker has no residents, so it idles)."""
+        action, payload = worker.queue.poll(now_s)
         if action == "serve":
-            completion = worker.start_frame(payload, now_s)
+            completion = worker.queue.start(payload, now_s)
             self._push(completion, _P_FRAME_DONE, "frame_done",
                        (worker, payload))
         elif action == "wait":
@@ -443,7 +444,7 @@ class ClusterSimulator:
             elif kind == "frame_done":
                 worker, session = payload
                 timeline = worker.finish_frame(session, now_s)
-                k = session.next_frame - 1
+                k = len(session.timelines) - 1
                 record_frame(timeline, "cluster", f"worker {worker.worker_id}",
                              session.session_id, k)
                 if k == 0:
@@ -548,7 +549,7 @@ class ClusterSimulator:
                               for s in placed_sessions),
             mean_utilization=mean_or_zero([row["utilization"]
                                            for row in per_worker]),
-            total_busy_s=sum(w.busy_s for w in self.workers),
+            total_busy_s=sum(w.queue.busy_s for w in self.workers),
             total_energy_j=sum(w.energy_served_j for w in self.workers),
             ref_cache_hits=hits,
             ref_cache_misses=misses,

@@ -5,11 +5,9 @@ renders its sequence through the worker's own
 :class:`~repro.engine.MultiSessionEngine` — against the worker-local
 reference cache, so co-located sessions of the same workload share
 reference renders — and prices every frame on the worker's SoC with
-:func:`~repro.hw.serving.session_frame_costs`.  The priced frames then
-flow through the virtual-time frame queue: each session requests frame
-``k`` at :func:`~repro.metrics.stats.request_time` (the open-loop
-stream a real viewer generates), frames are served one at a time in order
-per session, and the worker picks the oldest ready request first.
+:func:`~repro.hw.serving.session_frame_costs`.  The priced frames join
+the worker's :class:`~repro.hw.serving.SocQueue`, which the simulator's
+event loop steps one frame at a time.
 """
 
 from __future__ import annotations
@@ -17,29 +15,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..engine import MultiSessionEngine
-from ..hw.serving import session_frame_costs
+from ..hw.serving import SocQueue, SocStream, session_frame_costs
 from ..hw.soc import SoCModel
-from ..metrics.stats import FrameTimeline, request_time
+from ..metrics.stats import FrameTimeline
 from ..workloads import make_reference_cache
 
 __all__ = ["PlacedSession", "Worker"]
 
 
-@dataclass
-class PlacedSession:
-    """One admitted session's serving state on its worker."""
+@dataclass(eq=False, kw_only=True)
+class PlacedSession(SocStream):
+    """One admitted session's serving state: its stream on the worker's
+    :class:`~repro.hw.serving.SocQueue` plus what the report needs."""
 
     session_id: str
     spec: object
     worker_id: str
-    arrival_s: float
-    frame_costs: list
-    fps_target: float
     frame_energies: list = field(default_factory=list)
     references: int = 0
-    next_frame: int = 0
-    last_completion_s: float = 0.0
-    timelines: list = field(default_factory=list)  # one per served frame
     # Quality-governor state: current ladder rung, the rung each frame
     # was rendered at, which frames carried a new reference render (so a
     # retune can re-account its tail exactly), and retune count.
@@ -52,11 +45,6 @@ class PlacedSession:
     # attached) — feeds the report's TTFF bake/transfer/queue split.
     fetch_kind: str = "local"
     fetch_s: float = 0.0
-
-    @property
-    def done(self) -> bool:
-        """True once every frame of the session has been served."""
-        return self.next_frame >= len(self.frame_costs)
 
 
 class Worker:
@@ -84,16 +72,22 @@ class Worker:
         self.started_s = float(started_s)
         self.index = int(index)  # spawn order (worker ids are for display)
         self.retired_s: float | None = None
-        self.sessions: list = []  # resident (unfinished) PlacedSessions
         self.completed: list = []
-        self.current: PlacedSession | None = None  # frame in flight
-        self.busy_s = 0.0
-        self.busy_until_s = float(started_s)
+        self.queue = SocQueue(started_s=started_s)
         self.frames_served = 0
         self.energy_served_j = 0.0
-        self.sessions_admitted = 0
 
     # -- state -------------------------------------------------------------------
+
+    @property
+    def busy_until_s(self) -> float:
+        """When the worker's SoC is next free."""
+        return self.queue.busy_until_s
+
+    @property
+    def sessions(self) -> list:
+        """Resident (unfinished) sessions, in admission order."""
+        return self.queue.streams
 
     @property
     def live(self) -> bool:
@@ -163,34 +157,20 @@ class Worker:
         costs = session_frame_costs(engine_session.result, self.soc,
                                     spec.variant)
         placed = PlacedSession(
-            session_id=session_id, spec=spec, worker_id=self.worker_id,
-            arrival_s=float(now_s),
-            frame_costs=[c.time_s for c in costs],
+            arrival_s=float(now_s), fps=spec.fps_target, frames=len(costs),
+            costs=[c.time_s for c in costs], session_id=session_id,
+            spec=spec, worker_id=self.worker_id,
             frame_energies=[c.energy_j for c in costs],
-            fps_target=spec.fps_target,
             references=engine_session.result.num_references,
-            last_completion_s=float(now_s),
             level=int(level), frame_levels=[int(level)] * len(costs),
             frame_refs=[r.new_reference
                         for r in engine_session.result.records],
             fetch_kind=fetch_kind, fetch_s=float(fetch_s))
-        if fetch_kind == "bake":
-            # Baking consumes this worker's capacity (it cannot serve
-            # frames meanwhile); the session's frames unlock when the
-            # bake lands.  The simulator schedules a wake at that time.
-            ready = max(self.busy_until_s, float(now_s)) + fetch_s
-            self.busy_s += fetch_s
-            self.busy_until_s = ready
-            placed.last_completion_s = ready
-        elif fetch_s > 0.0:
-            # A transfer delays only this session's first frame; the
-            # worker stays free to serve other residents.
-            placed.last_completion_s = float(now_s) + fetch_s
+        bake = fetch_kind == "bake"  # the simulator wakes us when it lands
+        self.queue.admit(placed, bake_s=fetch_s if bake else 0.0,
+                         transfer_s=0.0 if bake else fetch_s)
         if placed.done:  # zero-frame sequence: nothing to serve
             self.completed.append(placed)
-        else:
-            self.sessions.append(placed)
-        self.sessions_admitted += 1
         return placed
 
     # -- governor retuning (mid-serve quality switches) ---------------------------
@@ -208,9 +188,9 @@ class Worker:
         frames retuned (0 means nothing left to change).
         """
         start = placed.next_frame
-        if self.current is placed:  # don't reprice an in-flight frame
+        if self.queue.current is placed:  # don't reprice an in-flight frame
             start += 1
-        total = len(placed.frame_costs)
+        total = placed.frames
         if level == placed.level or start >= total:
             return 0
         engine_session = self._render(
@@ -221,7 +201,7 @@ class Worker:
         refs = [r.new_reference for r in engine_session.result.records]
         # The discarded tail's references leave the accounting with it.
         placed.references += sum(refs) - sum(placed.frame_refs[start:])
-        placed.frame_costs[start:] = [c.time_s for c in costs]
+        placed.costs[start:] = [c.time_s for c in costs]
         placed.frame_energies[start:] = [c.energy_j for c in costs]
         placed.frame_levels[start:] = [int(level)] * len(costs)
         placed.frame_refs[start:] = refs
@@ -231,55 +211,14 @@ class Worker:
 
     # -- frame service (driven by the simulator's event loop) --------------------
 
-    def poll(self, now_s: float) -> tuple:
-        """What this worker should do at ``now_s``.
-
-        Returns ``("serve", session)`` when a frame is ready (oldest
-        request first, ties by session id), ``("wait", wake_time_s)``
-        when every pending frame's request lies in the future, or
-        ``("idle", None)`` when busy, retired, or out of work.
-        """
-        if not self.live or self.busy_until_s > now_s or not self.sessions:
-            return ("idle", None)
-        ready_now = []
-        earliest_future = None
-        for session in self.sessions:
-            # Ready once requested and the previous frame is done.
-            request_s = request_time(session.arrival_s, session.next_frame,
-                                     session.fps_target)
-            ready = max(request_s, session.last_completion_s)
-            if ready <= now_s:
-                ready_now.append((request_s, session.session_id, session))
-            elif earliest_future is None or ready < earliest_future:
-                earliest_future = ready
-        if ready_now:
-            return ("serve", min(ready_now)[2])
-        return ("wait", earliest_future)
-
-    def start_frame(self, session: PlacedSession, now_s: float) -> float:
-        """Begin serving the session's next frame; returns completion time."""
-        cost = session.frame_costs[session.next_frame]
-        completion = now_s + cost
-        self.busy_s += cost
-        self.busy_until_s = completion
-        self.current = session
-        return completion
-
     def finish_frame(self, session: PlacedSession,
                      now_s: float) -> FrameTimeline:
         """Record a frame completion; returns the frame's timeline."""
-        k = session.next_frame
-        timeline = FrameTimeline(
-            request_time(session.arrival_s, k, session.fps_target),
-            now_s - session.frame_costs[k], now_s)
-        session.timelines.append(timeline)
-        session.last_completion_s = now_s
-        session.next_frame += 1
+        timeline = self.queue.finish(session, now_s)
         self.frames_served += 1
-        self.energy_served_j += session.frame_energies[k]
-        self.current = None
+        self.energy_served_j += session.frame_energies[
+            session.next_frame - 1]
         if session.done:
-            self.sessions.remove(session)
             self.completed.append(session)
         return timeline
 
@@ -299,11 +238,11 @@ class Worker:
         lifetime_s = max(end_s - self.started_s, 0.0)
         row = {
             "worker": self.worker_id,
-            "sessions": self.sessions_admitted,
+            "sessions": len(self.completed) + self.load,
             "frames": self.frames_served,
-            "busy_s": self.busy_s,
+            "busy_s": self.queue.busy_s,
             "energy_j": self.energy_served_j,
-            "utilization": (self.busy_s / lifetime_s
+            "utilization": (self.queue.busy_s / lifetime_s
                             if lifetime_s > 0 else 0.0),
             "ref_hits": cache.hits,
             "ref_misses": cache.misses,

@@ -263,6 +263,8 @@ class MultiSessionEngine:
                 if session.session_id == session_id:
                     self.sessions = [s for s in self.sessions
                                      if s is not session]
+                    if self.governor is not None:
+                        self.governor.retire(session)
                     return session
         raise KeyError(f"no admitted session {session_id!r}")
 

@@ -59,9 +59,8 @@ def frame_economics(total_frames: int, energy_j: float, busy_s: float
                     ) -> dict:
     """The J/frame and $/frame columns of one run-table row.
 
-    ``busy_s`` is the summed SoC-busy time behind the frames (cluster:
-    per-worker busy time; serve: the shared SoC's makespan).  A run that
-    served zero frames reports finite zeros, never ``inf``/``nan`` — the
+    ``busy_s`` is the summed SoC-busy time behind the frames, never
+    the time an SoC sat idle.  A run that served zero frames reports finite zeros, never ``inf``/``nan`` — the
     strict-JSON artifact contract.
     """
     frames = int(total_frames)

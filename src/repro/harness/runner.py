@@ -232,9 +232,10 @@ def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
     bit-identical either way and across backends.  A governed
     cell splits ``ray_budget`` by the governor's weights, and a
     ``static`` one builds every session already pinned at its
-    ``min_quality_tier`` rung.  The scheduler also picks the within-round
-    service order the latency model prices: arrival order for
-    round-robin, shortest-job-first for deadline.
+    ``min_quality_tier`` rung.  The scheduler also picks the service
+    order of the SoC queue the report and the governor price on:
+    oldest request first for round-robin, shortest-job-first for
+    deadline.
     """
     by_count = cell.workloads is None
     # One SLO source: rewrite the specs, then everything (governor
@@ -243,12 +244,14 @@ def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
         _sessions_mix(cell.effective("sessions")) if by_count
         else cell.workloads, cell.slo_fps)
     scheduler = cell.effective("scheduler")
+    order = "sjf" if scheduler == "deadline" else "arrival"
     field_before = FIELD_CACHE.stats.snapshot()
     references = make_reference_cache()
 
     engine_governor = None
     if cell.governor != "off":
-        engine_governor = EngineGovernor(config, mode=cell.governor)
+        engine_governor = EngineGovernor(config, mode=cell.governor,
+                                         order=order)
 
     # Sessions are built at the governor's start rung, so a static cell
     # renders even the first frame at the min_quality_tier rung.
@@ -272,7 +275,8 @@ def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
     report = aggregate_serving(
         {s.session_id: s.result for s in result.sessions},
         soc=SoCModel(feature_dim=config.feature_dim), variant=variant,
-        order="sjf" if scheduler == "deadline" else "arrival",
+        order=order,
+        fps_targets={s.session_id: s.fps_target for s in result.sessions},
         cache_stats=cache_report(references, field_since=field_before))
 
     rows = []
@@ -304,10 +308,8 @@ def _execute_serve(cell: RunConfig, config, seed: int) -> CellResult:
         "p95_latency_ms": report.p95_latency_s * 1e3,
         "p99_latency_ms": report.p99_latency_s * 1e3,
         "worst_latency_ms": report.worst_latency_s * 1e3,
-        # $/frame prices the serialized SoC makespan: one shared SoC is
-        # occupied end-to-end while the batch drains.
         **frame_economics(report.total_frames, report.total_energy_j,
-                          report.makespan_s),
+                          sum(s.busy_s for s in report.per_session)),
         "nerf_calls": batch.nerf_calls,
         "requests_per_call": batch.requests_per_call,
         "total_rays": batch.total_rays,

@@ -6,11 +6,6 @@ from .npu import NPUConfig, NPUModel
 from .pipeline import TimelineResult, overlapped_timeline, serialized_timeline
 from .remote import RemoteConfig, RemoteScenario
 from .rivals import NGPCModel, NeuRexModel
-from .serving import (
-    ServingReport,
-    SessionServingStats,
-    aggregate_serving,
-)
 from .soc import VARIANTS, FrameCost, SoCModel, SparwWorkloads
 from .workload import FrameWorkload, GatherTraffic, workload_from_stats
 
@@ -30,9 +25,6 @@ __all__ = [
     "RemoteScenario",
     "NGPCModel",
     "NeuRexModel",
-    "ServingReport",
-    "SessionServingStats",
-    "aggregate_serving",
     "VARIANTS",
     "FrameCost",
     "SoCModel",

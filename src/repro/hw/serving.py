@@ -1,24 +1,30 @@
-"""Aggregate multi-session throughput model: frames/s and tail latency.
+"""One shared SoC in virtual time: frame prices, the one service queue,
+and the multi-session throughput / tail-latency report.
 
-Prices the frames of N concurrent SPARW sessions on one shared SoC and
-simulates round-interleaved service: round ``i`` renders every session's
-frame ``i`` back to back, so a frame's latency is its completion offset
-within the round (its own cost plus queueing behind the sessions served
-before it).  Window-boundary frames carry their full-frame reference cost,
-which is exactly what the p95 tail captures.
+:class:`SocQueue` is the only code that decides when a priced frame runs;
+the ``serve`` report, the engine governor and every cluster worker read
+it.  Frame ``k`` of a session arriving at ``a`` is requested at
+``request_time(a, k, fps)`` and starts at the latest of that request, the
+session's previous completion and the moment the SoC is free.  Among the
+ready frames the oldest request goes first (ties by admission order), or
+the cheapest under ``order="sjf"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..metrics.stats import FrameTimeline, latency_summary, record_frame
-from ..obs.runtime import current_tracer, metric_inc
+from ..metrics.stats import (FrameTimeline, latency_summary, record_frame,
+                             request_time)
+from ..obs.runtime import current_tracer
 from .soc import FrameCost, SoCModel
 from .workload import workload_from_stats
 
-__all__ = ["SessionServingStats", "ServingReport", "frame_cost_record",
-           "session_frame_costs", "aggregate_serving"]
+__all__ = ["SessionServingStats", "ServingReport", "SocStream", "SocQueue",
+           "frame_cost_record", "session_frame_costs", "aggregate_serving"]
+
+ORDERS = ("arrival", "sjf")
+DEFAULT_FPS = 30.0  # WorkloadSpec.fps_target's default
 
 
 @dataclass
@@ -26,8 +32,8 @@ class SessionServingStats:
     """One session's share of the serving simulation.
 
     ``utilization`` is the fraction of the run's makespan this session
-    kept the shared SoC busy (``busy_s / makespan_s``); the per-session
-    utilizations sum to 1.0 when the SoC never idles.
+    kept the shared SoC busy (``busy_s / makespan_s``); the SoC idles
+    between requests, so the utilizations sum to at most 1.0.
     """
 
     session_id: str
@@ -39,6 +45,7 @@ class SessionServingStats:
     p95_latency_s: float
     utilization: float = 0.0
     energy_j: float = 0.0  # SoC energy spent on this session's frames
+    timelines: list = field(default_factory=list)  # one per frame
 
 
 @dataclass
@@ -49,6 +56,10 @@ class ServingReport:
     (``{"references": {hits, misses, evictions, hit_rate, ...}, "fields":
     {...}}``) when the serving harness ran with the workload-layer caches
     attached; ``None`` means uncached serving.
+
+    ``makespan_s`` is the last delivery, so it counts the time the SoC
+    idles between requests: it equals the summed busy time only when
+    every frame is requested at t = 0.
 
     The latency/throughput model is deliberately *cache-blind*: frames
     are priced from their recorded per-frame stats, which are identical
@@ -62,7 +73,7 @@ class ServingReport:
     total_frames: int
     makespan_s: float
     aggregate_fps: float
-    ttff_mean_s: float  # latency_summary fields; sessions arrive at 0
+    ttff_mean_s: float  # latency_summary fields
     ttff_p95_s: float
     mean_latency_s: float
     p50_latency_s: float
@@ -98,101 +109,213 @@ def session_frame_costs(result, soc: SoCModel, variant: str) -> list:
             for record in result.records]
 
 
+@dataclass(eq=False, kw_only=True)
+class SocStream:
+    """One session's frames on a :class:`SocQueue`: the SoC seconds of
+    those known so far (append as frames render; rewrite any not yet
+    started) out of ``frames``, and a timeline per served frame."""
+
+    arrival_s: float
+    fps: float
+    frames: int
+    costs: list = field(default_factory=list)
+    key: object = None
+    ready_s: float = field(default=0.0, init=False)  # previous completion
+    timelines: list = field(default_factory=list, init=False)
+
+    @property
+    def next_frame(self) -> int:
+        """Index of the first unserved frame."""
+        return len(self.timelines)
+
+    @property
+    def done(self) -> bool:
+        """True once every frame has been served."""
+        return self.next_frame >= self.frames
+
+    def request_s(self, k: int) -> float:
+        """When the session's viewer asks for frame ``k``."""
+        return request_time(self.arrival_s, k, self.fps)
+
+
+class SocQueue:
+    """One SoC serving many sessions' frames one at a time (module rule).
+
+    It never guesses: while the frame it would serve next (under ``sjf``,
+    any ready frame) has no known cost, it waits, so feeding costs frame
+    by frame gives the timelines feeding them up front does.  Step it on
+    an event clock (:meth:`poll`, :meth:`start`, :meth:`finish`) or let
+    :meth:`drain` serve whatever it can place.
+    """
+
+    def __init__(self, order: str = "arrival", started_s: float = 0.0):
+        if order not in ORDERS:
+            raise ValueError(f"unknown service order {order!r}")
+        self.order = order
+        self.busy_until_s = float(started_s)  # when the SoC is next free
+        self.busy_s = 0.0
+        self.current: SocStream | None = None  # whose frame is in flight
+        self.streams: list = []  # unfinished, in admission order
+
+    def admit(self, stream: SocStream, bake_s: float = 0.0,
+              transfer_s: float = 0.0) -> SocStream:
+        """Add a session at its ``arrival_s``.  A bake holds the SoC from
+        the later of arrival and its next free moment, and the session's
+        frames wait for it; a transfer delays only its first frame."""
+        stream.ready_s = stream.arrival_s
+        if bake_s > 0.0:
+            self.busy_until_s = max(self.busy_until_s,
+                                    stream.arrival_s) + bake_s
+            self.busy_s += bake_s
+            stream.ready_s = self.busy_until_s
+        elif transfer_s > 0.0:
+            stream.ready_s = stream.arrival_s + transfer_s
+        if not stream.done:
+            self.streams.append(stream)
+        return stream
+
+    def close(self, stream: SocStream) -> None:
+        """End a stream after the frames whose costs it has."""
+        stream.frames = len(stream.costs)
+        if stream.done and stream in self.streams:
+            self.streams.remove(stream)
+
+    def _ready_s(self, stream: SocStream) -> float:
+        return max(stream.request_s(stream.next_frame), stream.ready_s)
+
+    def poll(self, now_s: float) -> tuple:
+        """``("serve", stream)`` when a frame is ready at ``now_s``,
+        ``("wait", wake_time_s)`` when every pending frame's request lies
+        in the future, else ``("idle", None)``: the SoC is busy, out of
+        work, or the next frame's cost is not known yet."""
+        if self.busy_until_s > now_s or not self.streams:
+            return ("idle", None)
+        ready = [s for s in self.streams if self._ready_s(s) <= now_s]
+        if not ready:
+            return ("wait", min(map(self._ready_s, self.streams)))
+        sjf = self.order == "sjf"  # ties go to the earlier admission
+        if sjf and any(s.next_frame >= len(s.costs) for s in ready):
+            return ("idle", None)
+        stream = min(ready, key=lambda s: (
+            s.costs[s.next_frame] if sjf else 0.0, s.request_s(s.next_frame)))
+        known = stream.next_frame < len(stream.costs)
+        return ("serve", stream) if known else ("idle", None)
+
+    def start(self, stream: SocStream, now_s: float) -> float:
+        """Begin the stream's next frame at ``now_s``; returns its finish."""
+        cost = stream.costs[stream.next_frame]
+        self.busy_s += cost
+        self.busy_until_s = now_s + cost
+        self.current = stream
+        return self.busy_until_s
+
+    def finish(self, stream: SocStream, now_s: float) -> FrameTimeline:
+        """Record the in-flight frame's delivery; returns its timeline."""
+        k = stream.next_frame
+        timeline = FrameTimeline(stream.request_s(k),
+                                 now_s - stream.costs[k], now_s)
+        stream.timelines.append(timeline)
+        stream.ready_s = now_s
+        self.current = None
+        if stream.done:
+            self.streams.remove(stream)
+        return timeline
+
+    def drain(self) -> list:
+        """Serve every frame the rule can place now; returns the
+        ``(stream, timeline)`` pairs in service order."""
+        placed = []
+        while self.streams:
+            now_s = max(self.busy_until_s, min(map(self._ready_s,
+                                                   self.streams)))
+            action, stream = self.poll(now_s)
+            if action != "serve":
+                break
+            placed.append((stream, self.finish(stream,
+                                               self.start(stream, now_s))))
+        return placed
+
+
 def aggregate_serving(session_results: dict, soc: SoCModel,
                       variant: str = "cicero",
                       order: str = "arrival",
                       variants: dict | None = None,
+                      fps_targets: dict | None = None,
                       cache_stats: dict | None = None) -> ServingReport:
-    """Simulate interleaved service of many sessions on one SoC.
+    """Serve many sessions' priced frames on one :class:`SocQueue`, every
+    session arriving at t = 0.
 
     Parameters
     ----------
     session_results:
-        ``{session_id: SparwSequenceResult}`` — the engine's per-session
-        outputs (or any solo pipeline results).
+        ``{session_id: SparwSequenceResult}`` in admission order — the
+        engine's per-session outputs (or any solo pipeline results).
     soc:
         Hardware model to price frames on.
     variant:
         SoC variant to price under (see :data:`repro.hw.soc.VARIANTS`).
     order:
-        Within-round service order: ``"arrival"`` keeps dict order (the
-        engine's round-robin) or ``"sjf"`` serves cheapest frames first,
-        which minimises mean queueing delay (the deadline scheduler's
-        latency-oriented counterpart).
+        ``"arrival"`` (the round-robin engine's) or ``"sjf"`` (the deadline
+        scheduler's: cheapest ready frame first, minimising mean delay).
     variants:
         Optional ``{session_id: variant}`` overrides for heterogeneous
         workload mixes (each session priced under its spec's variant);
         sessions absent from the dict fall back to ``variant``.
+    fps_targets:
+        Optional ``{session_id: fps}`` request rates; sessions absent
+        from the dict request at :data:`DEFAULT_FPS`.
     cache_stats:
         Optional shared-cache counters (from
         :func:`repro.workloads.cache.cache_report`) to attach to the
         report.
     """
-    if order not in ("arrival", "sjf"):
-        raise ValueError(f"unknown service order {order!r}")
-    variants = variants or {}
-    frame_costs = {
-        sid: session_frame_costs(result, soc, variants.get(sid, variant))
-        for sid, result in session_results.items()}
-    frame_times = {sid: [c.time_s for c in costs]
-                   for sid, costs in frame_costs.items()}
+    queue = SocQueue(order)
+    variants, fps_targets = variants or {}, fps_targets or {}
+    frame_costs, streams = {}, {}
+    for sid, result in session_results.items():
+        costs = session_frame_costs(result, soc, variants.get(sid, variant))
+        frame_costs[sid] = costs
+        streams[sid] = queue.admit(SocStream(
+            arrival_s=0.0, fps=fps_targets.get(sid, DEFAULT_FPS),
+            frames=len(costs), costs=[c.time_s for c in costs], key=sid))
 
     # Observability hooks (read-only: instrumentation records the same
-    # clock/latency values the report is built from, never changes them).
+    # timelines the report is built from, never changes them).
     tracer = current_tracer()
     if tracer is not None:
         soc_pid = tracer.process("soc")
-        rounds_tid = tracer.thread(soc_pid, "rounds")
-        for sid in frame_times:  # session lanes in session order
+        for sid in streams:  # session lanes in session order
             tracer.thread(soc_pid, sid)
+    for stream, timeline in queue.drain():
+        record_frame(timeline, "serve", "soc", stream.key,
+                     stream.next_frame - 1)
 
-    timelines: dict = {sid: [] for sid in frame_times}
-    clock = 0.0
-    max_frames = max((len(t) for t in frame_times.values()), default=0)
-    for i in range(max_frames):
-        due = [(sid, times[i]) for sid, times in frame_times.items()
-               if i < len(times)]
-        if order == "sjf":
-            due.sort(key=lambda item: item[1])
-        round_start = clock
-        for sid, cost in due:
-            start = clock
-            clock += cost
-            timeline = FrameTimeline(round_start, start, clock)
-            timelines[sid].append(timeline)
-            record_frame(timeline, "serve", "soc", sid, i)
-        if tracer is not None and due:
-            tracer.complete("serve.round", "engine", round_start * 1e6,
-                            (clock - round_start) * 1e6, soc_pid,
-                            rounds_tid,
-                            args={"round": i, "sessions": len(due)})
-        if due:
-            metric_inc("serve.rounds")
-
+    makespan = queue.busy_until_s
     per_session = []
     for sid, result in session_results.items():
-        times = frame_times[sid]
-        latency = latency_summary([(0.0, timelines[sid])])
-        busy = float(sum(times))
+        stream = streams[sid]
+        latency = latency_summary([(0.0, stream.timelines)])
+        busy = float(sum(stream.costs))
         per_session.append(SessionServingStats(
             session_id=sid,
-            frames=len(times),
+            frames=stream.frames,
             references=result.num_references,
             busy_s=busy,
-            solo_fps=len(times) / busy if busy > 0 else 0.0,
+            solo_fps=stream.frames / busy if busy > 0 else 0.0,
             mean_latency_s=latency["mean_latency_s"],
             p95_latency_s=latency["p95_latency_s"],
-            utilization=busy / clock if clock > 0 else 0.0,
+            utilization=busy / makespan if makespan > 0 else 0.0,
             energy_j=float(sum(c.energy_j for c in frame_costs[sid])),
+            timelines=stream.timelines,
         ))
 
     total_frames = sum(s.frames for s in per_session)
     return ServingReport(
         num_sessions=len(per_session),
         total_frames=total_frames,
-        makespan_s=clock,
-        aggregate_fps=total_frames / clock if clock > 0 else 0.0,
-        **latency_summary((0.0, timelines[sid]) for sid in session_results),
+        makespan_s=makespan,
+        aggregate_fps=total_frames / makespan if makespan > 0 else 0.0,
+        **latency_summary((0.0, s.timelines) for s in per_session),
         total_energy_j=sum(s.energy_j for s in per_session),
         per_session=per_session,
         cache=cache_stats,

@@ -14,6 +14,8 @@ from instruments import level_of
 from repro.control import EngineGovernor
 from repro.engine import MultiSessionEngine
 from repro.harness.configs import FAST
+from repro.hw.serving import aggregate_serving
+from repro.hw.soc import SoCModel
 from repro.workloads import build_mixed_sessions, get_workload
 
 FRAMES = 8
@@ -122,24 +124,114 @@ class TestSwitchesLand:
 
 class TestLateArrival:
     def test_late_session_is_not_charged_for_the_earlier_clock(self):
-        # The clock is shared for the server's whole life: a session
+        # The queue is shared for the server's whole life: a session
         # attached after it advanced requests its frames from then on.
-        sessions = build_mixed_sessions("vr-lego:2", FAST, frames=3)
-        MultiSessionEngine(sessions).run()  # ungoverned: records to replay
-        first, second = sessions
+        first, second = build_mixed_sessions("vr-lego:2", FAST, frames=6)
         governor = EngineGovernor(FAST, mode="adaptive")
-        governor.attach([first])
-        record = first.result.records[-1]
-        k = 0
-        while governor.clock_s < 4 * second.workload.slo_latency_s:
-            governor.observe_record(
-                first, dataclasses.replace(record, frame_index=k))
-            k += 1
-        governor.attach([second])
-        for record in second.result.records:
-            governor.observe_record(second, record)
+        engine = MultiSessionEngine([], governor=governor)
+        with engine.serving():
+            engine.admit(first)
+            while not first.done:
+                engine.run_round()
+            attached_s = governor.queue.busy_until_s
+            assert attached_s > 4 * second.workload.slo_latency_s
+            engine.admit(second)
+            while not second.done:
+                engine.run_round()
+        timelines = governor.streams[second.session_id].timelines
+        assert timelines[0].request_s == attached_s
+        assert len(timelines) == 6
+        assert all(t.latency_s < second.workload.slo_latency_s
+                   for t in timelines)
         assert governor.governor.sessions[second.session_id].level == 0
         assert not governor.events
+
+    def test_a_retired_session_holds_no_frame_back(self):
+        # A session retired mid-serve renders no more frames; the queue
+        # must not wait for them before placing its peers' frames.
+        first, second = build_mixed_sessions("vr-lego:2", FAST, frames=6)
+        governor = EngineGovernor(FAST, mode="adaptive")
+        engine = MultiSessionEngine([], governor=governor)
+        with engine.serving():
+            engine.admit(first)
+            engine.admit(second)
+            while first.frames_completed < 2:
+                engine.run_round()
+            engine.retire(first.session_id)
+            while not second.done:
+                engine.run_round()
+        assert governor.queue.streams == []
+        assert len(second.result.records) == 6
+
+
+class TestObservesTheReportedLatency:
+    """The governor observes each frame at the latency the ``serve``
+    report gives the same frame: both read one SoC queue."""
+
+    @staticmethod
+    def spy(governor):
+        seen = {}
+        observe = governor.governor.observe
+
+        def recording(session_id, latency_s):
+            seen.setdefault(session_id, []).append(latency_s)
+            return observe(session_id, latency_s)
+        governor.governor.observe = recording
+        return seen
+
+    @staticmethod
+    def check(governor, seen, report):
+        assert seen
+        for stats in report.per_session:
+            sid = stats.session_id
+            assert governor.streams[sid].timelines == stats.timelines
+            observed = seen.get(sid, [])
+            assert observed == [t.latency_s for t in stats.timelines][
+                :len(observed)]
+
+    @pytest.mark.parametrize("scheduler", ["round_robin", "deadline"])
+    def test_seed_7_governed_mix(self, monkeypatch, scheduler):
+        from repro.harness import runner
+        from repro.harness.runconfig import RunConfig
+        governors, reports, seen = [], [], []
+
+        class SpyGovernor(runner.EngineGovernor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                governors.append(self)
+                seen.append(TestObservesTheReportedLatency.spy(self))
+
+        def spy_aggregate(*args, **kwargs):
+            reports.append(aggregate(*args, **kwargs))
+            return reports[-1]
+
+        aggregate = runner.aggregate_serving
+        monkeypatch.setattr(runner, "EngineGovernor", SpyGovernor)
+        monkeypatch.setattr(runner, "aggregate_serving", spy_aggregate)
+        runner.execute_cell(RunConfig(
+            mode="serve", workloads="vr-lego:4,dolly-chair:2,orbit-ngp:2",
+            frames=8, governor="adaptive", seed=7,
+            scheduler=scheduler).validate(), config=FAST)
+        (governor,), (report,), (observed,) = governors, reports, seen
+        self.check(governor, observed, report)
+        # The parent's private clock read 0 ms for most of these frames.
+        assert sum(len(v) for v in observed.values()) == 42
+        assert all(latency > 0.0 for v in observed.values() for latency in v)
+
+    def test_overloaded_mix(self):
+        sessions = build_mixed_sessions(overloaded_mix(), FAST,
+                                        frames=FRAMES)
+        governor = EngineGovernor(FAST, mode="adaptive")
+        observed = self.spy(governor)
+        MultiSessionEngine(sessions, ray_budget=4096,
+                           governor=governor).run()
+        report = aggregate_serving(
+            {s.session_id: s.result for s in sessions},
+            soc=SoCModel(feature_dim=FAST.feature_dim),
+            variants={s.session_id: s.workload.variant for s in sessions},
+            fps_targets={s.session_id: s.fps_target for s in sessions})
+        self.check(governor, observed, report)
+        assert governor.events
 
 
 class TestStaticEngine:

@@ -68,8 +68,11 @@ def worker_path(spec, k):
 
     worker._render = spy
     placed = worker.admit("cluster", spec, 0.0)
-    placed.next_frame = k
-    assert worker.retune_session(placed, LEVEL) == len(placed.frame_costs) - k
+    now_s = 0.0
+    for _ in range(k):  # serve the frames before the switch
+        now_s = worker.finish_frame(
+            placed, worker.queue.start(placed, now_s)).finish_s
+    assert worker.retune_session(placed, LEVEL) == placed.frames - k
     assert placed.frame_levels == [0] * k + [LEVEL] * (
         len(placed.frame_levels) - k)
     return rendered[-1].result.records

@@ -354,8 +354,9 @@ class TestExecuteCellParity:
             "ttff_p95_ms": 557.3573691437908}
 
     def test_governed_sessions_serve_prices_one_variant(self, monkeypatch):
-        # The governor closes its loop on the same SoC clock the report
-        # prices: a --sessions cell's specs carry the one variant.
+        # The governor closes its loop on the same SoC queue the report
+        # prices: a --sessions cell's specs carry the one variant, and
+        # every frame gets one timeline.
         from repro.harness import runner
         governors, reports = [], []
 
@@ -375,7 +376,10 @@ class TestExecuteCellParity:
                          governor="adaptive", slo_fps=30.0).validate()
         execute_cell(cell, config=FAST)
         (governor,), (report,) = governors, reports
-        assert governor.clock_s == pytest.approx(report.makespan_s)
+        assert [governor.streams[s.session_id].timelines
+                for s in report.per_session] == [
+                    s.timelines for s in report.per_session]
+        assert sum(len(s.timelines) for s in report.per_session) == 8
 
     @pytest.mark.parametrize("knobs", [
         {}, dict(ray_budget=3000, governor="adaptive", slo_fps=400.0)])
@@ -390,6 +394,18 @@ class TestExecuteCellParity:
         for summary in (first, second):
             del summary["cache"]["fields"]
         assert first == second
+
+    def test_serve_prices_dollars_on_busy_time(self):
+        # $/frame prices summed SoC-busy time: the makespan also counts
+        # the SoC idling between 30 fps requests (9 777 frames/s of work
+        # served at 274 frames/s here).
+        cell = RunConfig(mode="serve",
+                         workloads="vr-lego:4,dolly-chair:2,orbit-ngp:2",
+                         frames=8, governor="adaptive", seed=7).validate()
+        summary = execute_cell(cell, config=FAST).summary
+        assert summary["usd_per_frame"] == pytest.approx(
+            4.993946847961686e-10, rel=1e-12)
+        assert summary["aggregate_fps"] == pytest.approx(274.1312049979584)
 
     def test_serve_cell_reports_energy(self):
         cell = RunConfig(mode="serve", workloads="vr-lego:2",

@@ -1,5 +1,7 @@
 """Tests for the aggregate multi-session serving model."""
 
+import math
+
 import pytest
 
 from repro.core.sparw.pipeline import SparwSequenceResult, TargetFrameRecord
@@ -56,8 +58,13 @@ class TestAggregateServing:
         assert report.num_sessions == 2
         assert report.total_frames == 8
         busy = sum(s.busy_s for s in report.per_session)
-        assert report.makespan_s == pytest.approx(busy)
+        # The SoC idles between 30 fps requests ...
+        assert report.makespan_s >= busy
         assert report.aggregate_fps == pytest.approx(8 / report.makespan_s)
+        # ... and never when every frame is requested at t = 0.
+        eager = aggregate_serving(results, soc=soc,
+                                  fps_targets={"a": math.inf, "b": math.inf})
+        assert eager.makespan_s == pytest.approx(busy)
 
     def test_latency_includes_queueing(self, soc):
         solo = aggregate_serving({"a": make_result(4, 2)}, soc=soc)
